@@ -276,9 +276,11 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
         .set(static_cast<double>(gathered.memo_entries));
     registry.gauge("campaign.snapshots")
         .set(static_cast<double>(gathered.snapshots));
-    if (range_elapsed.count() > 0.0)
+    // The executed replays, not the requested `count`: an early-stopped
+    // campaign would otherwise over-report its rate.
+    if (gathered.wall_seconds > 0.0)
       registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(count) / range_elapsed.count());
+          .set(static_cast<double>(gathered.replays) / gathered.wall_seconds);
   }
 
   if (telemetry != nullptr) *telemetry = gathered;

@@ -347,7 +347,6 @@ void ReplayEngine::build_template() {
                   source_exec, false, -1);
       counts_message_[id] = c.intra() ? 0 : 1;
       comm_to_op[ci] = id;
-      initial_handoffs_.push_back(id);
       continue;
     }
 
@@ -554,11 +553,10 @@ void ReplayEngine::reset_pristine(Scratch& s) const {
   s.finish.resize(op_count_);
   s.head.assign(resource_count_, 0);
   s.free_at.assign(resource_count_, 0.0);
-  s.handoffs.assign(initial_handoffs_.begin(), initial_handoffs_.end());
+  s.ready_handoffs.clear();  // no source exec has committed yet
   s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
   s.worklist.clear();
-  s.cand_ready.resize(resource_count_);
-  s.cand_op.resize(resource_count_);
+  s.tree.resize(2 * resource_count_);
   s.dirty_flag.assign(resource_count_, 0);
   s.dirty_resources.clear();
   s.all_dirty = true;
@@ -573,12 +571,11 @@ void ReplayEngine::restore_snapshot(Scratch& s, const Snapshot& snap) const {
   s.finish = snap.finish;
   s.head = snap.head;
   s.free_at = snap.free_at;
-  s.handoffs = snap.pending_handoffs;
+  s.ready_handoffs = snap.ready_handoffs;
   // No op is dead anywhere on the fault-free prefix.
   s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
   s.worklist.clear();
-  s.cand_ready.resize(resource_count_);
-  s.cand_op.resize(resource_count_);
+  s.tree.resize(2 * resource_count_);
   s.dirty_flag.assign(resource_count_, 0);
   s.dirty_resources.clear();
   s.all_dirty = true;
@@ -627,9 +624,32 @@ void ReplayEngine::propagate(Scratch& s) const {
   // Worklist closure of the naive propagate_dead fixpoint: a dead
   // prerequisite kills its dependents; an exec dies when some in-edge has
   // every input dead. The resulting state set is the same least fixpoint
-  // the naive full-scan loop computes. A death wave can invalidate any
-  // cached candidate, so the next commit refreshes them all.
-  s.all_dirty = true;
+  // the naive full-scan loop computes.
+  //
+  // Targeted invalidation. Between steps every tree leaf holds its
+  // resource's current candidate, or (kInf, none) while that candidate is
+  // a wire whose other resource's leaf holds the same current (ready, op)
+  // (commit_next relies on this when a wire newly heads its send port), so
+  // the root is the true winner either way. A resource's candidate reads
+  // its head op h: h's state, at_heads(h), h's prerequisite and input
+  // states and times, and the clocks of h's resources. A death wave (the
+  // θ-killed op, its processor's clocks set to +inf, everything that dies
+  // below) changes these only
+  //  * on the resources of a killed op: its state, and the head cursors
+  //    (only killed ops' resources are advanced);
+  //  * on the dead processor's three resources: their clocks (commit_next
+  //    marks them before calling here);
+  //  * on the other resource of the final head h of any resource above:
+  //    at_heads(h) reads that resource's head, and h's ready time its
+  //    clock.
+  // Nothing else moves: a killed op was pending, so no slot's earliest
+  // done input changes unless the whole slot dies and kills its exec; a
+  // dead prerequisite kills its pending dependent; no done op's times
+  // change; and a hand-off dies only through its source exec, before it
+  // was ever runnable, so the ready heap stays exact. Every leaf whose
+  // value may change is therefore recomputed, and a (kInf, none) leaf left
+  // alone keeps a correct partner: had the partner changed, it would have
+  // been recomputed too.
   while (!s.worklist.empty()) {
     const std::uint32_t op = s.worklist.back();
     s.worklist.pop_back();
@@ -647,8 +667,25 @@ void ReplayEngine::propagate(Scratch& s) const {
       }
     }
     // A settled op at a queue head unblocks whatever sits behind it.
-    if (res_a_[op] != kNone32) advance_resource(s, res_a_[op]);
-    if (res_b_[op] != kNone32) advance_resource(s, res_b_[op]);
+    if (res_a_[op] != kNone32) {
+      advance_resource(s, res_a_[op]);
+      mark_dirty(s, res_a_[op]);
+    }
+    if (res_b_[op] != kNone32) {
+      advance_resource(s, res_b_[op]);
+      mark_dirty(s, res_b_[op]);
+    }
+  }
+  // The third rule. Partners added here need no pass of their own: neither
+  // their head nor their clock moved (else the loop above marked them).
+  const std::size_t touched = s.dirty_resources.size();
+  for (std::size_t i = 0; i < touched; ++i) {
+    const std::uint32_t res = s.dirty_resources[i];
+    const std::uint32_t idx = queue_begin_[res] + s.head[res];
+    if (idx >= queue_begin_[res + 1]) continue;
+    const std::uint32_t h = queue_ops_[idx];
+    const std::uint32_t other = res_a_[h] == res ? res_b_[h] : res_a_[h];
+    if (other != kNone32) mark_dirty(s, other);
   }
 }
 
@@ -736,24 +773,47 @@ bool ReplayEngine::runnable(const Scratch& s, std::uint32_t op,
   return true;
 }
 
-void ReplayEngine::recompute_candidate(Scratch& s, std::uint32_t res) const {
-  // The cached candidate is exactly what the old per-commit consider() scan
-  // computed for this resource's queue head; (kInf, kNone32) encodes "no
-  // runnable head" and can never win the selection below.
-  double ready = kInf;
-  std::uint32_t op = kNone32;
+ReplayEngine::Candidate ReplayEngine::head_candidate(const Scratch& s,
+                                                     std::uint32_t res) const {
+  // Exactly what the naive per-commit consider() computes for this
+  // resource's queue head; (kInf, kNone32) can never win a selection.
+  Candidate candidate{kInf, kNone32};
   const std::uint32_t idx = queue_begin_[res] + s.head[res];
   if (idx < queue_begin_[res + 1]) {
-    const std::uint32_t cand = queue_ops_[idx];
-    double r = 0.0;
-    if (s.state[cand] == kPending && at_heads(s, cand) &&
-        runnable(s, cand, r)) {
-      ready = r;
-      op = cand;
-    }
+    const std::uint32_t op = queue_ops_[idx];
+    double ready = 0.0;
+    if (s.state[op] == kPending && at_heads(s, op) && runnable(s, op, ready))
+      candidate = {ready, op};
   }
-  s.cand_ready[res] = ready;
-  s.cand_op[res] = op;
+  return candidate;
+}
+
+void ReplayEngine::update_leaf(Scratch& s, std::uint32_t res) const {
+  std::size_t node = resource_count_ + res;
+  const Candidate leaf = head_candidate(s, res);
+  if (leaf == s.tree[node]) return;
+  s.tree[node] = leaf;
+  // Replay the matches on the path to the root; a node whose winner comes
+  // out unchanged leaves every node above it unchanged too.
+  for (node /= 2; node != 0; node /= 2) {
+    const Candidate& left = s.tree[2 * node];
+    const Candidate& right = s.tree[2 * node + 1];
+    const Candidate winner = right.before(left) ? right : left;
+    if (winner == s.tree[node]) return;
+    s.tree[node] = winner;
+  }
+}
+
+void ReplayEngine::rebuild_tree(Scratch& s) const {
+  const std::size_t leaves = resource_count_;
+  for (std::uint32_t res = 0; res < leaves; ++res)
+    s.tree[leaves + res] = head_candidate(s, res);
+  for (std::size_t node = leaves - 1; node != 0; --node) {
+    const Candidate& left = s.tree[2 * node];
+    const Candidate& right = s.tree[2 * node + 1];
+    s.tree[node] = right.before(left) ? right : left;
+  }
+  ++s.refresh_count;
 }
 
 void ReplayEngine::mark_dirty(Scratch& s, std::uint32_t res) const {
@@ -769,67 +829,46 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // operations (plus resource-free hand-offs) whose prerequisites are met,
   // commit the one with the earliest candidate start; lowest op id breaks
   // ties. Instead of re-deriving every head's readiness each step, the
-  // Scratch keeps a per-resource candidate cache (SoA: cand_ready/cand_op)
-  // and each commit refreshes only the resources the previous commit could
-  // have affected; the selection is then a branch-light min scan over two
-  // flat arrays. Candidate values come from the same at_heads/runnable
-  // code, so the selected (ready, op) — tie-breaks, ±inf conventions and
-  // IEEE arithmetic included — is bit-identical to the full rescan.
+  // Scratch keeps the per-resource candidates in a tournament tree and
+  // refreshes only the leaves of the resources the previous step could
+  // have affected; the root is then the best queue head and the top of the
+  // ready heap the best hand-off. Candidate values come from the same
+  // at_heads/runnable code and compete under the naive order
+  // (Candidate::before), so the selected (ready, op) — tie-breaks, ±inf
+  // conventions and IEEE arithmetic included — is bit-identical to the
+  // full rescan.
   if (s.all_dirty) {
-    for (std::uint32_t res = 0;
-         res < static_cast<std::uint32_t>(resource_count_); ++res)
-      recompute_candidate(s, res);
+    rebuild_tree(s);
     s.all_dirty = false;
     s.dirty_resources.clear();
     std::fill(s.dirty_flag.begin(), s.dirty_flag.end(), 0);
   } else {
     for (const std::uint32_t res : s.dirty_resources) {
       s.dirty_flag[res] = 0;
-      recompute_candidate(s, res);
+      update_leaf(s, res);
     }
     s.dirty_resources.clear();
   }
 
-  std::uint32_t best = kNone32;
-  double best_start = kInf;
-  for (std::size_t res = 0; res < resource_count_; ++res) {
-    const double ready = s.cand_ready[res];
-    const std::uint32_t op = s.cand_op[res];
-    if (ready < best_start || (ready == best_start && op < best)) {
-      best_start = ready;
-      best = op;
-    }
+  Candidate pick = s.tree[1];
+  std::vector<Candidate>& heap = s.ready_handoffs;
+  while (!heap.empty() && s.state[heap.front().op] != kPending) {
+    std::pop_heap(heap.begin(), heap.end(), Candidate::after);
+    heap.pop_back();
   }
-  for (std::size_t hi = 0; hi < s.handoffs.size();) {
-    const std::uint32_t op = s.handoffs[hi];
-    if (s.state[op] != kPending) {
-      s.handoffs[hi] = s.handoffs.back();  // drop settled hand-offs
-      s.handoffs.pop_back();
-      continue;
-    }
-    double ready = 0.0;
-    if (runnable(s, op, ready) &&
-        (ready < best_start || (ready == best_start && op < best))) {
-      best_start = ready;
-      best = op;
-    }
-    ++hi;
-  }
+  if (!heap.empty() && heap.front().before(pick)) pick = heap.front();
 
-  if (best == kNone32) {
+  if (pick.op == kNone32) {
     // Strict committed order stuck (circular wait through rerouted inputs —
     // possible only under crashes): any prerequisite-ready op may jump the
     // queue; the resource clocks still serialize everything.
     for (std::uint32_t op = 0; op < op_count_; ++op) {
       if (s.state[op] != kPending) continue;
-      double ready = 0.0;
-      if (!runnable(s, op, ready)) continue;
-      if (ready < best_start || (ready == best_start && op < best)) {
-        best_start = ready;
-        best = op;
-      }
+      Candidate candidate{0.0, op};
+      if (runnable(s, op, candidate.ready) && candidate.before(pick))
+        pick = candidate;
     }
-    if (best != kNone32) {
+    if (pick.op != kNone32) {
       ++s.order_relaxations;
       // A queue-jumping commit moves resource clocks under ops that never
       // headed a queue — no targeted invalidation covers that, so refresh
@@ -837,6 +876,8 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
       s.all_dirty = true;
     }
   }
+  const std::uint32_t best = pick.op;
+  const double best_start = pick.ready;
   if (best == kNone32) {
     // Nothing can ever run again: remaining pending work is lost.
     for (std::uint32_t op = 0; op < op_count_; ++op)
@@ -850,6 +891,7 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
     return false;
   }
 
+  ++s.commit_count;
   s.start[best] = best_start;
   const double finish = best_start + duration_[best];
   s.finish[best] = finish;
@@ -867,9 +909,12 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
     s.free_at[p] = kInf;           // exec resource
     s.free_at[m_ + p] = kInf;      // send port
     s.free_at[2 * m_ + p] = kInf;  // receive port
-    // The caller runs propagate(), which advances this op's resources and
-    // those of everything that dies with it (and dirties every candidate).
-    s.all_dirty = true;
+    // The caller runs propagate(), which advances and marks this op's
+    // resources and those of everything that dies with it; the clocks that
+    // just moved are marked here (the argument is in propagate).
+    mark_dirty(s, static_cast<std::uint32_t>(p));
+    mark_dirty(s, static_cast<std::uint32_t>(m_ + p));
+    mark_dirty(s, static_cast<std::uint32_t>(2 * m_ + p));
     return true;
   }
 
@@ -888,9 +933,20 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // ops behind it on its own resources (heads and clocks moved, covered
   // above); its prerequisite dependents (now satisfiable); and the exec one
   // of whose input slots it feeds (that slot's earliest live arrival may
-  // have dropped). Resource-free hand-offs are rescanned every step.
+  // have dropped). A wire that now heads best's queue may head its other
+  // queue too; that leaf keeps (kInf, none), which is harmless because the
+  // refreshed leaf of best's resource carries the same (ready, op) (see
+  // the invariant in propagate). A hand-off dependent holds no resource and
+  // its only prerequisite is this op, so from now on it is runnable at
+  // ready time `finish`, for good: it goes on the ready heap.
   for (std::uint32_t i = dep_begin_[best]; i < dep_begin_[best + 1]; ++i) {
     const std::uint32_t d = dep_ops_[i];
+    if (kind_[d] == kHandoff) {
+      s.ready_handoffs.push_back({finish, d});
+      std::push_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(),
+                     Candidate::after);
+      continue;
+    }
     if (res_a_[d] != kNone32) mark_dirty(s, res_a_[d]);
     if (res_b_[d] != kNone32) mark_dirty(s, res_b_[d]);
   }
@@ -1023,8 +1079,11 @@ void ReplayEngine::record_fault_free() {
       snap.finish = s.finish;
       snap.head = s.head;
       snap.free_at = s.free_at;
-      for (const std::uint32_t op : initial_handoffs_)
-        if (s.state[op] == kPending) snap.pending_handoffs.push_back(op);
+      for (const Candidate& handoff : s.ready_handoffs)
+        if (s.state[handoff.op] == kPending)
+          snap.ready_handoffs.push_back(handoff);
+      std::make_heap(snap.ready_handoffs.begin(), snap.ready_handoffs.end(),
+                     Candidate::after);
       snapshots_.push_back(std::move(snap));
     }
   }

@@ -15,7 +15,7 @@
 ///     replay (and every worker thread).
 ///  2. **Prefix snapshots.** The fault-free timeline is simulated once at
 ///     construction; the mutable simulator state (op states and times, queue
-///     head cursors, resource clocks, pending hand-offs) is checkpointed at
+///     head cursors, resource clocks, ready hand-offs) is checkpointed at
 ///     event boundaries, each snapshot annotated with the per-processor
 ///     maximum finish time committed so far. A scenario whose crash times
 ///     all exceed those maxima replays *identically* through that prefix, so
@@ -47,6 +47,16 @@
 ///     scenario is replayed and cached, turning a continuous θ space into a
 ///     finite, memoisable one (a deliberate, width-bounded approximation —
 ///     see the quantization contract below).
+///
+/// Event selection: every commit takes the earliest-ready runnable op, the
+/// lowest op id breaking ties — the naive replay's rule. The Scratch caches
+/// one candidate per resource (the (ready, op) of its runnable queue head)
+/// in the leaves of a tournament tree whose root is the resource winner.
+/// A commit or a θ-death wave recomputes only the resources it can affect,
+/// each walking toward the root until a node comes out unchanged.
+/// Resource-free hand-offs wait in a min-heap under the same order, pushed
+/// when their source exec commits. A commit thus costs O(changed resources
+/// × log R) instead of a scan over every resource and pending hand-off.
 ///
 /// Determinism contract: for every (schedule, scenario) pair, `replay`
 /// returns a CrashResult **bit-for-bit identical** to
@@ -223,6 +233,26 @@ class SharedReplayMemo {
 
 /// Prefix-cached replay engine bound to one committed schedule.
 class ReplayEngine {
+ private:
+  /// One selectable event: an op and the earliest time it may start.
+  /// (kInf, none) marks "nothing runnable" and loses to every real event.
+  struct Candidate {
+    double ready;
+    std::uint32_t op;
+    /// The event order: earlier ready time first, lower op id on ties.
+    /// Ready times are never NaN, so this is a total order.
+    [[nodiscard]] bool before(const Candidate& other) const {
+      return ready < other.ready || (ready == other.ready && op < other.op);
+    }
+    /// Heap comparator that puts the earliest event on top.
+    [[nodiscard]] static bool after(const Candidate& a, const Candidate& b) {
+      return b.before(a);
+    }
+    [[nodiscard]] bool operator==(const Candidate& other) const {
+      return ready == other.ready && op == other.op;
+    }
+  };
+
  public:
   /// Builds the template and records the fault-free timeline. `schedule`
   /// and `costs` must outlive the engine.
@@ -246,6 +276,13 @@ class ReplayEngine {
     [[nodiscard]] std::uint64_t memo_lookups() const { return lookups; }
     [[nodiscard]] std::uint64_t memo_hits() const { return hits; }
     [[nodiscard]] std::uint64_t memo_evictions() const { return evictions; }
+    /// Kernel counters since construction: events selected (commits and
+    /// θ-deaths), and full candidate refreshes — one per replay that is not
+    /// a memo hit, plus one after each order relaxation.
+    [[nodiscard]] std::uint64_t commits() const { return commit_count; }
+    [[nodiscard]] std::uint64_t full_refreshes() const {
+      return refresh_count;
+    }
 
    private:
     friend class ReplayEngine;
@@ -254,19 +291,22 @@ class ReplayEngine {
     std::vector<double> finish;
     std::vector<std::uint32_t> head;
     std::vector<double> free_at;
-    std::vector<std::uint32_t> handoffs;
     std::vector<std::uint32_t> dead_inputs;
     std::vector<std::uint32_t> worklist;
-    /// Per-resource candidate cache (structure-of-arrays): the ready time
-    /// and op id of each resource's runnable queue head, kept current by
-    /// targeted invalidation so each commit recomputes only the resources
-    /// the previous commit touched, then takes a branch-light min over two
-    /// flat arrays. (kInf, kNone32) encodes "no runnable head".
-    std::vector<double> cand_ready;
-    std::vector<std::uint32_t> cand_op;
+    /// Tournament tree over the per-resource candidate cache, heap layout:
+    /// leaf R + r holds resource r's candidate (its runnable queue head, or
+    /// (kInf, none)), node i the winner of nodes 2i and 2i + 1, node 1 the
+    /// overall winner (node 0 is unused). Targeted invalidation keeps it
+    /// current; see commit_next and propagate.
+    std::vector<Candidate> tree;
+    /// Runnable hand-offs, a min-heap in event order; settled entries are
+    /// popped lazily when they reach the top.
+    std::vector<Candidate> ready_handoffs;
     std::vector<std::uint32_t> dirty_resources;
     std::vector<std::uint8_t> dirty_flag;
     bool all_dirty = true;
+    std::uint64_t commit_count = 0;
+    std::uint64_t refresh_count = 0;
     std::size_t order_relaxations = 0;
     bool order_deadlock = false;
     bool died = false;
@@ -333,9 +373,9 @@ class ReplayEngine {
     std::vector<double> finish;
     std::vector<std::uint32_t> head;
     std::vector<double> free_at;
-    /// Hand-off ops still pending at this point (hand-offs hold no
+    /// The runnable hand-offs at this point, as a heap (hand-offs hold no
     /// resource, so the queue heads cannot rediscover them on restore).
-    std::vector<std::uint32_t> pending_handoffs;
+    std::vector<Candidate> ready_handoffs;
   };
 
   void build_template();
@@ -370,8 +410,16 @@ class ReplayEngine {
   void close_dead_mask(Scratch& s, std::uint64_t dead_mask) const;
   /// Advances one resource's head cursor past settled ops.
   void advance_resource(Scratch& s, std::uint32_t res) const;
-  /// Recomputes one resource's cached (ready, op) candidate.
-  void recompute_candidate(Scratch& s, std::uint32_t res) const;
+  /// One resource's candidate: its queue head with the head's ready time
+  /// when that op is pending, heads all its queues and is runnable;
+  /// (kInf, none) otherwise.
+  [[nodiscard]] Candidate head_candidate(const Scratch& s,
+                                         std::uint32_t res) const;
+  /// Recomputes one resource's leaf and replays the matches above it,
+  /// stopping at the first node whose winner is unchanged.
+  void update_leaf(Scratch& s, std::uint32_t res) const;
+  /// Recomputes every leaf and rebuilds the tree bottom-up: O(R).
+  void rebuild_tree(Scratch& s) const;
   void mark_dirty(Scratch& s, std::uint32_t res) const;
   [[nodiscard]] bool at_heads(const Scratch& s, std::uint32_t op) const;
   [[nodiscard]] bool runnable(const Scratch& s, std::uint32_t op,
@@ -400,7 +448,6 @@ class ReplayEngine {
   /// Scratch head cursors stay relative to each resource's own queue.
   std::vector<std::uint32_t> queue_begin_;  ///< size resource_count_+1
   std::vector<std::uint32_t> queue_ops_;
-  std::vector<std::uint32_t> initial_handoffs_;
 
   /// exec ops per task, flattened CSR-style (for collect()):
   /// exec_ops_[exec_op_begin_[t] + replica] = op id.

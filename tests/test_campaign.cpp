@@ -18,6 +18,7 @@
 #include "campaign/scenario_sampler.hpp"
 #include "campaign/stats.hpp"
 #include "helpers.hpp"
+#include "obs/obs.hpp"
 
 namespace caft {
 namespace {
@@ -458,6 +459,29 @@ TEST(Campaign, ZeroFailureSamplerReproducesCommittedLatency) {
   EXPECT_NEAR(summary.latency.mean(), schedule.zero_crash_latency(), 1e-6);
   EXPECT_NEAR(summary.latency.min(), summary.latency.max(), 1e-12);
   EXPECT_EQ(summary.order_relaxations, 0u);
+}
+
+// The campaign.replays_per_second gauge must divide the replays actually
+// executed: an early-stopped campaign runs far fewer than it requested.
+TEST(Campaign, EarlyStoppedRateGaugeCountsExecutedReplays) {
+  Scenario s = random_setup(108, 10, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler sampler(10, 3);  // beyond ε: mixed outcomes
+  CampaignOptions options;
+  options.replays = 100000;
+  options.block = 50;
+  options.target_ci_width = 0.25;
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  CampaignTelemetry telemetry;
+  (void)run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+  const double gauge =
+      registry.snapshot().gauge_value("campaign.replays_per_second");
+  registry.set_enabled(false);
+  ASSERT_LT(telemetry.replays, options.replays);
+  ASSERT_GT(telemetry.wall_seconds, 0.0);
+  EXPECT_EQ(gauge,
+            static_cast<double>(telemetry.replays) / telemetry.wall_seconds);
 }
 
 TEST(Campaign, RejectsMismatchedSamplerSize) {

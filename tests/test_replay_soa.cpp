@@ -7,6 +7,11 @@
 //    simulate_crashes reference on randomized 64-processor schedules —
 //    the widest platform the bitmask path handles;
 //  - the > 64-processor worklist fallback must stay byte-identical too;
+//  - the order-relaxation fallback must be reached (asserted on the naive
+//    result) and matched, and the deadlock branch is pinned as reachable
+//    only from schedules the engine rejects;
+//  - θ-deaths must not fall back to full candidate refreshes (kernel
+//    counters: one refresh per replay plus one per relaxation);
 //  - the lock-free memo must survive a concurrent insert/lookup/evict
 //    torture (mask space >> capacity, many threads, one engine) with every
 //    returned record still the pure function of its scenario and the
@@ -29,6 +34,7 @@
 #include "algo/caft.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "comm/one_port.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
@@ -233,6 +239,136 @@ TEST(ReplaySoa, WorklistFallbackMatchesNaiveAbove64Procs) {
     const CrashResult incr = engine.replay(scenario, scratch);
     expect_identical(naive, incr, "fallback theta " + std::to_string(draw));
   }
+}
+
+// -------------------------------------- order relaxation and deadlock cases
+
+/// Hand-posted macro-dataflow chain B -> C -> A, two replicas per task on
+/// five processors, in which A^0 is committed *before* B^0 on P0 although
+/// A^0 can also be fed (late) by the chain B^0 -> C^0. Fault-free, A^0
+/// runs off the early chain B^1 (P1) -> C^1 (P3). Once P1 is lost, A^0
+/// waits for C^0, which waits for B^0, which waits behind A^0: the strict
+/// committed order is a circular wait, and only the relaxation fallback
+/// (B^0 jumps the queue) completes the replay.
+struct RelaxationCase {
+  TaskGraph graph = chain(3, 5.0);
+  Platform platform{5};
+  CostModel costs = uniform_costs(graph, platform, 10.0, 1.0);
+  Schedule schedule{graph, platform, 1, CommModelKind::kMacroDataflow};
+
+  RelaxationCase() {
+    const std::vector<TaskId> t = graph.all_tasks();  // B, C, A
+    schedule.set_replica(t[0], 0, {ProcId(0), 32.0, 42.0});  // B^0
+    schedule.set_replica(t[0], 1, {ProcId(1), 0.0, 10.0});   // B^1
+    schedule.set_replica(t[1], 0, {ProcId(2), 43.0, 53.0});  // C^0
+    schedule.set_replica(t[1], 1, {ProcId(3), 11.0, 21.0});  // C^1
+    schedule.set_replica(t[2], 0, {ProcId(0), 22.0, 32.0});  // A^0
+    schedule.set_replica(t[2], 1, {ProcId(4), 22.0, 32.0});  // A^1
+    const auto comm = [&](EdgeIndex edge, ReplicaRef from, ReplicaRef to,
+                          double sent) {
+      CommAssignment c;
+      c.edge = edge;
+      c.from = from;
+      c.to = to;
+      c.src_proc = schedule.replica(from.task, from.replica).proc;
+      c.dst_proc = schedule.replica(to.task, to.replica).proc;
+      c.volume = 5.0;
+      c.times.link_start = sent;
+      c.times.arrival = sent + 1.0;
+      schedule.add_comm(c);
+    };
+    comm(0, {t[0], 0}, {t[1], 0}, 42.0);  // B^0 -> C^0
+    comm(0, {t[0], 1}, {t[1], 1}, 10.0);  // B^1 -> C^1
+    comm(1, {t[1], 0}, {t[2], 0}, 53.0);  // C^0 -> A^0 (late)
+    comm(1, {t[1], 1}, {t[2], 0}, 21.0);  // C^1 -> A^0
+    comm(1, {t[1], 0}, {t[2], 1}, 53.0);  // C^0 -> A^1
+    comm(1, {t[1], 1}, {t[2], 1}, 21.0);  // C^1 -> A^1
+  }
+};
+
+TEST(ReplaySoa, OrderRelaxationFallbackMatchesNaive) {
+  const RelaxationCase c;
+  ASSERT_TRUE(c.schedule.complete());
+  const ReplayEngine engine(c.schedule, c.costs);
+  ReplayEngine::Scratch scratch;
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // P1 dead from the start (dead-mask closure), and P1 crashing at θ = 5
+  // while B^1 runs (θ-death and propagate()): both reach the fallback.
+  const std::vector<CrashScenario> scenarios = {
+      CrashScenario::at_zero(5, {ProcId(1)}),
+      CrashScenario({inf, 5.0, inf, inf, inf})};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const CrashResult naive =
+        simulate_crashes(c.schedule, c.costs, scenarios[i]);
+    ASSERT_GT(naive.order_relaxations, 0u) << "scenario " << i;
+    ASSERT_TRUE(naive.success) << "scenario " << i;
+    const std::uint64_t refreshes = scratch.full_refreshes();
+    const CrashResult incr = engine.replay(scenarios[i], scratch);
+    expect_identical(naive, incr, "relaxation scenario " + std::to_string(i));
+    // One refresh on entry plus one after each queue jump.
+    EXPECT_EQ(scratch.full_refreshes() - refreshes,
+              1 + incr.order_relaxations);
+  }
+}
+
+TEST(ReplaySoa, OrderDeadlockOnlyFromSchedulesTheEngineRejects) {
+  // A replay whose fault-free run completes cannot deadlock under crashes:
+  // a pending op with no pending prerequisite or input is runnable (a dead
+  // prerequisite or an all-dead input slot would have killed it), so the
+  // relaxation fallback always finds one. The naive replay's deadlock
+  // branch is therefore reachable only from a schedule that deadlocks
+  // fault-free — here a replica with no communication on its in-edge —
+  // and the engine rejects such a schedule when it records the fault-free
+  // timeline, so there is nothing for it to reproduce.
+  const TaskGraph graph = chain(2, 5.0);
+  const Platform platform(2);
+  const CostModel costs = uniform_costs(graph, platform, 10.0, 1.0);
+  Schedule schedule(graph, platform, 0, CommModelKind::kMacroDataflow);
+  const std::vector<TaskId> t = graph.all_tasks();
+  schedule.set_replica(t[0], 0, {ProcId(0), 0.0, 10.0});
+  schedule.set_replica(t[1], 0, {ProcId(1), 11.0, 21.0});  // never fed
+  ASSERT_TRUE(schedule.complete());
+
+  const CrashResult naive =
+      simulate_crashes(schedule, costs, CrashScenario::none(2));
+  EXPECT_TRUE(naive.order_deadlock);
+  EXPECT_FALSE(naive.success);
+  EXPECT_THROW(ReplayEngine(schedule, costs), CheckError);
+}
+
+// ------------------------------------------------------- kernel counters
+
+TEST(ReplaySoa, ThetaDeathsRefreshNoMoreThanEntryAndRelaxations) {
+  // A θ-death and its propagate() dirty only the resources they can
+  // affect; a full candidate refresh happens once per replay and once
+  // after each order relaxation. A silent fallback to refreshing on every
+  // death (hundreds per replay here) fails this test.
+  RandomDagParams dag;
+  dag.min_tasks = 80;
+  dag.max_tasks = 80;
+  const Scenario s = test::random_setup(149, 20, 1.0, dag);
+  const Schedule schedule = caft_for(s, 2);
+  const ReplayEngine engine(schedule, *s.costs);
+  const CrashWindowSampler sampler(20, 2, 0.0, schedule.horizon() / 2.0);
+  ReplayEngine::Scratch scratch;
+  Rng rng(1493);
+  std::size_t lost_replicas = 0;
+  for (int draw = 0; draw < 16; ++draw) {
+    const CrashScenario scenario = sampler.sample(rng);
+    const std::uint64_t refreshes = scratch.full_refreshes();
+    const std::uint64_t commits = scratch.commits();
+    const CrashResult incr = engine.replay(scenario, scratch);
+    expect_identical(simulate_crashes(schedule, *s.costs, scenario), incr,
+                     "window draw " + std::to_string(draw));
+    EXPECT_EQ(scratch.full_refreshes() - refreshes,
+              1 + incr.order_relaxations);
+    EXPECT_GT(scratch.commits(), commits);
+    for (const std::vector<bool>& done : incr.completed)
+      lost_replicas += static_cast<std::size_t>(
+          std::count(done.begin(), done.end(), false));
+  }
+  EXPECT_GT(lost_replicas, 0u) << "the draws must kill work mid-replay";
 }
 
 // ------------------------------------------------------- memo torture test
