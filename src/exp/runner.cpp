@@ -11,6 +11,7 @@
 #include "common/parallel.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/crash_sim.hpp"
+#include "sim/replay_engine.hpp"
 
 namespace caft {
 
@@ -105,7 +106,9 @@ RepMetrics run_repetition(const ExperimentConfig& config,
     results.push_back(scheduler->schedule(instance, request));
 
   // Crash re-execution: one uniformly drawn crash set per repetition,
-  // shared across all algorithms (paired comparison).
+  // shared across all algorithms (paired comparison). Each schedule is
+  // replayed once, so its engine is template only: no fault-free recording,
+  // a dead-mask closure and one replay from the pristine state.
   const auto indices =
       rng.sample_without_replacement(config.proc_count, config.crashes);
   std::vector<ProcId> failed(indices.size());
@@ -118,6 +121,9 @@ RepMetrics run_repetition(const ExperimentConfig& config,
     return normalized_latency(latency, instance.graph(), instance.costs());
   };
 
+  ReplayEngineOptions one_shot;
+  one_shot.max_snapshots = 0;
+
   RepMetrics rep;
   rep.ff_caft = norm(caft_star);
   rep.ff_ftbar = norm(ff_ftbar.makespan);
@@ -126,7 +132,8 @@ RepMetrics run_repetition(const ExperimentConfig& config,
   for (std::size_t a = 0; a < results.size(); ++a) {
     const ftsched::ScheduleResult& result = results[a];
     const CrashResult crash =
-        simulate_crashes(result.schedule, instance.costs(), scenario);
+        ReplayEngine(result.schedule, instance.costs(), one_shot)
+            .replay(scenario);
     AlgoRep& algo = rep.algos[a];
     algo.latency0 = norm(result.makespan);
     algo.latency_ub = norm(result.upper_bound);

@@ -1,5 +1,7 @@
 #include "server/server_wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -57,7 +59,6 @@ CampaignRequest read_campaign_request(std::istream& is) {
       const std::size_t n = parse_size(
           next_token(fields, "algorithm count"), "algorithm count");
       request.spec.algorithms.clear();
-      request.spec.algorithms.reserve(n);
       for (std::size_t i = 0; i < n; ++i)
         request.spec.algorithms.push_back(
             next_token(fields, "algorithm name"));
@@ -76,7 +77,6 @@ CampaignRequest read_campaign_request(std::istream& is) {
       const std::size_t n =
           parse_size(next_token(fields, "quantile count"), "quantile count");
       request.spec.quantiles.clear();
-      request.spec.quantiles.reserve(n);
       for (std::size_t i = 0; i < n; ++i)
         request.spec.quantiles.push_back(
             parse_double(next_token(fields, "quantile"), "quantile"));
@@ -100,12 +100,23 @@ CampaignRequest read_campaign_request(std::istream& is) {
       const std::size_t n = parse_size(
           next_token(fields, "instance byte count"), "instance byte count");
       CAFT_CHECK_MSG(n > 0, "campaign wire: request has an empty instance");
-      request.instance_bytes.resize(n);
-      is.read(request.instance_bytes.data(),
-              static_cast<std::streamsize>(n));
-      CAFT_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == n,
+      // n is the peer's claim, not a budget: the payload is appended in
+      // bounded chunks as it arrives, so memory tracks the bytes actually
+      // received. (Counts elsewhere in a request need no such care: each
+      // item is a token on one line, and a missing token throws.)
+      std::string& payload = request.instance_bytes;
+      payload.clear();
+      std::array<char, 16384> chunk;
+      while (payload.size() < n) {
+        const std::size_t want = std::min(chunk.size(), n - payload.size());
+        is.read(chunk.data(), static_cast<std::streamsize>(want));
+        const auto got = static_cast<std::size_t>(is.gcount());
+        payload.append(chunk.data(), got);
+        if (got < want) break;
+      }
+      CAFT_CHECK_MSG(payload.size() == n,
                      "campaign wire: truncated instance payload (got " +
-                         std::to_string(is.gcount()) + " of " +
+                         std::to_string(payload.size()) + " of " +
                          std::to_string(n) + " bytes)");
       saw_instance = true;
     } else {

@@ -254,15 +254,13 @@ ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs,
                 // naive replay; the parameter keeps the two call shapes
                 // symmetric.
   CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
-  CAFT_CHECK_MSG(options_.max_snapshots > 0,
-                 "the engine needs at least one snapshot slot");
   CAFT_CHECK_MSG(options_.theta_bucket_width >= 0.0 &&
                      !std::isnan(options_.theta_bucket_width),
                  "theta bucket width must be non-negative");
   static std::atomic<std::uint64_t> next_generation{1};
   generation_ = next_generation.fetch_add(1, std::memory_order_relaxed);
   build_template();
-  record_fault_free();
+  if (options_.max_snapshots > 0) record_fault_free();
 }
 
 void ReplayEngine::build_template() {
@@ -385,23 +383,34 @@ void ReplayEngine::build_template() {
 
   op_count_ = kind_.size();
 
-  // Resource queues in committed order (same sort as the naive replay),
-  // flattened into one CSR array: the whole hot working set of the commit
-  // loop is then four contiguous arrays (queue_ops_, state, head, free_at).
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
-  });
+  // Resource queues in committed order, flattened into one CSR array: the
+  // whole hot working set of the commit loop is then four contiguous arrays
+  // (queue_ops_, state, head, free_at). The naive replay sorts all entries
+  // by (key, seq) at once; (key, seq) is unique within a resource (the two
+  // entries of a wire that share a seq sit on different resources), so
+  // bucketing by resource and sorting each queue alone yields the same
+  // queues for a fraction of the comparisons.
   queue_begin_.assign(resource_count_ + 1, 0);
   for (const Keyed& k : keyed) ++queue_begin_[k.res + 1];
   for (std::size_t r = 0; r < resource_count_; ++r)
     queue_begin_[r + 1] += queue_begin_[r];
-  queue_ops_.assign(keyed.size(), 0);
+  std::vector<Keyed> queued(keyed.size());
   {
     std::vector<std::uint32_t> cursor(queue_begin_.begin(),
                                       queue_begin_.end() - 1);
-    for (const Keyed& k : keyed) queue_ops_[cursor[k.res]++] = k.op;
+    for (const Keyed& k : keyed) queued[cursor[k.res]++] = k;
   }
+  queue_ops_.resize(queued.size());
+  for (std::size_t r = 0; r < resource_count_; ++r) {
+    const auto first = queued.begin() + queue_begin_[r];
+    const auto last = queued.begin() + queue_begin_[r + 1];
+    std::sort(first, last, [](const Keyed& a, const Keyed& b) {
+      if (a.key != b.key) return a.key < b.key;
+      return a.seq < b.seq;
+    });
+  }
+  for (std::size_t i = 0; i < queued.size(); ++i)
+    queue_ops_[i] = queued[i].op;
 
   // Disjunctive input slots: one slot per (exec op, in-edge), flattened.
   exec_slot_begin_.assign(op_count_ + 1, 0);

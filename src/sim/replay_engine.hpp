@@ -25,7 +25,11 @@
 ///     dead-propagation is a single linear pass over a precomputed
 ///     topological op order testing per-op processor bitmasks against the
 ///     ≤64-proc dead word (the worklist closure remains for m > 64 and for
-///     mid-replay θ deaths), instead of the naive fixpoint scan.
+///     mid-replay θ deaths), instead of the naive fixpoint scan. A
+///     template-only engine (`max_snapshots = 0`) skips the recording and
+///     starts every scenario from the pristine state: the cheap form for
+///     one-shot replays and for crash-set enumeration (exp/runner,
+///     sim/resilience).
 ///  3. **Dead-set memoisation.** When every crash time is 0 or +inf (the
 ///     paper's "k processors dead from t = 0" model), the outcome is a pure
 ///     function of the dead-processor bitmask — and a uniform-k campaign
@@ -101,6 +105,16 @@ namespace caft {
 struct ReplayEngineOptions {
   /// Upper bound on stored fault-free snapshots; memory is
   /// O(max_snapshots × ops).
+  ///
+  /// 0 means *template only*, for callers that replay a schedule once or
+  /// enumerate dead-from-start masks: the constructor builds the op
+  /// template and records no fault-free timeline, so neither fault-free
+  /// pass runs, `event_count()` and `snapshot_count()` are 0,
+  /// `snapshot_times` is ignored, and every replay starts from the pristine
+  /// state (through the dead-mask closure where it applies). The
+  /// constructor's fault-free deadlock check is skipped with the recording:
+  /// a schedule that deadlocks fault-free then yields `order_deadlock` in
+  /// its CrashResult, exactly as simulate_crashes does.
   std::size_t max_snapshots = 64;
   /// Adaptive snapshot placement: target times (e.g. quantiles of the
   /// sampler's first-crash distribution) at which prefix snapshots should
@@ -254,7 +268,9 @@ class ReplayEngine {
   };
 
  public:
-  /// Builds the template and records the fault-free timeline. `schedule`
+  /// Builds the template and, unless `options.max_snapshots` is 0 (template
+  /// only), records the fault-free timeline; that recording throws
+  /// CheckError on a schedule whose fault-free replay deadlocks. `schedule`
   /// and `costs` must outlive the engine.
   ReplayEngine(const Schedule& schedule, const CostModel& costs,
                ReplayEngineOptions options = {});
@@ -350,9 +366,10 @@ class ReplayEngine {
   const CrashResult& replay(const CrashScenario& scenario, Scratch& scratch,
                             SharedReplayMemo* shared = nullptr) const;
 
-  /// Events (op commits) on the fault-free timeline.
+  /// Events (op commits) on the fault-free timeline; 0 for a template-only
+  /// engine.
   [[nodiscard]] std::size_t event_count() const { return commit_count_; }
-  /// Stored prefix snapshots.
+  /// Stored prefix snapshots; 0 for a template-only engine.
   [[nodiscard]] std::size_t snapshot_count() const {
     return snapshots_.size();
   }

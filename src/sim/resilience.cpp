@@ -4,17 +4,29 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "sim/replay_engine.hpp"
 
 namespace caft {
 
 namespace {
 
-/// Applies one scenario and folds its outcome into the report.
-void fold(const Schedule& schedule, const CostModel& costs,
+/// Every crash set here is one dead-from-start mask replayed once, so the
+/// engine is template only (no fault-free recording) and keeps no
+/// per-Scratch memo; a sweep reuses one engine and one Scratch throughout.
+ReplayEngineOptions template_only() {
+  ReplayEngineOptions options;
+  options.max_snapshots = 0;
+  options.memo_capacity = 0;
+  return options;
+}
+
+/// Replays one crash set and folds its outcome into the report.
+void fold(const ReplayEngine& engine, ReplayEngine::Scratch& scratch,
           const std::vector<ProcId>& failed, ResilienceReport& report) {
-  const CrashScenario scenario =
-      CrashScenario::at_zero(schedule.platform().proc_count(), failed);
-  const CrashResult result = simulate_crashes(schedule, costs, scenario);
+  const CrashResult& result = engine.replay(
+      CrashScenario::at_zero(engine.schedule().platform().proc_count(),
+                             failed),
+      scratch);
   ++report.scenarios_tested;
   if (!result.success) {
     ++report.failures;
@@ -35,9 +47,11 @@ ResilienceReport check_resilience_exhaustive(const Schedule& schedule,
   CAFT_CHECK_MSG(failures <= m, "cannot fail more processors than exist");
   ResilienceReport report;
   report.best_latency = std::numeric_limits<double>::infinity();
+  const ReplayEngine engine(schedule, costs, template_only());
+  ReplayEngine::Scratch scratch;
 
   if (failures == 0) {
-    fold(schedule, costs, {}, report);
+    fold(engine, scratch, {}, report);
     return report;
   }
 
@@ -48,7 +62,7 @@ ResilienceReport check_resilience_exhaustive(const Schedule& schedule,
     std::vector<ProcId> failed(failures);
     for (std::size_t i = 0; i < failures; ++i)
       failed[i] = ProcId(static_cast<ProcId::value_type>(pick[i]));
-    fold(schedule, costs, failed, report);
+    fold(engine, scratch, failed, report);
 
     // Advance to the next combination.
     std::size_t i = failures;
@@ -74,12 +88,14 @@ ResilienceReport check_resilience_sampled(const Schedule& schedule,
   CAFT_CHECK_MSG(failures <= m, "cannot fail more processors than exist");
   ResilienceReport report;
   report.best_latency = std::numeric_limits<double>::infinity();
+  const ReplayEngine engine(schedule, costs, template_only());
+  ReplayEngine::Scratch scratch;
   for (std::size_t s = 0; s < samples; ++s) {
     const auto indices = rng.sample_without_replacement(m, failures);
     std::vector<ProcId> failed(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i)
       failed[i] = ProcId(static_cast<ProcId::value_type>(indices[i]));
-    fold(schedule, costs, failed, report);
+    fold(engine, scratch, failed, report);
   }
   if (report.best_latency == std::numeric_limits<double>::infinity())
     report.best_latency = 0.0;
@@ -95,9 +111,8 @@ CrashResult simulate_random_crashes(const Schedule& schedule,
   std::vector<ProcId> failed(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i)
     failed[i] = ProcId(static_cast<ProcId::value_type>(indices[i]));
-  return simulate_crashes(
-      schedule, costs,
-      CrashScenario::at_zero(schedule.platform().proc_count(), failed));
+  const ReplayEngine engine(schedule, costs, template_only());
+  return engine.replay(CrashScenario::at_zero(m, failed));
 }
 
 }  // namespace caft

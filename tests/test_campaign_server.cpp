@@ -132,6 +132,35 @@ TEST(CampaignServerWire, RequestRoundTripsThroughTheWire) {
   EXPECT_EQ(again.str(), out.str());
 }
 
+/// The CheckError message `read_campaign_request` throws on `text`, or ""
+/// when it throws nothing (any other exception escapes and fails the test).
+std::string request_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)server::read_campaign_request(in);
+  } catch (const caft::CheckError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CampaignServerWire, DeclaredCountsAllocateNothingAheadOfThePayload) {
+  // A request of a few dozen bytes may declare any size; the reader must
+  // fail on what actually arrives instead of allocating what was declared.
+  EXPECT_NE(request_error("caft-campaign-request v1\n"
+                          "instance-bytes 1099511627776\n0123456789")
+                .find("truncated instance payload (got 10 of 1099511627776"),
+            std::string::npos);
+  EXPECT_NE(request_error("caft-campaign-request v1\n"
+                          "quantiles 1000000000000 0.5\nend\n")
+                .find("missing quantile"),
+            std::string::npos);
+  EXPECT_NE(request_error("caft-campaign-request v1\n"
+                          "algorithms 1000000000000 caft\nend\n")
+                .find("missing algorithm name"),
+            std::string::npos);
+}
+
 TEST(CampaignServerWire, ReportRoundTripsIntoAReadableDocument) {
   const Instance instance = random_instance(21, 6, 1.0, 1);
   CampaignSpec spec = base_spec();

@@ -1,13 +1,18 @@
 // Tests for the experiment harness (exp/config, exp/runner, exp/report).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/config.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "pinned_figure_points.hpp"
 
 namespace caft {
 namespace {
@@ -163,6 +168,46 @@ TEST(ExpRunner, FifthAlgorithmNeedsNoStructChange) {
   const Table b = panel_b(config, points);
   EXPECT_EQ(b.header().size(), 9u);
   EXPECT_EQ(b.header()[7], "CAFT-BATCH 0-crash");
+}
+
+/// One point as hexfloat text: granularity, both baselines, every
+/// algorithm's seven averages, then the crash-failure count.
+std::string render_point(const PointAverages& p) {
+  std::string line;
+  char buffer[32];
+  const auto add = [&](double value) {
+    std::snprintf(buffer, sizeof buffer, "%a ", value);
+    line += buffer;
+  };
+  add(p.granularity);
+  add(p.ff_caft);
+  add(p.ff_ftbar);
+  for (const auto& [name, a] : p.algos) {
+    line += name + " ";
+    for (const double value : {a.latency0, a.latency_ub, a.latency_crash,
+                               a.overhead0, a.overhead_crash, a.messages,
+                               a.messages_per_edge})
+      add(value);
+  }
+  return line + std::to_string(p.crash_failures);
+}
+
+// The paper's six figures at two graphs per point, bit for bit: any change
+// to the scheduler, the crash re-execution or the fold that moves one bit of
+// the reproduction fails here. The literals live in pinned_figure_points.hpp.
+TEST(ExpRunner, FigurePointsPinned) {
+  std::vector<std::string> actual;
+  for (ExperimentConfig config : {figure1(), figure2(), figure3(), figure4(),
+                                  figure5(), figure6()}) {
+    config.graphs_per_point = 2;
+    for (const PointAverages& p : run_experiment(config))
+      actual.push_back(config.name + " " + render_point(p));
+  }
+  const std::vector<std::string> expected(std::begin(kPinnedFigurePoints),
+                                          std::end(kPinnedFigurePoints));
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i)
+    EXPECT_EQ(actual[i], expected[i]) << "point " << i;
 }
 
 TEST(ExpReport, PanelsHaveExpectedShape) {

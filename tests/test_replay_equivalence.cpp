@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/caft.hpp"
@@ -144,6 +145,55 @@ TEST(ReplayEquivalence, RandomTriplesAcrossAlgorithmsAndSamplers) {
     }
   }
   EXPECT_GE(triples, 200u);
+}
+
+TEST(ReplayEquivalence, TemplateOnlyEngineOnRandomTriples) {
+  // max_snapshots = 0 records no fault-free timeline: every replay starts
+  // from the pristine state — dead-from-start masks through the closure,
+  // θ draws through the event loop — and must still match the naive path
+  // bit for bit, through a reused Scratch and through the one-shot
+  // overload the experiment runner uses.
+  ReplayEngineOptions template_only;
+  template_only.max_snapshots = 0;
+  std::size_t triples = 0;
+  ReplayEngine::Scratch scratch;
+  for (const std::uint64_t seed : {11ull, 37ull, 72ull}) {
+    RandomDagParams dag;
+    dag.min_tasks = 15;
+    dag.max_tasks = 35;
+    const Scenario s = test::random_setup(seed, 8, seed % 2 == 0 ? 1.0 : 5.0,
+                                          dag);
+    for (const char* algo : {"caft", "ftsa", "ftbar", "heft"}) {
+      const std::size_t eps = std::string(algo) == "heft" ? 0 : 2;
+      const Schedule schedule = schedule_with(
+          algo, s, eps,
+          eps == 0 ? CommModelKind::kMacroDataflow : CommModelKind::kOnePort);
+      const ReplayEngine engine(schedule, *s.costs, template_only);
+      EXPECT_EQ(engine.event_count(), 0u);
+      EXPECT_EQ(engine.snapshot_count(), 0u);
+      const double horizon = schedule.horizon();
+      const std::string context =
+          std::string(algo) + " seed " + std::to_string(seed);
+
+      const UniformKSampler dead(8, eps + 1);
+      const CrashWindowSampler window(8, 2, 0.0, horizon * 1.1);
+      Rng rng(seed * 7 + eps);
+      for (int draw = 0; draw < 4; ++draw) {
+        triples += check_triple(schedule, *s.costs, engine, scratch,
+                                dead.sample(rng),
+                                context + " dead draw " + std::to_string(draw));
+        triples += check_triple(schedule, *s.costs, engine, scratch,
+                                window.sample(rng),
+                                context + " theta draw " + std::to_string(draw));
+      }
+      triples += check_triple(schedule, *s.costs, engine, scratch,
+                              CrashScenario::none(8), context + " crash-free");
+      const CrashScenario one_shot = dead.sample(rng);
+      expect_identical(simulate_crashes(schedule, *s.costs, one_shot),
+                       engine.replay(one_shot), context + " one-shot");
+    }
+  }
+  EXPECT_GE(triples, 100u);
 }
 
 // ------------------------------------------- targeted boundary scenarios

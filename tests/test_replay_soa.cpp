@@ -9,7 +9,8 @@
 //  - the > 64-processor worklist fallback must stay byte-identical too;
 //  - the order-relaxation fallback must be reached (asserted on the naive
 //    result) and matched, and the deadlock branch is pinned as reachable
-//    only from schedules the engine rejects;
+//    only from schedules the default engine rejects — and matched by a
+//    template-only engine, which accepts them;
 //  - θ-deaths must not fall back to full candidate refreshes (kernel
 //    counters: one refresh per replay plus one per relaxation);
 //  - the lock-free memo must survive a concurrent insert/lookup/evict
@@ -318,9 +319,10 @@ TEST(ReplaySoa, OrderDeadlockOnlyFromSchedulesTheEngineRejects) {
   // prerequisite or an all-dead input slot would have killed it), so the
   // relaxation fallback always finds one. The naive replay's deadlock
   // branch is therefore reachable only from a schedule that deadlocks
-  // fault-free — here a replica with no communication on its in-edge —
-  // and the engine rejects such a schedule when it records the fault-free
-  // timeline, so there is nothing for it to reproduce.
+  // fault-free — here a replica with no communication on its in-edge.
+  // The default engine rejects such a schedule when it records the
+  // fault-free timeline; a template-only engine records nothing, accepts
+  // it, and must reproduce the naive deadlock bit for bit.
   const TaskGraph graph = chain(2, 5.0);
   const Platform platform(2);
   const CostModel costs = uniform_costs(graph, platform, 10.0, 1.0);
@@ -335,6 +337,16 @@ TEST(ReplaySoa, OrderDeadlockOnlyFromSchedulesTheEngineRejects) {
   EXPECT_TRUE(naive.order_deadlock);
   EXPECT_FALSE(naive.success);
   EXPECT_THROW(ReplayEngine(schedule, costs), CheckError);
+
+  ReplayEngineOptions template_only;
+  template_only.max_snapshots = 0;
+  const ReplayEngine engine(schedule, costs, template_only);
+  ReplayEngine::Scratch scratch;
+  expect_identical(naive, engine.replay(CrashScenario::none(2), scratch),
+                   "template-only, fault-free");
+  const CrashScenario p1_dead = CrashScenario::at_zero(2, {ProcId(1)});
+  expect_identical(simulate_crashes(schedule, costs, p1_dead),
+                   engine.replay(p1_dead, scratch), "template-only, P1 dead");
 }
 
 // ------------------------------------------------------- kernel counters

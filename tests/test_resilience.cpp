@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algo/caft.hpp"
 #include "algo/caft_batch.hpp"
 #include "algo/ftbar.hpp"
@@ -76,6 +82,87 @@ TEST(Resilience, SimulateRandomCrashesRespectsCount) {
   Rng rng(11);
   const CrashResult result = simulate_random_crashes(sched, *s.costs, 2, rng);
   EXPECT_TRUE(result.success);
+}
+
+/// Calls `visit` on every crash set of `k` out of `m` processors, in the
+/// lexicographic order check_resilience_exhaustive walks.
+template <typename Visit>
+void for_each_crash_set(std::size_t m, std::size_t k, std::size_t first,
+                        std::vector<ProcId>& set, Visit&& visit) {
+  if (set.size() == k) {
+    visit(set);
+    return;
+  }
+  for (std::size_t p = first; p + (k - set.size()) <= m; ++p) {
+    set.push_back(ProcId(static_cast<ProcId::value_type>(p)));
+    for_each_crash_set(m, k, p + 1, set, visit);
+    set.pop_back();
+  }
+}
+
+/// The exhaustive report rebuilt from one simulate_crashes call per crash
+/// set: the reference the engine-backed sweep must reproduce exactly.
+ResilienceReport naive_exhaustive(const Schedule& sched,
+                                  const CostModel& costs,
+                                  std::size_t failures) {
+  const std::size_t m = sched.platform().proc_count();
+  ResilienceReport report;
+  report.best_latency = std::numeric_limits<double>::infinity();
+  std::vector<ProcId> set;
+  for_each_crash_set(m, failures, 0, set, [&](const std::vector<ProcId>& f) {
+    const CrashResult result =
+        simulate_crashes(sched, costs, CrashScenario::at_zero(m, f));
+    ++report.scenarios_tested;
+    if (!result.success) {
+      ++report.failures;
+      report.resistant = false;
+      if (report.witness.empty()) report.witness = f;
+    } else {
+      report.worst_latency = std::max(report.worst_latency, result.latency);
+      report.best_latency = std::min(report.best_latency, result.latency);
+    }
+  });
+  if (report.best_latency == std::numeric_limits<double>::infinity())
+    report.best_latency = 0.0;
+  return report;
+}
+
+TEST(Resilience, ExhaustiveReportMatchesNaiveReplayLoop) {
+  // Every f <= ε, plus f = ε + 1, where breaking crash sets exist and the
+  // witnesses (the first breaking set in walk order) are compared too.
+  std::size_t failing_reports = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Scenario s = random_setup(seed, 8, 0.8, small_dag());
+    for (std::size_t eps = 1; eps <= 2; ++eps) {
+      const SchedulerOptions base{eps, CommModelKind::kOnePort};
+      CaftOptions caft;
+      caft.base = base;
+      FtbarOptions ftbar;
+      ftbar.base = base;
+      const std::vector<std::pair<const char*, Schedule>> schedules = {
+          {"caft", caft_schedule(s.graph, *s.platform, *s.costs, caft)},
+          {"ftsa", ftsa_schedule(s.graph, *s.platform, *s.costs, base)},
+          {"ftbar", ftbar_schedule(s.graph, *s.platform, *s.costs, ftbar)}};
+      for (const auto& [algo, sched] : schedules) {
+        for (std::size_t f = 0; f <= eps + 1; ++f) {
+          SCOPED_TRACE(std::string(algo) + " seed " + std::to_string(seed) +
+                       " eps " + std::to_string(eps) + " f " +
+                       std::to_string(f));
+          const ResilienceReport naive = naive_exhaustive(sched, *s.costs, f);
+          const ResilienceReport report =
+              check_resilience_exhaustive(sched, *s.costs, f);
+          EXPECT_EQ(report.resistant, naive.resistant);
+          EXPECT_EQ(report.scenarios_tested, naive.scenarios_tested);
+          EXPECT_EQ(report.failures, naive.failures);
+          EXPECT_EQ(report.witness, naive.witness);
+          EXPECT_EQ(report.worst_latency, naive.worst_latency);
+          EXPECT_EQ(report.best_latency, naive.best_latency);
+          if (!naive.resistant) ++failing_reports;
+        }
+      }
+    }
+  }
+  EXPECT_GT(failing_reports, 0u);
 }
 
 /// The core guarantee (Proposition 5.2): exhaustive ε-subset survival for

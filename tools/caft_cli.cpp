@@ -39,6 +39,7 @@
 #include "metrics/gantt.hpp"
 #include "metrics/metrics.hpp"
 #include "platform/cost_synthesis.hpp"
+#include "sim/replay_engine.hpp"
 #include "sim/resilience.hpp"
 
 namespace {
@@ -167,8 +168,10 @@ int cmd_replay(const Args& args) {
   const auto failed = parse_crash_list(args.get("crash", ""));
   const CrashScenario scenario =
       CrashScenario::at_zero(instance.proc_count(), failed);
+  ReplayEngineOptions one_shot;
+  one_shot.max_snapshots = 0;  // a single replay: template only
   const CrashResult result =
-      simulate_crashes(*schedule, instance.costs(), scenario);
+      ReplayEngine(*schedule, instance.costs(), one_shot).replay(scenario);
   std::printf("crash set of %zu processor(s): %s, latency %.2f "
               "(0-crash estimate %.2f), %zu messages delivered\n",
               failed.size(), result.success ? "survived" : "FAILED",
