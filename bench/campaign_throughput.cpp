@@ -1,43 +1,33 @@
 /// Campaign executor throughput: replays/sec of the Monte-Carlo
 /// fault-injection campaign versus worker-thread count on a 50-task CAFT
-/// schedule (m=10, eps=1), A/B-ing the replay engines and memo placements:
-///
-///   --engine naive        simulate_crashes from t=0 for every scenario
-///   --engine incremental  prefix-cached ReplayEngine
-///   --engine both         (default) run both and report the speedup
+/// schedule (m=10, eps=1).
 ///
 /// The bench runs through the ftsched:: facade: the schedule comes from
 /// SchedulerRegistry::make("caft"), and every cell is one ftsched::Session
-/// (the execution policy — threads, engine, memo placement — is exactly
-/// what a Session owns) evaluating the same pre-built schedule.
-///
-/// The incremental engine runs twice per cell: once with the per-worker
-/// Scratch memo (--memo scratch) and once with the campaign-wide sharded
-/// SharedReplayMemo (--memo shared), so the table shows what sharing the
-/// memo across threads buys on top of prefix caching.
+/// (the execution policy — threads, backend — is exactly what a Session
+/// owns) evaluating the same pre-built schedule.
 ///
 /// Three workloads are swept: the paper's uniform-k sampler (k processors
-/// dead from t=0 — the memo-friendly workload: only C(m, k) masks exist),
+/// dead from t=0 — the cache-friendly workload: only C(m, k) masks exist),
 /// a crash-window sampler over half the schedule horizon (positive crash
-/// times — prefix snapshots and, here, adaptive snapshot spacing kick in),
+/// times — prefix snapshots placed at the sampler's θ quantiles kick in),
 /// and the same crash-window workload with θ-quantization enabled
-/// (--theta-buckets equivalent; shared memo hits on bucketed keys).
+/// (--theta-buckets equivalent; record-cache hits on bucketed scenarios).
 ///
-/// Every *exact* (engine, memo, thread count) cell must produce the
-/// bit-for-bit identical summary; any mismatch fails the bench (exit 1).
-/// The θ-quantized cells are a deliberate approximation, so they are held
-/// to their own gate: identical summaries across all thread counts (the
-/// approximation must be deterministic), plus a reported hit rate and
-/// drift versus the exact reference. This is the acceptance gate for the
-/// determinism contract of sim/replay_engine.hpp.
+/// Every *exact* (workload, thread count) cell must produce the bit-for-bit
+/// identical summary of its workload; any mismatch fails the bench (exit
+/// 1). The θ-quantized cells are a deliberate approximation, so they are
+/// held to their own gate: identical summaries across all thread counts
+/// (the approximation must be deterministic), plus a reported hit rate and
+/// drift versus the exact reference.
 ///
 /// CAFT_BENCH_REPS scales the replay count (default 2000). Thread counts
 /// swept: 1, 2, 4, 8, and the hardware concurrency when larger.
 ///
 /// --json-out FILE additionally writes every swept cell as one machine-
-/// readable JSON document (schema "caft-bench-campaign/v1", documented in
-/// README "Campaign bench artifact") — CI uploads it per commit so the
-/// performance trajectory accumulates.
+/// readable JSON document (schema "caft-bench-campaign/v2", documented in
+/// docs/benchmarks.md) — CI uploads it per commit so the performance
+/// trajectory accumulates.
 ///
 /// When a worker binary is named (--subprocess-cli PATH, or the
 /// CAFT_CAMPAIGN_CLI environment variable the subprocess tests already
@@ -93,12 +83,6 @@ bool summaries_identical(const CampaignSummary& a, const CampaignSummary& b) {
   return true;
 }
 
-/// One engine/memo configuration of a sweep cell.
-struct Variant {
-  const char* engine;  ///< "naive" | "incremental"
-  const char* memo;    ///< "-" | "scratch" | "shared"
-};
-
 double hit_rate(const CampaignTelemetry& telemetry) {
   return telemetry.memo_lookups == 0
              ? 0.0
@@ -106,12 +90,11 @@ double hit_rate(const CampaignTelemetry& telemetry) {
                    static_cast<double>(telemetry.memo_lookups);
 }
 
-/// One swept (workload, engine, memo, threads) cell, for --json-out.
+/// One swept (workload, backend, threads) cell, for --json-out.
 struct BenchCell {
   std::string workload;
-  std::string engine;
-  std::string memo;
-  std::size_t threads = 0;
+  std::string backend;  ///< "in-process" | "subprocess"
+  std::size_t threads = 0;  ///< worker threads, or worker processes
   double seconds = 0.0;
   double replays_per_sec = 0.0;
   double memo_hit_rate = 0.0;
@@ -121,8 +104,8 @@ struct BenchCell {
   std::size_t fold_window_peak = 0;
 };
 
-/// Writes the BENCH_campaign.json artifact (schema caft-bench-campaign/v1;
-/// see README "Campaign bench artifact"). Hand-rolled JSON: flat schema,
+/// Writes the BENCH_campaign.json artifact (schema caft-bench-campaign/v2;
+/// see docs/benchmarks.md). Hand-rolled JSON: flat schema,
 /// full double precision, no library dependency.
 bool write_bench_json(const std::string& path, std::size_t replays,
                       const std::vector<BenchCell>& cells,
@@ -132,7 +115,7 @@ bool write_bench_json(const std::string& path, std::size_t replays,
   out << std::setprecision(17);
   const caft::BuildInfo& build = caft::build_info();
   out << "{\n"
-      << "  \"schema\": \"caft-bench-campaign/v1\",\n"
+      << "  \"schema\": \"caft-bench-campaign/v2\",\n"
       << "  \"build\": {\"git_sha\": \"" << build.git_sha
       << "\", \"compiler\": \"" << build.compiler << "\", \"build_type\": \""
       << build.build_type << "\"},\n"
@@ -142,9 +125,8 @@ bool write_bench_json(const std::string& path, std::size_t replays,
       << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const BenchCell& cell = cells[i];
-    out << "    {\"workload\": \"" << cell.workload << "\", \"engine\": \""
-        << cell.engine << "\", \"memo\": \"" << cell.memo
-        << "\", \"threads\": " << cell.threads << ", \"seconds\": "
+    out << "    {\"workload\": \"" << cell.workload << "\", \"backend\": \""
+        << cell.backend << "\", \"threads\": " << cell.threads << ", \"seconds\": "
         << cell.seconds << ", \"replays_per_sec\": " << cell.replays_per_sec
         << ", \"memo_hit_rate\": " << cell.memo_hit_rate
         << ", \"fold_window_peak\": " << cell.fold_window_peak << "}"
@@ -176,16 +158,6 @@ int main(int argc, char** argv) {
 
 int run_bench(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const std::string engine_arg =
-      args.get_choice("engine", "both", {"naive", "incremental", "both"});
-  std::vector<Variant> variants;
-  if (engine_arg == "naive" || engine_arg == "both")
-    variants.push_back({"naive", "-"});
-  if (engine_arg == "incremental" || engine_arg == "both") {
-    variants.push_back({"incremental", "scratch"});
-    variants.push_back({"incremental", "shared"});
-  }
-
   const std::size_t replays = bench_reps_from_env(200) * 10;
 
   // 50-task instance at granularity 1, m = 10, CAFT with eps = 1 — the
@@ -204,8 +176,8 @@ int run_bench(int argc, char** argv) {
   const double horizon = schedule.schedule.horizon();
 
   // Workload A: the paper's model — k=2 dead from t=0: C(10, 2) = 45 masks,
-  // the memo-friendly regime where a shared memo computes each mask once
-  // for the whole campaign instead of once per worker. Workload B: crashes
+  // the cache-friendly regime where each mask is replayed once per
+  // campaign and every later draw is a record-cache hit. Workload B: crashes
   // in the first half of the committed horizon (prefix snapshots, placed
   // adaptively from the sampler's θ quantiles, shorten every replay).
   struct Workload {
@@ -228,146 +200,98 @@ int run_bench(int argc, char** argv) {
   if (hw > 8) thread_counts.push_back(hw);
 
   bool deterministic = true;
-  bool speedup_ok = true;
-  bool shared_ok = true;
   std::vector<BenchCell> cells;
   for (const Workload& workload : workloads) {
     Table table(std::string("replays/sec vs threads — ") + workload.label,
-                {"threads", "engine", "memo", "seconds", "replays_per_sec",
-                 "speedup_vs_naive", "memo_hit_rate"});
+                {"threads", "seconds", "replays_per_sec", "memo_hit_rate"});
     ftsched::CampaignSpec spec;
     spec.sampler = workload.sampler;
     spec.replays = replays;
-    // Every (engine, memo, thread count) cell is compared against the first
-    // cell run — one shared reference, so engines and memo placements
-    // cross-check each other too.
+    // Every thread count is compared against the first cell run.
     std::unique_ptr<CampaignSummary> reference;
     for (const std::size_t threads : thread_counts) {
-      double naive_rate = 0.0;
-      double scratch_rate = 0.0;
-      for (const Variant& variant : variants) {
-        ftsched::SessionOptions session_options;
-        session_options.threads = threads;
-        session_options.engine = std::string(variant.engine) == "naive"
-                                     ? CampaignEngine::kNaive
-                                     : CampaignEngine::kIncremental;
-        session_options.memo = std::string(variant.memo) == "shared"
-                                   ? CampaignMemo::kShared
-                                   : CampaignMemo::kScratch;
-        const ftsched::Session session(session_options);
-        const auto start = Clock::now();
-        const ftsched::CampaignRun run =
-            session.evaluate_schedule(instance, schedule, spec);
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        const double rate = static_cast<double>(replays) / seconds;
-        if (session_options.engine == CampaignEngine::kNaive)
-          naive_rate = rate;
-        if (session_options.engine == CampaignEngine::kIncremental) {
-          if (session_options.memo == CampaignMemo::kScratch)
-            scratch_rate = rate;
-          // Reported (not exit-code-gated, like the naive-speedup line:
-          // raw timings are too noisy on shared CI runners): sharing the
-          // memo should not cost throughput where it matters — 4+ workers
-          // on the memo-friendly mask space.
-          else if (std::string(workload.label) == "uniform-k" &&
-                   threads >= 4 && rate < scratch_rate)
-            shared_ok = false;
-        }
-        if (reference == nullptr) {
-          reference = std::make_unique<CampaignSummary>(run.summary);
-        } else if (!summaries_identical(run.summary, *reference)) {
-          deterministic = false;
-          std::cerr << "MISMATCH: " << workload.label << " engine "
-                    << variant.engine << " memo " << variant.memo << " at "
-                    << threads
-                    << " threads diverged from the reference summary\n";
-        }
-        // The speedup column only means something when the naive baseline
-        // ran in this sweep; single-engine runs print "n/a" instead of a
-        // fabricated 1.0.
-        Cell speedup_cell = std::string("n/a");
-        if (naive_rate > 0.0) {
-          const double speedup = rate / naive_rate;
-          speedup_cell = speedup;
-          if (session_options.engine == CampaignEngine::kIncremental &&
-              threads == 8 && speedup < 2.0)
-            speedup_ok = false;
-        }
-        table.add_row({static_cast<double>(threads),
-                       std::string(variant.engine),
-                       std::string(variant.memo), seconds, rate,
-                       speedup_cell, hit_rate(run.telemetry)});
-        cells.push_back({workload.label, variant.engine, variant.memo,
-                         threads, seconds, rate, hit_rate(run.telemetry)});
+      ftsched::SessionOptions session_options;
+      session_options.threads = threads;
+      const ftsched::Session session(session_options);
+      const auto start = Clock::now();
+      const ftsched::CampaignRun run =
+          session.evaluate_schedule(instance, schedule, spec);
+      const double seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      const double rate = static_cast<double>(replays) / seconds;
+      if (reference == nullptr) {
+        reference = std::make_unique<CampaignSummary>(run.summary);
+      } else if (!summaries_identical(run.summary, *reference)) {
+        deterministic = false;
+        std::cerr << "MISMATCH: " << workload.label << " at " << threads
+                  << " threads diverged from the reference summary\n";
       }
+      table.add_row({static_cast<double>(threads), seconds, rate,
+                     hit_rate(run.telemetry)});
+      cells.push_back({workload.label, "in-process", threads, seconds, rate,
+                       hit_rate(run.telemetry)});
     }
     table.print(std::cout, 3);
     std::cout << "\n";
   }
 
-  // --- θ-quantized crash-window workload: shared memo with bucketed keys.
-  // k=1 over 32 buckets of the half-horizon window gives a keyspace of
-  // m × 32 = 320, small enough for the memo to start paying within one
-  // bench run. The quantized summary is an approximation of the exact one,
-  // so it is held to its own determinism gate (identical across thread
-  // counts) and reported as hit rate + drift, not compared bit-for-bit to
-  // exact. Skipped for --engine naive: the whole block measures the
-  // incremental engine.
+  // --- θ-quantized crash-window workload: bucketed scenarios in the
+  // record cache. k=1 over 32 buckets of the half-horizon window gives a
+  // keyspace of m × 32 = 320, small enough for the cache to start paying
+  // within one bench run. The quantized summary is an approximation of the
+  // exact one, so it is held to its own determinism gate (identical across
+  // thread counts) and reported as hit rate + drift, not compared
+  // bit-for-bit to exact.
   bool quantized_deterministic = true;
   double quantized_hit_rate = 0.0;
-  if (engine_arg != "naive") {
+  {
     ftsched::CampaignSpec spec;
     spec.sampler = ftsched::SamplerSpec::window(1, 0.0, horizon * 0.5);
     spec.replays = replays;
-    {
-      ftsched::SessionOptions exact_options;
-      exact_options.threads = 1;
-      const ftsched::Session exact_session(exact_options);
-      const CampaignSummary exact =
-          exact_session.evaluate_schedule(instance, schedule, spec).summary;
+    ftsched::SessionOptions exact_options;
+    exact_options.threads = 1;
+    const ftsched::Session exact_session(exact_options);
+    const CampaignSummary exact =
+        exact_session.evaluate_schedule(instance, schedule, spec).summary;
 
-      // 32 buckets over the half-horizon window = horizon / 64.
-      ftsched::CampaignSpec quantized = spec;
-      quantized.theta_buckets = 64;
+    // 32 buckets over the half-horizon window = horizon / 64.
+    ftsched::CampaignSpec quantized = spec;
+    quantized.theta_buckets = 64;
 
-      Table table("θ-quantized shared memo — crash-window k=1, 32 buckets",
-                  {"threads", "seconds", "replays_per_sec", "memo_hit_rate",
-                   "success_drift", "latency_mean_drift"});
-      std::unique_ptr<CampaignSummary> reference;
-      for (const std::size_t threads : thread_counts) {
-        ftsched::SessionOptions session_options;
-        session_options.threads = threads;
-        session_options.memo = CampaignMemo::kShared;
-        const ftsched::Session session(session_options);
-        const auto start = Clock::now();
-        const ftsched::CampaignRun run =
-            session.evaluate_schedule(instance, schedule, quantized);
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        if (reference == nullptr)
-          reference = std::make_unique<CampaignSummary>(run.summary);
-        else if (!summaries_identical(run.summary, *reference)) {
-          quantized_deterministic = false;
-          std::cerr << "MISMATCH: quantized summary at " << threads
-                    << " threads diverged\n";
-        }
-        quantized_hit_rate =
-            std::max(quantized_hit_rate, hit_rate(run.telemetry));
-        cells.push_back({"crash-window-quantized", "incremental", "shared",
-                         threads, seconds,
-                         static_cast<double>(replays) / seconds,
-                         hit_rate(run.telemetry)});
-        table.add_row(
-            {static_cast<double>(threads), seconds,
-             static_cast<double>(replays) / seconds, hit_rate(run.telemetry),
-             static_cast<double>(run.summary.successes) -
-                 static_cast<double>(exact.successes),
-             run.summary.latency.mean() - exact.latency.mean()});
+    Table table("θ-quantized record cache — crash-window k=1, 32 buckets",
+                {"threads", "seconds", "replays_per_sec", "memo_hit_rate",
+                 "success_drift", "latency_mean_drift"});
+    std::unique_ptr<CampaignSummary> reference;
+    for (const std::size_t threads : thread_counts) {
+      ftsched::SessionOptions session_options;
+      session_options.threads = threads;
+      const ftsched::Session session(session_options);
+      const auto start = Clock::now();
+      const ftsched::CampaignRun run =
+          session.evaluate_schedule(instance, schedule, quantized);
+      const double seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      if (reference == nullptr)
+        reference = std::make_unique<CampaignSummary>(run.summary);
+      else if (!summaries_identical(run.summary, *reference)) {
+        quantized_deterministic = false;
+        std::cerr << "MISMATCH: quantized summary at " << threads
+                  << " threads diverged\n";
       }
-      table.print(std::cout, 3);
-      std::cout << "\n";
+      quantized_hit_rate =
+          std::max(quantized_hit_rate, hit_rate(run.telemetry));
+      cells.push_back({"crash-window-quantized", "in-process", threads,
+                       seconds, static_cast<double>(replays) / seconds,
+                       hit_rate(run.telemetry)});
+      table.add_row(
+          {static_cast<double>(threads), seconds,
+           static_cast<double>(replays) / seconds, hit_rate(run.telemetry),
+           static_cast<double>(run.summary.successes) -
+               static_cast<double>(exact.successes),
+           run.summary.latency.mean() - exact.latency.mean()});
     }
+    table.print(std::cout, 3);
+    std::cout << "\n";
   }
 
   // --- Subprocess streaming coordinator: uniform-k fanned out to worker
@@ -414,7 +338,7 @@ int run_bench(int argc, char** argv) {
       table.add_row({static_cast<double>(workers), seconds,
                      static_cast<double>(replays) / seconds,
                      static_cast<double>(run.telemetry.fold_window_peak)});
-      cells.push_back({"uniform-k", "subprocess", "shared", workers, seconds,
+      cells.push_back({"uniform-k", "subprocess", workers, seconds,
                        static_cast<double>(replays) / seconds,
                        hit_rate(run.telemetry),
                        run.telemetry.fold_window_peak});
@@ -423,20 +347,13 @@ int run_bench(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  std::cout << "summaries bit-for-bit identical across engines, memo "
-               "placements and thread counts: "
-            << (deterministic ? "yes" : "NO") << "\n";
-  if (engine_arg != "naive")
-    std::cout << "quantized summaries identical across thread counts: "
-              << (quantized_deterministic ? "yes" : "NO") << "\n"
-              << "quantized memo hit rate (crash-window k=1, 32 buckets): "
-              << quantized_hit_rate << "\n";
-  if (engine_arg == "both")
-    std::cout << "incremental >= 2x naive at 8 threads: "
-              << (speedup_ok ? "yes" : "NO") << "\n";
-  if (engine_arg != "naive")
-    std::cout << "shared memo >= scratch memo at 4+ threads (uniform-k): "
-              << (shared_ok ? "yes" : "NO") << "\n";
+  std::cout << "summaries bit-for-bit identical across thread counts and "
+               "backends: "
+            << (deterministic ? "yes" : "NO") << "\n"
+            << "quantized summaries identical across thread counts: "
+            << (quantized_deterministic ? "yes" : "NO") << "\n"
+            << "quantized memo hit rate (crash-window k=1, 32 buckets): "
+            << quantized_hit_rate << "\n";
 
   if (args.has("json-out")) {
     const std::string path = args.get("json-out");

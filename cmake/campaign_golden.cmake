@@ -35,33 +35,34 @@ if(NOT text_rc EQUAL 0)
   message(FATAL_ERROR "campaign_cli (text run) exited with ${text_rc}")
 endif()
 
-# Memo-placement cross-checks: the per-worker scratch memo, the shared
-# concurrent memo, and the bit-exactness escape hatch must all reproduce the
-# *same* golden text byte for byte (memo placement is unobservable in every
-# report; see campaign/campaign.hpp).
-foreach(memo_variant "scratch" "shared")
-  set(variant_args --memo ${memo_variant})
-  if(memo_variant STREQUAL "shared")
-    list(APPEND variant_args --exact)
+# Execution-policy cross-checks: a single-threaded run (one worker, the
+# record cache filled in a different interleaving) and the bit-exactness
+# escape hatch (--exact, a no-op without --theta-buckets) must both
+# reproduce the *same* golden text byte for byte (see campaign/campaign.hpp).
+foreach(variant "threads1" "exact")
+  if(variant STREQUAL "threads1")
+    set(variant_args --threads 1)
+  else()
+    set(variant_args --exact)
   endif()
   execute_process(
     COMMAND ${CLI} ${GOLDEN_ARGS} ${variant_args} ${OBS_ARGS}
-    OUTPUT_FILE ${WORK_DIR}/campaign_report_${memo_variant}.txt
-    RESULT_VARIABLE memo_rc
+    OUTPUT_FILE ${WORK_DIR}/campaign_report_${variant}.txt
+    RESULT_VARIABLE variant_rc
     WORKING_DIRECTORY ${WORK_DIR})
-  if(NOT memo_rc EQUAL 0)
+  if(NOT variant_rc EQUAL 0)
     message(FATAL_ERROR
-      "campaign_cli (--memo ${memo_variant} run) exited with ${memo_rc}")
+      "campaign_cli (${variant_args} run) exited with ${variant_rc}")
   endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/campaign_report_${memo_variant}.txt
+            ${WORK_DIR}/campaign_report_${variant}.txt
             ${GOLDEN_DIR}/campaign_report.txt
-    RESULT_VARIABLE memo_diff_rc)
-  if(NOT memo_diff_rc EQUAL 0)
+    RESULT_VARIABLE variant_diff_rc)
+  if(NOT variant_diff_rc EQUAL 0)
     message(FATAL_ERROR
-      "--memo ${memo_variant} report differs from the golden text — memo "
-      "placement leaked into the summary")
+      "${variant_args} report differs from the golden text — the execution "
+      "policy leaked into the summary")
   endif()
 endforeach()
 

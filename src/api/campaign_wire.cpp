@@ -55,25 +55,30 @@ std::string next_token(std::istringstream& line, const char* what) {
   return token;
 }
 
-void check_magic_line(const std::string& line, const char* magic) {
-  const std::string expected = std::string(magic) + " v1";
+void check_magic_line(const std::string& line, const char* magic,
+                      int version) {
+  std::string speaks = "v";
+  speaks += std::to_string(version);
+  const std::string expected = std::string(magic) + " " + speaks;
   if (line == expected) return;
   // Version skew before corruption: `<magic> v<anything-else>` is a
   // well-formed document from a writer of another protocol generation —
-  // tell the peer to speak v1 instead of reporting a parse failure.
+  // tell the peer which version this reader speaks instead of reporting a
+  // parse failure.
   if (line.rfind(std::string(magic) + " v", 0) == 0)
     throw caft::CheckError(
         "campaign wire: unsupported document version '" + line +
-        "' — this reader speaks v1 (expected '" + expected + "')");
+        "' — this reader speaks " + speaks + " (expected '" + expected +
+        "')");
   throw caft::CheckError("campaign wire: bad magic line '" + line +
                          "' (expected '" + expected + "')");
 }
 
-void expect_magic(std::istream& is, const char* magic) {
+void expect_magic(std::istream& is, const char* magic, int version) {
   std::string line;
   CAFT_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
                  "campaign wire: empty document");
-  check_magic_line(line, magic);
+  check_magic_line(line, magic, version);
 }
 
 }  // namespace wire
@@ -81,6 +86,10 @@ void expect_magic(std::istream& is, const char* magic) {
 using namespace wire;
 
 namespace {
+
+/// Version of the work-order document (v2 dropped the engine/memo/snapshot
+/// fields from `exec`). The partial-result document is still v1.
+constexpr int kWorkOrderVersion = 2;
 
 const char* sampler_kind_name(SamplerSpec::Kind kind) {
   switch (kind) {
@@ -197,7 +206,7 @@ void read_request_line(std::istringstream& fields, ScheduleRequest& request) {
 
 void write_campaign_work_order(std::ostream& os,
                                const CampaignWorkOrder& order) {
-  os << "caft-campaign-work v1\n";
+  os << "caft-campaign-work v" << kWorkOrderVersion << "\n";
   os << "instance " << order.instance_path << "\n";
   os << "algorithm " << order.algorithm << "\n";
   os << "block " << order.first << " " << order.count << "\n";
@@ -210,21 +219,14 @@ void write_campaign_work_order(std::ostream& os,
   os << "exact " << (order.spec.exact ? 1 : 0) << "\n";
   write_sampler_line(os, order.spec.sampler);
   write_request_line(os, order.spec.request);
-  os << "exec " << order.threads << " "
-     << (order.engine == caft::CampaignEngine::kNaive ? "naive"
-                                                      : "incremental")
-     << " "
-     << (order.memo == caft::CampaignMemo::kScratch ? "scratch" : "shared")
-     << " " << order.block << " " << order.memo_capacity << " "
-     << order.memo_shards << " " << (order.adaptive_snapshots ? 1 : 0)
-     << "\n";
+  os << "exec " << order.threads << " " << order.block << "\n";
   os << "expect " << format_double(order.expect_makespan) << " "
      << format_double(order.expect_horizon) << "\n";
   os << "end\n";
 }
 
 CampaignWorkOrder read_campaign_work_order(std::istream& is) {
-  expect_magic(is, "caft-campaign-work");
+  expect_magic(is, "caft-campaign-work", kWorkOrderVersion);
   CampaignWorkOrder order;
   order.spec.algorithms.clear();  // the order names exactly one algorithm
   bool saw_end = false;
@@ -282,23 +284,7 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       read_request_line(fields, order.spec.request);
     } else if (key == "exec") {
       order.threads = parse_size(next_token(fields, "exec threads"), "threads");
-      const std::string engine = next_token(fields, "exec engine");
-      CAFT_CHECK_MSG(engine == "naive" || engine == "incremental",
-                     "campaign wire: unknown engine '" + engine + "'");
-      order.engine = engine == "naive" ? caft::CampaignEngine::kNaive
-                                       : caft::CampaignEngine::kIncremental;
-      const std::string memo = next_token(fields, "exec memo");
-      CAFT_CHECK_MSG(memo == "scratch" || memo == "shared",
-                     "campaign wire: unknown memo '" + memo + "'");
-      order.memo = memo == "scratch" ? caft::CampaignMemo::kScratch
-                                     : caft::CampaignMemo::kShared;
       order.block = parse_size(next_token(fields, "exec block"), "block");
-      order.memo_capacity = parse_size(
-          next_token(fields, "exec memo-capacity"), "memo-capacity");
-      order.memo_shards =
-          parse_size(next_token(fields, "exec memo-shards"), "memo-shards");
-      order.adaptive_snapshots =
-          parse_bool(next_token(fields, "exec adaptive"), "adaptive");
     } else if (key == "expect") {
       order.expect_makespan =
           parse_double(next_token(fields, "expect makespan"), "makespan");

@@ -11,7 +11,7 @@
 /// of worker records must be indistinguishable from an in-process fold.
 ///
 /// Work order (one block of one campaign):
-///   caft-campaign-work v1
+///   caft-campaign-work v2
 ///   instance <path>                      # instance reference (io format)
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
@@ -22,8 +22,7 @@
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
 ///           <batch-size> <mst>           # "-" = no override
-///   exec <threads> <engine> <memo> <block> <memo-capacity> <memo-shards>
-///        <adaptive>                      # summary-neutral worker knobs
+///   exec <threads> <block>               # summary-neutral worker knobs
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
 ///                                        # the worker re-schedules and must
 ///                                        # reproduce both bit-for-bit
@@ -36,6 +35,9 @@
 ///   counts <replays> <successes>         # the block's Wilson inputs —
 ///                                        # integrity check on the records
 ///   telemetry <lookups> <hits> <evictions> <entries> <snapshots>
+///                                        # record cache: cacheable draws,
+///                                        # draws served without a replay,
+///                                        # cache clears, resident entries
 ///   timing <wall> <schedule> <replay>    # OPTIONAL, v1-compatible: the
 ///                                        # worker's own steady_clock
 ///                                        # seconds (hexfloat) — whole
@@ -102,16 +104,17 @@ namespace wire {
 [[nodiscard]] std::string next_token(std::istringstream& line,
                                      const char* what);
 
-/// Validates a document's first line against `<magic> v1`. Version skew
-/// gets its own diagnostic: a matching magic at any other version ("caft-
-/// campaign-work v2") names the version mismatch and tells the peer this
-/// reader speaks v1, instead of the generic bad-magic error a corrupt line
-/// earns — a future writer must be told to downgrade, not to debug
-/// "corruption".
-void check_magic_line(const std::string& line, const char* magic);
-/// Reads the magic line `<magic> v1` from `is` (check_magic_line rules)
-/// and positions the stream after it.
-void expect_magic(std::istream& is, const char* magic);
+/// Validates a document's first line against `<magic> v<version>`.
+/// Version skew gets its own diagnostic: a matching magic at any other
+/// version ("caft-campaign-work v1" to a v2 reader) names the version
+/// mismatch and tells the peer which version this reader speaks, instead
+/// of the generic bad-magic error a corrupt line earns — a peer of another
+/// generation must be told to match versions, not to debug "corruption".
+void check_magic_line(const std::string& line, const char* magic,
+                      int version = 1);
+/// Reads the magic line `<magic> v<version>` from `is` (check_magic_line
+/// rules) and positions the stream after it.
+void expect_magic(std::istream& is, const char* magic, int version = 1);
 
 /// The `sampler ...` spec line (kind + every distribution parameter,
 /// doubles as hexfloat) — one writer/reader pair shared by the work order
@@ -138,14 +141,9 @@ struct CampaignWorkOrder {
   /// values its own scheduling run resolved, so the worker cannot drift.
   CampaignSpec spec;
   /// Summary-neutral execution knobs the worker honours (its private
-  /// thread/engine/memo policy — same fields as SessionOptions).
+  /// thread budget and wave size — same fields as SessionOptions).
   std::size_t threads = 1;
-  caft::CampaignEngine engine = caft::CampaignEngine::kIncremental;
-  caft::CampaignMemo memo = caft::CampaignMemo::kShared;
   std::size_t block = 1024;
-  std::size_t memo_capacity = 1 << 15;
-  std::size_t memo_shards = 16;
-  bool adaptive_snapshots = true;
   /// Determinism pins: the coordinator's 0-crash makespan and horizon. A
   /// worker whose re-scheduled values differ bit-for-bit refuses to run
   /// (environment drift would silently corrupt the campaign). NaN = don't

@@ -12,10 +12,10 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "common/parallel.hpp"
 #include "common/subprocess.hpp"
 #include "api/campaign_wire.hpp"
 #include "obs/obs.hpp"
@@ -124,24 +124,13 @@ namespace {
 /// The spec checks every campaign entry point applies, whichever backend
 /// runs it — evaluate_schedule and evaluate_saved both funnel through here
 /// so a spec rejected by one path is rejected by all of them.
-void validate_campaign_spec(const SessionOptions& options,
-                            const CampaignSpec& spec) {
+void validate_campaign_spec(const CampaignSpec& spec) {
   CAFT_CHECK_MSG(spec.replays > 0, "campaign replays must be positive");
   if (spec.target_ci_width != 0.0) {
     CAFT_CHECK_MSG(std::isfinite(spec.target_ci_width) &&
                        spec.target_ci_width > 0.0 &&
                        spec.target_ci_width < 1.0,
                    "target CI width must be in (0, 1)");
-  }
-  // θ-quantization only exists on the incremental engine's shared memo;
-  // reject the inert combinations rather than silently running an exact
-  // campaign the caller believes is bucketed (spec.exact is the intentional
-  // opt-out and stays allowed).
-  if (spec.theta_buckets > 0 && !spec.exact) {
-    CAFT_CHECK_MSG(options.engine == caft::CampaignEngine::kIncremental,
-                   "theta buckets require the incremental engine");
-    CAFT_CHECK_MSG(options.memo == caft::CampaignMemo::kShared,
-                   "theta buckets require the shared memo");
   }
 }
 
@@ -155,11 +144,6 @@ caft::CampaignOptions Session::campaign_options(
   campaign.quantiles = spec.quantiles;
   campaign.threads = options_.threads;
   campaign.block = options_.block;
-  campaign.engine = options_.engine;
-  campaign.memo = options_.memo;
-  campaign.memo_capacity = options_.memo_capacity;
-  campaign.memo_shards = options_.memo_shards;
-  campaign.adaptive_snapshots = options_.adaptive_snapshots;
   campaign.exact = spec.exact;
   // An exact campaign never consults the width, so don't derive it —
   // deriving would (correctly) throw on the degenerate horizons the exact
@@ -180,7 +164,7 @@ CampaignRun Session::evaluate_schedule(const Instance& instance,
 CampaignRun Session::evaluate_schedule(
     const Instance& instance, ScheduleResult result, const CampaignSpec& spec,
     const caft::ReplayEngine* replay_template) const {
-  validate_campaign_spec(options_, spec);
+  validate_campaign_spec(spec);
 
   CampaignRun run{.algorithm = result.algorithm,
                   .result = std::move(result),
@@ -211,7 +195,7 @@ CampaignReport Session::evaluate_saved(
     const std::string* instance_path) const {
   CAFT_CHECK_MSG(!spec.algorithms.empty(),
                  "campaign spec names no algorithms");
-  validate_campaign_spec(options_, spec);
+  validate_campaign_spec(spec);
   const SchedulerRegistry& registry = SchedulerRegistry::global();
 
   // In subprocess mode every algorithm's work orders reference the same
@@ -346,12 +330,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
   order.spec.request.eps = run.result.eps;
   order.spec.request.model = run.result.schedule.model();
   order.threads = exec.worker_threads;
-  order.engine = options_.engine;
-  order.memo = options_.memo;
   order.block = options_.block;
-  order.memo_capacity = options_.memo_capacity;
-  order.memo_shards = options_.memo_shards;
-  order.adaptive_snapshots = options_.adaptive_snapshots;
   order.expect_makespan = run.result.makespan;
   order.expect_horizon = horizon;
 
@@ -575,15 +554,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
     }
   };
   const std::size_t dispatchers = std::min(exec.n_workers, blocks.size());
-  if (dispatchers <= 1) {
-    dispatch(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(dispatchers);
-    for (std::size_t t = 0; t < dispatchers; ++t)
-      pool.emplace_back(dispatch, t);
-    for (std::thread& thread : pool) thread.join();
-  }
+  caft::run_on_threads(dispatchers, dispatch);
   if (failed.load()) throw caft::CheckError(error);
   // Every claimed block folded: claims are monotone, so the folded set is
   // the contiguous canonical prefix [0, next_to_claim) — the invariant
@@ -666,11 +637,6 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
   campaign.quantiles = order.spec.quantiles;
   campaign.threads = order.threads;
   campaign.block = order.block;
-  campaign.engine = order.engine;
-  campaign.memo = order.memo;
-  campaign.memo_capacity = order.memo_capacity;
-  campaign.memo_shards = order.memo_shards;
-  campaign.adaptive_snapshots = order.adaptive_snapshots;
   campaign.exact = order.spec.exact;
   // The shared derivation (CampaignSpec::theta_bucket_width) — horizon is
   // pinned above, so the width matches the coordinator's bit-for-bit (and

@@ -2,8 +2,8 @@
 /// `ftsched::Session` — the batch/campaign service facade of the library.
 ///
 /// A Session owns the execution policy of fault-injection campaigns: the
-/// worker-thread budget, the replay engine choice, the shared-replay-memo
-/// configuration (placement, capacity, shards) and the snapshot strategy.
+/// worker-thread budget, the wave size and where campaigns run (this
+/// process or worker processes).
 /// Consumers describe *what* to evaluate declaratively — a `CampaignSpec`
 /// names registered algorithms, a sampler distribution (`SamplerSpec`, plain
 /// data so specs can cross process boundaries when campaigns scale out) and
@@ -11,8 +11,8 @@
 /// instances and folded `CampaignReport`s.
 ///
 /// Determinism contract (inherited from campaign/run_campaign): a report is
-/// a pure function of (instance, spec) — thread count, engine, memo
-/// placement and block size never change a summary. `evaluate` is therefore
+/// a pure function of (instance, spec) — thread count, block size and
+/// backend never change a summary. `evaluate` is therefore
 /// bit-identical to hand-rolling registry->schedule + run_campaign with the
 /// same seeds, and tests/test_api.cpp holds it to that.
 ///
@@ -101,9 +101,9 @@ struct CampaignSpec {
   std::uint64_t seed = 20080201;
   /// Latency quantiles to estimate, each in (0, 1).
   std::vector<double> quantiles = {0.5, 0.9, 0.99};
-  /// θ-quantization: split each schedule's horizon into this many memo
-  /// buckets (0 = off, bit-exact replays). Requires the Session to run the
-  /// incremental engine with the shared memo.
+  /// θ-quantization: split each schedule's horizon into this many buckets
+  /// and replay each crash-at-θ draw as its bucket-midpoint representative
+  /// (0 = off, bit-exact replays).
   std::size_t theta_buckets = 0;
   /// Exactness escape hatch: bit-exact replays even with buckets set.
   bool exact = false;
@@ -122,7 +122,7 @@ struct CampaignSpec {
   /// Forwarded to every scheduler (ε/model overrides, algorithm knobs).
   ScheduleRequest request;
 
-  /// The memo bucket width theta_buckets implies for a schedule of this
+  /// The bucket width theta_buckets implies for a schedule of this
   /// horizon (0 when theta_buckets == 0). The *single* derivation both the
   /// in-process path and the subprocess worker use — the width changes
   /// replay results, so the two sides must agree bit-for-bit. Throws
@@ -140,8 +140,8 @@ struct CampaignSpec {
 /// split-stream to workers (campaign_cli --worker speaking the
 /// api/campaign_wire protocol) and folds their per-replay records back in
 /// canonical scenario order, so subprocess summaries are byte-identical to
-/// in-process ones for any worker count (the per-process replay memo is
-/// unobservable by design).
+/// in-process ones for any worker count (each worker process's record
+/// cache is unobservable by design).
 struct ExecutionPolicy {
   enum class Mode {
     kInProcess,   ///< run campaigns inside this process (thread pool)
@@ -189,11 +189,6 @@ struct ExecutionPolicy {
 struct SessionOptions {
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env).
   std::size_t threads = 0;
-  caft::CampaignEngine engine = caft::CampaignEngine::kIncremental;
-  caft::CampaignMemo memo = caft::CampaignMemo::kShared;
-  std::size_t memo_capacity = 1 << 15;
-  std::size_t memo_shards = 16;
-  bool adaptive_snapshots = true;
   /// Replays simulated per parallel wave; bounds peak memory.
   std::size_t block = 1024;
   /// Where campaigns run: this process or a pool of worker processes.

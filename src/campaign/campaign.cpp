@@ -1,11 +1,13 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <limits>
+#include <cstdint>
 #include <memory>
-#include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -17,16 +19,34 @@ namespace caft {
 
 namespace {
 
-ReplayRecord to_record(const CrashResult& result, std::size_t failed_count) {
-  ReplayRecord record;
+/// Copies a replay's outcome into `record`; failed_count is the draw's and
+/// stays as it is.
+void set_outcome(ReplayRecord& record, const CrashResult& result) {
   record.success = result.success;
   record.order_deadlock = result.order_deadlock;
   record.latency = result.latency;
   record.delivered_messages = result.delivered_messages;
   record.order_relaxations = result.order_relaxations;
-  record.failed_count = failed_count;
-  return record;
 }
+
+/// Hash of a canonical crash-time vector: FNV-1a over its 64-bit words,
+/// each step folding the high half into the low one — 0 and +inf differ
+/// only in exponent bits, which a multiply alone never carries downward.
+/// Canonical times are never -0.0 or NaN, so equal vectors have equal bits.
+struct CrashTimesHash {
+  std::size_t operator()(const std::vector<double>& times) const {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const double t : times) {
+      hash = (hash ^ std::bit_cast<std::uint64_t>(t)) * 1099511628211ull;
+      hash ^= hash >> 32;
+    }
+    return static_cast<std::size_t>(hash);
+  }
+};
+
+template <typename Value>
+using CrashTimesMap =
+    std::unordered_map<std::vector<double>, Value, CrashTimesHash>;
 
 /// Shared core of run_campaign and run_campaign_block: executes the
 /// contiguous replays [first, first + count) of the canonical scenario
@@ -66,32 +86,29 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   const std::chrono::steady_clock::time_point range_begin =
       std::chrono::steady_clock::now();
 
-  // The prefix-cached engine is built once per campaign and shared
-  // read-only by every worker (each worker owns its Scratch). With a
-  // shared memo, all workers also consult one lock-free result cache. A
-  // caller-supplied prebuilt engine (the campaign server's cached replay
-  // template) short-circuits construction entirely — same const sharing,
-  // same results, by the engine's purity contract.
+  // The prefix-cached engine is built once per campaign, with its snapshots
+  // placed at the sampler's first-crash quantiles, and shared read-only by
+  // every worker (each worker owns its Scratch). A caller-supplied prebuilt
+  // engine (the campaign server's cached replay template) short-circuits
+  // construction — same const sharing, same results, by the engine's purity
+  // contract — but it must canonicalize exactly as this campaign asks.
   const ReplayEngine* engine = options.prebuilt_engine;
   std::unique_ptr<ReplayEngine> owned_engine;
-  std::unique_ptr<SharedReplayMemo> shared_memo;
-  if (engine == nullptr && options.engine == CampaignEngine::kIncremental) {
+  if (engine == nullptr) {
     ReplayEngineOptions engine_options;
     engine_options.theta_bucket_width = options.theta_bucket_width;
     engine_options.exact = options.exact;
-    engine_options.memo_capacity = options.memo_capacity;
-    if (options.adaptive_snapshots)
-      engine_options.snapshot_times = sampler.first_crash_quantiles(
-          engine_options.max_snapshots, schedule.horizon());
+    engine_options.snapshot_times = sampler.first_crash_quantiles(
+        engine_options.max_snapshots, schedule.horizon());
     owned_engine =
         std::make_unique<ReplayEngine>(schedule, costs, engine_options);
     engine = owned_engine.get();
-  }
-  if (engine != nullptr && options.memo == CampaignMemo::kShared) {
-    SharedMemoOptions memo_options;
-    memo_options.shards = options.memo_shards;
-    memo_options.capacity = options.memo_capacity;
-    shared_memo = std::make_unique<SharedReplayMemo>(memo_options);
+  } else {
+    CAFT_CHECK_MSG(
+        engine->options().theta_bucket_width == options.theta_bucket_width &&
+            engine->options().exact == options.exact,
+        "prebuilt engine was built with a different theta_bucket_width or "
+        "exact flag than the campaign");
   }
 
   Rng master(options.seed);
@@ -99,15 +116,24 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   // the sampler draws from the split stream, never from the master.
   for (std::size_t i = 0; i < first; ++i) (void)master.split();
 
+  const std::size_t m = sampler.proc_count();
+  // The record cache and the wave's bookkeeping live on this thread only;
+  // workers see nothing but the engine, their Scratch and their records.
+  CrashTimesMap<ReplayRecord> cache;
+  CrashTimesMap<std::size_t> wave_misses;  // key -> first draw replaying it
+  std::vector<std::vector<double>> miss_keys;  // cacheable misses' keys ...
+  std::vector<std::size_t> miss_draws;         // ... and their draws
+  std::vector<std::pair<std::size_t, std::size_t>> copies;  // (draw, source)
+  std::vector<std::pair<double, std::size_t>> replays;  // (first crash, draw)
+  std::vector<double> key(m);
   std::vector<CrashScenario> scenarios;
-  std::vector<std::size_t> order;
-  std::vector<std::size_t> group_start;
-  std::vector<double> times;
-  std::vector<double> firsts;
   std::vector<ReplayRecord> records;
-  // One scratch per worker slot, persistent across waves: buffers and the
-  // dead-set memo survive, so steady-state waves allocate nothing.
+  // One scratch per worker slot, persistent across waves: buffers survive,
+  // so steady-state waves allocate nothing in the kernel.
   std::vector<ReplayEngine::Scratch> scratches(threads);
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t clears = 0;
   std::size_t successes = 0;
   std::size_t waves = 0;
   std::size_t done = 0;
@@ -120,7 +146,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
     // Scenarios are drawn sequentially in global replay order, each from
     // its own split stream: neither the thread schedule, the block size nor
-    // the engine can influence any draw.
+    // the cache can influence any draw.
     scenarios.clear();
     scenarios.reserve(wave);
     for (std::size_t i = 0; i < wave; ++i) {
@@ -128,84 +154,68 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       scenarios.push_back(sampler.sample(stream));
     }
 
-    // Execute the wave sorted by earliest crash time, then by the full
-    // crash-time vector: neighbouring replays branch from the same (or
-    // adjacent) fault-free snapshots, and *identical* scenarios (a uniform-k
-    // wave of 1024 draws covers only C(m, k) distinct masks) become adjacent
-    // runs. Each run is replayed once and its record copied to every index —
-    // sound because a record is a pure function of its scenario, so the
-    // copies are bit-identical to replaying each index individually.
-    // Results land in replay order regardless, so the sink below never sees
-    // this order and summaries stay independent of the batching.
-    // The sort comparator runs O(wave log wave) times; flatten the crash
-    // times into one matrix up front so it compares raw doubles instead of
-    // going through the checked per-proc accessor.
-    const std::size_t m = sampler.proc_count();
-    times.resize(wave * m);
-    firsts.resize(wave);
-    for (std::size_t i = 0; i < wave; ++i) {
-      double earliest = std::numeric_limits<double>::infinity();
-      for (std::size_t p = 0; p < m; ++p) {
-        const double t = scenarios[i].crash_time(
-            ProcId(static_cast<ProcId::value_type>(p)));
-        times[i * m + p] = t;
-        earliest = std::min(earliest, t);
-      }
-      firsts[i] = earliest;
-    }
-    const auto times_cmp = [&](std::size_t a, std::size_t b) {
-      const double* ta = times.data() + a * m;
-      const double* tb = times.data() + b * m;
-      for (std::size_t p = 0; p < m; ++p)
-        if (ta[p] != tb[p]) return ta[p] < tb[p] ? -1 : 1;
-      return 0;
-    };
-    order.resize(wave);
-    for (std::size_t i = 0; i < wave; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (firsts[a] != firsts[b]) return firsts[a] < firsts[b];
-      const int c = times_cmp(a, b);
-      if (c != 0) return c < 0;
-      return a < b;
-    });
-    // Group boundaries of identical-scenario runs in the sorted order.
-    group_start.clear();
-    for (std::size_t j = 0; j < wave; ++j)
-      if (j == 0 || times_cmp(order[j], order[j - 1]) != 0)
-        group_start.push_back(j);
-    group_start.push_back(wave);
-    const std::size_t groups = group_start.size() - 1;
-
+    // Resolve every draw against the cache, or against an earlier miss of
+    // this wave with the same canonical scenario; what is left replays.
     records.assign(wave, ReplayRecord{});
-    const std::size_t workers = std::min(threads, groups);
-    const auto worker = [&](std::size_t first_slot) {
-      ReplayEngine::Scratch& scratch = scratches[first_slot];
-      for (std::size_t g = first_slot; g < groups; g += workers) {
-        const std::size_t begin = group_start[g];
-        const std::size_t end = group_start[g + 1];
-        const std::size_t i = order[begin];
-        // Branch instead of a ternary: the engine path returns a reference
-        // (a ternary mixing it with the naive prvalue would force a copy).
-        if (engine != nullptr)
-          records[i] = to_record(
-              engine->replay(scenarios[i], scratch, shared_memo.get()),
-              scenarios[i].failed_count());
-        else
-          records[i] = to_record(simulate_crashes(schedule, costs,
-                                                  scenarios[i]),
-                                 scenarios[i].failed_count());
-        for (std::size_t j = begin + 1; j < end; ++j)
-          records[order[j]] = records[i];
+    copies.clear();
+    replays.clear();
+    for (std::size_t i = 0; i < wave; ++i) {
+      CrashScenario& scenario = scenarios[i];
+      const std::size_t failed = scenario.failed_count();
+      records[i].failed_count = failed;
+      const ReplayEngine::Canonical kind = engine->canonicalize(scenario, key);
+      if (kind != ReplayEngine::Canonical::kUnique) {
+        ++lookups;
+        if (const auto hit = cache.find(key); hit != cache.end()) {
+          ++hits;
+          records[i] = hit->second;
+          records[i].failed_count = failed;
+          continue;
+        }
+        const auto [earlier, fresh] = wave_misses.try_emplace(key, i);
+        if (!fresh) {
+          ++hits;
+          copies.emplace_back(i, earlier->second);
+          continue;
+        }
+        miss_keys.push_back(key);
+        miss_draws.push_back(i);
+        // A quantized miss replays its representative in place of the draw.
+        if (kind == ReplayEngine::Canonical::kQuantized)
+          scenario = CrashScenario(key);
       }
-    };
-    if (workers <= 1) {
-      worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-      for (std::thread& thread : pool) thread.join();
+      replays.emplace_back(ReplayEngine::first_crash(scenario), i);
     }
+
+    // Misses run in (earliest crash, index) order, dealt round-robin to the
+    // workers: neighbouring replays branch from the same (or adjacent)
+    // fault-free snapshots. Records land at their draw index regardless.
+    if (!replays.empty()) {
+      std::sort(replays.begin(), replays.end());
+      const std::size_t workers = std::min(threads, replays.size());
+      run_on_threads(workers, [&](std::size_t slot) {
+        ReplayEngine::Scratch& scratch = scratches[slot];
+        for (std::size_t j = slot; j < replays.size(); j += workers) {
+          const std::size_t i = replays[j].second;
+          set_outcome(records[i], engine->replay(scenarios[i], scratch));
+        }
+      });
+    }
+    for (const auto& [i, source] : copies) {
+      const std::size_t failed = records[i].failed_count;
+      records[i] = records[source];
+      records[i].failed_count = failed;
+    }
+    for (std::size_t j = 0; j < miss_draws.size(); ++j) {
+      if (cache.size() >= kRecordCacheCapacity) {
+        cache.clear();
+        ++clears;
+      }
+      cache.emplace(std::move(miss_keys[j]), records[miss_draws[j]]);
+    }
+    wave_misses.clear();
+    miss_keys.clear();
+    miss_draws.clear();
 
     keep_going = sink(records, wave);
     done += wave;
@@ -217,8 +227,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     wave_seconds.observe(wave_elapsed.count());
     replays_counter.add(wave);
     waves_counter.add(1);
-    // Success tally and the progress callback run on the campaign thread
-    // only — workers never touch them, and neither influences any replay.
+    // The success tally and the progress callback never influence a replay.
     if (options.on_progress) {
       for (std::size_t i = 0; i < wave; ++i)
         if (records[i].success) ++successes;
@@ -228,11 +237,8 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       progress.successes = successes;
       const WilsonInterval ci = wilson_interval(successes, done);
       progress.ci_width = ci.high - ci.low;
-      if (shared_memo != nullptr) {
-        const SharedReplayMemo::Stats stats = shared_memo->stats();
-        progress.memo_lookups = stats.lookups;
-        progress.memo_hits = stats.hits;
-      }
+      progress.memo_lookups = lookups;
+      progress.memo_hits = hits;
       options.on_progress(progress);
     }
   }
@@ -241,26 +247,16 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       std::chrono::steady_clock::now() - range_begin;
   range_span.finish();
 
-  // Gather memo/snapshot counters once, for both the telemetry out-param
+  // Gather cache/snapshot counters once, for both the telemetry out-param
   // and the registry fold (the registry fold happens only here for the
   // in-process backend; the subprocess coordinator folds worker partials
   // itself, so counts are never doubled).
   CampaignTelemetry gathered;
-  if (shared_memo != nullptr) {
-    const SharedReplayMemo::Stats stats = shared_memo->stats();
-    gathered.memo_lookups = stats.lookups;
-    gathered.memo_hits = stats.hits;
-    gathered.memo_evictions = stats.evictions;
-    gathered.memo_entries = stats.entries;
-  } else {
-    for (const ReplayEngine::Scratch& scratch : scratches) {
-      gathered.memo_lookups += scratch.memo_lookups();
-      gathered.memo_hits += scratch.memo_hits();
-      gathered.memo_evictions += scratch.memo_evictions();
-      gathered.memo_entries += scratch.memo_entries();
-    }
-  }
-  if (engine != nullptr) gathered.snapshots = engine->snapshot_count();
+  gathered.memo_lookups = lookups;
+  gathered.memo_hits = hits;
+  gathered.memo_evictions = clears;
+  gathered.memo_entries = cache.size();
+  gathered.snapshots = engine->snapshot_count();
   // `done`, not `count`: an early-stopped campaign executed (and folded)
   // only the waves up to its stopping point.
   gathered.replays = done;

@@ -12,20 +12,26 @@
 /// Determinism contract (same as run_experiment): every replay owns a
 /// pre-split Rng stream, drawn from the master stream in replay order, and
 /// the fold also happens in replay order — so the summary is bit-for-bit
-/// identical for 1 thread and N threads, for any block size, for either
-/// replay engine (the incremental engine is replay-for-replay bit-identical
-/// to the naive one; see sim/replay_engine.hpp), and for either memo
-/// placement (shared-memo values are pure functions of their keys, so the
-/// race for who populates an entry is unobservable). θ-quantization
+/// identical for 1 thread and N threads and for any block size. Replays run
+/// on the prefix-cached ReplayEngine (sim/replay_engine.hpp), which is
+/// replay-for-replay bit-identical to simulate_crashes, the oracle the
+/// tests compare whole campaigns against. θ-quantization
 /// (CampaignOptions::theta_bucket_width) is the one knob that changes the
 /// summary — deterministically, never as a function of threads. Replays are
-/// simulated in bounded blocks, so memory stays O(block + threads), not
-/// O(replays).
+/// simulated in bounded waves, so memory stays O(block + threads) plus the
+/// bounded record cache below, not O(replays).
 ///
-/// Within a block, scenarios are *executed* in order of their earliest
-/// crash time so consecutive replays branch from nearby prefix snapshots
-/// (maximizing cache reuse in the incremental engine), but results are
-/// still folded in replay order — execution order is unobservable.
+/// Record cache: a draw whose scenario has a canonical form
+/// (ReplayEngine::canonicalize — a dead-from-start set, or θ-quantized
+/// crash times) is looked up in one bounded cache owned by the campaign's
+/// coordinating thread, keyed by the canonical crash-time vector. A hit
+/// copies the cached record; a later duplicate of a miss in the same wave
+/// copies that miss's record. Only the remaining misses are replayed,
+/// ordered by earliest crash time so consecutive replays branch from
+/// nearby prefix snapshots; records are still folded in replay order, so
+/// neither the cache nor the execution order is observable. A record is a
+/// pure function of its canonical scenario, which is what makes the copies
+/// bit-identical to replaying every draw.
 #pragma once
 
 #include <cstddef>
@@ -42,21 +48,6 @@ namespace caft {
 
 class ReplayEngine;  // sim/replay_engine.hpp (CampaignOptions hook below)
 
-/// Which replay implementation executes the campaign. Both produce
-/// bit-for-bit identical summaries; kIncremental is the fast path.
-enum class CampaignEngine {
-  kNaive,        ///< simulate_crashes rebuilds and replays from t = 0
-  kIncremental,  ///< prefix-cached ReplayEngine (sim/replay_engine.hpp)
-};
-
-/// Where the incremental engine memoises dead-set results. Both modes
-/// produce bit-for-bit identical summaries; kShared amortizes each mask
-/// across *all* workers instead of once per worker thread.
-enum class CampaignMemo {
-  kScratch,  ///< per-worker Scratch memo (never crosses threads)
-  kShared,   ///< one striped-CAS SharedReplayMemo consulted by every worker
-};
-
 /// Live progress of a campaign, delivered after each completed wave (or,
 /// for the subprocess backend, each folded block). Observability only:
 /// consumers may print heartbeats from it but must never feed it back into
@@ -66,8 +57,8 @@ struct CampaignProgress {
   std::size_t replays_done = 0;   ///< replays folded so far
   std::size_t replays_total = 0;  ///< campaign size
   std::size_t successes = 0;      ///< successful replays among done
-  std::uint64_t memo_lookups = 0;  ///< shared-memo lookups so far (0 if n/a)
-  std::uint64_t memo_hits = 0;     ///< shared-memo hits so far (0 if n/a)
+  std::uint64_t memo_lookups = 0;  ///< record-cache lookups so far
+  std::uint64_t memo_hits = 0;     ///< draws served without a replay so far
   /// Width of the Wilson 95% interval around the success rate of the folded
   /// prefix (1.0 until anything folds). What --target-ci-width early
   /// stopping watches; observational like every other field here.
@@ -86,30 +77,15 @@ struct CampaignOptions {
   std::size_t block = 1024;
   /// Latency quantiles to estimate, each in (0, 1).
   std::vector<double> quantiles = {0.5, 0.9, 0.99};
-  /// Replay implementation; the summary does not depend on it.
-  CampaignEngine engine = CampaignEngine::kIncremental;
-  /// Memo placement for the incremental engine; the summary does not
-  /// depend on it (shared-memo values are pure functions of their keys).
-  CampaignMemo memo = CampaignMemo::kShared;
-  /// θ-quantization bucket width for the shared memo; 0 (the default)
-  /// keeps every replay bit-exact. With a positive width, crash-at-θ
-  /// scenarios are replayed as bucket-midpoint representatives and
-  /// memoised — summaries drift by at most width/2 per crash time but stay
-  /// deterministic and thread-count independent. Requires memo == kShared
-  /// to have any effect.
+  /// θ-quantization bucket width; 0 (the default) keeps every replay
+  /// bit-exact. With a positive width, crash-at-θ scenarios are replayed as
+  /// bucket-midpoint representatives and cached — summaries drift by at
+  /// most width/2 per crash time but stay deterministic and thread-count
+  /// independent.
   double theta_bucket_width = 0.0;
   /// Exactness escape hatch: force bit-exact replays even when
-  /// theta_bucket_width > 0 (quantized hits disabled; mask memo stays on).
+  /// theta_bucket_width > 0 (no quantization; dead-set caching stays on).
   bool exact = false;
-  /// Adaptive snapshot spacing: ask the sampler for its first-crash
-  /// quantiles and concentrate the engine's prefix snapshots there.
-  /// Never affects the summary, only replay speed.
-  bool adaptive_snapshots = true;
-  /// Entry caps of the shared memo and each per-worker Scratch memo (each
-  /// entry is a full CrashResult; see ReplayEngineOptions::memo_capacity).
-  std::size_t memo_capacity = 1 << 15;
-  /// Lock shards of the shared memo.
-  std::size_t memo_shards = 16;
   /// Progress callback, invoked after each completed wave from the thread
   /// that runs the campaign (never from worker threads). Purely
   /// observational — the summary is identical whether it is set or not.
@@ -118,32 +94,38 @@ struct CampaignOptions {
   /// around the folded prefix's success rate is at most this wide (0 = off,
   /// run the full budget). Checked at wave boundaries after the wave folds,
   /// so the stopping point — and therefore the summary — is a deterministic
-  /// function of (seed, block): still independent of threads, engine and
-  /// memo placement, but `block` joins the summary-relevant knobs whenever
+  /// function of (seed, block): still independent of threads, but `block`
+  /// joins the summary-relevant knobs whenever
   /// this is set. Honoured by run_campaign only; run_campaign_block replays
   /// its exact range regardless (a block is a fixed slice of someone
   /// else's campaign).
   double target_ci_width = 0.0;
   /// Replay-template reuse hook for services that cache ReplayEngines
-  /// across campaigns (the campaign server): a non-null engine — which MUST
-  /// have been built from this campaign's schedule/costs with the same
-  /// theta_bucket_width and exact flag — is used instead of constructing
-  /// one, overriding `engine`/`adaptive_snapshots`. Summary-neutral by the
-  /// engine's own contract: replays are pure functions of (schedule, costs,
-  /// scenario, θ-config), and the engine is const-shared across worker
-  /// threads exactly as an owned one would be. The caller keeps it alive
-  /// for the duration of the call.
+  /// across campaigns (the campaign server): a non-null engine — built from
+  /// this campaign's schedule/costs with the same theta_bucket_width and
+  /// exact flag (checked: a mismatch throws CheckError) — is used instead
+  /// of constructing one. Summary-neutral by the engine's own contract:
+  /// replays are pure functions of (schedule, costs, scenario, θ-config),
+  /// and the engine is const-shared across worker threads exactly as an
+  /// owned one would be. The caller keeps it alive for the duration of the
+  /// call.
   const ReplayEngine* prebuilt_engine = nullptr;
 };
 
-/// Optional observability output of run_campaign — memo effectiveness and
-/// snapshot placement. Purely informational: nothing here feeds back into
-/// the summary.
+/// Entry cap of a campaign's record cache (see "Record cache" above); a
+/// full cache is cleared and refills. A constant, not an option: the cache
+/// holds ~40-byte records, so the cap bounds memory, never a summary.
+inline constexpr std::size_t kRecordCacheCapacity = std::size_t{1} << 15;
+
+/// Optional observability output of run_campaign — record-cache
+/// effectiveness and snapshot placement. Purely informational: nothing
+/// here feeds back into the summary. memo_lookups − memo_hits is the
+/// number of kernel replays of cacheable draws.
 struct CampaignTelemetry {
-  std::uint64_t memo_lookups = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_evictions = 0;
-  std::size_t memo_entries = 0;  ///< resident at campaign end (shared mode)
+  std::uint64_t memo_lookups = 0;    ///< draws with a canonical form
+  std::uint64_t memo_hits = 0;       ///< of those, served without a replay
+  std::uint64_t memo_evictions = 0;  ///< record-cache clears (cache full)
+  std::size_t memo_entries = 0;      ///< cache entries resident at the end
   std::size_t snapshots = 0;     ///< prefix snapshots the engine stored
   // Execution-shape counters (PR 6): identical semantics for the
   // in-process and subprocess backends, so Session can report one story.
@@ -164,9 +146,9 @@ struct CampaignTelemetry {
 /// Compact outcome of one replay: exactly what the accumulator folds,
 /// nothing else (the full CrashResult with its per-replica matrices never
 /// outlives its worker). Records are a pure function of (schedule, costs,
-/// scenario, θ-quantization config) — never of threads, block size, engine
-/// or memo placement — which is what lets campaign blocks be computed in
-/// other processes and folded back bit-identically.
+/// scenario, θ-quantization config) — never of threads, block size or
+/// cache state — which is what lets campaign blocks be computed in other
+/// processes and folded back bit-identically.
 struct ReplayRecord {
   bool success = false;
   bool order_deadlock = false;

@@ -3,8 +3,7 @@
 /// derivation. The campaign server's content-addressed cache and the
 /// Session batch coordinator key instance payloads by the same function so
 /// "same bytes" means "same key" everywhere an instance crosses a process
-/// or connection boundary (the constants match SharedReplayMemo::KeyHash,
-/// the other FNV user in the tree).
+/// or connection boundary.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 namespace caft {
 
@@ -12,6 +13,18 @@ std::size_t default_thread_count() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+void run_on_threads(std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (n <= 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) pool.emplace_back(fn, i);
+  for (std::thread& thread : pool) thread.join();
 }
 
 }  // namespace caft

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "api/api.hpp"
 #include "common/check.hpp"
@@ -192,20 +191,12 @@ std::vector<PointAverages> run_experiment(const ExperimentConfig& config) {
       streams.push_back(master.split());
 
     std::vector<RepMetrics> reps(config.graphs_per_point);
-    const auto worker = [&](std::size_t first, std::size_t stride) {
+    const std::size_t stride = std::max<std::size_t>(1, threads);
+    run_on_threads(threads, [&](std::size_t first) {
       for (std::size_t rep = first; rep < reps.size(); rep += stride)
         reps[rep] =
             run_repetition(config, schedulers, granularity, streams[rep]);
-    };
-    if (threads <= 1) {
-      worker(0, 1);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t)
-        pool.emplace_back(worker, t, threads);
-      for (std::thread& thread : pool) thread.join();
-    }
+    });
 
     // Fold in repetition order: bit-for-bit deterministic regardless of the
     // thread interleaving above.

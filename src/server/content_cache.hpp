@@ -13,8 +13,8 @@
 /// ScheduleRequest (every field that can change a schedule is in it) and
 /// <width>/<e> are the θ-bucket width (hexfloat) and exact flag — the two
 /// ReplayEngineOptions members that change replay *results*. Snapshot
-/// placement and memo capacity are deliberately NOT in the key: they are
-/// speed-only by the engine's purity contract, so a template built here
+/// placement is deliberately NOT in the key: it is speed-only by the
+/// engine's purity contract, so a template built here
 /// with default placement replays bit-identically to the adaptively-placed
 /// engine run_campaign would have built. tests/test_campaign_server.cpp
 /// holds the server to exactly that (byte-identical reports on hits).

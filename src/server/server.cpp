@@ -109,9 +109,8 @@ void CampaignServer::handle(const CampaignRequest& request,
     const double width =
         spec.exact ? 0.0
                    : spec.theta_bucket_width(result.schedule.horizon());
-    std::shared_ptr<const ContentCache::CachedTemplate> replay_template;
-    if (options_.session.engine == caft::CampaignEngine::kIncremental)
-      replay_template = cache_.replay_template(cached, width, spec.exact);
+    const std::shared_ptr<const ContentCache::CachedTemplate>
+        replay_template = cache_.replay_template(cached, width, spec.exact);
 
     SessionOptions session_options = options_.session;
     if (request.progress) {
@@ -128,7 +127,7 @@ void CampaignServer::handle(const CampaignRequest& request,
     const Session session(session_options);
     report.runs.push_back(session.evaluate_schedule(
         *instance, std::move(result), spec,
-        replay_template ? replay_template->engine.get() : nullptr));
+        replay_template->engine.get()));
   }
   write_campaign_report(out, report);
   out.flush();
@@ -159,10 +158,10 @@ void CampaignServer::accept_loop() {
     std::thread([this, connection = std::move(stream)]() mutable {
       serve(*connection, *connection);
       connection.reset();  // flush + close before the count drops
-      {
-        const std::lock_guard<std::mutex> guard(connections_lock_);
-        --open_connections_;
-      }
+      // Notify under the lock: once it is released, stop() may return and
+      // the server (this condition variable included) may be destroyed.
+      const std::lock_guard<std::mutex> guard(connections_lock_);
+      --open_connections_;
       connections_done_.notify_all();
     }).detach();
   }

@@ -1,7 +1,6 @@
 #include "sim/replay_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -37,216 +36,6 @@ double ReplayEngine::first_crash(const CrashScenario& scenario) {
   return earliest;
 }
 
-// ---------------------------------------------------------------------------
-// SharedReplayMemo: striped open-addressing CAS table with hazard-pointer
-// protected reads.
-//
-// Invariants the correctness argument leans on:
-//  * An Entry is immutable after publication: its fields are written before
-//    the slot CAS (release) and never again, so any acquire load of a slot
-//    yields a fully constructed entry.
-//  * Slots never return to nullptr: inserts CAS empty slots, a full probe
-//    window *exchanges* its home slot (displacing the victim). Lookups may
-//    therefore stop at the first empty slot — every key's publish saw only
-//    non-empty slots before its own, and that prefix can only stay non-empty.
-//  * Displaced entries are retired, not freed: a reader publishes the entry
-//    pointer in its hazard slot and re-verifies the table slot (both seq_cst)
-//    before dereferencing; the displacer re-reads all hazard slots after its
-//    exchange (also seq_cst) and defers the free while any matches. The total
-//    order on those four operations makes "reader dereferences freed entry"
-//    impossible. Readers without a hazard slot serialize on fallback_mutex_,
-//    which retirement sweeps also take.
-//  * Values are pure functions of their keys, so every race degrades to a
-//    benign extra recompute: a reader that skips a slot mid-displacement
-//    misses and recomputes identical bits; two writers publishing the same
-//    key publish identical bits.
-
-SharedReplayMemo::SharedReplayMemo(SharedMemoOptions options)
-    : stripes_(std::max<std::size_t>(1, options.shards)),
-      hazards_(new std::atomic<const Entry*>[kMaxReaders]) {
-  for (std::size_t i = 0; i < kMaxReaders; ++i) hazards_[i].store(nullptr);
-  // Slot count: capacity rounded *down* to a power of two, so the resident
-  // entry count is structurally bounded by the requested capacity.
-  std::size_t slots = 1;
-  while (slots * 2 <= options.capacity) slots *= 2;
-  if (options.capacity == 0) slots = 0;
-  slots_ = std::vector<std::atomic<Entry*>>(slots);
-  slot_mask_ = slots == 0 ? 0 : slots - 1;
-  probe_window_ = std::min<std::size_t>(16, slots);
-  static std::atomic<std::uint64_t> next_memo_id{1};
-  memo_id_ = next_memo_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-SharedReplayMemo::~SharedReplayMemo() {
-  for (std::atomic<Entry*>& slot : slots_) delete slot.load();
-  for (Entry* entry : retired_) delete entry;
-}
-
-std::uint64_t SharedReplayMemo::hash_key(const Key& key) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the words
-  for (const std::uint64_t w : key) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void SharedReplayMemo::bind(std::uint64_t generation) {
-  std::uint64_t expected = 0;
-  if (bound_generation_.compare_exchange_strong(expected, generation,
-                                                std::memory_order_relaxed))
-    return;
-  CAFT_CHECK_MSG(expected == generation,
-                 "SharedReplayMemo is bound to a different ReplayEngine — "
-                 "create one memo per (campaign, engine)");
-}
-
-std::size_t SharedReplayMemo::acquire_reader_slot() {
-  const std::size_t idx =
-      reader_count_.fetch_add(1, std::memory_order_relaxed);
-  return idx < kMaxReaders ? idx : kFallbackReader;
-}
-
-bool SharedReplayMemo::hazarded(const Entry* entry) const {
-  for (std::size_t i = 0; i < kMaxReaders; ++i)
-    if (hazards_[i].load(std::memory_order_seq_cst) == entry) return true;
-  return false;
-}
-
-void SharedReplayMemo::retire_locked(Entry* entry) {
-  retired_.push_back(entry);
-  // Sweep: free everything no hazard slot still references. The list stays
-  // O(kMaxReaders): each sweep keeps only currently-hazarded entries.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < retired_.size(); ++i) {
-    if (hazarded(retired_[i]))
-      retired_[keep++] = retired_[i];
-    else
-      delete retired_[i];
-  }
-  retired_.resize(keep);
-}
-
-void SharedReplayMemo::retire(Entry* entry) {
-  std::lock_guard<std::mutex> lock(fallback_mutex_);
-  retire_locked(entry);
-}
-
-std::shared_ptr<const CrashResult> SharedReplayMemo::find(const Key& key,
-                                                          std::size_t reader) {
-  const std::uint64_t h = hash_key(key);
-  Stripe& stripe = stripes_[h % stripes_.size()];
-  stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-  if (slots_.empty()) return nullptr;
-
-  if (reader == kFallbackReader) {
-    // No hazard slot: the mutex excludes retirement sweeps instead.
-    std::lock_guard<std::mutex> lock(fallback_mutex_);
-    for (std::size_t i = 0; i < probe_window_; ++i) {
-      const Entry* e =
-          slots_[(h + i) & slot_mask_].load(std::memory_order_acquire);
-      if (e == nullptr) break;
-      if (e->hash == h && e->key == key) {
-        stripe.hits.fetch_add(1, std::memory_order_relaxed);
-        return e->value;
-      }
-    }
-    return nullptr;
-  }
-
-  std::atomic<const Entry*>& hazard = hazards_[reader];
-  for (std::size_t i = 0; i < probe_window_; ++i) {
-    std::atomic<Entry*>& slot = slots_[(h + i) & slot_mask_];
-    Entry* e = slot.load(std::memory_order_acquire);
-    if (e == nullptr) break;
-    hazard.store(e, std::memory_order_seq_cst);
-    if (slot.load(std::memory_order_seq_cst) != e) {
-      // Displaced between load and hazard publication — the entry may
-      // already be retired, so it must not be dereferenced. Skipping the
-      // slot is benign: at worst this lookup misses and recomputes.
-      hazard.store(nullptr, std::memory_order_relaxed);
-      continue;
-    }
-    const bool match = e->hash == h && e->key == key;
-    std::shared_ptr<const CrashResult> value;
-    if (match) value = e->value;
-    hazard.store(nullptr, std::memory_order_release);
-    if (match) {
-      stripe.hits.fetch_add(1, std::memory_order_relaxed);
-      return value;
-    }
-  }
-  return nullptr;
-}
-
-void SharedReplayMemo::insert(const Key& key,
-                              std::shared_ptr<const CrashResult> value,
-                              std::size_t reader) {
-  if (slots_.empty()) return;
-  const std::uint64_t h = hash_key(key);
-  Stripe& stripe = stripes_[h % stripes_.size()];
-  Entry* fresh = new Entry{h, key, std::move(value)};
-
-  const bool fallback = reader == kFallbackReader;
-  std::unique_lock<std::mutex> lock(fallback_mutex_, std::defer_lock);
-  if (fallback) lock.lock();
-
-  for (std::size_t i = 0; i < probe_window_; ++i) {
-    std::atomic<Entry*>& slot = slots_[(h + i) & slot_mask_];
-    Entry* e = slot.load(std::memory_order_acquire);
-    while (e == nullptr) {
-      if (slot.compare_exchange_weak(e, fresh, std::memory_order_release,
-                                     std::memory_order_acquire)) {
-        stripe.insertions.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    // Occupied: keep the resident entry if it already carries this key
-    // (its value is bit-identical to ours by purity).
-    bool same_key = false;
-    if (fallback) {
-      same_key = e->hash == h && e->key == key;
-    } else {
-      std::atomic<const Entry*>& hazard = hazards_[reader];
-      hazard.store(e, std::memory_order_seq_cst);
-      if (slot.load(std::memory_order_seq_cst) == e)
-        same_key = e->hash == h && e->key == key;
-      hazard.store(nullptr, std::memory_order_release);
-    }
-    if (same_key) {
-      delete fresh;
-      stripe.insertions.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-
-  // Window full: displace the home slot's resident (any victim preserves
-  // correctness; the home slot keeps the hottest recent key reachable).
-  Entry* victim = slots_[h & slot_mask_].exchange(fresh,
-                                                  std::memory_order_seq_cst);
-  stripe.insertions.fetch_add(1, std::memory_order_relaxed);
-  if (victim != nullptr) {
-    stripe.evictions.fetch_add(1, std::memory_order_relaxed);
-    if (fallback)
-      retire_locked(victim);
-    else
-      retire(victim);
-  }
-}
-
-SharedReplayMemo::Stats SharedReplayMemo::stats() const {
-  Stats stats;
-  for (const Stripe& stripe : stripes_) {
-    stats.lookups += stripe.lookups.load(std::memory_order_relaxed);
-    stats.hits += stripe.hits.load(std::memory_order_relaxed);
-    stats.insertions += stripe.insertions.load(std::memory_order_relaxed);
-    stats.evictions += stripe.evictions.load(std::memory_order_relaxed);
-  }
-  for (const std::atomic<Entry*>& slot : slots_)
-    if (slot.load(std::memory_order_acquire) != nullptr) ++stats.entries;
-  return stats;
-}
-
 ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs,
                            ReplayEngineOptions options)
     : schedule_(&schedule), options_(std::move(options)) {
@@ -257,8 +46,6 @@ ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs,
   CAFT_CHECK_MSG(options_.theta_bucket_width >= 0.0 &&
                      !std::isnan(options_.theta_bucket_width),
                  "theta bucket width must be non-negative");
-  static std::atomic<std::uint64_t> next_generation{1};
-  generation_ = next_generation.fetch_add(1, std::memory_order_relaxed);
   build_template();
   if (options_.max_snapshots > 0) record_fault_free();
 }
@@ -1103,8 +890,10 @@ CrashResult ReplayEngine::replay(const CrashScenario& scenario) const {
   return replay(scenario, scratch);
 }
 
-void ReplayEngine::replay_uncached(const CrashScenario& scenario,
-                                   Scratch& scratch) const {
+const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
+                                        Scratch& scratch) const {
+  CAFT_CHECK_MSG(scenario.proc_count() == m_,
+                 "scenario size does not match the platform");
   const std::size_t snap = pick_snapshot(scenario);
   if (snap == static_cast<std::size_t>(-1)) {
     reset_pristine(scratch);
@@ -1137,132 +926,35 @@ void ReplayEngine::replay_uncached(const CrashScenario& scenario,
   while (commit_next(scratch, scenario, nullptr))
     if (scratch.died) propagate(scratch);
   scratch.result = collect(scratch);
+  return scratch.result;
 }
 
-ReplayEngine::KeyKind ReplayEngine::classify(
-    const CrashScenario& scenario, bool quantize_enabled,
-    std::vector<std::uint64_t>& key) const {
-  key.clear();
-  if (m_ > 64) return KeyKind::kNotMemoisable;
+ReplayEngine::Canonical ReplayEngine::canonicalize(
+    const CrashScenario& scenario, std::span<double> times) const {
+  CAFT_CHECK_MSG(scenario.proc_count() == m_ && times.size() == m_,
+                 "scenario size does not match the platform");
   const double width = options_.theta_bucket_width;
-  std::uint64_t mask = 0;
-  bool exact = true;
-  bool quantizable = quantize_enabled && width > 0.0 && !options_.exact;
-  key.push_back(0);
+  const bool quantize = width > 0.0 && !options_.exact;
+  Canonical kind = Canonical::kExact;
   for (std::size_t p = 0; p < m_; ++p) {
     const double t =
         scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p)));
     if (t <= 0.0) {
-      mask |= std::uint64_t{1} << p;
-    } else if (t != kInf) {
-      // A finite positive crash time rules out the exact dead-set key; it
-      // stays memoisable only via a θ bucket small enough to pack.
-      exact = false;
-      if (!quantizable) return KeyKind::kNotMemoisable;
-      const double bucket = std::floor(t / width);
-      if (!(bucket < 4294967295.0)) return KeyKind::kNotMemoisable;
-      key.push_back((std::uint64_t{p} << 32) |
-                    static_cast<std::uint64_t>(bucket));
-    }
-  }
-  key[0] = mask;
-  return exact ? KeyKind::kExactKey : KeyKind::kQuantizedKey;
-}
-
-CrashScenario ReplayEngine::canonical_scenario(
-    const CrashScenario& scenario) const {
-  const double width = options_.theta_bucket_width;
-  std::vector<double> times(m_);
-  for (std::size_t p = 0; p < m_; ++p) {
-    const double t =
-        scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p)));
-    if (t <= 0.0)
       times[p] = 0.0;  // dead from the start; the exact instant <= 0 is
                        // unobservable (all owned ops are pre-killed)
-    else if (t == kInf)
+    } else if (t == kInf) {
       times[p] = kInf;
-    else
-      times[p] = (std::floor(t / width) + 0.5) * width;  // bucket midpoint
-  }
-  return CrashScenario(std::move(times));
-}
-
-const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
-                                        Scratch& scratch,
-                                        SharedReplayMemo* shared) const {
-  CAFT_CHECK_MSG(scenario.proc_count() == m_,
-                 "scenario size does not match the platform");
-  if (scratch.bound_generation != generation_) {
-    // A Scratch reused across engines must not leak another schedule's
-    // memoised results.
-    scratch.bound_generation = generation_;
-    scratch.memo.clear();
-    scratch.shared_hold.reset();
-  }
-  if (shared != nullptr) {
-    shared->bind(generation_);
-    // Claim this Scratch's hazard-pointer slot on first contact with this
-    // memo (keyed by the memo's process-unique id, so a new memo at a dead
-    // one's address cannot inherit a stale slot).
-    if (scratch.hazard_memo_id != shared->memo_id_) {
-      scratch.hazard_memo_id = shared->memo_id_;
-      scratch.hazard_slot = shared->acquire_reader_slot();
+    } else {
+      // A finite positive crash time rules out the dead-set form; it stays
+      // canonical only via a θ bucket whose index fits 32 bits.
+      if (!quantize) return Canonical::kUnique;
+      const double bucket = std::floor(t / width);
+      if (!(bucket < 4294967295.0)) return Canonical::kUnique;
+      times[p] = (bucket + 0.5) * width;  // bucket midpoint
+      kind = Canonical::kQuantized;
     }
   }
-
-  const KeyKind kind =
-      classify(scenario, /*quantize_enabled=*/shared != nullptr, scratch.key);
-
-  if (kind == KeyKind::kNotMemoisable) {
-    replay_uncached(scenario, scratch);
-    return scratch.result;
-  }
-
-  if (shared != nullptr) {
-    // Campaign-wide memo. The value is a pure function of the key (the
-    // quantized key replays its canonical representative), so whichever
-    // worker populates an entry first, every hit returns identical bits.
-    if (auto hit = shared->find(scratch.key, scratch.hazard_slot)) {
-      scratch.shared_hold = std::move(hit);
-      return *scratch.shared_hold;
-    }
-    if (kind == KeyKind::kQuantizedKey)
-      replay_uncached(canonical_scenario(scenario), scratch);
-    else
-      replay_uncached(scenario, scratch);
-    auto value =
-        std::make_shared<const CrashResult>(std::move(scratch.result));
-    shared->insert(scratch.key, value, scratch.hazard_slot);
-    scratch.shared_hold = std::move(value);
-    return *scratch.shared_hold;
-  }
-
-  // Per-Scratch dead-set memo (exact keys only: without a shared memo the
-  // quantized path is pointless — each worker would approximate without
-  // amortizing across threads).
-  if (kind == KeyKind::kQuantizedKey || options_.memo_capacity == 0) {
-    replay_uncached(scenario, scratch);
-    return scratch.result;
-  }
-  const std::uint64_t mask = scratch.key[0];
-  ++scratch.lookups;
-  const auto hit = scratch.memo.find(mask);
-  if (hit != scratch.memo.end()) {
-    ++scratch.hits;
-    return hit->second;
-  }
-  replay_uncached(scenario, scratch);
-  // Bounded insert with clear-on-threshold eviction: each entry stores a
-  // full CrashResult, so a long campaign over a large mask space would
-  // otherwise grow the memo without bound. unordered_map element addresses
-  // are stable, so the returned reference survives later insertions; a
-  // clear can only happen on a later replay call, after the reference's
-  // validity window has ended.
-  if (scratch.memo.size() >= options_.memo_capacity) {
-    scratch.memo.clear();
-    ++scratch.evictions;
-  }
-  return scratch.memo.emplace(mask, scratch.result).first->second;
+  return kind;
 }
 
 }  // namespace caft

@@ -30,27 +30,22 @@
 ///     starts every scenario from the pristine state: the cheap form for
 ///     one-shot replays and for crash-set enumeration (exp/runner,
 ///     sim/resilience).
-///  3. **Dead-set memoisation.** When every crash time is 0 or +inf (the
+///  3. **Canonical scenarios.** When every crash time is 0 or +inf (the
 ///     paper's "k processors dead from t = 0" model), the outcome is a pure
-///     function of the dead-processor bitmask — and a uniform-k campaign
-///     draws from a scenario space of only C(m, k) masks. Each Scratch
-///     memoises those results, so repeated masks cost one hash lookup plus
-///     a result copy. This is prefix caching taken to its limit: at θ = 0
-///     the shared prefix is empty, but the branch space itself is finite.
-///  4. **Shared memoisation** (SharedReplayMemo). The per-Scratch memo never
-///     crosses threads, so an 8-worker campaign re-simulates every mask up
-///     to 8 times. A SharedReplayMemo is one striped open-addressing CAS
-///     table all workers consult lock-free; because the memoised value is a
-///     pure deterministic function of its key, a hit returns the *same bits*
-///     no matter which thread computed it first — summaries stay bit-for-bit
-///     independent of thread count, and a lost race (two workers computing
-///     the same key, or a reader missing an entry mid-eviction) costs one
-///     recompute of identical bits, never a wrong answer. With a positive `theta_bucket_width` the shared memo
-///     also covers crash-at-θ scenarios: every finite positive crash time is
-///     quantized to a bucket and the bucket's *midpoint representative*
-///     scenario is replayed and cached, turning a continuous θ space into a
-///     finite, memoisable one (a deliberate, width-bounded approximation —
-///     see the quantization contract below).
+///     function of the dead-processor set — and a uniform-k campaign draws
+///     from a scenario space of only C(m, k) masks. `canonicalize` maps a
+///     scenario to the crash-time vector that decides its outcome, so a
+///     caller can key a result cache on it: this is prefix caching taken to
+///     its limit — at θ = 0 the shared prefix is empty, but the branch space
+///     itself is finite. The campaign executor keeps one such cache on its
+///     coordinating thread (campaign/campaign.cpp).
+///  4. **θ-quantization.** With a positive `theta_bucket_width`,
+///     `canonicalize` also covers crash-at-θ scenarios: every finite
+///     positive crash time snaps to the midpoint of its bucket, and the
+///     caller replays that *representative* scenario instead of the draw,
+///     turning a continuous θ space into a finite, cacheable one (a
+///     deliberate, width-bounded approximation — see the quantization
+///     contract below).
 ///
 /// Event selection: every commit takes the earliest-ready runnable op, the
 /// lowest op id breaking ties — the naive replay's rule. The Scratch caches
@@ -67,32 +62,29 @@
 /// `simulate_crashes(schedule, costs, scenario)` — same event choices, same
 /// IEEE arithmetic, same relaxation/deadlock accounting. The differential
 /// suite tests/test_replay_equivalence.cpp asserts this over randomized
-/// (instance, schedule, scenario) triples; the campaign executor relies on
-/// it to make `--engine naive` and `--engine incremental` interchangeable.
+/// (instance, schedule, scenario) triples, and the campaign tests compare
+/// whole campaigns against a simulate_crashes oracle.
 ///
-/// Quantization contract: with `theta_bucket_width > 0` and a SharedReplayMemo
-/// supplied, a scenario containing finite positive crash times is replayed as
-/// its canonical representative (each such time snapped to the midpoint of
-/// its bucket; dead-from-start and never-failing processors are untouched).
-/// The result is exact for the representative and off by at most
-/// width/2 per crash time for the original draw — still a deterministic pure
-/// function of the scenario, so summaries remain independent of thread count
-/// and memo state. Scenarios whose times are all 0/+inf are always exact.
-/// Setting `exact` (or width 0) disables quantized hits entirely and
-/// restores bit-exact naive equivalence for every scenario.
+/// Quantization contract: with `theta_bucket_width > 0` and not `exact`,
+/// `canonicalize` classifies a scenario containing finite positive crash
+/// times as kQuantized and fills in its representative (each such time
+/// snapped to the midpoint of its bucket; dead-from-start and never-failing
+/// processors are untouched). Replaying the representative is exact for
+/// the representative and off by at most width/2 per crash time for the
+/// original draw — still a deterministic pure function of the scenario, so
+/// summaries remain independent of thread count and cache state. Scenarios
+/// whose times are all 0/+inf are always exact. Setting `exact` (or width
+/// 0) classifies every finite positive time as unique: such a draw is
+/// replayed as drawn, bit-exact against the naive simulator.
 ///
-/// Thread safety: `replay` is const and touches only the template, the
-/// caller's Scratch and (optionally) a SharedReplayMemo, so one engine may
-/// serve any number of threads as long as each thread owns its Scratch; one
-/// SharedReplayMemo may be shared by all of them.
+/// Thread safety: `replay` and `canonicalize` are const and touch only the
+/// template and the caller's Scratch/buffer, so one engine may serve any
+/// number of threads as long as each thread owns its Scratch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "platform/cost_model.hpp"
@@ -124,125 +116,15 @@ struct ReplayEngineOptions {
   /// falls back to uniform event-timeline spacing. Placement never affects
   /// replay results, only how much prefix is reused.
   std::vector<double> snapshot_times;
-  /// Bucket width for θ-quantized shared-memo keys; 0 disables quantized
-  /// memoisation (crash-at-θ scenarios are then replayed individually).
-  /// See the quantization contract in the file header.
+  /// θ-bucket width of `canonicalize`; 0 disables quantization (crash-at-θ
+  /// scenarios then stay unique). See the quantization contract in the
+  /// file header.
   double theta_bucket_width = 0.0;
-  /// Exactness escape hatch: when true, quantized hits are disabled even if
-  /// theta_bucket_width > 0 — every replay is bit-exact against the naive
-  /// simulator. Dead-set (mask) memoisation stays on; it is always exact.
+  /// Exactness escape hatch: when true, `canonicalize` never quantizes even
+  /// if theta_bucket_width > 0 — every replay a caller derives from it is
+  /// bit-exact against the naive simulator. Dead-set scenarios stay
+  /// canonical; that equivalence is always exact.
   bool exact = false;
-  /// Entry cap of the per-Scratch dead-set memo. Each entry stores a full
-  /// CrashResult, so an uncapped memo grows without bound over a long
-  /// campaign with a large mask space; on reaching the cap the memo is
-  /// cleared (cheap clear-on-threshold eviction) and keeps memoising.
-  /// 0 disables the per-Scratch memo.
-  std::size_t memo_capacity = 1024;
-};
-
-/// Campaign-wide concurrent replay memo: a striped open-addressing CAS table
-/// keyed by (dead-set bitmask [, quantized-θ buckets]), shared by every
-/// worker thread of a campaign. Values are pure deterministic functions of
-/// their key, so concurrent population cannot introduce any thread-count
-/// dependence in folded summaries — a racing insert or an eviction-shadowed
-/// lookup degrades to a recompute of identical bits, never a wrong answer.
-/// Bound to one ReplayEngine instance on first use; rebinding to a different
-/// engine is a checked error (a memo never outlives the campaign that
-/// created it).
-struct SharedMemoOptions {
-  /// Statistic-counter stripes (cache-line padded); more stripes = less
-  /// false sharing on the hot lookup/hit counters. (Until PR 10 this was
-  /// the lock-shard count; the table itself is now lock-free.)
-  std::size_t shards = 16;
-  /// Entry cap. The table is a fixed array of `capacity` rounded down to a
-  /// power of two slots, so resident results are bounded at O(capacity)
-  /// *structurally*; a full probe window displaces one victim entry
-  /// (displace-on-collision eviction) while the hot keys of the next waves
-  /// re-enter immediately. 0 disables the memo (every lookup misses).
-  std::size_t capacity = 1 << 15;
-};
-
-class SharedReplayMemo {
- public:
-  explicit SharedReplayMemo(SharedMemoOptions options = {});
-  ~SharedReplayMemo();
-
-  SharedReplayMemo(const SharedReplayMemo&) = delete;
-  SharedReplayMemo& operator=(const SharedReplayMemo&) = delete;
-
-  /// Aggregated counters over all stripes (snapshot; other threads may be
-  /// mutating concurrently — use after the campaign joined its workers).
-  struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;  ///< entries displaced by full probe windows
-    std::size_t entries = 0;      ///< currently resident results
-  };
-  [[nodiscard]] Stats stats() const;
-
- private:
-  friend class ReplayEngine;
-
-  /// word 0: dead-from-start bitmask; words 1..: (proc << 32) | θ-bucket for
-  /// every finite positive crash time, in increasing processor order. Exact
-  /// dead-set keys are the 1-word prefix alone, so the two key families can
-  /// never collide (different lengths).
-  using Key = std::vector<std::uint64_t>;
-
-  /// One immutable published entry. Slots hold Entry* atomically: an entry's
-  /// fields are written before its pointer is CAS-published and never after,
-  /// so any reader that observes the pointer (acquire) sees a complete entry.
-  struct Entry {
-    std::uint64_t hash;
-    Key key;
-    std::shared_ptr<const CrashResult> value;
-  };
-
-  /// Cache-line-padded statistic stripe: counters only, never correctness.
-  struct alignas(64) Stripe {
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> insertions{0};
-    std::atomic<std::uint64_t> evictions{0};
-  };
-
-  /// Readers that exhausted the hazard-slot array serialize on a mutex
-  /// instead (correct, slower; only reachable past kMaxReaders scratches).
-  static constexpr std::size_t kMaxReaders = 128;
-  static constexpr std::size_t kFallbackReader =
-      static_cast<std::size_t>(-1);
-
-  [[nodiscard]] static std::uint64_t hash_key(const Key& key);
-
-  /// Binds the memo to one engine generation; throws on mismatch.
-  void bind(std::uint64_t generation);
-  /// Claims a hazard-pointer slot for one Scratch (kFallbackReader when the
-  /// array is exhausted — that reader then uses the mutex path).
-  [[nodiscard]] std::size_t acquire_reader_slot();
-  [[nodiscard]] std::shared_ptr<const CrashResult> find(const Key& key,
-                                                        std::size_t reader);
-  void insert(const Key& key, std::shared_ptr<const CrashResult> value,
-              std::size_t reader);
-  /// Defers freeing a displaced entry until no hazard pointer references it.
-  void retire(Entry* entry);
-  void retire_locked(Entry* entry);
-  [[nodiscard]] bool hazarded(const Entry* entry) const;
-
-  std::vector<std::atomic<Entry*>> slots_;  ///< power-of-two open table
-  std::size_t slot_mask_ = 0;
-  std::size_t probe_window_ = 0;
-  std::vector<Stripe> stripes_;
-  std::unique_ptr<std::atomic<const Entry*>[]> hazards_;  ///< kMaxReaders
-  std::atomic<std::size_t> reader_count_{0};
-  /// Guards retired_ and the no-hazard-slot reader path; retire sweeps
-  /// under it, so fallback readers can never observe a freed entry.
-  std::mutex fallback_mutex_;
-  std::vector<Entry*> retired_;  ///< displaced but still hazard-referenced
-  std::atomic<std::uint64_t> bound_generation_{0};
-  /// Process-unique id (never 0); keys Scratch hazard-slot binding so a new
-  /// memo at a dead one's address cannot inherit stale reader slots.
-  std::uint64_t memo_id_ = 0;
 };
 
 /// Prefix-cached replay engine bound to one committed schedule.
@@ -284,17 +166,9 @@ class ReplayEngine {
    public:
     Scratch() = default;
 
-    /// Resident entries of the per-Scratch dead-set memo (capped at
-    /// ReplayEngineOptions::memo_capacity; see the eviction note there).
-    [[nodiscard]] std::size_t memo_entries() const { return memo.size(); }
-    /// Memo probe counters since construction (scratch-memo path only; a
-    /// SharedReplayMemo keeps its own Stats).
-    [[nodiscard]] std::uint64_t memo_lookups() const { return lookups; }
-    [[nodiscard]] std::uint64_t memo_hits() const { return hits; }
-    [[nodiscard]] std::uint64_t memo_evictions() const { return evictions; }
     /// Kernel counters since construction: events selected (commits and
-    /// θ-deaths), and full candidate refreshes — one per replay that is not
-    /// a memo hit, plus one after each order relaxation.
+    /// θ-deaths), and full candidate refreshes — one per replay, plus one
+    /// after each order relaxation.
     [[nodiscard]] std::uint64_t commits() const { return commit_count; }
     [[nodiscard]] std::uint64_t full_refreshes() const {
       return refresh_count;
@@ -326,26 +200,8 @@ class ReplayEngine {
     std::size_t order_relaxations = 0;
     bool order_deadlock = false;
     bool died = false;
-    /// Dead-set memo: crash-mask -> full result, for scenarios whose crash
-    /// times are all 0 or +inf. Bound to one engine *instance* via its
-    /// unique generation (a pointer would suffer ABA when a new engine is
-    /// allocated at a dead one's address); cleared on rebind.
-    std::unordered_map<std::uint64_t, CrashResult> memo;
-    std::uint64_t bound_generation = 0;
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t evictions = 0;
-    /// Reused key buffer for shared-memo probes (no allocation per probe).
-    std::vector<std::uint64_t> key;
-    /// Hazard-pointer slot in the SharedReplayMemo this Scratch last probed
-    /// (claimed lazily, keyed by the memo's process-unique id).
-    std::uint64_t hazard_memo_id = 0;
-    std::size_t hazard_slot = 0;
-    /// Keeps the latest shared-memo result alive across evictions: replay
-    /// returns a reference into it, valid until the next replay call.
-    std::shared_ptr<const CrashResult> shared_hold;
-    /// Home of the most recent non-memoised result (replay returns a
-    /// reference into this, the memo, or shared_hold — never a copy).
+    /// Home of the most recent result (replay returns a reference into
+    /// this, never a copy).
     CrashResult result;
   };
 
@@ -354,17 +210,32 @@ class ReplayEngine {
   [[nodiscard]] CrashResult replay(const CrashScenario& scenario) const;
 
   /// Same, reusing the caller's Scratch (the campaign hot path). The
-  /// returned reference lives inside `scratch` (or its memo) and stays
-  /// valid until the next replay call with the same Scratch; memo hits
-  /// cost one hash lookup, never a result copy.
-  ///
-  /// With a non-null `shared`, memoisation goes through the campaign-wide
-  /// SharedReplayMemo instead of the per-Scratch map, and — when the engine
-  /// was built with theta_bucket_width > 0 and not `exact` — crash-at-θ
-  /// scenarios are replayed as their quantized representatives (see the
-  /// quantization contract in the file header).
-  const CrashResult& replay(const CrashScenario& scenario, Scratch& scratch,
-                            SharedReplayMemo* shared = nullptr) const;
+  /// returned reference lives inside `scratch` and stays valid until the
+  /// next replay call with the same Scratch.
+  const CrashResult& replay(const CrashScenario& scenario,
+                            Scratch& scratch) const;
+
+  /// How `canonicalize` classified a scenario.
+  enum class Canonical {
+    kExact,      ///< every crash time is 0 or +inf: the dead set decides
+    kQuantized,  ///< finite positive times snapped to their bucket midpoints
+    kUnique,     ///< a finite positive time stays raw: no equivalent draws
+  };
+  /// Writes `scenario`'s canonical crash-time vector into `times` (one
+  /// entry per processor): 0 for t <= 0, +inf for never, and — when
+  /// theta_bucket_width > 0 and not `exact` — the bucket midpoint of every
+  /// finite positive time. Draws with equal canonical vectors replay to
+  /// equal results, provided a kQuantized draw is replayed as its
+  /// representative (`times` itself) and a kExact draw as drawn. A
+  /// kUnique draw — a raw finite time, or one whose bucket index would
+  /// reach 2^32 − 1 — has no canonical form and is replayed as drawn;
+  /// `times` is then unspecified.
+  [[nodiscard]] Canonical canonicalize(const CrashScenario& scenario,
+                                       std::span<double> times) const;
+
+  [[nodiscard]] const ReplayEngineOptions& options() const {
+    return options_;
+  }
 
   /// Events (op commits) on the fault-free timeline; 0 for a template-only
   /// engine.
@@ -376,7 +247,7 @@ class ReplayEngine {
   [[nodiscard]] const Schedule& schedule() const { return *schedule_; }
 
   /// Earliest crash instant of `scenario` (+inf when nothing ever fails) —
-  /// the key the campaign executor sorts replay blocks by.
+  /// the key the campaign executor orders a wave's replays by.
   [[nodiscard]] static double first_crash(const CrashScenario& scenario);
 
  private:
@@ -397,21 +268,6 @@ class ReplayEngine {
 
   void build_template();
   void record_fault_free();
-
-  /// Full (non-memoised) replay of `scenario` into scratch.result.
-  void replay_uncached(const CrashScenario& scenario, Scratch& scratch) const;
-  /// Classifies `scenario` for memoisation and fills scratch.key: a 1-word
-  /// dead-set key when every crash time is 0/+inf, a multi-word quantized
-  /// key when finite positive times exist and quantization is enabled.
-  /// Returns kExactKey / kQuantizedKey / kNotMemoisable.
-  enum class KeyKind { kExactKey, kQuantizedKey, kNotMemoisable };
-  [[nodiscard]] KeyKind classify(const CrashScenario& scenario,
-                                 bool quantize_enabled,
-                                 std::vector<std::uint64_t>& key) const;
-  /// The canonical representative of a quantized scenario: every finite
-  /// positive crash time snapped to its bucket midpoint.
-  [[nodiscard]] CrashScenario canonical_scenario(
-      const CrashScenario& scenario) const;
 
   void reset_pristine(Scratch& s) const;
   void restore_snapshot(Scratch& s, const Snapshot& snap) const;
@@ -497,8 +353,6 @@ class ReplayEngine {
   std::size_t commit_count_ = 0;
   std::vector<Snapshot> snapshots_;
   ReplayEngineOptions options_;
-  /// Process-unique instance id (never 0); keys Scratch memo binding.
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace caft

@@ -11,12 +11,11 @@ namespace caft {
 namespace {
 
 /// Every crash set here is one dead-from-start mask replayed once, so the
-/// engine is template only (no fault-free recording) and keeps no
-/// per-Scratch memo; a sweep reuses one engine and one Scratch throughout.
+/// engine is template only (no fault-free recording); a sweep reuses one
+/// engine and one Scratch throughout.
 ReplayEngineOptions template_only() {
   ReplayEngineOptions options;
   options.max_snapshots = 0;
-  options.memo_capacity = 0;
   return options;
 }
 

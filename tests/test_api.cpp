@@ -28,6 +28,7 @@ namespace {
 
 using caft::CampaignSummary;
 using caft::Schedule;
+using caft::test::expect_summaries_identical;
 
 const std::vector<std::string> kBuiltins = {"caft", "caft-batch", "ftsa",
                                             "ftbar", "heft"};
@@ -77,35 +78,6 @@ void expect_schedules_identical(const Schedule& a, const Schedule& b) {
   ASSERT_EQ(a.zero_crash_latency(), b.zero_crash_latency());
   ASSERT_EQ(a.upper_bound_latency(), b.upper_bound_latency());
   ASSERT_EQ(a.message_count(), b.message_count());
-}
-
-/// EXPECT_EQ for doubles that treats NaN == NaN (an all-failures campaign
-/// legitimately reports NaN latency quantiles on both sides).
-void expect_same_double(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return;
-  EXPECT_EQ(a, b);
-}
-
-/// Bit-for-bit equality of everything a campaign summary reports.
-void expect_summaries_identical(const CampaignSummary& a,
-                                const CampaignSummary& b) {
-  EXPECT_EQ(a.replays, b.replays);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.replays_within_eps, b.replays_within_eps);
-  EXPECT_EQ(a.successes_within_eps, b.successes_within_eps);
-  EXPECT_EQ(a.max_failed, b.max_failed);
-  EXPECT_EQ(a.order_relaxations, b.order_relaxations);
-  EXPECT_EQ(a.order_deadlocks, b.order_deadlocks);
-  expect_same_double(a.latency.mean(), b.latency.mean());
-  expect_same_double(a.latency.min(), b.latency.min());
-  expect_same_double(a.latency.max(), b.latency.max());
-  expect_same_double(a.latency.stddev(), b.latency.stddev());
-  expect_same_double(a.delivered_messages.mean(),
-                     b.delivered_messages.mean());
-  ASSERT_EQ(a.latency_quantiles.size(), b.latency_quantiles.size());
-  for (std::size_t i = 0; i < a.latency_quantiles.size(); ++i)
-    expect_same_double(a.latency_quantiles[i].value,
-                       b.latency_quantiles[i].value);
 }
 
 // ---------------------------------------------------------------- registry
@@ -469,23 +441,24 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   spec.sampler = SamplerSpec::window(1, 0.0, 500.0);
   spec.replays = 300;
 
-  SessionOptions one_thread_naive;
-  one_thread_naive.threads = 1;
-  one_thread_naive.engine = caft::CampaignEngine::kNaive;
-  SessionOptions four_threads_scratch;
-  four_threads_scratch.threads = 4;
-  four_threads_scratch.memo = caft::CampaignMemo::kScratch;
-  SessionOptions four_threads_shared;
-  four_threads_shared.threads = 4;
+  SessionOptions one_thread;
+  one_thread.threads = 1;
+  SessionOptions four_threads;
+  four_threads.threads = 4;
+  four_threads.block = 64;
 
-  const CampaignReport a =
-      Session(one_thread_naive).evaluate(instance, spec);
-  const CampaignReport b =
-      Session(four_threads_scratch).evaluate(instance, spec);
-  const CampaignReport c =
-      Session(four_threads_shared).evaluate(instance, spec);
+  const CampaignReport a = Session(one_thread).evaluate(instance, spec);
+  const CampaignReport b = Session(four_threads).evaluate(instance, spec);
   expect_summaries_identical(a.runs[0].summary, b.runs[0].summary);
-  expect_summaries_identical(a.runs[0].summary, c.runs[0].summary);
+
+  // Both equal the simulate_crashes oracle of the same campaign.
+  caft::CampaignOptions options;
+  options.replays = spec.replays;
+  options.seed = spec.seed;
+  const CampaignSummary oracle = caft::test::oracle_campaign(
+      a.runs[0].result.schedule, instance.costs(),
+      *spec.sampler.build(instance.proc_count()), options);
+  expect_summaries_identical(a.runs[0].summary, oracle);
 }
 
 TEST(SessionApi, EvaluateBatchMatchesPerInstanceEvaluate) {
@@ -508,26 +481,6 @@ TEST(SessionApi, EvaluateBatchMatchesPerInstanceEvaluate) {
       expect_summaries_identical(batch[i].runs[r].summary,
                                  solo.runs[r].summary);
   }
-}
-
-TEST(SessionApi, RejectsInertThetaBucketCombinations) {
-  const Instance instance = random_instance(41, 8, 1.0, 1);
-  CampaignSpec spec;
-  spec.algorithms = {"caft"};
-  spec.replays = 10;
-  spec.theta_buckets = 16;
-
-  SessionOptions naive;
-  naive.engine = caft::CampaignEngine::kNaive;
-  EXPECT_THROW((void)Session(naive).evaluate(instance, spec),
-               caft::CheckError);
-  SessionOptions scratch;
-  scratch.memo = caft::CampaignMemo::kScratch;
-  EXPECT_THROW((void)Session(scratch).evaluate(instance, spec),
-               caft::CheckError);
-  // --exact opts out of quantization, so any engine/memo is legal again.
-  spec.exact = true;
-  EXPECT_NO_THROW((void)Session(naive).evaluate(instance, spec));
 }
 
 TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {

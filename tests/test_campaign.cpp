@@ -1,6 +1,8 @@
 // Tests for the Monte-Carlo fault-injection campaign (campaign/): scenario
 // samplers, streaming statistics (Wilson interval, P² quantiles), and the
-// parallel executor's determinism and Proposition 5.2 guarantee.
+// parallel executor — its identity with the simulate_crashes oracle
+// (test::oracle_campaign), its record cache and θ-quantization, its
+// determinism and the Proposition 5.2 guarantee.
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +11,9 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,13 +21,18 @@
 #include "algo/ftsa.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "campaign/stats.hpp"
+#include "dag/generators.hpp"
 #include "helpers.hpp"
 #include "obs/obs.hpp"
+#include "sim/crash_sim.hpp"
+#include "sim/replay_engine.hpp"
 
 namespace caft {
 namespace {
 
 using test::Scenario;
+using test::expect_summaries_identical;
+using test::oracle_campaign;
 using test::random_setup;
 
 Schedule caft_for(const Scenario& s, std::size_t eps) {
@@ -482,6 +491,302 @@ TEST(Campaign, EarlyStoppedRateGaugeCountsExecutedReplays) {
   ASSERT_GT(telemetry.wall_seconds, 0.0);
   EXPECT_EQ(gauge,
             static_cast<double>(telemetry.replays) / telemetry.wall_seconds);
+}
+
+// ------------------------------------------------- oracle identity
+
+TEST(Campaign, MatchesOracleOnUniformKAndWindowSamplers) {
+  // Record cache, in-wave duplicates and miss ordering must all be
+  // invisible: bit-identical to replaying every draw with simulate_crashes.
+  const Scenario s = random_setup(111, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler uniform(8, 2);
+  const CrashWindowSampler window(8, 2, 0.0, schedule.horizon());
+  for (const ScenarioSampler* sampler :
+       {static_cast<const ScenarioSampler*>(&uniform),
+        static_cast<const ScenarioSampler*>(&window)}) {
+    CampaignOptions options;
+    options.replays = 500;
+    options.block = 128;
+    const CampaignSummary oracle =
+        oracle_campaign(schedule, *s.costs, *sampler, options);
+    for (const std::size_t threads : {1u, 4u}) {
+      options.threads = threads;
+      expect_summaries_identical(
+          run_campaign(schedule, *s.costs, *sampler, options), oracle,
+          sampler->name() + " threads " + std::to_string(threads));
+    }
+  }
+}
+
+TEST(Campaign, MatchesOracleAbove64Procs) {
+  // Dead sets on m > 64 fit no 64-bit mask; the canonical crash-time
+  // vector keys the cache anyway.
+  const test::WideChain wide(72);
+  const UniformKSampler sampler(72, 2);
+  CampaignOptions options;
+  options.replays = 400;
+  options.block = 128;
+  const CampaignSummary oracle =
+      oracle_campaign(wide.schedule, wide.costs, sampler, options);
+  for (const std::size_t threads : {1u, 4u}) {
+    options.threads = threads;
+    CampaignTelemetry telemetry;
+    expect_summaries_identical(
+        run_campaign(wide.schedule, wide.costs, sampler, options, &telemetry),
+        oracle, "threads " + std::to_string(threads));
+    EXPECT_EQ(telemetry.memo_lookups, options.replays);
+    EXPECT_GT(telemetry.memo_hits, 0u);
+  }
+}
+
+TEST(Campaign, UniformKReplaysEachDeadSetOnce) {
+  // C(10, 2) = 45 dead sets: however long the campaign, the kernel replays
+  // each at most once, and every draw goes through the cache.
+  const Scenario s = random_setup(112, 10, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler sampler(10, 2);
+  CampaignOptions options;
+  options.replays = 200000;
+  CampaignTelemetry telemetry;
+  (void)run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+  EXPECT_EQ(telemetry.memo_lookups, options.replays);
+  EXPECT_LE(telemetry.memo_lookups - telemetry.memo_hits, 45u);
+  EXPECT_EQ(telemetry.memo_entries,
+            telemetry.memo_lookups - telemetry.memo_hits);
+  EXPECT_EQ(telemetry.memo_evictions, 0u);
+}
+
+TEST(Campaign, RejectsPrebuiltEngineWithAnotherThetaConfig) {
+  // A prebuilt engine canonicalizes with its own bucket width; silently
+  // using one built for another width would change the summary.
+  const Scenario s = random_setup(113, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(8, 1, 0.0, schedule.horizon());
+  ReplayEngineOptions engine_options;
+  engine_options.theta_bucket_width = schedule.horizon() / 8.0;
+  const ReplayEngine engine(schedule, *s.costs, engine_options);
+
+  CampaignOptions options;
+  options.replays = 50;
+  options.prebuilt_engine = &engine;
+  options.theta_bucket_width = schedule.horizon() / 16.0;
+  EXPECT_THROW((void)run_campaign(schedule, *s.costs, sampler, options),
+               CheckError);
+  options.theta_bucket_width = engine_options.theta_bucket_width;
+  options.exact = true;
+  EXPECT_THROW((void)run_campaign(schedule, *s.costs, sampler, options),
+               CheckError);
+
+  // The matching configuration runs, identical to an owned engine.
+  options.exact = false;
+  CampaignOptions owned = options;
+  owned.prebuilt_engine = nullptr;
+  expect_summaries_identical(
+      run_campaign(schedule, *s.costs, sampler, options),
+      run_campaign(schedule, *s.costs, sampler, owned), "prebuilt");
+}
+
+// ------------------------------------------------------- θ-quantization
+
+TEST(Campaign, QuantizedCampaignEqualsOracleOnRepresentatives) {
+  // The quantization contract, verified literally: a quantized campaign is
+  // the oracle campaign replaying every crash-at-θ draw as its
+  // bucket-midpoint representative.
+  const Scenario s = random_setup(47, 6, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(6, 2, 0.0, schedule.horizon());
+  CampaignOptions options;
+  options.replays = 400;
+  options.block = 128;
+  options.theta_bucket_width = schedule.horizon() / 16.0;
+  const CampaignSummary oracle =
+      oracle_campaign(schedule, *s.costs, sampler, options);
+  for (const std::size_t threads : {1u, 4u}) {
+    options.threads = threads;
+    CampaignTelemetry telemetry;
+    expect_summaries_identical(
+        run_campaign(schedule, *s.costs, sampler, options, &telemetry),
+        oracle, "threads " + std::to_string(threads));
+    EXPECT_EQ(telemetry.memo_lookups, options.replays);
+    EXPECT_GT(telemetry.memo_hits, 0u);
+  }
+}
+
+TEST(Campaign, QuantizationDriftShrinksWithBucketWidth) {
+  // Replay results are step functions of θ (the state only changes when a
+  // crash time crosses an op boundary), so a representative's replay can
+  // differ from the draw's only when such a boundary separates θ from its
+  // bucket midpoint — a fraction of draws that shrinks linearly with the
+  // width. At ε-covered crash counts (k = 1 <= eps), success itself can
+  // never drift: the schedule survives both the draw and its representative.
+  const Scenario s = random_setup(53, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const double horizon = schedule.horizon();
+  const ReplayEngine exact(schedule, *s.costs);
+  const CrashWindowSampler window(8, 1, 0.0, horizon);
+  const int draws = 300;
+  std::vector<std::size_t> differing;
+  for (const double width : {horizon / 16.0, horizon / 4096.0}) {
+    ReplayEngineOptions options;
+    options.theta_bucket_width = width;
+    const ReplayEngine quantized(schedule, *s.costs, options);
+    std::vector<double> times(8);
+    Rng rng(5300);
+    std::size_t differs = 0;
+    for (int draw = 0; draw < draws; ++draw) {
+      const CrashScenario scenario = window.sample(rng);
+      ASSERT_EQ(quantized.canonicalize(scenario, times),
+                ReplayEngine::Canonical::kQuantized);
+      const CrashResult approx = quantized.replay(CrashScenario(times));
+      const CrashResult truth = exact.replay(scenario);
+      ASSERT_TRUE(truth.success);
+      EXPECT_TRUE(approx.success);  // k=1 <= eps: survival cannot drift
+      if (approx.latency != truth.latency) ++differs;
+    }
+    differing.push_back(differs);
+  }
+  // 256× finer buckets: the differing fraction must collapse (and stay
+  // small in absolute terms).
+  EXPECT_LE(differing[1], differing[0]);
+  EXPECT_LE(differing[1], static_cast<std::size_t>(draws / 20));
+}
+
+TEST(Campaign, ExactnessEscapeHatchDisablesQuantization) {
+  // `exact` with a bucket width configured must give the plain exact
+  // campaign: crash-at-θ draws have no canonical form and replay as drawn.
+  const Scenario s = random_setup(59, 6, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(6, 2, 0.0, schedule.horizon());
+  CampaignOptions plain;
+  plain.replays = 200;
+  plain.threads = 2;
+  CampaignOptions hatched = plain;
+  hatched.theta_bucket_width = schedule.horizon() / 4.0;  // very coarse
+  hatched.exact = true;
+  hatched.threads = 4;
+  CampaignTelemetry telemetry;
+  const CampaignSummary exact =
+      run_campaign(schedule, *s.costs, sampler, hatched, &telemetry);
+  expect_summaries_identical(
+      run_campaign(schedule, *s.costs, sampler, plain), exact,
+      "escape hatch");
+  expect_summaries_identical(
+      oracle_campaign(schedule, *s.costs, sampler, plain), exact, "oracle");
+  EXPECT_EQ(telemetry.memo_lookups, 0u);
+}
+
+TEST(Campaign, QuantizedSummariesIdenticalAcrossThreadCounts) {
+  // The approximation must be a pure function of the scenario stream.
+  const Scenario s = random_setup(61, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
+  CampaignOptions options;
+  options.replays = 500;
+  options.block = 64;
+  options.theta_bucket_width = schedule.horizon() / 24.0;
+  options.threads = 1;
+  const CampaignSummary reference =
+      run_campaign(schedule, *s.costs, sampler, options);
+  for (const std::size_t threads : {2u, 4u}) {
+    options.threads = threads;
+    expect_summaries_identical(
+        reference, run_campaign(schedule, *s.costs, sampler, options),
+        "threads " + std::to_string(threads));
+  }
+}
+
+// --------------------------------------------------------- record cache
+
+TEST(Campaign, RecordCacheStaysUnderCapOverMillionReplays) {
+  // C(23, 5) = 33649 dead sets, just more than the cache holds: over 10^6
+  // replays the cache must fill, clear and keep serving hits, never
+  // holding more than its cap.
+  // A ring keeps the replays cheap: few links, so few resources per replay.
+  static_assert(kRecordCacheCapacity < 33649);
+  Scenario s;
+  s.graph = chain(3, 2.0);
+  s.platform = std::make_unique<Platform>(Topology::ring(23));
+  s.costs = std::make_unique<CostModel>(
+      uniform_costs(s.graph, *s.platform, 2.0, 1.0));
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler sampler(23, 5);
+  CampaignOptions options;
+  options.replays = 1000000;
+  options.threads = 2;
+  CampaignTelemetry telemetry;
+  (void)run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+  EXPECT_EQ(telemetry.memo_lookups, options.replays);
+  EXPECT_LE(telemetry.memo_entries, kRecordCacheCapacity);
+  EXPECT_GT(telemetry.memo_evictions, 0u);
+  EXPECT_GT(telemetry.memo_hits, options.replays / 2);
+}
+
+// --------------------------------------------------- adaptive snapshots
+
+TEST(Campaign, AdaptiveSnapshotPlacementNeverChangesResults) {
+  // Snapshot density is a pure performance knob: a fine θ sweep through an
+  // engine with sampler-fitted snapshot times (the placement every
+  // campaign uses) must match the naive replay everywhere, and the
+  // snapshot budget must be respected.
+  const Scenario s = random_setup(79, 6, 5.0);
+  const Schedule schedule = caft_for(s, 1);
+  const double horizon = schedule.horizon();
+  const CrashWindowSampler sampler(6, 2, 0.0, horizon * 0.4);
+
+  ReplayEngineOptions options;
+  options.max_snapshots = 24;
+  options.snapshot_times =
+      sampler.first_crash_quantiles(options.max_snapshots, horizon);
+  ASSERT_FALSE(options.snapshot_times.empty());
+  const ReplayEngine adaptive(schedule, *s.costs, options);
+  EXPECT_LE(adaptive.snapshot_count(), options.max_snapshots);
+  EXPECT_GT(adaptive.snapshot_count(), 0u);
+
+  ReplayEngine::Scratch scratch;
+  for (int step = 0; step <= 30; ++step) {
+    CrashScenario scenario = CrashScenario::none(6);
+    scenario.set_crash_time(ProcId(1),
+                            horizon * static_cast<double>(step) / 30.0);
+    const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
+    const CrashResult& replayed = adaptive.replay(scenario, scratch);
+    SCOPED_TRACE("sweep step " + std::to_string(step));
+    EXPECT_EQ(naive.success, replayed.success);
+    EXPECT_EQ(naive.latency, replayed.latency);
+    EXPECT_EQ(naive.delivered_messages, replayed.delivered_messages);
+    EXPECT_EQ(naive.order_relaxations, replayed.order_relaxations);
+    EXPECT_EQ(naive.finish, replayed.finish);
+  }
+}
+
+TEST(ScenarioSamplers, QuantileHintsAreSaneDensityProfiles) {
+  const double horizon = 100.0;
+  // The paper's dead-from-start model has no θ mass to adapt to.
+  EXPECT_TRUE(UniformKSampler(8, 2)
+                  .first_crash_quantiles(16, horizon)
+                  .empty());
+
+  const auto check_profile = [&](const ScenarioSampler& sampler,
+                                 const std::string& label) {
+    SCOPED_TRACE(label);
+    const std::vector<double> q = sampler.first_crash_quantiles(16, horizon);
+    ASSERT_EQ(q.size(), 16u);
+    EXPECT_TRUE(std::is_sorted(q.begin(), q.end()));
+    for (const double t : q) {
+      EXPECT_GE(t, 0.0);
+      EXPECT_LE(t, horizon);
+    }
+  };
+  check_profile(CrashWindowSampler(8, 2, 10.0, 90.0), "window");
+  check_profile(ExponentialLifetimeSampler(8, 0.01, horizon), "exp");
+  check_profile(WeibullLifetimeSampler(8, 1.5, 50.0, horizon), "weibull");
+  check_profile(CorrelatedGroupSampler(8, 2, 0.3, 5.0, 80.0), "groups");
+
+  // The window profile concentrates below the window's upper edge: the
+  // engine should not waste snapshots past the θ mass.
+  const std::vector<double> window_q =
+      CrashWindowSampler(8, 2, 0.0, 40.0).first_crash_quantiles(16, horizon);
+  EXPECT_LE(window_q.back(), 40.0 + 1e-9);
 }
 
 TEST(Campaign, RejectsMismatchedSamplerSize) {

@@ -42,12 +42,7 @@ CampaignWorkOrder sample_order() {
   order.spec.request.batch_size = 17;
   order.spec.request.minimize_start_time = false;
   order.threads = 3;
-  order.engine = caft::CampaignEngine::kNaive;
-  order.memo = caft::CampaignMemo::kScratch;
   order.block = 512;
-  order.memo_capacity = 1 << 10;
-  order.memo_shards = 4;
-  order.adaptive_snapshots = false;
   order.expect_makespan = 123.4567891011;
   order.expect_horizon = 200.000000000001;
   return order;
@@ -61,7 +56,10 @@ std::string to_text(const CampaignWorkOrder& order) {
 
 TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   const CampaignWorkOrder order = sample_order();
-  std::istringstream is(to_text(order));
+  const std::string text = to_text(order);
+  EXPECT_EQ(text.rfind("caft-campaign-work v2\n", 0), 0u);
+  EXPECT_NE(text.find("\nexec 3 512\n"), std::string::npos);
+  std::istringstream is(text);
   const CampaignWorkOrder back = read_campaign_work_order(is);
 
   EXPECT_EQ(back.instance_path, order.instance_path);
@@ -95,12 +93,7 @@ TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   EXPECT_EQ(back.spec.request.batch_size, 17u);
   EXPECT_EQ(back.spec.request.minimize_start_time, false);
   EXPECT_EQ(back.threads, order.threads);
-  EXPECT_EQ(back.engine, order.engine);
-  EXPECT_EQ(back.memo, order.memo);
   EXPECT_EQ(back.block, order.block);
-  EXPECT_EQ(back.memo_capacity, order.memo_capacity);
-  EXPECT_EQ(back.memo_shards, order.memo_shards);
-  EXPECT_EQ(back.adaptive_snapshots, order.adaptive_snapshots);
   EXPECT_EQ(back.expect_makespan, order.expect_makespan);  // bit-exact
   EXPECT_EQ(back.expect_horizon, order.expect_horizon);
 }
@@ -158,21 +151,29 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
 }
 
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
-  // A v2 document is not "corruption": the reader must tell the peer it
-  // speaks v1 so a future writer is told to downgrade, not to debug bytes.
+  // A document of another version is not "corruption": the reader must
+  // tell the peer which version it speaks, so the peer is told to match
+  // versions, not to debug bytes. Work orders are at v2; a v1 order (the
+  // old `exec` line with engine/memo/snapshot fields) and a future v3 are
+  // both skew.
   const std::string good = to_text(sample_order());
-  std::string skewed = good;
-  skewed.replace(0, skewed.find('\n'), "caft-campaign-work v2");
-  {
+  for (const char* version : {"v1", "v3"}) {
+    std::string skewed = good;
+    skewed.replace(0, skewed.find('\n'),
+                   std::string("caft-campaign-work ") + version);
+    if (std::string(version) == "v1")
+      skewed.replace(skewed.find("exec 3 512"), 10,
+                     "exec 3 incremental shared 512 32768 16 1");
     std::istringstream is(skewed);
     try {
       (void)read_campaign_work_order(is);
-      FAIL() << "expected CheckError";
+      FAIL() << "expected CheckError for " << version;
     } catch (const CheckError& error) {
       const std::string what = error.what();
       EXPECT_NE(what.find("unsupported document version"), std::string::npos);
-      EXPECT_NE(what.find("caft-campaign-work v2"), std::string::npos);
-      EXPECT_NE(what.find("speaks v1"), std::string::npos);
+      EXPECT_NE(what.find(std::string("caft-campaign-work ") + version),
+                std::string::npos);
+      EXPECT_NE(what.find("this reader speaks v2"), std::string::npos);
     }
   }
   {  // a *wrong* magic still reads as corruption, not as version skew
@@ -193,6 +194,8 @@ TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
   EXPECT_THROW(wire::check_magic_line("caft-x v10", "caft-x"), CheckError);
   EXPECT_THROW(wire::check_magic_line("caft-x v1 ", "caft-x"), CheckError);
   EXPECT_THROW(wire::check_magic_line("caft-y v1", "caft-x"), CheckError);
+  EXPECT_NO_THROW(wire::check_magic_line("caft-x v2", "caft-x", 2));
+  EXPECT_THROW(wire::check_magic_line("caft-x v1", "caft-x", 2), CheckError);
 }
 
 TEST(CampaignWire, PartialReaderRejectsVersionSkew) {

@@ -66,20 +66,22 @@ TEST(CliArgs, GetSizeRejectsMalformedCounts) {
 }
 
 TEST(CliArgs, GetChoiceValidatesAgainstSet) {
-  const CliArgs args = make_args({"--memo", "shared", "--engine", "fast"});
-  EXPECT_EQ(args.get_choice("memo", "scratch", {"shared", "scratch"}),
-            "shared");
-  EXPECT_EQ(args.get_choice("absent", "scratch", {"shared", "scratch"}),
-            "scratch");
+  const CliArgs args =
+      make_args({"--exec", "subprocess", "--sampler", "fast"});
+  EXPECT_EQ(args.get_choice("exec", "in-process", {"in-process", "subprocess"}),
+            "subprocess");
+  EXPECT_EQ(
+      args.get_choice("absent", "in-process", {"in-process", "subprocess"}),
+      "in-process");
   try {
-    (void)args.get_choice("engine", "incremental", {"incremental", "naive"});
+    (void)args.get_choice("sampler", "uniform", {"uniform", "window"});
     FAIL() << "expected CheckError";
   } catch (const CheckError& error) {
     // The message must name the flag, the bad value and the valid set.
     const std::string what = error.what();
-    EXPECT_NE(what.find("--engine"), std::string::npos);
+    EXPECT_NE(what.find("--sampler"), std::string::npos);
     EXPECT_NE(what.find("'fast'"), std::string::npos);
-    EXPECT_NE(what.find("incremental|naive"), std::string::npos);
+    EXPECT_NE(what.find("uniform|window"), std::string::npos);
   }
 }
 

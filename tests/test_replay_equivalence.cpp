@@ -5,7 +5,7 @@
 // *byte-identical* to the naive simulate_crashes path: per-task/per-replica
 // finish times (exact doubles, no tolerance), success flags, delivered
 // message counts, order-relaxation accounting. The campaign executor's
-// `--engine` interchangeability rests entirely on this property.
+// summaries equal the simulate_crashes oracle's because of this property.
 #include "sim/replay_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -89,8 +89,8 @@ Schedule schedule_with(const std::string& algo, const Scenario& s,
 
 TEST(ReplayEquivalence, RandomTriplesAcrossAlgorithmsAndSamplers) {
   // 6 instances x 4 schedules x 11 scenarios = 264 triples, all checked
-  // byte-for-byte. One Scratch is reused throughout, so scratch reuse (and
-  // the dead-set memo behind it) is exercised across schedules too.
+  // byte-for-byte. One Scratch is reused throughout, so scratch reuse is
+  // exercised across schedules too.
   std::size_t triples = 0;
   ReplayEngine::Scratch scratch;
   const std::vector<std::uint64_t> seeds = {11, 23, 37, 51, 73, 97};
@@ -297,9 +297,9 @@ TEST(ReplayEquivalence, SparseTopologyWithRouters) {
         "star hub plus p" + std::to_string(p));
 }
 
-TEST(ReplayEquivalence, MemoisedRepeatsStayIdentical) {
-  // The dead-set memo must return the same result object content on every
-  // hit, and a Scratch rebound to another engine must not leak results.
+TEST(ReplayEquivalence, RepeatsThroughOneScratchStayIdentical) {
+  // One Scratch alternating between two engines must give the same result
+  // on every round: nothing of one replay leaks into the next.
   const Scenario s1 = test::random_setup(31, 6, 1.0);
   const Scenario s2 = test::random_setup(32, 6, 1.0);
   const Schedule sched1 = schedule_with("caft", s1, 1, CommModelKind::kOnePort);
@@ -310,48 +310,34 @@ TEST(ReplayEquivalence, MemoisedRepeatsStayIdentical) {
   const CrashScenario crash = CrashScenario::at_zero(6, {ProcId(3)});
   for (int round = 0; round < 3; ++round) {
     check_triple(sched1, *s1.costs, engine1, scratch, crash,
-                 "memo round " + std::to_string(round) + " engine1");
+                 "round " + std::to_string(round) + " engine1");
     check_triple(sched2, *s2.costs, engine2, scratch, crash,
-                 "memo round " + std::to_string(round) + " engine2");
+                 "round " + std::to_string(round) + " engine2");
   }
 }
 
 // ------------------------------------------------ campaign-level identity
 
-TEST(ReplayEquivalence, CampaignSummariesIdenticalAcrossEngines) {
+TEST(ReplayEquivalence, CampaignSummariesMatchOracle) {
+  // Whole campaigns on the engine (with its record cache and batching)
+  // against the simulate_crashes oracle, at several thread counts.
   const Scenario s = test::random_setup(17, 8, 1.0);
   const Schedule schedule = schedule_with("caft", s, 1, CommModelKind::kOnePort);
   const UniformKSampler uniform(8, 1);
   const CrashWindowSampler window(8, 2, 0.0, schedule.horizon());
   for (const ScenarioSampler* sampler :
        std::vector<const ScenarioSampler*>{&uniform, &window}) {
-    CampaignOptions naive_options;
-    naive_options.replays = 600;
-    naive_options.threads = 2;
-    naive_options.engine = CampaignEngine::kNaive;
-    CampaignOptions incr_options = naive_options;
-    incr_options.engine = CampaignEngine::kIncremental;
-    incr_options.threads = 3;  // engine identity must survive resharding
-    incr_options.block = 128;
-    const CampaignSummary a =
-        run_campaign(schedule, *s.costs, *sampler, naive_options);
-    const CampaignSummary b =
-        run_campaign(schedule, *s.costs, *sampler, incr_options);
-    EXPECT_EQ(a.replays, b.replays);
-    EXPECT_EQ(a.successes, b.successes);
-    EXPECT_EQ(a.replays_within_eps, b.replays_within_eps);
-    EXPECT_EQ(a.successes_within_eps, b.successes_within_eps);
-    EXPECT_EQ(a.max_failed, b.max_failed);
-    EXPECT_EQ(a.order_relaxations, b.order_relaxations);
-    EXPECT_EQ(a.order_deadlocks, b.order_deadlocks);
-    EXPECT_EQ(a.latency.mean(), b.latency.mean());
-    EXPECT_EQ(a.latency.min(), b.latency.min());
-    EXPECT_EQ(a.latency.max(), b.latency.max());
-    EXPECT_EQ(a.latency.stddev(), b.latency.stddev());
-    EXPECT_EQ(a.delivered_messages.mean(), b.delivered_messages.mean());
-    ASSERT_EQ(a.latency_quantiles.size(), b.latency_quantiles.size());
-    for (std::size_t i = 0; i < a.latency_quantiles.size(); ++i)
-      EXPECT_EQ(a.latency_quantiles[i].value, b.latency_quantiles[i].value);
+    CampaignOptions options;
+    options.replays = 600;
+    options.block = 128;
+    const CampaignSummary oracle =
+        test::oracle_campaign(schedule, *s.costs, *sampler, options);
+    for (const std::size_t threads : {2u, 3u}) {
+      options.threads = threads;
+      test::expect_summaries_identical(
+          run_campaign(schedule, *s.costs, *sampler, options), oracle,
+          sampler->name() + " threads " + std::to_string(threads));
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Micro-property suite pinning the SoA replay kernel and the striped-CAS
-// SharedReplayMemo introduced by the structure-of-arrays refactor:
+// Micro-property suite pinning the SoA replay kernel introduced by the
+// structure-of-arrays refactor:
 //
 //  - dead-mask closure (the single linear topological pass over
 //    direct_kill_mask_ words) must compute exactly the fixpoint the old
@@ -12,29 +12,19 @@
 //    only from schedules the default engine rejects — and matched by a
 //    template-only engine, which accepts them;
 //  - θ-deaths must not fall back to full candidate refreshes (kernel
-//    counters: one refresh per replay plus one per relaxation);
-//  - the lock-free memo must survive a concurrent insert/lookup/evict
-//    torture (mask space >> capacity, many threads, one engine) with every
-//    returned record still the pure function of its scenario and the
-//    resident-entry count structurally bounded by the capacity. This test
-//    is in the TSan CI job's filter: the hazard-pointer reclamation and
-//    CAS publication protocol are exercised under the race detector.
+//    counters: one refresh per replay plus one per relaxation).
 #include "sim/replay_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/caft.hpp"
 #include "campaign/scenario_sampler.hpp"
-#include "comm/one_port.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dag/generators.hpp"
@@ -73,24 +63,6 @@ void expect_identical(const CrashResult& naive, const CrashResult& incr,
           << "task " << t << " replica " << r;
     }
   }
-}
-
-/// Non-asserting variant usable off the main thread (gtest assertions are
-/// not thread-safe): true iff every field matches exactly.
-bool results_identical(const CrashResult& a, const CrashResult& b) {
-  if (a.success != b.success || a.latency != b.latency ||
-      a.delivered_messages != b.delivered_messages ||
-      a.order_relaxations != b.order_relaxations ||
-      a.order_deadlock != b.order_deadlock)
-    return false;
-  if (a.completed.size() != b.completed.size() ||
-      a.finish.size() != b.finish.size())
-    return false;
-  for (std::size_t t = 0; t < a.completed.size(); ++t) {
-    if (a.completed[t] != b.completed[t] || a.finish[t] != b.finish[t])
-      return false;
-  }
-  return true;
 }
 
 CrashScenario mask_scenario(std::size_t procs, std::uint64_t mask) {
@@ -173,46 +145,11 @@ TEST(ReplaySoa, MidRunCrashesMatchNaiveOn64Procs) {
 
 TEST(ReplaySoa, WorklistFallbackMatchesNaiveAbove64Procs) {
   // Platforms wider than the 64-bit mask word keep the old worklist
-  // propagation (and skip the memo). The schedulers cap platforms at 64
-  // processors (support masks), so the schedule is hand-posted through the
-  // one-port engine: a 10-task chain, two replicas per task, every
-  // replica-to-replica communication committed, spread over 72 processors.
+  // propagation.
   const std::size_t procs = 72;
-  const TaskGraph g = chain(10, 5.0);
-  Platform platform(procs);
-  const CostModel costs = uniform_costs(g, platform, 10.0, 1.0);
-  Schedule sched(g, platform, 1, CommModelKind::kOnePort);
-  OnePortEngine one_port(platform, costs);
-
-  const auto proc_of = [&](std::size_t t, ReplicaIndex r) {
-    return ProcId((t * 7 + r * 3) % procs);
-  };
-  const std::vector<TaskId> tasks = g.all_tasks();
-  std::vector<std::array<TaskTimes, 2>> times(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    for (ReplicaIndex r = 0; r < 2; ++r) {
-      double ready = 0.0;
-      if (t > 0) {
-        for (ReplicaIndex q = 0; q < 2; ++q) {
-          CommAssignment ca;
-          ca.edge = static_cast<EdgeIndex>(t - 1);
-          ca.from = {tasks[t - 1], q};
-          ca.to = {tasks[t], r};
-          ca.src_proc = proc_of(t - 1, q);
-          ca.dst_proc = proc_of(t, r);
-          ca.volume = 5.0;
-          ca.times = one_port.post_comm(ca.src_proc, ca.dst_proc, ca.volume,
-                                        times[t - 1][q].finish);
-          ready = std::max(ready, ca.times.arrival);
-          sched.add_comm(ca);
-        }
-      }
-      times[t][r] = one_port.post_exec(proc_of(t, r), ready, 10.0);
-      sched.set_replica(tasks[t], r,
-                        {proc_of(t, r), times[t][r].start, times[t][r].finish});
-    }
-  }
-  ASSERT_TRUE(sched.complete());
+  const test::WideChain wide(procs);
+  const Schedule& sched = wide.schedule;
+  const CostModel& costs = wide.costs;
 
   const ReplayEngine engine(sched, costs);
   ReplayEngine::Scratch scratch;
@@ -381,69 +318,6 @@ TEST(ReplaySoa, ThetaDeathsRefreshNoMoreThanEntryAndRelaxations) {
           std::count(done.begin(), done.end(), false));
   }
   EXPECT_GT(lost_replicas, 0u) << "the draws must kill work mid-replay";
-}
-
-// ------------------------------------------------------- memo torture test
-
-TEST(ReplaySoa, MemoTortureConcurrentInsertLookupEvict) {
-  // Concurrent insert/lookup/evict on one striped-CAS memo: the mask space
-  // (C(12,2) = 66 scenarios) is far larger than the 16-slot capacity, so
-  // slots are continually displaced while other threads read them. Run in
-  // the TSan CI job, this drives the hazard-pointer publish/verify/retire
-  // protocol; here we additionally check the determinism contract — every
-  // record handed back must equal the precomputed naive reference for its
-  // scenario, no matter which thread populated or displaced which slot —
-  // and the structural capacity bound.
-  const Scenario s = test::random_setup(137, 12, 1.0);
-  const Schedule schedule = caft_for(s, 1);
-  const ReplayEngine engine(schedule, *s.costs);
-
-  const UniformKSampler sampler(12, 2);
-  Rng pool_rng(1777);
-  std::vector<CrashScenario> pool;
-  std::vector<CrashResult> reference;
-  for (int i = 0; i < 66; ++i) {
-    pool.push_back(sampler.sample(pool_rng));
-    reference.push_back(simulate_crashes(schedule, *s.costs, pool.back()));
-  }
-
-  SharedMemoOptions memo_options;
-  memo_options.capacity = 16;
-  memo_options.shards = 4;
-  SharedReplayMemo shared(memo_options);
-
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kItersPerThread = 2000;
-  std::atomic<std::size_t> mismatches{0};
-  std::atomic<std::size_t> capacity_breaches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t worker = 0; worker < kThreads; ++worker) {
-    threads.emplace_back([&, worker] {
-      ReplayEngine::Scratch scratch;
-      Rng rng(9000 + worker);
-      for (std::size_t iter = 0; iter < kItersPerThread; ++iter) {
-        const std::size_t pick =
-            static_cast<std::size_t>(rng.uniform_int(0, pool.size() - 1));
-        const CrashResult got = engine.replay(pool[pick], scratch, &shared);
-        if (!results_identical(got, reference[pick]))
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        if (iter % 64 == 0 &&
-            shared.stats().entries > memo_options.capacity)
-          capacity_breaches.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(mismatches.load(), 0u)
-      << "a memo lookup returned a record that is not the pure function of "
-         "its scenario";
-  EXPECT_EQ(capacity_breaches.load(), 0u);
-  const SharedReplayMemo::Stats stats = shared.stats();
-  EXPECT_LE(stats.entries, memo_options.capacity);
-  EXPECT_GT(stats.lookups, 0u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.evictions, 0u) << "mask space >> capacity must displace";
 }
 
 }  // namespace

@@ -37,6 +37,7 @@ namespace ftsched {
 namespace {
 
 using caft::CampaignSummary;
+using caft::test::expect_summaries_identical;
 
 std::string cli_path() {
   const char* path = std::getenv("CAFT_CAMPAIGN_CLI");
@@ -49,42 +50,6 @@ Instance random_instance(std::uint64_t seed, std::size_t procs, double g,
   caft::test::Scenario s = caft::test::random_setup(seed, procs, g);
   return Instance(std::move(s.graph), std::move(s.platform),
                   std::move(s.costs), RunOptions{eps});
-}
-
-/// Exact equality that also treats NaN == NaN as identical (a campaign
-/// with zero successes reports NaN latency quantiles on both sides).
-void expect_double_identical(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return;
-  EXPECT_EQ(a, b);
-}
-
-/// Byte-identity predicate of the scale-out contract: every field a
-/// campaign summary reports, compared with exact (bit-for-bit) equality.
-void expect_summaries_identical(const CampaignSummary& a,
-                                const CampaignSummary& b) {
-  EXPECT_EQ(a.sampler, b.sampler);
-  EXPECT_EQ(a.replays, b.replays);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.success_ci.low, b.success_ci.low);
-  EXPECT_EQ(a.success_ci.high, b.success_ci.high);
-  EXPECT_EQ(a.replays_within_eps, b.replays_within_eps);
-  EXPECT_EQ(a.successes_within_eps, b.successes_within_eps);
-  EXPECT_EQ(a.max_failed, b.max_failed);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.mean(), b.latency.mean());
-  EXPECT_EQ(a.latency.min(), b.latency.min());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_EQ(a.latency.stddev(), b.latency.stddev());
-  ASSERT_EQ(a.latency_quantiles.size(), b.latency_quantiles.size());
-  for (std::size_t i = 0; i < a.latency_quantiles.size(); ++i) {
-    EXPECT_EQ(a.latency_quantiles[i].q, b.latency_quantiles[i].q);
-    expect_double_identical(a.latency_quantiles[i].value,
-                            b.latency_quantiles[i].value);
-  }
-  EXPECT_EQ(a.delivered_messages.count(), b.delivered_messages.count());
-  EXPECT_EQ(a.delivered_messages.mean(), b.delivered_messages.mean());
-  EXPECT_EQ(a.order_relaxations, b.order_relaxations);
-  EXPECT_EQ(a.order_deadlocks, b.order_deadlocks);
 }
 
 /// Writes an executable wrapper script the coordinator spawns in place of
@@ -219,8 +184,8 @@ TEST(SessionSubprocess, TelemetryParityWithInProcess) {
 
   const Instance instance = random_instance(310, 8, 1.0, 1);
   CampaignSpec spec = lifetime_spec(400);
-  // Dead-from-t0 masks are the memoisable scenario shape (8 masks for
-  // k = 1), so the memo telemetry the parity below compares is non-trivial.
+  // Dead-from-t0 masks are the cacheable scenario shape (8 masks for
+  // k = 1), so the cache telemetry the parity below compares is non-trivial.
   spec.sampler = SamplerSpec::uniform_k(1);
 
   const Session in_process{};
@@ -237,15 +202,17 @@ TEST(SessionSubprocess, TelemetryParityWithInProcess) {
   const caft::CampaignTelemetry& b = subprocess.telemetry;
   EXPECT_EQ(a.replays, spec.replays);
   EXPECT_EQ(b.replays, spec.replays);
-  // The wave executor batches identical scenarios, so the memo sees one
-  // probe per distinct-scenario run per wave — lookup and hit counts are a
-  // function of the block partitioning, not of the replay count, and the
-  // subprocess backend's finer blocks can only probe at least as often as
-  // the in-process single wave. (Summary bytes stay partition-independent;
-  // only this observational telemetry varies.)
-  EXPECT_GT(a.memo_lookups, 0u);
-  EXPECT_GT(b.memo_lookups, 0u);
-  EXPECT_GE(b.memo_lookups, a.memo_lookups);
+  // Every draw has a canonical form, so both backends look every replay up
+  // in the record cache; lookups − hits counts kernel replays. In-process,
+  // one cache serves the whole campaign: each of the 8 masks replays once.
+  // Each worker block owns a fresh cache, so it replays its masks again:
+  // the subprocess backend can only hit less often.
+  EXPECT_EQ(a.memo_lookups, spec.replays);
+  EXPECT_EQ(b.memo_lookups, spec.replays);
+  EXPECT_LE(a.memo_lookups - a.memo_hits, 8u);
+  EXPECT_LE(a.memo_entries, 8u);
+  EXPECT_LE(b.memo_hits, a.memo_hits);
+  EXPECT_EQ(a.memo_evictions, 0u);
   // Workers run the same engine configuration, so the folded snapshot
   // count is per-worker-identical; the coordinator reports the maximum.
   EXPECT_EQ(b.snapshots, a.snapshots);

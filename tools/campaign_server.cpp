@@ -9,8 +9,7 @@
 /// Usage:
 ///   campaign_server [--listen ADDR] [--port N] [--cache-size N]
 ///                   [--max-inflight N] [--queue-limit N]
-///                   [--threads N] [--engine incremental|naive]
-///                   [--memo shared|scratch] [--block N]
+///                   [--threads N] [--block N]
 ///                   [--metrics-out FILE] [--trace-out FILE] [--version]
 ///
 ///   --listen ADDR      interface to bind, IPv4 dotted quad (default
@@ -24,9 +23,8 @@
 ///                      rejects every request — drain/maintenance mode)
 ///   --queue-limit N    requests allowed to wait for a slot before an
 ///                      immediate busy rejection (default 8)
-///   --threads/--engine/--memo/--block
-///                      the wrapped Session's execution knobs, exactly as
-///                      campaign_cli takes them. Execution policy is
+///   --threads/--block  the wrapped Session's execution knobs (worker
+///                      threads, replays per wave). Execution policy is
 ///                      in-process by design: byte-identity leans on
 ///                      in-process early-stopping determinism.
 ///
@@ -76,15 +74,6 @@ int main(int argc, char** argv) {
     options.max_inflight = args.get_size("max-inflight", 2);
     options.queue_limit = args.get_size("queue-limit", 8);
     options.session.threads = args.get_size("threads", 0);
-    options.session.engine =
-        args.get_choice("engine", "incremental", {"incremental", "naive"}) ==
-                "incremental"
-            ? caft::CampaignEngine::kIncremental
-            : caft::CampaignEngine::kNaive;
-    options.session.memo =
-        args.get_choice("memo", "shared", {"shared", "scratch"}) == "shared"
-            ? caft::CampaignMemo::kShared
-            : caft::CampaignMemo::kScratch;
     options.session.block = args.get_size("block", options.session.block);
 
     ftsched::server::CampaignServer daemon(options);

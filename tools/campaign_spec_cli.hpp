@@ -92,11 +92,9 @@ inline CampaignSpec build_campaign_spec(const caft::CliArgs& args,
   spec.replays = args.get_size("replays", 1000);
   CAFT_CHECK_MSG(spec.replays > 0, "--replays must be positive");
   spec.seed = args.get_size("seed", 20080201);
-  // --theta-buckets N splits each schedule's horizon into N θ buckets for
-  // shared-memo quantization; 0 keeps every replay bit-exact. The Session
-  // rejects inert combinations (quantization without the incremental
-  // engine's shared memo) rather than silently running an exact campaign
-  // the user believes is bucketed (--exact is the intentional opt-out).
+  // --theta-buckets N splits each schedule's horizon into N θ buckets and
+  // replays each crash-at-θ draw as its bucket-midpoint representative; 0
+  // keeps every replay bit-exact (--exact is the explicit opt-out).
   spec.theta_buckets = args.get_size("theta-buckets", 0);
   spec.exact = args.has("exact");
   // --target-ci-width W: stop once the folded prefix's Wilson 95% CI is at
