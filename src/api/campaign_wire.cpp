@@ -1,6 +1,7 @@
 #include "api/campaign_wire.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,13 +33,26 @@ double parse_double(const std::string& token, const char* what) {
   return value;
 }
 
+std::uint64_t parse_u64(const std::string& token, const char* what) {
+  const auto malformed = [&] {
+    return caft::CheckError(std::string("campaign wire: malformed ") + what +
+                            " '" + token + "'");
+  };
+  if (token.empty()) throw malformed();
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') throw malformed();
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+      throw malformed();  // does not fit 64 bits
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::size_t parse_size(const std::string& token, const char* what) {
-  CAFT_CHECK_MSG(!token.empty() &&
-                     token.find_first_not_of("0123456789") ==
-                         std::string::npos,
-                 std::string("campaign wire: malformed ") + what + " '" +
-                     token + "'");
-  return static_cast<std::size_t>(std::stoull(token));
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+  return static_cast<std::size_t>(parse_u64(token, what));
 }
 
 bool parse_bool(const std::string& token, const char* what) {
@@ -131,25 +145,6 @@ void write_sampler_line(std::ostream& os, const SamplerSpec& sampler) {
      << format_double(sampler.group_prob) << "\n";
 }
 
-void read_sampler_line(std::istringstream& fields, SamplerSpec& sampler) {
-  sampler.kind = sampler_kind_from(next_token(fields, "sampler kind"));
-  sampler.failures =
-      parse_size(next_token(fields, "sampler failures"), "failures");
-  sampler.rate = parse_double(next_token(fields, "sampler rate"), "rate");
-  sampler.shape = parse_double(next_token(fields, "sampler shape"), "shape");
-  sampler.scale = parse_double(next_token(fields, "sampler scale"), "scale");
-  sampler.horizon =
-      parse_double(next_token(fields, "sampler horizon"), "horizon");
-  sampler.theta_lo =
-      parse_double(next_token(fields, "sampler theta-lo"), "theta-lo");
-  sampler.theta_hi =
-      parse_double(next_token(fields, "sampler theta-hi"), "theta-hi");
-  sampler.group_size =
-      parse_size(next_token(fields, "sampler group-size"), "group-size");
-  sampler.group_prob =
-      parse_double(next_token(fields, "sampler group-prob"), "group-prob");
-}
-
 void write_request_line(std::ostream& os, const ScheduleRequest& request) {
   os << "request ";
   if (request.eps.has_value())
@@ -168,6 +163,27 @@ void write_request_line(std::ostream& os, const ScheduleRequest& request) {
              : "transitive")
      << " " << (request.one_to_one ? 1 : 0) << " " << request.batch_size
      << " " << (request.minimize_start_time ? 1 : 0) << "\n";
+}
+
+namespace {
+
+void read_sampler_line(std::istringstream& fields, SamplerSpec& sampler) {
+  sampler.kind = sampler_kind_from(next_token(fields, "sampler kind"));
+  sampler.failures =
+      parse_size(next_token(fields, "sampler failures"), "failures");
+  sampler.rate = parse_double(next_token(fields, "sampler rate"), "rate");
+  sampler.shape = parse_double(next_token(fields, "sampler shape"), "shape");
+  sampler.scale = parse_double(next_token(fields, "sampler scale"), "scale");
+  sampler.horizon =
+      parse_double(next_token(fields, "sampler horizon"), "horizon");
+  sampler.theta_lo =
+      parse_double(next_token(fields, "sampler theta-lo"), "theta-lo");
+  sampler.theta_hi =
+      parse_double(next_token(fields, "sampler theta-hi"), "theta-hi");
+  sampler.group_size =
+      parse_size(next_token(fields, "sampler group-size"), "group-size");
+  sampler.group_prob =
+      parse_double(next_token(fields, "sampler group-prob"), "group-prob");
 }
 
 void read_request_line(std::istringstream& fields, ScheduleRequest& request) {
@@ -202,6 +218,48 @@ void read_request_line(std::istringstream& fields, ScheduleRequest& request) {
       parse_bool(next_token(fields, "request mst"), "mst");
 }
 
+}  // namespace
+
+void write_spec_lines(std::ostream& os, const CampaignSpec& spec) {
+  os << "replays " << spec.replays << "\n";
+  os << "seed " << spec.seed << "\n";
+  os << "quantiles " << spec.quantiles.size();
+  for (const double q : spec.quantiles) os << " " << format_double(q);
+  os << "\n";
+  os << "theta-buckets " << spec.theta_buckets << "\n";
+  os << "exact " << (spec.exact ? 1 : 0) << "\n";
+}
+
+bool read_spec_line(const std::string& key, std::istringstream& fields,
+                    CampaignSpec& spec) {
+  if (key == "replays") {
+    spec.replays = parse_size(next_token(fields, "replays"), "replays");
+  } else if (key == "seed") {
+    spec.seed = parse_u64(next_token(fields, "seed"), "seed");
+  } else if (key == "quantiles") {
+    // The count is the peer's claim, not a budget: nothing is reserved,
+    // and a missing token throws before the vector outgrows the line.
+    const std::size_t n =
+        parse_size(next_token(fields, "quantile count"), "quantile count");
+    spec.quantiles.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      spec.quantiles.push_back(
+          parse_double(next_token(fields, "quantile"), "quantile"));
+  } else if (key == "theta-buckets") {
+    spec.theta_buckets =
+        parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
+  } else if (key == "exact") {
+    spec.exact = parse_bool(next_token(fields, "exact"), "exact");
+  } else if (key == "sampler") {
+    read_sampler_line(fields, spec.sampler);
+  } else if (key == "request") {
+    read_request_line(fields, spec.request);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace wire
 
 void write_campaign_work_order(std::ostream& os,
@@ -210,13 +268,7 @@ void write_campaign_work_order(std::ostream& os,
   os << "instance " << order.instance_path << "\n";
   os << "algorithm " << order.algorithm << "\n";
   os << "block " << order.first << " " << order.count << "\n";
-  os << "replays " << order.spec.replays << "\n";
-  os << "seed " << order.spec.seed << "\n";
-  os << "quantiles " << order.spec.quantiles.size();
-  for (const double q : order.spec.quantiles) os << " " << format_double(q);
-  os << "\n";
-  os << "theta-buckets " << order.spec.theta_buckets << "\n";
-  os << "exact " << (order.spec.exact ? 1 : 0) << "\n";
+  write_spec_lines(os, order.spec);
   write_sampler_line(os, order.spec.sampler);
   write_request_line(os, order.spec.request);
   os << "exec " << order.threads << " " << order.block << "\n";
@@ -237,6 +289,7 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
+    if (read_spec_line(key, fields, order.spec)) continue;
     if (key == "end") {
       saw_end = true;
     } else if (key == "instance") {
@@ -255,33 +308,6 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       order.first = parse_size(next_token(fields, "block first"), "block first");
       order.count = parse_size(next_token(fields, "block count"), "block count");
       saw_block = true;
-    } else if (key == "replays") {
-      order.spec.replays =
-          parse_size(next_token(fields, "replays"), "replays");
-    } else if (key == "seed") {
-      const std::string token = next_token(fields, "seed");
-      CAFT_CHECK_MSG(!token.empty() &&
-                         token.find_first_not_of("0123456789") ==
-                             std::string::npos,
-                     "campaign wire: malformed seed '" + token + "'");
-      order.spec.seed = std::stoull(token);
-    } else if (key == "quantiles") {
-      const std::size_t n =
-          parse_size(next_token(fields, "quantile count"), "quantile count");
-      order.spec.quantiles.clear();
-      order.spec.quantiles.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        order.spec.quantiles.push_back(
-            parse_double(next_token(fields, "quantile"), "quantile"));
-    } else if (key == "theta-buckets") {
-      order.spec.theta_buckets =
-          parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
-    } else if (key == "exact") {
-      order.spec.exact = parse_bool(next_token(fields, "exact"), "exact");
-    } else if (key == "sampler") {
-      read_sampler_line(fields, order.spec.sampler);
-    } else if (key == "request") {
-      read_request_line(fields, order.spec.request);
     } else if (key == "exec") {
       order.threads = parse_size(next_token(fields, "exec threads"), "threads");
       order.block = parse_size(next_token(fields, "exec block"), "block");
@@ -331,20 +357,6 @@ void write_counts_telemetry_timing(std::ostream& os, std::size_t records,
 }
 
 }  // namespace
-
-void write_campaign_partial(std::ostream& os,
-                            const CampaignPartialResult& partial) {
-  os << "caft-campaign-partial v1\n";
-  os << "algorithm " << partial.algorithm << "\n";
-  os << "block " << partial.first << " " << partial.count << "\n";
-  write_counts_telemetry_timing(os, partial.records.size(),
-                                partial.successes, partial.telemetry,
-                                partial.timing);
-  os << "records " << partial.records.size() << "\n";
-  for (const caft::ReplayRecord& record : partial.records)
-    write_record_line(os, record);
-  os << "end\n";
-}
 
 void write_campaign_partial_header(std::ostream& os,
                                    const std::string& algorithm,

@@ -15,9 +15,9 @@
 ///   instance <path>                      # instance reference (io format)
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
-///   replays <n>  /  seed <u64>
-///   quantiles <k> <q...>                 # hexfloat
-///   theta-buckets <n>  /  exact <0|1>
+///   replays <n>  /  seed <u64>           # replays..request: the spec
+///   quantiles <k> <q...>                 # lines, one codec shared with
+///   theta-buckets <n>  /  exact <0|1>    # the server request (wire::)
 ///   sampler <kind> <failures> <rate> <shape> <scale> <horizon>
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
@@ -53,10 +53,10 @@
 ///   end
 ///
 /// Line order outside the record list is free (the reader is keyed by the
-/// first token); streaming workers exploit that by emitting the `records`
-/// list first and the `counts`/`telemetry`/`timing` lines last, so record
-/// lines can leave the process before the block finishes computing
-/// (write_campaign_partial_header/records/footer below).
+/// first token); the worker exploits that by emitting the `records` list
+/// first and the `counts`/`telemetry`/`timing` lines last, so record lines
+/// can leave the process before the block finishes computing
+/// (write_campaign_partial_header/records/footer below — the only writer).
 ///
 /// Why per-replay records and not merged fold states: the summary's P²
 /// quantile estimators and Welford moments are order-sensitive streaming
@@ -72,6 +72,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <limits>
 #include <string>
@@ -94,7 +95,11 @@ namespace wire {
 /// locale-independent, and strtod parses them back natively.
 [[nodiscard]] std::string format_double(double value);
 [[nodiscard]] double parse_double(const std::string& token, const char* what);
-/// Strict non-negative decimal integer ("12x", "", "-3" all throw).
+/// Strict non-negative decimal integer ("12x", "", "-3" and values past
+/// 2^64 − 1 all throw).
+[[nodiscard]] std::uint64_t parse_u64(const std::string& token,
+                                      const char* what);
+/// parse_u64 for counts and sizes.
 [[nodiscard]] std::size_t parse_size(const std::string& token,
                                      const char* what);
 /// Strict 0|1 flag.
@@ -116,15 +121,24 @@ void check_magic_line(const std::string& line, const char* magic,
 /// rules) and positions the stream after it.
 void expect_magic(std::istream& is, const char* magic, int version = 1);
 
-/// The `sampler ...` spec line (kind + every distribution parameter,
-/// doubles as hexfloat) — one writer/reader pair shared by the work order
-/// and the server request, so the two documents cannot drift.
+/// The CampaignSpec lines the work order and the server request share —
+/// one codec, so the two documents cannot drift. write_spec_lines emits
+///   replays <n> / seed <u64> / quantiles <k> <q...> / theta-buckets <n> /
+///   exact <0|1>
+/// in that order; each document then adds its own lines (the request's
+/// `target-ci-width`) before the `sampler ...` line (kind + every
+/// distribution parameter, doubles as hexfloat) and the `request ...` line
+/// (ScheduleRequest with "-" for unset optionals).
+void write_spec_lines(std::ostream& os, const CampaignSpec& spec);
 void write_sampler_line(std::ostream& os, const SamplerSpec& sampler);
-void read_sampler_line(std::istringstream& fields, SamplerSpec& sampler);
-/// The `request ...` spec line (ScheduleRequest with "-" for unset
-/// optionals), same sharing story.
 void write_request_line(std::ostream& os, const ScheduleRequest& request);
-void read_request_line(std::istringstream& fields, ScheduleRequest& request);
+/// Parses one line of a spec document whose first token `key` has already
+/// been pulled off `fields`: the lines write_spec_lines writes plus
+/// `sampler` and `request`. Returns false, consuming nothing, for any
+/// other key (the document's own lines); throws on a malformed line.
+[[nodiscard]] bool read_spec_line(const std::string& key,
+                                  std::istringstream& fields,
+                                  CampaignSpec& spec);
 
 }  // namespace wire
 
@@ -178,8 +192,6 @@ void write_campaign_work_order(std::ostream& os,
 /// Parses a work order; throws caft::CheckError on malformed input.
 [[nodiscard]] CampaignWorkOrder read_campaign_work_order(std::istream& is);
 
-void write_campaign_partial(std::ostream& os,
-                            const CampaignPartialResult& partial);
 /// Parses a partial result; throws caft::CheckError on malformed input —
 /// including a record list that disagrees with the `counts` line or the
 /// `block` range, a block range whose `first + count` overflows, or a
@@ -198,9 +210,8 @@ void write_campaign_partial(std::ostream& os,
 /// The header carries the `records <count>` line (count is the block size,
 /// known up front); the mergeable fold state (`counts`) and telemetry land
 /// in the footer, *after* the record lines — the reader is line-keyed and
-/// validates the whole document at the end, so both orders parse
-/// identically (write_campaign_partial keeps the legacy counts-first order
-/// for whole-document writes).
+/// validates the whole document at the end, so a counts-first document
+/// parses identically.
 void write_campaign_partial_header(std::ostream& os,
                                    const std::string& algorithm,
                                    std::size_t first, std::size_t count);

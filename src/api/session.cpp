@@ -1,11 +1,10 @@
 #include "api/session.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <memory>
@@ -14,7 +13,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/subprocess.hpp"
 #include "api/campaign_wire.hpp"
@@ -102,6 +100,13 @@ double CampaignSpec::theta_bucket_width(double schedule_horizon) const {
   return schedule_horizon / static_cast<double>(theta_buckets);
 }
 
+std::size_t ExecutionPolicy::block_size(std::size_t replays) const {
+  if (block_replays > 0) return block_replays;
+  const std::size_t blocks = 4 * std::max<std::size_t>(n_workers, 1);
+  return std::clamp<std::size_t>((replays + blocks - 1) / blocks, 1,
+                                 kMaxAutoBlockReplays);
+}
+
 const CampaignRun* CampaignReport::find(const std::string& algorithm) const {
   for (const CampaignRun& run : runs)
     if (run.algorithm == algorithm) return &run;
@@ -122,8 +127,8 @@ Session::Session(SessionOptions options) : options_(options) {}
 namespace {
 
 /// The spec checks every campaign entry point applies, whichever backend
-/// runs it — evaluate_schedule and evaluate_saved both funnel through here
-/// so a spec rejected by one path is rejected by all of them.
+/// runs it — evaluate and evaluate_schedule both funnel through here so a
+/// spec rejected by one path is rejected by all of them.
 void validate_campaign_spec(const CampaignSpec& spec) {
   CAFT_CHECK_MSG(spec.replays > 0, "campaign replays must be positive");
   if (spec.target_ci_width != 0.0) {
@@ -172,8 +177,7 @@ CampaignRun Session::evaluate_schedule(
                   .telemetry = {},
                   .theta_bucket_width = 0.0};
   if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess)
-    return evaluate_schedule_subprocess(instance, std::move(run), spec,
-                                        nullptr);
+    return evaluate_schedule_subprocess(instance, std::move(run), spec);
 
   const auto sampler = spec.sampler.build(instance.proc_count());
   caft::CampaignOptions campaign =
@@ -187,111 +191,22 @@ CampaignRun Session::evaluate_schedule(
 
 CampaignReport Session::evaluate(const Instance& instance,
                                  const CampaignSpec& spec) const {
-  return evaluate_saved(instance, spec, nullptr);
-}
-
-CampaignReport Session::evaluate_saved(
-    const Instance& instance, const CampaignSpec& spec,
-    const std::string* instance_path) const {
   CAFT_CHECK_MSG(!spec.algorithms.empty(),
                  "campaign spec names no algorithms");
   validate_campaign_spec(spec);
   const SchedulerRegistry& registry = SchedulerRegistry::global();
-
-  // In subprocess mode every algorithm's work orders reference the same
-  // instance file, so one save covers the whole report — and a caller
-  // (evaluate_batch) that already saved these bytes passes its path
-  // through, making the save count one per *distinct content*, not one
-  // per algorithm or per evaluate call.
-  std::unique_ptr<caft::ScratchDir> scratch;
-  std::string saved_path;
-  if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess &&
-      instance_path == nullptr) {
-    scratch = std::make_unique<caft::ScratchDir>("ftsched-campaign");
-    saved_path = scratch->file("instance.txt");
-    instance.save(saved_path);
-    obs::Registry::global().counter("campaign.instance.saves").add(1);
-    instance_path = &saved_path;
-  }
-
   CampaignReport report;
   report.runs.reserve(spec.algorithms.size());
   for (const std::string& algorithm : spec.algorithms) {
-    const auto scheduler = registry.make(algorithm);
-    ScheduleResult result = scheduler->schedule(instance, spec.request);
-    if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess) {
-      CampaignRun run{.algorithm = result.algorithm,
-                      .result = std::move(result),
-                      .summary = {},
-                      .telemetry = {},
-                      .theta_bucket_width = 0.0};
-      report.runs.push_back(evaluate_schedule_subprocess(
-          instance, std::move(run), spec, instance_path));
-    } else {
-      report.runs.push_back(
-          evaluate_schedule(instance, std::move(result), spec, nullptr));
-    }
+    ScheduleResult result =
+        registry.make(algorithm)->schedule(instance, spec.request);
+    report.runs.push_back(evaluate_schedule(instance, std::move(result), spec));
   }
   return report;
 }
 
-std::vector<CampaignReport> Session::evaluate_batch(
-    std::span<const Instance> instances, const CampaignSpec& spec) const {
-  return evaluate_batch(instances, spec, options_.exec);
-}
-
-std::vector<CampaignReport> Session::evaluate_batch(
-    std::span<const Instance> instances, const CampaignSpec& spec,
-    const ExecutionPolicy& exec) const {
-  // The per-instance campaigns are independent by construction and each one
-  // already saturates its execution backend (the in-process thread budget,
-  // or the subprocess worker pool), so instances run sequentially and the
-  // parallelism lives inside evaluate().
-  SessionOptions dispatch_options = options_;
-  dispatch_options.exec = exec;
-  const Session dispatch(dispatch_options);
-  std::vector<CampaignReport> reports;
-  reports.reserve(instances.size());
-
-  if (exec.mode != ExecutionPolicy::Mode::kSubprocess) {
-    for (const Instance& instance : instances)
-      reports.push_back(dispatch.evaluate(instance, spec));
-    return reports;
-  }
-
-  // Subprocess batches dedupe instance saves by content: sweeps routinely
-  // evaluate the same DAG under several specs or repeated Instance objects,
-  // and the archival text serialization is the expensive part of dispatch.
-  // One file per distinct byte content (FNV-1a over the serialized form —
-  // the same hash the server's content cache keys on), every evaluate of
-  // equal content reuses it.
-  const caft::ScratchDir scratch("ftsched-batch");
-  std::map<std::uint64_t, std::string> saved;  // content hash -> saved path
-  for (const Instance& instance : instances) {
-    std::ostringstream bytes;
-    instance.save(bytes);
-    const std::uint64_t key = caft::fnv1a64(bytes.str());
-    auto it = saved.find(key);
-    if (it == saved.end()) {
-      char name[32];
-      std::snprintf(name, sizeof name, "instance-%016llx.txt",
-                    static_cast<unsigned long long>(key));
-      std::string path = scratch.file(name);
-      std::ofstream out(path, std::ios::binary);
-      out << bytes.str();
-      CAFT_CHECK_MSG(out.good(), "cannot write batch instance file " + path);
-      out.close();
-      obs::Registry::global().counter("campaign.instance.saves").add(1);
-      it = saved.emplace(key, std::move(path)).first;
-    }
-    reports.push_back(dispatch.evaluate_saved(instance, spec, &it->second));
-  }
-  return reports;
-}
-
 CampaignRun Session::evaluate_schedule_subprocess(
-    const Instance& instance, CampaignRun run, const CampaignSpec& spec,
-    const std::string* instance_path_hint) const {
+    const Instance& instance, CampaignRun run, const CampaignSpec& spec) const {
   const ExecutionPolicy& exec = options_.exec;
   CAFT_CHECK_MSG(!exec.worker_command.empty(),
                  "subprocess execution needs ExecutionPolicy::worker_command "
@@ -302,19 +217,11 @@ CampaignRun Session::evaluate_schedule_subprocess(
   // Hand the instance to workers through the archival text format (exact
   // double round-trip); scheduling is deterministic, so every worker
   // rebuilds the coordinator's schedule bit-for-bit — and proves it against
-  // the `expect` pins below. A caller that already saved these bytes
-  // (evaluate_saved / evaluate_batch) passes its path, and no new file is
-  // written here.
-  std::unique_ptr<caft::ScratchDir> scratch;
-  std::string instance_path;
-  if (instance_path_hint != nullptr) {
-    instance_path = *instance_path_hint;
-  } else {
-    scratch = std::make_unique<caft::ScratchDir>("ftsched-campaign");
-    instance_path = scratch->file("instance.txt");
-    instance.save(instance_path);
-    obs::Registry::global().counter("campaign.instance.saves").add(1);
-  }
+  // the `expect` pins below. One scratch copy per campaign.
+  const caft::ScratchDir scratch("ftsched-campaign");
+  const std::string instance_path = scratch.file("instance.txt");
+  instance.save(instance_path);
+  obs::Registry::global().counter("campaign.instance.saves").add(1);
 
   const double horizon = run.result.schedule.horizon();
   const caft::CampaignOptions campaign = campaign_options(spec, horizon);
@@ -337,10 +244,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
   // Contiguous blocks of the canonical scenario stream. The partition is
   // invisible in the summary (any partition folds to the same stream); it
   // only sets the retry/straggler granularity.
-  std::size_t chunk = exec.block_replays;
-  if (chunk == 0)
-    chunk = std::max<std::size_t>(
-        1, (spec.replays + exec.n_workers * 4 - 1) / (exec.n_workers * 4));
+  const std::size_t chunk = exec.block_size(spec.replays);
   struct Block {
     std::size_t first;
     std::size_t count;
@@ -657,7 +561,7 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
                                 order.count);
   const std::chrono::steady_clock::time_point replay_begin =
       std::chrono::steady_clock::now();
-  run_campaign_block_streamed(
+  run_campaign_block(
       scheduled.schedule, instance.costs(), *sampler, campaign, order.first,
       order.count, &telemetry,
       [&](const caft::ReplayRecord* records, std::size_t count) {

@@ -16,12 +16,13 @@
 /// bit-identical to hand-rolling registry->schedule + run_campaign with the
 /// same seeds, and tests/test_api.cpp holds it to that.
 ///
-/// `evaluate_batch` is the multi-instance entry point and the single choke
-/// point of process-level campaign scale-out: an `ExecutionPolicy` can fan
-/// each campaign's scenario stream out to worker processes (see
-/// api/campaign_wire.hpp for the protocol) — the deterministic split-stream
-/// contract makes the results placement-independent, and the coordinator's
-/// canonical-order fold makes them *byte-identical* to in-process runs.
+/// `evaluate_schedule` is the one place a campaign picks its backend: the
+/// Session's `ExecutionPolicy` either runs it in this process or fans its
+/// scenario stream out to worker processes (see api/campaign_wire.hpp for
+/// the protocol) — the deterministic split-stream contract makes the
+/// results placement-independent, and the coordinator's canonical-order
+/// fold makes them *byte-identical* to in-process runs. A batch is a loop
+/// over `evaluate`; another execution policy is another Session.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,6 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,15 +153,15 @@ struct ExecutionPolicy {
   /// Threads *each worker process* uses; keep n_workers × worker_threads
   /// near the machine's core count.
   std::size_t worker_threads = 1;
-  /// Replays per worker block; 0 = auto (aims at ~4 blocks per worker, so
-  /// a straggler or retried block costs a fraction of the campaign).
+  /// Replays per worker block; 0 = auto (see block_size).
   std::size_t block_replays = 0;
   /// Reorder window of the coordinator's streaming fold (PR 7): at most
   /// this many blocks may be past the fold frontier at once — claimed,
   /// completed-and-buffered, or both — so coordinator memory is
-  /// O(reorder_window × block_replays) records, never O(replays). Larger
-  /// windows tolerate slower stragglers without idling dispatchers; 1
-  /// serializes the fold (one block in flight at a time). 0 = auto
+  /// O(reorder_window × block_size(replays)) records, at most
+  /// window × kMaxAutoBlockReplays with the auto block: never O(replays).
+  /// Larger windows tolerate slower stragglers without idling dispatchers;
+  /// 1 serializes the fold (one block in flight at a time). 0 = auto
   /// (max(2 × n_workers, 4)). Can never change a summary — only when each
   /// buffered block folds.
   std::size_t reorder_window = 0;
@@ -172,6 +172,16 @@ struct ExecutionPolicy {
   /// campaign wire protocol on stdin/stdout — normally the campaign_cli
   /// binary. Required in subprocess mode.
   std::string worker_command;
+
+  /// Largest block the auto size picks: about 10 MiB of records, so the
+  /// coordinator's reorder window stays bounded however many replays a
+  /// campaign asks for.
+  static constexpr std::size_t kMaxAutoBlockReplays = std::size_t{1} << 18;
+
+  /// Replays per worker block for a campaign of `replays`: block_replays
+  /// when set, else ~4 blocks per worker (so a straggler or retried block
+  /// costs a fraction of the campaign), capped at kMaxAutoBlockReplays.
+  [[nodiscard]] std::size_t block_size(std::size_t replays) const;
 
   [[nodiscard]] static ExecutionPolicy in_process() { return {}; }
   [[nodiscard]] static ExecutionPolicy subprocess(std::string worker_command,
@@ -240,8 +250,10 @@ class Session {
 
   /// Campaigns one pre-built schedule (no re-scheduling) — the building
   /// block evaluate() loops over, exposed for benches that schedule once
-  /// and sweep campaign configurations. Takes the result by value (it is
-  /// carried into the returned run); pass a copy to keep the original.
+  /// and sweep campaign configurations. Runs in this process or on worker
+  /// processes as the Session's ExecutionPolicy says. Takes the result by
+  /// value (it is carried into the returned run); pass a copy to keep the
+  /// original.
   [[nodiscard]] CampaignRun evaluate_schedule(const Instance& instance,
                                               ScheduleResult result,
                                               const CampaignSpec& spec) const;
@@ -259,42 +271,16 @@ class Session {
       const CampaignSpec& spec,
       const caft::ReplayEngine* replay_template) const;
 
-  /// Multi-instance entry point; reports in instance order. This is the
-  /// choke point where campaigns scale out across processes: with a
-  /// subprocess ExecutionPolicy (the session's, or the override below) each
-  /// campaign's scenario stream is split into contiguous blocks, dispatched
-  /// to worker processes, retried on failure, and folded back in canonical
-  /// scenario order — byte-identical to the in-process result. Callers
-  /// should prefer it over looping evaluate() so sharding stays transparent
-  /// to them.
-  [[nodiscard]] std::vector<CampaignReport> evaluate_batch(
-      std::span<const Instance> instances, const CampaignSpec& spec) const;
-
-  /// Same, with an explicit execution policy overriding the session's.
-  [[nodiscard]] std::vector<CampaignReport> evaluate_batch(
-      std::span<const Instance> instances, const CampaignSpec& spec,
-      const ExecutionPolicy& exec) const;
-
  private:
   [[nodiscard]] caft::CampaignOptions campaign_options(
       const CampaignSpec& spec, double schedule_horizon) const;
 
-  /// evaluate() with an optional pre-saved instance file: a non-null
-  /// `instance_path` is handed to every subprocess work order instead of
-  /// saving a fresh scratch copy — how evaluate_batch dedupes the handoff
-  /// of instances that share content (one write per distinct content hash
-  /// per batch). In-process campaigns ignore it.
-  [[nodiscard]] CampaignReport evaluate_saved(
-      const Instance& instance, const CampaignSpec& spec,
-      const std::string* instance_path) const;
-
-  /// The subprocess coordinator behind evaluate_schedule: blocks, workers,
+  /// The subprocess coordinator behind evaluate_schedule: saves a scratch
+  /// copy of the instance for the work orders, then blocks, workers,
   /// retries, canonical-order fold (api/session.cpp has the details).
-  /// `instance_path`, when non-null, is a ready instance file to reference
-  /// in work orders (no save); otherwise a scratch copy is written.
   [[nodiscard]] CampaignRun evaluate_schedule_subprocess(
-      const Instance& instance, CampaignRun run, const CampaignSpec& spec,
-      const std::string* instance_path) const;
+      const Instance& instance, CampaignRun run,
+      const CampaignSpec& spec) const;
 
   SessionOptions options_;
 };
@@ -302,7 +288,7 @@ class Session {
 /// Executes one serialized campaign work order: reads the order from `in`,
 /// loads the referenced instance, re-schedules the named algorithm
 /// (bit-identical by determinism — the order's `expect` pins are verified),
-/// replays the scenario block with run_campaign_block, and writes the
+/// replays the scenario block with run_campaign_block, and streams the
 /// partial-result document to `out`. `campaign_cli --worker` is a thin
 /// shell over this; it is exposed so tests can drive the worker protocol
 /// without spawning processes.

@@ -295,27 +295,7 @@ void fold_replay_record(CampaignAccumulator& accumulator,
   accumulator.add(record.failed_count, result);
 }
 
-std::vector<ReplayRecord> run_campaign_block(const Schedule& schedule,
-                                             const CostModel& costs,
-                                             const ScenarioSampler& sampler,
-                                             const CampaignOptions& options,
-                                             std::size_t first,
-                                             std::size_t count,
-                                             CampaignTelemetry* telemetry) {
-  std::vector<ReplayRecord> all;
-  all.reserve(count);
-  run_replay_range(schedule, costs, sampler, options, first, count, telemetry,
-                   [&](const std::vector<ReplayRecord>& records,
-                       std::size_t wave) {
-                     all.insert(all.end(), records.begin(),
-                                records.begin() +
-                                    static_cast<std::ptrdiff_t>(wave));
-                     return true;  // a block is a fixed slice: never stop
-                   });
-  return all;
-}
-
-void run_campaign_block_streamed(
+void run_campaign_block(
     const Schedule& schedule, const CostModel& costs,
     const ScenarioSampler& sampler, const CampaignOptions& options,
     std::size_t first, std::size_t count, CampaignTelemetry* telemetry,

@@ -19,7 +19,9 @@
 /// (CampaignOptions::theta_bucket_width) is the one knob that changes the
 /// summary — deterministically, never as a function of threads. Replays are
 /// simulated in bounded waves, so memory stays O(block + threads) plus the
-/// bounded record cache below, not O(replays).
+/// bounded record cache below, not O(replays). run_campaign_block, the
+/// subprocess worker's half, streams each wave's records to a sink instead
+/// of returning the block, so a worker is bounded the same way.
 ///
 /// Record cache: a draw whose scenario has a canonical form
 /// (ReplayEngine::canonicalize — a dead-from-start set, or θ-quantized
@@ -166,23 +168,14 @@ void fold_replay_record(CampaignAccumulator& accumulator,
 
 /// Runs the contiguous replays [first, first + count) of the campaign's
 /// canonical scenario stream (the stream run_campaign draws for the same
-/// seed — `options.replays` is ignored here) and returns their records in
-/// canonical replay order. Concatenating the blocks of any partition of
-/// [0, N) reproduces run_campaign's record stream exactly; this is the
-/// worker half of the subprocess campaign backend (api/session.hpp).
-[[nodiscard]] std::vector<ReplayRecord> run_campaign_block(
-    const Schedule& schedule, const CostModel& costs,
-    const ScenarioSampler& sampler, const CampaignOptions& options,
-    std::size_t first, std::size_t count,
-    CampaignTelemetry* telemetry = nullptr);
-
-/// Streaming form of run_campaign_block: identical record stream, but each
-/// completed wave (options.block records at most) is handed to `sink` in
-/// canonical replay order and then discarded, so the caller — the
-/// subprocess worker writing records onto its stdout pipe — never holds
-/// more than one wave in memory. Concatenating the sink chunks reproduces
-/// run_campaign_block's return value exactly.
-void run_campaign_block_streamed(
+/// seed — `options.replays` is ignored here) and hands each completed wave
+/// (options.block records at most) to `sink` in canonical replay order,
+/// then discards it, so the caller — the subprocess worker writing records
+/// onto its stdout pipe — never holds more than one wave in memory.
+/// Concatenating the sink chunks of the blocks of any partition of [0, N)
+/// reproduces run_campaign's record stream exactly; this is the worker
+/// half of the subprocess campaign backend (api/session.hpp).
+void run_campaign_block(
     const Schedule& schedule, const CostModel& costs,
     const ScenarioSampler& sampler, const CampaignOptions& options,
     std::size_t first, std::size_t count, CampaignTelemetry* telemetry,

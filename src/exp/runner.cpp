@@ -107,7 +107,7 @@ RepMetrics run_repetition(const ExperimentConfig& config,
   // Crash re-execution: one uniformly drawn crash set per repetition,
   // shared across all algorithms (paired comparison). Each schedule is
   // replayed once, so its engine is template only: no fault-free recording,
-  // a dead-mask closure and one replay from the pristine state.
+  // a dead-set closure and one replay from the pristine state.
   const auto indices =
       rng.sample_without_replacement(config.proc_count, config.crashes);
   std::vector<ProcId> failed(indices.size());

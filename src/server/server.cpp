@@ -85,6 +85,10 @@ void CampaignServer::serve(std::istream& in, std::ostream& out) {
     }
     admission_.release();
   } catch (const std::exception& error) {
+    // Over a socket `in` and `out` are one stream: a read that hit
+    // end-of-file (a truncated request, or stop() shutting the read side)
+    // left it failed, and a failed stream writes nothing.
+    out.clear();
     write_campaign_error(out, error.what());
     out.flush();
   }
@@ -154,9 +158,14 @@ void CampaignServer::accept_loop() {
     {
       const std::lock_guard<std::mutex> guard(connections_lock_);
       ++open_connections_;
+      open_streams_.insert(stream.get());
     }
     std::thread([this, connection = std::move(stream)]() mutable {
       serve(*connection, *connection);
+      {
+        const std::lock_guard<std::mutex> guard(connections_lock_);
+        open_streams_.erase(connection.get());
+      }
       connection.reset();  // flush + close before the count drops
       // Notify under the lock: once it is released, stop() may return and
       // the server (this condition variable included) may be destroyed.
@@ -173,6 +182,8 @@ void CampaignServer::stop() {
   listener_->close();
   if (accept_thread_.joinable()) accept_thread_.join();
   std::unique_lock<std::mutex> guard(connections_lock_);
+  // Every connection is registered by now (the accept loop has exited).
+  for (SocketStream* stream : open_streams_) stream->shutdown_read();
   connections_done_.wait(guard, [&] { return open_connections_ == 0; });
   guard.unlock();
   listener_.reset();

@@ -33,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -124,8 +125,11 @@ class CampaignServer {
   void start();
   /// The bound port (after start(); the ephemeral one when port was 0).
   [[nodiscard]] std::uint16_t port() const;
-  /// Graceful drain: stops accepting, then blocks until every in-flight
-  /// connection finishes. Idempotent.
+  /// Graceful drain: stops accepting and shuts the read side of every open
+  /// connection — one still waiting for its request reads end-of-file and
+  /// gets an error document, so a silent client cannot hold the drain
+  /// open; an admitted request still writes its report — then blocks until
+  /// every connection finishes. Idempotent.
   void stop();
 
   [[nodiscard]] const ServerOptions& options() const { return options_; }
@@ -151,6 +155,10 @@ class CampaignServer {
   std::mutex connections_lock_;
   std::condition_variable connections_done_;
   std::size_t open_connections_ = 0;
+  /// The streams of those connections, for stop() to shut down. A
+  /// connection thread removes its stream (under the lock) before it
+  /// destroys it, so every pointer here is live.
+  std::set<SocketStream*> open_streams_;
 };
 
 }  // namespace server

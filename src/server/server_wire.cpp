@@ -23,13 +23,7 @@ void write_campaign_request(std::ostream& os,
   for (const std::string& algorithm : spec.algorithms)
     os << " " << algorithm;
   os << "\n";
-  os << "replays " << spec.replays << "\n";
-  os << "seed " << spec.seed << "\n";
-  os << "quantiles " << spec.quantiles.size();
-  for (const double q : spec.quantiles) os << " " << format_double(q);
-  os << "\n";
-  os << "theta-buckets " << spec.theta_buckets << "\n";
-  os << "exact " << (spec.exact ? 1 : 0) << "\n";
+  write_spec_lines(os, spec);
   os << "target-ci-width " << format_double(spec.target_ci_width) << "\n";
   write_sampler_line(os, spec.sampler);
   write_request_line(os, spec.request);
@@ -53,6 +47,7 @@ CampaignRequest read_campaign_request(std::istream& is) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
+    if (read_spec_line(key, fields, request.spec)) continue;
     if (key == "end") {
       saw_end = true;
     } else if (key == "algorithms") {
@@ -63,36 +58,9 @@ CampaignRequest read_campaign_request(std::istream& is) {
         request.spec.algorithms.push_back(
             next_token(fields, "algorithm name"));
       saw_algorithms = true;
-    } else if (key == "replays") {
-      request.spec.replays =
-          parse_size(next_token(fields, "replays"), "replays");
-    } else if (key == "seed") {
-      const std::string token = next_token(fields, "seed");
-      CAFT_CHECK_MSG(!token.empty() &&
-                         token.find_first_not_of("0123456789") ==
-                             std::string::npos,
-                     "campaign wire: malformed seed '" + token + "'");
-      request.spec.seed = std::stoull(token);
-    } else if (key == "quantiles") {
-      const std::size_t n =
-          parse_size(next_token(fields, "quantile count"), "quantile count");
-      request.spec.quantiles.clear();
-      for (std::size_t i = 0; i < n; ++i)
-        request.spec.quantiles.push_back(
-            parse_double(next_token(fields, "quantile"), "quantile"));
-    } else if (key == "theta-buckets") {
-      request.spec.theta_buckets =
-          parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
-    } else if (key == "exact") {
-      request.spec.exact =
-          parse_bool(next_token(fields, "exact"), "exact");
     } else if (key == "target-ci-width") {
       request.spec.target_ci_width = parse_double(
           next_token(fields, "target-ci-width"), "target-ci-width");
-    } else if (key == "sampler") {
-      read_sampler_line(fields, request.spec.sampler);
-    } else if (key == "request") {
-      read_request_line(fields, request.spec.request);
     } else if (key == "progress") {
       request.progress =
           parse_bool(next_token(fields, "progress"), "progress");

@@ -11,8 +11,8 @@
 ///
 /// Request (`caft-campaign-request v1`):
 ///   algorithms <k> <name>...
-///   replays <n>  /  seed <u64>
-///   quantiles <k> <q...>                 # hexfloat
+///   replays <n>  /  seed <u64>           # the work order's spec lines
+///   quantiles <k> <q...>                 # (wire::write_spec_lines)
 ///   theta-buckets <n>  /  exact <0|1>
 ///   target-ci-width <w>                  # hexfloat, 0 = run all replays
 ///   sampler ...  /  request ...          # the shared spec-line codecs

@@ -24,6 +24,8 @@ SocketBuf::~SocketBuf() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+void SocketBuf::shutdown_read() { (void)::shutdown(fd_, SHUT_RD); }
+
 SocketBuf::int_type SocketBuf::underflow() {
   if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
   ssize_t got;

@@ -28,6 +28,10 @@ class SocketBuf : public std::streambuf {
   SocketBuf(const SocketBuf&) = delete;
   SocketBuf& operator=(const SocketBuf&) = delete;
 
+  /// Shuts the read side: a blocked or later read returns end-of-file
+  /// while writes still go through.
+  void shutdown_read();
+
  protected:
   int_type underflow() override;
   int_type overflow(int_type ch) override;
@@ -50,6 +54,10 @@ class SocketStream : public std::iostream {
   explicit SocketStream(int fd) : std::iostream(nullptr), buf_(fd) {
     rdbuf(&buf_);
   }
+
+  /// See SocketBuf::shutdown_read. Safe to call from another thread while
+  /// this stream blocks in a read.
+  void shutdown_read() { buf_.shutdown_read(); }
 
  private:
   SocketBuf buf_;

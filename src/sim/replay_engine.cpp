@@ -304,41 +304,6 @@ void ReplayEngine::build_template() {
   kill_ops_.reserve(kill_begin_[m_]);
   for (std::size_t p = 0; p < m_; ++p)
     kill_ops_.insert(kill_ops_.end(), kills[p].begin(), kills[p].end());
-
-  // The kill lists inverted into per-op processor bitmasks, plus a
-  // topological order over the (prereq → dependent, slot input → exec)
-  // edges: close_dead_mask() uses them to turn dead-from-start propagation
-  // into one linear pass of word-sized mask tests. m > 64 (no single dead
-  // word) keeps the worklist path and leaves both arrays empty.
-  topo_order_.clear();
-  direct_kill_mask_.clear();
-  if (m_ <= 64) {
-    direct_kill_mask_.assign(op_count_, 0);
-    for (std::size_t p = 0; p < m_; ++p)
-      for (std::uint32_t i = kill_begin_[p]; i < kill_begin_[p + 1]; ++i)
-        direct_kill_mask_[kill_ops_[i]] |= std::uint64_t{1} << p;
-
-    std::vector<std::uint32_t> indegree(op_count_, 0);
-    for (std::uint32_t op = 0; op < op_count_; ++op) {
-      if (prereq_[op] != kNone32) ++indegree[op];
-      if (feed_slot_[op] != kNone32) ++indegree[feed_exec_[op]];
-    }
-    std::vector<std::uint32_t> stack;
-    for (std::uint32_t op = 0; op < op_count_; ++op)
-      if (indegree[op] == 0) stack.push_back(op);
-    topo_order_.reserve(op_count_);
-    while (!stack.empty()) {
-      const std::uint32_t op = stack.back();
-      stack.pop_back();
-      topo_order_.push_back(op);
-      for (std::uint32_t i = dep_begin_[op]; i < dep_begin_[op + 1]; ++i)
-        if (--indegree[dep_ops_[i]] == 0) stack.push_back(dep_ops_[i]);
-      if (feed_slot_[op] != kNone32 && --indegree[feed_exec_[op]] == 0)
-        stack.push_back(feed_exec_[op]);
-    }
-    CAFT_CHECK_MSG(topo_order_.size() == op_count_,
-                   "op dependency graph has a cycle");
-  }
 }
 
 void ReplayEngine::reset_pristine(Scratch& s) const {
@@ -420,7 +385,10 @@ void ReplayEngine::propagate(Scratch& s) const {
   // Worklist closure of the naive propagate_dead fixpoint: a dead
   // prerequisite kills its dependents; an exec dies when some in-edge has
   // every input dead. The resulting state set is the same least fixpoint
-  // the naive full-scan loop computes.
+  // the naive full-scan loop computes. It serves both kinds of death: the
+  // dead-from-start kill lists `replay` pre-kills from the pristine state
+  // (where all_dirty is still set, so the marking below is a no-op and the
+  // first commit rebuilds the tree), and every θ-death wave.
   //
   // Targeted invalidation. Between steps every tree leaf holds its
   // resource's current candidate, or (kInf, none) while that candidate is
@@ -483,41 +451,6 @@ void ReplayEngine::propagate(Scratch& s) const {
     const std::uint32_t other = res_a_[h] == res ? res_b_[h] : res_a_[h];
     if (other != kNone32) mark_dirty(s, other);
   }
-}
-
-void ReplayEngine::close_dead_mask(Scratch& s, std::uint64_t dead_mask) const {
-  // One linear pass over the topological order computes the same least
-  // fixpoint as the worklist propagate: every edge that can transmit death
-  // (prereq → dependent, slot input → exec) points forward in topo_order_,
-  // so by the time an op is visited everything that could kill it is final.
-  // The per-op test is word arithmetic on direct_kill_mask_, not
-  // pointer-chasing through kill lists.
-  for (const std::uint32_t op : topo_order_) {
-    bool dead = (direct_kill_mask_[op] & dead_mask) != 0;
-    const std::uint32_t pre = prereq_[op];
-    if (!dead && pre != kNone32 && s.state[pre] == kDead) dead = true;
-    if (!dead && kind_[op] == kExec) {
-      for (std::uint32_t slot = exec_slot_begin_[op];
-           slot < exec_slot_begin_[op + 1]; ++slot) {
-        const std::uint32_t total =
-            slot_input_begin_[slot + 1] - slot_input_begin_[slot];
-        // total > 0 mirrors the worklist, which kills through a slot only
-        // when an increment *reaches* the total — never for empty slots.
-        if (total > 0 && s.dead_inputs[slot] == total) {
-          dead = true;
-          break;
-        }
-      }
-    }
-    if (!dead) continue;
-    s.state[op] = kDead;
-    if (feed_slot_[op] != kNone32) ++s.dead_inputs[feed_slot_[op]];
-  }
-  // The worklist path interleaves head advances with deaths; advancing
-  // every resource once after all deaths lands each head on the same first
-  // still-pending op (advance is monotone and settled states are final).
-  for (std::uint32_t res = 0; res < resource_count_; ++res)
-    advance_resource(s, res);
 }
 
 void ReplayEngine::advance_resource(Scratch& s, std::uint32_t res) const {
@@ -897,29 +830,17 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
   const std::size_t snap = pick_snapshot(scenario);
   if (snap == static_cast<std::size_t>(-1)) {
     reset_pristine(scratch);
-    if (m_ <= 64) {
-      // Dead-from-start closure as one linear bitmask pass (the worklist
-      // form of kill_dead_processors + propagate_dead computes the same
-      // least fixpoint; see close_dead_mask).
-      std::uint64_t dead_mask = 0;
-      for (std::size_t p = 0; p < m_; ++p)
-        if (scenario.dead_from_start(
-                ProcId(static_cast<ProcId::value_type>(p))))
-          dead_mask |= std::uint64_t{1} << p;
-      if (dead_mask != 0) close_dead_mask(scratch, dead_mask);
-    } else {
-      // No single dead word: pre-kill each dead processor's ops from the
-      // kill lists and close over the consequences with the worklist.
-      for (std::size_t p = 0; p < m_; ++p) {
-        if (!scenario.dead_from_start(
-                ProcId(static_cast<ProcId::value_type>(p))))
-          continue;
-        for (std::uint32_t i = kill_begin_[p]; i < kill_begin_[p + 1]; ++i)
-          if (scratch.state[kill_ops_[i]] == kPending)
-            kill(scratch, kill_ops_[i]);
-      }
-      propagate(scratch);
+    // Dead-from-start closure: pre-kill each dead processor's ops from the
+    // kill lists (the naive kill_dead_processors) and close over the
+    // consequences with the worklist (its propagate_dead fixpoint).
+    for (std::size_t p = 0; p < m_; ++p) {
+      if (!scenario.dead_from_start(ProcId(static_cast<ProcId::value_type>(p))))
+        continue;
+      for (std::uint32_t i = kill_begin_[p]; i < kill_begin_[p + 1]; ++i)
+        if (scratch.state[kill_ops_[i]] == kPending)
+          kill(scratch, kill_ops_[i]);
     }
+    propagate(scratch);
   } else {
     restore_snapshot(scratch, snapshots_[snap]);
   }

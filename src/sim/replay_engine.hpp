@@ -21,12 +21,11 @@
 ///     all exceed those maxima replays *identically* through that prefix, so
 ///     `replay` branches from the latest valid snapshot instead of t = 0.
 ///     Scenarios with a processor dead from the start (the paper's model)
-///     fall back to the pristine state — they still reuse the template, and
-///     dead-propagation is a single linear pass over a precomputed
-///     topological op order testing per-op processor bitmasks against the
-///     ≤64-proc dead word (the worklist closure remains for m > 64 and for
-///     mid-replay θ deaths), instead of the naive fixpoint scan. A
-///     template-only engine (`max_snapshots = 0`) skips the recording and
+///     fall back to the pristine state — they still reuse the template:
+///     each dead processor's precomputed kill list is pre-killed and one
+///     worklist closure (`propagate`, the same one every mid-replay θ death
+///     runs) settles the consequences, instead of the naive fixpoint scan.
+///     A template-only engine (`max_snapshots = 0`) skips the recording and
 ///     starts every scenario from the pristine state: the cheap form for
 ///     one-shot replays and for crash-set enumeration (exp/runner,
 ///     sim/resilience).
@@ -103,7 +102,7 @@ struct ReplayEngineOptions {
   /// template and records no fault-free timeline, so neither fault-free
   /// pass runs, `event_count()` and `snapshot_count()` are 0,
   /// `snapshot_times` is ignored, and every replay starts from the pristine
-  /// state (through the dead-mask closure where it applies). The
+  /// state (through the dead-set closure where it applies). The
   /// constructor's fault-free deadlock check is skipped with the recording:
   /// a schedule that deadlocks fault-free then yields `order_deadlock` in
   /// its CrashResult, exactly as simulate_crashes does.
@@ -275,12 +274,9 @@ class ReplayEngine {
   [[nodiscard]] std::size_t pick_snapshot(const CrashScenario& scenario) const;
 
   void kill(Scratch& s, std::uint32_t op) const;
+  /// Worklist closure over the killed ops: the one dead-set closure, for
+  /// dead-from-start processors and θ-deaths alike.
   void propagate(Scratch& s) const;
-  /// Dead-from-start closure: one linear pass over topo_order_ computing the
-  /// same least fixpoint as the worklist propagate, as branch-light bitmask
-  /// tests of direct_kill_mask_ against the ≤64-proc dead word. Only valid
-  /// from the pristine state (no op settled yet); m_ <= 64 only.
-  void close_dead_mask(Scratch& s, std::uint64_t dead_mask) const;
   /// Advances one resource's head cursor past settled ops.
   void advance_resource(Scratch& s, std::uint32_t res) const;
   /// One resource's candidate: its queue head with the head's ready time
@@ -340,15 +336,10 @@ class ReplayEngine {
   std::vector<std::uint32_t> feed_exec_;  ///< exec op of that slot
 
   /// kill_ops_[kill_begin_[p]..kill_begin_[p+1]): ops dead when processor p
-  /// is dead from the start (mirrors the naive kill_dead_processors rules).
+  /// is dead from the start (mirrors the naive kill_dead_processors rules);
+  /// `replay` pre-kills them and `propagate` closes over the rest.
   std::vector<std::uint32_t> kill_begin_;
   std::vector<std::uint32_t> kill_ops_;
-  /// The same kill lists inverted into per-op processor bitmasks (m_ <= 64
-  /// only; empty otherwise): op dies directly iff mask & dead-word != 0.
-  std::vector<std::uint64_t> direct_kill_mask_;
-  /// Ops in a topological order of (prereq, slot-input → exec) edges; the
-  /// dead-from-start closure is one linear pass over this.
-  std::vector<std::uint32_t> topo_order_;
 
   std::size_t commit_count_ = 0;
   std::vector<Snapshot> snapshots_;

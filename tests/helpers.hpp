@@ -74,12 +74,12 @@ inline Scenario graph_setup(TaskGraph graph, std::uint64_t seed,
   return s;
 }
 
-/// A schedule on more than 64 processors, wider than the dead-set bitmask
-/// word. The schedulers cap platforms at 64 processors (support masks), so
-/// it is hand-posted through the one-port engine: a 10-task chain, two
-/// replicas per task, every replica-to-replica communication committed,
-/// spread over `procs` processors. Not movable: the schedule and costs
-/// point at the members before them.
+/// A schedule on more than 64 processors. The schedulers cap platforms at
+/// 64 processors (support masks), so it is hand-posted through the
+/// one-port engine: a 10-task chain, two replicas per task, every
+/// replica-to-replica communication committed, spread over `procs`
+/// processors. Not movable: the schedule and costs point at the members
+/// before them.
 struct WideChain {
   TaskGraph graph = chain(10, 5.0);
   Platform platform;

@@ -461,28 +461,6 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   expect_summaries_identical(a.runs[0].summary, oracle);
 }
 
-TEST(SessionApi, EvaluateBatchMatchesPerInstanceEvaluate) {
-  std::vector<Instance> instances;
-  instances.push_back(random_instance(31, 8, 0.5, 1));
-  instances.push_back(random_instance(32, 8, 2.0, 1));
-
-  CampaignSpec spec;
-  spec.algorithms = {"caft", "heft"};
-  spec.sampler = SamplerSpec::uniform_k(1);
-  spec.replays = 200;
-
-  const Session session;
-  const auto batch = session.evaluate_batch(instances, spec);
-  ASSERT_EQ(batch.size(), 2u);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const CampaignReport solo = session.evaluate(instances[i], spec);
-    ASSERT_EQ(batch[i].runs.size(), solo.runs.size());
-    for (std::size_t r = 0; r < solo.runs.size(); ++r)
-      expect_summaries_identical(batch[i].runs[r].summary,
-                                 solo.runs[r].summary);
-  }
-}
-
 TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {
   CampaignSpec spec;
   spec.theta_buckets = 16;

@@ -344,6 +344,22 @@ TEST(Campaign, SummaryIdenticalAcrossBlockSizes) {
 // with any per-block thread count — yields record streams whose
 // concatenation is bit-identical to the whole-campaign stream, and whose
 // canonical-order fold reproduces run_campaign's summary exactly.
+/// run_campaign_block's streamed waves, concatenated; also checks that no
+/// wave exceeds options.block records.
+std::vector<ReplayRecord> block_records(const Schedule& schedule,
+                                        const CostModel& costs,
+                                        const ScenarioSampler& sampler,
+                                        const CampaignOptions& options,
+                                        std::size_t first, std::size_t count) {
+  std::vector<ReplayRecord> records;
+  run_campaign_block(schedule, costs, sampler, options, first, count, nullptr,
+                     [&](const ReplayRecord* wave, std::size_t size) {
+                       EXPECT_LE(size, options.block);
+                       records.insert(records.end(), wave, wave + size);
+                     });
+  return records;
+}
+
 TEST(Campaign, BlockPartitionReproducesRecordStream) {
   Scenario s = random_setup(105, 10, 1.0);
   const Schedule schedule = caft_for(s, 1);
@@ -354,7 +370,7 @@ TEST(Campaign, BlockPartitionReproducesRecordStream) {
   options.replays = 211;
   options.threads = 2;
   const std::vector<ReplayRecord> whole =
-      run_campaign_block(schedule, *s.costs, sampler, options, 0, 211);
+      block_records(schedule, *s.costs, sampler, options, 0, 211);
   ASSERT_EQ(whole.size(), 211u);
 
   // Uneven partition, blocks computed out of order, varying thread counts
@@ -366,7 +382,7 @@ TEST(Campaign, BlockPartitionReproducesRecordStream) {
     CampaignOptions block_options = options;
     block_options.threads = 1 + first % 3;
     block_options.block = 64;
-    const std::vector<ReplayRecord> records = run_campaign_block(
+    const std::vector<ReplayRecord> records = block_records(
         schedule, *s.costs, sampler, block_options, first, count);
     ASSERT_EQ(records.size(), count);
     std::copy(records.begin(), records.end(),

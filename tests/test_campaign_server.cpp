@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -159,6 +161,23 @@ TEST(CampaignServerWire, DeclaredCountsAllocateNothingAheadOfThePayload) {
                           "algorithms 1000000000000 caft\nend\n")
                 .find("missing algorithm name"),
             std::string::npos);
+}
+
+TEST(CampaignServerWire, RequestRejectsMalformedSeeds) {
+  server::CampaignRequest request;
+  request.spec = base_spec();
+  request.instance_bytes = "x\n";
+  std::ostringstream out;
+  server::write_campaign_request(out, request);
+  const std::string good = out.str();
+  ASSERT_EQ(request_error(good), "");
+  for (const char* seed : {"12x", "-1", "18446744073709551616"}) {
+    std::string doc = good;
+    const std::size_t at = doc.find("seed ");
+    doc.replace(at, doc.find('\n', at) - at, std::string("seed ") + seed);
+    EXPECT_NE(request_error(doc).find("malformed seed"), std::string::npos)
+        << seed;
+  }
 }
 
 TEST(CampaignServerWire, ReportRoundTripsIntoAReadableDocument) {
@@ -560,6 +579,41 @@ TEST(CampaignServer, StartStopDrainsAndRestarts) {
   daemon.start();
   EXPECT_NE(daemon.port(), 0u);
   daemon.stop();
+}
+
+TEST(CampaignServer, SilentClientDoesNotBlockStop) {
+  server::CampaignServer daemon(server::ServerOptions{});
+  daemon.start();
+  std::unique_ptr<server::SocketStream> silent =
+      server::connect_to("127.0.0.1", daemon.port());
+
+  // Connections are accepted in arrival order: once a later client has its
+  // report, the silent one has been accepted and waits for its request.
+  const Instance instance = random_instance(73, 6, 1.0, 1);
+  server::CampaignRequest request;
+  request.spec = base_spec();
+  request.spec.replays = 20;
+  request.spec.algorithms = {"caft"};
+  request.instance_bytes = instance_bytes(instance);
+  {
+    const auto connection = server::connect_to("127.0.0.1", daemon.port());
+    server::write_campaign_request(*connection, request);
+    connection->flush();
+    EXPECT_EQ(server::read_server_response(*connection).kind,
+              server::ServerResponse::Kind::kReport);
+  }
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&daemon] { daemon.stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(10)) ==
+                      std::future_status::ready;
+  // On failure, hang up so the drain completes and the test ends.
+  if (!prompt) silent.reset();
+  stopped.get();
+  ASSERT_TRUE(prompt) << "stop() waited on a client that never sent a request";
+  // The silent connection read end-of-file and got an error document.
+  EXPECT_EQ(server::read_server_response(*silent).kind,
+            server::ServerResponse::Kind::kError);
 }
 
 TEST(CampaignServer, RejectsSubprocessExecutionPolicy) {

@@ -148,6 +148,21 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
     std::istringstream is(to_text(order));
     EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
   }
+  // Malformed seeds: junk, a sign, and one past 2^64 − 1 all throw
+  // CheckError (never wrap, never std::out_of_range).
+  for (const char* seed : {"12x", "-1", "18446744073709551616"}) {
+    std::string doc = good;
+    const std::size_t at = doc.find("seed ");
+    doc.replace(at, doc.find('\n', at) - at, std::string("seed ") + seed);
+    std::istringstream is(doc);
+    EXPECT_THROW((void)read_campaign_work_order(is), CheckError) << seed;
+  }
+  {  // the largest seed still parses
+    CampaignWorkOrder order = sample_order();
+    order.spec.seed = 18446744073709551615ULL;
+    std::istringstream is(to_text(order));
+    EXPECT_EQ(read_campaign_work_order(is).spec.seed, order.spec.seed);
+  }
 }
 
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
@@ -240,9 +255,16 @@ CampaignPartialResult sample_partial() {
   return partial;
 }
 
+/// The worker's layout: header and records first, counts/telemetry/timing
+/// in the footer.
 std::string to_text(const CampaignPartialResult& partial) {
   std::ostringstream os;
-  write_campaign_partial(os, partial);
+  write_campaign_partial_header(os, partial.algorithm, partial.first,
+                                partial.count);
+  write_campaign_partial_records(os, partial.records.data(),
+                                 partial.records.size());
+  write_campaign_partial_footer(os, partial.records.size(), partial.successes,
+                                partial.telemetry, partial.timing);
   return os.str();
 }
 
@@ -427,6 +449,80 @@ TEST(CampaignWire, IncrementalReaderAcceptsStreamedFooterLastLayout) {
   for (std::size_t i = 0; i < partial.records.size(); ++i)
     EXPECT_EQ(back.records[i].latency, partial.records[i].latency);
   EXPECT_EQ(back.telemetry.memo_lookups, partial.telemetry.memo_lookups);
+}
+
+TEST(CampaignWire, PartialReaderAcceptsCountsFirstLayout) {
+  // Line order outside the record list is free: a document with the fold
+  // state before the records parses exactly like the worker's layout.
+  const std::string counts_first =
+      "caft-campaign-partial v1\n"
+      "algorithm caft\n"
+      "block 5 2\n"
+      "counts 2 1\n"
+      "telemetry 2 1 0 1 4\n"
+      "timing 0x1p-1 0x1p-3 0x1.8p-2\n"
+      "records 2\n"
+      "r 1 0 0x1.4p+3 6 0 1\n"
+      "r 0 0 inf 2 1 2\n"
+      "end\n";
+  std::istringstream is(counts_first);
+  const CampaignPartialResult back = read_campaign_partial(is);
+  EXPECT_EQ(back.algorithm, "caft");
+  EXPECT_EQ(back.first, 5u);
+  EXPECT_EQ(back.count, 2u);
+  EXPECT_EQ(back.successes, 1u);
+  ASSERT_EQ(back.records.size(), 2u);
+  EXPECT_EQ(back.records[0].latency, 10.0);
+  EXPECT_EQ(back.records[1].order_relaxations, 1u);
+  EXPECT_EQ(back.telemetry.snapshots, 4u);
+  ASSERT_TRUE(back.timing.present);
+  EXPECT_EQ(back.timing.replay_seconds, 0.375);
+
+  // The same content in the worker's records-first layout.
+  std::istringstream streamed(to_text(back));
+  const CampaignPartialResult again = read_campaign_partial(streamed);
+  ASSERT_EQ(again.records.size(), 2u);
+  EXPECT_EQ(again.records[0].latency, back.records[0].latency);
+  EXPECT_EQ(again.successes, back.successes);
+  EXPECT_EQ(again.telemetry.memo_hits, back.telemetry.memo_hits);
+  EXPECT_EQ(again.timing.wall_seconds, back.timing.wall_seconds);
+}
+
+TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
+  // The worked example of docs/wire-protocols.md, both documents: each
+  // parses, and re-serializes to the same bytes.
+  const std::string order_doc =
+      "caft-campaign-work v2\n"
+      "instance /tmp/campaign-7/instance.txt\n"
+      "algorithm caft\n"
+      "block 100 2\n"
+      "replays 2000\n"
+      "seed 42\n"
+      "quantiles 2 0x1.999999999999ap-1 0x1.fd70a3d70a3d7p-1\n"
+      "theta-buckets 0\n"
+      "exact 0\n"
+      "sampler uniform-k 2 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 "
+      "0x0p+0\n"
+      "request 1 oneport 1 transitive 1 16 0\n"
+      "exec 1 1024\n"
+      "expect 0x1.91cp+9 0x1.b58p+9\n"
+      "end\n";
+  std::istringstream order_in(order_doc);
+  EXPECT_EQ(to_text(read_campaign_work_order(order_in)), order_doc);
+
+  const std::string partial_doc =
+      "caft-campaign-partial v1\n"
+      "algorithm caft\n"
+      "block 100 2\n"
+      "records 2\n"
+      "r 1 0 0x1.a2cp+9 14 0 2\n"
+      "r 0 0 inf 9 0 2\n"
+      "counts 2 1\n"
+      "telemetry 2 1 0 1 12\n"
+      "timing 0x1.2p-4 0x1.8p-7 0x1.cp-5\n"
+      "end\n";
+  std::istringstream partial_in(partial_doc);
+  EXPECT_EQ(to_text(read_campaign_partial(partial_in)), partial_doc);
 }
 
 TEST(CampaignWire, IncrementalReaderLatchesErrorsInsteadOfThrowing) {

@@ -1,12 +1,10 @@
 // Micro-property suite pinning the SoA replay kernel introduced by the
 // structure-of-arrays refactor:
 //
-//  - dead-mask closure (the single linear topological pass over
-//    direct_kill_mask_ words) must compute exactly the fixpoint the old
-//    worklist propagation computed, witnessed against the naive
-//    simulate_crashes reference on randomized 64-processor schedules —
-//    the widest platform the bitmask path handles;
-//  - the > 64-processor worklist fallback must stay byte-identical too;
+//  - the dead-set closure (each dead processor's kill list pre-killed, then
+//    the worklist propagation θ-deaths share) must match the naive
+//    simulate_crashes reference on platforms on both sides of 64
+//    processors, dead-from-start alone and mixed with θ-crashes;
 //  - the order-relaxation fallback must be reached (asserted on the naive
 //    result) and matched, and the deadlock branch is pinned as reachable
 //    only from schedules the default engine rejects — and matched by a
@@ -65,61 +63,84 @@ void expect_identical(const CrashResult& naive, const CrashResult& incr,
   }
 }
 
-CrashScenario mask_scenario(std::size_t procs, std::uint64_t mask) {
-  std::vector<ProcId> failed;
-  for (std::size_t p = 0; p < procs; ++p)
-    if ((mask >> p) & 1u) failed.push_back(ProcId(p));
-  return CrashScenario::at_zero(procs, failed);
+// ------------------------------------------------- dead-set closure sweep
+
+/// Dead-from-start sets for a platform of `procs`: none, all, all but the
+/// last, a singleton sweep and random subsets of mixed size.
+std::vector<std::vector<std::size_t>> dead_sets(std::size_t procs, Rng& rng) {
+  std::vector<std::vector<std::size_t>> sets(3);
+  for (std::size_t p = 0; p < procs; ++p) sets[1].push_back(p);
+  sets[2] = sets[1];
+  sets[2].pop_back();
+  for (std::size_t p = 0; p < procs; p += 7) sets.push_back({p});
+  for (int draw = 0; draw < 16; ++draw) {
+    const std::size_t cap =
+        draw % 3 == 0 ? procs / 2 : std::min<std::size_t>(6, procs);
+    const auto k = static_cast<std::size_t>(rng.uniform_int(1, cap));
+    sets.push_back(rng.sample_without_replacement(procs, k));
+  }
+  return sets;
 }
 
-// ----------------------------------------------- dead-mask closure property
+TEST(ReplaySoa, DeadSetClosureMatchesNaiveAcross64Procs) {
+  // Every dead-from-start scenario goes through one closure, whatever the
+  // platform width: random CAFT schedules at 10 and 64 processors and the
+  // hand-posted chain at 65 and 72 straddle the width a 64-bit processor
+  // mask would cover. Each dead set replays alone and mixed with θ-crashes
+  // on other processors; both must match simulate_crashes byte for byte.
+  struct Case {
+    std::string label;
+    const Schedule* schedule;
+    const CostModel* costs;
+  };
+  RandomDagParams dag;
+  dag.min_tasks = 20;
+  dag.max_tasks = 40;
+  const Scenario s10 = test::random_setup(101, 10, 2.0, dag);
+  const Scenario s64 = test::random_setup(113, 64, 2.0, dag);
+  const Schedule sched10 = caft_for(s10, 1);
+  const Schedule sched64 = caft_for(s64, 1);
+  const test::WideChain wide65(65);
+  const test::WideChain wide72(72);
+  const std::vector<Case> cases = {
+      {"random m=10", &sched10, s10.costs.get()},
+      {"random m=64", &sched64, s64.costs.get()},
+      {"wide chain m=65", &wide65.schedule, &wide65.costs},
+      {"wide chain m=72", &wide72.schedule, &wide72.costs}};
 
-TEST(ReplaySoa, DeadMaskClosureMatchesNaiveOnRandom64ProcSchedules) {
-  // 64 processors is the full width of the bitmask word the linear
-  // topological closure operates on. Randomized dead-from-start masks of
-  // every size class — singletons, small random subsets, half the machine,
-  // all-but-one, all — must replay byte-identically to simulate_crashes,
-  // whose kill set is still computed by per-event worklist propagation.
   ReplayEngine::Scratch scratch;
-  for (const std::uint64_t seed : {101ull, 113ull}) {
-    RandomDagParams dag;
-    dag.min_tasks = 20;
-    dag.max_tasks = 40;
-    const Scenario s = test::random_setup(seed, 64, 2.0, dag);
-    const Schedule schedule = caft_for(s, 1);
-    const ReplayEngine engine(schedule, *s.costs);
-    Rng rng(seed * 31 + 7);
-
-    std::vector<std::uint64_t> masks;
-    masks.push_back(0);                      // no dead procs: closure skipped
-    masks.push_back(~std::uint64_t{0});      // whole machine dead
-    masks.push_back(~std::uint64_t{0} >> 1); // all but the top proc
-    for (std::size_t p = 0; p < 64; p += 7)  // singleton sweep
-      masks.push_back(std::uint64_t{1} << p);
-    for (int draw = 0; draw < 24; ++draw) {  // random subsets, mixed k
-      const std::size_t k =
-          static_cast<std::size_t>(rng.uniform_int(1, draw % 3 == 0 ? 32 : 6));
-      std::uint64_t mask = 0;
-      for (const std::size_t p : rng.sample_without_replacement(64, k))
-        mask |= std::uint64_t{1} << p;
-      masks.push_back(mask);
-    }
-
-    for (const std::uint64_t mask : masks) {
-      const CrashScenario scenario = mask_scenario(64, mask);
-      const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
-      const CrashResult incr = engine.replay(scenario, scratch);
-      expect_identical(naive, incr,
-                       "seed " + std::to_string(seed) + " mask " +
-                           std::to_string(mask));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Case& c : cases) {
+    const std::size_t procs = c.schedule->platform().proc_count();
+    const double horizon = c.schedule->horizon();
+    const ReplayEngine engine(*c.schedule, *c.costs);
+    Rng rng(procs * 31 + 7);
+    std::size_t index = 0;
+    for (const std::vector<std::size_t>& dead : dead_sets(procs, rng)) {
+      std::vector<double> times(procs, inf);
+      for (const std::size_t p : dead) times[p] = 0.0;
+      const CrashScenario at_zero(times);
+      // θ-crashes on up to three processors outside the dead set.
+      for (const std::size_t p : rng.sample_without_replacement(procs, 3))
+        if (times[p] == inf) times[p] = rng.uniform(0.0, horizon * 1.1);
+      const CrashScenario mixed(std::move(times));
+      for (const CrashScenario* scenario : {&at_zero, &mixed}) {
+        const CrashResult naive =
+            simulate_crashes(*c.schedule, *c.costs, *scenario);
+        const CrashResult incr = engine.replay(*scenario, scratch);
+        expect_identical(naive, incr,
+                         c.label + " set " + std::to_string(index) +
+                             (scenario == &at_zero ? " dead" : " dead+theta"));
+      }
+      ++index;
     }
   }
 }
 
 TEST(ReplaySoa, MidRunCrashesMatchNaiveOn64Procs) {
   // θ-crashes (strictly positive crash instants) take the event-driven
-  // path — candidate cache, propagate(), all-dirty invalidation — rather
-  // than the up-front closure. Pin that side on the same wide platform.
+  // path — candidate cache, propagate() after each θ-death — rather than
+  // the up-front closure. Pin that side on the same wide platform.
   RandomDagParams dag;
   dag.min_tasks = 20;
   dag.max_tasks = 35;
@@ -140,42 +161,6 @@ TEST(ReplaySoa, MidRunCrashesMatchNaiveOn64Procs) {
     const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
     const CrashResult incr = engine.replay(scenario, scratch);
     expect_identical(naive, incr, "theta draw " + std::to_string(draw));
-  }
-}
-
-TEST(ReplaySoa, WorklistFallbackMatchesNaiveAbove64Procs) {
-  // Platforms wider than the 64-bit mask word keep the old worklist
-  // propagation.
-  const std::size_t procs = 72;
-  const test::WideChain wide(procs);
-  const Schedule& sched = wide.schedule;
-  const CostModel& costs = wide.costs;
-
-  const ReplayEngine engine(sched, costs);
-  ReplayEngine::Scratch scratch;
-  Rng rng(1319);
-  const double inf = std::numeric_limits<double>::infinity();
-
-  // Dead-from-start masks of varying size, plus mid-run θ-crashes: both
-  // must match the naive reference through the fallback path.
-  for (int draw = 0; draw < 12; ++draw) {
-    const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    std::vector<ProcId> failed;
-    for (const std::size_t p : rng.sample_without_replacement(procs, k))
-      failed.push_back(ProcId(p));
-    const CrashScenario scenario = CrashScenario::at_zero(procs, failed);
-    const CrashResult naive = simulate_crashes(sched, costs, scenario);
-    const CrashResult incr = engine.replay(scenario, scratch);
-    expect_identical(naive, incr, "fallback draw " + std::to_string(draw));
-  }
-  for (int draw = 0; draw < 8; ++draw) {
-    std::vector<double> crash_times(procs, inf);
-    for (const std::size_t p : rng.sample_without_replacement(procs, 3))
-      crash_times[p] = rng.uniform(0.0, sched.horizon());
-    const CrashScenario scenario(std::move(crash_times));
-    const CrashResult naive = simulate_crashes(sched, costs, scenario);
-    const CrashResult incr = engine.replay(scenario, scratch);
-    expect_identical(naive, incr, "fallback theta " + std::to_string(draw));
   }
 }
 
@@ -231,7 +216,7 @@ TEST(ReplaySoa, OrderRelaxationFallbackMatchesNaive) {
   ReplayEngine::Scratch scratch;
   const double inf = std::numeric_limits<double>::infinity();
 
-  // P1 dead from the start (dead-mask closure), and P1 crashing at θ = 5
+  // P1 dead from the start (dead-set closure), and P1 crashing at θ = 5
   // while B^1 runs (θ-death and propagate()): both reach the fallback.
   const std::vector<CrashScenario> scenarios = {
       CrashScenario::at_zero(5, {ProcId(1)}),

@@ -2,6 +2,7 @@
 //   - the worker protocol round-trips through run_campaign_worker without
 //     any process machinery (work order in, partial result out, records
 //     bit-identical to run_campaign_block);
+//   - the auto block size of the subprocess coordinator is capped;
 //   - Session summaries under ExecutionPolicy::subprocess are *byte-
 //     identical* to in-process ones at 1, 2 and 4 workers (the acceptance
 //     gate of the scale-out contract);
@@ -114,8 +115,12 @@ TEST(CampaignWorker, ProtocolRoundTripMatchesDirectBlock) {
   caft::CampaignOptions options;
   options.seed = order.spec.seed;
   options.threads = 1;
-  const std::vector<caft::ReplayRecord> direct = caft::run_campaign_block(
-      scheduled.schedule, instance.costs(), *sampler, options, 37, 113);
+  std::vector<caft::ReplayRecord> direct;
+  caft::run_campaign_block(
+      scheduled.schedule, instance.costs(), *sampler, options, 37, 113,
+      nullptr, [&](const caft::ReplayRecord* records, std::size_t count) {
+        direct.insert(direct.end(), records, records + count);
+      });
   ASSERT_EQ(partial.records.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(partial.records[i].success, direct[i].success);
@@ -226,73 +231,51 @@ TEST(SessionSubprocess, TelemetryParityWithInProcess) {
   EXPECT_GT(b.wall_seconds, 0.0);
 }
 
-TEST(SessionSubprocess, EvaluateBatchMatchesInProcess) {
+TEST(SessionSubprocess, MultiAlgorithmEvaluateMatchesInProcess) {
   const std::string cli = cli_path();
   if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
 
-  std::vector<Instance> instances;
-  instances.push_back(random_instance(304, 8, 1.0, 1));
-  instances.push_back(random_instance(305, 10, 0.7, 2));
+  const Instance instance = random_instance(305, 10, 0.7, 2);
   CampaignSpec spec = lifetime_spec(200);
   spec.algorithms = {"caft", "ftsa"};
   spec.sampler = SamplerSpec::uniform_k(2);
+  const CampaignReport reference = Session{}.evaluate(instance, spec);
 
-  const Session session{};  // in-process session; override per call below
-  const std::vector<CampaignReport> reference =
-      session.evaluate_batch(instances, spec);
-  const std::vector<CampaignReport> subprocess = session.evaluate_batch(
-      instances, spec, ExecutionPolicy::subprocess(cli, 2));
-
-  ASSERT_EQ(reference.size(), subprocess.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_EQ(reference[i].runs.size(), subprocess[i].runs.size());
-    for (std::size_t r = 0; r < reference[i].runs.size(); ++r) {
-      EXPECT_EQ(reference[i].runs[r].algorithm,
-                subprocess[i].runs[r].algorithm);
-      expect_summaries_identical(reference[i].runs[r].summary,
-                                 subprocess[i].runs[r].summary);
-    }
-  }
-}
-
-TEST(SessionSubprocess, EvaluateBatchDedupesEqualInstanceSaves) {
-  const std::string cli = cli_path();
-  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
-
-  // Three instances, two of them byte-identical (same generator seed):
-  // the batch must serialize two files, not three, and the duplicate must
-  // still campaign correctly off the shared file — across two algorithms,
-  // so the shared path is reused within an evaluate as well.
-  std::vector<Instance> instances;
-  instances.push_back(random_instance(320, 8, 1.0, 1));
-  instances.push_back(random_instance(321, 8, 1.0, 1));
-  instances.push_back(random_instance(320, 8, 1.0, 1));  // dup of [0]
-  CampaignSpec spec = lifetime_spec(100);
-  spec.algorithms = {"caft", "ftsa"};
-  spec.sampler = SamplerSpec::uniform_k(1);
-
+  // Each subprocess campaign saves its own scratch copy of the instance:
+  // one save per algorithm.
   obs::Registry& registry = obs::Registry::global();
   registry.set_enabled(true);
   const std::uint64_t saves_before =
       registry.snapshot().counter_value("campaign.instance.saves");
-  const Session session{};
-  const std::vector<CampaignReport> batch = session.evaluate_batch(
-      instances, spec, ExecutionPolicy::subprocess(cli, 2));
+  SessionOptions options;
+  options.exec = ExecutionPolicy::subprocess(cli, 2);
+  const CampaignReport report = Session(options).evaluate(instance, spec);
   const std::uint64_t saves_after =
       registry.snapshot().counter_value("campaign.instance.saves");
   registry.set_enabled(false);
-
-  // Two distinct contents -> exactly two saves for three instances.
   EXPECT_EQ(saves_after - saves_before, 2u);
 
-  // The deduped instance's report is byte-identical to its twin's.
-  ASSERT_EQ(batch.size(), 3u);
-  ASSERT_EQ(batch[0].runs.size(), batch[2].runs.size());
-  for (std::size_t r = 0; r < batch[0].runs.size(); ++r) {
-    EXPECT_EQ(batch[0].runs[r].algorithm, batch[2].runs[r].algorithm);
-    expect_summaries_identical(batch[0].runs[r].summary,
-                               batch[2].runs[r].summary);
+  ASSERT_EQ(reference.runs.size(), 2u);
+  ASSERT_EQ(report.runs.size(), 2u);
+  for (std::size_t r = 0; r < reference.runs.size(); ++r) {
+    EXPECT_EQ(reference.runs[r].algorithm, report.runs[r].algorithm);
+    expect_summaries_identical(reference.runs[r].summary,
+                               report.runs[r].summary);
   }
+}
+
+TEST(ExecutionPolicy, AutoBlockSizeIsCapped) {
+  // The auto block aims at ~4 blocks per worker, but never past the cap:
+  // coordinator memory is window × block records, so an uncapped block
+  // would grow with the replay count.
+  ExecutionPolicy policy = ExecutionPolicy::subprocess("unused", 2);
+  EXPECT_EQ(policy.block_size(1000), 125u);
+  EXPECT_EQ(policy.block_size(1), 1u);
+  EXPECT_EQ(policy.block_size(1000000000),
+            ExecutionPolicy::kMaxAutoBlockReplays);
+  EXPECT_EQ(ExecutionPolicy::kMaxAutoBlockReplays, std::size_t{1} << 18);
+  policy.block_replays = 7;  // an explicit block is taken as given
+  EXPECT_EQ(policy.block_size(1000000000), 7u);
 }
 
 TEST(SessionSubprocess, RetriesCrashedWorkerAndStaysIdentical) {

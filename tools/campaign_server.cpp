@@ -28,9 +28,11 @@
 ///                      in-process by design: byte-identity leans on
 ///                      in-process early-stopping determinism.
 ///
-/// On SIGTERM/SIGINT the server drains: it stops accepting, finishes every
-/// in-flight request, then exits 0. Observability artifacts (inert, like
-/// everywhere else in the library) are written after the drain.
+/// On SIGTERM/SIGINT the server drains: it stops accepting, answers a
+/// connection still waiting for its request with an error document,
+/// finishes every admitted request, then exits 0. Observability artifacts
+/// (inert, like everywhere else in the library) are written after the
+/// drain.
 ///
 /// The startup line — `campaign_server listening on ADDR:PORT` — goes to
 /// stdout and is flushed immediately; everything else goes to stderr.
