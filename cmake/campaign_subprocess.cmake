@@ -18,6 +18,11 @@
 # with at most two blocks buffered, so out-of-order completions must be
 # held back and folded in canonical order — the summary must still match
 # the single-process run byte for byte.
+#
+# A third leg gates early stopping: --target-ci-width stops the fold at a
+# point fixed by (seed, block) alone, so a stopped subprocess campaign must
+# match the stopped single-process one byte for byte at 2 and 4 workers,
+# even though its 25-replay wire blocks do not line up with the stop point.
 if(NOT CLI OR NOT WORK_DIR)
   message(FATAL_ERROR "campaign_subprocess.cmake needs -DCLI and -DWORK_DIR")
 endif()
@@ -29,74 +34,68 @@ endif()
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 
+# Runs campaign_cli with the remaining arguments, writing <name>_campaign.json.
+function(run_campaign name)
+  execute_process(
+    COMMAND ${CLI} ${ARGN} --json ${name}
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc
+    WORKING_DIRECTORY ${WORK_DIR})
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "campaign_cli ${ARGN} exited with ${rc}")
+  endif()
+endfunction()
+
+# Runs the subprocess backend and fails unless its summary matches
+# <reference>_campaign.json byte for byte.
+function(expect_identical reference name)
+  run_campaign(${name} ${ARGN} ${OBS_ARGS})
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/${reference}_campaign.json
+            ${WORK_DIR}/${name}_campaign.json
+    RESULT_VARIABLE diff_rc)
+  if(NOT diff_rc EQUAL 0)
+    message(FATAL_ERROR
+      "campaign_cli ${ARGN} differs from the single-process summary — "
+      "the scale-out determinism contract is broken")
+  endif()
+endfunction()
+
 foreach(sampler_args
     "--sampler;uniform"
     "--sampler;window;--k;2;--theta-lo;0;--theta-hi;800")
   set(common_args
       --replays 300 --procs 10 --eps 1 --tasks 40
       --instance-seed 11 --seed 99 --algos caft,ftsa ${sampler_args})
-
-  execute_process(
-    COMMAND ${CLI} ${common_args} --json single
-    OUTPUT_QUIET
-    RESULT_VARIABLE single_rc
-    WORKING_DIRECTORY ${WORK_DIR})
-  if(NOT single_rc EQUAL 0)
-    message(FATAL_ERROR "campaign_cli (single-process run) exited with ${single_rc}")
-  endif()
-
+  run_campaign(single ${common_args})
   foreach(workers 1 2 4)
-    execute_process(
-      COMMAND ${CLI} ${common_args} ${OBS_ARGS}
-              --exec subprocess --workers ${workers} --json sub${workers}
-      OUTPUT_QUIET
-      RESULT_VARIABLE sub_rc
-      WORKING_DIRECTORY ${WORK_DIR})
-    if(NOT sub_rc EQUAL 0)
-      message(FATAL_ERROR
-        "campaign_cli (--exec subprocess --workers ${workers}) exited with ${sub_rc}")
-    endif()
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-              ${WORK_DIR}/single_campaign.json
-              ${WORK_DIR}/sub${workers}_campaign.json
-      RESULT_VARIABLE diff_rc)
-    if(NOT diff_rc EQUAL 0)
-      message(FATAL_ERROR
-        "subprocess campaign summary at ${workers} worker(s) differs from "
-        "the single-process summary (${sampler_args}) — the scale-out "
-        "determinism contract is broken")
-    endif()
+    expect_identical(single sub${workers} ${common_args}
+                     --exec subprocess --workers ${workers})
   endforeach()
-
   # Streaming-coordinator leg: small blocks + a tight reorder window, so
   # the O(blocks-in-flight) fold path (not the window-never-fills happy
   # path) is what produces the summary.
   foreach(workers 2 4)
-    execute_process(
-      COMMAND ${CLI} ${common_args} ${OBS_ARGS}
-              --exec subprocess --workers ${workers}
-              --block-replays 25 --reorder-window 2 --json stream${workers}
-      OUTPUT_QUIET
-      RESULT_VARIABLE stream_rc
-      WORKING_DIRECTORY ${WORK_DIR})
-    if(NOT stream_rc EQUAL 0)
-      message(FATAL_ERROR
-        "campaign_cli (streaming fold, --workers ${workers} "
-        "--block-replays 25 --reorder-window 2) exited with ${stream_rc}")
-    endif()
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-              ${WORK_DIR}/single_campaign.json
-              ${WORK_DIR}/stream${workers}_campaign.json
-      RESULT_VARIABLE stream_diff_rc)
-    if(NOT stream_diff_rc EQUAL 0)
-      message(FATAL_ERROR
-        "streaming-fold campaign summary at ${workers} worker(s) with a "
-        "2-block reorder window differs from the single-process summary "
-        "(${sampler_args}) — the canonical-order fold is broken")
-    endif()
+    expect_identical(single stream${workers} ${common_args}
+                     --exec subprocess --workers ${workers}
+                     --block-replays 25 --reorder-window 2)
   endforeach()
+endforeach()
+
+# Early-stop leg: uniform-k beyond ε (mixed outcomes), stopped long before
+# the 4000-replay budget.
+set(stop_args
+    --replays 4000 --target-ci-width 0.2 --procs 10 --eps 1 --tasks 40
+    --instance-seed 11 --seed 99 --algos caft,ftsa --sampler uniform --k 2)
+run_campaign(stop_single ${stop_args})
+file(READ ${WORK_DIR}/stop_single_campaign.json stop_content)
+if(stop_content MATCHES "\"replays\": 4000")
+  message(FATAL_ERROR "--target-ci-width 0.2 did not stop the campaign early")
+endif()
+foreach(workers 2 4)
+  expect_identical(stop_single stop${workers} ${stop_args}
+                   --exec subprocess --workers ${workers} --block-replays 25)
 endforeach()
 
 if(OBS)
@@ -110,9 +109,10 @@ if(OBS)
   endif()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2) with observability on")
+    "(incl. streaming fold, reorder window 2, early stop) with "
+    "observability on")
 else()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2)")
+    "(incl. streaming fold, reorder window 2, early stop)")
 endif()

@@ -87,7 +87,10 @@ std::unique_ptr<caft::ScenarioSampler> SamplerSpec::build(
 }
 
 double CampaignSpec::theta_bucket_width(double schedule_horizon) const {
-  if (theta_buckets == 0) return 0.0;
+  // An exact campaign never consults the width, so it derives none — a
+  // derivation would (correctly) throw on the degenerate horizons the exact
+  // path exists to serve.
+  if (exact || theta_buckets == 0) return 0.0;
   // A zero or non-finite horizon (empty instance, fully-dead schedule)
   // admits no bucket width: horizon / buckets would be 0, inf or NaN, and a
   // 0-width bucket silently degenerates to exact replays while inf/NaN
@@ -128,37 +131,32 @@ namespace {
 
 /// The spec checks every campaign entry point applies, whichever backend
 /// runs it — evaluate and evaluate_schedule both funnel through here so a
-/// spec rejected by one path is rejected by all of them.
+/// spec rejected by one path is rejected by all of them. The target CI
+/// width is checked where it is used, by CampaignFold.
 void validate_campaign_spec(const CampaignSpec& spec) {
   CAFT_CHECK_MSG(spec.replays > 0, "campaign replays must be positive");
-  if (spec.target_ci_width != 0.0) {
-    CAFT_CHECK_MSG(std::isfinite(spec.target_ci_width) &&
-                       spec.target_ci_width > 0.0 &&
-                       spec.target_ci_width < 1.0,
-                   "target CI width must be in (0, 1)");
-  }
 }
 
-}  // namespace
-
-caft::CampaignOptions Session::campaign_options(
-    const CampaignSpec& spec, double schedule_horizon) const {
+/// The one CampaignSpec -> CampaignOptions derivation. The coordinator and
+/// every subprocess worker build their options here, so both sides replay
+/// with the same θ-width bit for bit (the worker pins the horizon).
+caft::CampaignOptions campaign_options(const CampaignSpec& spec,
+                                       double schedule_horizon,
+                                       std::size_t threads,
+                                       std::size_t block) {
   caft::CampaignOptions campaign;
   campaign.replays = spec.replays;
   campaign.seed = spec.seed;
   campaign.quantiles = spec.quantiles;
-  campaign.threads = options_.threads;
-  campaign.block = options_.block;
+  campaign.threads = threads;
+  campaign.block = block;
   campaign.exact = spec.exact;
-  // An exact campaign never consults the width, so don't derive it —
-  // deriving would (correctly) throw on the degenerate horizons the exact
-  // path exists to serve.
-  campaign.theta_bucket_width =
-      spec.exact ? 0.0 : spec.theta_bucket_width(schedule_horizon);
+  campaign.theta_bucket_width = spec.theta_bucket_width(schedule_horizon);
   campaign.target_ci_width = spec.target_ci_width;
-  campaign.on_progress = options_.on_progress;
   return campaign;
 }
+
+}  // namespace
 
 CampaignRun Session::evaluate_schedule(const Instance& instance,
                                        ScheduleResult result,
@@ -176,14 +174,17 @@ CampaignRun Session::evaluate_schedule(
                   .summary = {},
                   .telemetry = {},
                   .theta_bucket_width = 0.0};
+  caft::CampaignOptions campaign =
+      campaign_options(spec, run.result.schedule.horizon(), options_.threads,
+                       options_.block);
+  campaign.on_progress = options_.on_progress;
+  run.theta_bucket_width = campaign.theta_bucket_width;
   if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess)
-    return evaluate_schedule_subprocess(instance, std::move(run), spec);
+    return evaluate_schedule_subprocess(instance, std::move(run), spec,
+                                        campaign);
 
   const auto sampler = spec.sampler.build(instance.proc_count());
-  caft::CampaignOptions campaign =
-      campaign_options(spec, run.result.schedule.horizon());
   campaign.prebuilt_engine = replay_template;
-  run.theta_bucket_width = campaign.theta_bucket_width;
   run.summary = run_campaign(run.result.schedule, instance.costs(), *sampler,
                              campaign, &run.telemetry);
   return run;
@@ -206,7 +207,8 @@ CampaignReport Session::evaluate(const Instance& instance,
 }
 
 CampaignRun Session::evaluate_schedule_subprocess(
-    const Instance& instance, CampaignRun run, const CampaignSpec& spec) const {
+    const Instance& instance, CampaignRun run, const CampaignSpec& spec,
+    const caft::CampaignOptions& campaign) const {
   const ExecutionPolicy& exec = options_.exec;
   CAFT_CHECK_MSG(!exec.worker_command.empty(),
                  "subprocess execution needs ExecutionPolicy::worker_command "
@@ -223,10 +225,6 @@ CampaignRun Session::evaluate_schedule_subprocess(
   instance.save(instance_path);
   obs::Registry::global().counter("campaign.instance.saves").add(1);
 
-  const double horizon = run.result.schedule.horizon();
-  const caft::CampaignOptions campaign = campaign_options(spec, horizon);
-  run.theta_bucket_width = campaign.theta_bucket_width;
-
   // Work-order template shared by every block.
   CampaignWorkOrder order;
   order.instance_path = instance_path;
@@ -239,7 +237,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
   order.threads = exec.worker_threads;
   order.block = options_.block;
   order.expect_makespan = run.result.makespan;
-  order.expect_horizon = horizon;
+  order.expect_horizon = run.result.schedule.horizon();
 
   // Contiguous blocks of the canonical scenario stream. The partition is
   // invisible in the summary (any partition folds to the same stream); it
@@ -253,30 +251,25 @@ CampaignRun Session::evaluate_schedule_subprocess(
   for (std::size_t first = 0; first < spec.replays; first += chunk)
     blocks.push_back({first, std::min(chunk, spec.replays - first)});
 
-  // Streaming fold state (PR 7). Completed partials enter a reorder window
-  // keyed by block index; whenever the window holds the fold frontier
-  // (next_to_fold), that block folds into the single accumulator and is
-  // freed. Claims are gated on the same frontier — a dispatcher may only
-  // claim block b while b < next_to_fold + window — so at any instant the
-  // blocks past the frontier (in a worker, in the window, or both) number
-  // at most `window`: coordinator memory is O(window × block), never
-  // O(replays). Deadlock-free because claims are monotone and a claimed
-  // block either folds (advancing the frontier and waking waiters) or
-  // fails the campaign (also waking waiters): the frontier block is always
-  // claimed and always progressing.
-  //
-  // The fold itself is byte-identical to the buffered coordinator and to
-  // an in-process run by construction: records still fold in canonical
-  // scenario order, only *when* each block folds changed.
+  // Streaming fold state. Completed partials enter a reorder window keyed
+  // by block index; whenever the window holds the fold frontier
+  // (next_to_fold), that block goes to the campaign's CampaignFold — the
+  // one an in-process run uses, so the summary and any early stop are
+  // byte-identical to that run — and is freed. Claims are gated on the
+  // same frontier — a dispatcher may only claim block b while
+  // b < next_to_fold + window — so at any instant the blocks past the
+  // frontier (in a worker, in the window, or both) number at most
+  // `window`: coordinator memory is O(window × block), never O(replays).
+  // Deadlock-free because claims are monotone and a claimed block either
+  // folds (advancing the frontier and waking waiters) or fails the
+  // campaign (also waking waiters): the frontier block is always claimed
+  // and always progressing.
   const std::size_t window =
       exec.reorder_window > 0
           ? exec.reorder_window
           : std::max<std::size_t>(2 * exec.n_workers, 4);
-  const auto sampler = spec.sampler.build(instance.proc_count());
-  caft::CampaignAccumulator accumulator(run.result.schedule.eps(),
-                                        spec.quantiles);
-  accumulator.set_sampler_name(sampler->name());
-  run.telemetry = {};
+  caft::CampaignFold fold(run.result.schedule.eps(),
+                          spec.sampler.name(instance.proc_count()), campaign);
 
   std::mutex fold_mutex;  ///< guards everything in this block
   std::condition_variable fold_cv;
@@ -285,17 +278,14 @@ CampaignRun Session::evaluate_schedule_subprocess(
   std::size_t next_to_claim = 0;  ///< first block not yet claimed
   std::size_t window_peak = 0;    ///< most blocks `reorder` ever held
   std::size_t blocks_buffered = 0;  ///< completions that had to wait
-  std::size_t folded_replays = 0;
-  std::size_t folded_successes = 0;
   double worker_replay_seconds = 0.0;
-  bool stop = false;  ///< early stop: target CI width reached
   std::atomic<bool> failed{false};
   std::string error;
 
   // Observability is strictly write-only: the registry is disabled unless a
   // consumer turned it on, spans/counters never steer dispatch, and the
-  // progress callback fires under the fold mutex with canonical-prefix
-  // counts (monotone by construction).
+  // fold fires the progress callback under the fold mutex with
+  // canonical-prefix counts (monotone by construction).
   obs::Registry& registry = obs::Registry::global();
   obs::Span coordinator_span = registry.span("campaign.subprocess", order.algorithm);
   obs::Span fold_span = registry.span("campaign.fold");
@@ -312,62 +302,48 @@ CampaignRun Session::evaluate_schedule_subprocess(
   const auto claim = [&]() -> std::size_t {
     std::unique_lock<std::mutex> lock(fold_mutex);
     fold_cv.wait(lock, [&] {
-      return failed.load() || stop || next_to_claim >= blocks.size() ||
+      return failed.load() || fold.stopped() ||
+             next_to_claim >= blocks.size() ||
              next_to_claim < next_to_fold + window;
     });
-    if (failed.load() || stop || next_to_claim >= blocks.size())
+    if (failed.load() || fold.stopped() || next_to_claim >= blocks.size())
       return blocks.size();
     return next_to_claim++;
   };
 
   // Hand a completed block to the reorder window and drain the fold
-  // frontier. Folding under the mutex is deliberate: the accumulator is a
+  // frontier. Folding under the mutex is deliberate: the fold is a
   // strictly sequential structure, and a fold step is microseconds next to
-  // the subprocess replay that produced the block.
+  // the subprocess replay that produced the block. Once the fold has
+  // stopped, blocks that were already claimed still drain the window, but
+  // their records are discarded.
   const auto complete = [&](std::size_t b, CampaignPartialResult partial) {
     const std::lock_guard<std::mutex> lock(fold_mutex);
     if (b != next_to_fold) ++blocks_buffered;
     reorder.emplace(b, std::move(partial));
     window_peak = std::max(window_peak, reorder.size());
-    bool advanced = false;
     for (auto it = reorder.find(next_to_fold); it != reorder.end();
          it = reorder.find(next_to_fold)) {
       const CampaignPartialResult& ready = it->second;
-      for (const caft::ReplayRecord& record : ready.records)
-        caft::fold_replay_record(accumulator, record);
-      folded_replays += ready.count;
-      folded_successes += ready.successes;
-      // Telemetry sums across workers (snapshots are per-engine: max —
-      // every worker builds the same engine).
-      run.telemetry.memo_lookups += ready.telemetry.memo_lookups;
-      run.telemetry.memo_hits += ready.telemetry.memo_hits;
-      run.telemetry.memo_evictions += ready.telemetry.memo_evictions;
-      run.telemetry.memo_entries += ready.telemetry.memo_entries;
-      run.telemetry.snapshots =
-          std::max(run.telemetry.snapshots, ready.telemetry.snapshots);
-      if (ready.timing.present)
-        worker_replay_seconds += ready.timing.replay_seconds;
+      if (!fold.stopped()) {
+        // Telemetry sums across workers (snapshots are per-engine: max —
+        // every worker builds the same engine).
+        caft::CampaignTelemetry& telemetry = fold.telemetry();
+        telemetry.memo_lookups += ready.telemetry.memo_lookups;
+        telemetry.memo_hits += ready.telemetry.memo_hits;
+        telemetry.memo_evictions += ready.telemetry.memo_evictions;
+        telemetry.memo_entries += ready.telemetry.memo_entries;
+        telemetry.snapshots =
+            std::max(telemetry.snapshots, ready.telemetry.snapshots);
+        ++telemetry.blocks;
+        if (ready.timing.present)
+          worker_replay_seconds += ready.timing.replay_seconds;
+        fold.add(ready.records.data(), ready.records.size());
+      }
       reorder.erase(it);
       ++next_to_fold;
-      advanced = true;
     }
-    if (!advanced) return;
-    const caft::WilsonInterval ci =
-        caft::wilson_interval(folded_successes, folded_replays);
-    if (spec.target_ci_width > 0.0 && !stop && folded_replays > 0 &&
-        ci.high - ci.low <= spec.target_ci_width)
-      stop = true;  // already-claimed blocks still finish and fold
-    if (options_.on_progress) {
-      caft::CampaignProgress progress;
-      progress.replays_done = folded_replays;
-      progress.replays_total = spec.replays;
-      progress.successes = folded_successes;
-      progress.memo_lookups = run.telemetry.memo_lookups;
-      progress.memo_hits = run.telemetry.memo_hits;
-      progress.ci_width = ci.high - ci.low;
-      options_.on_progress(progress);
-    }
-    fold_cv.notify_all();  // frontier moved: gated claims may proceed
+    fold_cv.notify_all();  // frontier may have moved: gated claims proceed
   };
 
   // One dispatcher thread per worker slot: claim a block, spawn a worker
@@ -460,49 +436,35 @@ CampaignRun Session::evaluate_schedule_subprocess(
   const std::size_t dispatchers = std::min(exec.n_workers, blocks.size());
   caft::run_on_threads(dispatchers, dispatch);
   if (failed.load()) throw caft::CheckError(error);
-  // Every claimed block folded: claims are monotone, so the folded set is
-  // the contiguous canonical prefix [0, next_to_claim) — the invariant
-  // that makes an early-stopped summary a truncated-campaign summary, not
-  // a subsampled one.
+  // Every claimed block drained: claims are monotone, so the fold saw the
+  // contiguous canonical prefix [0, next_to_claim) and kept the part up to
+  // its stopping point — the invariant that makes an early-stopped summary
+  // a truncated-campaign summary, not a subsampled one.
   CAFT_CHECK_MSG(next_to_fold == next_to_claim && reorder.empty(),
                  "streaming fold frontier did not drain");
-  run.summary = accumulator.summary();
+  run.summary = fold.summary();
   fold_span.finish();
 
   // Execution-shape telemetry: same fields the in-process backend reports,
   // so a CampaignRun reads identically whichever backend produced it.
   const std::chrono::duration<double> campaign_elapsed =
       std::chrono::steady_clock::now() - campaign_begin;
-  run.telemetry.replays = folded_replays;
-  run.telemetry.blocks = next_to_fold;
-  run.telemetry.workers = dispatchers;
-  run.telemetry.worker_retries = retries_total.load();
-  run.telemetry.wall_seconds = campaign_elapsed.count();
-  run.telemetry.fold_window_peak = window_peak;
+  caft::CampaignTelemetry& telemetry = fold.telemetry();
+  telemetry.workers = dispatchers;
+  telemetry.worker_retries = retries_total.load();
+  telemetry.wall_seconds = campaign_elapsed.count();
+  telemetry.fold_window_peak = window_peak;
+  run.telemetry = telemetry;
   coordinator_span.finish();
 
   // Worker processes run with *their* registries disabled, so the
-  // coordinator is the single place their counters reach this process's
-  // metrics — no double counting with the in-process path, which folds
-  // inside run_campaign instead.
+  // coordinator's fold is the single place their counters reach this
+  // process's metrics.
+  fold.export_metrics();
   if (registry.enabled()) {
-    registry.counter("campaign.replays").add(folded_replays);
-    registry.counter("campaign.blocks").add(next_to_fold);
     registry.gauge("campaign.fold.window_peak")
         .set(static_cast<double>(window_peak));
     registry.counter("campaign.fold.blocks_buffered").add(blocks_buffered);
-    registry.counter("campaign.memo.lookups").add(run.telemetry.memo_lookups);
-    registry.counter("campaign.memo.hits").add(run.telemetry.memo_hits);
-    registry.counter("campaign.memo.evictions")
-        .add(run.telemetry.memo_evictions);
-    registry.gauge("campaign.memo.entries")
-        .set(static_cast<double>(run.telemetry.memo_entries));
-    registry.gauge("campaign.snapshots")
-        .set(static_cast<double>(run.telemetry.snapshots));
-    if (campaign_elapsed.count() > 0.0)
-      registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(folded_replays) /
-               campaign_elapsed.count());
     if (worker_replay_seconds > 0.0)
       registry.gauge("campaign.worker.replay_seconds_total")
           .set(worker_replay_seconds);
@@ -535,18 +497,9 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
                    "(horizon mismatch — mixed worker binaries?)");
 
   const auto sampler = order.spec.sampler.build(instance.proc_count());
-  caft::CampaignOptions campaign;
-  campaign.replays = order.spec.replays;
-  campaign.seed = order.spec.seed;
-  campaign.quantiles = order.spec.quantiles;
-  campaign.threads = order.threads;
-  campaign.block = order.block;
-  campaign.exact = order.spec.exact;
-  // The shared derivation (CampaignSpec::theta_bucket_width) — horizon is
-  // pinned above, so the width matches the coordinator's bit-for-bit (and
-  // like the coordinator, an exact campaign never derives one).
-  campaign.theta_bucket_width =
-      order.spec.exact ? 0.0 : order.spec.theta_bucket_width(horizon);
+  // The horizon is pinned above, so these options match the coordinator's.
+  const caft::CampaignOptions campaign =
+      campaign_options(order.spec, horizon, order.threads, order.block);
 
   // Stream the partial document: header up front, each completed wave's
   // records the moment they exist, the mergeable fold state (`counts`) and

@@ -20,8 +20,9 @@
 /// Session's `ExecutionPolicy` either runs it in this process or fans its
 /// scenario stream out to worker processes (see api/campaign_wire.hpp for
 /// the protocol) — the deterministic split-stream contract makes the
-/// results placement-independent, and the coordinator's canonical-order
-/// fold makes them *byte-identical* to in-process runs. A batch is a loop
+/// records placement-independent, and both backends fold them through one
+/// caft::CampaignFold in canonical order, which makes reports — early
+/// stops included — *byte-identical* to in-process runs. A batch is a loop
 /// over `evaluate`; another execution policy is another Session.
 #pragma once
 
@@ -109,27 +110,25 @@ struct CampaignSpec {
   bool exact = false;
   /// Early stopping: stop once the Wilson 95% interval around the folded
   /// prefix's success rate is at most this wide (0 = off, run all
-  /// replays). The summary then covers a *contiguous canonical prefix* of
-  /// the scenario stream. Where the cut lands differs by backend: the
-  /// in-process backend checks at wave boundaries, so its stopping point
-  /// is a deterministic function of (seed, SessionOptions::block) — this
-  /// is what the campaign server relies on for byte-identical early-
-  /// stopped reports. The subprocess backend checks as blocks fold, so its
-  /// stopping point additionally depends on worker completion timing —
-  /// deterministic per stopping point, but intentionally NOT byte-
-  /// identical across runs or backends.
+  /// replays; otherwise inside (0, 1)). The summary then covers a
+  /// *contiguous canonical prefix* of the scenario stream. Both backends
+  /// fold through one caft::CampaignFold, which checks after every
+  /// SessionOptions::block records, so the stopping point is a
+  /// deterministic function of (seed, block): byte-identical across
+  /// threads, backends, worker counts and wire block sizes.
   double target_ci_width = 0.0;
   /// Forwarded to every scheduler (ε/model overrides, algorithm knobs).
   ScheduleRequest request;
 
   /// The bucket width theta_buckets implies for a schedule of this
-  /// horizon (0 when theta_buckets == 0). The *single* derivation both the
-  /// in-process path and the subprocess worker use — the width changes
-  /// replay results, so the two sides must agree bit-for-bit. Throws
+  /// horizon (0 when theta_buckets == 0 or exact is set). The *single*
+  /// derivation the in-process path, the subprocess worker and the
+  /// campaign server's template cache use — the width changes replay
+  /// results, so every side must agree bit-for-bit. Throws
   /// caft::CheckError when buckets are requested for a zero or non-finite
-  /// horizon (empty or fully-dead schedule): no meaningful width is
-  /// derivable, so the caller must take the exact path instead of
-  /// silently replaying with 0-width buckets.
+  /// horizon (empty or fully-dead schedule) of a non-exact spec: no
+  /// meaningful width is derivable, so the caller must take the exact path
+  /// instead of silently replaying with 0-width buckets.
   [[nodiscard]] double theta_bucket_width(double schedule_horizon) const;
 };
 
@@ -199,14 +198,16 @@ struct ExecutionPolicy {
 struct SessionOptions {
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env).
   std::size_t threads = 0;
-  /// Replays simulated per parallel wave; bounds peak memory.
+  /// Replays simulated per parallel wave; bounds peak memory. With a
+  /// target CI width it is also the early-stop check interval, so it then
+  /// joins the summary-relevant knobs (CampaignSpec::target_ci_width).
   std::size_t block = 1024;
   /// Where campaigns run: this process or a pool of worker processes.
   ExecutionPolicy exec;
-  /// Live progress callback, invoked from the coordinating thread after
-  /// each folded wave (in-process) or each advance of the streaming fold
-  /// frontier (subprocess) — counts are always of the *folded canonical
-  /// prefix*, so they are monotone at any worker count. Purely
+  /// Live progress callback, fired by the campaign's CampaignFold after
+  /// each folded wave (in-process) or worker block (subprocess) — counts
+  /// are always of the *folded canonical prefix*, so they are monotone at
+  /// any worker count. Purely
   /// observational: summaries are identical whether it is set or not, and
   /// it must never be used to steer the campaign (the one sanctioned
   /// feedback, --target-ci-width early stopping, lives in CampaignSpec).
@@ -272,15 +273,13 @@ class Session {
       const caft::ReplayEngine* replay_template) const;
 
  private:
-  [[nodiscard]] caft::CampaignOptions campaign_options(
-      const CampaignSpec& spec, double schedule_horizon) const;
-
   /// The subprocess coordinator behind evaluate_schedule: saves a scratch
   /// copy of the instance for the work orders, then blocks, workers,
-  /// retries, canonical-order fold (api/session.cpp has the details).
+  /// retries and the reorder window feeding one CampaignFold built from
+  /// `campaign` (api/session.cpp has the details).
   [[nodiscard]] CampaignRun evaluate_schedule_subprocess(
-      const Instance& instance, CampaignRun run,
-      const CampaignSpec& spec) const;
+      const Instance& instance, CampaignRun run, const CampaignSpec& spec,
+      const caft::CampaignOptions& campaign) const;
 
   SessionOptions options_;
 };

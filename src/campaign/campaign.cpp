@@ -52,16 +52,17 @@ using CrashTimesMap =
 /// contiguous replays [first, first + count) of the canonical scenario
 /// stream in bounded waves and hands each wave's records — in canonical
 /// replay order — to `sink(records, wave_size)`; a sink that returns false
-/// stops the range after its wave (run_campaign's --target-ci-width early
-/// stopping). The stream position is a function of (seed, first) alone: the
-/// master Rng is advanced one split per replay, so any block of any
-/// partition draws exactly the scenarios the full campaign would have drawn
-/// at those indices.
+/// stops the range after its wave (the fold's early stop). The stream
+/// position is a function of (seed, first) alone: the master Rng is
+/// advanced one split per replay, so any block of any partition draws
+/// exactly the scenarios the full campaign would have drawn at those
+/// indices. The record-cache and execution-shape counters accumulate into
+/// `telemetry` as the range runs.
 template <typename Sink>
 void run_replay_range(const Schedule& schedule, const CostModel& costs,
                       const ScenarioSampler& sampler,
                       const CampaignOptions& options, std::size_t first,
-                      std::size_t count, CampaignTelemetry* telemetry,
+                      std::size_t count, CampaignTelemetry& telemetry,
                       Sink&& sink) {
   CAFT_CHECK_MSG(sampler.proc_count() == schedule.platform().proc_count(),
                  "sampler platform size does not match the schedule");
@@ -81,8 +82,6 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   obs::Registry& registry = obs::Registry::global();
   obs::Span range_span = registry.span("campaign.range");
   obs::Histogram wave_seconds = registry.histogram("campaign.wave.seconds");
-  obs::Counter replays_counter = registry.counter("campaign.replays");
-  obs::Counter waves_counter = registry.counter("campaign.blocks");
   const std::chrono::steady_clock::time_point range_begin =
       std::chrono::steady_clock::now();
 
@@ -131,11 +130,6 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   // One scratch per worker slot, persistent across waves: buffers survive,
   // so steady-state waves allocate nothing in the kernel.
   std::vector<ReplayEngine::Scratch> scratches(threads);
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t clears = 0;
-  std::size_t successes = 0;
-  std::size_t waves = 0;
   std::size_t done = 0;
   bool keep_going = true;
   while (done < count && keep_going) {
@@ -165,16 +159,16 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       records[i].failed_count = failed;
       const ReplayEngine::Canonical kind = engine->canonicalize(scenario, key);
       if (kind != ReplayEngine::Canonical::kUnique) {
-        ++lookups;
+        ++telemetry.memo_lookups;
         if (const auto hit = cache.find(key); hit != cache.end()) {
-          ++hits;
+          ++telemetry.memo_hits;
           records[i] = hit->second;
           records[i].failed_count = failed;
           continue;
         }
         const auto [earlier, fresh] = wave_misses.try_emplace(key, i);
         if (!fresh) {
-          ++hits;
+          ++telemetry.memo_hits;
           copies.emplace_back(i, earlier->second);
           continue;
         }
@@ -209,7 +203,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     for (std::size_t j = 0; j < miss_draws.size(); ++j) {
       if (cache.size() >= kRecordCacheCapacity) {
         cache.clear();
-        ++clears;
+        ++telemetry.memo_evictions;
       }
       cache.emplace(std::move(miss_keys[j]), records[miss_draws[j]]);
     }
@@ -217,69 +211,24 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     miss_keys.clear();
     miss_draws.clear();
 
-    keep_going = sink(records, wave);
+    keep_going = sink(records.data(), wave);
     done += wave;
-    ++waves;
+    ++telemetry.blocks;
 
     wave_span.finish();
     const std::chrono::duration<double> wave_elapsed =
         std::chrono::steady_clock::now() - wave_begin;
     wave_seconds.observe(wave_elapsed.count());
-    replays_counter.add(wave);
-    waves_counter.add(1);
-    // The success tally and the progress callback never influence a replay.
-    if (options.on_progress) {
-      for (std::size_t i = 0; i < wave; ++i)
-        if (records[i].success) ++successes;
-      CampaignProgress progress;
-      progress.replays_done = done;
-      progress.replays_total = count;
-      progress.successes = successes;
-      const WilsonInterval ci = wilson_interval(successes, done);
-      progress.ci_width = ci.high - ci.low;
-      progress.memo_lookups = lookups;
-      progress.memo_hits = hits;
-      options.on_progress(progress);
-    }
   }
 
   const std::chrono::duration<double> range_elapsed =
       std::chrono::steady_clock::now() - range_begin;
   range_span.finish();
 
-  // Gather cache/snapshot counters once, for both the telemetry out-param
-  // and the registry fold (the registry fold happens only here for the
-  // in-process backend; the subprocess coordinator folds worker partials
-  // itself, so counts are never doubled).
-  CampaignTelemetry gathered;
-  gathered.memo_lookups = lookups;
-  gathered.memo_hits = hits;
-  gathered.memo_evictions = clears;
-  gathered.memo_entries = cache.size();
-  gathered.snapshots = engine->snapshot_count();
-  // `done`, not `count`: an early-stopped campaign executed (and folded)
-  // only the waves up to its stopping point.
-  gathered.replays = done;
-  gathered.blocks = waves;
-  gathered.workers = threads;
-  gathered.wall_seconds = range_elapsed.count();
-
-  if (registry.enabled()) {
-    registry.counter("campaign.memo.lookups").add(gathered.memo_lookups);
-    registry.counter("campaign.memo.hits").add(gathered.memo_hits);
-    registry.counter("campaign.memo.evictions").add(gathered.memo_evictions);
-    registry.gauge("campaign.memo.entries")
-        .set(static_cast<double>(gathered.memo_entries));
-    registry.gauge("campaign.snapshots")
-        .set(static_cast<double>(gathered.snapshots));
-    // The executed replays, not the requested `count`: an early-stopped
-    // campaign would otherwise over-report its rate.
-    if (gathered.wall_seconds > 0.0)
-      registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(gathered.replays) / gathered.wall_seconds);
-  }
-
-  if (telemetry != nullptr) *telemetry = gathered;
+  telemetry.memo_entries = cache.size();
+  telemetry.snapshots = engine->snapshot_count();
+  telemetry.workers = threads;
+  telemetry.wall_seconds = range_elapsed.count();
 }
 
 }  // namespace
@@ -295,54 +244,105 @@ void fold_replay_record(CampaignAccumulator& accumulator,
   accumulator.add(record.failed_count, result);
 }
 
+CampaignFold::CampaignFold(std::size_t eps, std::string sampler_name,
+                           const CampaignOptions& options)
+    : accumulator_(eps, options.quantiles),
+      total_(options.replays),
+      block_(options.block),
+      target_ci_width_(options.target_ci_width),
+      on_progress_(options.on_progress) {
+  CAFT_CHECK_MSG(target_ci_width_ == 0.0 ||
+                     (std::isfinite(target_ci_width_) &&
+                      target_ci_width_ > 0.0 && target_ci_width_ < 1.0),
+                 "target CI width must be in (0, 1)");
+  CAFT_CHECK_MSG(block_ > 0, "block size must be positive");
+  accumulator_.set_sampler_name(std::move(sampler_name));
+}
+
+bool CampaignFold::add(const ReplayRecord* records, std::size_t count) {
+  if (stopped_) return false;
+  // Fold up to the next block boundary of the stream, then apply the stop
+  // rule there: where the stream is cut into chunks never matters.
+  while (count > 0 && !stopped_) {
+    const std::size_t step =
+        target_ci_width_ > 0.0
+            ? std::min(count, block_ - accumulator_.replays() % block_)
+            : count;
+    for (std::size_t i = 0; i < step; ++i)
+      fold_replay_record(accumulator_, records[i]);
+    records += step;
+    count -= step;
+    if (target_ci_width_ > 0.0 && accumulator_.replays() % block_ == 0)
+      stopped_ = ci_width() <= target_ci_width_;
+  }
+  telemetry_.replays = accumulator_.replays();
+  if (on_progress_) {
+    CampaignProgress progress;
+    progress.replays_done = accumulator_.replays();
+    progress.replays_total = total_;
+    progress.successes = accumulator_.successes();
+    progress.memo_lookups = telemetry_.memo_lookups;
+    progress.memo_hits = telemetry_.memo_hits;
+    progress.ci_width = ci_width();
+    on_progress_(progress);
+  }
+  return !stopped_;
+}
+
+double CampaignFold::ci_width() const {
+  const WilsonInterval ci =
+      wilson_interval(accumulator_.successes(), accumulator_.replays());
+  return ci.high - ci.low;
+}
+
+void CampaignFold::export_metrics() const {
+  obs::Registry& registry = obs::Registry::global();
+  if (!registry.enabled()) return;
+  registry.counter("campaign.replays").add(telemetry_.replays);
+  registry.counter("campaign.blocks").add(telemetry_.blocks);
+  registry.counter("campaign.memo.lookups").add(telemetry_.memo_lookups);
+  registry.counter("campaign.memo.hits").add(telemetry_.memo_hits);
+  registry.counter("campaign.memo.evictions").add(telemetry_.memo_evictions);
+  registry.gauge("campaign.memo.entries")
+      .set(static_cast<double>(telemetry_.memo_entries));
+  registry.gauge("campaign.snapshots")
+      .set(static_cast<double>(telemetry_.snapshots));
+  // The folded replays, not the requested total: an early-stopped campaign
+  // would otherwise over-report its rate.
+  if (telemetry_.wall_seconds > 0.0)
+    registry.gauge("campaign.replays_per_second")
+        .set(static_cast<double>(telemetry_.replays) /
+             telemetry_.wall_seconds);
+}
+
 void run_campaign_block(
     const Schedule& schedule, const CostModel& costs,
     const ScenarioSampler& sampler, const CampaignOptions& options,
     std::size_t first, std::size_t count, CampaignTelemetry* telemetry,
     const std::function<void(const ReplayRecord* records,
                              std::size_t count)>& sink) {
-  run_replay_range(schedule, costs, sampler, options, first, count, telemetry,
-                   [&](const std::vector<ReplayRecord>& records,
-                       std::size_t wave) {
-                     sink(records.data(), wave);
+  CampaignTelemetry gathered;
+  run_replay_range(schedule, costs, sampler, options, first, count, gathered,
+                   [&](const ReplayRecord* records, std::size_t wave) {
+                     sink(records, wave);
                      return true;  // a block is a fixed slice: never stop
                    });
+  if (telemetry != nullptr) *telemetry = gathered;
 }
 
 CampaignSummary run_campaign(const Schedule& schedule, const CostModel& costs,
                              const ScenarioSampler& sampler,
                              const CampaignOptions& options,
                              CampaignTelemetry* telemetry) {
-  CAFT_CHECK_MSG(options.target_ci_width == 0.0 ||
-                     (std::isfinite(options.target_ci_width) &&
-                      options.target_ci_width > 0.0 &&
-                      options.target_ci_width < 1.0),
-                 "target CI width must be in (0, 1)");
-  CampaignAccumulator accumulator(schedule.eps(), options.quantiles);
-  accumulator.set_sampler_name(sampler.name());
-  // Fold in replay order, one wave at a time — memory stays O(block). With
-  // a target CI width the fold also answers "keep going?": the campaign
-  // stops after the first wave whose folded prefix satisfies the target, so
-  // the stopping point is a pure function of (seed, block) — wave
-  // boundaries are, and the prefix's records are, by the determinism
-  // contract above.
-  std::size_t done = 0;
-  std::size_t successes = 0;
+  CampaignFold fold(schedule.eps(), sampler.name(), options);
   run_replay_range(schedule, costs, sampler, options, 0, options.replays,
-                   telemetry,
-                   [&](const std::vector<ReplayRecord>& records,
-                       std::size_t wave) {
-                     for (std::size_t i = 0; i < wave; ++i)
-                       fold_replay_record(accumulator, records[i]);
-                     if (options.target_ci_width <= 0.0) return true;
-                     done += wave;
-                     for (std::size_t i = 0; i < wave; ++i)
-                       if (records[i].success) ++successes;
-                     const WilsonInterval ci =
-                         wilson_interval(successes, done);
-                     return ci.high - ci.low > options.target_ci_width;
+                   fold.telemetry(),
+                   [&fold](const ReplayRecord* records, std::size_t wave) {
+                     return fold.add(records, wave);
                    });
-  return accumulator.summary();
+  fold.export_metrics();
+  if (telemetry != nullptr) *telemetry = fold.telemetry();
+  return fold.summary();
 }
 
 }  // namespace caft

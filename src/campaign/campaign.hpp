@@ -23,6 +23,10 @@
 /// subprocess worker's half, streams each wave's records to a sink instead
 /// of returning the block, so a worker is bounded the same way.
 ///
+/// One fold: run_campaign (wave by wave) and the subprocess coordinator
+/// (api/session.cpp, block by block) feed the same CampaignFold, so the
+/// backends share one accumulator, stop rule, progress and metrics export.
+///
 /// Record cache: a draw whose scenario has a canonical form
 /// (ReplayEngine::canonicalize — a dead-from-start set, or θ-quantized
 /// crash times) is looked up in one bounded cache owned by the campaign's
@@ -39,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "campaign/scenario_sampler.hpp"
@@ -50,8 +55,9 @@ namespace caft {
 
 class ReplayEngine;  // sim/replay_engine.hpp (CampaignOptions hook below)
 
-/// Live progress of a campaign, delivered after each completed wave (or,
-/// for the subprocess backend, each folded block). Observability only:
+/// Live progress of a campaign, delivered by CampaignFold after each chunk
+/// it folds (a wave in-process, a worker block in the subprocess backend).
+/// Observability only:
 /// consumers may print heartbeats from it but must never feed it back into
 /// scheduling or replay decisions — the summary does not depend on whether
 /// anyone listens.
@@ -92,15 +98,15 @@ struct CampaignOptions {
   /// that runs the campaign (never from worker threads). Purely
   /// observational — the summary is identical whether it is set or not.
   std::function<void(const CampaignProgress&)> on_progress;
-  /// Early stopping: stop launching new waves once the Wilson 95% interval
-  /// around the folded prefix's success rate is at most this wide (0 = off,
-  /// run the full budget). Checked at wave boundaries after the wave folds,
-  /// so the stopping point — and therefore the summary — is a deterministic
-  /// function of (seed, block): still independent of threads, but `block`
-  /// joins the summary-relevant knobs whenever
-  /// this is set. Honoured by run_campaign only; run_campaign_block replays
-  /// its exact range regardless (a block is a fixed slice of someone
-  /// else's campaign).
+  /// Early stopping: stop once the Wilson 95% interval around the folded
+  /// prefix's success rate is at most this wide (0 = off, run the full
+  /// budget; otherwise inside (0, 1)). CampaignFold checks it after every
+  /// `block` records of the canonical stream, so the stopping point — and
+  /// therefore the summary — is a deterministic function of (seed, block)
+  /// for either backend: still independent of threads and workers, but
+  /// `block` joins the summary-relevant knobs whenever this is set.
+  /// run_campaign_block replays its exact range regardless (a block is a
+  /// fixed slice of someone else's campaign).
   double target_ci_width = 0.0;
   /// Replay-template reuse hook for services that cache ReplayEngines
   /// across campaigns (the campaign server): a non-null engine — built from
@@ -160,11 +166,50 @@ struct ReplayRecord {
   std::size_t failed_count = 0;  ///< processors the scenario crashed
 };
 
-/// Folds one record into `accumulator` — the single fold step shared by
-/// run_campaign and the process-scale-out coordinator, so both produce the
-/// same summary from the same record stream.
+/// Folds one record into `accumulator` — the fold step of CampaignFold.
 void fold_replay_record(CampaignAccumulator& accumulator,
                         const ReplayRecord& record);
+
+/// The fold of one campaign's record stream, fed in canonical replay order
+/// in chunks of any size: the summary, the stopping point (see
+/// CampaignOptions::target_ci_width) and the exported counters depend on
+/// the stream alone. Records past the stopping point are discarded.
+class CampaignFold {
+ public:
+  /// `eps` is the schedule's supported failure count. Throws CheckError
+  /// unless options.target_ci_width is 0 or inside (0, 1).
+  CampaignFold(std::size_t eps, std::string sampler_name,
+               const CampaignOptions& options);
+
+  /// Folds the next `count` records of the stream and fires
+  /// options.on_progress. Returns false once the fold has stopped; records
+  /// handed in after that are ignored.
+  bool add(const ReplayRecord* records, std::size_t count);
+
+  [[nodiscard]] bool stopped() const { return stopped_; }
+  /// The fold keeps `replays`; the backend adds the record-cache and
+  /// execution-shape counters, which progress and export_metrics read.
+  [[nodiscard]] CampaignTelemetry& telemetry() { return telemetry_; }
+  [[nodiscard]] CampaignSummary summary() const {
+    return accumulator_.summary();
+  }
+  /// Writes campaign.replays, campaign.blocks, campaign.memo.*,
+  /// campaign.snapshots and campaign.replays_per_second to the global obs
+  /// registry (a no-op when it is disabled). Call once, at the end.
+  void export_metrics() const;
+
+ private:
+  /// Width of the Wilson 95% interval of the folded prefix.
+  [[nodiscard]] double ci_width() const;
+
+  CampaignAccumulator accumulator_;
+  CampaignTelemetry telemetry_;
+  std::size_t total_;
+  std::size_t block_;
+  double target_ci_width_;
+  std::function<void(const CampaignProgress&)> on_progress_;
+  bool stopped_ = false;
+};
 
 /// Runs the contiguous replays [first, first + count) of the campaign's
 /// canonical scenario stream (the stream run_campaign draws for the same
@@ -183,8 +228,8 @@ void run_campaign_block(
         sink);
 
 /// Runs `options.replays` crash replays of `schedule` under scenarios drawn
-/// from `sampler` and returns the folded summary. `telemetry`, when
-/// non-null, receives memo/snapshot counters.
+/// from `sampler` into one CampaignFold and returns its summary.
+/// `telemetry`, when non-null, receives the fold's telemetry.
 [[nodiscard]] CampaignSummary run_campaign(const Schedule& schedule,
                                            const CostModel& costs,
                                            const ScenarioSampler& sampler,

@@ -144,6 +144,10 @@ class CampaignAccumulator {
   void add(std::size_t failed_count, const CrashResult& result);
 
   [[nodiscard]] CampaignSummary summary() const;
+  /// Replays and successes folded so far — the Wilson inputs, without the
+  /// cost of a whole summary().
+  [[nodiscard]] std::size_t replays() const { return running_.replays; }
+  [[nodiscard]] std::size_t successes() const { return running_.successes; }
   void set_sampler_name(std::string name) { sampler_ = std::move(name); }
 
  private:

@@ -48,10 +48,10 @@ CampaignServer::CampaignServer(ServerOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       admission_(options_.max_inflight, options_.queue_limit) {
-  // The byte-identity guarantee needs in-process determinism (wave-boundary
-  // early stopping) and a place to plug the cached replay template; the
-  // subprocess backend offers neither. A deployment that wants process
-  // fan-out runs workers behind the server, not inside it.
+  // The cached replay template plugs into an in-process campaign only: the
+  // subprocess backend's engines live in its worker processes. A
+  // deployment that wants process fan-out runs workers behind the server,
+  // not inside it.
   CAFT_CHECK_MSG(
       options_.session.exec.mode == ExecutionPolicy::Mode::kInProcess,
       "the campaign server requires an in-process Session execution policy");
@@ -108,11 +108,9 @@ void CampaignServer::handle(const CampaignRequest& request,
         cache_.schedule(instance, content_hash, algorithm, spec.request);
     ScheduleResult result = cached->result;  // the run carries its own copy
 
-    // The same width derivation campaign_options uses — the template cache
-    // key must match what the campaign will actually replay with.
-    const double width =
-        spec.exact ? 0.0
-                   : spec.theta_bucket_width(result.schedule.horizon());
+    // The same width derivation the campaign uses — the template cache key
+    // must match what the campaign will actually replay with.
+    const double width = spec.theta_bucket_width(result.schedule.horizon());
     const std::shared_ptr<const ContentCache::CachedTemplate>
         replay_template = cache_.replay_template(cached, width, spec.exact);
 

@@ -11,9 +11,9 @@
 /// hit or miss, cold or warm, alone or under concurrent mixed load. It
 /// holds because every cached artifact is content-addressed (nothing about
 /// request order or client identity reaches a key), the replay template is
-/// speed-only by the engine's purity contract, and in-process
-/// --target-ci-width early stopping cuts at a wave boundary that is a
-/// deterministic function of (seed, SessionOptions::block).
+/// speed-only by the engine's purity contract, and --target-ci-width early
+/// stopping cuts at a point that is a deterministic function of (seed,
+/// SessionOptions::block).
 /// tests/test_campaign_server.cpp and the CI smoke legs enforce it.
 ///
 /// Admission control: at most `max_inflight` requests evaluate at once;
@@ -59,10 +59,8 @@ struct ServerOptions {
   /// Requests allowed to wait for a slot before rejection.
   std::size_t queue_limit = 8;
   /// Execution policy of the wrapped Session. Must be in-process
-  /// (ExecutionPolicy::Mode::kInProcess) — the byte-identity guarantee
-  /// leans on in-process early-stopping determinism, and the replay
-  /// template cache has nowhere to go in a worker process. Checked at
-  /// construction.
+  /// (ExecutionPolicy::Mode::kInProcess) — the replay template cache has
+  /// nowhere to go in a worker process. Checked at construction.
   SessionOptions session;
 };
 

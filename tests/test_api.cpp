@@ -477,6 +477,11 @@ TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {
       (void)spec.theta_bucket_width(std::numeric_limits<double>::quiet_NaN()),
       caft::CheckError);
   EXPECT_DOUBLE_EQ(spec.theta_bucket_width(16.0), 1.0);
+  // An exact spec derives no width either, so a degenerate horizon is
+  // fine: exact is the escape hatch the error message points at.
+  CampaignSpec exact = spec;
+  exact.exact = true;
+  EXPECT_NO_THROW(EXPECT_EQ(exact.theta_bucket_width(0.0), 0.0));
   // No buckets, no width — degenerate horizons are fine then.
   spec.theta_buckets = 0;
   EXPECT_DOUBLE_EQ(spec.theta_bucket_width(0.0), 0.0);

@@ -425,6 +425,56 @@ TEST(Campaign, BlockPartitionReproducesRecordStream) {
   EXPECT_EQ(reference.sampler, folded.sampler);
 }
 
+// CampaignFold is chunking-blind: one record stream fed record by record,
+// in chunks of 7 and whole must fold to the same summary and stop at the
+// same point — a multiple of `block` — with every later record discarded.
+TEST(CampaignFold, ChunkingChangesNeitherSummaryNorStopPoint) {
+  std::vector<ReplayRecord> stream(1000);
+  Rng rng(77);
+  for (ReplayRecord& record : stream) {
+    record.success = rng.uniform01() < 0.7;
+    record.latency = record.success ? 100.0 + 50.0 * rng.uniform01() : 0.0;
+    record.delivered_messages = static_cast<std::size_t>(rng.uniform01() * 40);
+    record.failed_count = static_cast<std::size_t>(rng.uniform01() * 4);
+  }
+  for (const double target : {0.0, 0.2}) {
+    CampaignOptions options;
+    options.replays = stream.size();
+    options.block = 10;
+    options.target_ci_width = target;
+    std::vector<std::size_t> progress_done;
+    options.on_progress = [&](const CampaignProgress& progress) {
+      progress_done.push_back(progress.replays_done);
+    };
+    const auto fold_in_chunks = [&](std::size_t chunk) {
+      CampaignFold fold(1, "synthetic", options);
+      for (std::size_t first = 0; first < stream.size(); first += chunk)
+        fold.add(stream.data() + first,
+                 std::min(chunk, stream.size() - first));
+      return std::make_pair(fold.summary(), fold.telemetry().replays);
+    };
+    const auto [whole, whole_replays] = fold_in_chunks(stream.size());
+    EXPECT_EQ(whole.replays, whole_replays);
+    if (target > 0.0) {
+      EXPECT_LT(whole.replays, stream.size());
+      EXPECT_EQ(whole.replays % options.block, 0u);
+      EXPECT_LE(whole.success_ci.high - whole.success_ci.low, target);
+    } else {
+      EXPECT_EQ(whole.replays, stream.size());
+    }
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+      progress_done.clear();
+      const auto [chunked, chunked_replays] = fold_in_chunks(chunk);
+      expect_summaries_identical(whole, chunked,
+                                 "chunk=" + std::to_string(chunk));
+      EXPECT_EQ(chunked_replays, whole_replays);
+      // Progress fires per chunk the fold kept, never past the stop point.
+      ASSERT_FALSE(progress_done.empty());
+      EXPECT_EQ(progress_done.back(), whole.replays);
+    }
+  }
+}
+
 // Proposition 5.2: a schedule built for ε failures survives *every* crash
 // set of at most ε processors — so a uniform-k campaign with k <= ε must
 // report an empirical success rate of exactly 1.

@@ -456,26 +456,39 @@ TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
   CampaignSpec spec = lifetime_spec(2000);
   spec.target_ci_width = 0.15;  // reached after a few hundred replays
 
-  SessionOptions options;
-  options.exec = ExecutionPolicy::subprocess(cli, 2);
-  options.exec.block_replays = 50;
-  const Session session(options);
-  const CampaignRun run = session.evaluate(instance, spec).runs[0];
-
-  // Stopped early, on a block boundary (claims are whole blocks)...
-  const std::size_t folded = run.summary.replays;
+  // The stop rule is checked every `block` records of the canonical
+  // stream, whichever backend folds it. Wire blocks of 50 do not line up
+  // with the 64-record check points, so the fold must cut inside a block
+  // and discard the rest of it, and of every block claimed after it.
+  SessionOptions in_process;
+  in_process.block = 64;
+  const CampaignRun reference = Session(in_process).evaluate(instance, spec)
+                                    .runs[0];
+  const std::size_t folded = reference.summary.replays;
   EXPECT_LT(folded, spec.replays);
-  EXPECT_GE(folded, 50u);
-  EXPECT_EQ(folded % 50, 0u);
-  EXPECT_EQ(run.telemetry.replays, folded);
-  // ...and the folded set is the contiguous canonical prefix [0, folded):
-  // an in-process campaign of exactly that many replays is byte-identical.
-  // (This is what makes early stopping a *truncated* campaign rather than
-  // a subsampled one.)
+  EXPECT_GE(folded, 64u);
+  EXPECT_EQ(folded % in_process.block, 0u);
+  ASSERT_NE(folded % 50, 0u);  // the cut falls inside a wire block
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SessionOptions options = in_process;
+    options.exec = ExecutionPolicy::subprocess(cli, workers);
+    options.exec.block_replays = 50;
+    const CampaignRun run =
+        Session(options).evaluate(instance, spec).runs[0];
+    expect_summaries_identical(reference.summary, run.summary,
+                               "workers=" + std::to_string(workers));
+    EXPECT_EQ(run.telemetry.replays, folded);
+  }
+
+  // The folded set is the contiguous canonical prefix [0, folded): a
+  // campaign of exactly that many replays is byte-identical. (This is
+  // what makes early stopping a *truncated* campaign rather than a
+  // subsampled one.)
   CampaignSpec prefix = lifetime_spec(folded);
-  const CampaignSummary reference =
+  const CampaignSummary truncated =
       Session{}.evaluate(instance, prefix).runs[0].summary;
-  expect_summaries_identical(reference, run.summary);
+  expect_summaries_identical(truncated, reference.summary);
 }
 
 TEST(SessionSubprocess, FailsLoudlyAfterRetryBudget) {

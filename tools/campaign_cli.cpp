@@ -65,11 +65,9 @@
 /// --target-ci-width W (off by default) stops the campaign early once the
 /// Wilson 95% CI around the folded prefix's success rate is at most W
 /// wide; the summary then covers a contiguous canonical prefix of the
-/// scenario stream. In-process the cut lands at a wave boundary, a
-/// deterministic function of (--seed, the session block size) — reruns are
-/// byte-identical. On the subprocess backend the stopping point
-/// additionally depends on worker completion timing: deterministic per
-/// stopping point, intentionally NOT byte-identical across runs.
+/// scenario stream. The cut is checked every session block (1024 replays)
+/// of that stream, so it is a deterministic function of --seed: reports
+/// are byte-identical across runs, backends and --workers.
 ///
 /// --worker is the worker side of that protocol: read one serialized work
 /// order (api/campaign_wire.hpp) on stdin, replay the requested scenario

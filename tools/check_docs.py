@@ -14,8 +14,8 @@ Two checks over README.md and every docs/*.md:
 
 2.  Stale CLI examples. Inside fenced code blocks, lines that invoke one
     of the repo's binaries (campaign_cli, caft_cli, campaign_server,
-    campaign_client, campaign_throughput, ftsched_lint) have their
-    `--flag` tokens verified. A flag is accepted when it appears in the
+    campaign_client, ftsched_lint) have their `--flag` tokens verified.
+    A flag is accepted when it appears in the
     binary's `--help` output or, because the CLIs keep their usage text
     in the source header, in the tool's source file; anything found in
     neither is a renamed or removed option still advertised by the docs.
@@ -42,7 +42,6 @@ TOOL_SOURCES = {
     "caft_cli": "tools/caft_cli.cpp",
     "campaign_server": "tools/campaign_server.cpp",
     "campaign_client": "tools/campaign_client.cpp",
-    "campaign_throughput": "bench/campaign_throughput.cpp",
     "ftsched_lint": "tools/ftsched_lint.cpp",
 }
 
