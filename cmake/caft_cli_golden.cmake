@@ -6,7 +6,11 @@
 # One pinned instance (random family, m=10, granularity 1.0, seed 11) is
 # generated, then scheduled with *every* registered algorithm name at
 # eps=2; the concatenated schedule reports must match the committed golden
-# byte for byte. Regenerate with tools/regen_caft_cli_golden.sh after an
+# byte for byte. A second set of legs pins every schedule bit for bit: per
+# algorithm × topology {clique, ring} × model {oneport, macro}, the SHA-256
+# of the saved `--out` file (round-trip-exact times) must match
+# tests/golden/caft_cli_schedule_digests.txt. The ring legs cross
+# multi-hop routes. Regenerate with tools/regen_caft_cli_golden.sh after an
 # intentional change.
 if(NOT CLI OR NOT GOLDEN_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "caft_cli_golden.cmake needs -DCLI, -DGOLDEN_DIR and -DWORK_DIR")
@@ -70,4 +74,49 @@ if(NOT diff_rc EQUAL 0)
     "tools/regen_caft_cli_golden.sh <build-dir> and commit the result.")
 endif()
 
-message(STATUS "caft_cli schedule golden outputs match for: ${ALGOS}")
+set(DIGESTS "")
+foreach(topology clique ring)
+  execute_process(
+    COMMAND ${CLI} generate --family random --procs 10 --granularity 1.0
+            --seed 11 --topology ${topology} --out ${topology}.txt
+    OUTPUT_QUIET
+    RESULT_VARIABLE generate_rc
+    WORKING_DIRECTORY ${WORK_DIR})
+  if(NOT generate_rc EQUAL 0)
+    message(FATAL_ERROR
+      "caft_cli generate --topology ${topology} exited with ${generate_rc}")
+  endif()
+  foreach(model oneport macro)
+    foreach(algo ${ALGOS})
+      execute_process(
+        COMMAND ${CLI} schedule --in ${topology}.txt --algo ${algo} --eps 2
+                --model ${model} --out scheduled.txt
+        OUTPUT_QUIET
+        RESULT_VARIABLE algo_rc
+        WORKING_DIRECTORY ${WORK_DIR})
+      if(NOT algo_rc EQUAL 0)
+        message(FATAL_ERROR
+          "caft_cli schedule --algo ${algo} --model ${model} on ${topology} "
+          "exited with ${algo_rc}")
+      endif()
+      file(SHA256 ${WORK_DIR}/scheduled.txt digest)
+      string(APPEND DIGESTS "${algo} ${topology} ${model} ${digest}\n")
+    endforeach()
+  endforeach()
+endforeach()
+
+file(WRITE ${WORK_DIR}/caft_cli_schedule_digests.txt "${DIGESTS}")
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/caft_cli_schedule_digests.txt
+          ${GOLDEN_DIR}/caft_cli_schedule_digests.txt
+  RESULT_VARIABLE digest_rc)
+if(NOT digest_rc EQUAL 0)
+  message(FATAL_ERROR
+    "saved schedules differ from tests/golden/caft_cli_schedule_digests.txt "
+    "(this build's digests: ${WORK_DIR}/caft_cli_schedule_digests.txt).\n"
+    "If the change is intentional, regenerate with "
+    "tools/regen_caft_cli_golden.sh <build-dir> and commit the result.")
+endif()
+
+message(STATUS "caft_cli schedule golden outputs and digests match for: ${ALGOS}")

@@ -18,7 +18,7 @@
 /// requires a mask disjoint from the locked set, and locking covers the full
 /// committed mask. The ε+1 masks of every task are therefore pairwise
 /// disjoint, so ε arbitrary failures always leave one replica whose entire
-/// supply chain is alive (see DESIGN.md, "Key modelling decisions").
+/// supply chain is alive (see docs/architecture.md, "Modelling decisions").
 #pragma once
 
 #include "algo/list_core.hpp"
@@ -29,7 +29,7 @@
 
 namespace caft {
 
-/// Run counters for EXPERIMENTS.md's mechanism analyses.
+/// Run counters for the mechanism analyses (bench/ablation_one_to_one.cpp).
 struct CaftRunStats {
   std::size_t one_to_one_commits = 0;  ///< replicas placed by Algorithm 5.2
   std::size_t fallback_commits = 0;    ///< replicas placed receive-from-all
@@ -50,13 +50,13 @@ enum class CaftSupportMode {
   /// transitive entanglement is rare (the ablation bench quantifies it)
   /// and the paper's own experiments never hit it.
   kDirect,
-  /// Strengthened rule (DESIGN.md): every replica carries the full set of
-  /// processors its completion depends on; eligibility and locking use
-  /// those masks, and a per-channel budget keeps one unlocked host per
-  /// remaining replica. The resulting ε+1 supports are pairwise disjoint,
-  /// which makes Proposition 5.2 a theorem — at the cost of more
-  /// receive-from-all edges (and latency closer to FTSA) for large ε on
-  /// small platforms.
+  /// Strengthened rule (docs/architecture.md, "Modelling decisions"): every
+  /// replica carries the full set of processors its completion depends on;
+  /// eligibility and locking use those masks, and a per-channel budget
+  /// keeps one unlocked host per remaining replica. The resulting ε+1
+  /// supports are pairwise disjoint, which makes Proposition 5.2 a theorem
+  /// — at the cost of more receive-from-all edges (and latency closer to
+  /// FTSA) for large ε on small platforms.
   kTransitive,
 };
 
@@ -68,7 +68,7 @@ struct CaftOptions {
   bool one_to_one = true;
   /// See CaftSupportMode; defaults to the provably resistant rule (the
   /// adaptive channel construction keeps it ahead of FTSA and FTBAR on both
-  /// latency and messages at every ε — see EXPERIMENTS.md).
+  /// latency and messages at every ε — see bench/ablation_support_mode.cpp).
   CaftSupportMode support_mode = CaftSupportMode::kTransitive;
 };
 

@@ -5,10 +5,11 @@
 /// resources, why not consider say, 10 ready tasks, and assign all their
 /// replicas in the same decision making procedure?"
 ///
-/// Our interpretation (documented in DESIGN.md): a window of up to
-/// `batch_size` ready tasks is opened by priority; the replicas of all tasks
-/// in the window are committed one at a time, always picking the (task,
-/// placement) pair with the globally earliest finish time across the window.
+/// Our interpretation (docs/architecture.md, "Modelling decisions"): a
+/// window of up to `batch_size` ready tasks is opened by priority; the
+/// replicas of all tasks in the window are committed one at a time, always
+/// picking the (task, placement) pair with the globally earliest finish
+/// time across the window.
 /// Each task keeps its own CAFT state (locked set, B̄ heads, θ budget), so
 /// the fault-tolerance construction is untouched — only the commit order
 /// interleaves, which lets a lightly-loaded processor serve the batch's most

@@ -11,13 +11,14 @@
 /// finishing replica across a window of ready tasks.
 ///
 /// Channel construction generalizes Algorithm 5.2's singleton-processor
-/// heads (see DESIGN.md): an in-edge is single-sourced by the *eligible*
-/// predecessor replica (support mask disjoint from the locked set P̄) whose
-/// message would finish first on the links — co-located replicas serve for
-/// free — and falls back to receive-from-all only when no eligible sender
-/// exists ("greedily add extra communications"). Locking the committed
-/// channel's full support keeps the ε+1 supports pairwise disjoint, which is
-/// what makes Proposition 5.2 hold transitively.
+/// heads (see docs/architecture.md, "Modelling decisions"): an in-edge is
+/// single-sourced by the *eligible* predecessor replica (support mask
+/// disjoint from the locked set P̄) whose message would finish first on the
+/// links — co-located replicas serve for free — and falls back to
+/// receive-from-all only when no eligible sender exists ("greedily add
+/// extra communications"). Locking the committed channel's full support
+/// keeps the ε+1 supports pairwise disjoint, which is what makes
+/// Proposition 5.2 hold transitively.
 #pragma once
 
 #include <limits>

@@ -54,15 +54,17 @@ TaskTimes commit_with_mst(Placer& placer, const TaskGraph& graph, TaskId t,
 
   // What-if: place the duplicate, then the task, on a scratch engine state.
   const auto dup_plans = placer.receive_all_plans(parent, p);
-  const EngineSnapshot snap = placer.engine().snapshot();
-  const TaskTimes dup_what_if = placer.tentative(parent, p, dup_plans);
   auto rerouted = plans;
-  rerouted[critical].senders = {SenderOption{
-      ReplicaRef{parent, 0}, p, dup_what_if.finish}};  // ref fixed on commit
-  const TaskTimes with_dup = placer.tentative(t, p, rerouted);
-  placer.engine().restore(snap);
+  double with_dup_start = 0.0;
+  {
+    const CommEngine::Trial trial(placer.engine());
+    const TaskTimes dup_what_if = placer.tentative(parent, p, dup_plans);
+    rerouted[critical].senders = {SenderOption{
+        ReplicaRef{parent, 0}, p, dup_what_if.finish}};  // ref fixed on commit
+    with_dup_start = placer.tentative(t, p, rerouted).start;
+  }
 
-  if (with_dup.start + 1e-12 >= base.start)
+  if (with_dup_start + 1e-12 >= base.start)
     return placer.commit(t, r, p, plans);
 
   ReplicaIndex dup_index = 0;

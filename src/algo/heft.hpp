@@ -6,11 +6,12 @@
 /// the fault-free CAFT latency CAFT*.
 ///
 /// Two deliberate deviations from the 2002 paper, both documented in
-/// DESIGN.md: tasks are ordered by tℓ + bℓ (the priority all schedulers in
-/// this library share, per Section 5) rather than upward rank alone, and
-/// placement appends to the processor's timeline instead of using insertion
-/// slots — the one-port engine's free times are monotone clocks, exactly the
-/// accounting equations (4)-(6) define.
+/// docs/architecture.md, "Modelling decisions": tasks are ordered by tℓ + bℓ
+/// (the priority all schedulers in this library share, per Section 5)
+/// rather than upward rank alone, and placement appends to the processor's
+/// timeline instead of using insertion slots — the one-port engine's free
+/// times are monotone clocks, exactly the accounting equations (4)-(6)
+/// define.
 #pragma once
 
 #include "algo/list_core.hpp"

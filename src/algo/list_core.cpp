@@ -34,11 +34,8 @@ Placer::Placer(const TaskGraph& graph, const CostModel& costs,
 TaskTimes Placer::evaluate(TaskId t, ProcId p,
                            std::span<const IncomingPlan> plans,
                            std::vector<double>* first_arrivals) {
-  const EngineSnapshot snap = engine_->snapshot();
-  const TaskTimes times =
-      place(t, p, plans, /*commit_mode=*/false, ReplicaRef{t, 0}, first_arrivals);
-  engine_->restore(snap);
-  return times;
+  const CommEngine::Trial trial(*engine_);
+  return tentative(t, p, plans, first_arrivals);
 }
 
 TaskTimes Placer::tentative(TaskId t, ProcId p,
@@ -167,9 +164,6 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
                              ReplicaAssignment{p, times.start, times.finish});
     } else {
       // Duplicate slot was reserved up front; overwrite its times now.
-      // Schedule exposes no mutable access, so rebuild via const_cast-free
-      // path: duplicates are append-only, so we patch through a dedicated
-      // setter below.
       schedule_->patch_duplicate(t, as_replica.replica,
                                  ReplicaAssignment{p, times.start, times.finish});
     }

@@ -25,7 +25,8 @@
 /// plans contribute nothing beyond the host (any surviving predecessor copy
 /// feeds them); one-to-one plans add the chosen sender's own support. CAFT
 /// keeps the ε+1 masks of every task pairwise disjoint, which is what makes
-/// Proposition 5.2 hold transitively (see DESIGN.md).
+/// Proposition 5.2 hold transitively (see docs/architecture.md, "Modelling
+/// decisions").
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,9 @@ class Placer {
     return schedule_->platform().proc_count();
   }
 
-  /// Simulates placing a replica of `t` on `p`: posts the plan's messages,
-  /// reads start/finish, then rolls the engine back. O(m + links) per call.
+  /// Simulates placing a replica of `t` on `p`: posts the plan's messages
+  /// inside a CommEngine::Trial, reads start/finish, then rolls the engine
+  /// back. O(slots the trial touches) beyond the placement itself.
   /// When `first_arrivals` is non-null it receives, per plan, the earliest
   /// arrival among that plan's senders (FTBAR's critical-parent detection).
   [[nodiscard]] TaskTimes evaluate(TaskId t, ProcId p,
@@ -100,8 +102,8 @@ class Placer {
 
   /// Like evaluate() but leaves the engine mutated and records nothing in
   /// the schedule — building block for multi-step what-if analyses (e.g.
-  /// "duplicate the parent, then place the child"). Callers snapshot and
-  /// restore the engine themselves.
+  /// "duplicate the parent, then place the child"). The caller holds a
+  /// CommEngine::Trial.
   TaskTimes tentative(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
                       std::vector<double>* first_arrivals = nullptr);
 

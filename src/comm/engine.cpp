@@ -26,23 +26,28 @@ TaskTimes CommEngine::post_exec(ProcId p, double earliest_start,
   TaskTimes times;
   times.start = std::max(earliest_start, proc_ready_[p.index()]);
   times.finish = times.start + exec_time;
-  proc_ready_[p.index()] = times.finish;
+  write(proc_ready_, p.index(), times.finish);
   return times;
 }
 
-EngineSnapshot CommEngine::snapshot() const {
-  EngineSnapshot snap;
-  snap.proc_ready = proc_ready_;
-  return snap;
+void CommEngine::write(std::vector<double>& clocks, std::size_t i,
+                       double value) {
+  double& slot = clocks[i];
+  if (open_trials_ > 0) journal_.push_back({&slot, slot});
+  slot = value;
 }
 
-void CommEngine::restore(const EngineSnapshot& snap) {
-  CAFT_CHECK(snap.proc_ready.size() == proc_ready_.size());
-  proc_ready_ = snap.proc_ready;
+CommEngine::Trial::Trial(CommEngine& engine)
+    : engine_(&engine), mark_(engine.journal_.size()) {
+  ++engine.open_trials_;
 }
 
-void CommEngine::reset() {
-  std::fill(proc_ready_.begin(), proc_ready_.end(), 0.0);
+CommEngine::Trial::~Trial() {
+  auto& journal = engine_->journal_;
+  for (std::size_t i = journal.size(); i > mark_; --i)
+    *journal[i - 1].slot = journal[i - 1].old_value;
+  journal.resize(mark_);
+  --engine_->open_trials_;
 }
 
 }  // namespace caft

@@ -11,10 +11,12 @@
 ///    per equations (4) and (6).
 ///
 /// Schedulers *tentatively* place a task on every candidate processor, read
-/// the resulting finish time, and roll back; `snapshot()` / `restore()` make
-/// that cheap (the whole mutable state is a handful of time vectors; the
-/// paper: "the incoming communications are removed from the links before the
-/// procedure is repeated on the next processor").
+/// the resulting finish time, and roll back (the paper: "the incoming
+/// communications are removed from the links before the procedure is
+/// repeated on the next processor"). Every clock write goes through
+/// `CommEngine::write`, which journals the old value while a
+/// `CommEngine::Trial` is open; closing the trial puts back exactly the
+/// slots it touched, so an engine's rollback needs no code of its own.
 #pragma once
 
 #include <cstddef>
@@ -53,14 +55,6 @@ struct TaskTimes {
   double finish = 0.0;
 };
 
-/// Opaque copy of an engine's mutable state.
-struct EngineSnapshot {
-  std::vector<double> proc_ready;
-  std::vector<double> sending_free;
-  std::vector<double> receiving_free;
-  std::vector<double> link_ready;
-};
-
 /// Resource accounting interface shared by both platform models.
 class CommEngine {
  public:
@@ -94,18 +88,39 @@ class CommEngine {
   /// Processors run one task at a time: start = max(earliest_start, r(P)).
   TaskTimes post_exec(ProcId p, double earliest_start, double exec_time);
 
-  /// Copies the mutable state (O(m + links)).
-  [[nodiscard]] virtual EngineSnapshot snapshot() const;
-  /// Restores a state previously returned by snapshot().
-  virtual void restore(const EngineSnapshot& snap);
+  /// Scope of a trial placement: every clock written while it is open is
+  /// put back, in reverse order, when it closes. Trials nest; they must
+  /// close in the reverse order they opened.
+  class Trial {
+   public:
+    explicit Trial(CommEngine& engine);
+    ~Trial();
+    Trial(const Trial&) = delete;
+    Trial& operator=(const Trial&) = delete;
 
-  /// Resets every clock to zero (new scheduling run).
-  virtual void reset();
+   private:
+    CommEngine* engine_;
+    std::size_t mark_;  ///< journal length when the trial opened
+  };
 
  protected:
+  /// Sets `clocks[i] = value`, journaling the old value while a Trial is
+  /// open. The only way engines mutate their clocks; clock vectors are
+  /// sized in the constructor and never reallocate, so journaled slot
+  /// pointers stay valid.
+  void write(std::vector<double>& clocks, std::size_t i, double value);
+
   const Platform* platform_;
   const CostModel* costs_;
   std::vector<double> proc_ready_;
+
+ private:
+  struct JournalEntry {
+    double* slot;
+    double old_value;
+  };
+  std::vector<JournalEntry> journal_;
+  std::size_t open_trials_ = 0;
 };
 
 }  // namespace caft

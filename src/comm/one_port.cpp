@@ -35,8 +35,8 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
       segment_start + volume * costs().unit_delay(route.front());
   times.link_start = segment_start;
   times.send_finish = segment_finish;
-  sending_free_[from.index()] = segment_finish;
-  link_ready_[route.front().index()] = segment_finish;
+  write(sending_free_, from.index(), segment_finish);
+  write(link_ready_, route.front().index(), segment_finish);
   times.segments.push_back({route.front(), segment_start, segment_finish});
 
   // Intermediate hops (sparse-topology extension; empty loop on a clique).
@@ -45,7 +45,7 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
     const LinkId l = route[i];
     segment_start = std::max(segment_finish, link_ready_[l.index()]);
     segment_finish = segment_start + volume * costs().unit_delay(l);
-    link_ready_[l.index()] = segment_finish;
+    write(link_ready_, l.index(), segment_finish);
     last_segment_start = segment_start;
     times.segments.push_back({l, segment_start, segment_finish});
   }
@@ -58,7 +58,7 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
       std::max(receiving_free_[to.index()], last_segment_start);
   times.recv_start = reception_start;
   times.arrival = reception_start + reception_duration;
-  receiving_free_[to.index()] = times.arrival;
+  write(receiving_free_, to.index(), times.arrival);
   return times;
 }
 
@@ -92,31 +92,6 @@ double OnePortEngine::receiving_free(ProcId p) const {
 double OnePortEngine::link_ready(LinkId l) const {
   CAFT_CHECK(l.index() < link_ready_.size());
   return link_ready_[l.index()];
-}
-
-EngineSnapshot OnePortEngine::snapshot() const {
-  EngineSnapshot snap = CommEngine::snapshot();
-  snap.sending_free = sending_free_;
-  snap.receiving_free = receiving_free_;
-  snap.link_ready = link_ready_;
-  return snap;
-}
-
-void OnePortEngine::restore(const EngineSnapshot& snap) {
-  CommEngine::restore(snap);
-  CAFT_CHECK(snap.sending_free.size() == sending_free_.size());
-  CAFT_CHECK(snap.receiving_free.size() == receiving_free_.size());
-  CAFT_CHECK(snap.link_ready.size() == link_ready_.size());
-  sending_free_ = snap.sending_free;
-  receiving_free_ = snap.receiving_free;
-  link_ready_ = snap.link_ready;
-}
-
-void OnePortEngine::reset() {
-  CommEngine::reset();
-  std::fill(sending_free_.begin(), sending_free_.end(), 0.0);
-  std::fill(receiving_free_.begin(), receiving_free_.end(), 0.0);
-  std::fill(link_ready_.begin(), link_ready_.end(), 0.0);
 }
 
 }  // namespace caft

@@ -17,11 +17,12 @@
 /// overlap the wire transfer (cut-through: when every port is free, A = F),
 /// but two receptions at the same processor never overlap.
 ///
-/// Interpretation note (documented in DESIGN.md): equation (6) as printed
-/// keeps RF(P) fixed while walking the sorted predecessor list, which would
-/// let two receptions overlap, violating inequality (3). We therefore update
-/// RF(P) after every arrival — posting messages in the paper's sorted order
-/// reproduces its accounting while strictly enforcing (3).
+/// Interpretation note (docs/architecture.md, "Modelling decisions"):
+/// equation (6) as printed keeps RF(P) fixed while walking the sorted
+/// predecessor list, which would let two receptions overlap, violating
+/// inequality (3). We therefore update RF(P) after every arrival — posting
+/// messages in the paper's sorted order reproduces its accounting while
+/// strictly enforcing (3).
 ///
 /// On sparse topologies (Section 7 extension) a message crosses its route
 /// link by link: segment i may enter link l_i only after leaving l_{i-1},
@@ -51,10 +52,6 @@ class OnePortEngine final : public CommEngine {
   [[nodiscard]] double receiving_free(ProcId p) const;
   /// R(l): ready time of link l.
   [[nodiscard]] double link_ready(LinkId l) const;
-
-  [[nodiscard]] EngineSnapshot snapshot() const override;
-  void restore(const EngineSnapshot& snap) override;
-  void reset() override;
 
  private:
   std::vector<double> sending_free_;

@@ -7,7 +7,8 @@
 ///     whose endpoints are mapped on P_k and P_h.
 /// On sparse topologies d(P_k, P_h) is the sum of the per-link unit delays
 /// along the routing table's path (store-and-forward, documented in
-/// DESIGN.md); on the paper's clique it is exactly the direct link's delay.
+/// docs/architecture.md, "Modelling decisions"); on the paper's clique it
+/// is exactly the direct link's delay.
 #pragma once
 
 #include <cstddef>

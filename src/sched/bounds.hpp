@@ -1,7 +1,7 @@
 /// \file bounds.hpp
 /// Derived per-schedule quantities beyond the latency bounds that live on
 /// Schedule itself: processor utilization, communication breakdowns, and the
-/// replication profile used in EXPERIMENTS.md's message-count analyses.
+/// replication profile used by the message-count benches (bench/messages_*).
 #pragma once
 
 #include <cstddef>

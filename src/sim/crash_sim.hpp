@@ -5,7 +5,7 @@
 /// crash down by computing the real execution time for a given schedule
 /// rather than just bounds."
 ///
-/// Semantics (documented in DESIGN.md):
+/// Semantics (documented in docs/architecture.md, "Modelling decisions"):
 ///  - the mapping and the per-resource *order* of operations (executions per
 ///    processor, emissions per send port, transits per link, receptions per
 ///    receive port) stay exactly as committed — a static schedule's runtime

@@ -143,9 +143,9 @@ TEST(Caft, OneToOneReducesMessagesVsDisabled) {
 TEST(Caft, UpperBoundStaysWithinTwiceZeroCrash) {
   // The paper reports CAFT's upper bound close to its 0-crash latency. In
   // this reproduction the relationship is looser (our contention-aware FTSA
-  // places near-symmetric replicas, so *its* bound is the tight one — see
-  // EXPERIMENTS.md), but CAFT's straggling stays bounded: the last replica
-  // never doubles the earliest-copy latency on the paper's configurations.
+  // places near-symmetric replicas, so *its* bound is the tight one), but
+  // CAFT's straggling stays bounded: the last replica never doubles the
+  // earliest-copy latency on the paper's configurations.
   for (std::uint64_t seed = 5; seed <= 9; ++seed) {
     Scenario s = random_setup(seed, 10, 0.5);
     const std::size_t eps = 2;

@@ -2,8 +2,10 @@
 // the contention-free model versus the paper's equations (1)-(6).
 #include <gtest/gtest.h>
 
+#include "algo/list_core.hpp"
 #include "comm/macro_dataflow.hpp"
 #include "comm/one_port.hpp"
+#include "common/rng.hpp"
 #include "dag/generators.hpp"
 #include "platform/cost_synthesis.hpp"
 
@@ -155,31 +157,100 @@ TEST(OnePort, PeekDoesNotMutate) {
   EXPECT_DOUBLE_EQ(t.link_start, 0.0);
 }
 
-TEST(OnePort, SnapshotRestoreRoundTrip) {
-  Fixture f;
-  OnePortEngine engine(f.platform, f.costs);
-  engine.post_comm(P(0), P(1), 5.0, 0.0);
-  engine.post_exec(P(2), 0.0, 10.0);
-  const EngineSnapshot snap = engine.snapshot();
-  engine.post_comm(P(0), P(1), 5.0, 0.0);
-  engine.post_comm(P(1), P(2), 5.0, 0.0);
-  engine.post_exec(P(2), 0.0, 10.0);
-  engine.restore(snap);
-  // State identical to the snapshot: a re-post sees the same times.
-  const CommTimes t = engine.post_comm(P(0), P(1), 5.0, 0.0);
-  EXPECT_DOUBLE_EQ(t.link_start, 5.0);  // SF(P0) from the first comm only
-  EXPECT_DOUBLE_EQ(engine.proc_ready(P(2)), 10.0);
+/// Every clock an engine exposes, read through its public accessors.
+std::vector<double> clocks(const CommEngine& engine) {
+  std::vector<double> out;
+  for (std::size_t p = 0; p < engine.proc_count(); ++p)
+    out.push_back(engine.proc_ready(P(p)));
+  if (const auto* one_port = dynamic_cast<const OnePortEngine*>(&engine)) {
+    for (std::size_t p = 0; p < engine.proc_count(); ++p) {
+      out.push_back(one_port->sending_free(P(p)));
+      out.push_back(one_port->receiving_free(P(p)));
+    }
+    const std::size_t links = engine.platform().topology().link_count();
+    for (std::size_t l = 0; l < links; ++l)
+      out.push_back(
+          one_port->link_ready(LinkId(static_cast<LinkId::value_type>(l))));
+  }
+  return out;
 }
 
-TEST(OnePort, ResetClearsEverything) {
-  Fixture f;
-  OnePortEngine engine(f.platform, f.costs);
-  engine.post_comm(P(0), P(1), 5.0, 0.0);
-  engine.post_exec(P(0), 0.0, 3.0);
-  engine.reset();
-  EXPECT_DOUBLE_EQ(engine.sending_free(P(0)), 0.0);
-  EXPECT_DOUBLE_EQ(engine.receiving_free(P(1)), 0.0);
-  EXPECT_DOUBLE_EQ(engine.proc_ready(P(0)), 0.0);
+/// One random post_comm (70%) or post_exec (30%).
+struct Op {
+  bool exec;
+  ProcId from, to;
+  double amount, ready;
+};
+
+Op random_op(std::size_t m, Rng& rng) {
+  Op op;
+  op.exec = rng.uniform01() < 0.3;
+  op.from = P(rng.uniform_int(0, m - 1));
+  op.to = P(rng.uniform_int(0, m - 1));
+  op.amount = rng.uniform(0.0, 10.0);
+  op.ready = rng.uniform(0.0, 50.0);
+  return op;
+}
+
+void apply(CommEngine& engine, const Op& op) {
+  if (op.exec)
+    engine.post_exec(op.from, op.ready, op.amount);
+  else
+    engine.post_comm(op.from, op.to, op.amount, op.ready);
+}
+
+/// Random trials in FTBAR's nesting shape (outer trial, writes, inner
+/// trial, more writes) between committed writes: each closed trial leaves
+/// every clock exactly as it was when the trial opened, and a twin engine
+/// that sees only the committed writes always reads the same clocks.
+void check_trials_roll_back(CommModelKind model, const Platform& platform,
+                            std::uint64_t seed) {
+  CostModel costs(1, platform);
+  costs.set_all_unit_delays(1.0);
+  const auto engine = make_engine(model, platform, costs);
+  const auto twin = make_engine(model, platform, costs);
+  const std::size_t m = platform.proc_count();
+  Rng rng(seed);
+  std::size_t trials_that_wrote = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t committed = rng.uniform_int(0, 3);
+    for (std::size_t i = 0; i < committed; ++i) {
+      const Op op = random_op(m, rng);
+      apply(*engine, op);
+      apply(*twin, op);
+    }
+    const std::vector<double> before_outer = clocks(*engine);
+    ASSERT_EQ(before_outer, clocks(*twin));
+    {
+      const CommEngine::Trial outer(*engine);
+      for (std::uint64_t i = rng.uniform_int(0, 3); i > 0; --i)
+        apply(*engine, random_op(m, rng));
+      const std::vector<double> before_inner = clocks(*engine);
+      {
+        const CommEngine::Trial inner(*engine);
+        for (std::uint64_t i = rng.uniform_int(0, 3); i > 0; --i)
+          apply(*engine, random_op(m, rng));
+      }
+      ASSERT_EQ(clocks(*engine), before_inner);
+      for (std::uint64_t i = rng.uniform_int(0, 3); i > 0; --i)
+        apply(*engine, random_op(m, rng));
+      if (clocks(*engine) != before_outer) ++trials_that_wrote;
+    }
+    ASSERT_EQ(clocks(*engine), before_outer);
+  }
+  EXPECT_GT(trials_that_wrote, 50u);  // the property is not vacuous
+}
+
+TEST(Trial, RollsBackExactlyOnCliqueAndRing) {
+  for (const CommModelKind model :
+       {CommModelKind::kOnePort, CommModelKind::kMacroDataflow}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(testing::Message() << "model " << static_cast<int>(model)
+                                      << " seed " << seed);
+      check_trials_roll_back(model, Platform(5), seed);
+      check_trials_roll_back(model, Platform(Topology::ring(6)), seed);
+    }
+  }
 }
 
 TEST(Engine, PostExecSerializesOnProcessor) {

@@ -46,15 +46,25 @@ TEST(Placer, EvaluateDoesNotMutateEngineOrSchedule) {
   f.placer.commit(T(1), 0, P(1), {});
   f.placer.commit(T(1), 1, P(2), {});
 
-  const EngineSnapshot before = f.engine.snapshot();
+  // Every clock of the 3-clique, read through the engine's accessors.
+  const auto clocks = [&f] {
+    std::vector<double> out;
+    for (std::size_t p = 0; p < 3; ++p) {
+      out.push_back(f.engine.proc_ready(P(p)));
+      out.push_back(f.engine.sending_free(P(p)));
+      out.push_back(f.engine.receiving_free(P(p)));
+    }
+    for (std::size_t l = 0; l < f.platform.topology().link_count(); ++l)
+      out.push_back(
+          f.engine.link_ready(LinkId(static_cast<LinkId::value_type>(l))));
+    return out;
+  };
+  const std::vector<double> before = clocks();
   const std::size_t comms_before = f.schedule.comms().size();
   const auto plans = f.placer.receive_all_plans(T(2), P(0));
-  (void)f.placer.evaluate(T(2), P(0), plans);
-  const EngineSnapshot after = f.engine.snapshot();
-  EXPECT_EQ(before.proc_ready, after.proc_ready);
-  EXPECT_EQ(before.sending_free, after.sending_free);
-  EXPECT_EQ(before.receiving_free, after.receiving_free);
-  EXPECT_EQ(before.link_ready, after.link_ready);
+  const TaskTimes times = f.placer.evaluate(T(2), P(0), plans);
+  EXPECT_GT(times.start, 0.0);  // the trial did post messages
+  EXPECT_EQ(clocks(), before);
   EXPECT_EQ(f.schedule.comms().size(), comms_before);
 }
 

@@ -267,7 +267,8 @@ INSTANTIATE_TEST_SUITE_P(Families, CaftFamilyResilience,
 /// transitively, and with 80-120 tasks some task almost surely loses every
 /// replica under an unlucky crash set. The default kTransitive mode closes
 /// exactly that hole. Both facts are pinned here — this is the central
-/// robustness finding of the reproduction (see EXPERIMENTS.md).
+/// robustness finding of the reproduction (see docs/architecture.md,
+/// "Modelling decisions").
 TEST(CaftDirectMode, DirectLockingBreaksWhereTransitiveHolds) {
   std::size_t direct_failing = 0;
   std::size_t transitive_failing = 0;

@@ -5,7 +5,7 @@ Run from anywhere inside the repo (CI runs it in the static-analysis job):
 
     python3 tools/check_docs.py [--bin-dir build]
 
-Two checks over README.md and every docs/*.md:
+Three checks, the first two over README.md and every docs/*.md:
 
 1.  Dead relative links. Every markdown link/image whose target is not
     absolute (http(s)://, mailto:, #anchor) must resolve to an existing
@@ -22,6 +22,11 @@ Two checks over README.md and every docs/*.md:
     With --bin-dir the `--help` probe also asserts the binary runs and
     exits 0; without it (or for unbuilt binaries) the source-text check
     still gates.
+
+3.  Dead markdown citations in code. Every `*.md` path named in a source
+    file under src/, tools/ or tests/ (comments and strings alike) must
+    exist relative to the repo root, so a comment that points the reader
+    at a document points at one that is there.
 
 Exit status: 0 clean, 1 findings (one line per finding on stderr).
 """
@@ -48,6 +53,9 @@ TOOL_SOURCES = {
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+MD_CITE_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CODE_DIRS = ("src", "tools", "tests")
+CODE_SUFFIXES = {".cpp", ".hpp", ".py", ".sh"}
 INVOKE_RE = re.compile(
     r"(?:^|[\s;(`])(?:[.\w/]*/)?(%s)(?:\s|$)" % "|".join(TOOL_SOURCES)
 )
@@ -152,6 +160,22 @@ def check_cli_examples(
                 )
 
 
+def check_code_citations(findings: list[str]) -> None:
+    for top in CODE_DIRS:
+        for source in sorted((REPO / top).rglob("*")):
+            if source.suffix not in CODE_SUFFIXES or not source.is_file():
+                continue
+            text = source.read_text(errors="replace")
+            for line_no, line in enumerate(text.splitlines(), 1):
+                for match in MD_CITE_RE.finditer(line):
+                    cited = match.group(1)
+                    if not (REPO / cited).exists():
+                        findings.append(
+                            f"{source.relative_to(REPO)}:{line_no}: cites "
+                            f"{cited}, which does not exist"
+                        )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -170,6 +194,7 @@ def main() -> int:
     for doc in docs:
         check_links(doc, findings)
         check_cli_examples(doc, args.bin_dir, findings)
+    check_code_citations(findings)
 
     for finding in findings:
         print(finding, file=sys.stderr)
