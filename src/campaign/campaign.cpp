@@ -1,11 +1,13 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -19,6 +21,12 @@ namespace caft {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Draws a slot claims at a time in a wave's draw phase. It also sizes the
+/// worker group: a range never gets more slots than it has chunks.
+constexpr std::size_t kDrawChunk = 16;
+
 /// Copies a replay's outcome into `record`; failed_count is the draw's and
 /// stays as it is.
 void set_outcome(ReplayRecord& record, const CrashResult& result) {
@@ -29,35 +37,37 @@ void set_outcome(ReplayRecord& record, const CrashResult& result) {
   record.order_relaxations = result.order_relaxations;
 }
 
-/// Hash of a canonical crash-time vector: FNV-1a over its 64-bit words,
-/// each step folding the high half into the low one — 0 and +inf differ
-/// only in exponent bits, which a multiply alone never carries downward.
-/// Canonical times are never -0.0 or NaN, so equal vectors have equal bits.
-struct CrashTimesHash {
-  std::size_t operator()(const std::vector<double>& times) const {
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const double t : times) {
-      hash = (hash ^ std::bit_cast<std::uint64_t>(t)) * 1099511628211ull;
-      hash ^= hash >> 32;
-    }
-    return static_cast<std::size_t>(hash);
-  }
-};
+/// A wave's first miss of each canonical key, keyed into the key arena.
+using WaveMisses = std::unordered_map<std::span<const double>, std::size_t,
+                                      CrashTimesHash, CrashTimesEqual>;
 
-template <typename Value>
-using CrashTimesMap =
-    std::unordered_map<std::vector<double>, Value, CrashTimesHash>;
+/// How a wave's draw phase resolved one draw against the record cache.
+enum class Lookup : std::uint8_t {
+  kHit,            ///< the cache held its canonical key; record copied
+  kExactMiss,      ///< a dead-set key the cache lacks
+  kQuantizedMiss,  ///< a θ-quantized key the cache lacks
+  kUnique,         ///< no canonical form: replayed as drawn, never cached
+};
 
 /// Shared core of run_campaign and run_campaign_block: executes the
 /// contiguous replays [first, first + count) of the canonical scenario
 /// stream in bounded waves and hands each wave's records — in canonical
-/// replay order — to `sink(records, wave_size)`; a sink that returns false
-/// stops the range after its wave (the fold's early stop). The stream
-/// position is a function of (seed, first) alone: the master Rng is
-/// advanced one split per replay, so any block of any partition draws
-/// exactly the scenarios the full campaign would have drawn at those
-/// indices. The record-cache and execution-shape counters accumulate into
-/// `telemetry` as the range runs.
+/// replay order — to `sink(records, wave_size)` on the calling thread; a
+/// sink that returns false stops the range after its wave (the fold's
+/// early stop). The stream position is a function of (seed, first) alone:
+/// the master Rng is advanced one split per replay, so any block of any
+/// partition draws exactly the scenarios the full campaign would have
+/// drawn at those indices. The record-cache and execution-shape counters
+/// accumulate into `telemetry` as the range runs.
+///
+/// Each wave is a two-stage pipeline on one WorkerGroup. The draw phase
+/// samples, canonicalizes and looks up disjoint chunks of wave w on every
+/// slot against the cache, which no one writes during the phase, while
+/// slot 0 (this thread) first hands wave w − 1 to the sink. The serial
+/// step then walks wave w in draw order — in-wave duplicates, misses,
+/// telemetry — its misses replay in a second phase, and their records are
+/// copied and inserted in draw order. If the sink refused wave w − 1, wave
+/// w was speculative: it is dropped before anything of it is counted.
 template <typename Sink>
 void run_replay_range(const Schedule& schedule, const CostModel& costs,
                       const ScenarioSampler& sampler,
@@ -113,105 +123,154 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   Rng master(options.seed);
   // Fast-forward to replay `first`: exactly one split per earlier replay —
   // the sampler draws from the split stream, never from the master.
-  for (std::size_t i = 0; i < first; ++i) (void)master.split();
+  for (std::size_t i = 0; i < first; ++i) (void)master.split_seed();
 
   const std::size_t m = sampler.proc_count();
-  // The record cache and the wave's bookkeeping live on this thread only;
-  // workers see nothing but the engine, their Scratch and their records.
-  CrashTimesMap<ReplayRecord> cache;
-  CrashTimesMap<std::size_t> wave_misses;  // key -> first draw replaying it
-  std::vector<std::vector<double>> miss_keys;  // cacheable misses' keys ...
-  std::vector<std::size_t> miss_draws;         // ... and their draws
+  // Wave buffers hold min(block, count) draws: a work order's block comes
+  // from the peer, so it is never trusted to size an allocation alone.
+  const std::size_t capacity = std::min(options.block, count);
+  WorkerGroup group(std::min(threads, (count + kDrawChunk - 1) / kDrawChunk));
+  std::vector<std::uint64_t> seeds(capacity);  // split seed per draw
+  std::vector<double> drawn(capacity * m);     // crash times, draw-major
+  std::vector<double> keys(capacity * m);      // canonical forms
+  std::vector<Lookup> lookups(capacity);
+  // Double-buffered: the sink folds one while the next wave is drawn.
+  std::vector<ReplayRecord> records[2] = {std::vector<ReplayRecord>(capacity),
+                                          std::vector<ReplayRecord>(capacity)};
+  // The record cache and the wave's bookkeeping are written by this thread
+  // only, and never while a draw phase reads the cache.
+  RecordCache cache;
+  WaveMisses wave_misses;                // key -> first draw replaying it
+  std::vector<std::size_t> miss_draws;   // cacheable misses, in draw order
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (draw, source)
   std::vector<std::pair<double, std::size_t>> replays;  // (first crash, draw)
-  std::vector<double> key(m);
-  std::vector<CrashScenario> scenarios;
-  std::vector<ReplayRecord> records;
   // One scratch per worker slot, persistent across waves: buffers survive,
   // so steady-state waves allocate nothing in the kernel.
-  std::vector<ReplayEngine::Scratch> scratches(threads);
+  std::vector<ReplayEngine::Scratch> scratches(group.size());
+  std::atomic<std::size_t> next_draw{0};
+
+  const auto row = [m](std::vector<double>& arena, std::size_t i) {
+    return std::span<double>(arena.data() + i * m, m);
+  };
+  // One draw of the draw phase: sample, canonicalize and look up draw i.
+  const auto draw = [&](ReplayRecord* out, std::size_t i) {
+    const std::span<double> times = row(drawn, i);
+    const std::span<double> key = row(keys, i);
+    Rng stream(seeds[i]);
+    sampler.sample_into(stream, times);
+    ReplayRecord record;
+    record.failed_count = static_cast<std::size_t>(std::count_if(
+        times.begin(), times.end(), [](double t) { return t < kInf; }));
+    const ReplayEngine::Canonical kind = engine->canonicalize(times, key);
+    if (kind == ReplayEngine::Canonical::kUnique) {
+      lookups[i] = Lookup::kUnique;
+    } else if (const auto hit = cache.find(std::span<const double>(key));
+               hit != cache.end()) {
+      const std::size_t failed = record.failed_count;
+      record = hit->second;
+      record.failed_count = failed;
+      lookups[i] = Lookup::kHit;
+    } else {
+      lookups[i] = kind == ReplayEngine::Canonical::kQuantized
+                       ? Lookup::kQuantizedMiss
+                       : Lookup::kExactMiss;
+    }
+    out[i] = record;
+  };
+
   std::size_t done = 0;
+  const ReplayRecord* unfolded = nullptr;  // the last wave, not yet sunk
+  std::size_t unfolded_size = 0;
   bool keep_going = true;
-  while (done < count && keep_going) {
+  for (std::size_t w = 0; done < count; ++w) {
     const std::size_t wave = std::min(options.block, count - done);
     obs::Span wave_span = registry.span("campaign.wave");
     const std::chrono::steady_clock::time_point wave_begin =
         std::chrono::steady_clock::now();
+    ReplayRecord* const out = records[w % 2].data();
 
-    // Scenarios are drawn sequentially in global replay order, each from
-    // its own split stream: neither the thread schedule, the block size nor
-    // the cache can influence any draw.
-    scenarios.clear();
-    scenarios.reserve(wave);
-    for (std::size_t i = 0; i < wave; ++i) {
-      Rng stream = master.split();
-      scenarios.push_back(sampler.sample(stream));
-    }
+    // Split seeds are taken from the master in global replay order: neither
+    // the thread schedule, the block size nor the cache can influence any
+    // draw.
+    for (std::size_t i = 0; i < wave; ++i) seeds[i] = master.split_seed();
+    next_draw.store(0, std::memory_order_relaxed);
+    group.run([&](std::size_t slot) {
+      if (slot == 0 && unfolded_size > 0)
+        keep_going = sink(unfolded, unfolded_size);
+      for (;;) {
+        const std::size_t begin =
+            next_draw.fetch_add(kDrawChunk, std::memory_order_relaxed);
+        if (begin >= wave) break;
+        const std::size_t end = std::min(begin + kDrawChunk, wave);
+        for (std::size_t i = begin; i < end; ++i) draw(out, i);
+      }
+    });
+    if (!keep_going) break;  // wave w was speculative: drop it uncounted
 
-    // Resolve every draw against the cache, or against an earlier miss of
-    // this wave with the same canonical scenario; what is left replays.
-    records.assign(wave, ReplayRecord{});
+    // Resolve the wave in draw order: a miss whose key an earlier miss of
+    // this wave already holds copies that miss's record; what is left
+    // replays.
     copies.clear();
     replays.clear();
     for (std::size_t i = 0; i < wave; ++i) {
-      CrashScenario& scenario = scenarios[i];
-      const std::size_t failed = scenario.failed_count();
-      records[i].failed_count = failed;
-      const ReplayEngine::Canonical kind = engine->canonicalize(scenario, key);
-      if (kind != ReplayEngine::Canonical::kUnique) {
+      const Lookup lookup = lookups[i];
+      if (lookup != Lookup::kUnique) {
         ++telemetry.memo_lookups;
-        if (const auto hit = cache.find(key); hit != cache.end()) {
+        if (lookup == Lookup::kHit) {
           ++telemetry.memo_hits;
-          records[i] = hit->second;
-          records[i].failed_count = failed;
           continue;
         }
-        const auto [earlier, fresh] = wave_misses.try_emplace(key, i);
+        const auto [earlier, fresh] =
+            wave_misses.try_emplace(row(keys, i), i);
         if (!fresh) {
           ++telemetry.memo_hits;
           copies.emplace_back(i, earlier->second);
           continue;
         }
-        miss_keys.push_back(key);
         miss_draws.push_back(i);
         // A quantized miss replays its representative in place of the draw.
-        if (kind == ReplayEngine::Canonical::kQuantized)
-          scenario = CrashScenario(key);
+        if (lookup == Lookup::kQuantizedMiss) {
+          const std::span<double> key = row(keys, i);
+          std::copy(key.begin(), key.end(), row(drawn, i).begin());
+        }
       }
-      replays.emplace_back(ReplayEngine::first_crash(scenario), i);
+      replays.emplace_back(ReplayEngine::first_crash(row(drawn, i)), i);
     }
 
     // Misses run in (earliest crash, index) order, dealt round-robin to the
-    // workers: neighbouring replays branch from the same (or adjacent)
+    // slots: neighbouring replays branch from the same (or adjacent)
     // fault-free snapshots. Records land at their draw index regardless.
     if (!replays.empty()) {
       std::sort(replays.begin(), replays.end());
-      const std::size_t workers = std::min(threads, replays.size());
-      run_on_threads(workers, [&](std::size_t slot) {
+      group.run([&](std::size_t slot) {
         ReplayEngine::Scratch& scratch = scratches[slot];
-        for (std::size_t j = slot; j < replays.size(); j += workers) {
+        for (std::size_t j = slot; j < replays.size(); j += group.size()) {
           const std::size_t i = replays[j].second;
-          set_outcome(records[i], engine->replay(scenarios[i], scratch));
+          const std::span<double> times = row(drawn, i);
+          const CrashScenario scenario(
+              std::vector<double>(times.begin(), times.end()));
+          set_outcome(out[i], engine->replay(scenario, scratch));
         }
       });
     }
     for (const auto& [i, source] : copies) {
-      const std::size_t failed = records[i].failed_count;
-      records[i] = records[source];
-      records[i].failed_count = failed;
+      const std::size_t failed = out[i].failed_count;
+      out[i] = out[source];
+      out[i].failed_count = failed;
     }
-    for (std::size_t j = 0; j < miss_draws.size(); ++j) {
+    for (const std::size_t i : miss_draws) {
       if (cache.size() >= kRecordCacheCapacity) {
         cache.clear();
         ++telemetry.memo_evictions;
       }
-      cache.emplace(std::move(miss_keys[j]), records[miss_draws[j]]);
+      const std::span<double> key = row(keys, i);
+      cache.emplace(std::vector<double>(key.begin(), key.end()), out[i]);
     }
     wave_misses.clear();
-    miss_keys.clear();
     miss_draws.clear();
 
-    keep_going = sink(records.data(), wave);
+    unfolded = out;
+    unfolded_size = wave;
     done += wave;
     ++telemetry.blocks;
 
@@ -220,6 +279,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
         std::chrono::steady_clock::now() - wave_begin;
     wave_seconds.observe(wave_elapsed.count());
   }
+  if (keep_going && unfolded_size > 0) (void)sink(unfolded, unfolded_size);
 
   const std::chrono::duration<double> range_elapsed =
       std::chrono::steady_clock::now() - range_begin;
@@ -235,13 +295,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
 void fold_replay_record(CampaignAccumulator& accumulator,
                         const ReplayRecord& record) {
-  CrashResult result;
-  result.success = record.success;
-  result.order_deadlock = record.order_deadlock;
-  result.latency = record.latency;
-  result.delivered_messages = record.delivered_messages;
-  result.order_relaxations = record.order_relaxations;
-  accumulator.add(record.failed_count, result);
+  accumulator.add(record);
 }
 
 CampaignFold::CampaignFold(std::size_t eps, std::string sampler_name,
@@ -268,8 +322,7 @@ bool CampaignFold::add(const ReplayRecord* records, std::size_t count) {
         target_ci_width_ > 0.0
             ? std::min(count, block_ - accumulator_.replays() % block_)
             : count;
-    for (std::size_t i = 0; i < step; ++i)
-      fold_replay_record(accumulator_, records[i]);
+    for (std::size_t i = 0; i < step; ++i) accumulator_.add(records[i]);
     records += step;
     count -= step;
     if (target_ci_width_ > 0.0 && accumulator_.replays() % block_ == 0)

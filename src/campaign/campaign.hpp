@@ -10,40 +10,57 @@
 /// behaviour beyond ε failures.
 ///
 /// Determinism contract (same as run_experiment): every replay owns a
-/// pre-split Rng stream, drawn from the master stream in replay order, and
-/// the fold also happens in replay order — so the summary is bit-for-bit
-/// identical for 1 thread and N threads and for any block size. Replays run
-/// on the prefix-cached ReplayEngine (sim/replay_engine.hpp), which is
-/// replay-for-replay bit-identical to simulate_crashes, the oracle the
-/// tests compare whole campaigns against. θ-quantization
-/// (CampaignOptions::theta_bucket_width) is the one knob that changes the
-/// summary — deterministically, never as a function of threads. Replays are
-/// simulated in bounded waves, so memory stays O(block + threads) plus the
-/// bounded record cache below, not O(replays). run_campaign_block, the
-/// subprocess worker's half, streams each wave's records to a sink instead
-/// of returning the block, so a worker is bounded the same way.
+/// pre-split Rng stream, its seed split from the master stream in replay
+/// order, and the fold also happens in replay order — so the summary is
+/// bit-for-bit identical for 1 thread and N threads and for any block size.
+/// Which thread draws a scenario never matters: a draw is a pure function
+/// of its split seed. Replays run on the prefix-cached ReplayEngine
+/// (sim/replay_engine.hpp), which is replay-for-replay bit-identical to
+/// simulate_crashes, the oracle the tests compare whole campaigns against.
+/// θ-quantization (CampaignOptions::theta_bucket_width) is the one knob
+/// that changes the summary — deterministically, never as a function of
+/// threads. Replays are simulated in bounded waves, so memory stays
+/// O(block + threads) plus the bounded record cache below, not O(replays).
+/// run_campaign_block, the subprocess worker's half, streams each wave's
+/// records to a sink instead of returning the block, so a worker is
+/// bounded the same way.
 ///
 /// One fold: run_campaign (wave by wave) and the subprocess coordinator
 /// (api/session.cpp, block by block) feed the same CampaignFold, so the
 /// backends share one accumulator, stop rule, progress and metrics export.
 ///
+/// Pipeline: each wave is drawn in parallel on one persistent WorkerGroup
+/// (common/parallel.hpp) — every slot samples, canonicalizes and looks up
+/// its chunks of the wave — while the calling thread first hands the
+/// previous wave's records to the fold (or sink), which therefore always
+/// runs on the calling thread, in replay order. When the fold stops early,
+/// the wave drawn alongside it was speculative and is dropped before any
+/// of its counters are committed, so telemetry matches a run that never
+/// drew it.
+///
 /// Record cache: a draw whose scenario has a canonical form
 /// (ReplayEngine::canonicalize — a dead-from-start set, or θ-quantized
-/// crash times) is looked up in one bounded cache owned by the campaign's
-/// coordinating thread, keyed by the canonical crash-time vector. A hit
-/// copies the cached record; a later duplicate of a miss in the same wave
-/// copies that miss's record. Only the remaining misses are replayed,
+/// crash times) is looked up in one bounded cache, keyed by the canonical
+/// crash-time vector. The draw phase only reads it, from every slot; a hit
+/// copies the cached record. After the phase the calling thread walks the
+/// wave in draw order: a miss whose key an earlier miss of the same wave
+/// holds copies that miss's record, and the remaining misses are replayed,
 /// ordered by earliest crash time so consecutive replays branch from
-/// nearby prefix snapshots; records are still folded in replay order, so
-/// neither the cache nor the execution order is observable. A record is a
-/// pure function of its canonical scenario, which is what makes the copies
-/// bit-identical to replaying every draw.
+/// nearby prefix snapshots, then inserted in draw order. Records are still
+/// folded in replay order, so neither the cache, its lookup threads nor
+/// the execution order is observable. A record is a pure function of its
+/// canonical scenario, which is what makes the copies bit-identical to
+/// replaying every draw.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "campaign/scenario_sampler.hpp"
@@ -125,6 +142,36 @@ struct CampaignOptions {
 /// holds ~40-byte records, so the cap bounds memory, never a summary.
 inline constexpr std::size_t kRecordCacheCapacity = std::size_t{1} << 15;
 
+/// Hash of a canonical crash-time vector: FNV-1a over its 64-bit words,
+/// each step folding the high half into the low one — 0 and +inf differ
+/// only in exponent bits, which a multiply alone never carries downward.
+/// Canonical times are never -0.0 or NaN, so equal vectors have equal bits.
+/// Transparent, with CrashTimesEqual: owned keys and views of a wave's
+/// arena hash and compare alike, so a lookup builds no key.
+struct CrashTimesHash {
+  using is_transparent = void;
+  std::size_t operator()(std::span<const double> times) const {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const double t : times) {
+      hash = (hash ^ std::bit_cast<std::uint64_t>(t)) * 1099511628211ull;
+      hash ^= hash >> 32;
+    }
+    return static_cast<std::size_t>(hash);
+  }
+};
+
+struct CrashTimesEqual {
+  using is_transparent = void;
+  bool operator()(std::span<const double> a, std::span<const double> b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
+/// The record cache (see "Record cache" above): canonical crash-time
+/// vector -> record, looked up by span.
+using RecordCache = std::unordered_map<std::vector<double>, ReplayRecord,
+                                       CrashTimesHash, CrashTimesEqual>;
+
 /// Optional observability output of run_campaign — record-cache
 /// effectiveness and snapshot placement. Purely informational: nothing
 /// here feeds back into the summary. memo_lookups − memo_hits is the
@@ -149,21 +196,6 @@ struct CampaignTelemetry {
   /// ExecutionPolicy::reorder_window. 0 for the in-process backend, whose
   /// fold is wave-by-wave and never buffers.
   std::size_t fold_window_peak = 0;
-};
-
-/// Compact outcome of one replay: exactly what the accumulator folds,
-/// nothing else (the full CrashResult with its per-replica matrices never
-/// outlives its worker). Records are a pure function of (schedule, costs,
-/// scenario, θ-quantization config) — never of threads, block size or
-/// cache state — which is what lets campaign blocks be computed in other
-/// processes and folded back bit-identically.
-struct ReplayRecord {
-  bool success = false;
-  bool order_deadlock = false;
-  double latency = 0.0;
-  std::size_t delivered_messages = 0;
-  std::size_t order_relaxations = 0;
-  std::size_t failed_count = 0;  ///< processors the scenario crashed
 };
 
 /// Folds one record into `accumulator` — the fold step of CampaignFold.
@@ -214,9 +246,11 @@ class CampaignFold {
 /// Runs the contiguous replays [first, first + count) of the campaign's
 /// canonical scenario stream (the stream run_campaign draws for the same
 /// seed — `options.replays` is ignored here) and hands each completed wave
-/// (options.block records at most) to `sink` in canonical replay order,
-/// then discards it, so the caller — the subprocess worker writing records
-/// onto its stdout pipe — never holds more than one wave in memory.
+/// (options.block records at most) to `sink` in canonical replay order, on
+/// the calling thread, then reuses its buffer, so the caller — the
+/// subprocess worker writing records onto its stdout pipe — never holds
+/// more than two waves in memory: the one being sunk and the one being
+/// drawn beside it.
 /// Concatenating the sink chunks of the blocks of any partition of [0, N)
 /// reproduces run_campaign's record stream exactly; this is the worker
 /// half of the subprocess campaign backend (api/session.hpp).

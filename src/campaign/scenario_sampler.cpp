@@ -18,6 +18,20 @@ double censor(double lifetime, double horizon) {
   return lifetime > horizon ? kInf : lifetime;
 }
 
+/// Checks that `times` has one entry per processor of the sampler.
+void check_size(std::span<double> times, std::size_t proc_count) {
+  CAFT_CHECK_MSG(times.size() == proc_count,
+                 "crash-time buffer size does not match the sampler");
+}
+
+/// The calling thread's partial Fisher–Yates pool. Samplers are shared
+/// const across a campaign's workers, so the pool belongs to the worker
+/// thread, never to the sampler; it stops allocating once it has grown.
+std::vector<std::size_t>& index_pool() {
+  thread_local std::vector<std::size_t> pool;
+  return pool;
+}
+
 /// Evaluates `quantile` at count evenly spread probabilities in (0, 1) and
 /// clamps the results to [0, horizon] — the shared shape of every
 /// first_crash_quantiles implementation.
@@ -40,6 +54,12 @@ std::vector<double> quantile_grid(std::size_t count, double horizon,
 
 }  // namespace
 
+CrashScenario ScenarioSampler::sample(Rng& rng) const {
+  std::vector<double> times(proc_count());
+  sample_into(rng, times);
+  return CrashScenario(std::move(times));
+}
+
 UniformKSampler::UniformKSampler(std::size_t proc_count, std::size_t failures)
     : proc_count_(proc_count), failures_(failures) {
   CAFT_CHECK_MSG(proc_count > 0, "sampler needs at least one processor");
@@ -53,12 +73,12 @@ std::string UniformKSampler::name() const {
   return os.str();
 }
 
-CrashScenario UniformKSampler::sample(Rng& rng) const {
-  const auto indices = rng.sample_without_replacement(proc_count_, failures_);
-  std::vector<ProcId> failed(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i)
-    failed[i] = ProcId(static_cast<ProcId::value_type>(indices[i]));
-  return CrashScenario::at_zero(proc_count_, failed);
+void UniformKSampler::sample_into(Rng& rng, std::span<double> times) const {
+  check_size(times, proc_count_);
+  std::vector<std::size_t>& pool = index_pool();
+  rng.sample_without_replacement(proc_count_, failures_, pool);
+  std::fill(times.begin(), times.end(), kInf);
+  for (std::size_t i = 0; i < failures_; ++i) times[pool[i]] = 0.0;
 }
 
 ExponentialLifetimeSampler::ExponentialLifetimeSampler(std::size_t proc_count,
@@ -76,10 +96,10 @@ std::string ExponentialLifetimeSampler::name() const {
   return os.str();
 }
 
-CrashScenario ExponentialLifetimeSampler::sample(Rng& rng) const {
-  std::vector<double> times(proc_count_);
+void ExponentialLifetimeSampler::sample_into(Rng& rng,
+                                             std::span<double> times) const {
+  check_size(times, proc_count_);
   for (double& t : times) t = censor(rng.exponential(rate_), horizon_);
-  return CrashScenario(std::move(times));
 }
 
 std::vector<double> ExponentialLifetimeSampler::first_crash_quantiles(
@@ -107,10 +127,10 @@ std::string WeibullLifetimeSampler::name() const {
   return os.str();
 }
 
-CrashScenario WeibullLifetimeSampler::sample(Rng& rng) const {
-  std::vector<double> times(proc_count_);
+void WeibullLifetimeSampler::sample_into(Rng& rng,
+                                         std::span<double> times) const {
+  check_size(times, proc_count_);
   for (double& t : times) t = censor(rng.weibull(shape_, scale_), horizon_);
-  return CrashScenario(std::move(times));
 }
 
 std::vector<double> WeibullLifetimeSampler::first_crash_quantiles(
@@ -141,13 +161,14 @@ std::string CrashWindowSampler::name() const {
   return os.str();
 }
 
-CrashScenario CrashWindowSampler::sample(Rng& rng) const {
-  CrashScenario scenario = CrashScenario::none(proc_count_);
-  const auto indices = rng.sample_without_replacement(proc_count_, failures_);
-  for (const std::size_t i : indices)
-    scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(i)),
-                            rng.uniform(theta_lo_, theta_hi_));
-  return scenario;
+void CrashWindowSampler::sample_into(Rng& rng,
+                                     std::span<double> times) const {
+  check_size(times, proc_count_);
+  std::vector<std::size_t>& pool = index_pool();
+  rng.sample_without_replacement(proc_count_, failures_, pool);
+  std::fill(times.begin(), times.end(), kInf);
+  for (std::size_t i = 0; i < failures_; ++i)
+    times[pool[i]] = rng.uniform(theta_lo_, theta_hi_);
 }
 
 std::vector<double> CrashWindowSampler::first_crash_quantiles(
@@ -199,8 +220,10 @@ std::vector<double> CorrelatedGroupSampler::first_crash_quantiles(
   });
 }
 
-CrashScenario CorrelatedGroupSampler::sample(Rng& rng) const {
-  CrashScenario scenario = CrashScenario::none(proc_count_);
+void CorrelatedGroupSampler::sample_into(Rng& rng,
+                                         std::span<double> times) const {
+  check_size(times, proc_count_);
+  std::fill(times.begin(), times.end(), kInf);
   for (std::size_t g = 0; g < group_count(); ++g) {
     if (!rng.bernoulli(fail_prob_)) continue;
     const double theta = theta_lo_ == theta_hi_
@@ -208,11 +231,9 @@ CrashScenario CorrelatedGroupSampler::sample(Rng& rng) const {
                              : rng.uniform(theta_lo_, theta_hi_);
     const std::size_t first = g * group_size_;
     const std::size_t last = std::min(first + group_size_, proc_count_);
-    for (std::size_t p = first; p < last; ++p)
-      scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
-                              theta);
+    std::fill(times.begin() + static_cast<std::ptrdiff_t>(first),
+              times.begin() + static_cast<std::ptrdiff_t>(last), theta);
   }
-  return scenario;
 }
 
 }  // namespace caft

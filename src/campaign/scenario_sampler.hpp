@@ -11,14 +11,16 @@
 /// mid-execution extension, and correlated group failures (racks sharing a
 /// power feed fail together).
 ///
-/// Determinism contract: `sample` draws only from the Rng it is handed and
-/// keeps no mutable state, so the campaign executor can pre-split one stream
-/// per replay and fan replays across threads while staying bit-for-bit
-/// reproducible (the same contract run_experiment documents).
+/// Determinism contract: `sample_into` draws only from the Rng it is handed
+/// and keeps no mutable state, so the campaign executor can pre-split one
+/// stream per replay and draw on any worker thread while staying
+/// bit-for-bit reproducible (the same contract run_experiment documents).
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +41,15 @@ class ScenarioSampler {
   /// the schedule the campaign replays.
   [[nodiscard]] virtual std::size_t proc_count() const = 0;
 
-  /// Draws one scenario. Must be a pure function of the Rng stream (no
-  /// mutable sampler state) — see the determinism contract above.
-  [[nodiscard]] virtual CrashScenario sample(Rng& rng) const = 0;
+  /// Draws one scenario's crash times into `times` (one entry per
+  /// processor, times.size() == proc_count(); +inf = never fails). Must be
+  /// a pure function of the Rng stream (no mutable sampler state) — see the
+  /// determinism contract above — and allocates nothing once the calling
+  /// thread has drawn before: it is the campaign's per-draw hot path.
+  virtual void sample_into(Rng& rng, std::span<double> times) const = 0;
+
+  /// Draws one scenario: sample_into on a fresh vector.
+  [[nodiscard]] CrashScenario sample(Rng& rng) const;
 
   /// Density hint for adaptive snapshot placement: `count` non-decreasing
   /// quantiles of this distribution's *earliest* crash time, clamped to
@@ -67,7 +75,7 @@ class UniformKSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, std::span<double> times) const override;
 
  private:
   std::size_t proc_count_;
@@ -85,7 +93,7 @@ class ExponentialLifetimeSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, std::span<double> times) const override;
   /// min of m iid Exp(rate) lifetimes is Exp(m·rate).
   [[nodiscard]] std::vector<double> first_crash_quantiles(
       std::size_t count, double horizon) const override;
@@ -107,7 +115,7 @@ class WeibullLifetimeSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, std::span<double> times) const override;
   /// min of m iid Weibull(shape, scale) is Weibull(shape, scale·m^(-1/shape)).
   [[nodiscard]] std::vector<double> first_crash_quantiles(
       std::size_t count, double horizon) const override;
@@ -129,7 +137,7 @@ class CrashWindowSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, std::span<double> times) const override;
   /// min of k iid U[lo, hi] draws: F(t) = 1 - (1 - (t-lo)/(hi-lo))^k.
   [[nodiscard]] std::vector<double> first_crash_quantiles(
       std::size_t count, double horizon) const override;
@@ -154,7 +162,7 @@ class CorrelatedGroupSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, std::span<double> times) const override;
   /// Approximated as the min of E[failing groups] iid U[lo, hi] draws.
   [[nodiscard]] std::vector<double> first_crash_quantiles(
       std::size_t count, double horizon) const override;

@@ -142,28 +142,29 @@ CampaignAccumulator::CampaignAccumulator(std::size_t eps,
   for (const double q : quantiles) quantile_estimators_.emplace_back(q);
 }
 
-void CampaignAccumulator::add(const CrashScenario& scenario,
-                              const CrashResult& result) {
-  add(scenario.failed_count(), result);
-}
-
 void CampaignAccumulator::add(std::size_t failed_count,
                               const CrashResult& result) {
+  add(ReplayRecord{result.success, result.order_deadlock, result.latency,
+                   result.delivered_messages, result.order_relaxations,
+                   failed_count});
+}
+
+void CampaignAccumulator::add(const ReplayRecord& record) {
   ++running_.replays;
-  running_.max_failed = std::max(running_.max_failed, failed_count);
-  if (failed_count <= eps_) {
+  running_.max_failed = std::max(running_.max_failed, record.failed_count);
+  if (record.failed_count <= eps_) {
     ++running_.replays_within_eps;
-    if (result.success) ++running_.successes_within_eps;
+    if (record.success) ++running_.successes_within_eps;
   }
-  if (result.success) {
+  if (record.success) {
     ++running_.successes;
-    running_.latency.add(result.latency);
-    for (P2Quantile& est : quantile_estimators_) est.add(result.latency);
+    running_.latency.add(record.latency);
+    for (P2Quantile& est : quantile_estimators_) est.add(record.latency);
   }
   running_.delivered_messages.add(
-      static_cast<double>(result.delivered_messages));
-  running_.order_relaxations += result.order_relaxations;
-  if (result.order_deadlock) ++running_.order_deadlocks;
+      static_cast<double>(record.delivered_messages));
+  running_.order_relaxations += record.order_relaxations;
+  if (record.order_deadlock) ++running_.order_deadlocks;
 }
 
 CampaignSummary CampaignAccumulator::summary() const {

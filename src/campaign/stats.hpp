@@ -3,7 +3,7 @@
 /// with a Wilson score interval, latency moments and P²-estimated quantiles
 /// (Jain & Chlamtac 1985 — O(1) memory, no sample storage), plus the
 /// delivered-message / order-relaxation counters the crash replay reports.
-/// A campaign folds one CrashResult at a time, in replay order, so the
+/// A campaign folds one ReplayRecord at a time, in replay order, so the
 /// summary is bit-for-bit independent of how replays were scheduled across
 /// threads.
 #pragma once
@@ -132,15 +132,31 @@ struct CampaignSummary {
   std::size_t order_deadlocks = 0;
 };
 
-/// Folds (scenario, result) pairs in replay order into a CampaignSummary.
+/// Compact outcome of one replay: exactly what the accumulator folds,
+/// nothing else (the full CrashResult with its per-replica matrices never
+/// outlives its worker). Records are a pure function of (schedule, costs,
+/// scenario, θ-quantization config) — never of threads, block size or
+/// cache state — which is what lets campaign blocks be computed in other
+/// processes and folded back bit-identically.
+struct ReplayRecord {
+  bool success = false;
+  bool order_deadlock = false;
+  double latency = 0.0;
+  std::size_t delivered_messages = 0;
+  std::size_t order_relaxations = 0;
+  std::size_t failed_count = 0;  ///< processors the scenario crashed
+};
+
+/// Folds replay records in replay order into a CampaignSummary.
 class CampaignAccumulator {
  public:
   /// `eps` is the schedule's supported failure count (for the within-ε
   /// split); `quantiles` the latencies to estimate, each in (0, 1).
   CampaignAccumulator(std::size_t eps, const std::vector<double>& quantiles);
 
-  void add(const CrashScenario& scenario, const CrashResult& result);
-  /// Convenience overload when the caller already counted the crash set.
+  /// The fold step.
+  void add(const ReplayRecord& record);
+  /// Adapter for callers holding a full CrashResult (the oracle helpers).
   void add(std::size_t failed_count, const CrashResult& result);
 
   [[nodiscard]] CampaignSummary summary() const;

@@ -80,8 +80,16 @@ double Rng::weibull(double shape, double scale) {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
+  std::vector<std::size_t> pool;
+  sample_without_replacement(n, k, pool);
+  pool.resize(k);
+  return pool;
+}
+
+void Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                     std::vector<std::size_t>& pool) {
   CAFT_CHECK_MSG(k <= n, "cannot sample more items than the population holds");
-  std::vector<std::size_t> pool(n);
+  pool.resize(n);
   for (std::size_t i = 0; i < n; ++i) pool[i] = i;
   // Partial Fisher–Yates: the first k positions become the sample.
   for (std::size_t i = 0; i < k; ++i) {
@@ -90,13 +98,8 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
     using std::swap;
     swap(pool[i], pool[j]);
   }
-  pool.resize(k);
-  return pool;
 }
 
-Rng Rng::split() {
-  const std::uint64_t child_seed = (*this)() ^ 0xA5A5A5A5A5A5A5A5ULL;
-  return Rng(child_seed);
-}
+std::uint64_t Rng::split_seed() { return (*this)() ^ 0xA5A5A5A5A5A5A5A5ULL; }
 
 }  // namespace caft

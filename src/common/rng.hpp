@@ -59,10 +59,19 @@ class Rng {
 
   /// Draws `k` distinct values from {0, 1, ..., n-1} (k <= n), in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
+  /// The same draw into a caller-owned buffer: `pool` is resized to n and
+  /// its first k entries become the sample — no allocation once `pool` has
+  /// grown to n.
+  void sample_without_replacement(std::size_t n, std::size_t k,
+                                  std::vector<std::size_t>& pool);
 
   /// Derives an independent child generator; used to give each experiment
   /// repetition its own stream so repetitions can be reordered freely.
-  [[nodiscard]] Rng split();
+  [[nodiscard]] Rng split() { return Rng(split_seed()); }
+  /// The seed of the child split() would derive, advancing this stream the
+  /// same way: Rng(split_seed()) is split(). Lets a caller draw the seeds
+  /// in order and construct the children elsewhere (on worker threads).
+  [[nodiscard]] std::uint64_t split_seed();
 
  private:
   std::uint64_t s_[4];

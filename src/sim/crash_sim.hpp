@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -57,6 +58,10 @@ class CrashScenario {
 
   [[nodiscard]] std::size_t proc_count() const { return crash_time_.size(); }
   [[nodiscard]] double crash_time(ProcId p) const;
+  /// Every processor's crash time, indexed by processor.
+  [[nodiscard]] std::span<const double> crash_times() const {
+    return crash_time_;
+  }
   [[nodiscard]] bool dead_from_start(ProcId p) const {
     return crash_time(p) <= 0.0;
   }

@@ -28,11 +28,12 @@ constexpr std::uint8_t kDead = 2;
 }  // namespace
 
 double ReplayEngine::first_crash(const CrashScenario& scenario) {
+  return first_crash(scenario.crash_times());
+}
+
+double ReplayEngine::first_crash(std::span<const double> crash_times) {
   double earliest = kInf;
-  for (std::size_t p = 0; p < scenario.proc_count(); ++p)
-    earliest = std::min(
-        earliest,
-        scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p))));
+  for (const double t : crash_times) earliest = std::min(earliest, t);
   return earliest;
 }
 
@@ -852,27 +853,34 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
 
 ReplayEngine::Canonical ReplayEngine::canonicalize(
     const CrashScenario& scenario, std::span<double> times) const {
-  CAFT_CHECK_MSG(scenario.proc_count() == m_ && times.size() == m_,
+  return canonicalize(scenario.crash_times(), times);
+}
+
+ReplayEngine::Canonical ReplayEngine::canonicalize(
+    std::span<const double> crash_times, std::span<double> times) const {
+  CAFT_CHECK_MSG(crash_times.size() == m_ && times.size() == m_,
                  "scenario size does not match the platform");
   const double width = options_.theta_bucket_width;
   const bool quantize = width > 0.0 && !options_.exact;
   Canonical kind = Canonical::kExact;
   for (std::size_t p = 0; p < m_; ++p) {
-    const double t =
-        scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p)));
-    if (t <= 0.0) {
-      times[p] = 0.0;  // dead from the start; the exact instant <= 0 is
-                       // unobservable (all owned ops are pre-killed)
-    } else if (t == kInf) {
-      times[p] = kInf;
-    } else {
+    const double t = crash_times[p];
+    if (!(t > 0.0 && t < kInf)) {
+      CAFT_CHECK_MSG(!std::isnan(t), "crash time must not be NaN");
+      CAFT_CHECK_MSG(t >= 0.0, "crash time must be non-negative");
+      // Dead from the start (+0.0 for either zero) or never.
+      times[p] = t == 0.0 ? 0.0 : kInf;
+    } else if (kind != Canonical::kUnique) {
       // A finite positive crash time rules out the dead-set form; it stays
-      // canonical only via a θ bucket whose index fits 32 bits.
-      if (!quantize) return Canonical::kUnique;
-      const double bucket = std::floor(t / width);
-      if (!(bucket < 4294967295.0)) return Canonical::kUnique;
-      times[p] = (bucket + 0.5) * width;  // bucket midpoint
-      kind = Canonical::kQuantized;
+      // canonical only via a θ bucket whose index fits 32 bits. A kUnique
+      // draw still has its remaining times checked.
+      const double bucket = quantize ? std::floor(t / width) : kInf;
+      if (bucket < 4294967295.0) {
+        times[p] = (bucket + 0.5) * width;  // bucket midpoint
+        kind = Canonical::kQuantized;
+      } else {
+        kind = Canonical::kUnique;
+      }
     }
   }
   return kind;

@@ -36,8 +36,8 @@
 ///     scenario to the crash-time vector that decides its outcome, so a
 ///     caller can key a result cache on it: this is prefix caching taken to
 ///     its limit — at θ = 0 the shared prefix is empty, but the branch space
-///     itself is finite. The campaign executor keeps one such cache on its
-///     coordinating thread (campaign/campaign.cpp).
+///     itself is finite. The campaign executor keeps one such cache
+///     (campaign/campaign.hpp, RecordCache).
 ///  4. **θ-quantization.** With a positive `theta_bucket_width`,
 ///     `canonicalize` also covers crash-at-θ scenarios: every finite
 ///     positive crash time snaps to the midpoint of its bucket, and the
@@ -231,6 +231,11 @@ class ReplayEngine {
   /// `times` is then unspecified.
   [[nodiscard]] Canonical canonicalize(const CrashScenario& scenario,
                                        std::span<double> times) const;
+  /// The same on raw crash times (one per processor), checked as the
+  /// CrashScenario constructor checks them: a NaN or negative time throws
+  /// CheckError. The campaign's allocation-free per-draw path.
+  [[nodiscard]] Canonical canonicalize(std::span<const double> crash_times,
+                                       std::span<double> times) const;
 
   [[nodiscard]] const ReplayEngineOptions& options() const {
     return options_;
@@ -248,6 +253,8 @@ class ReplayEngine {
   /// Earliest crash instant of `scenario` (+inf when nothing ever fails) —
   /// the key the campaign executor orders a wave's replays by.
   [[nodiscard]] static double first_crash(const CrashScenario& scenario);
+  /// The same on raw crash times.
+  [[nodiscard]] static double first_crash(std::span<const double> crash_times);
 
  private:
   struct Snapshot {

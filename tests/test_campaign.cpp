@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +24,7 @@
 #include "algo/ftsa.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "campaign/stats.hpp"
+#include "counting_allocator.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
 #include "obs/obs.hpp"
@@ -144,6 +148,50 @@ TEST(ScenarioSamplers, GroupsFailAsUnits) {
     saw_failure = saw_failure || scenario.failed_count() > 0;
   }
   EXPECT_TRUE(saw_failure);
+}
+
+// The bits of every sampler's draws, pinned: 64-bit FNV-1a over the crash
+// times of 4096 draws from the split streams a campaign hands out. A
+// rewrite of a sampler must keep each Rng call and its order, which the
+// cross-thread identity tests alone would not notice (both sides change).
+TEST(ScenarioSamplers, DrawsArePinned) {
+  const UniformKSampler uniform(12, 3);
+  const ExponentialLifetimeSampler exponential(12, 0.01, 150.0);
+  const WeibullLifetimeSampler weibull(12, 0.7, 80.0);
+  const CrashWindowSampler window(12, 4, 10.0, 50.0);
+  const CorrelatedGroupSampler groups(12, 3, 0.4, 5.0, 40.0);
+  const CorrelatedGroupSampler fixed_theta(12, 5, 0.5, 7.0, 7.0);
+  const std::pair<const ScenarioSampler*, std::uint64_t> pinned[] = {
+      {&uniform, 0x33a19c6687dfd3a3ull},
+      {&exponential, 0x5f7edea8983bac1full},
+      {&weibull, 0x36f33a5dca8118cdull},
+      {&window, 0xfdd216aa7c72fc64ull},
+      {&groups, 0xb06678a0ff56007aull},
+      {&fixed_theta, 0x643391cbaa721fcbull},
+  };
+  for (const auto& [sampler, expected] : pinned) {
+    Rng master(20080201);
+    std::uint64_t digest = 1469598103934665603ull;
+    std::vector<double> times(sampler->proc_count());
+    for (int i = 0; i < 4096; ++i) {
+      Rng stream = master.split();
+      Rng twin = stream;
+      const CrashScenario scenario = sampler->sample(stream);
+      sampler->sample_into(twin, times);
+      for (std::size_t p = 0; p < sampler->proc_count(); ++p) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(times[p]),
+                  std::bit_cast<std::uint64_t>(scenario.crash_time(ProcId(p))))
+            << sampler->name() << " draw " << i;
+        const auto bits = std::bit_cast<std::uint64_t>(
+            scenario.crash_time(ProcId(p)));
+        for (int byte = 0; byte < 8; ++byte)
+          digest = (digest ^ ((bits >> (8 * byte)) & 0xFFu)) *
+                   1099511628211ull;
+      }
+    }
+    EXPECT_EQ(digest, expected)
+        << sampler->name() << ": 0x" << std::hex << digest;
+  }
 }
 
 TEST(ScenarioSamplers, RejectsBadParameters) {
@@ -621,6 +669,142 @@ TEST(Campaign, UniformKReplaysEachDeadSetOnce) {
   EXPECT_EQ(telemetry.memo_entries,
             telemetry.memo_lookups - telemetry.memo_hits);
   EXPECT_EQ(telemetry.memo_evictions, 0u);
+}
+
+// The pipelined executor's invariants on an early-stopped, multi-wave
+// uniform-k campaign: the stop lands mid-range at the same replay for every
+// thread count, with identical summaries and telemetry — and the wave drawn
+// alongside the final fold is never counted.
+TEST(Campaign, EarlyStopIsThreadBlindAndDropsTheSpeculativeWave) {
+  const Scenario s = random_setup(114, 10, 1.0);
+  const Schedule schedule = caft_for(s, 2);
+  const UniformKSampler sampler(10, 3);  // k > ε: about 1% survive
+  CampaignOptions options;
+  options.replays = 50000;
+  options.block = 256;
+  options.target_ci_width = 0.006;
+  std::vector<std::pair<CampaignSummary, CampaignTelemetry>> runs;
+  for (const std::size_t threads : {1, 2, 4}) {
+    options.threads = threads;
+    CampaignTelemetry telemetry;
+    const CampaignSummary summary =
+        run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+    runs.emplace_back(summary, telemetry);
+  }
+  const auto& [summary, telemetry] = runs.front();
+  ASSERT_GT(summary.replays, 4 * options.block);  // several waves ran
+  ASSERT_GT(summary.successes, 0u);
+  ASSERT_LT(summary.replays, options.replays);    // and the fold stopped
+  EXPECT_EQ(telemetry.replays, summary.replays);
+  EXPECT_EQ(telemetry.memo_lookups, summary.replays);
+  EXPECT_EQ(telemetry.blocks,
+            (summary.replays + options.block - 1) / options.block);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    const std::string context = "run " + std::to_string(r);
+    expect_summaries_identical(summary, runs[r].first, context);
+    const CampaignTelemetry& other = runs[r].second;
+    EXPECT_EQ(telemetry.memo_lookups, other.memo_lookups) << context;
+    EXPECT_EQ(telemetry.memo_hits, other.memo_hits) << context;
+    EXPECT_EQ(telemetry.memo_evictions, other.memo_evictions) << context;
+    EXPECT_EQ(telemetry.memo_entries, other.memo_entries) << context;
+    EXPECT_EQ(telemetry.blocks, other.blocks) << context;
+    EXPECT_EQ(telemetry.replays, other.replays) << context;
+  }
+}
+
+// A work order's `exec <threads> <block>` comes from the peer: absurd
+// values must size neither the worker group nor the wave buffers.
+TEST(Campaign, BlockIgnoresAbsurdThreadAndBlockSizes) {
+  const Scenario s = random_setup(114, 10, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(10, 2, 0.0, schedule.horizon());
+  CampaignOptions options;
+  options.threads = 1;
+  const std::vector<ReplayRecord> reference =
+      block_records(schedule, *s.costs, sampler, options, 0, 100);
+  options.threads = 1'000'000;
+  options.block = std::size_t{1} << 62;
+  const std::vector<ReplayRecord> absurd =
+      block_records(schedule, *s.costs, sampler, options, 0, 100);
+  ASSERT_EQ(reference.size(), 100u);
+  ASSERT_EQ(absurd.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].success, absurd[i].success) << i;
+    EXPECT_EQ(reference[i].latency, absurd[i].latency) << i;
+    EXPECT_EQ(reference[i].delivered_messages, absurd[i].delivered_messages)
+        << i;
+    EXPECT_EQ(reference[i].failed_count, absurd[i].failed_count) << i;
+  }
+}
+
+/// Emits NaN crash times on exactly one draw of a campaign stream: the one
+/// whose split stream opens with `marker`. A pure function of the stream,
+/// like every sampler.
+class NanOnceSampler final : public ScenarioSampler {
+ public:
+  NanOnceSampler(std::size_t proc_count, std::uint64_t marker)
+      : proc_count_(proc_count), marker_(marker) {}
+  [[nodiscard]] std::string name() const override { return "nan-once"; }
+  [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
+  void sample_into(Rng& rng, std::span<double> times) const override {
+    const double t = rng() == marker_
+                         ? std::numeric_limits<double>::quiet_NaN()
+                         : std::numeric_limits<double>::infinity();
+    std::fill(times.begin(), times.end(), t);
+  }
+
+ private:
+  std::size_t proc_count_;
+  std::uint64_t marker_;
+};
+
+// A draw that fails its checks on a worker thread fails the campaign on
+// the caller, at any thread count — never a silent record, never a crash.
+TEST(Campaign, BadDrawOnAWorkerThrowsOnTheCaller) {
+  const Scenario s = random_setup(115, 10, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  CampaignOptions options;
+  options.replays = 2000;
+  options.block = 256;
+  Rng master(options.seed);
+  for (int i = 0; i < 700; ++i) (void)master.split();
+  Rng poisoned = master.split();
+  const NanOnceSampler sampler(10, poisoned());
+  for (const std::size_t threads : {1, 4}) {
+    options.threads = threads;
+    EXPECT_THROW(
+        (void)run_campaign(schedule, *s.costs, sampler, options), CheckError)
+        << "threads=" << threads;
+  }
+}
+
+// The per-draw path of a campaign in steady state — sample_into, the span
+// canonicalize and a cache find — allocates nothing.
+TEST(Campaign, SteadyStateUniformKDrawAllocatesNothing) {
+  const Scenario s = random_setup(116, 10, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const ReplayEngine engine(schedule, *s.costs, ReplayEngineOptions{});
+  const UniformKSampler sampler(10, 2);
+  RecordCache cache;
+  std::vector<double> times(10);
+  std::vector<double> key(10);
+  Rng master(7);
+  const auto draw = [&] {
+    Rng stream(master.split_seed());
+    sampler.sample_into(stream, times);
+    EXPECT_EQ(engine.canonicalize(times, key),
+              ReplayEngine::Canonical::kExact);
+    return cache.find(std::span<const double>(key));
+  };
+  for (int i = 0; i < 2000; ++i)
+    if (draw() == cache.end()) cache.emplace(key, ReplayRecord{});
+  ASSERT_EQ(cache.size(), 45u);  // C(10, 2): every dead set seen
+
+  const std::uint64_t before = ::test::t_allocations;
+  std::size_t hits = 0;
+  for (int i = 0; i < 1000; ++i) hits += draw() != cache.end() ? 1 : 0;
+  EXPECT_EQ(::test::t_allocations, before);
+  EXPECT_EQ(hits, 1000u);
 }
 
 TEST(Campaign, RejectsPrebuiltEngineWithAnotherThetaConfig) {

@@ -8,36 +8,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-// ---------------------------------------------------------------------
-// Global allocation counter: every operator new in this binary bumps a
-// thread_local count, so a test can assert a code region allocated
-// nothing. gtest and the registry itself allocate freely outside the
-// guarded regions; only the delta inside a region matters.
-namespace {
-thread_local std::uint64_t t_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++t_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_allocator.hpp"
 
 namespace {
 
@@ -137,7 +113,7 @@ TEST(ObsRegistry, DisabledHotPathAllocatesNothing) {
   obs::Gauge gauge = registry.gauge("g");
   obs::Histogram histogram = registry.histogram("h");
 
-  const std::uint64_t before = t_allocations;
+  const std::uint64_t before = test::t_allocations;
   for (int i = 0; i < 10000; ++i) {
     counter.add(1);
     gauge.set(1.0);
@@ -147,7 +123,7 @@ TEST(ObsRegistry, DisabledHotPathAllocatesNothing) {
     obs::ScopedTimer timer(registry, "phase");
     timer.stop();
   }
-  EXPECT_EQ(t_allocations, before)
+  EXPECT_EQ(test::t_allocations, before)
       << "disabled observability must be allocation-free on the hot path";
 }
 
