@@ -20,7 +20,7 @@
 # the single-process run byte for byte.
 #
 # A third leg gates early stopping: --target-ci-width stops the fold at a
-# point fixed by (seed, block) alone, so a stopped subprocess campaign must
+# point fixed by the spec alone, so a stopped subprocess campaign must
 # match the stopped single-process one byte for byte at 2 and 4 workers,
 # even though its 25-replay wire blocks do not line up with the stop point.
 if(NOT CLI OR NOT WORK_DIR)

@@ -102,8 +102,9 @@ using namespace wire;
 namespace {
 
 /// Version of the work-order document (v2 dropped the engine/memo/snapshot
-/// fields from `exec`). The partial-result document is still v1.
-constexpr int kWorkOrderVersion = 2;
+/// fields from `exec`, v3 its wave size). The partial-result document is
+/// still v1.
+constexpr int kWorkOrderVersion = 3;
 
 const char* sampler_kind_name(SamplerSpec::Kind kind) {
   switch (kind) {
@@ -271,7 +272,7 @@ void write_campaign_work_order(std::ostream& os,
   write_spec_lines(os, order.spec);
   write_sampler_line(os, order.spec.sampler);
   write_request_line(os, order.spec.request);
-  os << "exec " << order.threads << " " << order.block << "\n";
+  os << "exec " << order.threads << "\n";
   os << "expect " << format_double(order.expect_makespan) << " "
      << format_double(order.expect_horizon) << "\n";
   os << "end\n";
@@ -310,7 +311,6 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       saw_block = true;
     } else if (key == "exec") {
       order.threads = parse_size(next_token(fields, "exec threads"), "threads");
-      order.block = parse_size(next_token(fields, "exec block"), "block");
     } else if (key == "expect") {
       order.expect_makespan =
           parse_double(next_token(fields, "expect makespan"), "makespan");

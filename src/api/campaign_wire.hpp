@@ -11,7 +11,7 @@
 /// of worker records must be indistinguishable from an in-process fold.
 ///
 /// Work order (one block of one campaign):
-///   caft-campaign-work v2
+///   caft-campaign-work v3
 ///   instance <path>                      # instance reference (io format)
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
@@ -22,7 +22,7 @@
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
 ///           <batch-size> <mst>           # "-" = no override
-///   exec <threads> <block>               # summary-neutral worker knobs
+///   exec <threads>                       # summary-neutral worker knob
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
 ///                                        # the worker re-schedules and must
 ///                                        # reproduce both bit-for-bit
@@ -154,10 +154,9 @@ struct CampaignWorkOrder {
   /// request). The coordinator pins request.eps / request.model to the
   /// values its own scheduling run resolved, so the worker cannot drift.
   CampaignSpec spec;
-  /// Summary-neutral execution knobs the worker honours (its private
-  /// thread budget and wave size — same fields as SessionOptions).
+  /// Summary-neutral execution knob the worker honours: its private
+  /// thread budget.
   std::size_t threads = 1;
-  std::size_t block = 1024;
   /// Determinism pins: the coordinator's 0-crash makespan and horizon. A
   /// worker whose re-scheduled values differ bit-for-bit refuses to run
   /// (environment drift would silently corrupt the campaign). NaN = don't

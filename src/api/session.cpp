@@ -142,27 +142,18 @@ void validate_campaign_spec(const CampaignSpec& spec) {
 /// with the same θ-width bit for bit (the worker pins the horizon).
 caft::CampaignOptions campaign_options(const CampaignSpec& spec,
                                        double schedule_horizon,
-                                       std::size_t threads,
-                                       std::size_t block) {
+                                       std::size_t threads) {
   caft::CampaignOptions campaign;
   campaign.replays = spec.replays;
   campaign.seed = spec.seed;
   campaign.quantiles = spec.quantiles;
   campaign.threads = threads;
-  campaign.block = block;
-  campaign.exact = spec.exact;
   campaign.theta_bucket_width = spec.theta_bucket_width(schedule_horizon);
   campaign.target_ci_width = spec.target_ci_width;
   return campaign;
 }
 
 }  // namespace
-
-CampaignRun Session::evaluate_schedule(const Instance& instance,
-                                       ScheduleResult result,
-                                       const CampaignSpec& spec) const {
-  return evaluate_schedule(instance, std::move(result), spec, nullptr);
-}
 
 CampaignRun Session::evaluate_schedule(
     const Instance& instance, ScheduleResult result, const CampaignSpec& spec,
@@ -174,9 +165,8 @@ CampaignRun Session::evaluate_schedule(
                   .summary = {},
                   .telemetry = {},
                   .theta_bucket_width = 0.0};
-  caft::CampaignOptions campaign =
-      campaign_options(spec, run.result.schedule.horizon(), options_.threads,
-                       options_.block);
+  caft::CampaignOptions campaign = campaign_options(
+      spec, run.result.schedule.horizon(), options_.threads);
   campaign.on_progress = options_.on_progress;
   run.theta_bucket_width = campaign.theta_bucket_width;
   if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess)
@@ -235,7 +225,6 @@ CampaignRun Session::evaluate_schedule_subprocess(
   order.spec.request.eps = run.result.eps;
   order.spec.request.model = run.result.schedule.model();
   order.threads = exec.worker_threads;
-  order.block = options_.block;
   order.expect_makespan = run.result.makespan;
   order.expect_horizon = run.result.schedule.horizon();
 
@@ -499,14 +488,15 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
   const auto sampler = order.spec.sampler.build(instance.proc_count());
   // The horizon is pinned above, so these options match the coordinator's.
   const caft::CampaignOptions campaign =
-      campaign_options(order.spec, horizon, order.threads, order.block);
+      campaign_options(order.spec, horizon, order.threads);
 
   // Stream the partial document: header up front, each completed wave's
   // records the moment they exist, the mergeable fold state (`counts`) and
   // telemetry/timing as the footer. The worker never materialises the
   // whole block, so its memory — like the coordinator's — is bounded by
-  // the wave size, not the block size. Flushing per wave is what lets the
-  // coordinator's incremental reader overlap parsing with the replay.
+  // caft::kCampaignWave, not the block size. Flushing per wave is what
+  // lets the coordinator's incremental reader overlap parsing with the
+  // replay.
   caft::CampaignTelemetry telemetry;
   std::size_t successes = 0;
   std::size_t written = 0;

@@ -2,8 +2,8 @@
 /// `ftsched::Session` — the batch/campaign service facade of the library.
 ///
 /// A Session owns the execution policy of fault-injection campaigns: the
-/// worker-thread budget, the wave size and where campaigns run (this
-/// process or worker processes).
+/// worker-thread budget and where campaigns run (this process or worker
+/// processes).
 /// Consumers describe *what* to evaluate declaratively — a `CampaignSpec`
 /// names registered algorithms, a sampler distribution (`SamplerSpec`, plain
 /// data so specs can cross process boundaries when campaigns scale out) and
@@ -11,7 +11,7 @@
 /// instances and folded `CampaignReport`s.
 ///
 /// Determinism contract (inherited from campaign/run_campaign): a report is
-/// a pure function of (instance, spec) — thread count, block size and
+/// a pure function of (instance, spec) — thread count, worker blocks and
 /// backend never change a summary. `evaluate` is therefore
 /// bit-identical to hand-rolling registry->schedule + run_campaign with the
 /// same seeds, and tests/test_api.cpp holds it to that.
@@ -106,16 +106,17 @@ struct CampaignSpec {
   /// and replay each crash-at-θ draw as its bucket-midpoint representative
   /// (0 = off, bit-exact replays).
   std::size_t theta_buckets = 0;
-  /// Exactness escape hatch: bit-exact replays even with buckets set.
+  /// Exactness escape hatch: bit-exact replays even with buckets set. It
+  /// acts through theta_bucket_width alone, which it zeroes.
   bool exact = false;
   /// Early stopping: stop once the Wilson 95% interval around the folded
   /// prefix's success rate is at most this wide (0 = off, run all
   /// replays; otherwise inside (0, 1)). The summary then covers a
   /// *contiguous canonical prefix* of the scenario stream. Both backends
   /// fold through one caft::CampaignFold, which checks after every
-  /// SessionOptions::block records, so the stopping point is a
-  /// deterministic function of (seed, block): byte-identical across
-  /// threads, backends, worker counts and wire block sizes.
+  /// caft::kCampaignWave records, so the stopping point is a
+  /// deterministic function of the spec: byte-identical across threads,
+  /// backends, worker counts and wire block sizes.
   double target_ci_width = 0.0;
   /// Forwarded to every scheduler (ε/model overrides, algorithm knobs).
   ScheduleRequest request;
@@ -198,10 +199,6 @@ struct ExecutionPolicy {
 struct SessionOptions {
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env).
   std::size_t threads = 0;
-  /// Replays simulated per parallel wave; bounds peak memory. With a
-  /// target CI width it is also the early-stop check interval, so it then
-  /// joins the summary-relevant knobs (CampaignSpec::target_ci_width).
-  std::size_t block = 1024;
   /// Where campaigns run: this process or a pool of worker processes.
   ExecutionPolicy exec;
   /// Live progress callback, fired by the campaign's CampaignFold after
@@ -255,22 +252,19 @@ class Session {
   /// processes as the Session's ExecutionPolicy says. Takes the result by
   /// value (it is carried into the returned run); pass a copy to keep the
   /// original.
-  [[nodiscard]] CampaignRun evaluate_schedule(const Instance& instance,
-                                              ScheduleResult result,
-                                              const CampaignSpec& spec) const;
-
-  /// Same, reusing a caller-cached replay template (the campaign server's
-  /// content-addressed ReplayEngine cache): a non-null `replay_template`
-  /// must have been built from `result`'s schedule and `instance`'s costs
-  /// with the θ-width/exact configuration this spec derives, and outlive
-  /// the call. In-process backend only — the subprocess backend's engines
-  /// live in worker processes, so the hint is ignored there. Results are
-  /// bit-identical with and without the template (the engine's purity
-  /// contract); only construction time is saved.
+  ///
+  /// A non-null `replay_template` reuses a caller-cached ReplayEngine (the
+  /// campaign server's content-addressed cache): it must have been built
+  /// from `result`'s schedule and `instance`'s costs with the θ-width this
+  /// spec derives, and outlive the call. In-process backend only — the
+  /// subprocess backend's engines live in worker processes, so the hint is
+  /// ignored there. Results are bit-identical with and without the
+  /// template (the engine's purity contract); only construction time is
+  /// saved.
   [[nodiscard]] CampaignRun evaluate_schedule(
       const Instance& instance, ScheduleResult result,
       const CampaignSpec& spec,
-      const caft::ReplayEngine* replay_template) const;
+      const caft::ReplayEngine* replay_template = nullptr) const;
 
  private:
   /// The subprocess coordinator behind evaluate_schedule: saves a scratch

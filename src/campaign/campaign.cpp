@@ -77,7 +77,6 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   CAFT_CHECK_MSG(sampler.proc_count() == schedule.platform().proc_count(),
                  "sampler platform size does not match the schedule");
   CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
-  CAFT_CHECK_MSG(options.block > 0, "block size must be positive");
   CAFT_CHECK_MSG(options.theta_bucket_width >= 0.0 &&
                      !std::isnan(options.theta_bucket_width),
                  "theta bucket width must be non-negative");
@@ -106,7 +105,6 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   if (engine == nullptr) {
     ReplayEngineOptions engine_options;
     engine_options.theta_bucket_width = options.theta_bucket_width;
-    engine_options.exact = options.exact;
     engine_options.snapshot_times = sampler.first_crash_quantiles(
         engine_options.max_snapshots, schedule.horizon());
     owned_engine =
@@ -114,10 +112,9 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     engine = owned_engine.get();
   } else {
     CAFT_CHECK_MSG(
-        engine->options().theta_bucket_width == options.theta_bucket_width &&
-            engine->options().exact == options.exact,
-        "prebuilt engine was built with a different theta_bucket_width or "
-        "exact flag than the campaign");
+        engine->options().theta_bucket_width == options.theta_bucket_width,
+        "prebuilt engine was built with a different theta_bucket_width than "
+        "the campaign");
   }
 
   Rng master(options.seed);
@@ -126,9 +123,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   for (std::size_t i = 0; i < first; ++i) (void)master.split_seed();
 
   const std::size_t m = sampler.proc_count();
-  // Wave buffers hold min(block, count) draws: a work order's block comes
-  // from the peer, so it is never trusted to size an allocation alone.
-  const std::size_t capacity = std::min(options.block, count);
+  const std::size_t capacity = std::min(kCampaignWave, count);
   WorkerGroup group(std::min(threads, (count + kDrawChunk - 1) / kDrawChunk));
   std::vector<std::uint64_t> seeds(capacity);  // split seed per draw
   std::vector<double> drawn(capacity * m);     // crash times, draw-major
@@ -183,15 +178,15 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   std::size_t unfolded_size = 0;
   bool keep_going = true;
   for (std::size_t w = 0; done < count; ++w) {
-    const std::size_t wave = std::min(options.block, count - done);
+    const std::size_t wave = std::min(kCampaignWave, count - done);
     obs::Span wave_span = registry.span("campaign.wave");
     const std::chrono::steady_clock::time_point wave_begin =
         std::chrono::steady_clock::now();
     ReplayRecord* const out = records[w % 2].data();
 
     // Split seeds are taken from the master in global replay order: neither
-    // the thread schedule, the block size nor the cache can influence any
-    // draw.
+    // the thread schedule, the block partition nor the cache can influence
+    // any draw.
     for (std::size_t i = 0; i < wave; ++i) seeds[i] = master.split_seed();
     next_draw.store(0, std::memory_order_relaxed);
     group.run([&](std::size_t slot) {
@@ -302,30 +297,29 @@ CampaignFold::CampaignFold(std::size_t eps, std::string sampler_name,
                            const CampaignOptions& options)
     : accumulator_(eps, options.quantiles),
       total_(options.replays),
-      block_(options.block),
       target_ci_width_(options.target_ci_width),
       on_progress_(options.on_progress) {
   CAFT_CHECK_MSG(target_ci_width_ == 0.0 ||
                      (std::isfinite(target_ci_width_) &&
                       target_ci_width_ > 0.0 && target_ci_width_ < 1.0),
                  "target CI width must be in (0, 1)");
-  CAFT_CHECK_MSG(block_ > 0, "block size must be positive");
   accumulator_.set_sampler_name(std::move(sampler_name));
 }
 
 bool CampaignFold::add(const ReplayRecord* records, std::size_t count) {
   if (stopped_) return false;
-  // Fold up to the next block boundary of the stream, then apply the stop
+  // Fold up to the next wave boundary of the stream, then apply the stop
   // rule there: where the stream is cut into chunks never matters.
   while (count > 0 && !stopped_) {
     const std::size_t step =
         target_ci_width_ > 0.0
-            ? std::min(count, block_ - accumulator_.replays() % block_)
+            ? std::min(count,
+                       kCampaignWave - accumulator_.replays() % kCampaignWave)
             : count;
     for (std::size_t i = 0; i < step; ++i) accumulator_.add(records[i]);
     records += step;
     count -= step;
-    if (target_ci_width_ > 0.0 && accumulator_.replays() % block_ == 0)
+    if (target_ci_width_ > 0.0 && accumulator_.replays() % kCampaignWave == 0)
       stopped_ = ci_width() <= target_ci_width_;
   }
   telemetry_.replays = accumulator_.replays();

@@ -12,15 +12,17 @@
 /// Determinism contract (same as run_experiment): every replay owns a
 /// pre-split Rng stream, its seed split from the master stream in replay
 /// order, and the fold also happens in replay order — so the summary is
-/// bit-for-bit identical for 1 thread and N threads and for any block size.
+/// bit-for-bit identical for 1 thread and N threads and for any partition
+/// of the stream into worker blocks.
 /// Which thread draws a scenario never matters: a draw is a pure function
 /// of its split seed. Replays run on the prefix-cached ReplayEngine
 /// (sim/replay_engine.hpp), which is replay-for-replay bit-identical to
 /// simulate_crashes, the oracle the tests compare whole campaigns against.
 /// θ-quantization (CampaignOptions::theta_bucket_width) is the one knob
 /// that changes the summary — deterministically, never as a function of
-/// threads. Replays are simulated in bounded waves, so memory stays
-/// O(block + threads) plus the bounded record cache below, not O(replays).
+/// threads. Replays are simulated in waves of kCampaignWave, so memory stays
+/// O(kCampaignWave + threads) plus the bounded record cache below, not
+/// O(replays).
 /// run_campaign_block, the subprocess worker's half, streams each wave's
 /// records to a sink instead of returning the block, so a worker is
 /// bounded the same way.
@@ -97,9 +99,6 @@ struct CampaignOptions {
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env, else
   /// hardware concurrency).
   std::size_t threads = 0;
-  /// Replays simulated per parallel wave; bounds peak memory. The summary
-  /// does not depend on it.
-  std::size_t block = 1024;
   /// Latency quantiles to estimate, each in (0, 1).
   std::vector<double> quantiles = {0.5, 0.9, 0.99};
   /// θ-quantization bucket width; 0 (the default) keeps every replay
@@ -108,9 +107,6 @@ struct CampaignOptions {
   /// most width/2 per crash time but stay deterministic and thread-count
   /// independent.
   double theta_bucket_width = 0.0;
-  /// Exactness escape hatch: force bit-exact replays even when
-  /// theta_bucket_width > 0 (no quantization; dead-set caching stays on).
-  bool exact = false;
   /// Progress callback, invoked after each completed wave from the thread
   /// that runs the campaign (never from worker threads). Purely
   /// observational — the summary is identical whether it is set or not.
@@ -118,24 +114,30 @@ struct CampaignOptions {
   /// Early stopping: stop once the Wilson 95% interval around the folded
   /// prefix's success rate is at most this wide (0 = off, run the full
   /// budget; otherwise inside (0, 1)). CampaignFold checks it after every
-  /// `block` records of the canonical stream, so the stopping point — and
-  /// therefore the summary — is a deterministic function of (seed, block)
-  /// for either backend: still independent of threads and workers, but
-  /// `block` joins the summary-relevant knobs whenever this is set.
+  /// kCampaignWave records of the canonical stream, so the stopping point —
+  /// and therefore the summary — is a deterministic function of the record
+  /// stream for either backend, independent of threads and workers.
   /// run_campaign_block replays its exact range regardless (a block is a
   /// fixed slice of someone else's campaign).
   double target_ci_width = 0.0;
   /// Replay-template reuse hook for services that cache ReplayEngines
   /// across campaigns (the campaign server): a non-null engine — built from
-  /// this campaign's schedule/costs with the same theta_bucket_width and
-  /// exact flag (checked: a mismatch throws CheckError) — is used instead
-  /// of constructing one. Summary-neutral by the engine's own contract:
+  /// this campaign's schedule/costs with the same theta_bucket_width
+  /// (checked: a mismatch throws CheckError) — is used instead of
+  /// constructing one. Summary-neutral by the engine's own contract:
   /// replays are pure functions of (schedule, costs, scenario, θ-config),
   /// and the engine is const-shared across worker threads exactly as an
   /// owned one would be. The caller keeps it alive for the duration of the
   /// call.
   const ReplayEngine* prebuilt_engine = nullptr;
 };
+
+/// Replays per wave, and the early-stop check interval of CampaignFold: an
+/// early stop lands on a wave boundary, so the wave drawn beside the
+/// stopping fold is dropped whole. A constant, not an option: the summary
+/// of an early-stopped campaign depends on it, and a report depends on
+/// (instance, spec) alone.
+inline constexpr std::size_t kCampaignWave = 1024;
 
 /// Entry cap of a campaign's record cache (see "Record cache" above); a
 /// full cache is cleared and refills. A constant, not an option: the cache
@@ -237,7 +239,6 @@ class CampaignFold {
   CampaignAccumulator accumulator_;
   CampaignTelemetry telemetry_;
   std::size_t total_;
-  std::size_t block_;
   double target_ci_width_;
   std::function<void(const CampaignProgress&)> on_progress_;
   bool stopped_ = false;
@@ -246,7 +247,7 @@ class CampaignFold {
 /// Runs the contiguous replays [first, first + count) of the campaign's
 /// canonical scenario stream (the stream run_campaign draws for the same
 /// seed — `options.replays` is ignored here) and hands each completed wave
-/// (options.block records at most) to `sink` in canonical replay order, on
+/// (kCampaignWave records at most) to `sink` in canonical replay order, on
 /// the calling thread, then reuses its buffer, so the caller — the
 /// subprocess worker writing records onto its stdout pipe — never holds
 /// more than two waves in memory: the one being sunk and the one being

@@ -157,8 +157,6 @@ const AlgoAverages* PointAverages::algo(const std::string& name) const {
   return nullptr;
 }
 
-std::size_t experiment_thread_count() { return default_thread_count(); }
-
 std::vector<PointAverages> run_experiment(const ExperimentConfig& config) {
   CAFT_CHECK_MSG(config.crashes <= config.eps,
                  "crash count above eps would break the guarantee");
@@ -180,7 +178,7 @@ std::vector<PointAverages> run_experiment(const ExperimentConfig& config) {
   points.reserve(config.granularities.size());
   Rng master(config.seed);
   const std::size_t threads =
-      std::min(experiment_thread_count(), config.graphs_per_point);
+      std::min(default_thread_count(), config.graphs_per_point);
 
   for (const double granularity : config.granularities) {
     // Deterministic per-repetition streams: split sequentially up front so

@@ -65,8 +65,4 @@ struct PointAverages {
 [[nodiscard]] std::vector<PointAverages> run_experiment(
     const ExperimentConfig& config);
 
-/// Worker threads run_experiment will use (CAFT_THREADS env var, else the
-/// hardware concurrency, else 1).
-[[nodiscard]] std::size_t experiment_thread_count();
-
 }  // namespace caft

@@ -1,8 +1,8 @@
 #include "server/content_cache.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <utility>
 
 #include "api/campaign_wire.hpp"
 #include "common/hash.hpp"
@@ -29,66 +29,44 @@ ContentCache::ContentCache(std::size_t capacity)
 
 std::size_t ContentCache::size() const {
   const std::lock_guard<std::mutex> guard(lock_);
-  return instances_.size() + schedules_.size() + templates_.size();
+  return entries_.size();
 }
 
-void ContentCache::evict_to_capacity() {
-  while (instances_.size() + schedules_.size() + templates_.size() >
-         capacity_) {
+template <typename T, typename Build>
+std::shared_ptr<const T> ContentCache::find_or_build(const std::string& key,
+                                                     const Build& build) {
+  const std::lock_guard<std::mutex> guard(lock_);
+  ++tick_;
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    it->second.last_used = tick_;
+    hits_.add(1);
+    return std::static_pointer_cast<const T>(it->second.value);
+  }
+  misses_.add(1);
+  std::shared_ptr<const T> built = build();
+  if (capacity_ == 0) return built;
+  entries_[key] = {built, tick_};
+  while (entries_.size() > capacity_) {
     // O(entries) scan for the oldest tick — fine at cache-capacity scale,
-    // and it keeps every structure a plain ordered map (no intrusive LRU
+    // and it keeps the structure a plain ordered map (no intrusive LRU
     // list to get wrong under the single lock).
-    std::uint64_t oldest = ~std::uint64_t{0};
-    int family = -1;
-    std::map<std::string, Slot<const Instance>>::iterator it_i;
-    std::map<std::string, Slot<const CachedSchedule>>::iterator it_s;
-    std::map<std::string, Slot<const CachedTemplate>>::iterator it_t;
-    for (auto it = instances_.begin(); it != instances_.end(); ++it)
-      if (it->second.last_used < oldest) {
-        oldest = it->second.last_used;
-        family = 0;
-        it_i = it;
-      }
-    for (auto it = schedules_.begin(); it != schedules_.end(); ++it)
-      if (it->second.last_used < oldest) {
-        oldest = it->second.last_used;
-        family = 1;
-        it_s = it;
-      }
-    for (auto it = templates_.begin(); it != templates_.end(); ++it)
-      if (it->second.last_used < oldest) {
-        oldest = it->second.last_used;
-        family = 2;
-        it_t = it;
-      }
-    if (family == 0) instances_.erase(it_i);
-    if (family == 1) schedules_.erase(it_s);
-    if (family == 2) templates_.erase(it_t);
+    entries_.erase(std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_used < b.second.last_used;
+        }));
     evictions_.add(1);
   }
+  return built;
 }
 
 std::shared_ptr<const Instance> ContentCache::instance(
     const std::string& bytes, std::uint64_t* hash) {
   const std::uint64_t key_hash = caft::fnv1a64(bytes);
   if (hash != nullptr) *hash = key_hash;
-  const std::string key = "i/" + hex64(key_hash);
-
-  const std::lock_guard<std::mutex> guard(lock_);
-  ++tick_;
-  const auto it = instances_.find(key);
-  if (it != instances_.end()) {
-    it->second.last_used = tick_;
-    hits_.add(1);
-    return it->second.value;
-  }
-  misses_.add(1);
-  std::istringstream in(bytes);
-  auto loaded = std::make_shared<const Instance>(Instance::load(in));
-  if (capacity_ == 0) return loaded;
-  instances_[key] = {loaded, tick_};
-  evict_to_capacity();
-  return loaded;
+  return find_or_build<Instance>("i/" + hex64(key_hash), [&] {
+    std::istringstream in(bytes);
+    return std::make_shared<const Instance>(Instance::load(in));
+  });
 }
 
 std::shared_ptr<const ContentCache::CachedSchedule> ContentCache::schedule(
@@ -102,56 +80,31 @@ std::shared_ptr<const ContentCache::CachedSchedule> ContentCache::schedule(
   wire::write_request_line(fingerprint, request);
   const std::string key =
       "s/" + hex64(instance_hash) + "/" + algorithm + "/" + fingerprint.str();
-
-  const std::lock_guard<std::mutex> guard(lock_);
-  ++tick_;
-  const auto it = schedules_.find(key);
-  if (it != schedules_.end()) {
-    it->second.last_used = tick_;
-    hits_.add(1);
-    return it->second.value;
-  }
-  misses_.add(1);
-  const auto scheduler = SchedulerRegistry::global().make(algorithm);
-  auto cached = std::make_shared<const CachedSchedule>(
-      CachedSchedule{instance, scheduler->schedule(*instance, request), key});
-  if (capacity_ == 0) return cached;
-  schedules_[key] = {cached, tick_};
-  evict_to_capacity();
-  return cached;
+  return find_or_build<CachedSchedule>(key, [&] {
+    const auto scheduler = SchedulerRegistry::global().make(algorithm);
+    return std::make_shared<const CachedSchedule>(CachedSchedule{
+        instance, scheduler->schedule(*instance, request), key});
+  });
 }
 
 std::shared_ptr<const ContentCache::CachedTemplate>
 ContentCache::replay_template(
     const std::shared_ptr<const CachedSchedule>& schedule,
-    double theta_bucket_width, bool exact) {
+    double theta_bucket_width, [[maybe_unused]] bool exact) {
   // The schedule key already pins instance content, algorithm and request;
-  // the θ-width and exact flag are the only engine options that change
-  // replay results, so together they address the template fully.
-  const std::string key = "t/" + schedule->key + "/" +
-                          wire::format_double(theta_bucket_width) + "/" +
-                          (exact ? "1" : "0");
-
-  const std::lock_guard<std::mutex> guard(lock_);
-  ++tick_;
-  const auto it = templates_.find(key);
-  if (it != templates_.end()) {
-    it->second.last_used = tick_;
-    hits_.add(1);
-    return it->second.value;
-  }
-  misses_.add(1);
+  // the θ-width is the only engine option that changes replay results, so
+  // together they address the template fully.
   caft::ReplayEngineOptions options;
   options.theta_bucket_width = theta_bucket_width;
-  options.exact = exact;
-  auto engine = std::make_unique<const caft::ReplayEngine>(
-      schedule->result.schedule, schedule->instance->costs(), options);
-  auto cached = std::make_shared<const CachedTemplate>(
-      CachedTemplate{schedule, std::move(engine)});
-  if (capacity_ == 0) return cached;
-  templates_[key] = {cached, tick_};
-  evict_to_capacity();
-  return cached;
+  return find_or_build<CachedTemplate>(
+      "t/" + schedule->key + "/" +
+          wire::format_double(options.theta_bucket_width),
+      [&] {
+        return std::make_shared<const CachedTemplate>(CachedTemplate{
+            schedule, std::make_unique<const caft::ReplayEngine>(
+                          schedule->result.schedule,
+                          schedule->instance->costs(), options)});
+      });
 }
 
 }  // namespace server

@@ -7,17 +7,19 @@
 ///
 ///   instance   i/<fnv1a64(bytes)>            -> loaded Instance
 ///   schedule   s/<hash>/<algorithm>/<req>    -> ScheduleResult (+ instance)
-///   template   t/<schedule-key>/<width>/<e>  -> prebuilt ReplayEngine
+///   template   t/<schedule-key>/<width>      -> prebuilt ReplayEngine
 ///
 /// where <req> is the shared wire::write_request_line encoding of the
 /// ScheduleRequest (every field that can change a schedule is in it) and
-/// <width>/<e> are the θ-bucket width (hexfloat) and exact flag — the two
-/// ReplayEngineOptions members that change replay *results*. Snapshot
+/// <width> is the effective θ-bucket width (hexfloat, 0 when exact) — the
+/// one ReplayEngineOptions member that changes replay *results*. Snapshot
 /// placement is deliberately NOT in the key: it is speed-only by the
 /// engine's purity contract, so a template built here
 /// with default placement replays bit-identically to the adaptively-placed
 /// engine run_campaign would have built. tests/test_campaign_server.cpp
 /// holds the server to exactly that (byte-identical reports on hits).
+///
+/// The three families share one LRU map: the key prefixes keep them apart.
 ///
 /// Lifetimes chain through shared_ptr — a CachedSchedule keeps its
 /// Instance alive, a CachedTemplate keeps its CachedSchedule alive — so
@@ -85,8 +87,11 @@ class ContentCache {
       const ScheduleRequest& request);
 
   /// The ReplayEngine template for `schedule` under the given θ-bucket
-  /// width / exact flag, building (with default, uniform snapshot
-  /// placement — see the file comment) on miss.
+  /// width, building (with default, uniform snapshot placement — see the
+  /// file comment) on miss. The width is CampaignSpec::theta_bucket_width,
+  /// which is already 0 for an exact spec, so an exact request shares the
+  /// unbucketed template. `exact` is unused: it stays only so the existing
+  /// three-argument callers compile.
   [[nodiscard]] std::shared_ptr<const CachedTemplate> replay_template(
       const std::shared_ptr<const CachedSchedule>& schedule,
       double theta_bucket_width, bool exact);
@@ -95,22 +100,21 @@ class ContentCache {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  template <typename T>
   struct Slot {
-    std::shared_ptr<T> value;
+    std::shared_ptr<const void> value;  ///< the family its key names
     std::uint64_t last_used = 0;
   };
 
-  /// Evicts least-recently-used entries until size() <= capacity_. Call
-  /// with lock_ held, after an insertion.
-  void evict_to_capacity();
+  /// The entry under `key`, or — on a miss — `build()`'s artifact, stored
+  /// unless capacity_ is 0. Counts the hit or miss; builds under lock_.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> find_or_build(const std::string& key,
+                                         const Build& build);
 
   const std::size_t capacity_;
   mutable std::mutex lock_;
   std::uint64_t tick_ = 0;  ///< LRU clock; bumped per lookup under lock_
-  std::map<std::string, Slot<const Instance>> instances_;
-  std::map<std::string, Slot<const CachedSchedule>> schedules_;
-  std::map<std::string, Slot<const CachedTemplate>> templates_;
+  std::map<std::string, Slot> entries_;
 
   obs::Counter hits_;
   obs::Counter misses_;

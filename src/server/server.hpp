@@ -12,8 +12,8 @@
 /// holds because every cached artifact is content-addressed (nothing about
 /// request order or client identity reaches a key), the replay template is
 /// speed-only by the engine's purity contract, and --target-ci-width early
-/// stopping cuts at a point that is a deterministic function of (seed,
-/// SessionOptions::block).
+/// stopping cuts at a point that is a deterministic function of the spec
+/// (the stop rule is checked every caft::kCampaignWave replays).
 /// tests/test_campaign_server.cpp and the CI smoke legs enforce it.
 ///
 /// Admission control: at most `max_inflight` requests evaluate at once;

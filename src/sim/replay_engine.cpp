@@ -852,16 +852,11 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
 }
 
 ReplayEngine::Canonical ReplayEngine::canonicalize(
-    const CrashScenario& scenario, std::span<double> times) const {
-  return canonicalize(scenario.crash_times(), times);
-}
-
-ReplayEngine::Canonical ReplayEngine::canonicalize(
     std::span<const double> crash_times, std::span<double> times) const {
   CAFT_CHECK_MSG(crash_times.size() == m_ && times.size() == m_,
                  "scenario size does not match the platform");
   const double width = options_.theta_bucket_width;
-  const bool quantize = width > 0.0 && !options_.exact;
+  const bool quantize = width > 0.0;
   Canonical kind = Canonical::kExact;
   for (std::size_t p = 0; p < m_; ++p) {
     const double t = crash_times[p];

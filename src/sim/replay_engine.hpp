@@ -64,17 +64,17 @@
 /// (instance, schedule, scenario) triples, and the campaign tests compare
 /// whole campaigns against a simulate_crashes oracle.
 ///
-/// Quantization contract: with `theta_bucket_width > 0` and not `exact`,
-/// `canonicalize` classifies a scenario containing finite positive crash
-/// times as kQuantized and fills in its representative (each such time
-/// snapped to the midpoint of its bucket; dead-from-start and never-failing
-/// processors are untouched). Replaying the representative is exact for
+/// Quantization contract: with `theta_bucket_width > 0`, `canonicalize`
+/// classifies a scenario containing finite positive crash times as
+/// kQuantized and fills in its representative (each such time snapped to
+/// the midpoint of its bucket; dead-from-start and never-failing processors
+/// are untouched). Replaying the representative is exact for
 /// the representative and off by at most width/2 per crash time for the
 /// original draw — still a deterministic pure function of the scenario, so
 /// summaries remain independent of thread count and cache state. Scenarios
-/// whose times are all 0/+inf are always exact. Setting `exact` (or width
-/// 0) classifies every finite positive time as unique: such a draw is
-/// replayed as drawn, bit-exact against the naive simulator.
+/// whose times are all 0/+inf are always exact. Width 0 classifies every
+/// finite positive time as unique: such a draw is replayed as drawn,
+/// bit-exact against the naive simulator.
 ///
 /// Thread safety: `replay` and `canonicalize` are const and touch only the
 /// template and the caller's Scratch/buffer, so one engine may serve any
@@ -119,11 +119,6 @@ struct ReplayEngineOptions {
   /// scenarios then stay unique). See the quantization contract in the
   /// file header.
   double theta_bucket_width = 0.0;
-  /// Exactness escape hatch: when true, `canonicalize` never quantizes even
-  /// if theta_bucket_width > 0 — every replay a caller derives from it is
-  /// bit-exact against the naive simulator. Dead-set scenarios stay
-  /// canonical; that equivalence is always exact.
-  bool exact = false;
 };
 
 /// Prefix-cached replay engine bound to one committed schedule.
@@ -220,20 +215,17 @@ class ReplayEngine {
     kQuantized,  ///< finite positive times snapped to their bucket midpoints
     kUnique,     ///< a finite positive time stays raw: no equivalent draws
   };
-  /// Writes `scenario`'s canonical crash-time vector into `times` (one
-  /// entry per processor): 0 for t <= 0, +inf for never, and — when
-  /// theta_bucket_width > 0 and not `exact` — the bucket midpoint of every
-  /// finite positive time. Draws with equal canonical vectors replay to
-  /// equal results, provided a kQuantized draw is replayed as its
-  /// representative (`times` itself) and a kExact draw as drawn. A
+  /// Writes the canonical form of `crash_times` (one per processor) into
+  /// `times`: 0 for t <= 0, +inf for never, and — when theta_bucket_width
+  /// > 0 — the bucket midpoint of every finite positive time. Draws with
+  /// equal canonical vectors replay to equal results, provided a
+  /// kQuantized draw is replayed as its representative (`times` itself)
+  /// and a kExact draw as drawn. A
   /// kUnique draw — a raw finite time, or one whose bucket index would
   /// reach 2^32 − 1 — has no canonical form and is replayed as drawn;
-  /// `times` is then unspecified.
-  [[nodiscard]] Canonical canonicalize(const CrashScenario& scenario,
-                                       std::span<double> times) const;
-  /// The same on raw crash times (one per processor), checked as the
+  /// `times` is then unspecified. The crash times are checked as the
   /// CrashScenario constructor checks them: a NaN or negative time throws
-  /// CheckError. The campaign's allocation-free per-draw path.
+  /// CheckError. Allocation-free: the campaign's per-draw path.
   [[nodiscard]] Canonical canonicalize(std::span<const double> crash_times,
                                        std::span<double> times) const;
 

@@ -130,18 +130,17 @@ struct WideChain {
 /// run_campaign's contract computed the slow, obvious way: one
 /// master.split() per replay, every draw replayed from t = 0 by
 /// simulate_crashes and folded in replay order. With a positive
-/// theta_bucket_width (and not `exact`) a draw with finite positive crash
-/// times is replayed as its representative — each such time snapped to its
-/// bucket midpoint — unless a bucket index reaches 2^32 − 1, the
-/// quantization contract of sim/replay_engine.hpp. Threads, block and
-/// target_ci_width are ignored.
+/// theta_bucket_width a draw with finite positive crash times is replayed
+/// as its representative — each such time snapped to its bucket midpoint —
+/// unless a bucket index reaches 2^32 − 1, the quantization contract of
+/// sim/replay_engine.hpp. Threads and target_ci_width are ignored.
 inline CampaignSummary oracle_campaign(const Schedule& schedule,
                                        const CostModel& costs,
                                        const ScenarioSampler& sampler,
                                        const CampaignOptions& options) {
   CampaignAccumulator accumulator(schedule.eps(), options.quantiles);
   accumulator.set_sampler_name(sampler.name());
-  const double width = options.exact ? 0.0 : options.theta_bucket_width;
+  const double width = options.theta_bucket_width;
   Rng master(options.seed);
   for (std::size_t i = 0; i < options.replays; ++i) {
     Rng stream = master.split();

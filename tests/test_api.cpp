@@ -445,7 +445,6 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   one_thread.threads = 1;
   SessionOptions four_threads;
   four_threads.threads = 4;
-  four_threads.block = 64;
 
   const CampaignReport a = Session(one_thread).evaluate(instance, spec);
   const CampaignReport b = Session(four_threads).evaluate(instance, spec);
@@ -501,6 +500,40 @@ TEST(SessionApi, ExactCampaignsNeverDeriveABucketWidth) {
   EXPECT_DOUBLE_EQ(report.runs[0].theta_bucket_width, 0.0);
 }
 
+TEST(SessionApi, ExactnessEscapeHatchDisablesQuantization) {
+  // `exact` with buckets configured must give the plain exact campaign: the
+  // spec zeroes the bucket width, so crash-at-θ draws have no canonical
+  // form and replay as drawn.
+  const Instance instance = random_instance(59, 6, 1.0, 1);
+  CampaignSpec plain;
+  plain.algorithms = {"caft"};
+  plain.sampler = SamplerSpec::window(2, 0.0, 500.0);
+  plain.replays = 200;
+  CampaignSpec hatched = plain;
+  hatched.theta_buckets = 4;  // very coarse
+  hatched.exact = true;
+  SessionOptions two_threads;
+  two_threads.threads = 2;
+  SessionOptions four_threads;
+  four_threads.threads = 4;
+  const CampaignRun exact =
+      Session(four_threads).evaluate(instance, hatched).runs[0];
+  const CampaignRun reference =
+      Session(two_threads).evaluate(instance, plain).runs[0];
+  expect_summaries_identical(reference.summary, exact.summary);
+  EXPECT_EQ(exact.theta_bucket_width, 0.0);
+  EXPECT_EQ(exact.telemetry.memo_lookups, 0u);
+
+  caft::CampaignOptions options;
+  options.replays = plain.replays;
+  options.seed = plain.seed;
+  expect_summaries_identical(
+      exact.summary,
+      caft::test::oracle_campaign(exact.result.schedule, instance.costs(),
+                                  *plain.sampler.build(instance.proc_count()),
+                                  options));
+}
+
 TEST(SessionApi, InProcessTargetCiWidthStopsEarlyAndDeterministically) {
   const Instance instance = random_instance(44, 8, 1.0, 1);
   CampaignSpec spec;
@@ -510,18 +543,17 @@ TEST(SessionApi, InProcessTargetCiWidthStopsEarlyAndDeterministically) {
   // full budget, so the in-process backend must stop at a wave boundary
   // with a truncated (but non-empty) canonical prefix.
   spec.target_ci_width = 0.2;
-  SessionOptions options;
-  options.block = 64;
+  const SessionOptions options;
   const CampaignReport report = Session(options).evaluate(instance, spec);
   ASSERT_EQ(report.runs.size(), 1u);
   const caft::CampaignSummary& stopped = report.runs[0].summary;
   EXPECT_GT(stopped.replays, 0u);
   EXPECT_LT(stopped.replays, spec.replays);
-  EXPECT_EQ(stopped.replays % options.block, 0u);  // wave-boundary cut
+  EXPECT_EQ(stopped.replays % caft::kCampaignWave, 0u);  // wave-boundary cut
   EXPECT_LE(stopped.success_ci.high - stopped.success_ci.low,
             spec.target_ci_width);
 
-  // The stopping point is a function of (seed, block) only: any thread
+  // The stopping point is a function of the spec only: any thread
   // count folds the same canonical prefix, byte-for-byte — the property
   // the campaign server's cached-vs-fresh identity rests on.
   SessionOptions threaded = options;

@@ -368,42 +368,27 @@ TEST(Campaign, SummaryIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.order_deadlocks, b.order_deadlocks);
 }
 
-TEST(Campaign, SummaryIdenticalAcrossBlockSizes) {
-  Scenario s = random_setup(102, 10, 1.0);
-  const Schedule schedule = caft_for(s, 1);
-  const UniformKSampler sampler(10, 1);
-
-  CampaignOptions small;
-  small.replays = 257;
-  small.block = 16;
-  small.threads = 2;
-  CampaignOptions big = small;
-  big.block = 1024;
-  big.threads = 3;
-  const CampaignSummary a = run_campaign(schedule, *s.costs, sampler, small);
-  const CampaignSummary b = run_campaign(schedule, *s.costs, sampler, big);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.latency.mean(), b.latency.mean());
-  EXPECT_EQ(a.latency_quantiles[0].value, b.latency_quantiles[0].value);
-}
-
 // Process scale-out contract (api/session.hpp): any partition of the
 // canonical scenario stream into contiguous blocks — computed in any order,
 // with any per-block thread count — yields record streams whose
 // concatenation is bit-identical to the whole-campaign stream, and whose
 // canonical-order fold reproduces run_campaign's summary exactly.
 /// run_campaign_block's streamed waves, concatenated; also checks that no
-/// wave exceeds options.block records.
+/// wave exceeds kCampaignWave records and, if `waves` is given, counts the
+/// sink calls into it.
 std::vector<ReplayRecord> block_records(const Schedule& schedule,
                                         const CostModel& costs,
                                         const ScenarioSampler& sampler,
                                         const CampaignOptions& options,
-                                        std::size_t first, std::size_t count) {
+                                        std::size_t first, std::size_t count,
+                                        std::size_t* waves = nullptr) {
   std::vector<ReplayRecord> records;
+  if (waves != nullptr) *waves = 0;
   run_campaign_block(schedule, costs, sampler, options, first, count, nullptr,
                      [&](const ReplayRecord* wave, std::size_t size) {
-                       EXPECT_LE(size, options.block);
+                       EXPECT_LE(size, kCampaignWave);
                        records.insert(records.end(), wave, wave + size);
+                       if (waves != nullptr) ++*waves;
                      });
   return records;
 }
@@ -415,24 +400,29 @@ TEST(Campaign, BlockPartitionReproducesRecordStream) {
       10, 0.05 / schedule.zero_crash_latency());
 
   CampaignOptions options;
-  options.replays = 211;
+  options.replays = 3 * kCampaignWave + 211;
   options.threads = 2;
   const std::vector<ReplayRecord> whole =
-      block_records(schedule, *s.costs, sampler, options, 0, 211);
-  ASSERT_EQ(whole.size(), 211u);
+      block_records(schedule, *s.costs, sampler, options, 0, options.replays);
+  ASSERT_EQ(whole.size(), options.replays);
 
   // Uneven partition, blocks computed out of order, varying thread counts
-  // and block sizes — none of it may show in the stitched stream.
+  // — none of it may show in the stitched stream. The two large blocks
+  // start mid-stream and run over three and two waves whose boundaries
+  // fall between the whole run's, so a later wave's seed offset and the
+  // cache it inherits are checked too.
   std::vector<ReplayRecord> stitched(whole.size());
   const std::vector<std::pair<std::size_t, std::size_t>> blocks = {
-      {128, 83}, {1, 127}, {0, 1}};
+      {1200, options.replays - 1200}, {1, 1199}, {0, 1}};
   for (const auto& [first, count] : blocks) {
+    ASSERT_LE(first + count, stitched.size());
     CampaignOptions block_options = options;
     block_options.threads = 1 + first % 3;
-    block_options.block = 64;
+    std::size_t waves = 0;
     const std::vector<ReplayRecord> records = block_records(
-        schedule, *s.costs, sampler, block_options, first, count);
+        schedule, *s.costs, sampler, block_options, first, count, &waves);
     ASSERT_EQ(records.size(), count);
+    EXPECT_EQ(waves, (count + kCampaignWave - 1) / kCampaignWave) << first;
     std::copy(records.begin(), records.end(),
               stitched.begin() + static_cast<std::ptrdiff_t>(first));
   }
@@ -475,9 +465,10 @@ TEST(Campaign, BlockPartitionReproducesRecordStream) {
 
 // CampaignFold is chunking-blind: one record stream fed record by record,
 // in chunks of 7 and whole must fold to the same summary and stop at the
-// same point — a multiple of `block` — with every later record discarded.
+// same point — a multiple of kCampaignWave — with every later record
+// discarded.
 TEST(CampaignFold, ChunkingChangesNeitherSummaryNorStopPoint) {
-  std::vector<ReplayRecord> stream(1000);
+  std::vector<ReplayRecord> stream(8 * kCampaignWave);
   Rng rng(77);
   for (ReplayRecord& record : stream) {
     record.success = rng.uniform01() < 0.7;
@@ -485,10 +476,10 @@ TEST(CampaignFold, ChunkingChangesNeitherSummaryNorStopPoint) {
     record.delivered_messages = static_cast<std::size_t>(rng.uniform01() * 40);
     record.failed_count = static_cast<std::size_t>(rng.uniform01() * 4);
   }
-  for (const double target : {0.0, 0.2}) {
+  // At a ~70% success rate a 0.035-wide interval takes about 3 waves.
+  for (const double target : {0.0, 0.035}) {
     CampaignOptions options;
     options.replays = stream.size();
-    options.block = 10;
     options.target_ci_width = target;
     std::vector<std::size_t> progress_done;
     options.on_progress = [&](const CampaignProgress& progress) {
@@ -504,8 +495,9 @@ TEST(CampaignFold, ChunkingChangesNeitherSummaryNorStopPoint) {
     const auto [whole, whole_replays] = fold_in_chunks(stream.size());
     EXPECT_EQ(whole.replays, whole_replays);
     if (target > 0.0) {
+      EXPECT_GT(whole.replays, kCampaignWave);
       EXPECT_LT(whole.replays, stream.size());
-      EXPECT_EQ(whole.replays % options.block, 0u);
+      EXPECT_EQ(whole.replays % kCampaignWave, 0u);
       EXPECT_LE(whole.success_ci.high - whole.success_ci.low, target);
     } else {
       EXPECT_EQ(whole.replays, stream.size());
@@ -592,7 +584,6 @@ TEST(Campaign, EarlyStoppedRateGaugeCountsExecutedReplays) {
   const UniformKSampler sampler(10, 3);  // beyond ε: mixed outcomes
   CampaignOptions options;
   options.replays = 100000;
-  options.block = 50;
   options.target_ci_width = 0.25;
   obs::Registry& registry = obs::Registry::global();
   registry.set_enabled(true);
@@ -619,9 +610,11 @@ TEST(Campaign, MatchesOracleOnUniformKAndWindowSamplers) {
   for (const ScenarioSampler* sampler :
        {static_cast<const ScenarioSampler*>(&uniform),
         static_cast<const ScenarioSampler*>(&window)}) {
+    // Uniform-k over two waves: the second hits records the cache kept
+    // from the first. Window draws never repeat, and the oracle replays
+    // each one in full, so part of one wave of them suffices.
     CampaignOptions options;
-    options.replays = 500;
-    options.block = 128;
+    options.replays = sampler == &uniform ? kCampaignWave + 100 : 500;
     const CampaignSummary oracle =
         oracle_campaign(schedule, *s.costs, *sampler, options);
     for (const std::size_t threads : {1u, 4u}) {
@@ -640,7 +633,6 @@ TEST(Campaign, MatchesOracleAbove64Procs) {
   const UniformKSampler sampler(72, 2);
   CampaignOptions options;
   options.replays = 400;
-  options.block = 128;
   const CampaignSummary oracle =
       oracle_campaign(wide.schedule, wide.costs, sampler, options);
   for (const std::size_t threads : {1u, 4u}) {
@@ -681,7 +673,6 @@ TEST(Campaign, EarlyStopIsThreadBlindAndDropsTheSpeculativeWave) {
   const UniformKSampler sampler(10, 3);  // k > ε: about 1% survive
   CampaignOptions options;
   options.replays = 50000;
-  options.block = 256;
   options.target_ci_width = 0.006;
   std::vector<std::pair<CampaignSummary, CampaignTelemetry>> runs;
   for (const std::size_t threads : {1, 2, 4}) {
@@ -692,13 +683,14 @@ TEST(Campaign, EarlyStopIsThreadBlindAndDropsTheSpeculativeWave) {
     runs.emplace_back(summary, telemetry);
   }
   const auto& [summary, telemetry] = runs.front();
-  ASSERT_GT(summary.replays, 4 * options.block);  // several waves ran
+  ASSERT_GE(summary.replays, 3 * kCampaignWave);  // several waves ran
   ASSERT_GT(summary.successes, 0u);
-  ASSERT_LT(summary.replays, options.replays);    // and the fold stopped
+  // and the fold stopped before the last wave
+  ASSERT_LT(summary.replays, options.replays - kCampaignWave);
+  EXPECT_EQ(summary.replays % kCampaignWave, 0u);
   EXPECT_EQ(telemetry.replays, summary.replays);
   EXPECT_EQ(telemetry.memo_lookups, summary.replays);
-  EXPECT_EQ(telemetry.blocks,
-            (summary.replays + options.block - 1) / options.block);
+  EXPECT_EQ(telemetry.blocks, summary.replays / kCampaignWave);
   for (std::size_t r = 1; r < runs.size(); ++r) {
     const std::string context = "run " + std::to_string(r);
     expect_summaries_identical(summary, runs[r].first, context);
@@ -712,9 +704,9 @@ TEST(Campaign, EarlyStopIsThreadBlindAndDropsTheSpeculativeWave) {
   }
 }
 
-// A work order's `exec <threads> <block>` comes from the peer: absurd
-// values must size neither the worker group nor the wave buffers.
-TEST(Campaign, BlockIgnoresAbsurdThreadAndBlockSizes) {
+// A work order's `exec <threads>` comes from the peer: an absurd value
+// must not size the worker group.
+TEST(Campaign, BlockIgnoresAbsurdThreadCounts) {
   const Scenario s = random_setup(114, 10, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const CrashWindowSampler sampler(10, 2, 0.0, schedule.horizon());
@@ -723,7 +715,6 @@ TEST(Campaign, BlockIgnoresAbsurdThreadAndBlockSizes) {
   const std::vector<ReplayRecord> reference =
       block_records(schedule, *s.costs, sampler, options, 0, 100);
   options.threads = 1'000'000;
-  options.block = std::size_t{1} << 62;
   const std::vector<ReplayRecord> absurd =
       block_records(schedule, *s.costs, sampler, options, 0, 100);
   ASSERT_EQ(reference.size(), 100u);
@@ -765,9 +756,10 @@ TEST(Campaign, BadDrawOnAWorkerThrowsOnTheCaller) {
   const Schedule schedule = caft_for(s, 1);
   CampaignOptions options;
   options.replays = 2000;
-  options.block = 256;
+  // Draw 1024 + 700 lies in the second wave, whose draw phase also folds
+  // the first wave on slot 0.
   Rng master(options.seed);
-  for (int i = 0; i < 700; ++i) (void)master.split();
+  for (std::size_t i = 0; i < kCampaignWave + 700; ++i) (void)master.split();
   Rng poisoned = master.split();
   const NanOnceSampler sampler(10, poisoned());
   for (const std::size_t threads : {1, 4}) {
@@ -823,13 +815,12 @@ TEST(Campaign, RejectsPrebuiltEngineWithAnotherThetaConfig) {
   options.theta_bucket_width = schedule.horizon() / 16.0;
   EXPECT_THROW((void)run_campaign(schedule, *s.costs, sampler, options),
                CheckError);
-  options.theta_bucket_width = engine_options.theta_bucket_width;
-  options.exact = true;
+  options.theta_bucket_width = 0.0;
   EXPECT_THROW((void)run_campaign(schedule, *s.costs, sampler, options),
                CheckError);
 
   // The matching configuration runs, identical to an owned engine.
-  options.exact = false;
+  options.theta_bucket_width = engine_options.theta_bucket_width;
   CampaignOptions owned = options;
   owned.prebuilt_engine = nullptr;
   expect_summaries_identical(
@@ -847,8 +838,7 @@ TEST(Campaign, QuantizedCampaignEqualsOracleOnRepresentatives) {
   const Schedule schedule = caft_for(s, 1);
   const CrashWindowSampler sampler(6, 2, 0.0, schedule.horizon());
   CampaignOptions options;
-  options.replays = 400;
-  options.block = 128;
+  options.replays = kCampaignWave + 100;  // the second wave hits the first's
   options.theta_bucket_width = schedule.horizon() / 16.0;
   const CampaignSummary oracle =
       oracle_campaign(schedule, *s.costs, sampler, options);
@@ -886,7 +876,7 @@ TEST(Campaign, QuantizationDriftShrinksWithBucketWidth) {
     std::size_t differs = 0;
     for (int draw = 0; draw < draws; ++draw) {
       const CrashScenario scenario = window.sample(rng);
-      ASSERT_EQ(quantized.canonicalize(scenario, times),
+      ASSERT_EQ(quantized.canonicalize(scenario.crash_times(), times),
                 ReplayEngine::Canonical::kQuantized);
       const CrashResult approx = quantized.replay(CrashScenario(times));
       const CrashResult truth = exact.replay(scenario);
@@ -902,38 +892,13 @@ TEST(Campaign, QuantizationDriftShrinksWithBucketWidth) {
   EXPECT_LE(differing[1], static_cast<std::size_t>(draws / 20));
 }
 
-TEST(Campaign, ExactnessEscapeHatchDisablesQuantization) {
-  // `exact` with a bucket width configured must give the plain exact
-  // campaign: crash-at-θ draws have no canonical form and replay as drawn.
-  const Scenario s = random_setup(59, 6, 1.0);
-  const Schedule schedule = caft_for(s, 1);
-  const CrashWindowSampler sampler(6, 2, 0.0, schedule.horizon());
-  CampaignOptions plain;
-  plain.replays = 200;
-  plain.threads = 2;
-  CampaignOptions hatched = plain;
-  hatched.theta_bucket_width = schedule.horizon() / 4.0;  // very coarse
-  hatched.exact = true;
-  hatched.threads = 4;
-  CampaignTelemetry telemetry;
-  const CampaignSummary exact =
-      run_campaign(schedule, *s.costs, sampler, hatched, &telemetry);
-  expect_summaries_identical(
-      run_campaign(schedule, *s.costs, sampler, plain), exact,
-      "escape hatch");
-  expect_summaries_identical(
-      oracle_campaign(schedule, *s.costs, sampler, plain), exact, "oracle");
-  EXPECT_EQ(telemetry.memo_lookups, 0u);
-}
-
 TEST(Campaign, QuantizedSummariesIdenticalAcrossThreadCounts) {
   // The approximation must be a pure function of the scenario stream.
   const Scenario s = random_setup(61, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
   CampaignOptions options;
-  options.replays = 500;
-  options.block = 64;
+  options.replays = kCampaignWave + 100;  // two waves
   options.theta_bucket_width = schedule.horizon() / 24.0;
   options.threads = 1;
   const CampaignSummary reference =

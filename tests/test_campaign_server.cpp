@@ -58,15 +58,14 @@ CampaignSpec base_spec() {
 }
 
 /// What the server must reproduce byte-for-byte: the serialized report of
-/// an in-process Session::evaluate over an instance loaded from the same
-/// bytes.
-std::string local_document(const std::string& bytes, const CampaignSpec& spec,
-                           const SessionOptions& options = {}) {
+/// a default in-process Session::evaluate over an instance loaded from the
+/// same bytes.
+std::string local_document(const std::string& bytes,
+                           const CampaignSpec& spec) {
   std::istringstream in(bytes);
   const Instance instance = Instance::load(in);
-  const Session session(options);
   std::ostringstream out;
-  server::write_campaign_report(out, session.evaluate(instance, spec));
+  server::write_campaign_report(out, Session{}.evaluate(instance, spec));
   return out.str();
 }
 
@@ -419,10 +418,36 @@ TEST(CampaignServer, ReportIdentityColdAndWarmWithCacheHitsObserved) {
   registry.set_enabled(false);
 }
 
+// An exact request replays unbucketed, exactly as a request without buckets
+// does, so it reuses that request's replay template: exact is keyed on the
+// width it implies (0), not on the flag.
+TEST(CampaignServer, ExactRequestHitsTheUnbucketedReplayTemplate) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  server::CampaignServer daemon(server::ServerOptions{});
+
+  const Instance instance = random_instance(35, 6, 1.0, 1);
+  server::CampaignRequest request;
+  request.spec = base_spec();
+  request.spec.algorithms = {"caft"};
+  request.spec.sampler = SamplerSpec::window(1, 0.0, 300.0);
+  request.spec.theta_buckets = 0;
+  request.spec.exact = false;
+  request.instance_bytes = instance_bytes(instance);
+  EXPECT_EQ(serve_once(daemon, request),
+            local_document(request.instance_bytes, request.spec));
+  const std::uint64_t misses =
+      registry.snapshot().counter_value("server.cache.miss");
+
+  request.spec.exact = true;
+  EXPECT_EQ(serve_once(daemon, request),
+            local_document(request.instance_bytes, request.spec));
+  EXPECT_EQ(registry.snapshot().counter_value("server.cache.miss"), misses);
+  registry.set_enabled(false);
+}
+
 TEST(CampaignServer, ReportIdentityWindowSamplerAndEarlyStopping) {
-  server::ServerOptions options;
-  options.session.block = 64;  // early stopping cuts at wave boundaries
-  server::CampaignServer daemon(options);
+  server::CampaignServer daemon(server::ServerOptions{});
 
   const Instance instance = random_instance(44, 8, 1.0, 1);
 
@@ -432,18 +457,17 @@ TEST(CampaignServer, ReportIdentityWindowSamplerAndEarlyStopping) {
   request.spec.sampler = SamplerSpec::window(2, 0.0, 500.0);
   request.instance_bytes = instance_bytes(instance);
   EXPECT_EQ(serve_once(daemon, request),
-            local_document(request.instance_bytes, request.spec,
-                           options.session));
+            local_document(request.instance_bytes, request.spec));
 
-  // Early-stopped campaign: the in-process stopping point is deterministic
-  // per (seed, block), so the server (cold, then warm) still reproduces
-  // the local document byte-for-byte.
+  // Early-stopped campaign: the stopping point is a function of the spec
+  // alone, so the server (cold, then warm) still reproduces the local
+  // document byte-for-byte.
   server::CampaignRequest stopped = request;
   stopped.spec.sampler = SamplerSpec::uniform_k(2);
   stopped.spec.replays = 4000;
   stopped.spec.target_ci_width = 0.2;
   const std::string expected =
-      local_document(stopped.instance_bytes, stopped.spec, options.session);
+      local_document(stopped.instance_bytes, stopped.spec);
   const std::string cold = serve_once(daemon, stopped);
   EXPECT_EQ(cold, expected);
   EXPECT_EQ(serve_once(daemon, stopped), expected);  // warm
@@ -624,14 +648,12 @@ TEST(CampaignServer, RejectsSubprocessExecutionPolicy) {
 }
 
 TEST(CampaignServer, StreamsProgressLinesBeforeTheReport) {
-  server::ServerOptions options;
-  options.session.block = 64;
-  server::CampaignServer daemon(options);
+  server::CampaignServer daemon(server::ServerOptions{});
 
   const Instance instance = random_instance(81, 6, 1.0, 1);
   server::CampaignRequest request;
   request.spec = base_spec();
-  request.spec.replays = 256;
+  request.spec.replays = 2 * caft::kCampaignWave + 100;  // three waves
   request.spec.algorithms = {"caft"};
   request.progress = true;
   request.instance_bytes = instance_bytes(instance);
@@ -640,17 +662,17 @@ TEST(CampaignServer, StreamsProgressLinesBeforeTheReport) {
   const server::ServerResponse response =
       server::read_server_response(response_in);
   ASSERT_EQ(response.kind, server::ServerResponse::Kind::kReport);
-  ASSERT_FALSE(response.progress.empty());
+  ASSERT_GE(response.progress.size(), 3u);
   EXPECT_EQ(response.progress.front().algorithm, "caft");
-  EXPECT_EQ(response.progress.back().done, 256u);
-  EXPECT_EQ(response.progress.back().total, 256u);
+  EXPECT_EQ(response.progress.back().done, request.spec.replays);
+  EXPECT_EQ(response.progress.back().total, request.spec.replays);
 
   // And the report itself is still byte-identical: strip the progress
   // lines (everything before the magic line) and compare.
   request.progress = false;
   const std::string with_progress = serve_once(daemon, request);
   const std::string expected =
-      local_document(request.instance_bytes, request.spec, options.session);
+      local_document(request.instance_bytes, request.spec);
   EXPECT_EQ(serve_once(daemon, request), expected);
   const std::size_t magic = with_progress.find("caft-campaign-report v1");
   ASSERT_NE(magic, std::string::npos);

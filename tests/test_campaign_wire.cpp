@@ -42,7 +42,6 @@ CampaignWorkOrder sample_order() {
   order.spec.request.batch_size = 17;
   order.spec.request.minimize_start_time = false;
   order.threads = 3;
-  order.block = 512;
   order.expect_makespan = 123.4567891011;
   order.expect_horizon = 200.000000000001;
   return order;
@@ -57,8 +56,8 @@ std::string to_text(const CampaignWorkOrder& order) {
 TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   const CampaignWorkOrder order = sample_order();
   const std::string text = to_text(order);
-  EXPECT_EQ(text.rfind("caft-campaign-work v2\n", 0), 0u);
-  EXPECT_NE(text.find("\nexec 3 512\n"), std::string::npos);
+  EXPECT_EQ(text.rfind("caft-campaign-work v3\n", 0), 0u);
+  EXPECT_NE(text.find("\nexec 3\n"), std::string::npos);
   std::istringstream is(text);
   const CampaignWorkOrder back = read_campaign_work_order(is);
 
@@ -93,7 +92,6 @@ TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   EXPECT_EQ(back.spec.request.batch_size, 17u);
   EXPECT_EQ(back.spec.request.minimize_start_time, false);
   EXPECT_EQ(back.threads, order.threads);
-  EXPECT_EQ(back.block, order.block);
   EXPECT_EQ(back.expect_makespan, order.expect_makespan);  // bit-exact
   EXPECT_EQ(back.expect_horizon, order.expect_horizon);
 }
@@ -168,17 +166,19 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
   // A document of another version is not "corruption": the reader must
   // tell the peer which version it speaks, so the peer is told to match
-  // versions, not to debug bytes. Work orders are at v2; a v1 order (the
-  // old `exec` line with engine/memo/snapshot fields) and a future v3 are
-  // both skew.
+  // versions, not to debug bytes. Work orders are at v3; a v1 order (the
+  // old `exec` line with engine/memo/snapshot fields), a v2 order (`exec
+  // <threads> <block>`) and a future v4 are all skew.
   const std::string good = to_text(sample_order());
-  for (const char* version : {"v1", "v3"}) {
+  for (const char* version : {"v1", "v2", "v4"}) {
     std::string skewed = good;
     skewed.replace(0, skewed.find('\n'),
                    std::string("caft-campaign-work ") + version);
     if (std::string(version) == "v1")
-      skewed.replace(skewed.find("exec 3 512"), 10,
+      skewed.replace(skewed.find("exec 3"), 6,
                      "exec 3 incremental shared 512 32768 16 1");
+    if (std::string(version) == "v2")
+      skewed.replace(skewed.find("exec 3"), 6, "exec 3 1024");
     std::istringstream is(skewed);
     try {
       (void)read_campaign_work_order(is);
@@ -188,7 +188,7 @@ TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
       EXPECT_NE(what.find("unsupported document version"), std::string::npos);
       EXPECT_NE(what.find(std::string("caft-campaign-work ") + version),
                 std::string::npos);
-      EXPECT_NE(what.find("this reader speaks v2"), std::string::npos);
+      EXPECT_NE(what.find("this reader speaks v3"), std::string::npos);
     }
   }
   {  // a *wrong* magic still reads as corruption, not as version skew
@@ -492,7 +492,7 @@ TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
   // The worked example of docs/wire-protocols.md, both documents: each
   // parses, and re-serializes to the same bytes.
   const std::string order_doc =
-      "caft-campaign-work v2\n"
+      "caft-campaign-work v3\n"
       "instance /tmp/campaign-7/instance.txt\n"
       "algorithm caft\n"
       "block 100 2\n"
@@ -504,7 +504,7 @@ TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
       "sampler uniform-k 2 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 "
       "0x0p+0\n"
       "request 1 oneport 1 transitive 1 16 0\n"
-      "exec 1 1024\n"
+      "exec 1\n"
       "expect 0x1.91cp+9 0x1.b58p+9\n"
       "end\n";
   std::istringstream order_in(order_doc);

@@ -329,7 +329,6 @@ TEST(ReplayEquivalence, CampaignSummariesMatchOracle) {
        std::vector<const ScenarioSampler*>{&uniform, &window}) {
     CampaignOptions options;
     options.replays = 600;
-    options.block = 128;
     const CampaignSummary oracle =
         test::oracle_campaign(schedule, *s.costs, *sampler, options);
     for (const std::size_t threads : {2u, 3u}) {

@@ -452,28 +452,28 @@ TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
   const std::string cli = cli_path();
   if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
 
-  const Instance instance = random_instance(314, 8, 1.0, 1);
-  CampaignSpec spec = lifetime_spec(2000);
-  spec.target_ci_width = 0.15;  // reached after a few hundred replays
+  // Uniform-k beyond ε: about 1% survive, and replays stay cheap enough
+  // for TSan.
+  const Instance instance = random_instance(314, 8, 1.0, 3);
+  CampaignSpec spec = lifetime_spec(8 * caft::kCampaignWave);
+  spec.sampler = SamplerSpec::uniform_k(4);
+  spec.target_ci_width = 0.007;  // reached after five waves
 
-  // The stop rule is checked every `block` records of the canonical
-  // stream, whichever backend folds it. Wire blocks of 50 do not line up
-  // with the 64-record check points, so the fold must cut inside a block
-  // and discard the rest of it, and of every block claimed after it.
-  SessionOptions in_process;
-  in_process.block = 64;
-  const CampaignRun reference = Session(in_process).evaluate(instance, spec)
-                                    .runs[0];
+  // The stop rule is checked every kCampaignWave records of the canonical
+  // stream, whichever backend folds it. Wire blocks of 700 do not line up
+  // with those check points, so the fold must cut inside a block and
+  // discard the rest of it, and of every block claimed after it.
+  const CampaignRun reference = Session{}.evaluate(instance, spec).runs[0];
   const std::size_t folded = reference.summary.replays;
-  EXPECT_LT(folded, spec.replays);
-  EXPECT_GE(folded, 64u);
-  EXPECT_EQ(folded % in_process.block, 0u);
-  ASSERT_NE(folded % 50, 0u);  // the cut falls inside a wire block
+  EXPECT_GE(folded, 3 * caft::kCampaignWave);
+  EXPECT_LT(folded, spec.replays - caft::kCampaignWave);
+  EXPECT_EQ(folded % caft::kCampaignWave, 0u);
+  ASSERT_NE(folded % 700, 0u);  // the cut falls inside a wire block
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    SessionOptions options = in_process;
+    SessionOptions options;
     options.exec = ExecutionPolicy::subprocess(cli, workers);
-    options.exec.block_replays = 50;
+    options.exec.block_replays = 700;
     const CampaignRun run =
         Session(options).evaluate(instance, spec).runs[0];
     expect_summaries_identical(reference.summary, run.summary,
@@ -485,7 +485,9 @@ TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
   // campaign of exactly that many replays is byte-identical. (This is
   // what makes early stopping a *truncated* campaign rather than a
   // subsampled one.)
-  CampaignSpec prefix = lifetime_spec(folded);
+  CampaignSpec prefix = spec;
+  prefix.replays = folded;
+  prefix.target_ci_width = 0.0;
   const CampaignSummary truncated =
       Session{}.evaluate(instance, prefix).runs[0].summary;
   expect_summaries_identical(truncated, reference.summary);

@@ -65,9 +65,10 @@
 /// --target-ci-width W (off by default) stops the campaign early once the
 /// Wilson 95% CI around the folded prefix's success rate is at most W
 /// wide; the summary then covers a contiguous canonical prefix of the
-/// scenario stream. The cut is checked every session block (1024 replays)
-/// of that stream, so it is a deterministic function of --seed: reports
-/// are byte-identical across runs, backends and --workers.
+/// scenario stream. The cut is checked every wave (caft::kCampaignWave =
+/// 1024 replays) of that stream, so it is a deterministic function of the
+/// spec: reports are byte-identical across runs, backends, --workers and
+/// campaign_server.
 ///
 /// --worker is the worker side of that protocol: read one serialized work
 /// order (api/campaign_wire.hpp) on stdin, replay the requested scenario

@@ -9,7 +9,7 @@
 /// Usage:
 ///   campaign_server [--listen ADDR] [--port N] [--cache-size N]
 ///                   [--max-inflight N] [--queue-limit N]
-///                   [--threads N] [--block N]
+///                   [--threads N]
 ///                   [--metrics-out FILE] [--trace-out FILE] [--version]
 ///
 ///   --listen ADDR      interface to bind, IPv4 dotted quad (default
@@ -23,10 +23,9 @@
 ///                      rejects every request — drain/maintenance mode)
 ///   --queue-limit N    requests allowed to wait for a slot before an
 ///                      immediate busy rejection (default 8)
-///   --threads/--block  the wrapped Session's execution knobs (worker
-///                      threads, replays per wave). Execution policy is
-///                      in-process by design: byte-identity leans on
-///                      in-process early-stopping determinism.
+///   --threads N        the wrapped Session's worker threads (0 = default).
+///                      Execution policy is in-process by design, and no
+///                      server flag can change a report.
 ///
 /// On SIGTERM/SIGINT the server drains: it stops accepting, answers a
 /// connection still waiting for its request with an error document,
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
     options.max_inflight = args.get_size("max-inflight", 2);
     options.queue_limit = args.get_size("queue-limit", 8);
     options.session.threads = args.get_size("threads", 0);
-    options.session.block = args.get_size("block", options.session.block);
 
     ftsched::server::CampaignServer daemon(options);
     daemon.start();

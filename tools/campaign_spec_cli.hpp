@@ -98,8 +98,8 @@ inline CampaignSpec build_campaign_spec(const caft::CliArgs& args,
   spec.theta_buckets = args.get_size("theta-buckets", 0);
   spec.exact = args.has("exact");
   // --target-ci-width W: stop once the folded prefix's Wilson 95% CI is at
-  // most W wide. The cut is a deterministic function of (seed, block) on
-  // every backend, so early-stopped reports are byte-identical.
+  // most W wide. The cut is a deterministic function of the spec on every
+  // backend, so early-stopped reports are byte-identical.
   spec.target_ci_width = args.get_double("target-ci-width", 0.0);
   return spec;
 }
