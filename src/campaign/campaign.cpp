@@ -139,9 +139,10 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   std::vector<std::size_t> miss_draws;   // cacheable misses, in draw order
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (draw, source)
   std::vector<std::pair<double, std::size_t>> replays;  // (first crash, draw)
-  // One scratch per worker slot, persistent across waves: buffers survive,
-  // so steady-state waves allocate nothing in the kernel.
+  // One scratch and one scenario per worker slot, persistent across waves:
+  // buffers survive, so steady-state waves allocate nothing in the kernel.
   std::vector<ReplayEngine::Scratch> scratches(group.size());
+  std::vector<CrashScenario> scenarios(group.size(), CrashScenario::none(m));
   std::atomic<std::size_t> next_draw{0};
 
   const auto row = [m](std::vector<double>& arena, std::size_t i) {
@@ -239,11 +240,13 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       std::sort(replays.begin(), replays.end());
       group.run([&](std::size_t slot) {
         ReplayEngine::Scratch& scratch = scratches[slot];
+        CrashScenario& scenario = scenarios[slot];
         for (std::size_t j = slot; j < replays.size(); j += group.size()) {
           const std::size_t i = replays[j].second;
           const std::span<double> times = row(drawn, i);
-          const CrashScenario scenario(
-              std::vector<double>(times.begin(), times.end()));
+          for (std::size_t p = 0; p < m; ++p)
+            scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
+                                    times[p]);
           set_outcome(out[i], engine->replay(scenario, scratch));
         }
       });

@@ -305,6 +305,43 @@ void ReplayEngine::build_template() {
   kill_ops_.reserve(kill_begin_[m_]);
   for (std::size_t p = 0; p < m_; ++p)
     kill_ops_.insert(kill_ops_.end(), kills[p].begin(), kills[p].end());
+
+  // Drop the links that can never bind (header, "Event selection"): a link
+  // whose queue holds only first-hop wires of one sender port, or nothing.
+  // The kill lists above have read the link ids; the kept links are
+  // renumbered after the 3m processor resources, which keep their ids.
+  std::vector<std::uint32_t> renumber(resource_count_, kNone32);
+  std::uint32_t kept = 0;
+  for (std::uint32_t res = 0; res < resource_count_; ++res) {
+    bool redundant = res >= 3 * m_;
+    for (std::uint32_t i = queue_begin_[res];
+         redundant && i < queue_begin_[res + 1]; ++i) {
+      const std::uint32_t op = queue_ops_[i];
+      redundant = kind_[op] == kWire && res_b_[op] == res &&
+                  res_a_[op] == res_a_[queue_ops_[queue_begin_[res]]];
+    }
+    if (!redundant) renumber[res] = kept++;
+  }
+  // Kept queues move down in place: a queue never moves past its old start.
+  std::uint32_t out = 0;
+  for (std::uint32_t res = 0; res < resource_count_; ++res) {
+    if (renumber[res] == kNone32) continue;
+    const std::uint32_t first = queue_begin_[res];
+    const std::uint32_t last = queue_begin_[res + 1];
+    queue_begin_[renumber[res]] = out;
+    for (std::uint32_t i = first; i < last; ++i)
+      queue_ops_[out++] = queue_ops_[i];
+  }
+  queue_begin_[kept] = out;
+  queue_begin_.resize(kept + 1);
+  queue_ops_.resize(out);
+  for (std::uint32_t op = 0; op < op_count_; ++op) {
+    // A segment's link carries that segment, so it is never dropped; a
+    // wire's link may be, and the wire then holds its send port alone.
+    if (res_a_[op] != kNone32) res_a_[op] = renumber[res_a_[op]];
+    if (res_b_[op] != kNone32) res_b_[op] = renumber[res_b_[op]];
+  }
+  resource_count_ = kept;
 }
 
 void ReplayEngine::reset_pristine(Scratch& s) const {
@@ -462,18 +499,17 @@ void ReplayEngine::advance_resource(Scratch& s, std::uint32_t res) const {
   s.head[res] = h;
 }
 
+bool ReplayEngine::heads(const Scratch& s, std::uint32_t res,
+                         std::uint32_t op) const {
+  const std::uint32_t idx = queue_begin_[res] + s.head[res];
+  return idx < queue_begin_[res + 1] && queue_ops_[idx] == op;
+}
+
 bool ReplayEngine::at_heads(const Scratch& s, std::uint32_t op) const {
   const std::uint32_t a = res_a_[op];
-  if (a != kNone32) {
-    const std::uint32_t idx = queue_begin_[a] + s.head[a];
-    if (idx >= queue_begin_[a + 1] || queue_ops_[idx] != op) return false;
-  }
+  if (a != kNone32 && !heads(s, a, op)) return false;
   const std::uint32_t b = res_b_[op];
-  if (b != kNone32) {
-    const std::uint32_t idx = queue_begin_[b] + s.head[b];
-    if (idx >= queue_begin_[b + 1] || queue_ops_[idx] != op) return false;
-  }
-  return true;
+  return b == kNone32 || heads(s, b, op);
 }
 
 bool ReplayEngine::runnable(const Scratch& s, std::uint32_t op,
@@ -519,6 +555,7 @@ ReplayEngine::Candidate ReplayEngine::head_candidate(const Scratch& s,
 }
 
 void ReplayEngine::update_leaf(Scratch& s, std::uint32_t res) const {
+  ++s.leaf_refresh_count;
   std::size_t node = resource_count_ + res;
   const Candidate leaf = head_candidate(s, res);
   if (leaf == s.tree[node]) return;
@@ -663,12 +700,15 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // ops behind it on its own resources (heads and clocks moved, covered
   // above); its prerequisite dependents (now satisfiable); and the exec one
   // of whose input slots it feeds (that slot's earliest live arrival may
-  // have dropped). A wire that now heads best's queue may head its other
-  // queue too; that leaf keeps (kInf, none), which is harmless because the
-  // refreshed leaf of best's resource carries the same (ready, op) (see
-  // the invariant in propagate). A hand-off dependent holds no resource and
-  // its only prerequisite is this op, so from now on it is runnable at
-  // ready time `finish`, for good: it goes on the ready heap.
+  // have dropped). A leaf reads only its queue head, so a dependent or fed
+  // exec marks a resource only where it heads the queue; one further back
+  // is read when the ops ahead of it settle, and those mark the resource.
+  // A wire that now heads best's queue may head its other queue too; that
+  // leaf keeps (kInf, none), which is harmless because the refreshed leaf
+  // of best's resource carries the same (ready, op) (see the invariant in
+  // propagate). A hand-off dependent holds no resource and its only
+  // prerequisite is this op, so from now on it is runnable at ready time
+  // `finish`, for good: it goes on the ready heap.
   for (std::uint32_t i = dep_begin_[best]; i < dep_begin_[best + 1]; ++i) {
     const std::uint32_t d = dep_ops_[i];
     if (kind_[d] == kHandoff) {
@@ -677,35 +717,42 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
                      Candidate::after);
       continue;
     }
-    if (res_a_[d] != kNone32) mark_dirty(s, res_a_[d]);
-    if (res_b_[d] != kNone32) mark_dirty(s, res_b_[d]);
+    if (res_a_[d] != kNone32 && heads(s, res_a_[d], d))
+      mark_dirty(s, res_a_[d]);
+    if (res_b_[d] != kNone32 && heads(s, res_b_[d], d))
+      mark_dirty(s, res_b_[d]);
   }
   if (feed_slot_[best] != kNone32) {
     const std::uint32_t e = feed_exec_[best];
-    if (res_a_[e] != kNone32) mark_dirty(s, res_a_[e]);
+    if (heads(s, res_a_[e], e)) mark_dirty(s, res_a_[e]);
   }
   return true;
 }
 
-CrashResult ReplayEngine::collect(const Scratch& s) const {
-  const TaskGraph& g = schedule_->graph();
-  CrashResult result;
+void ReplayEngine::collect(Scratch& s) const {
+  // Fills the Scratch-owned result in place: every buffer keeps its
+  // capacity from the previous replay, so a warm replay allocates nothing.
+  const std::size_t tasks = exec_op_begin_.size() - 1;
+  CrashResult& result = s.result;
   result.order_deadlock = s.order_deadlock;
   result.order_relaxations = s.order_relaxations;
-  result.completed.resize(g.task_count());
-  result.finish.resize(g.task_count());
+  result.completed.resize(tasks);
+  result.finish.resize(tasks);
   result.success = true;
   double latency = 0.0;
-  for (const TaskId t : g.all_tasks()) {
-    const std::size_t total = schedule_->total_replicas(t);
-    result.completed[t.index()].assign(total, false);
-    result.finish[t.index()].assign(total, kInf);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::uint32_t begin = exec_op_begin_[t];
+    const std::size_t total = exec_op_begin_[t + 1] - begin;
+    std::vector<bool>& completed = result.completed[t];
+    std::vector<double>& finish = result.finish[t];
+    completed.assign(total, false);
+    finish.assign(total, kInf);
     double first = kInf;
-    for (ReplicaIndex r = 0; r < total; ++r) {
-      const std::uint32_t op = exec_ops_[exec_op_begin_[t.index()] + r];
+    for (std::size_t r = 0; r < total; ++r) {
+      const std::uint32_t op = exec_ops_[begin + r];
       if (s.state[op] == kDone) {
-        result.completed[t.index()][r] = true;
-        result.finish[t.index()][r] = s.finish[op];
+        completed[r] = true;
+        finish[r] = s.finish[op];
         first = std::min(first, s.finish[op]);
       }
     }
@@ -721,7 +768,6 @@ CrashResult ReplayEngine::collect(const Scratch& s) const {
   for (std::uint32_t op = 0; op < op_count_; ++op)
     if (counts_message_[op] != 0 && s.state[op] == kDone) ++delivered;
   result.delivered_messages = delivered;
-  return result;
 }
 
 void ReplayEngine::record_fault_free() {
@@ -821,7 +867,8 @@ void ReplayEngine::record_fault_free() {
 
 CrashResult ReplayEngine::replay(const CrashScenario& scenario) const {
   Scratch scratch;
-  return replay(scenario, scratch);
+  (void)replay(scenario, scratch);
+  return std::move(scratch.result);
 }
 
 const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
@@ -847,7 +894,7 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
   }
   while (commit_next(scratch, scenario, nullptr))
     if (scratch.died) propagate(scratch);
-  scratch.result = collect(scratch);
+  collect(scratch);
   return scratch.result;
 }
 

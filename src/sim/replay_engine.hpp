@@ -51,10 +51,26 @@
 /// one candidate per resource (the (ready, op) of its runnable queue head)
 /// in the leaves of a tournament tree whose root is the resource winner.
 /// A commit or a θ-death wave recomputes only the resources it can affect,
-/// each walking toward the root until a node comes out unchanged.
+/// each walking toward the root until a node comes out unchanged; a
+/// commit's prerequisite dependents and fed exec count only where they
+/// head their queue, since a leaf reads nothing but its queue head.
 /// Resource-free hand-offs wait in a min-heap under the same order, pushed
 /// when their source exec commits. A commit thus costs O(changed resources
 /// × log R) instead of a scan over every resource and pending hand-off.
+///
+/// The leaves are the 3m processor resources (exec, send port, receive
+/// port) and only those links that carry a forwarded segment (on a ring
+/// every link, on a star the hub-to-leaf links). A link whose queue holds
+/// nothing but first-hop wires of one sender port — every link of the
+/// paper's clique, and every link under the macro-dataflow model, whose
+/// queues are empty — is dropped from the kernel, and its wires hold their
+/// send port alone. This is exact: both queues are sorted by the same
+/// committed order, so the link's queue is a subsequence of the port's,
+/// and a head cursor sits on the first pending op of its queue; a wire
+/// heading the port therefore heads the link. The link's clock takes the
+/// max of finishes the port's clock also takes, and only the port's is
+/// ever set to +inf by a crash, so max(port, link) equals the port's clock
+/// bit for bit, order relaxations included.
 ///
 /// Determinism contract: for every (schedule, scenario) pair, `replay`
 /// returns a CrashResult **bit-for-bit identical** to
@@ -161,11 +177,15 @@ class ReplayEngine {
     Scratch() = default;
 
     /// Kernel counters since construction: events selected (commits and
-    /// θ-deaths), and full candidate refreshes — one per replay, plus one
-    /// after each order relaxation.
+    /// θ-deaths); full candidate refreshes — one per replay, plus one after
+    /// each order relaxation; and targeted leaf refreshes — one per marked
+    /// resource whose candidate is recomputed between two full refreshes.
     [[nodiscard]] std::uint64_t commits() const { return commit_count; }
     [[nodiscard]] std::uint64_t full_refreshes() const {
       return refresh_count;
+    }
+    [[nodiscard]] std::uint64_t leaf_refreshes() const {
+      return leaf_refresh_count;
     }
 
    private:
@@ -191,11 +211,12 @@ class ReplayEngine {
     bool all_dirty = true;
     std::uint64_t commit_count = 0;
     std::uint64_t refresh_count = 0;
+    std::uint64_t leaf_refresh_count = 0;
     std::size_t order_relaxations = 0;
     bool order_deadlock = false;
     bool died = false;
     /// Home of the most recent result (replay returns a reference into
-    /// this, never a copy).
+    /// this, never a copy); each replay refills it in place.
     CrashResult result;
   };
 
@@ -289,12 +310,16 @@ class ReplayEngine {
   /// Recomputes every leaf and rebuilds the tree bottom-up: O(R).
   void rebuild_tree(Scratch& s) const;
   void mark_dirty(Scratch& s, std::uint32_t res) const;
+  /// True iff `op` is the head of resource `res`'s queue.
+  [[nodiscard]] bool heads(const Scratch& s, std::uint32_t res,
+                           std::uint32_t op) const;
   [[nodiscard]] bool at_heads(const Scratch& s, std::uint32_t op) const;
   [[nodiscard]] bool runnable(const Scratch& s, std::uint32_t op,
                               double& ready) const;
   bool commit_next(Scratch& s, const CrashScenario& scenario,
                    std::uint32_t* committed) const;
-  [[nodiscard]] CrashResult collect(const Scratch& s) const;
+  /// Writes the outcome into `s.result`, reusing its buffers.
+  void collect(Scratch& s) const;
 
   const Schedule* schedule_;
   std::size_t m_ = 0;

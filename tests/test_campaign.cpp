@@ -799,6 +799,35 @@ TEST(Campaign, SteadyStateUniformKDrawAllocatesNothing) {
   EXPECT_EQ(hits, 1000u);
 }
 
+// A warm θ replay — snapshot restore, the commit loop, θ-deaths and their
+// propagation, and the result written into the Scratch — allocates nothing
+// once its Scratch has replayed the same scenarios.
+TEST(ReplayEngine, WarmThetaReplayAllocatesNothing) {
+  RandomDagParams dag;
+  dag.min_tasks = 80;
+  dag.max_tasks = 80;
+  const Scenario s = random_setup(117, 10, 1.0, dag);
+  const Schedule schedule = caft_for(s, 2);
+  const ReplayEngine engine(schedule, *s.costs);
+  const CrashWindowSampler sampler(10, 2, 0.0, schedule.horizon() / 2.0);
+  Rng rng(1171);
+  std::vector<CrashScenario> scenarios;
+  for (int i = 0; i < 64; ++i) scenarios.push_back(sampler.sample(rng));
+  ReplayEngine::Scratch scratch;
+  double warm = 0.0;
+  for (const CrashScenario& scenario : scenarios)
+    warm += engine.replay(scenario, scratch).latency;
+
+  const std::uint64_t commits = scratch.commits();
+  const std::uint64_t before = ::test::t_allocations;
+  double again = 0.0;
+  for (const CrashScenario& scenario : scenarios)
+    again += engine.replay(scenario, scratch).latency;
+  EXPECT_EQ(::test::t_allocations, before);
+  EXPECT_EQ(again, warm);
+  EXPECT_GT(scratch.commits(), commits);
+}
+
 TEST(Campaign, RejectsPrebuiltEngineWithAnotherThetaConfig) {
   // A prebuilt engine canonicalizes with its own bucket width; silently
   // using one built for another width would change the summary.

@@ -297,6 +297,167 @@ TEST(ReplayEquivalence, SparseTopologyWithRouters) {
         "star hub plus p" + std::to_string(p));
 }
 
+/// Hand-posted one-port chain B -> C -> A on star(5) (hub P0), two
+/// replicas per task, with A^0 committed on P0 *before* B^0, although the
+/// chain B^0 -> C^0 can also feed A^0 (late). Fault-free, A^0 runs off the
+/// early chain B^1 (P1) -> C^1 (P3). Once P1 is lost, A^0 waits for C^0,
+/// which waits for B^0, which waits behind A^0: only the order-relaxation
+/// fallback completes the replay. No random CAFT, FTSA or FTBAR schedule
+/// tried has reached the fallback, so this case is what makes relaxations
+/// reachable below. Its
+/// leaf-to-leaf messages forward through the hub, so the hub's links
+/// 0->3 and 0->4 carry segments (kept resources) while every other link
+/// carries first-hop wires only (dropped).
+struct StarRelaxationCase {
+  TaskGraph graph = chain(3, 5.0);
+  Platform platform{Topology::star(5)};
+  CostModel costs = uniform_costs(graph, platform, 10.0, 1.0);
+  Schedule schedule{graph, platform, 1, CommModelKind::kOnePort};
+
+  StarRelaxationCase() {
+    const std::vector<TaskId> t = graph.all_tasks();  // B, C, A
+    schedule.set_replica(t[0], 0, {ProcId(0), 33.0, 43.0});  // B^0
+    schedule.set_replica(t[0], 1, {ProcId(1), 0.0, 10.0});   // B^1
+    schedule.set_replica(t[1], 0, {ProcId(2), 44.0, 54.0});  // C^0
+    schedule.set_replica(t[1], 1, {ProcId(3), 12.0, 22.0});  // C^1
+    schedule.set_replica(t[2], 0, {ProcId(0), 23.0, 33.0});  // A^0
+    schedule.set_replica(t[2], 1, {ProcId(4), 25.0, 35.0});  // A^1
+    // One time unit per hop, back to back from `sent`; the reception
+    // overlaps the last hop.
+    const auto comm = [&](EdgeIndex edge, ReplicaRef from, ReplicaRef to,
+                          double sent) {
+      CommAssignment c;
+      c.edge = edge;
+      c.from = from;
+      c.to = to;
+      c.src_proc = schedule.replica(from.task, from.replica).proc;
+      c.dst_proc = schedule.replica(to.task, to.replica).proc;
+      c.volume = 1.0;
+      double at = sent;
+      for (const LinkId link :
+           platform.topology().route(c.src_proc, c.dst_proc)) {
+        c.times.segments.push_back({link, at, at + 1.0});
+        at += 1.0;
+      }
+      c.times.link_start = sent;
+      c.times.link_finish = at;
+      c.times.send_finish = sent + 1.0;
+      c.times.recv_start = at - 1.0;
+      c.times.arrival = at;
+      schedule.add_comm(c);
+    };
+    comm(0, {t[0], 1}, {t[1], 1}, 10.0);  // B^1 -> C^1 via the hub
+    comm(1, {t[1], 1}, {t[2], 0}, 22.0);  // C^1 -> A^0
+    comm(1, {t[1], 1}, {t[2], 1}, 23.0);  // C^1 -> A^1 via the hub
+    comm(0, {t[0], 0}, {t[1], 0}, 43.0);  // B^0 -> C^0
+    comm(1, {t[1], 0}, {t[2], 0}, 54.0);  // C^0 -> A^0 (late)
+    comm(1, {t[1], 0}, {t[2], 1}, 55.0);  // C^0 -> A^1 via the hub
+  }
+};
+
+TEST(ReplayEquivalence, KeptAndDroppedLinksOnSparseTopologies) {
+  // The kernel keeps a link as a resource only when it carries forwarded
+  // segments; a link holding first-hop wires alone is dropped, its wires
+  // then holding their send port only. Every topology here mixes both
+  // kinds: on a ring every link forwards, on a star only the hub's links
+  // do, and a mesh or a random graph has some of each. Randomized θ draws,
+  // dead-from-start draws and mixes of the two on CAFT, FTSA and FTBAR
+  // one-port schedules — plus a macro-dataflow schedule, which has no link
+  // resource at all — must match simulate_crashes bit for bit, and some
+  // draw must take the order-relaxation fallback.
+  Rng topology_rng(2024);
+  struct Case {
+    std::string name;
+    Topology topology;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"ring(8)", Topology::ring(8)});
+  cases.push_back({"star(8)", Topology::star(8)});
+  cases.push_back({"mesh(2,4)", Topology::mesh(2, 4)});
+  cases.push_back(
+      {"random_connected(8)", Topology::random_connected(8, 3.0, topology_rng)});
+  struct Config {
+    const char* algo;
+    std::size_t eps;
+    CommModelKind model;
+  };
+  const std::vector<Config> configs = {
+      {"caft", 1, CommModelKind::kOnePort},
+      {"ftsa", 2, CommModelKind::kOnePort},
+      {"ftbar", 1, CommModelKind::kOnePort},
+      {"caft", 2, CommModelKind::kMacroDataflow},
+  };
+  ReplayEngine::Scratch scratch;
+  std::size_t triples = 0;
+  std::size_t relaxed = 0;
+  std::uint64_t seed = 300;
+  for (const Case& c : cases) {
+    Rng rng(++seed);
+    RandomDagParams dp;
+    dp.min_tasks = 20;
+    dp.max_tasks = 35;
+    Scenario s;
+    s.graph = random_dag(dp, rng);
+    s.platform = std::make_unique<Platform>(c.topology);
+    CostSynthesisParams cp;
+    cp.granularity = 1.0;
+    s.costs = std::make_unique<CostModel>(
+        synthesize_costs(s.graph, *s.platform, cp, rng));
+    for (const Config& config : configs) {
+      // One macro-dataflow case is enough: it exercises no link at all.
+      if (config.model == CommModelKind::kMacroDataflow && c.name != "ring(8)")
+        continue;
+      const Schedule schedule =
+          schedule_with(config.algo, s, config.eps, config.model);
+      const ReplayEngine engine(schedule, *s.costs);
+      const double horizon = schedule.horizon();
+      const CrashWindowSampler theta(8, config.eps + 1, 0.0, horizon);
+      const UniformKSampler dead(8, config.eps + 1);
+      for (int draw = 0; draw < 8; ++draw) {
+        const std::string context = c.name + " " + config.algo +
+                                    (config.model == CommModelKind::kOnePort
+                                         ? " oneport"
+                                         : " macro") +
+                                    " draw " + std::to_string(draw);
+        // θ alone, dead-from-start alone, and one dead processor plus the
+        // θ-crashes of another draw.
+        const CrashScenario at_theta = theta.sample(rng);
+        const CrashScenario at_zero = dead.sample(rng);
+        CrashScenario mixed = theta.sample(rng);
+        mixed.set_crash_time(
+            ProcId(static_cast<ProcId::value_type>(rng.uniform_int(0, 7))),
+            0.0);
+        for (const CrashScenario* scenario :
+             {&at_theta, &at_zero, static_cast<const CrashScenario*>(&mixed)}) {
+          const CrashResult naive =
+              simulate_crashes(schedule, *s.costs, *scenario);
+          expect_identical(naive, engine.replay(*scenario, scratch), context);
+          relaxed += naive.order_relaxations > 0 ? 1 : 0;
+          ++triples;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(triples, 4u * 3u * 8u * 3u + 8u * 3u);
+
+  const StarRelaxationCase star;
+  ASSERT_TRUE(star.schedule.complete());
+  const ReplayEngine engine(star.schedule, star.costs);
+  const CrashWindowSampler theta(5, 2, 0.0, star.schedule.horizon());
+  const UniformKSampler dead(5, 1);
+  Rng rng(313);
+  for (int draw = 0; draw < 24; ++draw) {
+    for (const CrashScenario& scenario : {theta.sample(rng), dead.sample(rng)}) {
+      const CrashResult naive =
+          simulate_crashes(star.schedule, star.costs, scenario);
+      expect_identical(naive, engine.replay(scenario, scratch),
+                       "star relaxation case draw " + std::to_string(draw));
+      relaxed += naive.order_relaxations > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(relaxed, 0u) << "no draw reached the order-relaxation fallback";
+}
+
 TEST(ReplayEquivalence, RepeatsThroughOneScratchStayIdentical) {
   // One Scratch alternating between two engines must give the same result
   // on every round: nothing of one replay leaks into the next.

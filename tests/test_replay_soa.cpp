@@ -305,5 +305,29 @@ TEST(ReplaySoa, ThetaDeathsRefreshNoMoreThanEntryAndRelaxations) {
   EXPECT_GT(lost_replicas, 0u) << "the draws must kill work mid-replay";
 }
 
+TEST(ReplaySoa, ThetaCommitsRefreshFewLeaves) {
+  // The commit loop touches only state that can change an event choice:
+  // on a clique no link is a resource (each carries one sender's first-hop
+  // wires only), and a commit marks a dependent's resource only where the
+  // dependent heads the queue. Re-deriving candidates that cannot have
+  // changed (2.87 leaf refreshes per commit on this schedule before both
+  // rules, 1.53 with them) fails this test.
+  RandomDagParams dag;
+  dag.min_tasks = 300;
+  dag.max_tasks = 300;
+  const Scenario s = test::random_setup(151, 20, 1.0, dag);
+  const Schedule schedule = caft_for(s, 2);
+  const ReplayEngine engine(schedule, *s.costs);
+  const CrashWindowSampler sampler(20, 2, 0.0, schedule.horizon() / 2.0);
+  ReplayEngine::Scratch scratch;
+  Rng rng(1511);
+  for (int draw = 0; draw < 16; ++draw)
+    (void)engine.replay(sampler.sample(rng), scratch);
+  ASSERT_GT(scratch.commits(), 0u);
+  const double ratio = static_cast<double>(scratch.leaf_refreshes()) /
+                       static_cast<double>(scratch.commits());
+  EXPECT_LE(ratio, 1.7) << "leaf refreshes per commit";
+}
+
 }  // namespace
 }  // namespace caft
