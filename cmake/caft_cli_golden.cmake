@@ -7,11 +7,12 @@
 # generated, then scheduled with *every* registered algorithm name at
 # eps=2; the concatenated schedule reports must match the committed golden
 # byte for byte. A second set of legs pins every schedule bit for bit: per
-# algorithm × topology {clique, ring} × model {oneport, macro}, the SHA-256
-# of the saved `--out` file (round-trip-exact times) must match
+# algorithm × topology {clique, ring, star} × model {oneport, macro}, the
+# SHA-256 of the saved `--out` file (round-trip-exact times) must match
 # tests/golden/caft_cli_schedule_digests.txt. The ring legs cross
-# multi-hop routes. Regenerate with tools/regen_caft_cli_golden.sh after an
-# intentional change.
+# multi-hop routes, the star legs two-hop routes through the hub.
+# Regenerate with tools/regen_caft_cli_golden.sh after an intentional
+# change.
 if(NOT CLI OR NOT GOLDEN_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "caft_cli_golden.cmake needs -DCLI, -DGOLDEN_DIR and -DWORK_DIR")
 endif()
@@ -75,7 +76,7 @@ if(NOT diff_rc EQUAL 0)
 endif()
 
 set(DIGESTS "")
-foreach(topology clique ring)
+foreach(topology clique ring star)
   execute_process(
     COMMAND ${CLI} generate --family random --procs 10 --granularity 1.0
             --seed 11 --topology ${topology} --out ${topology}.txt

@@ -38,7 +38,7 @@ for algo in $ALGOS; do
 done
 
 : > "$GOLDEN_DIR/caft_cli_schedule_digests.txt"
-for topology in clique ring; do
+for topology in clique ring star; do
   (cd "$WORK_DIR" && "$CLI" generate --family random --procs 10 \
     --granularity 1.0 --seed 11 --topology "$topology" \
     --out "$topology.txt") > /dev/null
