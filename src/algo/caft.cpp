@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "algo/caft_internal.hpp"
 #include "common/check.hpp"
@@ -35,7 +36,6 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
   if (relaxed && hosts_replica_of(step.task, step.committed, p)) return false;
   out.proc = p;
   out.support = support_of(p);
-  out.plans.clear();
   out.receive_all_edges = 0;
 
   // Support budget: every replica still to be placed after this one needs at
@@ -58,12 +58,19 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
   }
 
   const bool one_to_one = use_one_to_one && !relaxed;
-  for (const EdgeIndex e : graph_.in_edges(step.task)) {
+  // One plan slot per in-edge, refilled in place: the slots and their
+  // sender lists keep their capacity from one candidate to the next.
+  const auto in_edges = graph_.in_edges(step.task);
+  out.plans.resize(in_edges.size());
+  for (std::size_t i = 0; i < in_edges.size(); ++i) {
+    const EdgeIndex e = in_edges[i];
     const Edge& edge = graph_.edge(e);
     const TaskId pred = edge.src;
-    IncomingPlan plan;
+    IncomingPlan& plan = out.plans[i];
     plan.edge = e;
     plan.volume = edge.volume;
+    plan.senders.clear();
+    plan.senders.reserve(replicas());  // the most it holds
 
     // On sparse topologies a one-to-one message additionally depends on
     // every router along its fixed route; fold those processors into the
@@ -107,7 +114,6 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
             SenderOption{ReplicaRef{pred, colocated}, a.proc, a.finish});
         budget -= support_cost(supports_.get(pred, colocated));
         out.support |= supports_.get(pred, colocated);
-        out.plans.push_back(std::move(plan));
         continue;
       }
     }
@@ -152,7 +158,6 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
             SenderOption{ReplicaRef{pred, best_head}, a.proc, a.finish});
         budget -= best_cost;
         out.support |= best_support;
-        out.plans.push_back(std::move(plan));
         continue;
       }
     }
@@ -165,7 +170,6 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
       plan.senders.push_back(SenderOption{ReplicaRef{pred, r}, a.proc, a.finish});
     }
     ++out.receive_all_edges;
-    out.plans.push_back(std::move(plan));
   }
   return true;
 }
@@ -181,10 +185,13 @@ std::size_t sender_count(const ChannelCandidate& candidate) {
 
 }  // namespace
 
-ChannelCandidate CaftMapper::best_candidate(const TaskStep& step,
-                                            bool& relaxed_out) {
-  ChannelCandidate best;
-  ChannelCandidate candidate;
+const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step,
+                                                   bool& relaxed_out) {
+  // The two mapper-owned slots trade places instead of copying: a better
+  // candidate becomes `best`, and the old best's buffers are rebuilt as the
+  // next candidate.
+  ChannelCandidate& best = best_;
+  ChannelCandidate& candidate = candidate_;
   // Preferred pass honours the lock; if every processor is locked (wide
   // transitive supports), fall back to the space-exclusion minimum.
   //
@@ -227,7 +234,7 @@ ChannelCandidate CaftMapper::best_candidate(const TaskStep& step,
                    best.times.finish * (1.0 - kReceiveAllMargin);
         }
         if (better) {
-          best = candidate;
+          std::swap(best, candidate);
           best_senders = senders;
           best_is_one_to_one = use_one_to_one;
           found = true;
@@ -252,7 +259,7 @@ double CaftMapper::peek_next_finish(const TaskStep& step) {
 void CaftMapper::advance(TaskStep& step) {
   CAFT_CHECK_MSG(!done(step), "task already fully replicated");
   bool relaxed = false;
-  const ChannelCandidate best = best_candidate(step, relaxed);
+  const ChannelCandidate& best = best_candidate(step, relaxed);
   commit_candidate(step, best, relaxed);
 }
 

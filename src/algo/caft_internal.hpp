@@ -41,6 +41,7 @@ struct TaskStep {
 };
 
 /// One candidate channel: the plan per in-edge plus bookkeeping.
+/// build_channel() rewrites every field but `times`, which evaluate() sets.
 struct ChannelCandidate {
   ProcId proc;
   TaskTimes times;
@@ -93,8 +94,10 @@ class CaftMapper {
                      bool use_one_to_one, ChannelCandidate& out);
 
   /// Best channel over all processors under the lock; if no processor is
-  /// available, retries with the relaxed rule. Always succeeds.
-  ChannelCandidate best_candidate(const TaskStep& step, bool& relaxed_out);
+  /// available, retries with the relaxed rule. Always succeeds. The result
+  /// lives in the mapper and stays valid until the next call.
+  const ChannelCandidate& best_candidate(const TaskStep& step,
+                                         bool& relaxed_out);
 
   void commit_candidate(TaskStep& step, const ChannelCandidate& candidate,
                         bool relaxed);
@@ -111,6 +114,10 @@ class CaftMapper {
   Placer placer_;
   SupportMap supports_;
   PriorityTracker tracker_;
+  /// best_candidate()'s two slots, owned so a warm evaluation sweep (and
+  /// so peek_next_finish) allocates nothing.
+  ChannelCandidate best_;
+  ChannelCandidate candidate_;
 };
 
 }  // namespace caft::internal

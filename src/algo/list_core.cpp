@@ -60,16 +60,22 @@ TaskTimes Placer::commit_duplicate(TaskId t, ProcId p,
                nullptr);
 }
 
-std::vector<IncomingPlan> Placer::receive_all_plans(
-    TaskId t, ProcId p, const SupportMap* supports) const {
-  std::vector<IncomingPlan> plans;
-  plans.reserve(graph_->in_degree(t));
-  for (const EdgeIndex e : graph_->in_edges(t)) {
+void Placer::receive_all_plans(TaskId t, ProcId p,
+                               std::vector<IncomingPlan>& out,
+                               const SupportMap* supports) const {
+  const auto in_edges = graph_->in_edges(t);
+  // Shrinking keeps the surviving plans' sender capacity; growing
+  // default-constructs the new tail once.
+  out.resize(in_edges.size());
+  for (std::size_t i = 0; i < in_edges.size(); ++i) {
+    const EdgeIndex e = in_edges[i];
     const Edge& edge = graph_->edge(e);
     const TaskId pred = edge.src;
-    IncomingPlan plan;
+    IncomingPlan& plan = out[i];
     plan.edge = e;
     plan.volume = edge.volume;
+    plan.senders.clear();
+    plan.senders.reserve(schedule_->primary_count());  // the most it holds
 
     // Co-located replica rule: a copy of the predecessor living on `p`
     // serves alone when relying on it is safe (its completion needs nothing
@@ -99,20 +105,14 @@ std::vector<IncomingPlan> Placer::receive_all_plans(
         plan.senders.push_back(SenderOption{ReplicaRef{pred, r}, a.proc, a.finish});
       }
     }
-    plans.push_back(std::move(plan));
   }
-  return plans;
 }
 
 TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
                         bool commit_mode, ReplicaRef as_replica,
                         std::vector<double>* first_arrivals) {
-  struct PendingComm {
-    std::size_t plan_index;
-    const SenderOption* sender;
-    double sort_key;
-  };
-  std::vector<PendingComm> pending;
+  std::vector<PendingComm>& pending = pending_;
+  pending.clear();
   for (std::size_t i = 0; i < plans.size(); ++i) {
     CAFT_CHECK_MSG(!plans[i].senders.empty(),
                    "every in-edge needs at least one sender");
@@ -131,11 +131,11 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
               return a.sender->ref.replica < b.sender->ref.replica;
             });
 
-  std::vector<double> first_arrival(
-      plans.size(), std::numeric_limits<double>::infinity());
+  std::vector<double>& first_arrival = first_arrival_;
+  first_arrival.assign(plans.size(), std::numeric_limits<double>::infinity());
   for (const PendingComm& pc : pending) {
     const IncomingPlan& plan = plans[pc.plan_index];
-    const CommTimes times =
+    CommTimes times =
         engine_->post_comm(pc.sender->proc, p, plan.volume, pc.sender->data_ready);
     first_arrival[pc.plan_index] =
         std::min(first_arrival[pc.plan_index], times.arrival);
@@ -147,7 +147,7 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
       comm.src_proc = pc.sender->proc;
       comm.dst_proc = p;
       comm.volume = plan.volume;
-      comm.times = times;
+      comm.times = std::move(times);
       schedule_->add_comm(std::move(comm));
     }
   }
@@ -201,14 +201,12 @@ void BestKSelector::offer(double key, ProcId proc) {
   std::push_heap(heap_.begin(), heap_.end(), candidate_better);
 }
 
-std::vector<BestKSelector::Candidate> BestKSelector::take_sorted() {
+void BestKSelector::take_sorted(std::vector<Candidate>& out) {
   // sort_heap sorts ascending under the comparator: best candidate first,
   // exactly the order the full sort emitted.
   std::sort_heap(heap_.begin(), heap_.end(), candidate_better);
-  std::vector<Candidate> sorted = std::move(heap_);
-  heap_ = {};
-  heap_.reserve(k_);
-  return sorted;
+  out.assign(heap_.begin(), heap_.end());
+  heap_.clear();
 }
 
 std::unique_ptr<CommEngine> make_engine(CommModelKind model,

@@ -20,6 +20,12 @@
 ///      the receive port);
 ///   4. the replica executes at max(earliest input, r(P)).
 ///
+/// Evaluation allocates nothing once warm: the caller refills one plan
+/// buffer per candidate (receive_all_plans' out-parameter form reuses every
+/// plan's `senders` capacity), the Placer owns the scratch of step 1-3,
+/// and a message posted inside a CommEngine::Trial carries no
+/// CommTimes::segments. Committed placements record every hop as before.
+///
 /// Support masks: the set of processors whose simultaneous health guarantees
 /// the replica completes (given at most ε total failures). Receive-from-all
 /// plans contribute nothing beyond the host (any surviving predecessor copy
@@ -78,6 +84,7 @@ struct IncomingPlan {
 };
 
 /// Placement executor bound to one (graph, costs, engine, schedule) run.
+/// Owns the scratch buffers of place(), so one Placer serves one thread.
 class Placer {
  public:
   Placer(const TaskGraph& graph, const CostModel& costs, CommEngine& engine,
@@ -118,25 +125,36 @@ class Placer {
                              std::span<const IncomingPlan> plans,
                              ReplicaIndex& out_replica);
 
-  /// Builds the receive-from-all plan of `t` targeting processor `p`: for
-  /// each in-edge, all committed primaries of the predecessor — except that
-  /// a co-located replica serves alone (the paper's Section 6 note) when it
-  /// is safe to rely on it. Safety: without `supports` every replica is
-  /// assumed to complete whenever its processor is alive (true for FTSA and
-  /// FTBAR); with `supports`, the co-located replica serves alone only if
-  /// its support mask is contained in {p}.
-  [[nodiscard]] std::vector<IncomingPlan> receive_all_plans(
-      TaskId t, ProcId p, const SupportMap* supports = nullptr) const;
+  /// Fills `out` with the receive-from-all plan of `t` targeting processor
+  /// `p`: for each in-edge, all committed primaries of the predecessor —
+  /// except that a co-located replica serves alone (the paper's Section 6
+  /// note) when it is safe to rely on it. Safety: without `supports` every
+  /// replica is assumed to complete whenever its processor is alive (true
+  /// for FTSA and FTBAR); with `supports`, the co-located replica serves
+  /// alone only if its support mask is contained in {p}. `out` is refilled
+  /// in place: its plans and their `senders` keep their capacity, so a
+  /// buffer reused across candidates stops allocating once warm.
+  void receive_all_plans(TaskId t, ProcId p, std::vector<IncomingPlan>& out,
+                         const SupportMap* supports = nullptr) const;
 
  private:
   TaskTimes place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
                   bool commit_mode, ReplicaRef as_replica,
                   std::vector<double>* first_arrivals);
 
+  /// One message of a placement, with its step-1 sort key.
+  struct PendingComm {
+    std::size_t plan_index;
+    const SenderOption* sender;
+    double sort_key;
+  };
+
   const TaskGraph* graph_;
   const CostModel* costs_;
   CommEngine* engine_;
   Schedule* schedule_;
+  std::vector<PendingComm> pending_;   ///< place() scratch: messages to post
+  std::vector<double> first_arrival_;  ///< place() scratch: per plan
 };
 
 /// Streaming selector of the k best (smallest-key) processor candidates —
@@ -160,13 +178,14 @@ class BestKSelector {
   /// Considers one candidate.
   void offer(double key, ProcId proc);
 
-  /// The kept candidates in ascending (key, proc) order, best first.
-  /// Leaves the selector empty, ready for the next sweep.
   struct Candidate {
     double key;
     ProcId proc;
   };
-  [[nodiscard]] std::vector<Candidate> take_sorted();
+  /// Moves the kept candidates into `out` in ascending (key, proc) order,
+  /// best first, and leaves the selector empty, ready for the next sweep.
+  /// Neither the selector nor a reused `out` allocates once warm.
+  void take_sorted(std::vector<Candidate>& out);
 
  private:
   std::size_t k_;

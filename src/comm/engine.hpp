@@ -45,7 +45,10 @@ struct CommTimes {
   double recv_start = 0.0;   ///< when the receiver's port starts the reception
   double arrival = 0.0;      ///< A(c, P): when the receiver has fully received it
   /// Per-hop link occupancy; empty for intra-processor hand-offs and for the
-  /// macro-dataflow model (which has no link exclusivity to validate).
+  /// macro-dataflow model (which has no link exclusivity to validate). Also
+  /// empty for a post made while a CommEngine::Trial is open: a trial's
+  /// times are rolled back and never stored, and leaving the hops out keeps
+  /// a trial post free of allocation. Committed posts record every hop.
   std::vector<LinkOccupancy> segments;
 };
 
@@ -109,6 +112,9 @@ class CommEngine {
   /// sized in the constructor and never reallocate, so journaled slot
   /// pointers stay valid.
   void write(std::vector<double>& clocks, std::size_t i, double value);
+
+  /// True while a Trial is open: posts then skip CommTimes::segments.
+  [[nodiscard]] bool in_trial() const { return open_trials_ > 0; }
 
   const Platform* platform_;
   const CostModel* costs_;

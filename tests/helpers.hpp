@@ -60,6 +60,21 @@ inline Scenario random_setup(std::uint64_t seed, std::size_t procs,
   return s;
 }
 
+/// Paper-protocol random scenario on an arbitrary interconnect.
+inline Scenario topology_setup(std::uint64_t seed, Topology topology,
+                               double granularity,
+                               RandomDagParams dag_params = RandomDagParams{}) {
+  Rng rng(seed);
+  Scenario s;
+  s.graph = random_dag(dag_params, rng);
+  s.platform = std::make_unique<Platform>(std::move(topology));
+  CostSynthesisParams params;
+  params.granularity = granularity;
+  s.costs = std::make_unique<CostModel>(
+      synthesize_costs(s.graph, *s.platform, params, rng));
+  return s;
+}
+
 /// Random scenario over an arbitrary graph family.
 inline Scenario graph_setup(TaskGraph graph, std::uint64_t seed,
                          std::size_t procs, double granularity) {

@@ -6,8 +6,10 @@
 
 #include <set>
 
+#include "algo/caft_internal.hpp"
 #include "algo/ftsa.hpp"
 #include "algo/heft.hpp"
+#include "counting_allocator.hpp"
 #include "helpers.hpp"
 #include "sched/validator.hpp"
 
@@ -47,6 +49,30 @@ TEST(Caft, ReplicasOnDistinctProcessors) {
     for (const ReplicaAssignment& a : sched.primaries(t)) procs.insert(a.proc);
     EXPECT_EQ(procs.size(), 4u);
   }
+}
+
+TEST(CaftMapper, WarmPeekNextFinishAllocatesNothing) {
+  // Map tasks until one with predecessors is next, commit one of its
+  // replicas (a non-empty lock), then peek twice: the second peek runs on
+  // the mapper's warm candidate slots and the Placer's warm scratch.
+  Scenario s = random_setup(7, 10, 1.0);
+  const CaftOptions options = options_for(2);
+  internal::CaftMapper mapper(s.graph, *s.platform, *s.costs, options,
+                              nullptr);
+  TaskId t = mapper.tracker().pop_highest();
+  while (s.graph.in_degree(t) == 0) {
+    internal::TaskStep step = mapper.begin_task(t);
+    while (!mapper.done(step)) mapper.advance(step);
+    mapper.finish_task(step);
+    t = mapper.tracker().pop_highest();
+  }
+  internal::TaskStep step = mapper.begin_task(t);
+  mapper.advance(step);
+  const double cold = mapper.peek_next_finish(step);
+  const std::uint64_t before = ::test::t_allocations;
+  const double warm = mapper.peek_next_finish(step);
+  EXPECT_EQ(::test::t_allocations, before);
+  EXPECT_EQ(warm, cold);
 }
 
 TEST(Caft, FaultFreeReducesToHeft) {

@@ -6,6 +6,7 @@
 #include "comm/macro_dataflow.hpp"
 #include "comm/one_port.hpp"
 #include "common/rng.hpp"
+#include "counting_allocator.hpp"
 #include "dag/generators.hpp"
 #include "platform/cost_synthesis.hpp"
 
@@ -292,6 +293,47 @@ TEST(OnePortSparse, MultiHopStoreAndForward) {
   EXPECT_DOUBLE_EQ(t.segments[1].start, 5.0);  // store-and-forward at hub
   EXPECT_DOUBLE_EQ(t.segments[1].finish, 10.0);
   EXPECT_DOUBLE_EQ(t.arrival, 10.0);  // reception overlaps the last hop
+}
+
+TEST(OnePort, TrialPostAllocatesNothing) {
+  // Leaf-to-leaf on a star crosses two links and ring(6)'s 0 -> 3 three:
+  // inside a Trial the post journals its writes but records no hops, and
+  // the same post committed afterwards records every hop.
+  for (const bool ring : {false, true}) {
+    SCOPED_TRACE(ring ? "ring(6)" : "star(4)");
+    const TaskGraph g = chain(2, 1.0);
+    const Platform platform(ring ? Topology::ring(6) : Topology::star(4));
+    CostModel costs(g.task_count(), platform);
+    costs.set_all_unit_delays(1.0);
+    OnePortEngine engine(platform, costs);
+    const ProcId from = P(ring ? 0 : 1);
+    const ProcId to = P(3);
+    const std::size_t hops = platform.topology().route(from, to).size();
+    ASSERT_GE(hops, 2u);
+    {
+      const CommEngine::Trial warm(engine);  // sizes the undo journal
+      (void)engine.post_comm(from, to, 5.0, 0.0);
+    }
+    CommTimes trial_times;
+    {
+      const CommEngine::Trial trial(engine);
+      const std::uint64_t before = ::test::t_allocations;
+      trial_times = engine.post_comm(from, to, 5.0, 0.0);
+      EXPECT_EQ(::test::t_allocations, before);
+    }
+    EXPECT_TRUE(trial_times.segments.empty());
+
+    const CommTimes committed = engine.post_comm(from, to, 5.0, 0.0);
+    ASSERT_EQ(committed.segments.size(), hops);
+    EXPECT_EQ(committed.arrival, trial_times.arrival);
+    EXPECT_EQ(committed.link_start, trial_times.link_start);
+    EXPECT_EQ(committed.link_finish, trial_times.link_finish);
+    EXPECT_EQ(committed.segments.front().start, committed.link_start);
+    EXPECT_EQ(committed.segments.back().finish, committed.link_finish);
+    for (std::size_t i = 0; i < hops; ++i)
+      EXPECT_EQ(committed.segments[i].link,
+                platform.topology().route(from, to)[i]);
+  }
 }
 
 TEST(OnePortSparse, SharedLinkContention) {

@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "algo/ftbar_internal.hpp"
+#include "exp/config.hpp"
 #include "helpers.hpp"
+#include "io/instance_io.hpp"
+#include "obs/obs.hpp"
 #include "sched/validator.hpp"
 
 namespace caft {
@@ -131,6 +137,101 @@ TEST_P(FtbarValidity, SchedulesValidate) {
                                         options_for(eps, model, mst));
   const ValidationResult result = validate_schedule(sched, *s.costs);
   EXPECT_TRUE(result.ok()) << result.summary();
+}
+
+/// The saved form of a schedule (round-trip-exact times): equal strings
+/// mean bit-identical schedules.
+std::string saved(const Scenario& s, const Schedule& schedule) {
+  std::ostringstream os;
+  save_instance(os, s.graph, *s.platform, *s.costs, &schedule);
+  return os.str();
+}
+
+/// Every start time the cache reuses is evaluated again and checked by
+/// ftbar_schedule_checked; the schedule must also equal the unchecked
+/// driver's, and the cache must have reused something.
+class FtbarReuse
+    : public ::testing::TestWithParam<
+          std::tuple<const char*, std::size_t, CommModelKind, bool>> {};
+
+TEST_P(FtbarReuse, ReusedStartTimesMatchRecomputation) {
+  const auto [topology, eps, model, mst] = GetParam();
+  const std::string name = topology;
+  RandomDagParams dag;
+  dag.min_tasks = 40;
+  dag.max_tasks = 60;
+  const std::uint64_t seed = 31 + eps;
+  Scenario s = test::topology_setup(
+      seed,
+      name == "ring"   ? Topology::ring(8)
+      : name == "star" ? Topology::star(8)
+                       : Topology::clique(8),
+      model == CommModelKind::kOnePort ? 0.5 : 1.0, dag);
+  const FtbarOptions options = options_for(eps, model, mst);
+  internal::FtbarReuseStats stats;
+  const Schedule checked = internal::ftbar_schedule_checked(
+      s.graph, *s.platform, *s.costs, options, &stats);
+  const Schedule plain =
+      ftbar_schedule(s.graph, *s.platform, *s.costs, options);
+  EXPECT_EQ(saved(s, checked), saved(s, plain));
+  EXPECT_TRUE(validate_schedule(checked, *s.costs).ok());
+  EXPECT_GT(stats.reused, 0u);
+  EXPECT_GE(stats.computed, s.graph.task_count() * s.platform->proc_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomTopologies, FtbarReuse,
+    ::testing::Combine(::testing::Values("clique", "ring", "star"),
+                       ::testing::Values(0u, 2u, 5u),
+                       ::testing::Values(CommModelKind::kOnePort,
+                                         CommModelKind::kMacroDataflow),
+                       ::testing::Bool()));
+
+/// Reuse share on one Figure 3 instance (m = 20, the sweep's middle
+/// granularity): the share of (task, processor) start times taken from the
+/// cache, at ε = 0 and at the figure's ε = 5.
+double figure3_reuse_share(std::size_t eps) {
+  const ExperimentConfig config = figure3();
+  Rng rng(config.seed);
+  Scenario s;
+  s.graph = random_dag(config.dag, rng);
+  s.platform = std::make_unique<Platform>(config.proc_count);
+  CostSynthesisParams params = config.costs;
+  params.granularity = 1.0;
+  s.costs = std::make_unique<CostModel>(
+      synthesize_costs(s.graph, *s.platform, params, rng));
+  internal::FtbarReuseStats stats;
+  (void)internal::ftbar_schedule_checked(s.graph, *s.platform, *s.costs,
+                                         options_for(eps), &stats);
+  return static_cast<double>(stats.reused) /
+         static_cast<double>(stats.reused + stats.computed);
+}
+
+TEST(FtbarReuseShare, Figure3InstanceReusesMostStartTimes) {
+  EXPECT_GE(figure3_reuse_share(0), 0.75);
+  EXPECT_GE(figure3_reuse_share(5), 0.5);
+}
+
+TEST(FtbarReuseCounters, ExportedOnlyWhenEnabled) {
+  Scenario s = random_setup(6, 10, 1.0);
+  internal::FtbarReuseStats stats;
+  (void)internal::ftbar_schedule_checked(s.graph, *s.platform, *s.costs,
+                                         options_for(2), &stats);
+  obs::Registry& registry = obs::Registry::global();
+  const auto counter = [&](const char* name) {
+    return registry.snapshot().counter_value(name);
+  };
+  const std::uint64_t reused = counter("ftbar.evaluations.reused");
+  const std::uint64_t computed = counter("ftbar.evaluations.computed");
+
+  (void)ftbar_schedule(s.graph, *s.platform, *s.costs, options_for(2));
+  EXPECT_EQ(counter("ftbar.evaluations.reused"), reused);  // disabled
+
+  registry.set_enabled(true);
+  (void)ftbar_schedule(s.graph, *s.platform, *s.costs, options_for(2));
+  registry.set_enabled(false);
+  EXPECT_EQ(counter("ftbar.evaluations.reused") - reused, stats.reused);
+  EXPECT_EQ(counter("ftbar.evaluations.computed") - computed, stats.computed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

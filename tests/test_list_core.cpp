@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/one_port.hpp"
+#include "counting_allocator.hpp"
 #include "dag/generators.hpp"
 #include "platform/cost_synthesis.hpp"
 
@@ -61,7 +62,8 @@ TEST(Placer, EvaluateDoesNotMutateEngineOrSchedule) {
   };
   const std::vector<double> before = clocks();
   const std::size_t comms_before = f.schedule.comms().size();
-  const auto plans = f.placer.receive_all_plans(T(2), P(0));
+  std::vector<IncomingPlan> plans;
+  f.placer.receive_all_plans(T(2), P(0), plans);
   const TaskTimes times = f.placer.evaluate(T(2), P(0), plans);
   EXPECT_GT(times.start, 0.0);  // the trial did post messages
   EXPECT_EQ(clocks(), before);
@@ -75,7 +77,8 @@ TEST(Placer, CommitMatchesEvaluation) {
   f.placer.commit(T(1), 0, P(1), {});
   f.placer.commit(T(1), 1, P(2), {});
 
-  const auto plans = f.placer.receive_all_plans(T(2), P(0));
+  std::vector<IncomingPlan> plans;
+  f.placer.receive_all_plans(T(2), P(0), plans);
   const TaskTimes predicted = f.placer.evaluate(T(2), P(0), plans);
   const TaskTimes committed = f.placer.commit(T(2), 0, P(0), plans);
   EXPECT_DOUBLE_EQ(predicted.start, committed.start);
@@ -92,7 +95,8 @@ TEST(Placer, ReceiveAllPlansListAllPrimaries) {
 
   // Target P0 hosts t0#0 -> that edge collapses to the co-located copy;
   // the other edge lists both primaries of t1.
-  const auto plans = f.placer.receive_all_plans(T(2), P(0));
+  std::vector<IncomingPlan> plans;
+  f.placer.receive_all_plans(T(2), P(0), plans);
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_EQ(plans[0].senders.size(), 1u);  // co-located t0#0
   EXPECT_EQ(plans[0].senders[0].proc, P(0));
@@ -113,7 +117,8 @@ TEST(Placer, SupportsGateTheColocatedRule) {
   supports.set(T(0), 1, support_of(P(1)));
   supports.set(T(1), 0, support_of(P(1)));
   supports.set(T(1), 1, support_of(P(2)));
-  const auto plans = f.placer.receive_all_plans(T(2), P(0), &supports);
+  std::vector<IncomingPlan> plans;
+  f.placer.receive_all_plans(T(2), P(0), plans, &supports);
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_EQ(plans[0].senders.size(), 2u);  // co-location rule suppressed
 }
@@ -125,7 +130,8 @@ TEST(Placer, ArrivalsReportedPerPlan) {
   f.placer.commit(T(1), 0, P(1), {});
   f.placer.commit(T(1), 1, P(2), {});
 
-  const auto plans = f.placer.receive_all_plans(T(2), P(0));
+  std::vector<IncomingPlan> plans;
+  f.placer.receive_all_plans(T(2), P(0), plans);
   std::vector<double> arrivals;
   const TaskTimes times = f.placer.evaluate(T(2), P(0), plans, &arrivals);
   ASSERT_EQ(arrivals.size(), plans.size());
@@ -155,6 +161,81 @@ TEST(Placer, DuplicateCommitRecordsExtraReplica) {
   EXPECT_GE(dup, 2u);
   EXPECT_EQ(f.schedule.total_replicas(T(0)), 3u);
   EXPECT_DOUBLE_EQ(f.schedule.replica(T(0), dup).finish, times.finish);
+}
+
+TEST(Placer, WarmEvaluationSweepAllocatesNothing) {
+  // join(3) with eps = 1: the sources sit on two processors each, so the
+  // sink's plans mix co-located single senders with two-sender edges, and
+  // on the ring most messages cross several links.
+  for (const bool ring : {false, true}) {
+    SCOPED_TRACE(ring ? "ring(6)" : "clique(6)");
+    const TaskGraph g = join(3, 10.0);
+    const Platform platform(ring ? Topology::ring(6) : Topology::clique(6));
+    const CostModel costs = uniform_costs(g, platform, 10.0, 1.0);
+    Schedule schedule(g, platform, 1, CommModelKind::kOnePort);
+    OnePortEngine engine(platform, costs);
+    Placer placer(g, costs, engine, schedule);
+    for (std::size_t t = 0; t < 3; ++t) {
+      placer.commit(T(t), 0, P(t), {});
+      placer.commit(T(t), 1, P(t + 2), {});
+    }
+
+    std::vector<IncomingPlan> plans;
+    std::vector<double> arrivals;
+    const auto sweep = [&](std::vector<double>& finishes) {
+      for (std::size_t p = 0; p < 6; ++p) {
+        placer.receive_all_plans(T(3), P(p), plans);
+        finishes[p] = placer.evaluate(T(3), P(p), plans, &arrivals).finish;
+      }
+    };
+    std::vector<double> cold(6), warm(6);
+    sweep(cold);
+    const std::uint64_t before = ::test::t_allocations;
+    sweep(warm);
+    EXPECT_EQ(::test::t_allocations, before);
+    EXPECT_EQ(warm, cold);
+  }
+}
+
+TEST(Placer, RefilledPlansMatchFreshOnes) {
+  // A buffer refilled for P1 after P0 holds exactly what a fresh buffer
+  // gets for P1: the shorter co-located sender list does not leak.
+  Fixture f;
+  f.placer.commit(T(0), 0, P(0), {});
+  f.placer.commit(T(0), 1, P(1), {});
+  f.placer.commit(T(1), 0, P(1), {});
+  f.placer.commit(T(1), 1, P(2), {});
+  std::vector<IncomingPlan> reused;
+  f.placer.receive_all_plans(T(2), P(0), reused);
+  f.placer.receive_all_plans(T(2), P(2), reused);
+  std::vector<IncomingPlan> fresh;
+  f.placer.receive_all_plans(T(2), P(2), fresh);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused[i].edge, fresh[i].edge);
+    ASSERT_EQ(reused[i].senders.size(), fresh[i].senders.size());
+    for (std::size_t k = 0; k < fresh[i].senders.size(); ++k) {
+      EXPECT_EQ(reused[i].senders[k].ref.replica,
+                fresh[i].senders[k].ref.replica);
+      EXPECT_EQ(reused[i].senders[k].proc, fresh[i].senders[k].proc);
+    }
+  }
+}
+
+TEST(BestKSelector, TakeSortedRefillsTheCallersBuffer) {
+  BestKSelector selector(2);
+  std::vector<BestKSelector::Candidate> out;
+  for (const double key : {3.0, 1.0, 2.0, 1.0})
+    selector.offer(key, P(static_cast<std::size_t>(key * 2)));
+  selector.take_sorted(out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].key, 1.0);
+  EXPECT_EQ(out[1].key, 1.0);
+  EXPECT_EQ(selector.size(), 0u);
+  selector.offer(5.0, P(1));
+  selector.take_sorted(out);  // a short sweep shrinks the buffer
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].proc, P(1));
 }
 
 TEST(MakeEngine, ProducesTheRightKinds) {
