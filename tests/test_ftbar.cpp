@@ -147,6 +147,19 @@ std::string saved(const Scenario& s, const Schedule& schedule) {
   return os.str();
 }
 
+/// An 8-processor interconnect by name: the paper's clique, or a sparse
+/// one whose multi-hop routes share links.
+Topology topology_named(const std::string& name, std::uint64_t seed) {
+  if (name == "ring") return Topology::ring(8);
+  if (name == "star") return Topology::star(8);
+  if (name == "mesh") return Topology::mesh(2, 4);
+  if (name == "random") {
+    Rng rng(seed);
+    return Topology::random_connected(8, 3.0, rng);
+  }
+  return Topology::clique(8);
+}
+
 /// Every start time the cache reuses is evaluated again and checked by
 /// ftbar_schedule_checked; the schedule must also equal the unchecked
 /// driver's, and the cache must have reused something.
@@ -156,17 +169,12 @@ class FtbarReuse
 
 TEST_P(FtbarReuse, ReusedStartTimesMatchRecomputation) {
   const auto [topology, eps, model, mst] = GetParam();
-  const std::string name = topology;
   RandomDagParams dag;
   dag.min_tasks = 40;
   dag.max_tasks = 60;
   const std::uint64_t seed = 31 + eps;
-  Scenario s = test::topology_setup(
-      seed,
-      name == "ring"   ? Topology::ring(8)
-      : name == "star" ? Topology::star(8)
-                       : Topology::clique(8),
-      model == CommModelKind::kOnePort ? 0.5 : 1.0, dag);
+  Scenario s = test::topology_setup(seed, topology_named(topology, seed), 0.5,
+                                    dag);
   const FtbarOptions options = options_for(eps, model, mst);
   internal::FtbarReuseStats stats;
   const Schedule checked = internal::ftbar_schedule_checked(
@@ -181,7 +189,8 @@ TEST_P(FtbarReuse, ReusedStartTimesMatchRecomputation) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomTopologies, FtbarReuse,
-    ::testing::Combine(::testing::Values("clique", "ring", "star"),
+    ::testing::Combine(::testing::Values("clique", "ring", "star", "mesh",
+                                         "random"),
                        ::testing::Values(0u, 2u, 5u),
                        ::testing::Values(CommModelKind::kOnePort,
                                          CommModelKind::kMacroDataflow),
