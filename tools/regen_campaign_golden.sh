@@ -5,22 +5,25 @@
 #   tests/golden/campaign_report.{txt,csv,json}  uniform-k, generated instance
 #   tests/golden/campaign_theta_report.txt       crash-at-θ on caft_cli
 #       clique and ring instances
+#   tests/golden/example_crash_replay.txt        examples/crash_replay stdout
 #
 # Usage: tools/regen_campaign_golden.sh [build-dir]   (default: build)
 #
-# The arguments below must stay in sync with cmake/campaign_golden.cmake
-# and cmake/campaign_theta_golden.cmake.
+# The arguments below must stay in sync with cmake/campaign_golden.cmake,
+# cmake/campaign_theta_golden.cmake and the example_crash_replay_golden
+# test in CMakeLists.txt.
 set -eu
 
 BUILD_DIR=${1:-build}
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 CLI=$REPO_ROOT/$BUILD_DIR/tools/campaign_cli
 CAFT_CLI=$REPO_ROOT/$BUILD_DIR/tools/caft_cli
+CRASH_REPLAY=$REPO_ROOT/$BUILD_DIR/examples/crash_replay
 # GOLDEN_DIR may be overridden (CI golden-drift gate regenerates into
 # a scratch dir and diffs against the committed goldens).
 GOLDEN_DIR=${GOLDEN_DIR:-$REPO_ROOT/tests/golden}
 
-for binary in "$CLI" "$CAFT_CLI"; do
+for binary in "$CLI" "$CAFT_CLI" "$CRASH_REPLAY"; do
   if [ ! -x "$binary" ]; then
     echo "error: $binary not found — build the project first" >&2
     exit 1
@@ -52,6 +55,8 @@ for topology in clique ring; do
   (cd "$WORK_DIR" && "$CLI" --in "$topology.txt" $THETA_ARGS) \
     >> "$GOLDEN_DIR/campaign_theta_report.txt"
 done
+
+(cd "$WORK_DIR" && "$CRASH_REPLAY") > "$GOLDEN_DIR/example_crash_replay.txt"
 
 echo "regenerated goldens in $GOLDEN_DIR:"
 ls -l "$GOLDEN_DIR"
