@@ -7,13 +7,17 @@
 ///   - each single-processor crash;
 ///   - the adversarially worst pair of crashes (found exhaustively);
 ///   - a crash at mid-flight time (work finished before the crash survives).
-/// Gantt charts show which replicas actually ran.
+/// Every replay goes through one ReplayEngine, which records the fault-free
+/// timeline once: the mid-flight crash restores the latest fault-free cut it
+/// allows instead of re-executing from t = 0. Gantt charts show which
+/// replicas actually ran.
 #include <cstdio>
 #include <iostream>
 
 #include "api/api.hpp"
 #include "dag/generators.hpp"
 #include "metrics/gantt.hpp"
+#include "sim/replay_engine.hpp"
 #include "sim/resilience.hpp"
 
 int main() {
@@ -33,10 +37,10 @@ int main() {
 
   GanttOptions gantt;
   gantt.width = 90;
+  const ReplayEngine engine(sched, instance.costs());
 
   // 1. Clean replay.
-  const CrashResult clean =
-      simulate_crashes(sched, instance.costs(), CrashScenario::none(6));
+  const CrashResult clean = engine.replay(CrashScenario::none(6));
   std::printf("clean replay: latency %.1f (committed %.1f) — the replay is "
               "exact\n",
               clean.latency, result.makespan);
@@ -44,8 +48,7 @@ int main() {
   // 2. Every single crash.
   std::printf("\nsingle crashes:\n");
   for (const ProcId p : instance.platform().all_procs()) {
-    const CrashResult crash = simulate_crashes(sched, instance.costs(),
-                                               CrashScenario::at_zero(6, {p}));
+    const CrashResult crash = engine.replay(CrashScenario::at_zero(6, {p}));
     std::printf("  P%u down: %s, latency %8.1f (%+.1f%% vs 0-crash)\n",
                 p.value(), crash.success ? "survived" : "FAILED",
                 crash.latency,
@@ -67,22 +70,20 @@ int main() {
       const CrashScenario scenario = CrashScenario::at_zero(
           6, {ProcId(static_cast<ProcId::value_type>(a)),
               ProcId(static_cast<ProcId::value_type>(b))});
-      const CrashResult crash =
-          simulate_crashes(sched, instance.costs(), scenario);
+      const CrashResult crash = engine.replay(scenario);
       if (crash.success && crash.latency > worst) {
         worst = crash.latency;
         worst_scenario = scenario;
       }
     }
-  const CrashResult worst_result =
-      simulate_crashes(sched, instance.costs(), worst_scenario);
+  const CrashResult worst_result = engine.replay(worst_scenario);
   std::printf("\nworst surviving pair (latency %.1f):\n", worst_result.latency);
   std::cout << render_crash_gantt(sched, worst_result, worst_scenario, gantt);
 
   // 4. Crash at mid-flight: results computed before the crash stay usable.
   CrashScenario midflight = CrashScenario::none(6);
   midflight.set_crash_time(ProcId(0), result.makespan / 2.0);
-  const CrashResult mid = simulate_crashes(sched, instance.costs(), midflight);
+  const CrashResult mid = engine.replay(midflight);
   std::printf("\nP0 dies at t=%.1f (mid-flight): %s, latency %.1f\n",
               result.makespan / 2.0, mid.success ? "survived" : "FAILED",
               mid.latency);

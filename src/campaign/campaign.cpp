@@ -94,7 +94,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   const std::chrono::steady_clock::time_point range_begin =
       std::chrono::steady_clock::now();
 
-  // The prefix-cached engine is built once per campaign, with its snapshots
+  // The prefix-cached engine is built once per campaign, with its cuts
   // placed at the sampler's first-crash quantiles, and shared read-only by
   // every worker (each worker owns its Scratch). A caller-supplied prebuilt
   // engine (the campaign server's cached replay template) short-circuits
@@ -235,7 +235,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
     // Misses run in (earliest crash, index) order, dealt round-robin to the
     // slots: neighbouring replays branch from the same (or adjacent)
-    // fault-free snapshots. Records land at their draw index regardless.
+    // fault-free cuts. Records land at their draw index regardless.
     if (!replays.empty()) {
       std::sort(replays.begin(), replays.end());
       group.run([&](std::size_t slot) {

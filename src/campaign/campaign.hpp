@@ -48,7 +48,7 @@
 /// wave in draw order: a miss whose key an earlier miss of the same wave
 /// holds copies that miss's record, and the remaining misses are replayed,
 /// ordered by earliest crash time so consecutive replays branch from
-/// nearby prefix snapshots, then inserted in draw order. Records are still
+/// nearby fault-free cuts, then inserted in draw order. Records are still
 /// folded in replay order, so neither the cache, its lookup threads nor
 /// the execution order is observable. A record is a pure function of its
 /// canonical scenario, which is what makes the copies bit-identical to
@@ -175,7 +175,7 @@ using RecordCache = std::unordered_map<std::vector<double>, ReplayRecord,
                                        CrashTimesHash, CrashTimesEqual>;
 
 /// Optional observability output of run_campaign — record-cache
-/// effectiveness and snapshot placement. Purely informational: nothing
+/// effectiveness and fault-free cut placement. Purely informational: nothing
 /// here feeds back into the summary. memo_lookups − memo_hits is the
 /// number of kernel replays of cacheable draws.
 struct CampaignTelemetry {
@@ -183,7 +183,7 @@ struct CampaignTelemetry {
   std::uint64_t memo_hits = 0;       ///< of those, served without a replay
   std::uint64_t memo_evictions = 0;  ///< record-cache clears (cache full)
   std::size_t memo_entries = 0;      ///< cache entries resident at the end
-  std::size_t snapshots = 0;     ///< prefix snapshots the engine stored
+  std::size_t snapshots = 0;     ///< fault-free cuts of the engine
   // Execution-shape counters (PR 6): identical semantics for the
   // in-process and subprocess backends, so Session can report one story.
   // wall_seconds is the only non-deterministic field; everything else is a

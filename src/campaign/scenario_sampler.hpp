@@ -51,9 +51,9 @@ class ScenarioSampler {
   /// Draws one scenario: sample_into on a fresh vector.
   [[nodiscard]] CrashScenario sample(Rng& rng) const;
 
-  /// Density hint for adaptive snapshot placement: `count` non-decreasing
+  /// Density hint for adaptive cut placement: `count` non-decreasing
   /// quantiles of this distribution's *earliest* crash time, clamped to
-  /// [0, horizon]. The replay engine concentrates its prefix snapshots at
+  /// [0, horizon]. The replay engine concentrates its fault-free cuts at
   /// these times, so replays branch close to where crash mass actually
   /// falls. Empty (the default) means "no useful θ mass above zero" —
   /// e.g. the paper's dead-from-start model — and the engine falls back to

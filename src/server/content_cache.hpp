@@ -12,12 +12,12 @@
 /// where <req> is the shared wire::write_request_line encoding of the
 /// ScheduleRequest (every field that can change a schedule is in it) and
 /// <width> is the effective θ-bucket width (hexfloat, 0 when exact) — the
-/// one ReplayEngineOptions member that changes replay *results*. Snapshot
-/// placement is deliberately NOT in the key: it is speed-only by the
-/// engine's purity contract, so a template built here
-/// with default placement replays bit-identically to the adaptively-placed
-/// engine run_campaign would have built. tests/test_campaign_server.cpp
-/// holds the server to exactly that (byte-identical reports on hits).
+/// one ReplayEngineOptions member that changes replay *results*. Cut
+/// placement is NOT in the key: it only decides where a replay may start
+/// (every cut derives from one fault-free timeline), so a template built
+/// here with default placement replays bit-identically to the adaptive
+/// engine run_campaign builds, as tests/test_campaign_server.cpp checks
+/// (byte-identical reports on hits).
 ///
 /// The three families share one LRU map: the key prefixes keep them apart.
 ///
@@ -87,7 +87,7 @@ class ContentCache {
       const ScheduleRequest& request);
 
   /// The ReplayEngine template for `schedule` under the given θ-bucket
-  /// width, building (with default, uniform snapshot placement — see the
+  /// width, building (with default, uniform cut placement — see the
   /// file comment) on miss. The width is CampaignSpec::theta_bucket_width,
   /// which is already 0 for an exact spec, so an exact request shares the
   /// unbucketed template. `exact` is unused: it stays only so the existing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -24,6 +25,11 @@ constexpr std::uint8_t kHandoff = 4;
 constexpr std::uint8_t kPending = 0;
 constexpr std::uint8_t kDone = 1;
 constexpr std::uint8_t kDead = 2;
+
+/// Turns per-bucket counts kept at [b + 1] into CSR begin offsets.
+void counts_to_offsets(std::vector<std::uint32_t>& v) {
+  std::partial_sum(v.begin(), v.end(), v.begin());
+}
 
 }  // namespace
 
@@ -54,8 +60,8 @@ ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs,
 void ReplayEngine::build_template() {
   const TaskGraph& g = schedule_->graph();
   m_ = schedule_->platform().proc_count();
-  const std::size_t link_count = schedule_->platform().topology().link_count();
-  resource_count_ = 3 * m_ + link_count;
+  resource_count_ = 3 * m_ + schedule_->platform().topology().link_count();
+  const bool macro = schedule_->model() == CommModelKind::kMacroDataflow;
 
   const auto exec_res = [&](ProcId p) { return p.index(); };
   const auto send_res = [&](ProcId p) { return m_ + p.index(); };
@@ -63,14 +69,35 @@ void ReplayEngine::build_template() {
   const auto link_res = [&](LinkId l) { return 3 * m_ + l.index(); };
 
   // Build in exactly the order the naive replay does, so op ids (the
-  // deterministic tie-break of the event loop) coincide.
+  // deterministic tie-break of the event loop) coincide. Execution ops come
+  // first, in (task, replica) order: replica r of task t is op
+  // exec_op_begin_[t] + r.
+  exec_op_begin_.assign(g.task_count() + 1, 0);
+  for (const TaskId t : g.all_tasks())
+    exec_op_begin_[t.index() + 1] =
+        static_cast<std::uint32_t>(schedule_->total_replicas(t));
+  counts_to_offsets(exec_op_begin_);
+  const auto exec_op = [&](std::size_t task, ReplicaIndex r) {
+    return static_cast<std::uint32_t>(exec_op_begin_[task] + r);
+  };
   struct Keyed {
     double key;
     std::size_t seq;
     std::uint32_t op;
     std::size_t res;
   };
+  // Every per-op array is sized once: the execs, then per comm a hand-off,
+  // or a wire, one op per further segment and a reception.
+  std::size_t ops = exec_op_begin_[g.task_count()];
+  for (const CommAssignment& c : schedule_->comms())
+    ops += c.intra() || macro ? 1 : c.times.segments.size() + 1;
+  for (auto* v : {&kind_, &prereq_is_start_, &counts_message_}) v->reserve(ops);
+  for (auto* v : {&res_a_, &res_b_, &prereq_}) v->reserve(ops);
+  duration_.reserve(ops);
+  owner_.reserve(ops);
   std::vector<Keyed> keyed;
+  keyed.reserve(ops + schedule_->comms().size());  // a wire keys twice
+  handoff_ops_.reserve(schedule_->comms().size());
 
   const auto push_op = [&](std::uint8_t kind, double duration,
                            std::size_t res_a, std::size_t res_b,
@@ -89,22 +116,9 @@ void ReplayEngine::build_template() {
                          : static_cast<std::uint32_t>(res_b));
     prereq_.push_back(prereq);
     owner_.push_back(owner);
-    feed_slot_.push_back(kNone32);
-    feed_exec_.push_back(kNone32);
     return id;
   };
 
-  // Execution ops, CSR-indexed per task: exec_ops_[exec_op_begin_[t] + r].
-  exec_op_begin_.assign(g.task_count() + 1, 0);
-  for (const TaskId t : g.all_tasks())
-    exec_op_begin_[t.index() + 1] =
-        static_cast<std::uint32_t>(schedule_->total_replicas(t));
-  for (std::size_t i = 1; i <= g.task_count(); ++i)
-    exec_op_begin_[i] += exec_op_begin_[i - 1];
-  exec_ops_.assign(exec_op_begin_[g.task_count()], 0);
-  const auto exec_op = [&](std::size_t task, ReplicaIndex r) {
-    return exec_ops_[exec_op_begin_[task] + r];
-  };
   std::size_t seq = 0;
   for (const TaskId t : g.all_tasks()) {
     const std::size_t total = schedule_->total_replicas(t);
@@ -114,7 +128,6 @@ void ReplayEngine::build_template() {
           push_op(kExec, a.finish - a.start, exec_res(a.proc),
                   static_cast<std::size_t>(-1), kNone32, false,
                   static_cast<std::int32_t>(a.proc.index()));
-      exec_ops_[exec_op_begin_[t.index()] + r] = id;
       keyed.push_back({a.start, seq++, id, exec_res(a.proc)});
     }
   }
@@ -126,13 +139,14 @@ void ReplayEngine::build_template() {
     const std::uint32_t source_exec =
         exec_op(c.from.task.index(), c.from.replica);
 
-    if (c.intra() || schedule_->model() == CommModelKind::kMacroDataflow) {
+    if (c.intra() || macro) {
       const std::uint32_t id =
           push_op(kHandoff, c.times.arrival - c.times.link_start,
                   static_cast<std::size_t>(-1), static_cast<std::size_t>(-1),
                   source_exec, false, -1);
       counts_message_[id] = c.intra() ? 0 : 1;
       comm_to_op[ci] = id;
+      handoff_ops_.push_back(id);
       continue;
     }
 
@@ -180,8 +194,7 @@ void ReplayEngine::build_template() {
   // queues for a fraction of the comparisons.
   queue_begin_.assign(resource_count_ + 1, 0);
   for (const Keyed& k : keyed) ++queue_begin_[k.res + 1];
-  for (std::size_t r = 0; r < resource_count_; ++r)
-    queue_begin_[r + 1] += queue_begin_[r];
+  counts_to_offsets(queue_begin_);
   std::vector<Keyed> queued(keyed.size());
   {
     std::vector<std::uint32_t> cursor(queue_begin_.begin(),
@@ -200,51 +213,44 @@ void ReplayEngine::build_template() {
   for (std::size_t i = 0; i < queued.size(); ++i)
     queue_ops_[i] = queued[i].op;
 
-  // Disjunctive input slots: one slot per (exec op, in-edge), flattened.
+  // Disjunctive input slots: one per (exec op, in-edge), in exec-op order,
+  // each listing the terminating ops of its comms in comm order (that of
+  // Schedule::incoming_comms). Count, then fill; each op feeds one slot.
   exec_slot_begin_.assign(op_count_ + 1, 0);
-  std::vector<std::vector<std::vector<std::uint32_t>>> inputs_by_exec(
-      op_count_);
-  for (const TaskId t : g.all_tasks()) {
-    const auto in = g.in_edges(t);
-    const std::size_t total = schedule_->total_replicas(t);
-    for (ReplicaIndex r = 0; r < total; ++r) {
-      const std::uint32_t eop = exec_op(t.index(), r);
-      inputs_by_exec[eop].assign(in.size(), {});
-      for (const std::size_t ci : schedule_->incoming_comms(t, r)) {
-        const CommAssignment& c = schedule_->comms()[ci];
-        const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
-        CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
-        CAFT_CHECK(comm_to_op[ci] != kNone32);
-        inputs_by_exec[eop][static_cast<std::size_t>(pos)].push_back(
-            comm_to_op[ci]);
-      }
-    }
+  for (const TaskId t : g.all_tasks())
+    for (ReplicaIndex r = 0; r < schedule_->total_replicas(t); ++r)
+      exec_slot_begin_[exec_op(t.index(), r) + 1] =
+          static_cast<std::uint32_t>(g.in_edges(t).size());
+  counts_to_offsets(exec_slot_begin_);
+  const auto slot_of = [&](const CommAssignment& c) {
+    const auto in = g.in_edges(c.to.task);
+    const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
+    CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
+    return exec_slot_begin_[exec_op(c.to.task.index(), c.to.replica)] +
+           static_cast<std::uint32_t>(pos);
+  };
+  slot_input_begin_.assign(exec_slot_begin_[op_count_] + 1, 0);
+  for (const CommAssignment& c : schedule_->comms())
+    ++slot_input_begin_[slot_of(c) + 1];
+  counts_to_offsets(slot_input_begin_);
+  slot_inputs_.resize(slot_input_begin_.back());
+  feed_slot_.assign(op_count_, kNone32);
+  feed_exec_.assign(op_count_, kNone32);
+  std::vector<std::uint32_t> slot_cursor(slot_input_begin_.begin(),
+                                         slot_input_begin_.end() - 1);
+  for (std::size_t ci = 0; ci < schedule_->comms().size(); ++ci) {
+    const CommAssignment& c = schedule_->comms()[ci];
+    const std::uint32_t slot = slot_of(c);
+    slot_inputs_[slot_cursor[slot]++] = comm_to_op[ci];
+    feed_slot_[comm_to_op[ci]] = slot;
+    feed_exec_[comm_to_op[ci]] = exec_op(c.to.task.index(), c.to.replica);
   }
-  slot_input_begin_.assign(1, 0);
-  for (std::uint32_t op = 0; op < op_count_; ++op) {
-    exec_slot_begin_[op] = static_cast<std::uint32_t>(
-        slot_input_begin_.size() - 1);
-    for (const auto& slot : inputs_by_exec[op]) {
-      const std::uint32_t slot_id =
-          static_cast<std::uint32_t>(slot_input_begin_.size() - 1);
-      for (const std::uint32_t in_op : slot) {
-        slot_inputs_.push_back(in_op);
-        // Every terminating op feeds exactly one (exec, edge) slot.
-        feed_slot_[in_op] = slot_id;
-        feed_exec_[in_op] = op;
-      }
-      slot_input_begin_.push_back(
-          static_cast<std::uint32_t>(slot_inputs_.size()));
-    }
-  }
-  exec_slot_begin_[op_count_] =
-      static_cast<std::uint32_t>(slot_input_begin_.size() - 1);
 
   // Prerequisite dependents (reverse of prereq_), CSR.
   dep_begin_.assign(op_count_ + 1, 0);
   for (std::uint32_t op = 0; op < op_count_; ++op)
     if (prereq_[op] != kNone32) ++dep_begin_[prereq_[op] + 1];
-  for (std::size_t i = 1; i <= op_count_; ++i) dep_begin_[i] += dep_begin_[i - 1];
+  counts_to_offsets(dep_begin_);
   dep_ops_.assign(dep_begin_[op_count_], 0);
   {
     std::vector<std::uint32_t> cursor(dep_begin_.begin(),
@@ -253,58 +259,50 @@ void ReplayEngine::build_template() {
       if (prereq_[op] != kNone32) dep_ops_[cursor[prereq_[op]]++] = op;
   }
 
-  // Per-processor kill lists: which ops die when p is dead from the start.
-  // Mirrors the naive kill_dead_processors case analysis exactly.
+  // Per-processor kill lists, count then fill: the ops that die when p is
+  // dead from the start, as in the naive kill_dead_processors (a list's
+  // order is free: the closure over it is a least fixpoint).
   const Topology& topology = schedule_->platform().topology();
-  std::vector<std::vector<std::uint32_t>> kills(m_);
   const auto link_of = [&](std::size_t res) -> const LinkDef& {
     return topology.link(
         LinkId(static_cast<LinkId::value_type>(res - 3 * m_)));
   };
-  for (std::uint32_t op = 0; op < op_count_; ++op) {
-    switch (kind_[op]) {
-      case kExec:
-        kills[static_cast<std::size_t>(owner_[op])].push_back(op);
-        break;
-      case kWire:
-        kills[res_a_[op] - m_].push_back(op);  // dies with its sender port
-        break;
-      case kSegment: {
-        const LinkDef& def = link_of(res_a_[op]);
-        kills[def.from.index()].push_back(op);
-        break;
+  // A wire or segment that forwards to a further segment (its one
+  // dependent) also dies with the router it forwards to.
+  const auto forwards = [&](std::uint32_t op) {
+    return kind_[dep_ops_[dep_begin_[op]]] == kSegment;
+  };
+  const auto for_each_kill = [&](auto&& visit) {
+    for (std::uint32_t op = 0; op < op_count_; ++op) {
+      switch (kind_[op]) {
+        case kExec:
+          visit(static_cast<std::size_t>(owner_[op]), op);
+          break;
+        case kWire:
+          visit(res_a_[op] - m_, op);  // dies with its sender port
+          if (forwards(op)) visit(link_of(res_b_[op]).to.index(), op);
+          break;
+        case kSegment:
+          visit(link_of(res_a_[op]).from.index(), op);
+          if (forwards(op)) visit(link_of(res_a_[op]).to.index(), op);
+          break;
+        case kReception:
+          visit(res_a_[op] - 2 * m_, op);
+          break;
+        default:
+          break;  // hand-offs die only via propagation
       }
-      case kReception: {
-        const std::size_t port = res_a_[op] - 2 * m_;
-        kills[port].push_back(op);
-        break;
-      }
-      default:
-        break;  // hand-offs die only via propagation
     }
-  }
-  // Non-final wires and segments also die with the router they forward to.
-  // "Non-final" = some segment lists this op as its prerequisite.
-  std::vector<std::uint8_t> has_segment_successor(op_count_, 0);
-  for (std::uint32_t op = 0; op < op_count_; ++op)
-    if (kind_[op] == kSegment && prereq_[op] != kNone32)
-      has_segment_successor[prereq_[op]] = 1;
-  for (std::uint32_t op = 0; op < op_count_; ++op) {
-    if (!has_segment_successor[op]) continue;
-    if (kind_[op] == kWire) {
-      kills[link_of(res_b_[op]).to.index()].push_back(op);
-    } else if (kind_[op] == kSegment) {
-      kills[link_of(res_a_[op]).to.index()].push_back(op);
-    }
-  }
-
+  };
   kill_begin_.assign(m_ + 1, 0);
-  for (std::size_t p = 0; p < m_; ++p)
-    kill_begin_[p + 1] =
-        kill_begin_[p] + static_cast<std::uint32_t>(kills[p].size());
-  kill_ops_.reserve(kill_begin_[m_]);
-  for (std::size_t p = 0; p < m_; ++p)
-    kill_ops_.insert(kill_ops_.end(), kills[p].begin(), kills[p].end());
+  for_each_kill([&](std::size_t p, std::uint32_t) { ++kill_begin_[p + 1]; });
+  counts_to_offsets(kill_begin_);
+  kill_ops_.resize(kill_begin_[m_]);
+  std::vector<std::uint32_t> kill_cursor(kill_begin_.begin(),
+                                         kill_begin_.end() - 1);
+  for_each_kill([&](std::size_t p, std::uint32_t op) {
+    kill_ops_[kill_cursor[p]++] = op;
+  });
 
   // Drop the links that can never bind (header, "Event selection"): a link
   // whose queue holds only first-hop wires of one sender port, or nothing.
@@ -364,54 +362,60 @@ void ReplayEngine::reset_pristine(Scratch& s) const {
   s.died = false;
 }
 
-void ReplayEngine::restore_snapshot(Scratch& s, const Snapshot& snap) const {
-  s.state = snap.state;
-  s.start = snap.start;
-  s.finish = snap.finish;
-  s.head = snap.head;
-  s.free_at = snap.free_at;
-  s.ready_handoffs = snap.ready_handoffs;
-  // No op is dead anywhere on the fault-free prefix.
-  s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
-  s.worklist.clear();
-  s.tree.resize(2 * resource_count_);
-  s.dirty_flag.assign(resource_count_, 0);
-  s.dirty_resources.clear();
-  s.all_dirty = true;
-  s.order_relaxations = 0;
-  s.order_deadlock = false;
-  s.died = false;
+void ReplayEngine::restore_cut(Scratch& s, std::size_t cut) const {
+  // Header, "Fault-free cuts"; no op is dead anywhere on the prefix.
+  reset_pristine(s);
+  const auto commits = static_cast<std::uint32_t>(cut_commits_[cut]);
+  for (std::uint32_t op = 0; op < op_count_; ++op)
+    s.state[op] = commit_at_[op] < commits ? kDone : kPending;
+  std::copy(ff_start_.begin(), ff_start_.end(), s.start.begin());
+  std::copy(ff_finish_.begin(), ff_finish_.end(), s.finish.begin());
+  // Hand-offs hold no resource: no queue head rediscovers them. Each waits
+  // on the ready heap, keyed as its source's commit pushed it.
+  for (const std::uint32_t op : handoff_ops_)
+    if (s.state[op] == kPending && s.state[prereq_[op]] == kDone)
+      s.ready_handoffs.push_back({ff_finish_[prereq_[op]], op});
+  std::make_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(),
+                 Candidate::after);
+  for (std::uint32_t res = 0; res < resource_count_; ++res) {
+    s.head[res] = done_in_queue(res, commits);
+    s.free_at[res] = queue_clock_[queue_begin_[res] + res + s.head[res]];
+  }
 }
 
-std::size_t ReplayEngine::pick_snapshot(const CrashScenario& scenario) const {
+std::uint32_t ReplayEngine::done_in_queue(std::size_t res,
+                                          std::size_t commits) const {
+  const auto first = queue_ops_.begin() + queue_begin_[res];
+  return static_cast<std::uint32_t>(
+      std::partition_point(first, queue_ops_.begin() + queue_begin_[res + 1],
+                           [&](std::uint32_t op) {
+                             return commit_at_[op] < commits;
+                           }) -
+      first);
+}
+
+std::size_t ReplayEngine::pick_cut(const CrashScenario& scenario) const {
   // A processor dead (or dying) at t <= 0 invalidates the whole prefix: the
   // naive replay pre-kills its ops before the first event.
-  for (std::size_t p = 0; p < m_; ++p)
-    if (scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p))) <=
-        0.0)
-      return static_cast<std::size_t>(-1);
-  const auto valid = [&](const Snapshot& snap) {
-    for (std::size_t p = 0; p < m_; ++p)
-      if (snap.per_proc_max[p] >
-          scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p))))
-        return false;
-    return true;
-  };
+  const std::span<const double> crash = scenario.crash_times();
+  for (const double t : crash)
+    if (t <= 0.0) return static_cast<std::size_t>(-1);
   // Validity is monotone (prefix maxima only grow): binary-search the
-  // latest valid snapshot.
+  // latest valid cut.
   std::size_t lo = 0;
-  std::size_t hi = snapshots_.size();
-  std::size_t best = static_cast<std::size_t>(-1);
+  std::size_t hi = cut_commits_.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (valid(snapshots_[mid])) {
-      best = mid;
+    const double* peak = cut_max_.data() + mid * m_;
+    bool valid = true;
+    for (std::size_t p = 0; valid && p < m_; ++p) valid = peak[p] <= crash[p];
+    if (valid) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return best;
+  return lo - 1;  // npos when no cut is valid
 }
 
 void ReplayEngine::kill(Scratch& s, std::uint32_t op) const {
@@ -749,7 +753,7 @@ void ReplayEngine::collect(Scratch& s) const {
     finish.assign(total, kInf);
     double first = kInf;
     for (std::size_t r = 0; r < total; ++r) {
-      const std::uint32_t op = exec_ops_[begin + r];
+      const std::uint32_t op = begin + static_cast<std::uint32_t>(r);
       if (s.state[op] == kDone) {
         completed[r] = true;
         finish[r] = s.finish[op];
@@ -774,35 +778,45 @@ void ReplayEngine::record_fault_free() {
   const std::size_t max_snapshots = options_.max_snapshots;
   const CrashScenario none = CrashScenario::none(m_);
   Scratch s;
-
-  // Pass 1: count events on the fault-free timeline and record the
-  // committed frontier (running max finish over owned ops) after each —
-  // the scalar whose crossing of a crash time invalidates a snapshot.
   reset_pristine(s);
-  commit_count_ = 0;
-  std::vector<double> frontier;
-  {
-    double running = 0.0;
-    std::uint32_t committed = kNone32;
-    while (commit_next(s, none, &committed)) {
-      ++commit_count_;
-      if (owner_[committed] >= 0)
-        running = std::max(running, s.finish[committed]);
-      frontier.push_back(running);
-    }
-  }
+  // The one fault-free pass: every op commits once; record its index.
+  commit_at_.resize(op_count_);
+  std::uint32_t committed = kNone32;
+  while (commit_next(s, none, &committed))
+    commit_at_[committed] = static_cast<std::uint32_t>(commit_count_++);
   CAFT_CHECK_MSG(!s.order_deadlock,
                  "fault-free replay of a complete schedule deadlocked");
-
   if (commit_count_ == 0) return;
+  ff_start_ = std::move(s.start);
+  ff_finish_ = std::move(s.finish);
 
-  // Snapshot placement: the 1-based commit counts after which to snapshot.
-  // Adaptive mode places one snapshot per target time (the last event whose
-  // frontier has not passed it — the latest state still valid for a crash
-  // at that time); uniform mode spaces snapshots evenly over the events.
-  // The final state is always snapshotted, so never-crashing scenarios
-  // finish in one restore. Placement never affects replay results.
-  std::vector<std::size_t> marks;
+  // No order relaxation runs fault-free, so commits rise along every queue
+  // and the done ops at any cut are a prefix of each queue (done_in_queue),
+  // whose clock is their max finish.
+  queue_clock_.assign(queue_ops_.size() + resource_count_, 0.0);
+  for (std::uint32_t res = 0; res < resource_count_; ++res)
+    for (std::uint32_t i = queue_begin_[res]; i < queue_begin_[res + 1]; ++i) {
+      CAFT_CHECK(i == queue_begin_[res] ||
+                 commit_at_[queue_ops_[i - 1]] < commit_at_[queue_ops_[i]]);
+      queue_clock_[i + res + 1] =
+          std::max(queue_clock_[i + res], ff_finish_[queue_ops_[i]]);
+    }
+
+  // The committed frontier (running max finish over owned ops) after each
+  // commit: the scalar whose crossing of a crash time invalidates a cut.
+  std::vector<double> frontier(commit_count_, 0.0);
+  for (std::uint32_t op = 0; op < op_count_; ++op)
+    if (owner_[op] >= 0) frontier[commit_at_[op]] = ff_finish_[op];
+  for (std::size_t k = 1; k < commit_count_; ++k)
+    frontier[k] = std::max(frontier[k - 1], frontier[k]);
+
+  // Cut placement: the 1-based commit counts to cut after. Adaptive mode
+  // places one cut per target time (the last event whose frontier has not
+  // passed it — the latest state still valid for a crash at that time);
+  // uniform mode spaces cuts evenly over the events. The final state is
+  // always a cut, so never-crashing scenarios finish in one restore.
+  // Placement never affects replay results.
+  std::vector<std::size_t>& marks = cut_commits_;
   if (!options_.snapshot_times.empty()) {
     for (const double target : options_.snapshot_times) {
       if (std::isnan(target) || target <= 0.0) continue;
@@ -834,35 +848,16 @@ void ReplayEngine::record_fault_free() {
     marks.erase(std::unique(marks.begin(), marks.end()), marks.end());
   }
 
-  // Pass 2: replay again, snapshotting at the chosen commit counts.
-  reset_pristine(s);
-  std::vector<double> per_proc_max(m_, 0.0);
-  std::size_t done = 0;
-  std::size_t next_mark = 0;
-  std::uint32_t committed = kNone32;
-  while (commit_next(s, none, &committed)) {
-    ++done;
-    if (owner_[committed] >= 0) {
-      auto& peak = per_proc_max[static_cast<std::size_t>(owner_[committed])];
-      peak = std::max(peak, s.finish[committed]);
-    }
-    if (next_mark < marks.size() && done == marks[next_mark]) {
-      ++next_mark;
-      Snapshot snap;
-      snap.per_proc_max = per_proc_max;
-      snap.state = s.state;
-      snap.start = s.start;
-      snap.finish = s.finish;
-      snap.head = s.head;
-      snap.free_at = s.free_at;
-      for (const Candidate& handoff : s.ready_handoffs)
-        if (s.state[handoff.op] == kPending)
-          snap.ready_handoffs.push_back(handoff);
-      std::make_heap(snap.ready_handoffs.begin(), snap.ready_handoffs.end(),
-                     Candidate::after);
-      snapshots_.push_back(std::move(snap));
-    }
-  }
+  // A processor owns exactly the ops of its exec, send and receive queues,
+  // so its max finish at a cut is the largest of those three clocks.
+  cut_max_.resize(cut_commits_.size() * m_);
+  for (std::size_t c = 0; c < cut_commits_.size(); ++c)
+    for (std::size_t p = 0; p < m_; ++p)
+      for (const std::size_t res : {p, m_ + p, 2 * m_ + p})
+        cut_max_[c * m_ + p] = std::max(
+            cut_max_[c * m_ + p],
+            queue_clock_[queue_begin_[res] + res +
+                         done_in_queue(res, cut_commits_[c])]);
 }
 
 CrashResult ReplayEngine::replay(const CrashScenario& scenario) const {
@@ -875,8 +870,8 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
                                         Scratch& scratch) const {
   CAFT_CHECK_MSG(scenario.proc_count() == m_,
                  "scenario size does not match the platform");
-  const std::size_t snap = pick_snapshot(scenario);
-  if (snap == static_cast<std::size_t>(-1)) {
+  const std::size_t cut = pick_cut(scenario);
+  if (cut == static_cast<std::size_t>(-1)) {
     reset_pristine(scratch);
     // Dead-from-start closure: pre-kill each dead processor's ops from the
     // kill lists (the naive kill_dead_processors) and close over the
@@ -890,7 +885,7 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
     }
     propagate(scratch);
   } else {
-    restore_snapshot(scratch, snapshots_[snap]);
+    restore_cut(scratch, cut);
   }
   while (commit_next(scratch, scenario, nullptr))
     if (scratch.died) propagate(scratch);

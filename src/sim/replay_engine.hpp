@@ -13,13 +13,16 @@
 ///     the per-replica input maps depend only on the schedule — they are
 ///     built once, in flat CSR-style arrays, and shared read-only by every
 ///     replay (and every worker thread).
-///  2. **Prefix snapshots.** The fault-free timeline is simulated once at
-///     construction; the mutable simulator state (op states and times, queue
-///     head cursors, resource clocks, ready hand-offs) is checkpointed at
-///     event boundaries, each snapshot annotated with the per-processor
-///     maximum finish time committed so far. A scenario whose crash times
-///     all exceed those maxima replays *identically* through that prefix, so
-///     `replay` branches from the latest valid snapshot instead of t = 0.
+///  2. **Fault-free cuts.** The fault-free timeline is simulated once at
+///     construction and kept flat: each op's commit index, start and finish.
+///     The state after the first c commits derives from it: an op is done
+///     iff its index is below c; a queue's head counts its ops below c
+///     (commits rise along every queue: binary search) and its clock is
+///     their max finish; the ready hand-offs are the pending ones whose
+///     source is below c. Up to `max_snapshots` cuts c carry the maximum
+///     finish committed so far per processor. A scenario whose crash times
+///     all reach those maxima replays *identically* through that prefix, so
+///     `replay` lays the latest valid cut over the pristine state.
 ///     Scenarios with a processor dead from the start (the paper's model)
 ///     fall back to the pristine state — they still reuse the template:
 ///     each dead processor's precomputed kill list is pre-killed and one
@@ -110,24 +113,24 @@ namespace caft {
 
 /// Tuning knobs; the defaults suit campaign workloads.
 struct ReplayEngineOptions {
-  /// Upper bound on stored fault-free snapshots; memory is
-  /// O(max_snapshots × ops).
+  /// Upper bound on the fault-free cuts a replay may restore from; memory
+  /// is O(ops + max_snapshots × m).
   ///
   /// 0 means *template only*, for callers that replay a schedule once or
   /// enumerate dead-from-start masks: the constructor builds the op
-  /// template and records no fault-free timeline, so neither fault-free
-  /// pass runs, `event_count()` and `snapshot_count()` are 0,
+  /// template and records no fault-free timeline, so the fault-free pass
+  /// does not run, `event_count()` and `snapshot_count()` are 0,
   /// `snapshot_times` is ignored, and every replay starts from the pristine
   /// state (through the dead-set closure where it applies). The
   /// constructor's fault-free deadlock check is skipped with the recording:
   /// a schedule that deadlocks fault-free then yields `order_deadlock` in
   /// its CrashResult, exactly as simulate_crashes does.
   std::size_t max_snapshots = 64;
-  /// Adaptive snapshot placement: target times (e.g. quantiles of the
-  /// sampler's first-crash distribution) at which prefix snapshots should
-  /// still be valid. For each target the engine snapshots at the last event
-  /// whose committed frontier does not exceed it, so snapshot density
-  /// follows the θ mass instead of the event timeline. Empty (the default)
+  /// Adaptive cut placement: target times (e.g. quantiles of the sampler's
+  /// first-crash distribution) at which prefix cuts should still be valid.
+  /// For each target the engine cuts at the last event whose committed
+  /// frontier does not exceed it, so cut density follows the θ mass
+  /// instead of the event timeline. Empty (the default)
   /// falls back to uniform event-timeline spacing. Placement never affects
   /// replay results, only how much prefix is reused.
   std::vector<double> snapshot_times;
@@ -257,9 +260,10 @@ class ReplayEngine {
   /// Events (op commits) on the fault-free timeline; 0 for a template-only
   /// engine.
   [[nodiscard]] std::size_t event_count() const { return commit_count_; }
-  /// Stored prefix snapshots; 0 for a template-only engine.
+  /// Fault-free cuts a replay may restore from; 0 for a template-only
+  /// engine.
   [[nodiscard]] std::size_t snapshot_count() const {
-    return snapshots_.size();
+    return cut_commits_.size();
   }
   [[nodiscard]] const Schedule& schedule() const { return *schedule_; }
 
@@ -270,28 +274,18 @@ class ReplayEngine {
   [[nodiscard]] static double first_crash(std::span<const double> crash_times);
 
  private:
-  struct Snapshot {
-    /// per_proc_max[p]: max finish committed so far among ops owned by p.
-    /// The snapshot is valid for a scenario iff every processor's crash
-    /// time is positive and >= its entry here.
-    std::vector<double> per_proc_max;
-    std::vector<std::uint8_t> state;
-    std::vector<double> start;
-    std::vector<double> finish;
-    std::vector<std::uint32_t> head;
-    std::vector<double> free_at;
-    /// The runnable hand-offs at this point, as a heap (hand-offs hold no
-    /// resource, so the queue heads cannot rediscover them on restore).
-    std::vector<Candidate> ready_handoffs;
-  };
-
   void build_template();
   void record_fault_free();
 
   void reset_pristine(Scratch& s) const;
-  void restore_snapshot(Scratch& s, const Snapshot& snap) const;
-  /// Index into snapshots_ usable for `scenario`, or npos for "from t=0".
-  [[nodiscard]] std::size_t pick_snapshot(const CrashScenario& scenario) const;
+  /// Lays cut `cut`'s fault-free prefix over the pristine state.
+  void restore_cut(Scratch& s, std::size_t cut) const;
+  /// The latest cut valid for `scenario`, or npos for "from t=0".
+  [[nodiscard]] std::size_t pick_cut(const CrashScenario& scenario) const;
+  /// How many of resource `res`'s queue ops are among the first `commits`
+  /// fault-free commits: its head cursor at that cut.
+  [[nodiscard]] std::uint32_t done_in_queue(std::size_t res,
+                                            std::size_t commits) const;
 
   void kill(Scratch& s, std::uint32_t op) const;
   /// Worklist closure over the killed ops: the one dead-set closure, for
@@ -342,10 +336,9 @@ class ReplayEngine {
   std::vector<std::uint32_t> queue_begin_;  ///< size resource_count_+1
   std::vector<std::uint32_t> queue_ops_;
 
-  /// exec ops per task, flattened CSR-style (for collect()):
-  /// exec_ops_[exec_op_begin_[t] + replica] = op id.
+  /// Exec ops are the first ids, in (task, replica) order: replica r of
+  /// task t is op exec_op_begin_[t] + r.
   std::vector<std::uint32_t> exec_op_begin_;  ///< size task_count+1
-  std::vector<std::uint32_t> exec_ops_;
 
   // Disjunctive exec inputs, flattened: exec op -> [slot_begin, slot_end)
   // global in-edge slots; slot -> terminating op ids feeding it.
@@ -364,9 +357,21 @@ class ReplayEngine {
   /// `replay` pre-kills them and `propagate` closes over the rest.
   std::vector<std::uint32_t> kill_begin_;
   std::vector<std::uint32_t> kill_ops_;
+  std::vector<std::uint32_t> handoff_ops_;  ///< in id order
 
+  // --- fault-free timeline (empty for a template-only engine).
   std::size_t commit_count_ = 0;
-  std::vector<Snapshot> snapshots_;
+  std::vector<std::uint32_t> commit_at_;  ///< op -> fault-free commit index
+  std::vector<double> ff_start_;
+  std::vector<double> ff_finish_;
+  /// queue_clock_[queue_begin_[r] + r + d]: resource r's clock once its
+  /// first d queue ops are done (the largest of their fault-free finishes).
+  std::vector<double> queue_clock_;
+  /// Cut c holds the first cut_commits_[c] commits; cut_max_[c * m_ + p] is
+  /// the max finish among them of ops owned by p. The cut is valid for a
+  /// scenario iff every crash time is positive and >= its entry.
+  std::vector<std::size_t> cut_commits_;
+  std::vector<double> cut_max_;
   ReplayEngineOptions options_;
 };
 

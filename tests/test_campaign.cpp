@@ -828,6 +828,27 @@ TEST(ReplayEngine, WarmThetaReplayAllocatesNothing) {
   EXPECT_GT(scratch.commits(), commits);
 }
 
+TEST(ReplayEngine, BuildAllocationsDoNotGrowWithTheSchedule) {
+  // A recording build sizes every per-op array once and keeps one flat
+  // fault-free timeline, so its allocation count is a constant: the same
+  // fixed bound holds for a 100-task and a 300-task schedule on m = 20.
+  constexpr std::uint64_t kBound = 256;
+  for (const std::size_t tasks : {100u, 300u}) {
+    RandomDagParams dag;
+    dag.min_tasks = tasks;
+    dag.max_tasks = tasks;
+    const Scenario s = random_setup(118, 20, 1.0, dag);
+    const Schedule schedule = caft_for(s, 2);
+    const std::uint64_t before = ::test::t_allocations;
+    const ReplayEngine engine(schedule, *s.costs);
+    const std::uint64_t allocations = ::test::t_allocations - before;
+    SCOPED_TRACE(std::to_string(tasks) + " tasks, " +
+                 std::to_string(engine.event_count()) + " events");
+    EXPECT_GT(engine.snapshot_count(), 1u);
+    EXPECT_LT(allocations, kBound);
+  }
+}
+
 TEST(Campaign, RejectsPrebuiltEngineWithAnotherThetaConfig) {
   // A prebuilt engine canonicalizes with its own bucket width; silently
   // using one built for another width would change the summary.

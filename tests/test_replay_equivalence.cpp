@@ -265,6 +265,69 @@ TEST(ReplayEquivalence, ThetaSweepAcrossSnapshotBoundaries) {
   }
 }
 
+TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
+  // Where the fault-free cuts sit decides only where a replay starts. The
+  // same θ draws go through four engines: uniform cuts, cuts at the
+  // sampler's first-crash quantiles, a forced early cut (a budget of two
+  // cuts, one of them near t = 0, so mid-horizon draws restore from it)
+  // and a template-only engine. Every result must equal simulate_crashes
+  // bit for bit — on a one-port clique, on a one-port ring (kept link
+  // resources, so restored link heads and clocks matter) and under
+  // macro-dataflow (hand-offs pending at the cut).
+  struct Case {
+    std::string name;
+    Scenario scenario;
+    CommModelKind model;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"clique oneport", test::random_setup(41, 8, 1.0),
+                   CommModelKind::kOnePort});
+  cases.push_back({"ring oneport",
+                   test::topology_setup(42, Topology::ring(8), 1.0),
+                   CommModelKind::kOnePort});
+  cases.push_back({"clique macro", test::random_setup(43, 8, 1.0),
+                   CommModelKind::kMacroDataflow});
+  for (const Case& c : cases) {
+    const Scenario& s = c.scenario;
+    const Schedule schedule = schedule_with("caft", s, 2, c.model);
+    const double horizon = schedule.horizon();
+    const CrashWindowSampler sampler(8, 2, 0.0, horizon);
+
+    ReplayEngineOptions adaptive;
+    adaptive.snapshot_times =
+        sampler.first_crash_quantiles(adaptive.max_snapshots, horizon);
+    ReplayEngineOptions early;
+    early.max_snapshots = 2;
+    early.snapshot_times = {horizon * 0.05};
+    ReplayEngineOptions template_only;
+    template_only.max_snapshots = 0;
+    const ReplayEngine engines[] = {
+        ReplayEngine(schedule, *s.costs),
+        ReplayEngine(schedule, *s.costs, adaptive),
+        ReplayEngine(schedule, *s.costs, early),
+        ReplayEngine(schedule, *s.costs, template_only)};
+    const char* const labels[] = {"uniform", "adaptive", "early", "template"};
+    ASSERT_GT(engines[0].snapshot_count(), 2u) << c.name;
+    ASSERT_EQ(engines[2].snapshot_count(), 2u) << c.name;
+    ReplayEngine::Scratch scratches[4];
+
+    Rng rng(c.name.size() * 1009);
+    std::vector<CrashScenario> draws = {CrashScenario::none(8)};
+    for (int draw = 0; draw < 30; ++draw) draws.push_back(sampler.sample(rng));
+    for (std::size_t d = 0; d < draws.size(); ++d) {
+      const CrashResult naive = simulate_crashes(schedule, *s.costs, draws[d]);
+      for (std::size_t e = 0; e < 4; ++e)
+        expect_identical(naive, engines[e].replay(draws[d], scratches[e]),
+                         c.name + " " + labels[e] + " draw " +
+                             std::to_string(d));
+    }
+    // The early cut did serve some draws: they re-simulated less than from
+    // t = 0, and more than from the uniform engine's later cuts.
+    EXPECT_LT(scratches[2].commits(), scratches[3].commits()) << c.name;
+    EXPECT_LT(scratches[0].commits(), scratches[2].commits()) << c.name;
+  }
+}
+
 TEST(ReplayEquivalence, SparseTopologyWithRouters) {
   // Star topology: multi-hop routes exercise segment ops and router kill
   // lists (transit through a dead hub must vanish identically).
