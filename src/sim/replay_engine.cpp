@@ -365,7 +365,7 @@ void ReplayEngine::reset_pristine(Scratch& s) const {
 void ReplayEngine::restore_cut(Scratch& s, std::size_t cut) const {
   // Header, "Fault-free cuts"; no op is dead anywhere on the prefix.
   reset_pristine(s);
-  const auto commits = static_cast<std::uint32_t>(cut_commits_[cut]);
+  const std::size_t commits = cut_commits_[cut];
   for (std::uint32_t op = 0; op < op_count_; ++op)
     s.state[op] = commit_at_[op] < commits ? kDone : kPending;
   std::copy(ff_start_.begin(), ff_start_.end(), s.start.begin());
