@@ -19,7 +19,11 @@
 # held back and folded in canonical order — the summary must still match
 # the single-process run byte for byte.
 #
-# A third leg gates early stopping: --target-ci-width stops the fold at a
+# A no-temp-dir leg runs one subprocess campaign with TMPDIR naming a
+# directory that does not exist: the work order carries the instance
+# bytes, so neither the coordinator nor a worker needs a temp dir.
+#
+# A last leg gates early stopping: --target-ci-width stops the fold at a
 # point fixed by the spec alone, so a stopped subprocess campaign must
 # match the stopped single-process one byte for byte at 2 and 4 workers,
 # even though its 25-replay wire blocks do not line up with the stop point.
@@ -35,9 +39,11 @@ endif()
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 # Runs campaign_cli with the remaining arguments, writing <name>_campaign.json.
+# A non-empty `launcher` list prefixes the command (e.g. `cmake -E env`).
+set(launcher "")
 function(run_campaign name)
   execute_process(
-    COMMAND ${CLI} ${ARGN} --json ${name}
+    COMMAND ${launcher} ${CLI} ${ARGN} --json ${name}
     OUTPUT_QUIET
     RESULT_VARIABLE rc
     WORKING_DIRECTORY ${WORK_DIR})
@@ -83,6 +89,14 @@ foreach(sampler_args
   endforeach()
 endforeach()
 
+# No-temp-dir leg: the last sampler's (the crash window's) campaign at 2
+# workers, with TMPDIR pointing nowhere.
+set(no_tmp ${WORK_DIR}/no-such-dir)
+file(REMOVE_RECURSE ${no_tmp})
+set(launcher ${CMAKE_COMMAND} -E env TMPDIR=${no_tmp})
+expect_identical(single notmp2 ${common_args} --exec subprocess --workers 2)
+set(launcher "")
+
 # Early-stop leg: uniform-k beyond ε (mixed outcomes), stopped long before
 # the 4000-replay budget.
 set(stop_args
@@ -109,10 +123,10 @@ if(OBS)
   endif()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2, early stop) with "
-    "observability on")
+    "(incl. streaming fold, reorder window 2, no temp dir, early stop) "
+    "with observability on")
 else()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2, early stop)")
+    "(incl. streaming fold, reorder window 2, no temp dir, early stop)")
 endif()

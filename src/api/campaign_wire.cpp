@@ -1,5 +1,7 @@
 #include "api/campaign_wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -95,6 +97,35 @@ void expect_magic(std::istream& is, const char* magic, int version) {
   check_magic_line(line, magic, version);
 }
 
+void write_instance_bytes(std::ostream& os, const std::string& bytes) {
+  os << "instance-bytes " << bytes.size() << "\n";
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string read_instance_bytes(std::istringstream& fields, std::istream& is,
+                                const char* document) {
+  const std::size_t n = parse_size(next_token(fields, "instance byte count"),
+                                   "instance byte count");
+  CAFT_CHECK_MSG(n > 0, std::string("campaign wire: ") + document +
+                            " has an empty instance");
+  // n is the peer's claim, not a budget: the payload grows in bounded
+  // chunks as it arrives, so memory tracks the bytes actually received.
+  std::string payload;
+  std::array<char, 16384> chunk;
+  while (payload.size() < n) {
+    const std::size_t want = std::min(chunk.size(), n - payload.size());
+    is.read(chunk.data(), static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    payload.append(chunk.data(), got);
+    if (got < want) break;
+  }
+  CAFT_CHECK_MSG(payload.size() == n,
+                 "campaign wire: truncated instance payload (got " +
+                     std::to_string(payload.size()) + " of " +
+                     std::to_string(n) + " bytes)");
+  return payload;
+}
+
 }  // namespace wire
 
 using namespace wire;
@@ -102,9 +133,9 @@ using namespace wire;
 namespace {
 
 /// Version of the work-order document (v2 dropped the engine/memo/snapshot
-/// fields from `exec`, v3 its wave size). The partial-result document is
-/// still v1.
-constexpr int kWorkOrderVersion = 3;
+/// fields from `exec`, v3 its wave size, v4 carries the instance bytes
+/// instead of a path). The partial-result document is still v1.
+constexpr int kWorkOrderVersion = 4;
 
 const char* sampler_kind_name(SamplerSpec::Kind kind) {
   switch (kind) {
@@ -266,7 +297,6 @@ bool read_spec_line(const std::string& key, std::istringstream& fields,
 void write_campaign_work_order(std::ostream& os,
                                const CampaignWorkOrder& order) {
   os << "caft-campaign-work v" << kWorkOrderVersion << "\n";
-  os << "instance " << order.instance_path << "\n";
   os << "algorithm " << order.algorithm << "\n";
   os << "block " << order.first << " " << order.count << "\n";
   write_spec_lines(os, order.spec);
@@ -275,6 +305,7 @@ void write_campaign_work_order(std::ostream& os,
   os << "exec " << order.threads << "\n";
   os << "expect " << format_double(order.expect_makespan) << " "
      << format_double(order.expect_horizon) << "\n";
+  write_instance_bytes(os, order.instance_bytes);
   os << "end\n";
 }
 
@@ -283,7 +314,7 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
   CampaignWorkOrder order;
   order.spec.algorithms.clear();  // the order names exactly one algorithm
   bool saw_end = false;
-  bool saw_instance = false, saw_algorithm = false, saw_block = false;
+  bool saw_algorithm = false, saw_block = false;
   std::string line;
   while (!saw_end && std::getline(is, line)) {
     if (line.empty()) continue;
@@ -293,14 +324,8 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
     if (read_spec_line(key, fields, order.spec)) continue;
     if (key == "end") {
       saw_end = true;
-    } else if (key == "instance") {
-      std::string rest;
-      std::getline(fields, rest);
-      const std::size_t start = rest.find_first_not_of(' ');
-      CAFT_CHECK_MSG(start != std::string::npos,
-                     "campaign wire: empty instance path");
-      order.instance_path = rest.substr(start);
-      saw_instance = true;
+    } else if (key == "instance-bytes") {
+      order.instance_bytes = read_instance_bytes(fields, is, "work order");
     } else if (key == "algorithm") {
       order.algorithm = next_token(fields, "algorithm name");
       order.spec.algorithms = {order.algorithm};
@@ -322,7 +347,8 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
     }
   }
   CAFT_CHECK_MSG(saw_end, "campaign wire: truncated work order (no 'end')");
-  CAFT_CHECK_MSG(saw_instance, "campaign wire: work order names no instance");
+  CAFT_CHECK_MSG(!order.instance_bytes.empty(),
+                 "campaign wire: work order carries no instance bytes");
   CAFT_CHECK_MSG(saw_algorithm,
                  "campaign wire: work order names no algorithm");
   CAFT_CHECK_MSG(saw_block, "campaign wire: work order has no block range");

@@ -11,8 +11,7 @@
 /// of worker records must be indistinguishable from an in-process fold.
 ///
 /// Work order (one block of one campaign):
-///   caft-campaign-work v3
-///   instance <path>                      # instance reference (io format)
+///   caft-campaign-work v4
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
 ///   replays <n>  /  seed <u64>           # replays..request: the spec
@@ -26,6 +25,8 @@
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
 ///                                        # the worker re-schedules and must
 ///                                        # reproduce both bit-for-bit
+///   instance-bytes <n>                   # followed by exactly n raw bytes
+///   <n bytes of io/instance_io text>     # (wire::write_instance_bytes)
 ///   end
 ///
 /// Partial result (the worker's answer):
@@ -121,6 +122,16 @@ void check_magic_line(const std::string& line, const char* magic,
 /// rules) and positions the stream after it.
 void expect_magic(std::istream& is, const char* magic, int version = 1);
 
+/// The instance payload the work order and the server request share:
+/// `instance-bytes <n>`, then exactly n raw bytes, then line mode resumes.
+void write_instance_bytes(std::ostream& os, const std::string& bytes);
+/// Reads the payload of an `instance-bytes` line (key already pulled off
+/// `fields`) from `is`; throws on an empty or short payload, naming
+/// `document` ("request", "work order") when it is empty.
+[[nodiscard]] std::string read_instance_bytes(std::istringstream& fields,
+                                              std::istream& is,
+                                              const char* document);
+
 /// The CampaignSpec lines the work order and the server request share —
 /// one codec, so the two documents cannot drift. write_spec_lines emits
 ///   replays <n> / seed <u64> / quantiles <k> <q...> / theta-buckets <n> /
@@ -144,10 +155,10 @@ void write_request_line(std::ostream& os, const ScheduleRequest& request);
 
 /// One unit of subprocess campaign work: replay the contiguous canonical
 /// scenario block [first, first + count) of `spec`'s campaign against the
-/// schedule `algorithm` produces on the referenced instance.
+/// schedule `algorithm` produces on the carried instance.
 struct CampaignWorkOrder {
-  std::string instance_path;  ///< io/instance_io file the worker loads
-  std::string algorithm;      ///< registry name the worker re-schedules
+  std::string instance_bytes;  ///< io/instance_io text the worker loads
+  std::string algorithm;       ///< registry name the worker re-schedules
   std::size_t first = 0;
   std::size_t count = 0;
   /// The declarative campaign (sampler, seed, quantiles, θ-quantization,

@@ -206,22 +206,20 @@ CampaignRun Session::evaluate_schedule_subprocess(
   CAFT_CHECK_MSG(exec.n_workers > 0,
                  "subprocess execution needs at least one worker");
 
-  // Hand the instance to workers through the archival text format (exact
-  // double round-trip); scheduling is deterministic, so every worker
-  // rebuilds the coordinator's schedule bit-for-bit — and proves it against
-  // the `expect` pins below. One scratch copy per campaign.
-  const caft::ScratchDir scratch("ftsched-campaign");
-  const std::string instance_path = scratch.file("instance.txt");
-  instance.save(instance_path);
-  obs::Registry::global().counter("campaign.instance.saves").add(1);
+  // Hand the instance to workers inline, serialized once per campaign in
+  // the archival text format (exact double round-trip); scheduling is
+  // deterministic, so every worker rebuilds the coordinator's schedule
+  // bit-for-bit — and proves it against the `expect` pins below.
+  std::ostringstream instance_text;
+  instance.save(instance_text);
 
   // Work-order template shared by every block.
   CampaignWorkOrder order;
-  order.instance_path = instance_path;
+  order.instance_bytes = instance_text.str();
   order.algorithm = run.algorithm;
   order.spec = spec;
   // Pin the resolved ε and model: the worker re-schedules from the raw
-  // instance file, which carries neither RunOptions field.
+  // instance text, which carries neither RunOptions field.
   order.spec.request.eps = run.result.eps;
   order.spec.request.model = run.result.schedule.model();
   order.threads = exec.worker_threads;
@@ -468,7 +466,8 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
   const std::chrono::steady_clock::time_point worker_begin =
       std::chrono::steady_clock::now();
   const CampaignWorkOrder order = read_campaign_work_order(in);
-  const Instance instance = Instance::load(order.instance_path);
+  std::istringstream instance_text(order.instance_bytes);
+  const Instance instance = Instance::load(instance_text);
   const auto scheduler = SchedulerRegistry::global().make(order.algorithm);
   const ScheduleResult scheduled =
       scheduler->schedule(instance, order.spec.request);

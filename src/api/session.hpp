@@ -256,21 +256,20 @@ class Session {
   /// A non-null `replay_template` reuses a caller-cached ReplayEngine (the
   /// campaign server's content-addressed cache): it must have been built
   /// from `result`'s schedule and `instance`'s costs with the θ-width this
-  /// spec derives, and outlive the call. In-process backend only — the
-  /// subprocess backend's engines live in worker processes, so the hint is
-  /// ignored there. Results are bit-identical with and without the
-  /// template (the engine's purity contract); only construction time is
-  /// saved.
+  /// spec derives, and outlive the call. It is the engine run_campaign
+  /// would build itself (same cuts, same θ-width), so only construction
+  /// time is saved. In-process backend only: each worker process builds
+  /// that same engine for itself, so the hint is ignored there.
   [[nodiscard]] CampaignRun evaluate_schedule(
       const Instance& instance, ScheduleResult result,
       const CampaignSpec& spec,
       const caft::ReplayEngine* replay_template = nullptr) const;
 
  private:
-  /// The subprocess coordinator behind evaluate_schedule: saves a scratch
-  /// copy of the instance for the work orders, then blocks, workers,
-  /// retries and the reorder window feeding one CampaignFold built from
-  /// `campaign` (api/session.cpp has the details).
+  /// The subprocess coordinator behind evaluate_schedule: serializes the
+  /// instance once into the work orders (no file, no temp dir), then
+  /// blocks, workers, retries and the reorder window feeding one
+  /// CampaignFold built from `campaign` (api/session.cpp has the details).
   [[nodiscard]] CampaignRun evaluate_schedule_subprocess(
       const Instance& instance, CampaignRun run, const CampaignSpec& spec,
       const caft::CampaignOptions& campaign) const;
@@ -279,7 +278,8 @@ class Session {
 };
 
 /// Executes one serialized campaign work order: reads the order from `in`,
-/// loads the referenced instance, re-schedules the named algorithm
+/// loads the instance from the bytes it carries (as the campaign server
+/// loads a request's), re-schedules the named algorithm
 /// (bit-identical by determinism — the order's `expect` pins are verified),
 /// replays the scenario block with run_campaign_block, and streams the
 /// partial-result document to `out`. `campaign_cli --worker` is a thin

@@ -94,21 +94,16 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   const std::chrono::steady_clock::time_point range_begin =
       std::chrono::steady_clock::now();
 
-  // The prefix-cached engine is built once per campaign, with its cuts
-  // placed at the sampler's first-crash quantiles, and shared read-only by
-  // every worker (each worker owns its Scratch). A caller-supplied prebuilt
-  // engine (the campaign server's cached replay template) short-circuits
-  // construction — same const sharing, same results, by the engine's purity
-  // contract — but it must canonicalize exactly as this campaign asks.
+  // The prefix-cached engine is built once per campaign and shared
+  // read-only by every worker (each worker owns its Scratch). A caller may
+  // supply it prebuilt (the campaign server's cached replay template, the
+  // same build_campaign_engine result), but it must canonicalize exactly
+  // as this campaign asks.
   const ReplayEngine* engine = options.prebuilt_engine;
-  std::unique_ptr<ReplayEngine> owned_engine;
+  std::unique_ptr<const ReplayEngine> owned_engine;
   if (engine == nullptr) {
-    ReplayEngineOptions engine_options;
-    engine_options.theta_bucket_width = options.theta_bucket_width;
-    engine_options.snapshot_times = sampler.first_crash_quantiles(
-        engine_options.max_snapshots, schedule.horizon());
     owned_engine =
-        std::make_unique<ReplayEngine>(schedule, costs, engine_options);
+        build_campaign_engine(schedule, costs, options.theta_bucket_width);
     engine = owned_engine.get();
   } else {
     CAFT_CHECK_MSG(
@@ -290,6 +285,14 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 }
 
 }  // namespace
+
+std::unique_ptr<const ReplayEngine> build_campaign_engine(
+    const Schedule& schedule, const CostModel& costs,
+    double theta_bucket_width) {
+  ReplayEngineOptions options;
+  options.theta_bucket_width = theta_bucket_width;
+  return std::make_unique<const ReplayEngine>(schedule, costs, options);
+}
 
 void fold_replay_record(CampaignAccumulator& accumulator,
                         const ReplayRecord& record) {

@@ -60,6 +60,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -121,14 +122,11 @@ struct CampaignOptions {
   /// fixed slice of someone else's campaign).
   double target_ci_width = 0.0;
   /// Replay-template reuse hook for services that cache ReplayEngines
-  /// across campaigns (the campaign server): a non-null engine — built from
-  /// this campaign's schedule/costs with the same theta_bucket_width
-  /// (checked: a mismatch throws CheckError) — is used instead of
-  /// constructing one. Summary-neutral by the engine's own contract:
-  /// replays are pure functions of (schedule, costs, scenario, θ-config),
-  /// and the engine is const-shared across worker threads exactly as an
-  /// owned one would be. The caller keeps it alive for the duration of the
-  /// call.
+  /// across campaigns (the campaign server): a non-null engine, the
+  /// build_campaign_engine result for this campaign's schedule, costs and
+  /// theta_bucket_width (the width is checked: a mismatch throws
+  /// CheckError), is used instead of building one. The caller keeps it
+  /// alive for the duration of the call.
   const ReplayEngine* prebuilt_engine = nullptr;
 };
 
@@ -271,5 +269,13 @@ void run_campaign_block(
                                            const CampaignOptions& options,
                                            CampaignTelemetry* telemetry =
                                                nullptr);
+
+/// The replay engine every campaign path runs on: uniform cuts and the
+/// campaign's θ-bucket width. run_campaign and run_campaign_block build it
+/// unless CampaignOptions::prebuilt_engine supplies it, and the campaign
+/// server caches it as its replay template.
+[[nodiscard]] std::unique_ptr<const ReplayEngine> build_campaign_engine(
+    const Schedule& schedule, const CostModel& costs,
+    double theta_bucket_width);
 
 }  // namespace caft

@@ -51,18 +51,13 @@ class ScenarioSampler {
   /// Draws one scenario: sample_into on a fresh vector.
   [[nodiscard]] CrashScenario sample(Rng& rng) const;
 
-  /// Density hint for adaptive cut placement: `count` non-decreasing
-  /// quantiles of this distribution's *earliest* crash time, clamped to
-  /// [0, horizon]. The replay engine concentrates its fault-free cuts at
-  /// these times, so replays branch close to where crash mass actually
-  /// falls. Empty (the default) means "no useful θ mass above zero" —
-  /// e.g. the paper's dead-from-start model — and the engine falls back to
-  /// uniform event-timeline spacing. Hints are advisory: they never change
-  /// replay results, only prefix reuse, so approximations are fine.
-  [[nodiscard]] virtual std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const {
-    (void)count;
-    (void)horizon;
+  /// Always empty: every campaign cuts its fault-free timeline uniformly
+  /// (cuts fitted to the first-crash distribution never changed a result
+  /// and saved under 0.5% of a θ replay's commits). The stub stays only
+  /// because perfbench still feeds it to `snapshot_times`; ROADMAP.md
+  /// item 1 deletes both.
+  [[nodiscard]] std::vector<double> first_crash_quantiles(
+      std::size_t /*count*/, double /*horizon*/) const {
     return {};
   }
 };
@@ -94,9 +89,6 @@ class ExponentialLifetimeSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   void sample_into(Rng& rng, std::span<double> times) const override;
-  /// min of m iid Exp(rate) lifetimes is Exp(m·rate).
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -116,9 +108,6 @@ class WeibullLifetimeSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   void sample_into(Rng& rng, std::span<double> times) const override;
-  /// min of m iid Weibull(shape, scale) is Weibull(shape, scale·m^(-1/shape)).
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -138,9 +127,6 @@ class CrashWindowSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   void sample_into(Rng& rng, std::span<double> times) const override;
-  /// min of k iid U[lo, hi] draws: F(t) = 1 - (1 - (t-lo)/(hi-lo))^k.
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -163,9 +149,6 @@ class CorrelatedGroupSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   void sample_into(Rng& rng, std::span<double> times) const override;
-  /// Approximated as the min of E[failing groups] iid U[lo, hi] draws.
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
   [[nodiscard]] std::size_t group_count() const;
 

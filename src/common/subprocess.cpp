@@ -1,7 +1,6 @@
 #include "common/subprocess.hpp"
 
 #include <cstddef>
-#include <cstdlib>
 #include <sstream>
 #include <tuple>
 
@@ -214,21 +213,6 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
   return result;
 }
 
-ScratchDir::ScratchDir(const std::string& prefix) {
-  std::string name_template =
-      (std::filesystem::temp_directory_path() / (prefix + "-XXXXXX"))
-          .string();
-  CAFT_CHECK_MSG(::mkdtemp(name_template.data()) != nullptr,
-                 "could not create a scratch directory under " +
-                     std::filesystem::temp_directory_path().string());
-  path_ = name_template;
-}
-
-ScratchDir::~ScratchDir() {
-  std::error_code ec;
-  std::filesystem::remove_all(path_, ec);  // best effort
-}
-
 }  // namespace caft
 
 #else  // !POSIX
@@ -243,12 +227,6 @@ SubprocessResult run_subprocess(const std::vector<std::string>&,
   result.error = "subprocess execution is unavailable on this platform";
   return result;
 }
-
-ScratchDir::ScratchDir(const std::string&) {
-  throw CheckError("scratch directories are unavailable on this platform");
-}
-
-ScratchDir::~ScratchDir() = default;
 
 }  // namespace caft
 

@@ -3,44 +3,22 @@
 /// byte string on stdin, capture stdout and stderr, and report how it
 /// exited. This is the process-spawning half of the subprocess campaign
 /// backend (api/session.hpp): the coordinator pipes one serialized work
-/// order into each worker and reads one partial result back.
+/// order, instance bytes included, into each worker and reads one partial
+/// result back — the pipes are the whole handoff, no file is shared.
 ///
-/// POSIX-only (fork/exec/poll); the one CheckError path is a platform
-/// without it. The runner is thread-compatible — the campaign coordinator
-/// spawns from several dispatcher threads at once — and never throws on
-/// child failure: a crashed, killed or garbage-emitting child is an
-/// *expected* outcome the caller retries, so it is reported in the result,
-/// not as an exception.
+/// POSIX-only (fork/exec/poll); elsewhere every run reports a spawn error.
+/// The runner is thread-compatible — the campaign coordinator spawns from
+/// several dispatcher threads at once — and never throws on child failure:
+/// a crashed, killed or garbage-emitting child is an *expected* outcome
+/// the caller retries, so it is reported in the result, not as an
+/// exception.
 #pragma once
 
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
 
 namespace caft {
-
-/// RAII scratch directory (mkdtemp under the system temp dir) — used for
-/// the coordinator → worker instance handoff and by tests for wrapper
-/// scripts. Throws CheckError when the directory cannot be created (or on
-/// a platform without mkdtemp); removal at destruction is best-effort.
-class ScratchDir {
- public:
-  /// `prefix` seeds the directory name: <tmp>/<prefix>-XXXXXX.
-  explicit ScratchDir(const std::string& prefix);
-  ~ScratchDir();
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-  /// Convenience: absolute path of `name` inside the directory.
-  [[nodiscard]] std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
 
 /// Everything one finished child process reports.
 struct SubprocessResult {

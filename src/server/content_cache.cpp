@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "api/campaign_wire.hpp"
+#include "campaign/campaign.hpp"
 #include "common/hash.hpp"
 
 namespace ftsched {
@@ -92,18 +93,15 @@ ContentCache::replay_template(
     const std::shared_ptr<const CachedSchedule>& schedule,
     double theta_bucket_width, [[maybe_unused]] bool exact) {
   // The schedule key already pins instance content, algorithm and request;
-  // the θ-width is the only engine option that changes replay results, so
-  // together they address the template fully.
-  caft::ReplayEngineOptions options;
-  options.theta_bucket_width = theta_bucket_width;
+  // the θ-width is the campaign engine's only parameter, so together they
+  // address the template fully.
   return find_or_build<CachedTemplate>(
-      "t/" + schedule->key + "/" +
-          wire::format_double(options.theta_bucket_width),
+      "t/" + schedule->key + "/" + wire::format_double(theta_bucket_width),
       [&] {
         return std::make_shared<const CachedTemplate>(CachedTemplate{
-            schedule, std::make_unique<const caft::ReplayEngine>(
+            schedule, caft::build_campaign_engine(
                           schedule->result.schedule,
-                          schedule->instance->costs(), options)});
+                          schedule->instance->costs(), theta_bucket_width)});
       });
 }
 

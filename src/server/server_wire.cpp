@@ -1,7 +1,5 @@
 #include "server/server_wire.hpp"
 
-#include <algorithm>
-#include <array>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -28,9 +26,7 @@ void write_campaign_request(std::ostream& os,
   write_sampler_line(os, spec.sampler);
   write_request_line(os, spec.request);
   os << "progress " << (request.progress ? 1 : 0) << "\n";
-  os << "instance-bytes " << request.instance_bytes.size() << "\n";
-  os.write(request.instance_bytes.data(),
-           static_cast<std::streamsize>(request.instance_bytes.size()));
+  write_instance_bytes(os, request.instance_bytes);
   os << "end\n";
 }
 
@@ -40,7 +36,6 @@ CampaignRequest read_campaign_request(std::istream& is) {
   request.spec.algorithms.clear();
   bool saw_end = false;
   bool saw_algorithms = false;
-  bool saw_instance = false;
   std::string line;
   while (!saw_end && std::getline(is, line)) {
     if (line.empty()) continue;
@@ -65,28 +60,7 @@ CampaignRequest read_campaign_request(std::istream& is) {
       request.progress =
           parse_bool(next_token(fields, "progress"), "progress");
     } else if (key == "instance-bytes") {
-      const std::size_t n = parse_size(
-          next_token(fields, "instance byte count"), "instance byte count");
-      CAFT_CHECK_MSG(n > 0, "campaign wire: request has an empty instance");
-      // n is the peer's claim, not a budget: the payload is appended in
-      // bounded chunks as it arrives, so memory tracks the bytes actually
-      // received. (Counts elsewhere in a request need no such care: each
-      // item is a token on one line, and a missing token throws.)
-      std::string& payload = request.instance_bytes;
-      payload.clear();
-      std::array<char, 16384> chunk;
-      while (payload.size() < n) {
-        const std::size_t want = std::min(chunk.size(), n - payload.size());
-        is.read(chunk.data(), static_cast<std::streamsize>(want));
-        const auto got = static_cast<std::size_t>(is.gcount());
-        payload.append(chunk.data(), got);
-        if (got < want) break;
-      }
-      CAFT_CHECK_MSG(payload.size() == n,
-                     "campaign wire: truncated instance payload (got " +
-                         std::to_string(payload.size()) + " of " +
-                         std::to_string(n) + " bytes)");
-      saw_instance = true;
+      request.instance_bytes = read_instance_bytes(fields, is, "request");
     } else {
       throw caft::CheckError("campaign wire: unknown request key '" + key +
                              "'");
@@ -95,7 +69,7 @@ CampaignRequest read_campaign_request(std::istream& is) {
   CAFT_CHECK_MSG(saw_end, "campaign wire: truncated request (no 'end')");
   CAFT_CHECK_MSG(saw_algorithms && !request.spec.algorithms.empty(),
                  "campaign wire: request names no algorithms");
-  CAFT_CHECK_MSG(saw_instance,
+  CAFT_CHECK_MSG(!request.instance_bytes.empty(),
                  "campaign wire: request carries no instance bytes");
   return request;
 }

@@ -810,10 +810,10 @@ void ReplayEngine::record_fault_free() {
   for (std::size_t k = 1; k < commit_count_; ++k)
     frontier[k] = std::max(frontier[k - 1], frontier[k]);
 
-  // Cut placement: the 1-based commit counts to cut after. Adaptive mode
-  // places one cut per target time (the last event whose frontier has not
-  // passed it — the latest state still valid for a crash at that time);
-  // uniform mode spaces cuts evenly over the events. The final state is
+  // Cut placement: the 1-based commit counts to cut after. Explicit
+  // targets place one cut per target time (the last event whose frontier
+  // has not passed it — the latest state still valid for a crash at that
+  // time); uniform mode spaces cuts evenly over the events. The final state is
   // always a cut, so never-crashing scenarios finish in one restore.
   // Placement never affects replay results.
   std::vector<std::size_t>& marks = cut_commits_;

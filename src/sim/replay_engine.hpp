@@ -126,13 +126,12 @@ struct ReplayEngineOptions {
   /// a schedule that deadlocks fault-free then yields `order_deadlock` in
   /// its CrashResult, exactly as simulate_crashes does.
   std::size_t max_snapshots = 64;
-  /// Adaptive cut placement: target times (e.g. quantiles of the sampler's
-  /// first-crash distribution) at which prefix cuts should still be valid.
-  /// For each target the engine cuts at the last event whose committed
-  /// frontier does not exceed it, so cut density follows the θ mass
-  /// instead of the event timeline. Empty (the default)
-  /// falls back to uniform event-timeline spacing. Placement never affects
-  /// replay results, only how much prefix is reused.
+  /// Explicit cut targets: per target time, a cut at the last event whose
+  /// committed frontier does not exceed it, thinned to `max_snapshots`.
+  /// Empty (the default) spaces cuts uniformly over the event timeline.
+  /// Placement never affects replay results, only prefix reuse. No shipped
+  /// caller sets it (every campaign path builds the default engine); it
+  /// stays for perfbench and the placement tests (ROADMAP.md item 1).
   std::vector<double> snapshot_times;
   /// θ-bucket width of `canonicalize`; 0 disables quantization (crash-at-θ
   /// scenarios then stay unique). See the quantization contract in the

@@ -1,15 +1,20 @@
 /// \file helpers.hpp
 /// Shared fixtures for the tests: (graph, platform, costs) bundles with
 /// stable addresses (CostModel keeps a pointer to its Platform, so both
-/// live behind unique_ptr), convenience runners, and the campaign oracle.
+/// live behind unique_ptr), convenience runners, the campaign oracle, and
+/// a scratch directory for tests that write files.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -213,5 +218,36 @@ inline void expect_summaries_identical(const CampaignSummary& a,
     same(a.latency_quantiles[i].value, b.latency_quantiles[i].value);
   }
 }
+
+/// RAII scratch directory (mkdtemp under the system temp dir), for tests
+/// that write wrapper scripts or marker files. Throws CheckError when the
+/// directory cannot be created; removal at destruction is best-effort.
+class ScratchDir {
+ public:
+  /// `prefix` seeds the directory name: <tmp>/<prefix>-XXXXXX.
+  explicit ScratchDir(const std::string& prefix) {
+    std::string name_template =
+        (std::filesystem::temp_directory_path() / (prefix + "-XXXXXX"))
+            .string();
+    CAFT_CHECK_MSG(::mkdtemp(name_template.data()) != nullptr,
+                   "could not create a scratch directory under " +
+                       std::filesystem::temp_directory_path().string());
+    path_ = name_template;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);  // best effort
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  /// Absolute path of `name` inside the directory.
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace caft::test

@@ -2,7 +2,8 @@
 // samplers, streaming statistics (Wilson interval, P² quantiles), and the
 // parallel executor — its identity with the simulate_crashes oracle
 // (test::oracle_campaign), its record cache and θ-quantization, its
-// determinism and the Proposition 5.2 guarantee.
+// determinism, the Proposition 5.2 guarantee, and the one engine
+// configuration it shares with the campaign server's template cache.
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <span>
@@ -22,12 +24,14 @@
 
 #include "algo/caft.hpp"
 #include "algo/ftsa.hpp"
+#include "api/instance.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "campaign/stats.hpp"
 #include "counting_allocator.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
 #include "obs/obs.hpp"
+#include "server/content_cache.hpp"
 #include "sim/crash_sim.hpp"
 #include "sim/replay_engine.hpp"
 
@@ -987,23 +991,63 @@ TEST(Campaign, RecordCacheStaysUnderCapOverMillionReplays) {
   EXPECT_GT(telemetry.memo_hits, options.replays / 2);
 }
 
-// --------------------------------------------------- adaptive snapshots
+// ------------------------------------------------------ cut placement
+
+TEST(Campaign, EngineMatchesServerTemplate) {
+  // Every campaign path replays on one engine configuration: run_campaign
+  // builds its own engine exactly as the campaign server's cached template
+  // is built, whatever the sampler — so the two agree on the cut count,
+  // the telemetry a report's reader can see of the placement.
+  Scenario s = random_setup(83, 10, 1.0);
+  const auto instance = std::make_shared<const ftsched::Instance>(
+      std::move(s.graph), std::move(s.platform), std::move(s.costs),
+      ftsched::RunOptions{1});
+  ftsched::server::ContentCache cache(8);
+  const auto cached = cache.schedule(instance, 0, "caft", {});
+  const Schedule& schedule = cached->result.schedule;
+  const double horizon = schedule.horizon();
+  const double width = horizon / 64.0;
+  const std::size_t m = instance->proc_count();
+
+  const UniformKSampler uniform(m, 1);
+  const CrashWindowSampler window(m, 2, 0.0, horizon / 2.0);
+  const ExponentialLifetimeSampler exponential(m, 1.0 / horizon, horizon);
+  const WeibullLifetimeSampler weibull(m, 1.5, horizon, horizon);
+  const CorrelatedGroupSampler groups(m, 2, 0.3, 0.0, horizon / 2.0);
+  const std::size_t template_cuts =
+      cache.replay_template(cached, width, false)->engine->snapshot_count();
+  ASSERT_GT(template_cuts, 1u);
+  for (const ScenarioSampler* sampler :
+       std::initializer_list<const ScenarioSampler*>{
+           &uniform, &window, &exponential, &weibull, &groups}) {
+    SCOPED_TRACE(sampler->name());
+    CampaignOptions options;
+    options.replays = 200;
+    options.threads = 1;
+    options.theta_bucket_width = width;
+    CampaignTelemetry telemetry;
+    (void)run_campaign(schedule, instance->costs(), *sampler, options,
+                       &telemetry);
+    EXPECT_EQ(telemetry.snapshots, template_cuts);
+  }
+}
 
 TEST(Campaign, AdaptiveSnapshotPlacementNeverChangesResults) {
-  // Snapshot density is a pure performance knob: a fine θ sweep through an
-  // engine with sampler-fitted snapshot times (the placement every
-  // campaign uses) must match the naive replay everywhere, and the
-  // snapshot budget must be respected.
+  // Cut placement is a pure performance knob: a fine θ sweep through an
+  // engine with explicit cut targets — more of them than the budget, so
+  // the thinning path runs — must match the naive replay everywhere, and
+  // the cut budget must be respected.
   const Scenario s = random_setup(79, 6, 5.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
-  const CrashWindowSampler sampler(6, 2, 0.0, horizon * 0.4);
 
   ReplayEngineOptions options;
   options.max_snapshots = 24;
-  options.snapshot_times =
-      sampler.first_crash_quantiles(options.max_snapshots, horizon);
-  ASSERT_FALSE(options.snapshot_times.empty());
+  const std::size_t targets = options.max_snapshots + 8;
+  for (std::size_t i = 1; i <= targets; ++i)
+    options.snapshot_times.push_back(horizon / 2.0 *
+                                     static_cast<double>(i) /
+                                     static_cast<double>(targets));
   const ReplayEngine adaptive(schedule, *s.costs, options);
   EXPECT_LE(adaptive.snapshot_count(), options.max_snapshots);
   EXPECT_GT(adaptive.snapshot_count(), 0u);
@@ -1022,36 +1066,6 @@ TEST(Campaign, AdaptiveSnapshotPlacementNeverChangesResults) {
     EXPECT_EQ(naive.order_relaxations, replayed.order_relaxations);
     EXPECT_EQ(naive.finish, replayed.finish);
   }
-}
-
-TEST(ScenarioSamplers, QuantileHintsAreSaneDensityProfiles) {
-  const double horizon = 100.0;
-  // The paper's dead-from-start model has no θ mass to adapt to.
-  EXPECT_TRUE(UniformKSampler(8, 2)
-                  .first_crash_quantiles(16, horizon)
-                  .empty());
-
-  const auto check_profile = [&](const ScenarioSampler& sampler,
-                                 const std::string& label) {
-    SCOPED_TRACE(label);
-    const std::vector<double> q = sampler.first_crash_quantiles(16, horizon);
-    ASSERT_EQ(q.size(), 16u);
-    EXPECT_TRUE(std::is_sorted(q.begin(), q.end()));
-    for (const double t : q) {
-      EXPECT_GE(t, 0.0);
-      EXPECT_LE(t, horizon);
-    }
-  };
-  check_profile(CrashWindowSampler(8, 2, 10.0, 90.0), "window");
-  check_profile(ExponentialLifetimeSampler(8, 0.01, horizon), "exp");
-  check_profile(WeibullLifetimeSampler(8, 1.5, 50.0, horizon), "weibull");
-  check_profile(CorrelatedGroupSampler(8, 2, 0.3, 5.0, 80.0), "groups");
-
-  // The window profile concentrates below the window's upper edge: the
-  // engine should not waste snapshots past the θ mass.
-  const std::vector<double> window_q =
-      CrashWindowSampler(8, 2, 0.0, 40.0).first_crash_quantiles(16, horizon);
-  EXPECT_LE(window_q.back(), 40.0 + 1e-9);
 }
 
 TEST(Campaign, RejectsMismatchedSamplerSize) {

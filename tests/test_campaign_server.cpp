@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "api/campaign_wire.hpp"
 #include "helpers.hpp"
 #include "obs/obs.hpp"
 #include "server/server_wire.hpp"
@@ -146,12 +147,23 @@ std::string request_error(const std::string& text) {
 }
 
 TEST(CampaignServerWire, DeclaredCountsAllocateNothingAheadOfThePayload) {
-  // A request of a few dozen bytes may declare any size; the reader must
-  // fail on what actually arrives instead of allocating what was declared.
+  // A request or work order of a few dozen bytes may declare any size; the
+  // reader must fail on what actually arrives instead of allocating what
+  // was declared. Both documents read the payload through one codec.
   EXPECT_NE(request_error("caft-campaign-request v1\n"
                           "instance-bytes 1099511627776\n0123456789")
                 .find("truncated instance payload (got 10 of 1099511627776"),
             std::string::npos);
+  std::istringstream order("caft-campaign-work v4\n"
+                           "instance-bytes 1099511627776\n0123456789");
+  try {
+    (void)read_campaign_work_order(order);
+    ADD_FAILURE() << "a short work-order payload was accepted";
+  } catch (const caft::CheckError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("truncated instance payload (got 10 of 1099511627776"),
+              std::string::npos);
+  }
   EXPECT_NE(request_error("caft-campaign-request v1\n"
                           "quantiles 1000000000000 0.5\nend\n")
                 .find("missing quantile"),

@@ -23,7 +23,8 @@ using caft::ReplayRecord;
 
 CampaignWorkOrder sample_order() {
   CampaignWorkOrder order;
-  order.instance_path = "/tmp/some dir/instance.txt";  // spaces survive
+  // Raw bytes: a line keyed like a work-order line, and no final newline.
+  order.instance_bytes = "caft-instance v1\nexec 0 0 12.5\nend\n  tail";
   order.algorithm = "caft-batch";
   order.first = 1024;
   order.count = 311;
@@ -56,12 +57,13 @@ std::string to_text(const CampaignWorkOrder& order) {
 TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   const CampaignWorkOrder order = sample_order();
   const std::string text = to_text(order);
-  EXPECT_EQ(text.rfind("caft-campaign-work v3\n", 0), 0u);
+  EXPECT_EQ(text.rfind("caft-campaign-work v4\n", 0), 0u);
   EXPECT_NE(text.find("\nexec 3\n"), std::string::npos);
+  EXPECT_NE(text.find("\ninstance-bytes 41\n"), std::string::npos);
   std::istringstream is(text);
   const CampaignWorkOrder back = read_campaign_work_order(is);
 
-  EXPECT_EQ(back.instance_path, order.instance_path);
+  EXPECT_EQ(back.instance_bytes, order.instance_bytes);
   EXPECT_EQ(back.algorithm, order.algorithm);
   EXPECT_EQ(back.first, order.first);
   EXPECT_EQ(back.count, order.count);
@@ -128,7 +130,7 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
   }
   {  // unknown key
     std::string doc = good;
-    doc.insert(doc.find("end\n"), "mystery 42\n");
+    doc.insert(doc.rfind("end\n"), "mystery 42\n");
     std::istringstream is(doc);
     EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
   }
@@ -145,6 +147,15 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
     order.count = 0;
     std::istringstream is(to_text(order));
     EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
+  }
+  {  // no instance: the payload line missing, empty, or cut short
+    const std::size_t at = good.find("instance-bytes ");
+    for (const std::string& tail :
+         {std::string("end\n"), std::string("instance-bytes 0\nend\n"),
+          std::string("instance-bytes 99\nend\n")}) {
+      std::istringstream is(good.substr(0, at) + tail);
+      EXPECT_THROW((void)read_campaign_work_order(is), CheckError) << tail;
+    }
   }
   // Malformed seeds: junk, a sign, and one past 2^64 − 1 all throw
   // CheckError (never wrap, never std::out_of_range).
@@ -166,18 +177,25 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
   // A document of another version is not "corruption": the reader must
   // tell the peer which version it speaks, so the peer is told to match
-  // versions, not to debug bytes. Work orders are at v3; a v1 order (the
+  // versions, not to debug bytes. Work orders are at v4; a v1 order (the
   // old `exec` line with engine/memo/snapshot fields), a v2 order (`exec
-  // <threads> <block>`) and a future v4 are all skew.
+  // <threads> <block>`), a v3 order (`instance <path>` instead of the
+  // instance bytes) and a future v5 are all skew.
   const std::string good = to_text(sample_order());
-  for (const char* version : {"v1", "v2", "v4"}) {
+  for (const char* version : {"v1", "v2", "v3", "v5"}) {
     std::string skewed = good;
     skewed.replace(0, skewed.find('\n'),
                    std::string("caft-campaign-work ") + version);
-    if (std::string(version) == "v1")
+    const std::string old_version = version;
+    if (old_version != "v5") {
+      const std::size_t at = skewed.find("instance-bytes ");
+      skewed.replace(at, skewed.size() - at,
+                     "instance /tmp/campaign-7/instance.txt\nend\n");
+    }
+    if (old_version == "v1")
       skewed.replace(skewed.find("exec 3"), 6,
                      "exec 3 incremental shared 512 32768 16 1");
-    if (std::string(version) == "v2")
+    if (old_version == "v2")
       skewed.replace(skewed.find("exec 3"), 6, "exec 3 1024");
     std::istringstream is(skewed);
     try {
@@ -188,7 +206,7 @@ TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
       EXPECT_NE(what.find("unsupported document version"), std::string::npos);
       EXPECT_NE(what.find(std::string("caft-campaign-work ") + version),
                 std::string::npos);
-      EXPECT_NE(what.find("this reader speaks v3"), std::string::npos);
+      EXPECT_NE(what.find("this reader speaks v4"), std::string::npos);
     }
   }
   {  // a *wrong* magic still reads as corruption, not as version skew
@@ -492,8 +510,7 @@ TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
   // The worked example of docs/wire-protocols.md, both documents: each
   // parses, and re-serializes to the same bytes.
   const std::string order_doc =
-      "caft-campaign-work v3\n"
-      "instance /tmp/campaign-7/instance.txt\n"
+      "caft-campaign-work v4\n"
       "algorithm caft\n"
       "block 100 2\n"
       "replays 2000\n"
@@ -501,11 +518,22 @@ TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
       "quantiles 2 0x1.999999999999ap-1 0x1.fd70a3d70a3d7p-1\n"
       "theta-buckets 0\n"
       "exact 0\n"
-      "sampler uniform-k 2 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 "
+      "sampler uniform-k 1 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 "
       "0x0p+0\n"
       "request 1 oneport 1 transitive 1 16 0\n"
       "exec 1\n"
-      "expect 0x1.91cp+9 0x1.b58p+9\n"
+      "expect 0x1.9p+3 0x1.cp+3\n"
+      "instance-bytes 114\n"
+      "caft-instance v1\n"
+      "graph 1 0\n"
+      "task 0 t0\n"
+      "platform 2 1\n"
+      "cable 0 1\n"
+      "exec 0 0 12.5\n"
+      "exec 0 1 14\n"
+      "delay 0 0.5\n"
+      "delay 1 0.5\n"
+      "end\n"
       "end\n";
   std::istringstream order_in(order_doc);
   EXPECT_EQ(to_text(read_campaign_work_order(order_in)), order_doc);
@@ -515,10 +543,10 @@ TEST(CampaignWire, WorkedExampleRoundTripsByteIdentically) {
       "algorithm caft\n"
       "block 100 2\n"
       "records 2\n"
-      "r 1 0 0x1.a2cp+9 14 0 2\n"
-      "r 0 0 inf 9 0 2\n"
-      "counts 2 1\n"
-      "telemetry 2 1 0 1 12\n"
+      "r 1 0 0x1.cp+3 0 0 1\n"
+      "r 1 0 0x1.cp+3 0 0 1\n"
+      "counts 2 2\n"
+      "telemetry 2 1 0 1 2\n"
       "timing 0x1.2p-4 0x1.8p-7 0x1.cp-5\n"
       "end\n";
   std::istringstream partial_in(partial_doc);

@@ -267,10 +267,11 @@ TEST(ReplayEquivalence, ThetaSweepAcrossSnapshotBoundaries) {
 
 TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
   // Where the fault-free cuts sit decides only where a replay starts. The
-  // same θ draws go through four engines: uniform cuts, cuts at the
-  // sampler's first-crash quantiles, a forced early cut (a budget of two
-  // cuts, one of them near t = 0, so mid-horizon draws restore from it)
-  // and a template-only engine. Every result must equal simulate_crashes
+  // same θ draws go through four engines: uniform cuts, cuts at explicit
+  // targets over the first half (more than the budget, so they are
+  // thinned), a forced early cut (a budget of two cuts, one of them near
+  // t = 0, so mid-horizon draws restore from it) and a template-only
+  // engine. Every result must equal simulate_crashes
   // bit for bit — on a one-port clique, on a one-port ring (kept link
   // resources, so restored link heads and clocks matter) and under
   // macro-dataflow (hand-offs pending at the cut).
@@ -294,8 +295,11 @@ TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
     const CrashWindowSampler sampler(8, 2, 0.0, horizon);
 
     ReplayEngineOptions adaptive;
-    adaptive.snapshot_times =
-        sampler.first_crash_quantiles(adaptive.max_snapshots, horizon);
+    const std::size_t targets = adaptive.max_snapshots + 8;
+    for (std::size_t i = 1; i <= targets; ++i)
+      adaptive.snapshot_times.push_back(horizon / 2.0 *
+                                        static_cast<double>(i) /
+                                        static_cast<double>(targets));
     ReplayEngineOptions early;
     early.max_snapshots = 2;
     early.snapshot_times = {horizon * 0.05};

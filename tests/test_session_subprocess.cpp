@@ -29,7 +29,6 @@
 #include "api/api.hpp"
 #include "campaign/campaign.hpp"
 #include "common/check.hpp"
-#include "common/subprocess.hpp"
 #include "helpers.hpp"
 #include "api/campaign_wire.hpp"
 #include "obs/obs.hpp"
@@ -55,7 +54,7 @@ Instance random_instance(std::uint64_t seed, std::size_t procs, double g,
 
 /// Writes an executable wrapper script the coordinator spawns in place of
 /// campaign_cli — the fault-injection hook of the recovery tests.
-std::string write_script(const caft::ScratchDir& dir, const std::string& name,
+std::string write_script(const caft::test::ScratchDir& dir, const std::string& name,
                          const std::string& body) {
   const std::string script = dir.file(name);
   {
@@ -82,12 +81,11 @@ TEST(CampaignWorker, ProtocolRoundTripMatchesDirectBlock) {
   const auto scheduler = SchedulerRegistry::global().make("caft");
   const ScheduleResult scheduled = scheduler->schedule(instance);
 
-  const caft::ScratchDir dir("ftsched-subproc");
-  const std::string instance_path = dir.file("instance.txt");
-  instance.save(instance_path);
+  std::ostringstream instance_text;
+  instance.save(instance_text);
 
   CampaignWorkOrder order;
-  order.instance_path = instance_path;
+  order.instance_bytes = instance_text.str();
   order.algorithm = "caft";
   order.first = 37;
   order.count = 113;
@@ -133,12 +131,11 @@ TEST(CampaignWorker, ProtocolRoundTripMatchesDirectBlock) {
 
 TEST(CampaignWorker, RefusesDivergentSchedulePins) {
   const Instance instance = random_instance(302, 8, 1.0, 1);
-  const caft::ScratchDir dir("ftsched-subproc");
-  const std::string instance_path = dir.file("instance.txt");
-  instance.save(instance_path);
+  std::ostringstream instance_text;
+  instance.save(instance_text);
 
   CampaignWorkOrder order;
-  order.instance_path = instance_path;
+  order.instance_bytes = instance_text.str();
   order.algorithm = "caft";
   order.first = 0;
   order.count = 10;
@@ -241,19 +238,9 @@ TEST(SessionSubprocess, MultiAlgorithmEvaluateMatchesInProcess) {
   spec.sampler = SamplerSpec::uniform_k(2);
   const CampaignReport reference = Session{}.evaluate(instance, spec);
 
-  // Each subprocess campaign saves its own scratch copy of the instance:
-  // one save per algorithm.
-  obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
-  const std::uint64_t saves_before =
-      registry.snapshot().counter_value("campaign.instance.saves");
   SessionOptions options;
   options.exec = ExecutionPolicy::subprocess(cli, 2);
   const CampaignReport report = Session(options).evaluate(instance, spec);
-  const std::uint64_t saves_after =
-      registry.snapshot().counter_value("campaign.instance.saves");
-  registry.set_enabled(false);
-  EXPECT_EQ(saves_after - saves_before, 2u);
 
   ASSERT_EQ(reference.runs.size(), 2u);
   ASSERT_EQ(report.runs.size(), 2u);
@@ -288,7 +275,7 @@ TEST(SessionSubprocess, RetriesCrashedWorkerAndStaysIdentical) {
   const CampaignSummary reference =
       in_process.evaluate(instance, spec).runs[0].summary;
 
-  const caft::ScratchDir dir("ftsched-subproc");
+  const caft::test::ScratchDir dir("ftsched-subproc");
   // The first invocation to claim the poison marker dies mid-campaign with
   // a nonzero status (a killed/crashed worker, as the coordinator sees it);
   // every later invocation behaves normally.
@@ -320,7 +307,7 @@ TEST(SessionSubprocess, RetriesPoisonedOutputAndStaysIdentical) {
   const CampaignSummary reference =
       in_process.evaluate(instance, spec).runs[0].summary;
 
-  const caft::ScratchDir dir("ftsched-subproc");
+  const caft::test::ScratchDir dir("ftsched-subproc");
   // The poisoned invocation exits 0 but emits garbage instead of a partial
   // result — the strict wire parser must reject it and the coordinator
   // must retry, never fold it.
@@ -357,7 +344,7 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
   // a second, so later blocks complete first and must buffer in the
   // reorder window until the straggler folds — the exact pattern that made
   // the old coordinator's memory O(replays).
-  const caft::ScratchDir dir("ftsched-subproc");
+  const caft::test::ScratchDir dir("ftsched-subproc");
   const std::string script = write_script(
       dir, "straggler_worker.sh",
       "if mkdir \"" + dir.file("straggler-claimed") + "\" 2>/dev/null; then\n"
@@ -411,7 +398,7 @@ TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
   // its pid, so block completion order is scrambled differently on every
   // run — the streamed fold must reproduce the canonical summary from any
   // completion order, at any worker count, with a tight window.
-  const caft::ScratchDir dir("ftsched-subproc");
+  const caft::test::ScratchDir dir("ftsched-subproc");
   const std::string script = write_script(dir, "jitter_worker.sh",
                                           "sleep 0.$(( $$ % 3 ))\n"
                                           "exec \"" + cli + "\" \"$@\"\n");
@@ -497,7 +484,7 @@ TEST(SessionSubprocess, FailsLoudlyAfterRetryBudget) {
   const Instance instance = random_instance(308, 8, 1.0, 1);
   const CampaignSpec spec = lifetime_spec(100);
 
-  const caft::ScratchDir dir("ftsched-subproc");
+  const caft::test::ScratchDir dir("ftsched-subproc");
   const std::string script =
       write_script(dir, "dead_worker.sh", "exit 3\n");
 
