@@ -526,15 +526,14 @@ void CampaignPartialReader::consume_line(const std::string& line) {
                    "campaign wire: records header before the block range");
     records_expected_ =
         parse_size(next_token(fields, "record count"), "record count");
-    // Validate the header against the echoed block *before* reserving —
-    // a corrupt count must not become a giant allocation (or a silently
-    // short block the fold would accept).
+    // A header that disagrees with the echoed block would be a silently
+    // short block the fold accepts. Even an agreeing count is the peer's
+    // claim, not a budget: the record list grows as `r` lines arrive.
     CAFT_CHECK_MSG(records_expected_ == partial_.count,
                    "campaign wire: records header declares " +
                        std::to_string(records_expected_) +
                        " records for a block of " +
                        std::to_string(partial_.count));
-    partial_.records.reserve(records_expected_);
     saw_records_ = true;
   } else {
     throw caft::CheckError("campaign wire: unknown partial key '" + key +

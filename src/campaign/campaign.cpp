@@ -229,8 +229,10 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     }
 
     // Misses run in (earliest crash, index) order, dealt round-robin to the
-    // slots: neighbouring replays branch from the same (or adjacent)
-    // fault-free cuts. Records land at their draw index regardless.
+    // slots. A replay restores its own cut whatever its neighbour did; the
+    // order only spreads replay lengths (a later first crash restores a
+    // longer prefix) evenly across the slots. Records land at their draw
+    // index regardless.
     if (!replays.empty()) {
       std::sort(replays.begin(), replays.end());
       group.run([&](std::size_t slot) {

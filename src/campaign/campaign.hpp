@@ -47,12 +47,12 @@
 /// copies the cached record. After the phase the calling thread walks the
 /// wave in draw order: a miss whose key an earlier miss of the same wave
 /// holds copies that miss's record, and the remaining misses are replayed,
-/// ordered by earliest crash time so consecutive replays branch from
-/// nearby fault-free cuts, then inserted in draw order. Records are still
-/// folded in replay order, so neither the cache, its lookup threads nor
-/// the execution order is observable. A record is a pure function of its
-/// canonical scenario, which is what makes the copies bit-identical to
-/// replaying every draw.
+/// ordered by earliest crash time and dealt round-robin so every slot gets
+/// a like share of long and short replays, then inserted in draw order.
+/// Records are still folded in replay order, so neither the cache, its
+/// lookup threads nor the execution order is observable. A record is a
+/// pure function of its canonical scenario, which is what makes the copies
+/// bit-identical to replaying every draw.
 #pragma once
 
 #include <algorithm>
@@ -173,15 +173,15 @@ using RecordCache = std::unordered_map<std::vector<double>, ReplayRecord,
                                        CrashTimesHash, CrashTimesEqual>;
 
 /// Optional observability output of run_campaign — record-cache
-/// effectiveness and fault-free cut placement. Purely informational: nothing
-/// here feeds back into the summary. memo_lookups − memo_hits is the
-/// number of kernel replays of cacheable draws.
+/// effectiveness and the engine's fault-free cut count. Purely
+/// informational: nothing here feeds back into the summary. memo_lookups −
+/// memo_hits is the number of kernel replays of cacheable draws.
 struct CampaignTelemetry {
   std::uint64_t memo_lookups = 0;    ///< draws with a canonical form
   std::uint64_t memo_hits = 0;       ///< of those, served without a replay
   std::uint64_t memo_evictions = 0;  ///< record-cache clears (cache full)
   std::size_t memo_entries = 0;      ///< cache entries resident at the end
-  std::size_t snapshots = 0;     ///< fault-free cuts of the engine
+  std::size_t snapshots = 0;     ///< fault-free cuts (= events) of the engine
   // Execution-shape counters (PR 6): identical semantics for the
   // in-process and subprocess backends, so Session can report one story.
   // wall_seconds is the only non-deterministic field; everything else is a
@@ -270,10 +270,10 @@ void run_campaign_block(
                                            CampaignTelemetry* telemetry =
                                                nullptr);
 
-/// The replay engine every campaign path runs on: uniform cuts and the
-/// campaign's θ-bucket width. run_campaign and run_campaign_block build it
-/// unless CampaignOptions::prebuilt_engine supplies it, and the campaign
-/// server caches it as its replay template.
+/// The replay engine every campaign path runs on: a recorded fault-free
+/// timeline and the campaign's θ-bucket width. run_campaign and
+/// run_campaign_block build it unless CampaignOptions::prebuilt_engine
+/// supplies it, and the campaign server caches it as its replay template.
 [[nodiscard]] std::unique_ptr<const ReplayEngine> build_campaign_engine(
     const Schedule& schedule, const CostModel& costs,
     double theta_bucket_width);

@@ -51,11 +51,10 @@ class ScenarioSampler {
   /// Draws one scenario: sample_into on a fresh vector.
   [[nodiscard]] CrashScenario sample(Rng& rng) const;
 
-  /// Always empty: every campaign cuts its fault-free timeline uniformly
-  /// (cuts fitted to the first-crash distribution never changed a result
-  /// and saved under 0.5% of a θ replay's commits). The stub stays only
-  /// because perfbench still feeds it to `snapshot_times`; ROADMAP.md
-  /// item 1 deletes both.
+  /// Always empty: every fault-free commit is a cut, so no cut is placed.
+  /// The stub stays only because perfbench still feeds it to
+  /// `snapshot_times`, which the engine no longer reads; ROADMAP.md item 1
+  /// deletes both.
   [[nodiscard]] std::vector<double> first_crash_quantiles(
       std::size_t /*count*/, double /*horizon*/) const {
     return {};

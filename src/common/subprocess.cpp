@@ -1,8 +1,8 @@
 #include "common/subprocess.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
-#include <tuple>
 
 #include "common/check.hpp"
 
@@ -66,6 +66,8 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
                                 const StdoutSink& on_stdout) {
   SubprocessResult result;
   CAFT_CHECK_MSG(!argv.empty(), "subprocess argv must name a program");
+  CAFT_CHECK_MSG(static_cast<bool>(on_stdout),
+                 "subprocess needs a stdout sink");
   ignore_sigpipe_once();
 
   // Close-on-exec from birth: several dispatcher threads spawn workers
@@ -135,10 +137,13 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
     ::_exit(127);
   }
 
-  // Parent: keep only our ends.
+  // Parent: keep only our ends. The stdin feed must never block: a child
+  // that answers as it reads (`cat`) fills its stdout while a blocking
+  // write waits for it to read more, and the poll loop stops draining.
   close_fd(in_pipe[0]);
   close_fd(out_pipe[1]);
   close_fd(err_pipe[1]);
+  ::fcntl(in_pipe[1], F_SETFL, ::fcntl(in_pipe[1], F_GETFL) | O_NONBLOCK);
   result.spawned = true;
 
   std::size_t written = 0;
@@ -172,29 +177,30 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
                                 input.size() - written);
       if (n > 0) written += static_cast<std::size_t>(n);
       // EPIPE / error / done: either way stop feeding and let the child
-      // finish with what it got (a half-fed worker fails its own parse).
-      if (n < 0 || written == input.size()) close_fd(in_pipe[1]);
+      // finish with what it got (a half-fed worker fails its own parse). A
+      // full pipe (EAGAIN) waits for the next POLLOUT.
+      if ((n < 0 && errno != EAGAIN && errno != EINTR) ||
+          written == input.size())
+        close_fd(in_pipe[1]);
     }
-    for (const auto& [slot, pipe, sink] :
-         {std::tuple<int, int*, std::string*>{out_slot, &out_pipe[0],
-                                              &result.out},
-          std::tuple<int, int*, std::string*>{err_slot, &err_pipe[0],
-                                              &result.err}}) {
+    // Stdout streams to the sink (which must not throw — see StdoutSink);
+    // stderr keeps its head and is drained to EOF regardless.
+    const auto drain = [&fds](int slot, int& fd, const auto& consume) {
       if (slot < 0 || !(fds[slot].revents & (POLLIN | POLLERR | POLLHUP)))
-        continue;
+        return;
       char buffer[4096];
-      const ssize_t n = ::read(*pipe, buffer, sizeof buffer);
+      const ssize_t n = ::read(fd, buffer, sizeof buffer);
       if (n > 0) {
-        // stdout streams to the sink when one is installed (the sink must
-        // not throw — see StdoutSink); stderr always accumulates.
-        if (on_stdout && sink == &result.out)
-          on_stdout(buffer, static_cast<std::size_t>(n));
-        else
-          sink->append(buffer, static_cast<std::size_t>(n));
+        consume(buffer, static_cast<std::size_t>(n));
       } else {
-        close_fd(*pipe);
+        close_fd(fd);
       }
-    }
+    };
+    drain(out_slot, out_pipe[0], on_stdout);
+    drain(err_slot, err_pipe[0], [&result](const char* data, std::size_t n) {
+      result.err.append(
+          data, std::min(n, kSubprocessStderrBytes - result.err.size()));
+    });
   }
   close_fd(in_pipe[1]);
   close_fd(out_pipe[0]);

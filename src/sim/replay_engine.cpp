@@ -362,10 +362,9 @@ void ReplayEngine::reset_pristine(Scratch& s) const {
   s.died = false;
 }
 
-void ReplayEngine::restore_cut(Scratch& s, std::size_t cut) const {
+void ReplayEngine::restore_cut(Scratch& s, std::size_t commits) const {
   // Header, "Fault-free cuts"; no op is dead anywhere on the prefix.
   reset_pristine(s);
-  const std::size_t commits = cut_commits_[cut];
   for (std::uint32_t op = 0; op < op_count_; ++op)
     s.state[op] = commit_at_[op] < commits ? kDone : kPending;
   std::copy(ff_start_.begin(), ff_start_.end(), s.start.begin());
@@ -394,28 +393,33 @@ std::uint32_t ReplayEngine::done_in_queue(std::size_t res,
       first);
 }
 
-std::size_t ReplayEngine::pick_cut(const CrashScenario& scenario) const {
+std::size_t ReplayEngine::pick_cut(std::span<const double> crash) const {
   // A processor dead (or dying) at t <= 0 invalidates the whole prefix: the
   // naive replay pre-kills its ops before the first event.
-  const std::span<const double> crash = scenario.crash_times();
   for (const double t : crash)
-    if (t <= 0.0) return static_cast<std::size_t>(-1);
-  // Validity is monotone (prefix maxima only grow): binary-search the
-  // latest valid cut.
-  std::size_t lo = 0;
-  std::size_t hi = cut_commits_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const double* peak = cut_max_.data() + mid * m_;
-    bool valid = true;
-    for (std::size_t p = 0; valid && p < m_; ++p) valid = peak[p] <= crash[p];
-    if (valid) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+    if (t <= 0.0) return 0;
+  // The first commit a crash changes is the earliest one of an op whose
+  // owner dies before it finishes. Processor p owns exactly the ops of its
+  // exec, send and receive queues, and commits rise along each queue, so
+  // the first op whose prefix-max clock exceeds θ_p is that queue's
+  // earliest such commit.
+  std::size_t cut = commit_count_;
+  for (std::size_t p = 0; p < m_ && cut > 0; ++p) {
+    const double theta = crash[p];
+    if (theta == kInf) continue;
+    for (const std::size_t res : {p, m_ + p, 2 * m_ + p}) {
+      const std::uint32_t first = queue_begin_[res];
+      const std::uint32_t size = queue_begin_[res + 1] - first;
+      const double* clock = queue_clock_.data() + first + res + 1;
+      const auto late = static_cast<std::uint32_t>(
+          std::partition_point(clock, clock + size,
+                               [theta](double c) { return c <= theta; }) -
+          clock);
+      if (late < size)
+        cut = std::min<std::size_t>(cut, commit_at_[queue_ops_[first + late]]);
     }
   }
-  return lo - 1;  // npos when no cut is valid
+  return cut;
 }
 
 void ReplayEngine::kill(Scratch& s, std::uint32_t op) const {
@@ -593,7 +597,7 @@ void ReplayEngine::mark_dirty(Scratch& s, std::uint32_t res) const {
   s.dirty_resources.push_back(res);
 }
 
-bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
+bool ReplayEngine::commit_next(Scratch& s, std::span<const double> crash,
                                std::uint32_t* committed) const {
   s.died = false;
   // Discrete-event step, exactly the naive selection: among the queue-head
@@ -671,9 +675,7 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // Crash-at-θ: work in flight when the owner dies is lost, and the owner's
   // resources are gone for good.
   const std::int32_t owner = owner_[best];
-  if (owner >= 0 &&
-      finish > scenario.crash_time(
-                   ProcId(static_cast<ProcId::value_type>(owner)))) {
+  if (owner >= 0 && finish > crash[static_cast<std::size_t>(owner)]) {
     kill(s, best);
     s.died = true;
     const auto p = static_cast<std::size_t>(owner);
@@ -775,14 +777,13 @@ void ReplayEngine::collect(Scratch& s) const {
 }
 
 void ReplayEngine::record_fault_free() {
-  const std::size_t max_snapshots = options_.max_snapshots;
-  const CrashScenario none = CrashScenario::none(m_);
+  const std::vector<double> never(m_, kInf);
   Scratch s;
   reset_pristine(s);
   // The one fault-free pass: every op commits once; record its index.
   commit_at_.resize(op_count_);
   std::uint32_t committed = kNone32;
-  while (commit_next(s, none, &committed))
+  while (commit_next(s, never, &committed))
     commit_at_[committed] = static_cast<std::uint32_t>(commit_count_++);
   CAFT_CHECK_MSG(!s.order_deadlock,
                  "fault-free replay of a complete schedule deadlocked");
@@ -801,63 +802,6 @@ void ReplayEngine::record_fault_free() {
       queue_clock_[i + res + 1] =
           std::max(queue_clock_[i + res], ff_finish_[queue_ops_[i]]);
     }
-
-  // The committed frontier (running max finish over owned ops) after each
-  // commit: the scalar whose crossing of a crash time invalidates a cut.
-  std::vector<double> frontier(commit_count_, 0.0);
-  for (std::uint32_t op = 0; op < op_count_; ++op)
-    if (owner_[op] >= 0) frontier[commit_at_[op]] = ff_finish_[op];
-  for (std::size_t k = 1; k < commit_count_; ++k)
-    frontier[k] = std::max(frontier[k - 1], frontier[k]);
-
-  // Cut placement: the 1-based commit counts to cut after. Explicit
-  // targets place one cut per target time (the last event whose frontier
-  // has not passed it — the latest state still valid for a crash at that
-  // time); uniform mode spaces cuts evenly over the events. The final state is
-  // always a cut, so never-crashing scenarios finish in one restore.
-  // Placement never affects replay results.
-  std::vector<std::size_t>& marks = cut_commits_;
-  if (!options_.snapshot_times.empty()) {
-    for (const double target : options_.snapshot_times) {
-      if (std::isnan(target) || target <= 0.0) continue;
-      const auto it =
-          std::upper_bound(frontier.begin(), frontier.end(), target);
-      const auto commits =
-          static_cast<std::size_t>(it - frontier.begin());
-      if (commits > 0) marks.push_back(commits);
-    }
-  } else {
-    const std::size_t interval =
-        std::max<std::size_t>(1, (commit_count_ + max_snapshots - 1) /
-                                     max_snapshots);
-    for (std::size_t i = interval; i < commit_count_; i += interval)
-      marks.push_back(i);
-  }
-  marks.push_back(commit_count_);
-  std::sort(marks.begin(), marks.end());
-  marks.erase(std::unique(marks.begin(), marks.end()), marks.end());
-  if (marks.size() > max_snapshots) {
-    // Thin deterministically to the budget, keeping the final state.
-    std::vector<std::size_t> thinned;
-    thinned.reserve(max_snapshots);
-    for (std::size_t i = 0; i < max_snapshots; ++i)
-      thinned.push_back(
-          marks[((i + 1) * marks.size()) / max_snapshots - 1]);
-    thinned.back() = marks.back();
-    marks = std::move(thinned);
-    marks.erase(std::unique(marks.begin(), marks.end()), marks.end());
-  }
-
-  // A processor owns exactly the ops of its exec, send and receive queues,
-  // so its max finish at a cut is the largest of those three clocks.
-  cut_max_.resize(cut_commits_.size() * m_);
-  for (std::size_t c = 0; c < cut_commits_.size(); ++c)
-    for (std::size_t p = 0; p < m_; ++p)
-      for (const std::size_t res : {p, m_ + p, 2 * m_ + p})
-        cut_max_[c * m_ + p] = std::max(
-            cut_max_[c * m_ + p],
-            queue_clock_[queue_begin_[res] + res +
-                         done_in_queue(res, cut_commits_[c])]);
 }
 
 CrashResult ReplayEngine::replay(const CrashScenario& scenario) const {
@@ -870,15 +814,17 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
                                         Scratch& scratch) const {
   CAFT_CHECK_MSG(scenario.proc_count() == m_,
                  "scenario size does not match the platform");
-  const std::size_t cut = pick_cut(scenario);
-  if (cut == static_cast<std::size_t>(-1)) {
+  // The scenario checked its times when they were set; from here the
+  // kernel reads them unchecked.
+  const std::span<const double> crash = scenario.crash_times();
+  const std::size_t cut = pick_cut(crash);
+  if (cut == 0) {
     reset_pristine(scratch);
     // Dead-from-start closure: pre-kill each dead processor's ops from the
     // kill lists (the naive kill_dead_processors) and close over the
     // consequences with the worklist (its propagate_dead fixpoint).
     for (std::size_t p = 0; p < m_; ++p) {
-      if (!scenario.dead_from_start(ProcId(static_cast<ProcId::value_type>(p))))
-        continue;
+      if (crash[p] > 0.0) continue;
       for (std::uint32_t i = kill_begin_[p]; i < kill_begin_[p + 1]; ++i)
         if (scratch.state[kill_ops_[i]] == kPending)
           kill(scratch, kill_ops_[i]);
@@ -887,7 +833,7 @@ const CrashResult& ReplayEngine::replay(const CrashScenario& scenario,
   } else {
     restore_cut(scratch, cut);
   }
-  while (commit_next(scratch, scenario, nullptr))
+  while (commit_next(scratch, crash, nullptr))
     if (scratch.died) propagate(scratch);
   collect(scratch);
   return scratch.result;

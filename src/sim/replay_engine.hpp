@@ -14,15 +14,20 @@
 ///     built once, in flat CSR-style arrays, and shared read-only by every
 ///     replay (and every worker thread).
 ///  2. **Fault-free cuts.** The fault-free timeline is simulated once at
-///     construction and kept flat: each op's commit index, start and finish.
-///     The state after the first c commits derives from it: an op is done
-///     iff its index is below c; a queue's head counts its ops below c
-///     (commits rise along every queue: binary search) and its clock is
-///     their max finish; the ready hand-offs are the pending ones whose
-///     source is below c. Up to `max_snapshots` cuts c carry the maximum
-///     finish committed so far per processor. A scenario whose crash times
-///     all reach those maxima replays *identically* through that prefix, so
-///     `replay` lays the latest valid cut over the pristine state.
+///     construction and kept flat: each op's commit index, start and finish,
+///     and per queue the prefix-max clock of its ops' finishes. The state
+///     after the first c commits derives from it: an op is done iff its
+///     index is below c; a queue's head counts its ops below c (commits
+///     rise along every queue: binary search) and its clock is their max
+///     finish; the ready hand-offs are the pending ones whose source is
+///     below c. Every commit count is a cut. A crash at θ_p first changes
+///     the fault-free run at the earliest commit of an op of p finishing
+///     after θ_p; p owns exactly the ops of its exec, send and receive
+///     queues, so three binary searches over their clocks find it. Every
+///     commit before the earliest such commit over the crashing processors
+///     replays *identically*, so `replay` lays that prefix (the final state
+///     when no op is late) over the pristine state: O(k log N) to pick for
+///     k crashing processors, O(ops) to restore, O(ops) memory.
 ///     Scenarios with a processor dead from the start (the paper's model)
 ///     fall back to the pristine state — they still reuse the template:
 ///     each dead processor's precomputed kill list is pre-killed and one
@@ -113,25 +118,22 @@ namespace caft {
 
 /// Tuning knobs; the defaults suit campaign workloads.
 struct ReplayEngineOptions {
-  /// Upper bound on the fault-free cuts a replay may restore from; memory
-  /// is O(ops + max_snapshots × m).
-  ///
   /// 0 means *template only*, for callers that replay a schedule once or
   /// enumerate dead-from-start masks: the constructor builds the op
   /// template and records no fault-free timeline, so the fault-free pass
-  /// does not run, `event_count()` and `snapshot_count()` are 0,
-  /// `snapshot_times` is ignored, and every replay starts from the pristine
-  /// state (through the dead-set closure where it applies). The
-  /// constructor's fault-free deadlock check is skipped with the recording:
-  /// a schedule that deadlocks fault-free then yields `order_deadlock` in
-  /// its CrashResult, exactly as simulate_crashes does.
+  /// does not run, `event_count()` and `snapshot_count()` are 0, and every
+  /// replay starts from the pristine state (through the dead-set closure
+  /// where it applies). The constructor's fault-free deadlock check is
+  /// skipped with the recording: a schedule that deadlocks fault-free then
+  /// yields `order_deadlock` in its CrashResult, exactly as
+  /// simulate_crashes does.
+  ///
+  /// Any other value records the timeline, every commit of which is a cut
+  /// (header, "Fault-free cuts"); the value itself is not read. It keeps
+  /// its name and type only because perfbench sets it (ROADMAP.md item 1).
   std::size_t max_snapshots = 64;
-  /// Explicit cut targets: per target time, a cut at the last event whose
-  /// committed frontier does not exceed it, thinned to `max_snapshots`.
-  /// Empty (the default) spaces cuts uniformly over the event timeline.
-  /// Placement never affects replay results, only prefix reuse. No shipped
-  /// caller sets it (every campaign path builds the default engine); it
-  /// stays for perfbench and the placement tests (ROADMAP.md item 1).
+  /// Not read: every fault-free commit is a cut. Declared only because
+  /// perfbench sets it; ROADMAP.md item 1 deletes it.
   std::vector<double> snapshot_times;
   /// θ-bucket width of `canonicalize`; 0 disables quantization (crash-at-θ
   /// scenarios then stay unique). See the quantization contract in the
@@ -259,11 +261,9 @@ class ReplayEngine {
   /// Events (op commits) on the fault-free timeline; 0 for a template-only
   /// engine.
   [[nodiscard]] std::size_t event_count() const { return commit_count_; }
-  /// Fault-free cuts a replay may restore from; 0 for a template-only
-  /// engine.
-  [[nodiscard]] std::size_t snapshot_count() const {
-    return cut_commits_.size();
-  }
+  /// Fault-free cuts a replay may restore from: every commit is one, so
+  /// this equals `event_count()`.
+  [[nodiscard]] std::size_t snapshot_count() const { return event_count(); }
   [[nodiscard]] const Schedule& schedule() const { return *schedule_; }
 
   /// Earliest crash instant of `scenario` (+inf when nothing ever fails) —
@@ -277,10 +277,12 @@ class ReplayEngine {
   void record_fault_free();
 
   void reset_pristine(Scratch& s) const;
-  /// Lays cut `cut`'s fault-free prefix over the pristine state.
-  void restore_cut(Scratch& s, std::size_t cut) const;
-  /// The latest cut valid for `scenario`, or npos for "from t=0".
-  [[nodiscard]] std::size_t pick_cut(const CrashScenario& scenario) const;
+  /// Lays the first `commits` fault-free commits over the pristine state.
+  void restore_cut(Scratch& s, std::size_t commits) const;
+  /// The longest fault-free prefix, in commits, that a scenario with these
+  /// crash times replays unchanged; 0 ("from t = 0") when a processor is
+  /// dead from the start or the engine is template-only.
+  [[nodiscard]] std::size_t pick_cut(std::span<const double> crash) const;
   /// How many of resource `res`'s queue ops are among the first `commits`
   /// fault-free commits: its head cursor at that cut.
   [[nodiscard]] std::uint32_t done_in_queue(std::size_t res,
@@ -309,7 +311,9 @@ class ReplayEngine {
   [[nodiscard]] bool at_heads(const Scratch& s, std::uint32_t op) const;
   [[nodiscard]] bool runnable(const Scratch& s, std::uint32_t op,
                               double& ready) const;
-  bool commit_next(Scratch& s, const CrashScenario& scenario,
+  /// One event under `crash` (one time per processor, sized and checked
+  /// by the caller).
+  bool commit_next(Scratch& s, std::span<const double> crash,
                    std::uint32_t* committed) const;
   /// Writes the outcome into `s.result`, reusing its buffers.
   void collect(Scratch& s) const;
@@ -366,11 +370,6 @@ class ReplayEngine {
   /// queue_clock_[queue_begin_[r] + r + d]: resource r's clock once its
   /// first d queue ops are done (the largest of their fault-free finishes).
   std::vector<double> queue_clock_;
-  /// Cut c holds the first cut_commits_[c] commits; cut_max_[c * m_ + p] is
-  /// the max finish among them of ops owned by p. The cut is valid for a
-  /// scenario iff every crash time is positive and >= its entry.
-  std::vector<std::size_t> cut_commits_;
-  std::vector<double> cut_max_;
   ReplayEngineOptions options_;
 };
 

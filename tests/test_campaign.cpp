@@ -1032,42 +1032,6 @@ TEST(Campaign, EngineMatchesServerTemplate) {
   }
 }
 
-TEST(Campaign, AdaptiveSnapshotPlacementNeverChangesResults) {
-  // Cut placement is a pure performance knob: a fine θ sweep through an
-  // engine with explicit cut targets — more of them than the budget, so
-  // the thinning path runs — must match the naive replay everywhere, and
-  // the cut budget must be respected.
-  const Scenario s = random_setup(79, 6, 5.0);
-  const Schedule schedule = caft_for(s, 1);
-  const double horizon = schedule.horizon();
-
-  ReplayEngineOptions options;
-  options.max_snapshots = 24;
-  const std::size_t targets = options.max_snapshots + 8;
-  for (std::size_t i = 1; i <= targets; ++i)
-    options.snapshot_times.push_back(horizon / 2.0 *
-                                     static_cast<double>(i) /
-                                     static_cast<double>(targets));
-  const ReplayEngine adaptive(schedule, *s.costs, options);
-  EXPECT_LE(adaptive.snapshot_count(), options.max_snapshots);
-  EXPECT_GT(adaptive.snapshot_count(), 0u);
-
-  ReplayEngine::Scratch scratch;
-  for (int step = 0; step <= 30; ++step) {
-    CrashScenario scenario = CrashScenario::none(6);
-    scenario.set_crash_time(ProcId(1),
-                            horizon * static_cast<double>(step) / 30.0);
-    const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
-    const CrashResult& replayed = adaptive.replay(scenario, scratch);
-    SCOPED_TRACE("sweep step " + std::to_string(step));
-    EXPECT_EQ(naive.success, replayed.success);
-    EXPECT_EQ(naive.latency, replayed.latency);
-    EXPECT_EQ(naive.delivered_messages, replayed.delivered_messages);
-    EXPECT_EQ(naive.order_relaxations, replayed.order_relaxations);
-    EXPECT_EQ(naive.finish, replayed.finish);
-  }
-}
-
 TEST(Campaign, RejectsMismatchedSamplerSize) {
   Scenario s = random_setup(107, 10, 1.0);
   const Schedule schedule = caft_for(s, 1);

@@ -147,9 +147,10 @@ std::string request_error(const std::string& text) {
 }
 
 TEST(CampaignServerWire, DeclaredCountsAllocateNothingAheadOfThePayload) {
-  // A request or work order of a few dozen bytes may declare any size; the
-  // reader must fail on what actually arrives instead of allocating what
-  // was declared. Both documents read the payload through one codec.
+  // A request, work order or partial of a few dozen bytes may declare any
+  // size; the reader must fail on what actually arrives instead of
+  // allocating what was declared. The request and the work order read the
+  // payload through one codec.
   EXPECT_NE(request_error("caft-campaign-request v1\n"
                           "instance-bytes 1099511627776\n0123456789")
                 .find("truncated instance payload (got 10 of 1099511627776"),
@@ -163,6 +164,22 @@ TEST(CampaignServerWire, DeclaredCountsAllocateNothingAheadOfThePayload) {
     EXPECT_NE(std::string(error.what())
                   .find("truncated instance payload (got 10 of 1099511627776"),
               std::string::npos);
+  }
+  // A partial's records header may declare any count its block echoes;
+  // the reader grows the record list as `r` lines arrive, so this one
+  // fails on its first non-record line, not on a giant reservation.
+  std::istringstream partial("caft-campaign-partial v1\n"
+                             "algorithm caft\n"
+                             "block 0 1099511627776\n"
+                             "records 1099511627776\n"
+                             "end\n");
+  try {
+    (void)read_campaign_partial(partial);
+    ADD_FAILURE() << "a partial without its records was accepted";
+  } catch (const caft::CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("bad record line 'end'"),
+              std::string::npos)
+        << error.what();
   }
   EXPECT_NE(request_error("caft-campaign-request v1\n"
                           "quantiles 1000000000000 0.5\nend\n")

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -266,15 +267,16 @@ TEST(ReplayEquivalence, ThetaSweepAcrossSnapshotBoundaries) {
 }
 
 TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
-  // Where the fault-free cuts sit decides only where a replay starts. The
-  // same θ draws go through four engines: uniform cuts, cuts at explicit
-  // targets over the first half (more than the budget, so they are
-  // thinned), a forced early cut (a budget of two cuts, one of them near
-  // t = 0, so mid-horizon draws restore from it) and a template-only
-  // engine. Every result must equal simulate_crashes
-  // bit for bit — on a one-port clique, on a one-port ring (kept link
-  // resources, so restored link heads and clocks matter) and under
-  // macro-dataflow (hand-offs pending at the cut).
+  // Every fault-free commit is a cut: a crash of p at θ restores the
+  // prefix before the first commit of p's ops that finishes after θ. Each
+  // fault-free finish f of p's ops is therefore a cut's validity edge: at
+  // θ = f the op survives (<=), at the next double below f it dies (>).
+  // Both sides of every edge go through the recording engine and a
+  // template-only engine, bit-identical to simulate_crashes — on a
+  // one-port clique, on a one-port ring (kept link resources, so restored
+  // link heads and clocks matter) and under macro-dataflow (hand-offs
+  // pending at the cut). Exec finishes come from the oracle's fault-free
+  // replay, message finishes from the committed timetable.
   struct Case {
     std::string name;
     Scenario scenario;
@@ -291,44 +293,61 @@ TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
   for (const Case& c : cases) {
     const Scenario& s = c.scenario;
     const Schedule schedule = schedule_with("caft", s, 2, c.model);
-    const double horizon = schedule.horizon();
-    const CrashWindowSampler sampler(8, 2, 0.0, horizon);
-
-    ReplayEngineOptions adaptive;
-    const std::size_t targets = adaptive.max_snapshots + 8;
-    for (std::size_t i = 1; i <= targets; ++i)
-      adaptive.snapshot_times.push_back(horizon / 2.0 *
-                                        static_cast<double>(i) /
-                                        static_cast<double>(targets));
-    ReplayEngineOptions early;
-    early.max_snapshots = 2;
-    early.snapshot_times = {horizon * 0.05};
     ReplayEngineOptions template_only;
     template_only.max_snapshots = 0;
     const ReplayEngine engines[] = {
         ReplayEngine(schedule, *s.costs),
-        ReplayEngine(schedule, *s.costs, adaptive),
-        ReplayEngine(schedule, *s.costs, early),
         ReplayEngine(schedule, *s.costs, template_only)};
-    const char* const labels[] = {"uniform", "adaptive", "early", "template"};
-    ASSERT_GT(engines[0].snapshot_count(), 2u) << c.name;
-    ASSERT_EQ(engines[2].snapshot_count(), 2u) << c.name;
-    ReplayEngine::Scratch scratches[4];
+    const char* const labels[] = {"recording", "template"};
+    ASSERT_GT(engines[0].event_count(), 0u) << c.name;
+    EXPECT_EQ(engines[0].snapshot_count(), engines[0].event_count())
+        << c.name;
+    ReplayEngine::Scratch scratches[2];
 
-    Rng rng(c.name.size() * 1009);
-    std::vector<CrashScenario> draws = {CrashScenario::none(8)};
-    for (int draw = 0; draw < 30; ++draw) draws.push_back(sampler.sample(rng));
-    for (std::size_t d = 0; d < draws.size(); ++d) {
-      const CrashResult naive = simulate_crashes(schedule, *s.costs, draws[d]);
-      for (std::size_t e = 0; e < 4; ++e)
-        expect_identical(naive, engines[e].replay(draws[d], scratches[e]),
-                         c.name + " " + labels[e] + " draw " +
-                             std::to_string(d));
-    }
-    // The early cut did serve some draws: they re-simulated less than from
-    // t = 0, and more than from the uniform engine's later cuts.
-    EXPECT_LT(scratches[2].commits(), scratches[3].commits()) << c.name;
-    EXPECT_LT(scratches[0].commits(), scratches[2].commits()) << c.name;
+    // The processor hosting the most replicas, and its ops' finishes.
+    std::vector<std::size_t> hosted(8, 0);
+    for (const TaskId t : s.graph.all_tasks())
+      for (ReplicaIndex r = 0; r < schedule.total_replicas(t); ++r)
+        ++hosted[schedule.replica(t, r).proc.index()];
+    const auto proc = static_cast<ProcId::value_type>(
+        std::max_element(hosted.begin(), hosted.end()) - hosted.begin());
+    const CrashResult fault_free =
+        simulate_crashes(schedule, *s.costs, CrashScenario::none(8));
+    std::vector<double> finishes;
+    for (const TaskId t : s.graph.all_tasks())
+      for (ReplicaIndex r = 0; r < schedule.total_replicas(t); ++r)
+        if (schedule.replica(t, r).proc == ProcId(proc))
+          finishes.push_back(fault_free.finish[t.index()][r]);
+    if (c.model == CommModelKind::kOnePort)
+      for (const CommAssignment& comm : schedule.comms()) {
+        if (comm.intra()) continue;
+        if (comm.src_proc == ProcId(proc))
+          finishes.push_back(comm.times.segments.front().finish);
+        if (comm.dst_proc == ProcId(proc))
+          finishes.push_back(comm.times.arrival);
+      }
+    std::sort(finishes.begin(), finishes.end());
+    finishes.erase(std::unique(finishes.begin(), finishes.end()),
+                   finishes.end());
+    ASSERT_GT(finishes.size(), 1u) << c.name;
+
+    for (std::size_t i = 0; i < finishes.size(); ++i)
+      for (const bool below : {false, true}) {
+        CrashScenario scenario = CrashScenario::none(8);
+        scenario.set_crash_time(
+            ProcId(proc),
+            below ? std::nextafter(finishes[i], 0.0) : finishes[i]);
+        const CrashResult naive =
+            simulate_crashes(schedule, *s.costs, scenario);
+        for (std::size_t e = 0; e < 2; ++e)
+          expect_identical(naive, engines[e].replay(scenario, scratches[e]),
+                           c.name + " " + labels[e] +
+                               (below ? " below" : " at") + " finish " +
+                               std::to_string(i));
+      }
+    // The recording engine did restore: it re-simulated less than from
+    // t = 0.
+    EXPECT_LT(scratches[0].commits(), scratches[1].commits()) << c.name;
   }
 }
 
