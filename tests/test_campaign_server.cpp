@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -298,6 +299,184 @@ TEST(CampaignServerWire, ResponseReaderStripsAndReportsProgressLines) {
   EXPECT_EQ(response.progress[0].algorithm, "caft");
   EXPECT_EQ(response.progress[1].ci_width, 0.125);
   EXPECT_EQ(seen, (std::vector<std::size_t>{64, 128}));
+}
+
+// --- pinned documents: the exact bytes of every server-dialect document
+
+/// The worked-example instance of docs/wire-protocols.md, as payload bytes.
+constexpr const char* kPinnedInstance = R"(caft-instance v1
+graph 1 0
+task 0 t0
+platform 2 1
+cable 0 1
+exec 0 0 12.5
+exec 0 1 14
+delay 0 0.5
+delay 1 0.5
+end
+)";
+
+server::CampaignRequest pinned_request() {
+  server::CampaignRequest request;
+  request.spec.algorithms = {"caft", "ftsa"};
+  request.spec.sampler = SamplerSpec::window(2, 10.0, 250.5);
+  request.spec.replays = 1234;
+  request.spec.seed = 99;
+  request.spec.quantiles = {0.25, 0.9};
+  request.spec.theta_buckets = 32;
+  request.spec.exact = true;
+  request.spec.target_ci_width = 0.125;
+  request.spec.request.eps = 2;
+  request.spec.request.model = caft::CommModelKind::kMacroDataflow;
+  request.spec.request.support_mode = caft::CaftSupportMode::kDirect;
+  request.spec.request.one_to_one = false;
+  request.progress = true;
+  request.instance_bytes = kPinnedInstance;
+  return request;
+}
+
+constexpr const char* kPinnedRequest = R"(caft-campaign-request v1
+algorithms 2 caft ftsa
+replays 1234
+seed 99
+quantiles 2 0x1p-2 0x1.ccccccccccccdp-1
+theta-buckets 32
+exact 1
+target-ci-width 0x1p-3
+sampler window 2 0x1.0624dd2f1a9fcp-10 0x1.8p+0 0x1.f4p+9 inf 0x1.4p+3 0x1.f5p+7 2 0x1.999999999999ap-4
+request 2 macro 1 direct 0 10 1
+progress 1
+instance-bytes 114
+caft-instance v1
+graph 1 0
+task 0 t0
+platform 2 1
+cable 0 1
+exec 0 0 12.5
+exec 0 1 14
+delay 0 0.5
+delay 1 0.5
+end
+end
+)";
+
+/// A two-run report: the first run with latency data and two quantiles, the
+/// second with no successful replay (latency moments of count 0, whose mean
+/// the writer emits as 0x0p+0, and a NaN quantile estimate).
+CampaignReport pinned_report(const Instance& instance) {
+  CampaignReport report;
+  const auto run = [&](const char* algorithm, std::size_t eps) {
+    CampaignRun out{algorithm,
+                    ScheduleResult(caft::Schedule(
+                        instance.graph(), instance.platform(), eps,
+                        caft::CommModelKind::kOnePort)),
+                    {}, {}, 0.0};
+    out.result.eps = eps;
+    return out;
+  };
+  CampaignRun caft_run = run("caft", 1);
+  caft_run.result.makespan = 14.0;
+  caft_run.result.upper_bound = 26.5;
+  caft_run.result.messages = 3;
+  caft_run.result.message_volume = 0.1;
+  caft_run.theta_bucket_width = 0.4375;
+  caft::CampaignSummary& s = caft_run.summary;
+  s.sampler = "window(k=2, theta in [10, 250.5])";
+  s.replays = 4;
+  s.successes = 3;
+  s.replays_within_eps = 2;
+  s.successes_within_eps = 2;
+  s.max_failed = 2;
+  s.order_relaxations = 5;
+  s.order_deadlocks = 1;
+  s.success_ci = caft::wilson_interval(3, 4);
+  for (const double latency : {14.0, 15.25, 31.0}) s.latency.add(latency);
+  for (const double delivered : {0.0, 2.0, 2.0, 7.0})
+    s.delivered_messages.add(delivered);
+  s.latency_quantiles = {{0.25, 14.5}, {0.9, 30.1}};
+  report.runs.push_back(std::move(caft_run));
+
+  CampaignRun ftsa_run = run("ftsa", 1);
+  ftsa_run.result.makespan = 12.5;
+  ftsa_run.result.upper_bound = 12.5;
+  caft::CampaignSummary& f = ftsa_run.summary;
+  f.sampler = "uniform-k(k=1)";
+  f.replays = 2;
+  f.max_failed = 1;
+  f.success_ci = caft::wilson_interval(0, 2);
+  f.delivered_messages.add(1.0);
+  f.delivered_messages.add(0.0);
+  f.latency_quantiles = {{0.5, std::numeric_limits<double>::quiet_NaN()}};
+  report.runs.push_back(std::move(ftsa_run));
+  return report;
+}
+
+constexpr const char* kPinnedReport = R"(caft-campaign-report v1
+runs 2
+run caft
+sched 1 0x1.cp+3 0x1.a8p+4 3 0x1.999999999999ap-4
+theta-width 0x1.cp-2
+summary-sampler window(k=2, theta in [10, 250.5])
+summary-counts 4 3 2 2 2 5 1
+summary-ci 0x1.33d9eff4f56acp-2 0x1.e8a8f18f9365p-1
+latency 3 0x1.4155555555555p+4 0x1.6715555555556p+7 0x1.cp+3 0x1.fp+4
+delivered 4 0x1.6p+1 0x1.ac00000000001p+4 0x0p+0 0x1.cp+2
+quantile 0x1p-2 0x1.dp+3
+quantile 0x1.ccccccccccccdp-1 0x1.e19999999999ap+4
+end-run
+run ftsa
+sched 1 0x1.9p+3 0x1.9p+3 0 0x0p+0
+theta-width 0x0p+0
+summary-sampler uniform-k(k=1)
+summary-counts 2 0 0 0 1 0 0
+summary-ci 0x0p+0 0x1.50b49f968af93p-1
+latency 0 0x0p+0 0x0p+0 inf -inf
+delivered 2 0x1p-1 0x1p-1 0x0p+0 0x1p+0
+quantile 0x1p-1 nan
+end-run
+end
+)";
+
+constexpr const char* kPinnedBusy = R"(caft-campaign-busy v1
+inflight 3
+queued 7
+max-inflight 4
+queue-limit 8
+end
+)";
+
+constexpr const char* kPinnedError = R"(caft-campaign-error v1
+error multi line  message
+end
+)";
+
+constexpr const char* kPinnedProgress =
+    "progress caft 64 300 60 0x1p-2\n";
+
+TEST(CampaignServerWire, PinnedRequestBytes) {
+  std::ostringstream out;
+  server::write_campaign_request(out, pinned_request());
+  EXPECT_EQ(out.str(), kPinnedRequest);
+}
+
+TEST(CampaignServerWire, PinnedReportBytes) {
+  const Instance instance = random_instance(21, 4, 1.0, 1);
+  std::ostringstream out;
+  server::write_campaign_report(out, pinned_report(instance));
+  EXPECT_EQ(out.str(), kPinnedReport);
+}
+
+TEST(CampaignServerWire, PinnedBusyErrorAndProgressBytes) {
+  std::ostringstream busy;
+  server::write_campaign_busy(busy, server::BusyInfo{3, 7, 4, 8});
+  EXPECT_EQ(busy.str(), kPinnedBusy);
+  std::ostringstream error;
+  server::write_campaign_error(error, "multi\nline\r\nmessage");
+  EXPECT_EQ(error.str(), kPinnedError);
+  std::ostringstream progress;
+  server::write_progress_line(progress,
+                              server::ProgressLine{"caft", 64, 300, 60, 0.25});
+  EXPECT_EQ(progress.str(), kPinnedProgress);
 }
 
 // --- admission
