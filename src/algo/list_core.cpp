@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "comm/macro_dataflow.hpp"
 #include "comm/one_port.hpp"
@@ -27,8 +28,9 @@ void SupportMap::set(TaskId t, ReplicaIndex r, SupportMask mask) {
 Placer::Placer(const TaskGraph& graph, const CostModel& costs,
                CommEngine& engine, Schedule& schedule)
     : graph_(&graph), costs_(&costs), engine_(&engine), schedule_(&schedule) {
-  CAFT_CHECK_MSG(schedule.platform().proc_count() <= 64,
-                 "support masks cap platforms at 64 processors");
+  CAFT_CHECK_MSG(schedule.platform().proc_count() <= kMaxProcessors,
+                 "support masks cap platforms at " +
+                     std::to_string(kMaxProcessors) + " processors");
 }
 
 TaskTimes Placer::evaluate(TaskId t, ProcId p,

@@ -43,13 +43,15 @@
 #include "comm/engine.hpp"
 #include "common/ids.hpp"
 #include "platform/cost_model.hpp"
+#include "platform/platform.hpp"
 #include "sched/schedule.hpp"
 
 namespace caft {
 
 /// Bit p set means processor p's failure can prevent the replica from
-/// completing. Platforms are capped at 64 processors.
+/// completing. Platforms are capped at kMaxProcessors processors.
 using SupportMask = std::uint64_t;
+static_assert(sizeof(SupportMask) * 8 == kMaxProcessors);
 
 /// Mask with only processor `p`.
 [[nodiscard]] constexpr SupportMask support_of(ProcId p) {

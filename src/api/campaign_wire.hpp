@@ -1,152 +1,416 @@
 /// \file campaign_wire.hpp
-/// Text wire format of the process-parallel campaign backend: the work
-/// order a coordinator sends to one worker process and the partial result
-/// the worker sends back (see api/session.hpp for the coordinator and
-/// worker entry points).
+/// Text wire format of the process-parallel campaign backend — the work
+/// order (`caft-campaign-work v4`) a coordinator sends to one worker
+/// process and the partial result (`caft-campaign-partial v1`) the worker
+/// sends back (see api/session.hpp) — and the line codec every `caft-*`
+/// campaign document is written and read with (namespace wire).
+/// docs/wire-protocols.md is the normative layout of every document.
 ///
-/// Both documents are line-oriented, keyed by the first token of each line
-/// — the same family as io/instance_io — and every double crosses the wire
-/// as a C hexadecimal float literal ("0x1.8p+3", plus "inf"/"nan"), so
-/// values round-trip *bit-exactly*: the coordinator's canonical-order fold
-/// of worker records must be indistinguishable from an in-process fold.
-///
-/// Work order (one block of one campaign):
-///   caft-campaign-work v4
-///   algorithm <registry-name>
-///   block <first> <count>                # contiguous canonical replays
-///   replays <n>  /  seed <u64>           # replays..request: the spec
-///   quantiles <k> <q...>                 # lines, one codec shared with
-///   theta-buckets <n>  /  exact <0|1>    # the server request (wire::)
-///   sampler <kind> <failures> <rate> <shape> <scale> <horizon>
-///           <theta-lo> <theta-hi> <group-size> <group-prob>
-///   request <eps|-> <model|-> <validate> <support> <one-to-one>
-///           <batch-size> <mst>           # "-" = no override
-///   exec <threads>                       # summary-neutral worker knob
-///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
-///                                        # the worker re-schedules and must
-///                                        # reproduce both bit-for-bit
-///   instance-bytes <n>                   # followed by exactly n raw bytes
-///   <n bytes of io/instance_io text>     # (wire::write_instance_bytes)
-///   end
-///
-/// Partial result (the worker's answer):
-///   caft-campaign-partial v1
-///   algorithm <name>
-///   block <first> <count>
-///   counts <replays> <successes>         # the block's Wilson inputs —
-///                                        # integrity check on the records
-///   telemetry <lookups> <hits> <evictions> <entries> <snapshots>
-///                                        # record cache: cacheable draws,
-///                                        # draws served without a replay,
-///                                        # cache clears, resident entries
-///   timing <wall> <schedule> <replay>    # OPTIONAL, v1-compatible: the
-///                                        # worker's own steady_clock
-///                                        # seconds (hexfloat) — whole
-///                                        # invocation, re-schedule phase,
-///                                        # replay phase. Observability
-///                                        # only; a reader accepts its
-///                                        # absence (pre-PR-6 workers)
-///                                        # and the fold ignores it.
-///   records <count>
-///   r <success> <deadlock> <latency> <delivered> <relaxations> <failed>
-///   ...                                  # one line per replay, in
-///                                        # canonical replay order
-///   end
-///
-/// Line order outside the record list is free (the reader is keyed by the
-/// first token); the worker exploits that by emitting the `records` list
-/// first and the `counts`/`telemetry`/`timing` lines last, so record lines
-/// can leave the process before the block finishes computing
-/// (write_campaign_partial_header/records/footer below — the only writer).
-///
-/// Why per-replay records and not merged fold states: the summary's P²
-/// quantile estimators and Welford moments are order-sensitive streaming
-/// folds — merging two partial estimator states is not bit-identical to
-/// streaming the observations in order. Shipping the fold *inputs* (one
-/// compact record per replay) and re-folding them in canonical scenario
-/// order at the coordinator is what makes subprocess summaries
-/// byte-identical to single-process ones, for any worker count and any
-/// block partition. The `counts` line carries the block-level fold state
-/// that *is* mergeable (trial/success counts, i.e. the Wilson interval
-/// inputs) and doubles as a corruption check: a reader rejects a document
-/// whose records do not reproduce it.
+/// The partial carries per-replay records, not merged fold states: P²
+/// quantiles and Welford moments are order-sensitive folds, so the
+/// coordinator re-folds the records in canonical order
+/// (docs/determinism.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <initializer_list>
+#include <istream>
 #include <limits>
+#include <optional>
+#include <ostream>
+#include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
 #include "campaign/campaign.hpp"
+#include "common/check.hpp"
 
 namespace ftsched {
 
-/// The building blocks every `caft-*` campaign document shares — exposed so
-/// new documents (the campaign server's request/report family lives in
-/// src/server/server_wire.hpp) speak the same dialect instead of growing a
-/// second, subtly different one. Everything throws caft::CheckError on
-/// malformed input, like the readers built from them.
+/// The building blocks every `caft-*` campaign document shares, the
+/// campaign server's (src/server/server_wire.hpp) included. Everything
+/// throws caft::CheckError on malformed input.
 namespace wire {
 
-/// Doubles cross campaign wires as C hexadecimal float literals
-/// ("0x1.8p+3", plus "inf"/"nan"): bit-exact round-trip,
-/// locale-independent, and strtod parses them back natively.
+/// Longest line, in bytes without its `\n`, that any campaign document
+/// reader accepts. A protocol constant, not an option: readers check it
+/// before buffering more of a line, so a peer cannot grow a reader's
+/// memory by withholding a newline. (The instance payload is not a line;
+/// it is read in bounded chunks.)
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Doubles as C hexadecimal float literals ("0x1.8p+3", plus "inf"/"nan"):
+/// bit-exact, locale-independent, and strtod parses them back natively.
 [[nodiscard]] std::string format_double(double value);
 [[nodiscard]] double parse_double(const std::string& token, const char* what);
 /// Strict non-negative decimal integer ("12x", "", "-3" and values past
 /// 2^64 − 1 all throw).
 [[nodiscard]] std::uint64_t parse_u64(const std::string& token,
                                       const char* what);
-/// parse_u64 for counts and sizes.
 [[nodiscard]] std::size_t parse_size(const std::string& token,
                                      const char* what);
 /// Strict 0|1 flag.
 [[nodiscard]] bool parse_bool(const std::string& token, const char* what);
-/// Pulls the next whitespace token off `line`; throws when the line is
-/// exhausted (every field of a keyed line is mandatory).
+/// Pulls the next whitespace token off `line`; throws when it is exhausted.
 [[nodiscard]] std::string next_token(std::istringstream& line,
                                      const char* what);
 
-/// Validates a document's first line against `<magic> v<version>`.
-/// Version skew gets its own diagnostic: a matching magic at any other
-/// version ("caft-campaign-work v1" to a v2 reader) names the version
-/// mismatch and tells the peer which version this reader speaks, instead
-/// of the generic bad-magic error a corrupt line earns — a peer of another
-/// generation must be told to match versions, not to debug "corruption".
+/// Validates a document's first line against `<magic> v<version>`. A
+/// matching magic at any other version gets its own diagnostic, naming the
+/// version this reader speaks: a peer of another generation must be told
+/// to match versions, not to debug corruption.
 void check_magic_line(const std::string& line, const char* magic,
                       int version = 1);
-/// Reads the magic line `<magic> v<version>` from `is` (check_magic_line
-/// rules) and positions the stream after it.
+/// Reads and checks the magic line of `is` (kMaxLineBytes bound).
 void expect_magic(std::istream& is, const char* magic, int version = 1);
 
-/// The instance payload the work order and the server request share:
-/// `instance-bytes <n>`, then exactly n raw bytes, then line mode resumes.
+/// `instance-bytes <n>`, then exactly n raw bytes: the instance payload of
+/// the work order and the server request.
 void write_instance_bytes(std::ostream& os, const std::string& bytes);
 /// Reads the payload of an `instance-bytes` line (key already pulled off
-/// `fields`) from `is`; throws on an empty or short payload, naming
-/// `document` ("request", "work order") when it is empty.
+/// `fields`) from `is` in bounded chunks; throws on an empty or short
+/// payload.
 [[nodiscard]] std::string read_instance_bytes(std::istringstream& fields,
                                               std::istream& is,
                                               const char* document);
 
-/// The CampaignSpec lines the work order and the server request share —
-/// one codec, so the two documents cannot drift. write_spec_lines emits
-///   replays <n> / seed <u64> / quantiles <k> <q...> / theta-buckets <n> /
-///   exact <0|1>
-/// in that order; each document then adds its own lines (the request's
-/// `target-ci-width`) before the `sampler ...` line (kind + every
-/// distribution parameter, doubles as hexfloat) and the `request ...` line
-/// (ScheduleRequest with "-" for unset optionals).
+// --- The line codec
+//
+// Each keyed line is declared once, as `d.line(key, fields...)` in a
+// document body (a callable that hands its lines to `d`). A BodyWriter
+// writes the lines in declaration order; a BodyReader parses an incoming
+// line into the declaration its key names. A field's name in error
+// messages is its line's key.
+
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "counts and u64 fields share one codec");
+
+/// A field written as one name of a fixed table: enums, and "-" for an
+/// unset optional.
+template <class T>
+struct Name {
+  const char* name;
+  T value;
+};
+template <class T>
+struct Named {
+  T& value;
+  std::span<const Name<std::remove_const_t<T>>> names;
+};
+/// The rest of the line after the key's separating space, spaces and all.
+template <class S>
+struct Rest {
+  S& text;
+};
+/// A field named `what` in error messages instead of its line's key.
+template <class T>
+struct Field {
+  T& value;
+  const char* what;
+};
+
+/// Writes one field as " <token>": decimal counts, 0|1 flags, hexfloat
+/// doubles, tokens, "-" for an unset optional count, and a Welford state
+/// as its count, mean, M2, min and max.
+template <class T>
+void write_field(std::ostream& os, const T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    os << (field ? " 1" : " 0");
+  } else if constexpr (std::is_same_v<T, double>) {
+    os << ' ' << format_double(field);
+  } else if constexpr (std::is_same_v<T, std::optional<std::size_t>>) {
+    if (field.has_value()) return write_field(os, *field);
+    os << " -";
+  } else if constexpr (std::is_same_v<T, caft::StreamingMoments>) {
+    write_field(os, field.count());
+    for (const double state :
+         {field.mean(), field.m2(), field.min(), field.max()})
+      write_field(os, state);
+  } else {
+    os << ' ' << field;
+  }
+}
+/// A counted list: `<n> <item>...`.
+template <class T>
+void write_field(std::ostream& os, const std::vector<T>& items) {
+  write_field(os, items.size());
+  for (const T& item : items) write_field(os, item);
+}
+template <class T>
+void write_field(std::ostream& os, Named<T> field) {
+  for (const auto& entry : field.names)
+    if (entry.value == field.value)
+      return write_field(os, std::string(entry.name));
+  throw caft::CheckError("campaign wire: value without a wire name");
+}
+template <class S>
+void write_field(std::ostream& os, Rest<S> field) {
+  write_field(os, field.text);
+}
+template <class T>
+void write_field(std::ostream& os, Field<T> field) {
+  write_field(os, field.value);
+}
+
+/// Parses one field, in write_field's form, off `line`.
+template <class T>
+void read_field(std::istringstream& line, const char* what, T& field) {
+  if constexpr (std::is_same_v<T, caft::StreamingMoments>) {
+    std::size_t count = 0;
+    double state[4];  // mean, m2, min, max
+    read_field(line, what, count);
+    for (double& value : state) read_field(line, what, value);
+    field = caft::StreamingMoments::restore(count, state[0], state[1],
+                                            state[2], state[3]);
+  } else {
+    const std::string token = next_token(line, what);
+    if constexpr (std::is_same_v<T, bool>)
+      field = parse_bool(token, what);
+    else if constexpr (std::is_same_v<T, double>)
+      field = parse_double(token, what);
+    else if constexpr (std::is_same_v<T, std::string>)
+      field = token;
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+      field = parse_u64(token, what);
+    else if (token == "-")
+      field.reset();
+    else
+      field = parse_size(token, what);
+  }
+}
+/// The count is the peer's claim, not a budget: nothing is reserved, and a
+/// missing item throws before the list outgrows its line.
+template <class T>
+void read_field(std::istringstream& line, const char* what,
+                std::vector<T>& items) {
+  std::size_t n = 0;
+  read_field(line, what, n);
+  items.clear();
+  for (; n > 0; --n) read_field(line, what, items.emplace_back());
+}
+template <class T>
+void read_field(std::istringstream& line, const char* what, Named<T> field) {
+  const std::string token = next_token(line, what);
+  for (const auto& entry : field.names)
+    if (token == entry.name) {
+      field.value = entry.value;
+      return;
+    }
+  throw caft::CheckError(std::string("campaign wire: unknown ") + what +
+                         " '" + token + "'");
+}
+void read_field(std::istringstream& line, const char* what,
+                Rest<std::string> field);
+template <class T>
+void read_field(std::istringstream& line, const char*, Field<T> field) {
+  read_field(line, field.what, field.value);
+}
+/// Throws when `line` carries a field past the layout of its `key`.
+void end_of_line(std::istringstream& line, const char* key);
+
+/// Parses the fields of a line whose `key` was already pulled off `line`.
+template <class... F>
+void read_fields(std::istringstream& line, const char* key, F&&... fields) {
+  (read_field(line, key, std::forward<F>(fields)), ...);
+  end_of_line(line, key);
+}
+
+/// The one line source of every pull reader. A line longer than
+/// kMaxLineBytes throws once it passes the cap, naming the cap and the
+/// document, not the line.
+struct LineReader {
+  LineReader(std::istream& in, const char* name) : is(&in), document(name) {}
+  /// Reads the next line into `line`; false at end of stream.
+  [[nodiscard]] bool next_line();
+  /// Reads the next non-empty line, split into `key` and the `fields`
+  /// after it; false at end of stream.
+  [[nodiscard]] bool next_keyed();
+
+  std::istream* is;
+  const char* document;
+  std::string line;
+  std::string key;
+  std::istringstream fields;
+};
+
+/// Writes a document body: every declared line, in declaration order.
+class BodyWriter {
+ public:
+  explicit BodyWriter(std::ostream& os) : os_(&os) {}
+
+  /// A line that appears exactly once.
+  template <class... F>
+  void line(const char* keyword, const F&... fields) {
+    *os_ << keyword;
+    (write_field(*os_, fields), ...);
+    *os_ << '\n';
+  }
+  /// A line that appears at most once: when `present`.
+  template <class... F>
+  void optional(const char* key, bool present, const F&... fields) {
+    if (present) line(key, fields...);
+  }
+  /// One line per element of `items`; `fields(item)` ties its fields.
+  template <class Items, class Fields>
+  void each(const char* key, const Items& items, const Fields& fields) {
+    for (const auto& item : items)
+      std::apply([&](const auto&... f) { line(key, f...); }, fields(item));
+  }
+  /// The `instance-bytes` line and its payload.
+  void instance_bytes(const std::string& bytes) {
+    write_instance_bytes(*os_, bytes);
+  }
+  /// Per element: its `key` line (`header(item)` ties the fields), its
+  /// `body(d, item)` lines, then the line `end_key`.
+  template <class T, class Header, class Body>
+  void group(const char* key, const char* end_key,
+             const std::vector<T>& items, const Header& header,
+             const Body& body) {
+    for (const T& item : items) {
+      each(key, std::span(&item, 1), header);
+      body(*this, item);
+      *os_ << end_key << '\n';
+    }
+  }
+
+ private:
+  std::ostream* os_;
+};
+
+/// Reads a document body, one dispatch() per line; a second copy of a
+/// once-only line is malformed. At most 64 declarations per body.
+class BodyReader {
+ public:
+  explicit BodyReader(const char* document, LineReader* in = nullptr)
+      : document_(document), in_(in) {}
+
+  /// Parses the line keyed `key` through the declarations of
+  /// `body(*this)`; false when none names the key.
+  template <class Body>
+  [[nodiscard]] bool dispatch(const std::string& key,
+                              std::istringstream& fields, const Body& body) {
+    key_ = &key;
+    fields_ = &fields;
+    index_ = 0;
+    matched_ = false;
+    body(*this);
+    return matched_;
+  }
+  /// Throws unless every once-only line of `body` has arrived.
+  template <class Body>
+  void finish(const Body& body) {
+    key_ = nullptr;
+    index_ = 0;
+    body(*this);
+  }
+
+  template <class... F>
+  void line(const char* key, F&&... fields) {
+    if (take(key, Occurs::kOnce))
+      read_fields(*fields_, key, std::forward<F>(fields)...);
+  }
+  template <class... F>
+  void optional(const char* key, bool& present, F&&... fields) {
+    if (!take(key, Occurs::kOptional)) return;
+    read_fields(*fields_, key, std::forward<F>(fields)...);
+    present = true;
+  }
+  /// True when it took the line, parsed into a new items.back().
+  template <class T, class Fields>
+  bool each(const char* key, std::vector<T>& items, const Fields& fields) {
+    if (!take(key, Occurs::kEach)) return false;
+    std::apply([&](auto&... f) { read_fields(*fields_, key, f...); },
+               fields(items.emplace_back()));
+    return true;
+  }
+  void instance_bytes(std::string& bytes);
+  template <class T, class Header, class Body>
+  void group(const char* key, const char* end_key, std::vector<T>& items,
+             const Header& header, const Body& body);
+
+ private:
+  enum class Occurs { kOnce, kOptional, kEach };
+  /// Counts the declaration; true when it names the line being dispatched.
+  bool take(const char* key, Occurs occurs);
+
+  const char* document_;
+  LineReader* in_;
+  const std::string* key_ = nullptr;
+  std::istringstream* fields_ = nullptr;
+  std::size_t index_ = 0;
+  bool matched_ = false;
+  std::uint64_t seen_ = 0;
+};
+
+/// The framing of every pull reader: dispatches the lines of `in` (empty
+/// ones skipped) through `body` up to a line keyed by one of `ends`, whose
+/// index it returns. Throws on an unknown key, a missing once-only line,
+/// and a stream that ends first.
+template <class Body>
+std::size_t read_body(LineReader& in,
+                      std::initializer_list<std::string_view> ends,
+                      const Body& body) {
+  BodyReader reader(in.document, &in);
+  while (in.next_keyed()) {
+    for (std::size_t end = 0; end < ends.size(); ++end)
+      if (in.key == ends.begin()[end]) {
+        reader.finish(body);
+        return end;
+      }
+    CAFT_CHECK_MSG(reader.dispatch(in.key, in.fields, body),
+                   std::string("campaign wire: unknown ") + in.document +
+                       " key '" + in.key + "'");
+  }
+  throw caft::CheckError(std::string("campaign wire: truncated ") +
+                         in.document + " (no '" +
+                         std::string(*ends.begin()) + "')");
+}
+
+template <class T, class Header, class Body>
+void BodyReader::group(const char* key, const char* end_key,
+                       std::vector<T>& items, const Header& header,
+                       const Body& body) {
+  if (each(key, items, header))
+    (void)read_body(*in_, {end_key}, [&](auto& d) { body(d, items.back()); });
+}
+
+/// Writes a whole document: its magic line, its body, then `end`.
+template <class Body>
+void write_document(std::ostream& os, const char* magic, int version,
+                    const Body& body) {
+  os << magic << " v" << version << '\n';
+  BodyWriter d(os);
+  body(d);
+  os << "end\n";
+}
+
+/// Reads a whole document: its magic line, then its body up to `end`.
+template <class Body>
+void read_document(std::istream& is, const char* magic, int version,
+                   const char* document, const Body& body) {
+  expect_magic(is, magic, version);
+  LineReader in(is, document);
+  (void)read_body(in, {"end"}, body);
+}
+
+/// The CampaignSpec lines the work order and the server request share:
+/// `replays` … `exact` (spec_lines), then `sampler` and `request`
+/// (schedule_lines); each document adds its own lines between the two.
+template <class D, class Spec>
+void spec_lines(D& d, Spec& spec);
+template <class D, class Spec>
+void schedule_lines(D& d, Spec& spec);
+/// read_spec_line returns false, consuming nothing, for any other `key`.
 void write_spec_lines(std::ostream& os, const CampaignSpec& spec);
 void write_sampler_line(std::ostream& os, const SamplerSpec& sampler);
 void write_request_line(std::ostream& os, const ScheduleRequest& request);
-/// Parses one line of a spec document whose first token `key` has already
-/// been pulled off `fields`: the lines write_spec_lines writes plus
-/// `sampler` and `request`. Returns false, consuming nothing, for any
-/// other key (the document's own lines); throws on a malformed line.
 [[nodiscard]] bool read_spec_line(const std::string& key,
                                   std::istringstream& fields,
                                   CampaignSpec& spec);
@@ -161,24 +425,19 @@ struct CampaignWorkOrder {
   std::string algorithm;       ///< registry name the worker re-schedules
   std::size_t first = 0;
   std::size_t count = 0;
-  /// The declarative campaign (sampler, seed, quantiles, θ-quantization,
-  /// request). The coordinator pins request.eps / request.model to the
-  /// values its own scheduling run resolved, so the worker cannot drift.
+  /// The declarative campaign. The coordinator pins request.eps /
+  /// request.model to the values its own scheduling run resolved.
   CampaignSpec spec;
-  /// Summary-neutral execution knob the worker honours: its private
-  /// thread budget.
-  std::size_t threads = 1;
+  std::size_t threads = 1;  ///< the worker's thread budget (summary-neutral)
   /// Determinism pins: the coordinator's 0-crash makespan and horizon. A
-  /// worker whose re-scheduled values differ bit-for-bit refuses to run
-  /// (environment drift would silently corrupt the campaign). NaN = don't
-  /// check (hand-written orders).
+  /// worker whose re-scheduled values differ bit-for-bit refuses to run.
+  /// NaN = don't check (hand-written orders).
   double expect_makespan = std::numeric_limits<double>::quiet_NaN();
   double expect_horizon = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Worker-side wall-clock breakdown of one block (steady_clock seconds).
-/// Observability only: never folded into the summary, and optional on the
-/// wire so pre-existing partial documents stay readable.
+/// Worker-side wall-clock breakdown of one block (steady_clock seconds):
+/// observability only, never folded, and optional on the wire.
 struct WorkerTiming {
   bool present = false;           ///< the wire carried a timing line
   double wall_seconds = 0.0;      ///< whole worker invocation
@@ -202,26 +461,13 @@ void write_campaign_work_order(std::ostream& os,
 /// Parses a work order; throws caft::CheckError on malformed input.
 [[nodiscard]] CampaignWorkOrder read_campaign_work_order(std::istream& is);
 
-/// Parses a partial result; throws caft::CheckError on malformed input —
-/// including a record list that disagrees with the `counts` line or the
-/// `block` range, a block range whose `first + count` overflows, or a
-/// `records` header that disagrees with the block's `count`.
+/// Parses a partial result (CampaignPartialReader fed the whole stream).
 [[nodiscard]] CampaignPartialResult read_campaign_partial(std::istream& is);
 
-/// Chunked partial-result writer — the worker half of the streaming pipe.
-/// A worker that replays a large block must not materialise every record
-/// before the first byte of output; these three calls let it emit the
-/// document incrementally:
-///
-///   write_campaign_partial_header(os, algorithm, first, count);
-///   for each computed sub-block: write_campaign_partial_records(os, ...);
-///   write_campaign_partial_footer(os, successes, telemetry, timing);
-///
-/// The header carries the `records <count>` line (count is the block size,
-/// known up front); the mergeable fold state (`counts`) and telemetry land
-/// in the footer, *after* the record lines — the reader is line-keyed and
-/// validates the whole document at the end, so a counts-first document
-/// parses identically.
+/// Chunked partial-result writer — the worker half of the streaming pipe:
+/// the header (magic, algorithm, block, `records <count>`), the record
+/// lines of each computed sub-block, then the footer (counts, telemetry,
+/// timing, end), so records leave the worker before the block finishes.
 void write_campaign_partial_header(std::ostream& os,
                                    const std::string& algorithm,
                                    std::size_t first, std::size_t count);
@@ -233,41 +479,37 @@ void write_campaign_partial_footer(std::ostream& os, std::size_t records,
                                    const WorkerTiming& timing);
 
 /// Incremental partial-result parser — the coordinator half of the
-/// streaming pipe. Feed it raw stdout bytes as they arrive from the worker
-/// (any chunking, including mid-line splits); it consumes complete lines
-/// immediately, so the coordinator never holds a worker's full stdout
-/// string next to the parsed records.
-///
-/// feed() never throws: a malformed document latches an error and further
-/// input is ignored (the poll loop that delivers chunks must keep draining
-/// the child regardless). finish() validates the complete document — the
-/// same strictness contract as read_campaign_partial — and either returns
-/// the parsed partial or throws caft::CheckError with the latched reason.
+/// streaming pipe. Feed it a worker's stdout as it arrives, in any
+/// chunking; it parses complete lines at once and holds at most
+/// kMaxLineBytes of an incomplete one. It rejects a record list that
+/// disagrees with the `counts` line or the block, a `records` header that
+/// disagrees with the block, and a block whose `first + count` overflows.
 class CampaignPartialReader {
  public:
-  /// Buffers `data` and consumes every complete line. Safe to call after
-  /// an error (input is discarded).
+  /// Never throws: a malformed document latches an error and later input
+  /// is discarded (the poll loop must keep draining the child).
   void feed(const char* data, std::size_t size) noexcept;
 
-  /// True once a parse error has been latched; finish() will throw it.
+  /// True once a parse error has been latched; take() will throw it.
   [[nodiscard]] bool failed() const { return !error_.empty(); }
 
-  /// Validates end-of-stream (a trailing unterminated line, a missing
-  /// `end`, count mismatches and every latched feed() error all throw) and
-  /// returns the parsed partial. Call exactly once, after the last feed().
+  /// Validates the whole document and returns it, or throws the latched
+  /// or final error. Call exactly once, after the last feed().
   [[nodiscard]] CampaignPartialResult take();
 
  private:
   void consume_line(const std::string& line);
   void fail(const std::string& why) noexcept;
+  /// Hands the partial's keyed lines to `d`.
+  void body(wire::BodyReader& d);
 
   CampaignPartialResult partial_;
+  wire::BodyReader lines_{"partial"};
   std::string buffer_;          ///< bytes of the current (incomplete) line
   std::string error_;           ///< first latched parse error, empty = ok
   bool saw_magic_ = false;
   bool saw_end_ = false;
   bool saw_block_ = false;
-  bool saw_counts_ = false;
   bool saw_records_ = false;
   std::size_t records_expected_ = 0;  ///< from the `records` header line
   std::size_t declared_records_ = 0;  ///< from the `counts` line

@@ -112,9 +112,11 @@ void Instance::validate(std::size_t eps) const {
   CAFT_CHECK_MSG(costs().proc_count() == m,
                  "cost model covers " + std::to_string(costs().proc_count()) +
                      " processors but the platform has " + std::to_string(m));
-  CAFT_CHECK_MSG(m <= 64,
-                 "platforms are capped at 64 processors (support masks are "
-                 "64-bit); got m=" + std::to_string(m));
+  CAFT_CHECK_MSG(m <= caft::kMaxProcessors,
+                 "platforms are capped at " +
+                     std::to_string(caft::kMaxProcessors) +
+                     " processors (support masks are 64-bit); got m=" +
+                     std::to_string(m));
   CAFT_CHECK_MSG(eps < m,
                  "eps=" + std::to_string(eps) + " needs " +
                      std::to_string(eps + 1) +

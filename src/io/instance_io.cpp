@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -119,12 +120,15 @@ InstanceBundle load_instance(std::istream& is) {
   expect(is, kMagic);
   expect(is, kVersion);
 
+  // Every count below is the file's claim, not a budget: containers grow
+  // as their lines arrive, so a short file fails on its missing content
+  // instead of on an allocation of the declared size.
   InstanceBundle bundle;
 
   expect(is, "graph");
   const auto task_count = number<std::size_t>(is);
   const auto edge_count = number<std::size_t>(is);
-  bundle.graph = std::make_unique<TaskGraph>(task_count);
+  bundle.graph = std::make_unique<TaskGraph>();
   for (std::size_t i = 0; i < task_count; ++i) {
     expect(is, "task");
     const auto id = number<std::uint32_t>(is);
@@ -141,9 +145,12 @@ InstanceBundle load_instance(std::istream& is) {
 
   expect(is, "platform");
   const auto proc_count = number<std::size_t>(is);
+  // The topology builds m x m route tables: cap m before it does.
+  CAFT_CHECK_MSG(proc_count <= kMaxProcessors,
+                 "platforms are capped at " + std::to_string(kMaxProcessors) +
+                     " processors; got m=" + std::to_string(proc_count));
   const auto cable_count = number<std::size_t>(is);
   std::vector<std::pair<std::size_t, std::size_t>> cables;
-  cables.reserve(cable_count);
   for (std::size_t i = 0; i < cable_count; ++i) {
     expect(is, "cable");
     const auto a = number<std::size_t>(is);
@@ -216,7 +223,6 @@ InstanceBundle load_instance(std::istream& is) {
       c.times.recv_start = number<double>(is);
       c.times.arrival = number<double>(is);
       const auto segments = number<std::size_t>(is);
-      c.times.segments.reserve(segments);
       for (std::size_t s = 0; s < segments; ++s) {
         LinkOccupancy seg;
         seg.link = LinkId(number<std::uint32_t>(is));

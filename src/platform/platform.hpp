@@ -14,6 +14,10 @@
 
 namespace caft {
 
+/// Most processors a platform may have: replica supports are 64-bit masks
+/// with one bit per processor.
+inline constexpr std::size_t kMaxProcessors = 64;
+
 /// Processor set plus interconnect.
 class Platform {
  public:

@@ -1,61 +1,13 @@
 /// \file server_wire.hpp
 /// Wire documents of the campaign server (src/server/server.hpp): the
-/// request a client sends over one connection and the three answers a
-/// server can stream back — progress lines followed by exactly one of a
-/// report, a busy rejection, or an error document.
-///
-/// Same dialect as api/campaign_wire.hpp (the shared `ftsched::wire`
-/// helpers): line-oriented keyed documents, `<magic> v1` first lines with
-/// the version-skew diagnostic, every double as a C hexfloat literal, and
-/// strict readers that throw caft::CheckError instead of guessing.
-///
-/// Request (`caft-campaign-request v1`):
-///   algorithms <k> <name>...
-///   replays <n>  /  seed <u64>           # the work order's spec lines
-///   quantiles <k> <q...>                 # (wire::write_spec_lines)
-///   theta-buckets <n>  /  exact <0|1>
-///   target-ci-width <w>                  # hexfloat, 0 = run all replays
-///   sampler ...  /  request ...          # the shared spec-line codecs
-///   progress <0|1>                       # stream progress lines?
-///   instance-bytes <n>                   # followed by exactly n raw bytes
-///   <n bytes of io/instance_io text>     # of the archival instance format
-///   end
-/// The server content-addresses the campaign by the FNV-1a hash of those
-/// instance bytes (common/hash.hpp) — two clients sending equal bytes share
-/// every cached artifact.
-///
-/// Report (`caft-campaign-report v1`) — one `run`..`end-run` group per
-/// algorithm, in request order:
-///   runs <k>
-///   run <algorithm>
-///   sched <eps> <makespan> <upper-bound> <messages> <message-volume>
-///   theta-width <w>
-///   summary-sampler <name...>            # rest of line, spaces and all
-///   summary-counts <replays> <successes> <within-replays>
-///                  <within-successes> <max-failed> <relaxations> <deadlocks>
-///   summary-ci <low> <high>
-///   latency <count> <mean> <m2> <min> <max>      # complete Welford state
-///   delivered <count> <mean> <m2> <min> <max>
-///   quantile <q> <value>                 # one per estimated quantile
-///   end-run
-///   end
-/// Deliberately NO telemetry and NO timings: the report is a pure function
-/// of (instance bytes, spec), which is what makes the server's headline
-/// guarantee testable — the document must be byte-identical to serializing
+/// request (`caft-campaign-request v1`) a client sends over one connection
+/// and what the server streams back — progress lines, then exactly one of
+/// a report (`caft-campaign-report v1`), a busy rejection
+/// (`caft-campaign-busy v1`) or an error (`caft-campaign-error v1`).
+/// Same line codec as api/campaign_wire.hpp; docs/wire-protocols.md is the
+/// normative layout. The report carries no telemetry and no timings: it is
+/// a pure function of (instance bytes, spec), byte-identical to serializing
 /// an in-process Session::evaluate of the same inputs, cache hit or miss.
-///
-/// Busy (`caft-campaign-busy v1`): the admission controller's rejection —
-///   inflight <n>  /  queued <n>  /  max-inflight <n>  /  queue-limit <n>
-///   end
-///
-/// Error (`caft-campaign-error v1`):
-///   error <message...>                   # rest of line
-///   end
-///
-/// Progress lines are NOT a document: with `progress 1` the server streams
-///   progress <algorithm> <done> <total> <successes> <ci-width>
-/// lines *before* the final document, one per folded wave. A reader strips
-/// them until the first magic line (read_server_response below).
 #pragma once
 
 #include <cstddef>
@@ -83,10 +35,11 @@ void write_campaign_request(std::ostream& os, const CampaignRequest& request);
 /// a missing/short instance payload or an empty algorithm list).
 [[nodiscard]] CampaignRequest read_campaign_request(std::istream& is);
 
-/// The read-side shape of one report run. A plain struct (not CampaignRun):
+/// One report run as the wire carries it. A plain struct (not CampaignRun):
 /// ScheduleResult carries a Schedule wired to a live instance, which a
 /// client reading a report does not have — it gets the scalar facts the
-/// wire carries instead.
+/// wire carries instead. The report writer goes through it too, so a
+/// parsed ReportDocument writes back to the same bytes.
 struct ReportRun {
   std::string algorithm;
   std::size_t eps = 0;
@@ -109,6 +62,7 @@ struct ReportDocument {
 };
 
 void write_campaign_report(std::ostream& os, const CampaignReport& report);
+void write_campaign_report(std::ostream& os, const ReportDocument& report);
 [[nodiscard]] ReportDocument read_campaign_report(std::istream& is);
 
 /// The admission controller's state at rejection time.
@@ -144,11 +98,8 @@ struct ServerResponse {
 };
 
 /// Reads a full server response: progress lines (collected, and fed to
-/// `on_progress` as they arrive — how a client shows live progress while
-/// the document is still streaming) until the first magic line, then the
-/// document that line opens. Throws caft::CheckError on anything
-/// malformed — including version skew, with the shared "speaks v1"
-/// diagnostic.
+/// `on_progress` as they arrive) up to the first magic line, then the
+/// document that line opens. Throws caft::CheckError on anything malformed.
 [[nodiscard]] ServerResponse read_server_response(
     std::istream& is,
     const std::function<void(const ProgressLine&)>& on_progress = {});

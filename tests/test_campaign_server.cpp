@@ -479,6 +479,183 @@ TEST(CampaignServerWire, PinnedBusyErrorAndProgressBytes) {
   EXPECT_EQ(progress.str(), kPinnedProgress);
 }
 
+// --- every reader either rejects a damaged document or reads it back
+
+/// The worked example of docs/wire-protocols.md: a work order carrying
+/// kPinnedInstance, and the partial its worker answers with.
+const std::string kWorkedOrder = std::string(R"(caft-campaign-work v4
+algorithm caft
+block 100 2
+replays 2000
+seed 42
+quantiles 2 0x1.999999999999ap-1 0x1.fd70a3d70a3d7p-1
+theta-buckets 0
+exact 0
+sampler uniform-k 1 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 0x0p+0
+request 1 oneport 1 transitive 1 16 0
+exec 1
+expect 0x1.9p+3 0x1.cp+3
+instance-bytes 114
+)") + kPinnedInstance + "end\n";
+
+constexpr const char* kWorkedPartial = R"(caft-campaign-partial v1
+algorithm caft
+block 100 2
+records 2
+r 1 0 0x1.cp+3 0 0 1
+r 1 0 0x1.cp+3 0 0 1
+counts 2 2
+telemetry 2 1 0 1 2
+timing 0x1.2p-4 0x1.8p-7 0x1.cp-5
+end
+)";
+
+/// Reads `text` with one document reader and writes what it read back.
+using RoundTrip = std::string (*)(const std::string& text);
+
+std::string request_round_trip(const std::string& text) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  server::write_campaign_request(out, server::read_campaign_request(in));
+  return out.str();
+}
+
+std::string report_round_trip(const std::string& text) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  server::write_campaign_report(out, server::read_campaign_report(in));
+  return out.str();
+}
+
+std::string response_round_trip(const std::string& text) {
+  std::istringstream in(text);
+  const server::ServerResponse response = server::read_server_response(in);
+  std::ostringstream out;
+  for (const server::ProgressLine& line : response.progress)
+    server::write_progress_line(out, line);
+  switch (response.kind) {
+    case server::ServerResponse::Kind::kReport:
+      server::write_campaign_report(out, response.report);
+      break;
+    case server::ServerResponse::Kind::kBusy:
+      server::write_campaign_busy(out, response.busy);
+      break;
+    case server::ServerResponse::Kind::kError:
+      server::write_campaign_error(out, response.error);
+      break;
+  }
+  return out.str();
+}
+
+std::string work_order_round_trip(const std::string& text) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  write_campaign_work_order(out, read_campaign_work_order(in));
+  return out.str();
+}
+
+std::string partial_round_trip(const std::string& text) {
+  std::istringstream in(text);
+  const CampaignPartialResult partial = read_campaign_partial(in);
+  std::ostringstream out;
+  write_campaign_partial_header(out, partial.algorithm, partial.first,
+                                partial.count);
+  write_campaign_partial_records(out, partial.records.data(),
+                                 partial.records.size());
+  write_campaign_partial_footer(out, partial.records.size(),
+                                partial.successes, partial.telemetry,
+                                partial.timing);
+  return out.str();
+}
+
+/// `doc` reads back to itself, and so does every variant that deletes one
+/// of its lines or cuts it at a line boundary — unless the reader rejects
+/// the variant with a CheckError. Returns how many variants were rejected.
+std::size_t expect_damage_rejected_or_round_trips(const std::string& doc,
+                                                  RoundTrip round_trip) {
+  EXPECT_EQ(round_trip(doc), doc);
+  std::vector<std::size_t> starts = {0};
+  for (std::size_t at = 0; at < doc.size(); ++at)
+    if (doc[at] == '\n') starts.push_back(at + 1);
+  std::vector<std::string> variants;
+  for (std::size_t line = 0; line + 1 < starts.size(); ++line) {
+    variants.push_back(doc.substr(0, starts[line]) +
+                       doc.substr(starts[line + 1]));
+    variants.push_back(doc.substr(0, starts[line]));
+  }
+  std::size_t rejected = 0;
+  for (const std::string& variant : variants) {
+    try {
+      EXPECT_EQ(round_trip(variant), variant);
+    } catch (const caft::CheckError&) {
+      ++rejected;
+    }
+  }
+  return rejected;
+}
+
+TEST(CampaignServerWire, DamagedDocumentsAreRejectedOrReadBackByteIdentically) {
+  const std::string report = kPinnedReport;
+  const std::string progress = std::string(kPinnedProgress) +
+                               "progress ftsa 128 300 127 0x1p-3\n";
+  const std::pair<std::string, RoundTrip> documents[] = {
+      {kPinnedRequest, request_round_trip},
+      {report, report_round_trip},
+      {report, response_round_trip},
+      {progress + report, response_round_trip},
+      {progress + kPinnedBusy, response_round_trip},
+      {kPinnedError, response_round_trip},
+      {kWorkedOrder, work_order_round_trip},
+      {kWorkedPartial, partial_round_trip},
+  };
+  for (const auto& [doc, round_trip] : documents) {
+    SCOPED_TRACE(doc.substr(0, doc.find('\n')));
+    // Only a deleted `quantile`, `progress` or `timing` line leaves a
+    // valid document; every other variant must be rejected.
+    EXPECT_GT(expect_damage_rejected_or_round_trips(doc, round_trip), 0u);
+  }
+}
+
+TEST(CampaignServerWire, LinesPastTheCapAreRejectedWithoutBeingQuoted) {
+  // 2 MiB without a newline: each reader stops at wire::kMaxLineBytes and
+  // names the cap and the document, not the line.
+  const std::string flood(std::size_t{2} << 20, 'x');
+  const auto expect_capped = [&](const std::string& message,
+                                 const char* document) {
+    EXPECT_NE(message.find(std::to_string(wire::kMaxLineBytes) +
+                           "-byte line cap"),
+              std::string::npos)
+        << message.substr(0, 200);
+    EXPECT_NE(message.find(document), std::string::npos)
+        << message.substr(0, 200);
+    EXPECT_EQ(message.find("xxxxxxxx"), std::string::npos);
+  };
+  const auto error_of = [](RoundTrip round_trip, const std::string& text) {
+    try {
+      (void)round_trip(text);
+    } catch (const caft::CheckError& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  expect_capped(request_error("caft-campaign-request v1\n" + flood),
+                "request");
+  expect_capped(request_error(flood), "caft-campaign-request");
+  expect_capped(error_of(report_round_trip,
+                         "caft-campaign-report v1\nruns 1\nrun " + flood),
+                "report");
+  expect_capped(error_of(response_round_trip, "progress caft " + flood),
+                "server response");
+
+  // The server answers a flooded request with an error document.
+  server::CampaignServer daemon(server::ServerOptions{});
+  std::istringstream answer(
+      serve_raw(daemon, "caft-campaign-request v1\n" + flood + "\nend\n"));
+  const server::ServerResponse response = server::read_server_response(answer);
+  ASSERT_EQ(response.kind, server::ServerResponse::Kind::kError);
+  expect_capped(response.error, "request");
+}
+
 // --- admission
 
 TEST(Admission, ZeroInflightRejectsEverythingImmediately) {

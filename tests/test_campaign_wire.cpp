@@ -572,5 +572,40 @@ TEST(CampaignWire, IncrementalReaderRejectsMidLineTruncation) {
   EXPECT_THROW((void)reader.take(), CheckError);
 }
 
+TEST(CampaignWire, LinesPastTheCapAreRejectedWithoutBeingQuoted) {
+  // 2 MiB without a newline: the work-order reader and the incremental
+  // partial reader stop at wire::kMaxLineBytes, and their errors name the
+  // cap and the document, not the line.
+  const std::string flood(std::size_t{2} << 20, 'x');
+  const std::string cap =
+      std::to_string(wire::kMaxLineBytes) + "-byte line cap";
+  std::istringstream order("caft-campaign-work v4\n" + flood);
+  try {
+    (void)read_campaign_work_order(order);
+    ADD_FAILURE() << "a flooded work order was accepted";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(cap), std::string::npos) << what.substr(0, 200);
+    EXPECT_NE(what.find("work order"), std::string::npos);
+    EXPECT_EQ(what.find("xxxxxxxx"), std::string::npos);
+  }
+
+  CampaignPartialReader reader;
+  const std::string magic = "caft-campaign-partial v1\n";
+  reader.feed(magic.data(), magic.size());
+  for (std::size_t at = 0; at < flood.size(); at += 65536)
+    reader.feed(flood.data() + at, 65536);
+  EXPECT_TRUE(reader.failed());  // latched before the newline arrives
+  try {
+    (void)reader.take();
+    ADD_FAILURE() << "a flooded partial was accepted";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(cap), std::string::npos) << what.substr(0, 200);
+    EXPECT_NE(what.find("partial"), std::string::npos);
+    EXPECT_EQ(what.find("xxxxxxxx"), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace ftsched

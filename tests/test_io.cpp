@@ -223,5 +223,47 @@ TEST(InstanceIo, TaskNamesWithSpacesSurvive) {
   EXPECT_EQ(loaded.graph->name(b), "stage two");
 }
 
+/// A one-task instance on an m-processor platform without cables.
+std::string one_task_instance(std::size_t m) {
+  std::string text = "caft-instance v1\ngraph 1 0\ntask 0 t0\nplatform " +
+                     std::to_string(m) + " 0\n";
+  for (std::size_t p = 0; p < m; ++p)
+    text += "exec 0 " + std::to_string(p) + " 1\n";
+  return text + "end\n";
+}
+
+TEST(InstanceIo, PlatformAboveTheProcessorCapIsRejectedAtItsLine) {
+  std::stringstream at_cap(one_task_instance(kMaxProcessors));
+  EXPECT_EQ(load_instance(at_cap).platform->proc_count(), kMaxProcessors);
+  // The loader rejects m at the `platform` line, before the topology builds
+  // its m x m route tables.
+  std::stringstream above(one_task_instance(kMaxProcessors + 1));
+  try {
+    (void)load_instance(above);
+    ADD_FAILURE() << "a 65-processor platform was loaded";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("capped at 64 processors"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(InstanceIo, DeclaredCountsAllocateNothingAheadOfTheContent) {
+  // Each count is the file's claim, not a budget: a short file that
+  // declares 2^40 tasks, cables or link segments fails on the content that
+  // is missing, never on a reservation of the declared size.
+  for (const char* text :
+       {"caft-instance v1\ngraph 1099511627776 0\n",
+        "caft-instance v1\ngraph 1 0\ntask 0 t0\n"
+        "platform 2 1099511627776\n",
+        "caft-instance v1\ngraph 2 1\ntask 0 a\ntask 1 b\nedge 0 1 1\n"
+        "platform 1 0\nexec 0 0 1\nexec 1 0 1\nschedule 0 oneport 0\n"
+        "replica 0 0 0 0 1\nreplica 1 0 0 1 2\n"
+        "comm 0 0 0 0 0 1 1 1 1 1 1 1099511627776\n"}) {
+    std::stringstream buffer(text);
+    EXPECT_THROW((void)load_instance(buffer), CheckError) << text;
+  }
+}
+
 }  // namespace
 }  // namespace caft
