@@ -46,7 +46,7 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
   // the pairwise-disjoint support family Proposition 5.2 rests on.
   const SupportMask all_procs =
       proc_count() == kMaxProcessors ? ~SupportMask{0}
-                         : ((SupportMask{1} << proc_count()) - 1);
+                                     : ((SupportMask{1} << proc_count()) - 1);
   const std::size_t unlocked =
       static_cast<std::size_t>(std::popcount(all_procs & ~step.locked));
   const std::size_t remaining = replicas() - step.committed - 1;

@@ -572,6 +572,41 @@ TEST(CampaignWire, IncrementalReaderRejectsMidLineTruncation) {
   EXPECT_THROW((void)reader.take(), CheckError);
 }
 
+TEST(CampaignWire, ReadersRejectMissingDuplicatedAndOverlongLines) {
+  // Every line a writer always emits is mandatory, appears once, and
+  // carries exactly its declared fields: a reader that defaulted, merged
+  // or ignored any of them would accept a document it cannot write back.
+  const std::string good = to_text(sample_order());
+  const auto error_of = [](const std::string& doc) {
+    std::istringstream is(doc);
+    try {
+      (void)read_campaign_work_order(is);
+    } catch (const CheckError& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  std::string missing = good;
+  missing.erase(missing.find("exact 0\n"), 8);
+  EXPECT_NE(error_of(missing).find("work order has no 'exact' line"),
+            std::string::npos)
+      << error_of(missing);
+  std::string duplicated = good;
+  duplicated.insert(duplicated.find("seed "), "seed 7\n");
+  EXPECT_NE(error_of(duplicated).find("duplicate 'seed' line"),
+            std::string::npos)
+      << error_of(duplicated);
+  std::string overlong = good;
+  overlong.replace(overlong.find("exec 3\n"), 7, "exec 3 1024\n");
+  EXPECT_NE(error_of(overlong).find("unexpected field '1024' on a 'exec'"),
+            std::string::npos)
+      << error_of(overlong);
+  // The optional timing line is the partial's one exception.
+  const std::string partial = to_text(sample_partial());
+  std::istringstream no_timing(partial);
+  EXPECT_FALSE(read_campaign_partial(no_timing).timing.present);
+}
+
 TEST(CampaignWire, LinesPastTheCapAreRejectedWithoutBeingQuoted) {
   // 2 MiB without a newline: the work-order reader and the incremental
   // partial reader stop at wire::kMaxLineBytes, and their errors name the
