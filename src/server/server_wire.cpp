@@ -1,7 +1,6 @@
 #include "server/server_wire.hpp"
 
 #include <span>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
