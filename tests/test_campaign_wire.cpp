@@ -601,10 +601,6 @@ TEST(CampaignWire, ReadersRejectMissingDuplicatedAndOverlongLines) {
   EXPECT_NE(error_of(overlong).find("unexpected field '1024' on a 'exec'"),
             std::string::npos)
       << error_of(overlong);
-  // The optional timing line is the partial's one exception.
-  const std::string partial = to_text(sample_partial());
-  std::istringstream no_timing(partial);
-  EXPECT_FALSE(read_campaign_partial(no_timing).timing.present);
 }
 
 TEST(CampaignWire, LinesPastTheCapAreRejectedWithoutBeingQuoted) {
