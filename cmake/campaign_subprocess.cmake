@@ -12,21 +12,18 @@
 # byte-identical to the uninstrumented single-process run (observability
 # inertness across the process boundary).
 #
-# A second leg replays the same identity check through the *streaming*
-# coordinator under memory pressure: --block-replays 25 splits the 300
-# replays into 12 blocks and --reorder-window 2 forces the fold to run
-# with at most two blocks buffered, so out-of-order completions must be
-# held back and folded in canonical order — the summary must still match
-# the single-process run byte for byte.
-#
 # A no-temp-dir leg runs one subprocess campaign with TMPDIR naming a
 # directory that does not exist: the work order carries the instance
 # bytes, so neither the coordinator nor a worker needs a temp dir.
 #
-# A last leg gates early stopping: --target-ci-width stops the fold at a
-# point fixed by the spec alone, so a stopped subprocess campaign must
-# match the stopped single-process one byte for byte at 2 and 4 workers,
-# even though its 25-replay wire blocks do not line up with the stop point.
+# An early-stop leg gates --target-ci-width: it stops the fold at a point
+# fixed by the spec alone, so a stopped subprocess campaign must match the
+# stopped single-process one byte for byte at 2 and 4 workers, even though
+# its automatic wire blocks (500 and 250 replays) do not line up with the
+# 1024-replay stop point.
+#
+# A last leg checks that the retired --block-replays flag fails loudly
+# and names itself instead of being silently ignored.
 if(NOT CLI OR NOT WORK_DIR)
   message(FATAL_ERROR "campaign_subprocess.cmake needs -DCLI and -DWORK_DIR")
 endif()
@@ -79,14 +76,6 @@ foreach(sampler_args
     expect_identical(single sub${workers} ${common_args}
                      --exec subprocess --workers ${workers})
   endforeach()
-  # Streaming-coordinator leg: small blocks + a tight reorder window, so
-  # the O(blocks-in-flight) fold path (not the window-never-fills happy
-  # path) is what produces the summary.
-  foreach(workers 2 4)
-    expect_identical(single stream${workers} ${common_args}
-                     --exec subprocess --workers ${workers}
-                     --block-replays 25 --reorder-window 2)
-  endforeach()
 endforeach()
 
 # No-temp-dir leg: the last sampler's (the crash window's) campaign at 2
@@ -109,8 +98,20 @@ if(stop_content MATCHES "\"replays\": 4000")
 endif()
 foreach(workers 2 4)
   expect_identical(stop_single stop${workers} ${stop_args}
-                   --exec subprocess --workers ${workers} --block-replays 25)
+                   --exec subprocess --workers ${workers})
 endforeach()
+
+execute_process(
+  COMMAND ${CLI} ${common_args} --exec subprocess --block-replays 25
+  OUTPUT_QUIET
+  ERROR_VARIABLE retired_err
+  RESULT_VARIABLE retired_rc
+  WORKING_DIRECTORY ${WORK_DIR})
+if(retired_rc EQUAL 0 OR NOT retired_err MATCHES "--block-replays")
+  message(FATAL_ERROR
+    "campaign_cli accepted the retired --block-replays flag (exit "
+    "${retired_rc}): ${retired_err}")
+endif()
 
 if(OBS)
   file(READ ${WORK_DIR}/trace.json trace_content)
@@ -123,10 +124,9 @@ if(OBS)
   endif()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2, no temp dir, early stop) "
-    "with observability on")
+    "(incl. no temp dir, early stop) with observability on")
 else()
   message(STATUS
     "subprocess campaign summaries identical at 1, 2 and 4 workers "
-    "(incl. streaming fold, reorder window 2, no temp dir, early stop)")
+    "(incl. no temp dir, early stop)")
 endif()

@@ -391,21 +391,22 @@ void CampaignPartialReader::consume_line(const std::string& line) {
     saw_magic_ = true;
     return;
   }
-  std::istringstream fields(line);
+  fields_.clear();
+  fields_.str(line);
   std::string key;
-  fields >> key;
+  fields_ >> key;
   // Inside the record list every line must be a record line — an empty or
   // foreign line there is corruption, not formatting slack.
   if (saw_records_ && partial_.records.size() < partial_.count) {
     CAFT_CHECK_MSG(key == "r", "campaign wire: bad record line '" + line + "'");
-    std::apply([&](auto&... f) { read_fields(fields, "r", f...); },
+    std::apply([&](auto&... f) { read_fields(fields_, "r", f...); },
                record_fields(partial_.records.emplace_back()));
   } else if (key == "end") {
     saw_end_ = true;
   } else if (!line.empty()) {
     CAFT_CHECK_MSG(key != "records" || saw_block_,
                    "campaign wire: records header before the block range");
-    CAFT_CHECK_MSG(lines_.dispatch(key, fields,
+    CAFT_CHECK_MSG(lines_.dispatch(key, fields_,
                                    [this](BodyReader& d) { body(d); }),
                    "campaign wire: unknown partial key '" + key + "'");
     // An overflowing range would wrap every [first, first + count); a

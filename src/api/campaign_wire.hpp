@@ -506,6 +506,7 @@ class CampaignPartialReader {
   CampaignPartialResult partial_;
   wire::BodyReader lines_{"partial"};
   std::string buffer_;          ///< bytes of the current (incomplete) line
+  std::istringstream fields_;   ///< the line being parsed, reused per line
   std::string error_;           ///< first latched parse error, empty = ok
   bool saw_magic_ = false;
   bool saw_end_ = false;

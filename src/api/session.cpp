@@ -104,7 +104,6 @@ double CampaignSpec::theta_bucket_width(double schedule_horizon) const {
 }
 
 std::size_t ExecutionPolicy::block_size(std::size_t replays) const {
-  if (block_replays > 0) return block_replays;
   const std::size_t blocks = 4 * std::max<std::size_t>(n_workers, 1);
   return std::clamp<std::size_t>((replays + blocks - 1) / blocks, 1,
                                  kMaxAutoBlockReplays);
@@ -251,10 +250,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
   // folds (advancing the frontier and waking waiters) or fails the
   // campaign (also waking waiters): the frontier block is always claimed
   // and always progressing.
-  const std::size_t window =
-      exec.reorder_window > 0
-          ? exec.reorder_window
-          : std::max<std::size_t>(2 * exec.n_workers, 4);
+  const std::size_t window = std::max<std::size_t>(2 * exec.n_workers, 4);
   caft::CampaignFold fold(run.result.schedule.eps(),
                           spec.sampler.name(instance.proc_count()), campaign);
 
@@ -355,7 +351,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
       // `!failed` also here: once any block exhausts its budget the
       // campaign is doomed — don't keep spawning retries for it.
       for (std::size_t attempt = 0;
-           attempt <= exec.max_retries && !done && !failed.load();
+           attempt <= ExecutionPolicy::kMaxRetries && !done && !failed.load();
            ++attempt) {
         if (attempt > 0) {
           retries_counter.add(1);
@@ -413,7 +409,8 @@ CampaignRun Session::evaluate_schedule_subprocess(
           error = "campaign worker failed on scenario block [" +
                   std::to_string(blocks[b].first) + ", " +
                   std::to_string(blocks[b].first + blocks[b].count) +
-                  ") after " + std::to_string(exec.max_retries + 1) +
+                  ") after " +
+                  std::to_string(ExecutionPolicy::kMaxRetries + 1) +
                   " attempts: " + last_failure;
         failed.store(true);
         fold_cv.notify_all();  // wake window-gated claimers to exit

@@ -141,7 +141,8 @@ struct CampaignSpec {
 /// api/campaign_wire protocol) and folds their per-replay records back in
 /// canonical scenario order, so subprocess summaries are byte-identical to
 /// in-process ones for any worker count (each worker process's record
-/// cache is unobservable by design).
+/// cache is unobservable by design). Block size, reorder window (max(2 ×
+/// n_workers, 4) blocks) and retry budget are derived: none is a setting.
 struct ExecutionPolicy {
   enum class Mode {
     kInProcess,   ///< run campaigns inside this process (thread pool)
@@ -153,37 +154,22 @@ struct ExecutionPolicy {
   /// Threads *each worker process* uses; keep n_workers × worker_threads
   /// near the machine's core count.
   std::size_t worker_threads = 1;
-  /// Replays per worker block; 0 = auto (see block_size).
-  std::size_t block_replays = 0;
-  /// Reorder window of the coordinator's streaming fold (PR 7): at most
-  /// this many blocks may be past the fold frontier at once — claimed,
-  /// completed-and-buffered, or both — so coordinator memory is
-  /// O(reorder_window × block_size(replays)) records, at most
-  /// window × kMaxAutoBlockReplays with the auto block: never O(replays).
-  /// Larger windows tolerate slower stragglers without idling dispatchers;
-  /// 1 serializes the fold (one block in flight at a time). 0 = auto
-  /// (max(2 × n_workers, 4)). Can never change a summary — only when each
-  /// buffered block folds.
-  std::size_t reorder_window = 0;
-  /// Extra attempts per block after a worker failure (crash, nonzero exit,
-  /// unparseable output) before the campaign gives up.
-  std::size_t max_retries = 2;
   /// Worker program: anything accepting `--worker` and speaking the
   /// campaign wire protocol on stdin/stdout — normally the campaign_cli
   /// binary. Required in subprocess mode.
   std::string worker_command;
 
-  /// Largest block the auto size picks: about 10 MiB of records, so the
-  /// coordinator's reorder window stays bounded however many replays a
-  /// campaign asks for.
+  /// Extra attempts per block after a worker failure (crash, nonzero exit,
+  /// unparseable output) before the campaign gives up.
+  static constexpr std::size_t kMaxRetries = 2;
+  /// Largest block block_size picks: about 10 MiB of records.
   static constexpr std::size_t kMaxAutoBlockReplays = std::size_t{1} << 18;
 
-  /// Replays per worker block for a campaign of `replays`: block_replays
-  /// when set, else ~4 blocks per worker (so a straggler or retried block
-  /// costs a fraction of the campaign), capped at kMaxAutoBlockReplays.
+  /// Replays per worker block for a campaign of `replays`: ~4 blocks per
+  /// worker (so a straggler or retried block costs a fraction of the
+  /// campaign), capped at kMaxAutoBlockReplays.
   [[nodiscard]] std::size_t block_size(std::size_t replays) const;
 
-  [[nodiscard]] static ExecutionPolicy in_process() { return {}; }
   [[nodiscard]] static ExecutionPolicy subprocess(std::string worker_command,
                                                   std::size_t n_workers = 2) {
     ExecutionPolicy policy;

@@ -192,9 +192,9 @@ struct CampaignTelemetry {
   std::size_t worker_retries = 0;  ///< subprocess blocks retried (0 in-proc)
   double wall_seconds = 0.0;     ///< campaign wall time (steady_clock)
   /// Most blocks the subprocess coordinator's reorder window ever held at
-  /// once (PR 7) — the streaming fold's actual peak, bounded by
-  /// ExecutionPolicy::reorder_window. 0 for the in-process backend, whose
-  /// fold is wave-by-wave and never buffers.
+  /// once — the streaming fold's actual peak, at most max(2 × workers, 4).
+  /// 0 for the in-process backend, whose fold is wave-by-wave and never
+  /// buffers.
   std::size_t fold_window_peak = 0;
 };
 

@@ -7,7 +7,8 @@
 /// flag where a number is required, a negative count) throws CheckError
 /// with the flag name and offending text instead of silently truncating or
 /// falling back to the default — a typo'd `--replays 10O0` must fail loudly,
-/// not run a 10-replay campaign.
+/// not run a 10-replay campaign. So must a typo'd flag name: reject_unread()
+/// fails on every flag no accessor consulted.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,15 +47,15 @@ class CliArgs {
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
   [[nodiscard]] bool has(const std::string& key) const {
-    return values_.count(key) != 0;
+    return find(key) != values_.end();
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     std::size_t used = 0;
     double value = 0.0;
@@ -69,7 +71,7 @@ class CliArgs {
   }
   [[nodiscard]] std::size_t get_size(const std::string& key,
                                      std::size_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second;
     std::size_t used = 0;
@@ -105,6 +107,17 @@ class CliArgs {
   }
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
+  }
+
+  /// Throws CheckError naming every flag no accessor consulted (a typo, or
+  /// one this mode never reads). Call after reading options, before work.
+  void reject_unread() const {
+    std::string unread;
+    for (const auto& entry : values_)
+      if (read_.count(entry.first) == 0)
+        unread += (unread.empty() ? "--" : ", --") + entry.first;
+    if (!unread.empty())
+      throw CheckError("unknown or unused flag(s): " + unread);
   }
 
   /// Validates up front that `path` (the value of --`flag`) can be opened
@@ -171,8 +184,15 @@ class CliArgs {
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  using Values = std::map<std::string, std::string>;
+  Values::const_iterator find(const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
+  Values values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  ///< every key an accessor consulted
 };
 
 }  // namespace caft

@@ -85,6 +85,41 @@ TEST(CliArgs, GetChoiceValidatesAgainstSet) {
   }
 }
 
+TEST(CliArgs, RejectUnreadNamesEveryUnconsultedFlag) {
+  // A typo'd flag, and a retired one, must abort — never run the default.
+  const CliArgs args = make_args({"--replays", "10", "--replys", "5000",
+                                  "--block-replays", "25", "--csv", "out"});
+  EXPECT_EQ(args.get_size("replays", 1000), 10u);
+  (void)args.get("csv");
+  try {
+    args.reject_unread();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--replys"), std::string::npos) << what;
+    EXPECT_NE(what.find("--block-replays"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--replays"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--csv"), std::string::npos) << what;
+  }
+}
+
+TEST(CliArgs, RejectUnreadCountsEveryAccessorAndIgnoresPositionals) {
+  // has() and a lookup that falls back to the default both count as reads:
+  // a flag the mode consulted is accepted whatever its value.
+  const CliArgs args = make_args({"1", "--gantt", "--k", "2", "--rate",
+                                  "0.5", "--sampler", "exp", "--theta-lo",
+                                  "3"});
+  EXPECT_TRUE(args.has("gantt"));
+  EXPECT_EQ(args.get_size("k", 1), 2u);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 0.5);
+  EXPECT_EQ(args.get_choice("sampler", "uniform", {"uniform", "exp"}), "exp");
+  EXPECT_FALSE(args.has("absent"));
+  EXPECT_THROW(args.reject_unread(), CheckError);  // --theta-lo unread
+  (void)args.get_double("theta-lo", 0.0);
+  EXPECT_NO_THROW(args.reject_unread());
+  EXPECT_NO_THROW(make_args({}).reject_unread());
+}
+
 TEST(CliArgs, CheckWritablePathAcceptsAndPreservesFiles) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "caft_cli_args_probe.txt")

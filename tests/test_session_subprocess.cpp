@@ -2,7 +2,7 @@
 //   - the worker protocol round-trips through run_campaign_worker without
 //     any process machinery (work order in, partial result out, records
 //     bit-identical to run_campaign_block);
-//   - the auto block size of the subprocess coordinator is capped;
+//   - the derived block size of the subprocess coordinator is capped;
 //   - Session summaries under ExecutionPolicy::subprocess are *byte-
 //     identical* to in-process ones at 1, 2 and 4 workers (the acceptance
 //     gate of the scale-out contract);
@@ -18,6 +18,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -255,14 +256,12 @@ TEST(ExecutionPolicy, AutoBlockSizeIsCapped) {
   // The auto block aims at ~4 blocks per worker, but never past the cap:
   // coordinator memory is window × block records, so an uncapped block
   // would grow with the replay count.
-  ExecutionPolicy policy = ExecutionPolicy::subprocess("unused", 2);
+  const ExecutionPolicy policy = ExecutionPolicy::subprocess("unused", 2);
   EXPECT_EQ(policy.block_size(1000), 125u);
   EXPECT_EQ(policy.block_size(1), 1u);
   EXPECT_EQ(policy.block_size(1000000000),
             ExecutionPolicy::kMaxAutoBlockReplays);
   EXPECT_EQ(ExecutionPolicy::kMaxAutoBlockReplays, std::size_t{1} << 18);
-  policy.block_replays = 7;  // an explicit block is taken as given
-  EXPECT_EQ(policy.block_size(1000000000), 7u);
 }
 
 TEST(SessionSubprocess, RetriesCrashedWorkerAndStaysIdentical) {
@@ -352,10 +351,9 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
       "fi\n"
       "exec \"" + cli + "\" \"$@\"\n");
 
+  // 4 workers: 16 blocks of at most 38 replays, a window of 8 blocks.
   SessionOptions options;
   options.exec = ExecutionPolicy::subprocess(script, 4);
-  options.exec.block_replays = 30;    // 20 blocks
-  options.exec.reorder_window = 3;    // far fewer than blocks
   const Session session(options);
 
   // The peak-window gauge is the coordinator's own measurement of how many
@@ -369,15 +367,15 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
   // Byte-identity survives the straggler-induced reordering...
   expect_summaries_identical(reference, report.runs[0].summary);
   // ...and coordinator memory stayed bounded by the window, not by the
-  // campaign: at most reorder_window blocks buffered, ever.
+  // campaign: at most max(2 × 4, 4) = 8 blocks buffered, ever.
   const double peak = metrics.gauge_value("campaign.fold.window_peak");
   EXPECT_GE(peak, 1.0);
-  EXPECT_LE(peak, 3.0);
+  EXPECT_LE(peak, 8.0);
   EXPECT_EQ(report.runs[0].telemetry.fold_window_peak,
             static_cast<std::size_t>(peak));
   // The straggler forced at least one block to wait for the fold frontier.
   EXPECT_GE(metrics.counter_value("campaign.fold.blocks_buffered"), 1u);
-  EXPECT_EQ(report.runs[0].telemetry.blocks, 20u);
+  EXPECT_EQ(report.runs[0].telemetry.blocks, 16u);
 }
 
 TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
@@ -397,7 +395,7 @@ TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
   // Jittering wrapper: each worker invocation sleeps 0–0.2 s depending on
   // its pid, so block completion order is scrambled differently on every
   // run — the streamed fold must reproduce the canonical summary from any
-  // completion order, at any worker count, with a tight window.
+  // completion order, at any worker count, within the derived window.
   const caft::test::ScratchDir dir("ftsched-subproc");
   const std::string script = write_script(dir, "jitter_worker.sh",
                                           "sleep 0.$(( $$ % 3 ))\n"
@@ -406,33 +404,12 @@ TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SessionOptions options;
     options.exec = ExecutionPolicy::subprocess(script, workers);
-    options.exec.block_replays = 50;  // 8 blocks
-    options.exec.reorder_window = 2;
     const Session session(options);
     const CampaignReport report = session.evaluate(instance, spec);
     expect_summaries_identical(reference, report.runs[0].summary);
-    EXPECT_LE(report.runs[0].telemetry.fold_window_peak, 2u);
+    EXPECT_LE(report.runs[0].telemetry.fold_window_peak,
+              std::max<std::size_t>(2 * workers, 4));
   }
-}
-
-TEST(SessionSubprocess, ReorderWindowOfOneSerializesTheFold) {
-  const std::string cli = cli_path();
-  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
-
-  const Instance instance = random_instance(313, 8, 1.0, 1);
-  const CampaignSpec spec = lifetime_spec(200);
-  const Session in_process{};
-  const CampaignSummary reference =
-      in_process.evaluate(instance, spec).runs[0].summary;
-
-  SessionOptions options;
-  options.exec = ExecutionPolicy::subprocess(cli, 4);
-  options.exec.block_replays = 25;  // 8 blocks
-  options.exec.reorder_window = 1;  // degenerate: one block in flight
-  const Session session(options);
-  const CampaignReport report = session.evaluate(instance, spec);
-  expect_summaries_identical(reference, report.runs[0].summary);
-  EXPECT_EQ(report.runs[0].telemetry.fold_window_peak, 1u);
 }
 
 TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
@@ -442,25 +419,26 @@ TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
   // Uniform-k beyond ε: about 1% survive, and replays stay cheap enough
   // for TSan.
   const Instance instance = random_instance(314, 8, 1.0, 3);
-  CampaignSpec spec = lifetime_spec(8 * caft::kCampaignWave);
+  CampaignSpec spec = lifetime_spec(8000);
   spec.sampler = SamplerSpec::uniform_k(4);
   spec.target_ci_width = 0.007;  // reached after five waves
 
   // The stop rule is checked every kCampaignWave records of the canonical
-  // stream, whichever backend folds it. Wire blocks of 700 do not line up
-  // with those check points, so the fold must cut inside a block and
-  // discard the rest of it, and of every block claimed after it.
+  // stream, whichever backend folds it. The derived wire blocks (2000,
+  // 1000 and 500 replays at 1, 2 and 4 workers) do not line up with those
+  // check points, so the fold must cut inside a block and discard the rest
+  // of it, and of every block claimed after it.
   const CampaignRun reference = Session{}.evaluate(instance, spec).runs[0];
   const std::size_t folded = reference.summary.replays;
   EXPECT_GE(folded, 3 * caft::kCampaignWave);
   EXPECT_LT(folded, spec.replays - caft::kCampaignWave);
   EXPECT_EQ(folded % caft::kCampaignWave, 0u);
-  ASSERT_NE(folded % 700, 0u);  // the cut falls inside a wire block
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SessionOptions options;
     options.exec = ExecutionPolicy::subprocess(cli, workers);
-    options.exec.block_replays = 700;
+    // The cut falls inside a wire block.
+    ASSERT_NE(folded % options.exec.block_size(spec.replays), 0u);
     const CampaignRun run =
         Session(options).evaluate(instance, spec).runs[0];
     expect_summaries_identical(reference.summary, run.summary,
@@ -490,16 +468,17 @@ TEST(SessionSubprocess, FailsLoudlyAfterRetryBudget) {
 
   SessionOptions options;
   options.exec = ExecutionPolicy::subprocess(script, 2);
-  options.exec.max_retries = 1;
   const Session session(options);
   try {
     (void)session.evaluate(instance, spec);
     FAIL() << "a persistently failing worker must fail the campaign";
   } catch (const caft::CheckError& error) {
-    // The message names the block and the observed failure.
-    EXPECT_NE(std::string(error.what()).find("exited with status 3"),
-              std::string::npos)
-        << error.what();
+    // The message names the block, the kMaxRetries + 1 attempts made and
+    // the observed failure.
+    const std::string message = error.what();
+    EXPECT_NE(message.find("after 3 attempts"), std::string::npos) << message;
+    EXPECT_NE(message.find("exited with status 3"), std::string::npos)
+        << message;
   }
 }
 

@@ -56,9 +56,7 @@ int usage() {
   return 2;
 }
 
-TaskGraph build_graph(const Args& args, Rng& rng) {
-  const std::string family = args.get("family", "random");
-  const std::size_t size = args.get_size("size", 0);
+TaskGraph build_graph(const std::string& family, std::size_t size, Rng& rng) {
   if (family == "random") return random_dag(RandomDagParams{}, rng);
   if (family == "chain") return chain(size ? size : 20, 100.0);
   if (family == "fork") return fork(size ? size : 12, 100.0);
@@ -74,22 +72,24 @@ TaskGraph build_graph(const Args& args, Rng& rng) {
 
 int cmd_generate(const Args& args) {
   Rng rng(args.get_size("seed", 42));
-  TaskGraph graph = build_graph(args, rng);
+  const std::string family = args.get("family", "random");
+  const std::size_t size = args.get_size("size", 0);
   const std::size_t m = args.get_size("procs", 10);
   const std::string topo =
       args.get_choice("topology", "clique", {"clique", "ring", "star"});
+  CostSynthesisParams params;
+  params.granularity = args.get_double("granularity", 1.0);
+  const std::string out = args.get("out", "instance.txt");
+  args.reject_unread();
+
+  TaskGraph graph = build_graph(family, size, rng);
   Platform platform(m);
   if (topo == "ring")
     platform = Platform(Topology::ring(m));
   else if (topo == "star")
     platform = Platform(Topology::star(m));
-
-  CostSynthesisParams params;
-  params.granularity = args.get_double("granularity", 1.0);
   const ftsched::Instance instance(std::move(graph), std::move(platform),
                                    params, rng);
-
-  const std::string out = args.get("out", "instance.txt");
   instance.save(out);
   std::printf("wrote %s: %zu tasks, %zu edges, m=%zu, g=%.2f\n", out.c_str(),
               instance.graph().task_count(), instance.graph().edge_count(), m,
@@ -113,7 +113,11 @@ int cmd_schedule(const Args& args) {
                                          {"transitive", "direct"}) == "direct"
                              ? CaftSupportMode::kDirect
                              : CaftSupportMode::kTransitive;
-
+  const std::string out = args.get("out");
+  const std::string dot = args.get("dot");
+  const std::string trace = args.get("trace");
+  const bool gantt = args.has("gantt");
+  args.reject_unread();
   // The registry is the single dispatch point: unknown names fail with
   // "unknown algo 'x'; known: <names>".
   const ftsched::ScheduleResult result =
@@ -130,16 +134,11 @@ int cmd_schedule(const Args& args) {
   if (!result.validation.ok())
     std::fprintf(stderr, "%s\n", result.validation.summary().c_str());
 
-  if (args.has("out")) instance.save(args.get("out"), &result.schedule);
-  if (args.has("dot")) {
-    std::ofstream dot(args.get("dot"));
-    dot << to_dot(result.schedule);
-  }
-  if (args.has("trace")) {
-    std::ofstream trace(args.get("trace"));
-    trace << to_chrome_trace(result.schedule);
-  }
-  if (args.has("gantt")) std::cout << render_gantt(result.schedule);
+  if (!out.empty()) instance.save(out, &result.schedule);
+  if (!dot.empty()) std::ofstream(dot) << to_dot(result.schedule);
+  if (!trace.empty())
+    std::ofstream(trace) << to_chrome_trace(result.schedule);
+  if (gantt) std::cout << render_gantt(result.schedule);
   return result.ok() ? 0 : 1;
 }
 
@@ -166,6 +165,9 @@ int cmd_replay(const Args& args) {
   CAFT_CHECK_MSG(schedule != nullptr, "instance has no schedule; run "
                                       "'caft_cli schedule --out ...' first");
   const auto failed = parse_crash_list(args.get("crash", ""));
+  const std::string trace = args.get("trace");
+  const bool gantt = args.has("gantt");
+  args.reject_unread();
   const CrashScenario scenario =
       CrashScenario::at_zero(instance.proc_count(), failed);
   ReplayEngineOptions one_shot;
@@ -177,12 +179,9 @@ int cmd_replay(const Args& args) {
               failed.size(), result.success ? "survived" : "FAILED",
               result.latency, schedule->zero_crash_latency(),
               result.delivered_messages);
-  if (args.has("gantt"))
-    std::cout << render_crash_gantt(*schedule, result, scenario);
-  if (args.has("trace")) {
-    std::ofstream trace(args.get("trace"));
-    trace << to_chrome_trace(*schedule, result, scenario);
-  }
+  if (gantt) std::cout << render_crash_gantt(*schedule, result, scenario);
+  if (!trace.empty())
+    std::ofstream(trace) << to_chrome_trace(*schedule, result, scenario);
   return result.success ? 0 : 1;
 }
 
@@ -192,6 +191,7 @@ int cmd_resilience(const Args& args) {
   const Schedule* schedule = instance.loaded_schedule();
   CAFT_CHECK_MSG(schedule != nullptr, "instance has no schedule");
   const std::size_t failures = args.get_size("failures", schedule->eps());
+  args.reject_unread();
   const ResilienceReport report =
       check_resilience_exhaustive(*schedule, instance.costs(), failures);
   std::printf("%zu crash subsets of size %zu: %zu failed -> %s\n",
@@ -222,13 +222,15 @@ int cmd_figure(const Args& args) {
     default: throw CheckError("figure number must be 1-6");
   }
   config.graphs_per_point = args.get_size("reps", 10);
+  const bool csv = args.has("csv");
+  args.reject_unread();
   const auto points = run_experiment(config);
-  report_figure(std::cout, config, points,
-                args.has("csv") ? config.name : "");
+  report_figure(std::cout, config, points, csv ? config.name : "");
   return 0;
 }
 
-int cmd_algos() {
+int cmd_algos(const Args& args) {
+  args.reject_unread();
   ftsched::SchedulerRegistry::global().for_each(
       [](const ftsched::Scheduler& scheduler) {
         const ftsched::SchedulerCapabilities caps = scheduler.capabilities();
@@ -257,7 +259,7 @@ int main(int argc, char** argv) {
     if (command == "replay") return cmd_replay(args);
     if (command == "resilience") return cmd_resilience(args);
     if (command == "figure") return cmd_figure(args);
-    if (command == "algos") return cmd_algos();
+    if (command == "algos") return cmd_algos(args);
     return usage();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -43,7 +43,9 @@
 /// deterministic approximation whose drift is bounded by the bucket width.
 /// --exact is the escape hatch: bit-exact replays even with buckets set.
 /// Numeric/choice flags are validated strictly; malformed values abort
-/// with a clear error instead of silently falling back to defaults.
+/// with a clear error instead of silently falling back to defaults, and a
+/// flag the chosen mode never reads (a typo, or --workers without
+/// --exec subprocess) aborts naming it.
 ///
 /// --exec in-process|subprocess (default in-process) picks where campaigns
 /// run. `subprocess` fans each campaign out to --workers worker processes
@@ -51,16 +53,10 @@
 /// into contiguous blocks, failed workers are retried, and the partial
 /// results are folded back in canonical scenario order — reports are
 /// byte-identical to in-process runs by construction. --worker-cmd names
-/// the worker binary (default: this binary).
-///
-/// The subprocess coordinator folds worker records *streamingly* (PR 7):
-/// completed blocks enter a bounded reorder window and fold into the
-/// summary the moment they are next in canonical scenario order, so
-/// coordinator memory is O(--reorder-window × --block-replays) records
-/// regardless of --replays. --block-replays N sets the replays per worker
-/// block (0 = auto, ~4 blocks per worker); --reorder-window W caps the
-/// blocks past the fold frontier (0 = auto, max(2 × workers, 4)). Neither
-/// knob can change a report.
+/// the worker binary (default: this binary). The coordinator folds blocks
+/// as they arrive, in canonical order through a reorder window; blocks and
+/// window are sized from --workers and --replays, so its memory is bounded
+/// whatever --replays asks.
 ///
 /// --target-ci-width W (off by default) stops the campaign early once the
 /// Wilson 95% CI around the folded prefix's success rate is at most W
@@ -115,12 +111,10 @@ using ftsched::tools::build_campaign_spec;
 using ftsched::tools::write_observability_outputs;
 using ftsched::tools::write_table_outputs;
 
-using Args = CliArgs;
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const CliArgs args(argc, argv);
   // Explicitly requested help is a success, on stdout (the docs gate
   // probes it; see tools/check_docs.py).
   if (args.has("help")) {
@@ -137,14 +131,11 @@ int main(int argc, char** argv) {
   // which the coordinator treats as a retryable worker failure.
   if (args.has("worker")) {
     try {
-      // A worker's stderr is its failure diagnostics channel — refuse the
-      // heartbeat rather than interleave the two. Traces/metrics are fine:
-      // they land in their own files (one per worker invocation).
-      CAFT_CHECK_MSG(!args.has("progress"),
-                     "--progress conflicts with --worker (the coordinator "
-                     "owns progress reporting; worker stderr carries "
-                     "failure diagnostics)");
+      // Traces/metrics land in their own files (one per worker invocation);
+      // --progress is never read here, so reject_unread refuses it: a
+      // worker's stderr is its failure diagnostics channel.
       arm_observability(args);
+      args.reject_unread();
       ftsched::run_campaign_worker(std::cin, std::cout);
       write_observability_outputs(args);
       return 0;
@@ -188,12 +179,6 @@ int main(int argc, char** argv) {
           args.get("worker-cmd", argv[0]), args.get_size("workers", 2));
       session_options.exec.worker_threads =
           args.get_size("worker-threads", 1);
-      // Streaming-fold knobs: replays per worker block and how many blocks
-      // may sit past the fold frontier at once (coordinator memory is
-      // O(reorder-window × block-replays) records). 0 = auto for both.
-      session_options.exec.block_replays = args.get_size("block-replays", 0);
-      session_options.exec.reorder_window =
-          args.get_size("reorder-window", 0);
     }
     // One heartbeat shared across every campaign of this run, behind a
     // shared_ptr because std::function copies its callable: finish() below
@@ -212,6 +197,8 @@ int main(int argc, char** argv) {
     // shared flag surface — campaign_client builds its spec identically).
     const ftsched::CampaignSpec spec =
         build_campaign_spec(args, instance->eps());
+    const std::string csv = args.get("csv"), json = args.get("json");
+    args.reject_unread();
 
     const std::string sampler_name = spec.sampler.name(m);
     std::printf("instance: %zu tasks, %zu edges, m=%zu, eps=%zu\n",
@@ -267,7 +254,8 @@ int main(int argc, char** argv) {
     const Table table = campaign_table("fault-injection campaign — " +
                                            sampler_name,
                                        report.summary_rows());
-    if (const int rc = write_table_outputs(args, table); rc != 0) return rc;
+    if (const int rc = write_table_outputs(csv, json, table); rc != 0)
+      return rc;
 
     // Before the Proposition check so the artifacts exist even when a
     // violated run exits 1 — that is exactly the run worth inspecting.

@@ -76,6 +76,8 @@ int main(int argc, char** argv) {
     request.spec.request.eps = eps;
     request.progress = args.has("progress");
     request.instance_bytes = bytes.str();
+    const std::string csv = args.get("csv"), json = args.get("json");
+    args.reject_unread();
 
     const auto connection = ftsched::server::connect_to(address, port);
     ftsched::server::write_campaign_request(*connection, request);
@@ -114,7 +116,7 @@ int main(int argc, char** argv) {
         "fault-injection campaign — " +
             response.report.runs.front().summary.sampler,
         response.report.summary_rows());
-    return ftsched::tools::write_table_outputs(args, table);
+    return ftsched::tools::write_table_outputs(csv, json, table);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

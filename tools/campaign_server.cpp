@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
     options.max_inflight = args.get_size("max-inflight", 2);
     options.queue_limit = args.get_size("queue-limit", 8);
     options.session.threads = args.get_size("threads", 0);
+    args.reject_unread();
 
     ftsched::server::CampaignServer daemon(options);
     daemon.start();

@@ -143,22 +143,23 @@ inline void write_observability_outputs(const caft::CliArgs& args) {
   }
 }
 
-/// Prints the campaign table and writes --csv/--json artifacts, exactly as
-/// campaign_cli always has (shared so campaign_client's output is
-/// byte-identical). Returns 0, or 1 when an artifact could not be written.
-inline int write_table_outputs(const caft::CliArgs& args,
+/// Prints the campaign table and writes the --csv/--json artifacts under
+/// the prefixes `csv`/`json` (empty = none), exactly as campaign_cli always
+/// has (shared so campaign_client's output is byte-identical). Returns 0,
+/// or 1 when an artifact could not be written.
+inline int write_table_outputs(const std::string& csv, const std::string& json,
                                const caft::Table& table) {
   table.print(std::cout, 4);
-  if (args.has("csv")) {
-    const std::string path = args.get("csv") + "_campaign.csv";
+  if (!csv.empty()) {
+    const std::string path = csv + "_campaign.csv";
     if (!table.save_csv(path)) {
       std::fprintf(stderr, "error: could not write %s\n", path.c_str());
       return 1;
     }
     std::printf("CSV written to %s\n", path.c_str());
   }
-  if (args.has("json")) {
-    const std::string path = args.get("json") + "_campaign.json";
+  if (!json.empty()) {
+    const std::string path = json + "_campaign.json";
     if (!table.save_json(path)) {
       std::fprintf(stderr, "error: could not write %s\n", path.c_str());
       return 1;
