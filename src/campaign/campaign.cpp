@@ -139,6 +139,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   std::vector<ReplayEngine::Scratch> scratches(group.size());
   std::vector<CrashScenario> scenarios(group.size(), CrashScenario::none(m));
   std::atomic<std::size_t> next_draw{0};
+  std::atomic<std::size_t> next_replay{0};
 
   const auto row = [m](std::vector<double>& arena, std::size_t i) {
     return std::span<double>(arena.data() + i * m, m);
@@ -228,17 +229,22 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       replays.emplace_back(ReplayEngine::first_crash(row(drawn, i)), i);
     }
 
-    // Misses run in (earliest crash, index) order, dealt round-robin to the
-    // slots. A replay restores its own cut whatever its neighbour did; the
-    // order only spreads replay lengths (a later first crash restores a
-    // longer prefix) evenly across the slots. Records land at their draw
-    // index regardless.
+    // Misses run in (earliest crash, index) order: each slot takes the
+    // next one off a shared cursor, so a descheduled slot holds up no
+    // replay but its own. A replay restores its own cut whatever its
+    // neighbour did; the order only starts the long replays (an early
+    // first crash restores a short prefix) first. Records land at their
+    // draw index regardless.
     if (!replays.empty()) {
       std::sort(replays.begin(), replays.end());
+      next_replay.store(0, std::memory_order_relaxed);
       group.run([&](std::size_t slot) {
         ReplayEngine::Scratch& scratch = scratches[slot];
         CrashScenario& scenario = scenarios[slot];
-        for (std::size_t j = slot; j < replays.size(); j += group.size()) {
+        for (;;) {
+          const std::size_t j =
+              next_replay.fetch_add(1, std::memory_order_relaxed);
+          if (j >= replays.size()) break;
           const std::size_t i = replays[j].second;
           const std::span<double> times = row(drawn, i);
           for (std::size_t p = 0; p < m; ++p)

@@ -47,8 +47,9 @@
 /// copies the cached record. After the phase the calling thread walks the
 /// wave in draw order: a miss whose key an earlier miss of the same wave
 /// holds copies that miss's record, and the remaining misses are replayed,
-/// ordered by earliest crash time and dealt round-robin so every slot gets
-/// a like share of long and short replays, then inserted in draw order.
+/// ordered by earliest crash time (the longest replays first) and taken
+/// one at a time off a shared cursor by whichever slot is free, then
+/// inserted in draw order.
 /// Records are still folded in replay order, so neither the cache, its
 /// lookup threads nor the execution order is observable. A record is a
 /// pure function of its canonical scenario, which is what makes the copies

@@ -63,10 +63,13 @@ void ReplayEngine::build_template() {
   resource_count_ = 3 * m_ + schedule_->platform().topology().link_count();
   const bool macro = schedule_->model() == CommModelKind::kMacroDataflow;
 
-  const auto exec_res = [&](ProcId p) { return p.index(); };
-  const auto send_res = [&](ProcId p) { return m_ + p.index(); };
-  const auto recv_res = [&](ProcId p) { return 2 * m_ + p.index(); };
-  const auto link_res = [&](LinkId l) { return 3 * m_ + l.index(); };
+  const auto res_id = [](std::size_t res) {
+    return static_cast<std::uint32_t>(res);
+  };
+  const auto exec_res = [&](ProcId p) { return res_id(p.index()); };
+  const auto send_res = [&](ProcId p) { return res_id(m_ + p.index()); };
+  const auto recv_res = [&](ProcId p) { return res_id(2 * m_ + p.index()); };
+  const auto link_res = [&](LinkId l) { return res_id(3 * m_ + l.index()); };
 
   // Build in exactly the order the naive replay does, so op ids (the
   // deterministic tie-break of the event loop) coincide. Execution ops come
@@ -82,52 +85,41 @@ void ReplayEngine::build_template() {
   };
   struct Keyed {
     double key;
-    std::size_t seq;
+    std::uint32_t seq;
     std::uint32_t op;
-    std::size_t res;
+    std::uint32_t res;
   };
   // Every per-op array is sized once: the execs, then per comm a hand-off,
   // or a wire, one op per further segment and a reception.
   std::size_t ops = exec_op_begin_[g.task_count()];
   for (const CommAssignment& c : schedule_->comms())
     ops += c.intra() || macro ? 1 : c.times.segments.size() + 1;
-  for (auto* v : {&kind_, &prereq_is_start_, &counts_message_}) v->reserve(ops);
-  for (auto* v : {&res_a_, &res_b_, &prereq_}) v->reserve(ops);
-  duration_.reserve(ops);
-  owner_.reserve(ops);
+  ops_.reserve(ops + 1);
+  counts_message_.reserve(ops);
   std::vector<Keyed> keyed;
   keyed.reserve(ops + schedule_->comms().size());  // a wire keys twice
   handoff_ops_.reserve(schedule_->comms().size());
 
   const auto push_op = [&](std::uint8_t kind, double duration,
-                           std::size_t res_a, std::size_t res_b,
+                           std::uint32_t res_a, std::uint32_t res_b,
                            std::uint32_t prereq, bool prereq_start,
                            std::int32_t owner) -> std::uint32_t {
-    const auto id = static_cast<std::uint32_t>(kind_.size());
-    kind_.push_back(kind);
-    prereq_is_start_.push_back(prereq_start ? 1 : 0);
+    const auto id = static_cast<std::uint32_t>(ops_.size());
+    // Dependents and slots are filled in below, once every op exists.
+    ops_.push_back({duration, res_a, res_b, prereq, owner, 0, kNone32, 0, kind,
+                    static_cast<std::uint8_t>(prereq_start ? 1 : 0)});
     counts_message_.push_back(0);
-    duration_.push_back(duration);
-    res_a_.push_back(res_a == static_cast<std::size_t>(-1)
-                         ? kNone32
-                         : static_cast<std::uint32_t>(res_a));
-    res_b_.push_back(res_b == static_cast<std::size_t>(-1)
-                         ? kNone32
-                         : static_cast<std::uint32_t>(res_b));
-    prereq_.push_back(prereq);
-    owner_.push_back(owner);
     return id;
   };
 
-  std::size_t seq = 0;
+  std::uint32_t seq = 0;
   for (const TaskId t : g.all_tasks()) {
     const std::size_t total = schedule_->total_replicas(t);
     for (ReplicaIndex r = 0; r < total; ++r) {
       const ReplicaAssignment& a = schedule_->replica(t, r);
       const std::uint32_t id =
-          push_op(kExec, a.finish - a.start, exec_res(a.proc),
-                  static_cast<std::size_t>(-1), kNone32, false,
-                  static_cast<std::int32_t>(a.proc.index()));
+          push_op(kExec, a.finish - a.start, exec_res(a.proc), kNone32,
+                  kNone32, false, static_cast<std::int32_t>(a.proc.index()));
       keyed.push_back({a.start, seq++, id, exec_res(a.proc)});
     }
   }
@@ -141,9 +133,8 @@ void ReplayEngine::build_template() {
 
     if (c.intra() || macro) {
       const std::uint32_t id =
-          push_op(kHandoff, c.times.arrival - c.times.link_start,
-                  static_cast<std::size_t>(-1), static_cast<std::size_t>(-1),
-                  source_exec, false, -1);
+          push_op(kHandoff, c.times.arrival - c.times.link_start, kNone32,
+                  kNone32, source_exec, false, -1);
       counts_message_[id] = c.intra() ? 0 : 1;
       comm_to_op[ci] = id;
       handoff_ops_.push_back(id);
@@ -168,14 +159,14 @@ void ReplayEngine::build_template() {
         keyed.push_back({seg.start, seq, id, link_res(seg.link)});
       } else {
         id = push_op(kSegment, seg.finish - seg.start, link_res(seg.link),
-                     static_cast<std::size_t>(-1), prev, false, -1);
+                     kNone32, prev, false, -1);
         keyed.push_back({seg.start, seq++, id, link_res(seg.link)});
       }
       prev = id;
     }
     const std::uint32_t recv =
         push_op(kReception, c.times.arrival - c.times.recv_start,
-                recv_res(c.dst_proc), static_cast<std::size_t>(-1), prev,
+                recv_res(c.dst_proc), kNone32, prev,
                 /*prereq_start=*/true,
                 static_cast<std::int32_t>(c.dst_proc.index()));
     counts_message_[recv] = 1;
@@ -183,15 +174,14 @@ void ReplayEngine::build_template() {
     keyed.push_back({c.times.recv_start, seq++, recv, recv_res(c.dst_proc)});
   }
 
-  op_count_ = kind_.size();
+  op_count_ = ops_.size();
+  ops_.push_back({0.0, kNone32, kNone32, kNone32, -1, 0, kNone32, 0, kExec, 0});
 
-  // Resource queues in committed order, flattened into one CSR array: the
-  // whole hot working set of the commit loop is then four contiguous arrays
-  // (queue_ops_, state, head, free_at). The naive replay sorts all entries
-  // by (key, seq) at once; (key, seq) is unique within a resource (the two
-  // entries of a wire that share a seq sit on different resources), so
-  // bucketing by resource and sorting each queue alone yields the same
-  // queues for a fraction of the comparisons.
+  // Resource queues in committed order, flattened into one CSR array. The
+  // naive replay sorts all entries by (key, seq) at once; (key, seq) is
+  // unique within a resource (the two entries of a wire that share a seq
+  // sit on different resources), so bucketing by resource and sorting each
+  // queue alone yields the same queues for a fraction of the comparisons.
   queue_begin_.assign(resource_count_ + 1, 0);
   for (const Keyed& k : keyed) ++queue_begin_[k.res + 1];
   counts_to_offsets(queue_begin_);
@@ -216,48 +206,53 @@ void ReplayEngine::build_template() {
   // Disjunctive input slots: one per (exec op, in-edge), in exec-op order,
   // each listing the terminating ops of its comms in comm order (that of
   // Schedule::incoming_comms). Count, then fill; each op feeds one slot.
-  exec_slot_begin_.assign(op_count_ + 1, 0);
+  // Every record after the last exec begins at the end of the slots, so
+  // each exec's range ends where the next record's begins.
+  const std::uint32_t execs = exec_op_begin_.back();
+  std::uint32_t slot_count = 0;
   for (const TaskId t : g.all_tasks())
-    for (ReplicaIndex r = 0; r < schedule_->total_replicas(t); ++r)
-      exec_slot_begin_[exec_op(t.index(), r) + 1] =
-          static_cast<std::uint32_t>(g.in_edges(t).size());
-  counts_to_offsets(exec_slot_begin_);
+    for (ReplicaIndex r = 0; r < schedule_->total_replicas(t); ++r) {
+      ops_[exec_op(t.index(), r)].slot_begin = slot_count;
+      slot_count += static_cast<std::uint32_t>(g.in_edges(t).size());
+    }
+  for (std::uint32_t op = execs; op <= op_count_; ++op)
+    ops_[op].slot_begin = slot_count;
+  slot_exec_.resize(slot_count);
+  for (std::uint32_t e = 0; e < execs; ++e)
+    std::fill(slot_exec_.begin() + ops_[e].slot_begin,
+              slot_exec_.begin() + ops_[e + 1].slot_begin, e);
   const auto slot_of = [&](const CommAssignment& c) {
     const auto in = g.in_edges(c.to.task);
     const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
     CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
-    return exec_slot_begin_[exec_op(c.to.task.index(), c.to.replica)] +
+    return ops_[exec_op(c.to.task.index(), c.to.replica)].slot_begin +
            static_cast<std::uint32_t>(pos);
   };
-  slot_input_begin_.assign(exec_slot_begin_[op_count_] + 1, 0);
+  slot_input_begin_.assign(slot_count + 1, 0);
   for (const CommAssignment& c : schedule_->comms())
     ++slot_input_begin_[slot_of(c) + 1];
   counts_to_offsets(slot_input_begin_);
   slot_inputs_.resize(slot_input_begin_.back());
-  feed_slot_.assign(op_count_, kNone32);
-  feed_exec_.assign(op_count_, kNone32);
   std::vector<std::uint32_t> slot_cursor(slot_input_begin_.begin(),
                                          slot_input_begin_.end() - 1);
   for (std::size_t ci = 0; ci < schedule_->comms().size(); ++ci) {
     const CommAssignment& c = schedule_->comms()[ci];
     const std::uint32_t slot = slot_of(c);
     slot_inputs_[slot_cursor[slot]++] = comm_to_op[ci];
-    feed_slot_[comm_to_op[ci]] = slot;
-    feed_exec_[comm_to_op[ci]] = exec_op(c.to.task.index(), c.to.replica);
+    ops_[comm_to_op[ci]].feed_slot = slot;
   }
 
-  // Prerequisite dependents (reverse of prereq_), CSR.
-  dep_begin_.assign(op_count_ + 1, 0);
+  // Prerequisite dependents (reverse of prereq), CSR: count per op, sum
+  // the counts into end offsets, then fill each range from its end, last
+  // dependent first, which leaves every dep_begin at its range's begin.
   for (std::uint32_t op = 0; op < op_count_; ++op)
-    if (prereq_[op] != kNone32) ++dep_begin_[prereq_[op] + 1];
-  counts_to_offsets(dep_begin_);
-  dep_ops_.assign(dep_begin_[op_count_], 0);
-  {
-    std::vector<std::uint32_t> cursor(dep_begin_.begin(),
-                                      dep_begin_.end() - 1);
-    for (std::uint32_t op = 0; op < op_count_; ++op)
-      if (prereq_[op] != kNone32) dep_ops_[cursor[prereq_[op]]++] = op;
-  }
+    if (ops_[op].prereq != kNone32) ++ops_[ops_[op].prereq].dep_begin;
+  for (std::uint32_t op = 1; op <= op_count_; ++op)
+    ops_[op].dep_begin += ops_[op - 1].dep_begin;
+  dep_ops_.resize(ops_[op_count_].dep_begin);
+  for (std::uint32_t op = op_count_; op-- > 0;)
+    if (ops_[op].prereq != kNone32)
+      dep_ops_[--ops_[ops_[op].prereq].dep_begin] = op;
 
   // Per-processor kill lists, count then fill: the ops that die when p is
   // dead from the start, as in the naive kill_dead_processors (a list's
@@ -269,25 +264,26 @@ void ReplayEngine::build_template() {
   };
   // A wire or segment that forwards to a further segment (its one
   // dependent) also dies with the router it forwards to.
-  const auto forwards = [&](std::uint32_t op) {
-    return kind_[dep_ops_[dep_begin_[op]]] == kSegment;
+  const auto forwards = [&](const HotOp& o) {
+    return ops_[dep_ops_[o.dep_begin]].kind == kSegment;
   };
   const auto for_each_kill = [&](auto&& visit) {
     for (std::uint32_t op = 0; op < op_count_; ++op) {
-      switch (kind_[op]) {
+      const HotOp& o = ops_[op];
+      switch (o.kind) {
         case kExec:
-          visit(static_cast<std::size_t>(owner_[op]), op);
+          visit(static_cast<std::size_t>(o.owner), op);
           break;
         case kWire:
-          visit(res_a_[op] - m_, op);  // dies with its sender port
-          if (forwards(op)) visit(link_of(res_b_[op]).to.index(), op);
+          visit(o.res_a - m_, op);  // dies with its sender port
+          if (forwards(o)) visit(link_of(o.res_b).to.index(), op);
           break;
         case kSegment:
-          visit(link_of(res_a_[op]).from.index(), op);
-          if (forwards(op)) visit(link_of(res_a_[op]).to.index(), op);
+          visit(link_of(o.res_a).from.index(), op);
+          if (forwards(o)) visit(link_of(o.res_a).to.index(), op);
           break;
         case kReception:
-          visit(res_a_[op] - 2 * m_, op);
+          visit(o.res_a - 2 * m_, op);
           break;
         default:
           break;  // hand-offs die only via propagation
@@ -314,9 +310,9 @@ void ReplayEngine::build_template() {
     bool redundant = res >= 3 * m_;
     for (std::uint32_t i = queue_begin_[res];
          redundant && i < queue_begin_[res + 1]; ++i) {
-      const std::uint32_t op = queue_ops_[i];
-      redundant = kind_[op] == kWire && res_b_[op] == res &&
-                  res_a_[op] == res_a_[queue_ops_[queue_begin_[res]]];
+      const HotOp& o = ops_[queue_ops_[i]];
+      redundant = o.kind == kWire && o.res_b == res &&
+                  o.res_a == ops_[queue_ops_[queue_begin_[res]]].res_a;
     }
     if (!redundant) renumber[res] = kept++;
   }
@@ -333,25 +329,34 @@ void ReplayEngine::build_template() {
   queue_begin_[kept] = out;
   queue_begin_.resize(kept + 1);
   queue_ops_.resize(out);
-  for (std::uint32_t op = 0; op < op_count_; ++op) {
+  for (HotOp& o : ops_) {
     // A segment's link carries that segment, so it is never dropped; a
     // wire's link may be, and the wire then holds its send port alone.
-    if (res_a_[op] != kNone32) res_a_[op] = renumber[res_a_[op]];
-    if (res_b_[op] != kNone32) res_b_[op] = renumber[res_b_[op]];
+    if (o.res_a != kNone32) o.res_a = renumber[o.res_a];
+    if (o.res_b != kNone32) o.res_b = renumber[o.res_b];
   }
   resource_count_ = kept;
 }
 
 void ReplayEngine::reset_pristine(Scratch& s) const {
   s.state.assign(op_count_, kPending);
-  // start/finish need no clearing: they are only ever read for ops in the
-  // kDone state, which always receive fresh values at their commit.
-  s.start.resize(op_count_);
-  s.finish.resize(op_count_);
-  s.head.assign(resource_count_, 0);
+  // Times need no clearing: they are only ever read for ops in the kDone
+  // state, which always receive fresh values at their commit.
+  s.times.resize(op_count_);
+  s.cursor.assign(queue_begin_.begin(), queue_begin_.end() - 1);
+  s.head_op.resize(resource_count_);
+  for (std::uint32_t res = 0; res < resource_count_; ++res)
+    s.head_op[res] = queue_begin_[res] < queue_begin_[res + 1]
+                         ? queue_ops_[queue_begin_[res]]
+                         : kNone32;
   s.free_at.assign(resource_count_, 0.0);
   s.ready_handoffs.clear();  // no source exec has committed yet
-  s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
+  const std::size_t slots = slot_exec_.size();
+  s.arrival.assign(slots, kInf);
+  s.waiting.resize(exec_op_begin_.back());
+  for (std::uint32_t e = 0; e < s.waiting.size(); ++e)
+    s.waiting[e] = ops_[e + 1].slot_begin - ops_[e].slot_begin;
+  s.dead_inputs.assign(slots, 0);
   s.worklist.clear();
   s.tree.resize(2 * resource_count_);
   s.dirty_flag.assign(resource_count_, 0);
@@ -367,18 +372,29 @@ void ReplayEngine::restore_cut(Scratch& s, std::size_t commits) const {
   reset_pristine(s);
   for (std::uint32_t op = 0; op < op_count_; ++op)
     s.state[op] = commit_at_[op] < commits ? kDone : kPending;
-  std::copy(ff_start_.begin(), ff_start_.end(), s.start.begin());
-  std::copy(ff_finish_.begin(), ff_finish_.end(), s.finish.begin());
+  std::copy(ff_times_.begin(), ff_times_.end(), s.times.begin());
+  // Every done input counts as its commit counted it; the min over a
+  // slot's inputs does not depend on the order they are met in.
+  for (std::uint32_t slot = 0; slot < slot_exec_.size(); ++slot)
+    for (std::uint32_t i = slot_input_begin_[slot];
+         i < slot_input_begin_[slot + 1]; ++i)
+      if (s.state[slot_inputs_[i]] == kDone)
+        (void)arrive(s, slot, ff_times_[slot_inputs_[i]].finish);
   // Hand-offs hold no resource: no queue head rediscovers them. Each waits
   // on the ready heap, keyed as its source's commit pushed it.
-  for (const std::uint32_t op : handoff_ops_)
-    if (s.state[op] == kPending && s.state[prereq_[op]] == kDone)
-      s.ready_handoffs.push_back({ff_finish_[prereq_[op]], op});
+  for (const std::uint32_t op : handoff_ops_) {
+    const std::uint32_t source = ops_[op].prereq;
+    if (s.state[op] == kPending && s.state[source] == kDone)
+      s.ready_handoffs.push_back({ff_times_[source].finish, op});
+  }
   std::make_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(),
                  Candidate::after);
   for (std::uint32_t res = 0; res < resource_count_; ++res) {
-    s.head[res] = done_in_queue(res, commits);
-    s.free_at[res] = queue_clock_[queue_begin_[res] + res + s.head[res]];
+    const std::uint32_t cursor = queue_begin_[res] + done_in_queue(res, commits);
+    s.cursor[res] = cursor;
+    s.head_op[res] =
+        cursor < queue_begin_[res + 1] ? queue_ops_[cursor] : kNone32;
+    s.free_at[res] = queue_clock_[cursor + res];
   }
 }
 
@@ -422,6 +438,17 @@ std::size_t ReplayEngine::pick_cut(std::span<const double> crash) const {
   return cut;
 }
 
+bool ReplayEngine::arrive(Scratch& s, std::uint32_t slot,
+                          double finish) const {
+  // The naive scan's `first = min(first, finish)` over done inputs, kept
+  // as it goes; a slot waits while its arrival is +inf.
+  double& arrival = s.arrival[slot];
+  if (!(finish < arrival)) return false;
+  if (arrival == kInf) --s.waiting[slot_exec_[slot]];
+  arrival = finish;
+  return true;
+}
+
 void ReplayEngine::kill(Scratch& s, std::uint32_t op) const {
   s.state[op] = kDead;
   s.worklist.push_back(op);
@@ -441,10 +468,10 @@ void ReplayEngine::propagate(Scratch& s) const {
   // a wire whose other resource's leaf holds the same current (ready, op)
   // (commit_next relies on this when a wire newly heads its send port), so
   // the root is the true winner either way. A resource's candidate reads
-  // its head op h: h's state, at_heads(h), h's prerequisite and input
-  // states and times, and the clocks of h's resources. A death wave (the
-  // θ-killed op, its processor's clocks set to +inf, everything that dies
-  // below) changes these only
+  // its head op h: h's state, at_heads(h), h's prerequisite state and
+  // times, h's slot counts and arrivals when h is an exec, and the clocks
+  // of h's resources. A death wave (the θ-killed op, its processor's
+  // clocks set to +inf, everything that dies below) changes these only
   //  * on the resources of a killed op: its state, and the head cursors
   //    (only killed ops' resources are advanced);
   //  * on the dead processor's three resources: their clocks (commit_next
@@ -452,38 +479,39 @@ void ReplayEngine::propagate(Scratch& s) const {
   //  * on the other resource of the final head h of any resource above:
   //    at_heads(h) reads that resource's head, and h's ready time its
   //    clock.
-  // Nothing else moves: a killed op was pending, so no slot's earliest
-  // done input changes unless the whole slot dies and kills its exec; a
-  // dead prerequisite kills its pending dependent; no done op's times
-  // change; and a hand-off dies only through its source exec, before it
-  // was ever runnable, so the ready heap stays exact. Every leaf whose
-  // value may change is therefore recomputed, and a (kInf, none) leaf left
-  // alone keeps a correct partner: had the partner changed, it would have
-  // been recomputed too.
+  // Nothing else moves: a killed op was pending, so no slot's arrival or
+  // waiting count changes (the whole slot dying kills its exec); a dead
+  // prerequisite kills its pending dependent; no done op's times change;
+  // and a hand-off dies only through its source exec, before it was ever
+  // runnable, so the ready heap stays exact. Every leaf whose value may
+  // change is therefore recomputed, and a (kInf, none) leaf left alone
+  // keeps a correct partner: had the partner changed, it would have been
+  // recomputed too.
   while (!s.worklist.empty()) {
     const std::uint32_t op = s.worklist.back();
     s.worklist.pop_back();
-    for (std::uint32_t i = dep_begin_[op]; i < dep_begin_[op + 1]; ++i) {
+    const HotOp& o = ops_[op];
+    for (std::uint32_t i = o.dep_begin; i < ops_[op + 1].dep_begin; ++i) {
       const std::uint32_t d = dep_ops_[i];
       if (s.state[d] == kPending) kill(s, d);
     }
-    if (feed_slot_[op] != kNone32) {
-      const std::uint32_t slot = feed_slot_[op];
+    if (o.feed_slot != kNone32) {
+      const std::uint32_t slot = o.feed_slot;
       const std::uint32_t total =
           slot_input_begin_[slot + 1] - slot_input_begin_[slot];
       if (++s.dead_inputs[slot] == total) {
-        const std::uint32_t e = feed_exec_[op];
+        const std::uint32_t e = slot_exec_[slot];
         if (s.state[e] == kPending) kill(s, e);
       }
     }
     // A settled op at a queue head unblocks whatever sits behind it.
-    if (res_a_[op] != kNone32) {
-      advance_resource(s, res_a_[op]);
-      mark_dirty(s, res_a_[op]);
+    if (o.res_a != kNone32) {
+      advance_resource(s, o.res_a);
+      mark_dirty(s, o.res_a);
     }
-    if (res_b_[op] != kNone32) {
-      advance_resource(s, res_b_[op]);
-      mark_dirty(s, res_b_[op]);
+    if (o.res_b != kNone32) {
+      advance_resource(s, o.res_b);
+      mark_dirty(s, o.res_b);
     }
   }
   // The third rule. Partners added here need no pass of their own: neither
@@ -491,59 +519,50 @@ void ReplayEngine::propagate(Scratch& s) const {
   const std::size_t touched = s.dirty_resources.size();
   for (std::size_t i = 0; i < touched; ++i) {
     const std::uint32_t res = s.dirty_resources[i];
-    const std::uint32_t idx = queue_begin_[res] + s.head[res];
-    if (idx >= queue_begin_[res + 1]) continue;
-    const std::uint32_t h = queue_ops_[idx];
-    const std::uint32_t other = res_a_[h] == res ? res_b_[h] : res_a_[h];
+    const std::uint32_t h = s.head_op[res];
+    if (h == kNone32) continue;
+    const HotOp& o = ops_[h];
+    const std::uint32_t other = o.res_a == res ? o.res_b : o.res_a;
     if (other != kNone32) mark_dirty(s, other);
   }
 }
 
 void ReplayEngine::advance_resource(Scratch& s, std::uint32_t res) const {
-  const std::uint32_t qb = queue_begin_[res];
-  const std::uint32_t qe = queue_begin_[res + 1];
-  std::uint32_t h = s.head[res];
-  while (qb + h < qe && s.state[queue_ops_[qb + h]] != kPending) ++h;
-  s.head[res] = h;
+  const std::uint32_t end = queue_begin_[res + 1];
+  std::uint32_t at = s.cursor[res];
+  while (at < end && s.state[queue_ops_[at]] != kPending) ++at;
+  s.cursor[res] = at;
+  s.head_op[res] = at < end ? queue_ops_[at] : kNone32;
 }
 
 bool ReplayEngine::heads(const Scratch& s, std::uint32_t res,
                          std::uint32_t op) const {
-  const std::uint32_t idx = queue_begin_[res] + s.head[res];
-  return idx < queue_begin_[res + 1] && queue_ops_[idx] == op;
+  return s.head_op[res] == op;
 }
 
 bool ReplayEngine::at_heads(const Scratch& s, std::uint32_t op) const {
-  const std::uint32_t a = res_a_[op];
-  if (a != kNone32 && !heads(s, a, op)) return false;
-  const std::uint32_t b = res_b_[op];
-  return b == kNone32 || heads(s, b, op);
+  const HotOp& o = ops_[op];
+  if (o.res_a != kNone32 && !heads(s, o.res_a, op)) return false;
+  return o.res_b == kNone32 || heads(s, o.res_b, op);
 }
 
 bool ReplayEngine::runnable(const Scratch& s, std::uint32_t op,
                             double& ready) const {
+  const HotOp& o = ops_[op];
   ready = 0.0;
-  const std::uint32_t pre = prereq_[op];
-  if (pre != kNone32) {
-    if (s.state[pre] != kDone) return false;
-    ready = prereq_is_start_[op] ? s.start[pre] : s.finish[pre];
+  if (o.prereq != kNone32) {
+    if (s.state[o.prereq] != kDone) return false;
+    ready = o.prereq_is_start ? s.times[o.prereq].start
+                              : s.times[o.prereq].finish;
   }
-  if (kind_[op] == kExec) {
-    for (std::uint32_t slot = exec_slot_begin_[op];
-         slot < exec_slot_begin_[op + 1]; ++slot) {
-      double first = kInf;
-      for (std::uint32_t i = slot_input_begin_[slot];
-           i < slot_input_begin_[slot + 1]; ++i) {
-        const std::uint32_t in_op = slot_inputs_[i];
-        if (s.state[in_op] == kDone)
-          first = std::min(first, s.finish[in_op]);
-      }
-      if (first == kInf) return false;  // no live input yet for this edge
-      ready = std::max(ready, first);
-    }
+  if (o.kind == kExec) {
+    if (s.waiting[op] != 0) return false;  // an edge has no live input yet
+    for (std::uint32_t slot = o.slot_begin; slot < ops_[op + 1].slot_begin;
+         ++slot)
+      ready = std::max(ready, s.arrival[slot]);
   }
-  if (res_a_[op] != kNone32) ready = std::max(ready, s.free_at[res_a_[op]]);
-  if (res_b_[op] != kNone32) ready = std::max(ready, s.free_at[res_b_[op]]);
+  if (o.res_a != kNone32) ready = std::max(ready, s.free_at[o.res_a]);
+  if (o.res_b != kNone32) ready = std::max(ready, s.free_at[o.res_b]);
   return true;
 }
 
@@ -552,13 +571,11 @@ ReplayEngine::Candidate ReplayEngine::head_candidate(const Scratch& s,
   // Exactly what the naive per-commit consider() computes for this
   // resource's queue head; (kInf, kNone32) can never win a selection.
   Candidate candidate{kInf, kNone32};
-  const std::uint32_t idx = queue_begin_[res] + s.head[res];
-  if (idx < queue_begin_[res + 1]) {
-    const std::uint32_t op = queue_ops_[idx];
-    double ready = 0.0;
-    if (s.state[op] == kPending && at_heads(s, op) && runnable(s, op, ready))
-      candidate = {ready, op};
-  }
+  const std::uint32_t op = s.head_op[res];
+  double ready = 0.0;
+  if (op != kNone32 && s.state[op] == kPending && at_heads(s, op) &&
+      runnable(s, op, ready))
+    candidate = {ready, op};
   return candidate;
 }
 
@@ -571,9 +588,8 @@ void ReplayEngine::update_leaf(Scratch& s, std::uint32_t res) const {
   // Replay the matches on the path to the root; a node whose winner comes
   // out unchanged leaves every node above it unchanged too.
   for (node /= 2; node != 0; node /= 2) {
-    const Candidate& left = s.tree[2 * node];
-    const Candidate& right = s.tree[2 * node + 1];
-    const Candidate winner = right.before(left) ? right : left;
+    const Candidate* pair = &s.tree[2 * node];
+    const Candidate winner = pair[pair[1].before(pair[0]) ? 1 : 0];
     if (winner == s.tree[node]) return;
     s.tree[node] = winner;
   }
@@ -667,14 +683,14 @@ bool ReplayEngine::commit_next(Scratch& s, std::span<const double> crash,
   }
 
   ++s.commit_count;
-  s.start[best] = best_start;
-  const double finish = best_start + duration_[best];
-  s.finish[best] = finish;
+  const HotOp& o = ops_[best];
+  const double finish = best_start + o.duration;
+  s.times[best] = {best_start, finish};
   if (committed != nullptr) *committed = best;
 
   // Crash-at-θ: work in flight when the owner dies is lost, and the owner's
   // resources are gone for good.
-  const std::int32_t owner = owner_[best];
+  const std::int32_t owner = o.owner;
   if (owner >= 0 && finish > crash[static_cast<std::size_t>(owner)]) {
     kill(s, best);
     s.died = true;
@@ -692,45 +708,45 @@ bool ReplayEngine::commit_next(Scratch& s, std::span<const double> crash,
   }
 
   s.state[best] = kDone;
-  if (res_a_[best] != kNone32) {
-    s.free_at[res_a_[best]] = std::max(s.free_at[res_a_[best]], finish);
-    advance_resource(s, res_a_[best]);
-    mark_dirty(s, res_a_[best]);
-  }
-  if (res_b_[best] != kNone32) {
-    s.free_at[res_b_[best]] = std::max(s.free_at[res_b_[best]], finish);
-    advance_resource(s, res_b_[best]);
-    mark_dirty(s, res_b_[best]);
+  for (const std::uint32_t res : {o.res_a, o.res_b}) {
+    if (res == kNone32) continue;
+    s.free_at[res] = std::max(s.free_at[res], finish);
+    advance_resource(s, res);
+    mark_dirty(s, res);
   }
   // Targeted invalidation — the commit can only change the candidacy of:
   // ops behind it on its own resources (heads and clocks moved, covered
   // above); its prerequisite dependents (now satisfiable); and the exec one
-  // of whose input slots it feeds (that slot's earliest live arrival may
-  // have dropped). A leaf reads only its queue head, so a dependent or fed
-  // exec marks a resource only where it heads the queue; one further back
-  // is read when the ops ahead of it settle, and those mark the resource.
+  // of whose input slots it feeds, and that only when the slot's arrival
+  // dropped and no slot of the exec is left waiting (else the exec's
+  // runnable() answer and ready time stand). A leaf reads only its queue
+  // head, so a dependent or fed exec marks a resource only where it heads
+  // the queue; one further back is read when the ops ahead of it settle,
+  // and those mark the resource.
   // A wire that now heads best's queue may head its other queue too; that
   // leaf keeps (kInf, none), which is harmless because the refreshed leaf
   // of best's resource carries the same (ready, op) (see the invariant in
   // propagate). A hand-off dependent holds no resource and its only
   // prerequisite is this op, so from now on it is runnable at ready time
   // `finish`, for good: it goes on the ready heap.
-  for (std::uint32_t i = dep_begin_[best]; i < dep_begin_[best + 1]; ++i) {
+  for (std::uint32_t i = o.dep_begin; i < ops_[best + 1].dep_begin; ++i) {
     const std::uint32_t d = dep_ops_[i];
-    if (kind_[d] == kHandoff) {
+    const HotOp& dep = ops_[d];
+    if (dep.kind == kHandoff) {
       s.ready_handoffs.push_back({finish, d});
       std::push_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(),
                      Candidate::after);
       continue;
     }
-    if (res_a_[d] != kNone32 && heads(s, res_a_[d], d))
-      mark_dirty(s, res_a_[d]);
-    if (res_b_[d] != kNone32 && heads(s, res_b_[d], d))
-      mark_dirty(s, res_b_[d]);
+    if (dep.res_a != kNone32 && heads(s, dep.res_a, d))
+      mark_dirty(s, dep.res_a);
+    if (dep.res_b != kNone32 && heads(s, dep.res_b, d))
+      mark_dirty(s, dep.res_b);
   }
-  if (feed_slot_[best] != kNone32) {
-    const std::uint32_t e = feed_exec_[best];
-    if (heads(s, res_a_[e], e)) mark_dirty(s, res_a_[e]);
+  if (o.feed_slot != kNone32 && arrive(s, o.feed_slot, finish)) {
+    const std::uint32_t e = slot_exec_[o.feed_slot];
+    const std::uint32_t res = ops_[e].res_a;
+    if (s.waiting[e] == 0 && heads(s, res, e)) mark_dirty(s, res);
   }
   return true;
 }
@@ -758,8 +774,8 @@ void ReplayEngine::collect(Scratch& s) const {
       const std::uint32_t op = begin + static_cast<std::uint32_t>(r);
       if (s.state[op] == kDone) {
         completed[r] = true;
-        finish[r] = s.finish[op];
-        first = std::min(first, s.finish[op]);
+        finish[r] = s.times[op].finish;
+        first = std::min(first, s.times[op].finish);
       }
     }
     if (first == kInf) {
@@ -788,8 +804,7 @@ void ReplayEngine::record_fault_free() {
   CAFT_CHECK_MSG(!s.order_deadlock,
                  "fault-free replay of a complete schedule deadlocked");
   if (commit_count_ == 0) return;
-  ff_start_ = std::move(s.start);
-  ff_finish_ = std::move(s.finish);
+  ff_times_ = std::move(s.times);
 
   // No order relaxation runs fault-free, so commits rise along every queue
   // and the done ops at any cut are a prefix of each queue (done_in_queue),
@@ -800,7 +815,7 @@ void ReplayEngine::record_fault_free() {
       CAFT_CHECK(i == queue_begin_[res] ||
                  commit_at_[queue_ops_[i - 1]] < commit_at_[queue_ops_[i]]);
       queue_clock_[i + res + 1] =
-          std::max(queue_clock_[i + res], ff_finish_[queue_ops_[i]]);
+          std::max(queue_clock_[i + res], ff_times_[queue_ops_[i]].finish);
     }
 }
 

@@ -57,14 +57,29 @@
 /// Event selection: every commit takes the earliest-ready runnable op, the
 /// lowest op id breaking ties — the naive replay's rule. The Scratch caches
 /// one candidate per resource (the (ready, op) of its runnable queue head)
-/// in the leaves of a tournament tree whose root is the resource winner.
-/// A commit or a θ-death wave recomputes only the resources it can affect,
-/// each walking toward the root until a node comes out unchanged; a
-/// commit's prerequisite dependents and fed exec count only where they
-/// head their queue, since a leaf reads nothing but its queue head.
-/// Resource-free hand-offs wait in a min-heap under the same order, pushed
-/// when their source exec commits. A commit thus costs O(changed resources
-/// × log R) instead of a scan over every resource and pending hand-off.
+/// in the leaves of a tournament tree whose root is the resource winner,
+/// and each resource's head op beside its cursor, so a leaf reads its head
+/// without a hop through the queue. A commit or a θ-death wave recomputes
+/// only the resources it can affect, each walking toward the root until a
+/// node comes out unchanged; a commit's prerequisite dependents count only
+/// where they head their queue, since a leaf reads nothing but its queue
+/// head. Resource-free hand-offs wait in a min-heap under the same order,
+/// pushed when their source exec commits. A commit thus costs O(changed
+/// resources × log R) instead of a scan over every resource and pending
+/// hand-off.
+///
+/// Exec readiness is counted, not scanned. Per input slot the Scratch
+/// keeps the earliest finish among the slot's done inputs (its arrival,
+/// +inf while none is done), and per exec the number of its slots still
+/// waiting at +inf. Both change only when an input commits (or when a
+/// replay restores a cut), so an exec is runnable iff its count is zero,
+/// and its ready time is the max over its slots' cached arrivals — the
+/// same min/max the naive per-slot scan computes, bit for bit. A commit
+/// marks the exec it feeds only when that slot's arrival dropped and no
+/// slot is left waiting; otherwise the exec's candidate cannot have moved.
+/// The loop reads one packed 40-byte record per op (duration, resources,
+/// prerequisite, dependents, slots, owner, kind) instead of a dozen
+/// parallel arrays, and a done op's start and finish sit side by side.
 ///
 /// The leaves are the 3m processor resources (exec, send port, receive
 /// port) and only those links that carry a forwarded segment (on a ring
@@ -150,9 +165,11 @@ class ReplayEngine {
     double ready;
     std::uint32_t op;
     /// The event order: earlier ready time first, lower op id on ties.
-    /// Ready times are never NaN, so this is a total order.
+    /// Ready times are never NaN, so this is a total order. Both sides are
+    /// always evaluated, so a tournament match compiles without a branch on
+    /// the data.
     [[nodiscard]] bool before(const Candidate& other) const {
-      return ready < other.ready || (ready == other.ready && op < other.op);
+      return (ready < other.ready) | ((ready == other.ready) & (op < other.op));
     }
     /// Heap comparator that puts the earliest event on top.
     [[nodiscard]] static bool after(const Candidate& a, const Candidate& b) {
@@ -162,6 +179,34 @@ class ReplayEngine {
       return ready == other.ready && op == other.op;
     }
   };
+
+  /// A committed op's times.
+  struct Times {
+    double start;
+    double finish;
+  };
+
+  /// Everything the commit loop reads of one op, packed into one record
+  /// (header, "Event selection"). kNone (0xffffffff) marks an absent
+  /// resource, prerequisite or slot. The two ranges are CSR-style: each
+  /// ends where the next record's begins (ops_ ends with a sentinel).
+  struct HotOp {
+    double duration;
+    std::uint32_t res_a;
+    std::uint32_t res_b;
+    std::uint32_t prereq;
+    std::int32_t owner;  ///< proc whose crash kills the op, or -1
+    /// Prerequisite dependents: dep_ops_[dep_begin .. next dep_begin).
+    std::uint32_t dep_begin;
+    /// The disjunctive input slot this op terminates a comm into.
+    std::uint32_t feed_slot;
+    /// An exec's own input slots [slot_begin, next slot_begin); every
+    /// other op's range is empty.
+    std::uint32_t slot_begin;
+    std::uint8_t kind;
+    std::uint8_t prereq_is_start;
+  };
+  static_assert(sizeof(HotOp) == 40, "one packed record per op");
 
  public:
   /// Builds the template and, unless `options.max_snapshots` is 0 (template
@@ -195,10 +240,18 @@ class ReplayEngine {
    private:
     friend class ReplayEngine;
     std::vector<std::uint8_t> state;
-    std::vector<double> start;
-    std::vector<double> finish;
-    std::vector<std::uint32_t> head;
+    /// Per op; only read for ops in the done state.
+    std::vector<Times> times;
+    /// Per resource: the position of its head in the flat queue array, and
+    /// the head op itself (kNone once the queue is exhausted).
+    std::vector<std::uint32_t> cursor;
+    std::vector<std::uint32_t> head_op;
     std::vector<double> free_at;
+    /// Per input slot: the earliest finish among its done inputs, +inf
+    /// while none is done.
+    std::vector<double> arrival;
+    /// Per exec op: how many of its slots still have no done input.
+    std::vector<std::uint32_t> waiting;
     std::vector<std::uint32_t> dead_inputs;
     std::vector<std::uint32_t> worklist;
     /// Tournament tree over the per-resource candidate cache, heap layout:
@@ -288,6 +341,9 @@ class ReplayEngine {
   [[nodiscard]] std::uint32_t done_in_queue(std::size_t res,
                                             std::size_t commits) const;
 
+  /// Counts a done input of `slot` finishing at `finish` (header, "Event
+  /// selection"); true iff the slot's arrival dropped.
+  bool arrive(Scratch& s, std::uint32_t slot, double finish) const;
   void kill(Scratch& s, std::uint32_t op) const;
   /// Worklist closure over the killed ops: the one dead-set closure, for
   /// dead-from-start processors and θ-deaths alike.
@@ -323,19 +379,13 @@ class ReplayEngine {
   std::size_t op_count_ = 0;
   std::size_t resource_count_ = 0;
 
-  // --- immutable per-op template (struct-of-arrays; see build_template).
-  std::vector<std::uint8_t> kind_;
-  std::vector<std::uint8_t> prereq_is_start_;
-  std::vector<std::uint8_t> counts_message_;
-  std::vector<double> duration_;
-  std::vector<std::uint32_t> res_a_;
-  std::vector<std::uint32_t> res_b_;
-  std::vector<std::uint32_t> prereq_;
-  std::vector<std::int32_t> owner_;  ///< proc whose crash kills the op, or -1
+  // --- immutable per-op template (see build_template).
+  std::vector<HotOp> ops_;  ///< size op_count_+1: the last is a sentinel
+  std::vector<std::uint8_t> counts_message_;  ///< read by collect only
 
   /// Committed per-resource queues (same order as the naive replay),
   /// flattened CSR-style: queue_ops_[queue_begin_[r] .. queue_begin_[r+1]).
-  /// Scratch head cursors stay relative to each resource's own queue.
+  /// Scratch cursors index this flat array.
   std::vector<std::uint32_t> queue_begin_;  ///< size resource_count_+1
   std::vector<std::uint32_t> queue_ops_;
 
@@ -343,17 +393,15 @@ class ReplayEngine {
   /// task t is op exec_op_begin_[t] + r.
   std::vector<std::uint32_t> exec_op_begin_;  ///< size task_count+1
 
-  // Disjunctive exec inputs, flattened: exec op -> [slot_begin, slot_end)
-  // global in-edge slots; slot -> terminating op ids feeding it.
-  std::vector<std::uint32_t> exec_slot_begin_;   ///< size op_count_+1
+  // Disjunctive exec inputs, flattened: exec op -> its HotOp slot range of
+  // global in-edge slots; slot -> terminating op ids feeding it, and the
+  // exec it feeds.
   std::vector<std::uint32_t> slot_input_begin_;  ///< size slot_count+1
   std::vector<std::uint32_t> slot_inputs_;
+  std::vector<std::uint32_t> slot_exec_;
 
-  // Reverse maps for worklist dead-propagation.
-  std::vector<std::uint32_t> dep_begin_;  ///< prereq dependents CSR
+  /// Prerequisite dependents, indexed by each HotOp's dep range.
   std::vector<std::uint32_t> dep_ops_;
-  std::vector<std::uint32_t> feed_slot_;  ///< slot the op terminates into
-  std::vector<std::uint32_t> feed_exec_;  ///< exec op of that slot
 
   /// kill_ops_[kill_begin_[p]..kill_begin_[p+1]): ops dead when processor p
   /// is dead from the start (mirrors the naive kill_dead_processors rules);
@@ -365,8 +413,7 @@ class ReplayEngine {
   // --- fault-free timeline (empty for a template-only engine).
   std::size_t commit_count_ = 0;
   std::vector<std::uint32_t> commit_at_;  ///< op -> fault-free commit index
-  std::vector<double> ff_start_;
-  std::vector<double> ff_finish_;
+  std::vector<Times> ff_times_;
   /// queue_clock_[queue_begin_[r] + r + d]: resource r's clock once its
   /// first d queue ops are done (the largest of their fault-free finishes).
   std::vector<double> queue_clock_;

@@ -563,6 +563,51 @@ TEST(ReplayEquivalence, RepeatsThroughOneScratchStayIdentical) {
   }
 }
 
+TEST(ReplayEquivalence, MixedEntryPathsThroughOneScratch) {
+  // A replay enters the commit loop from a restored fault-free cut (θ
+  // draws, the fault-free draw) or from the pristine state closed over its
+  // dead processors; each entry initialises the per-slot arrivals and
+  // per-exec waiting counts on its own. One Scratch alternating between
+  // two engines of different sizes and between every entry must match
+  // simulate_crashes on every draw: nothing of one replay leaks into the
+  // next. The star schedule's draws take the order-relaxation fallback.
+  const Scenario s = test::random_setup(33, 8, 1.0);
+  const Schedule schedule = schedule_with("caft", s, 2, CommModelKind::kOnePort);
+  const ReplayEngine engine(schedule, *s.costs);
+  const StarRelaxationCase star;
+  const ReplayEngine star_engine(star.schedule, star.costs);
+  // P1 lost after B^1 finishes (t = 10) but before its wire to C^1 does:
+  // the replay restores the commits before that wire, then relaxes.
+  CrashScenario star_theta = CrashScenario::none(5);
+  star_theta.set_crash_time(ProcId(1), 10.5);
+  const CrashScenario star_dead = CrashScenario::at_zero(5, {ProcId(1)});
+  const CrashWindowSampler theta(8, 3, schedule.horizon() / 4.0,
+                                 schedule.horizon() / 2.0);
+  const UniformKSampler dead(8, 3);
+  ReplayEngine::Scratch scratch;
+  Rng rng(331);
+  std::size_t relaxed = 0;
+  for (int round = 0; round < 4; ++round) {
+    const std::string tag = "round " + std::to_string(round);
+    check_triple(schedule, *s.costs, engine, scratch, theta.sample(rng),
+                 tag + " theta");
+    for (const CrashScenario& scenario : {star_theta, star_dead}) {
+      const CrashResult naive =
+          simulate_crashes(star.schedule, star.costs, scenario);
+      expect_identical(naive, star_engine.replay(scenario, scratch),
+                       tag + " star");
+      relaxed += naive.order_relaxations > 0 ? 1 : 0;
+    }
+    check_triple(schedule, *s.costs, engine, scratch, dead.sample(rng),
+                 tag + " dead from start");
+    check_triple(schedule, *s.costs, engine, scratch, CrashScenario::none(8),
+                 tag + " fault-free");
+    check_triple(star.schedule, star.costs, star_engine, scratch,
+                 CrashScenario::none(5), tag + " star fault-free");
+  }
+  EXPECT_EQ(relaxed, 8u) << "every star draw must relax the order";
+}
+
 // ------------------------------------------------ campaign-level identity
 
 TEST(ReplayEquivalence, CampaignSummariesMatchOracle) {
