@@ -10,7 +10,8 @@
 # algorithm × topology {clique, ring, star} × model {oneport, macro}, the
 # SHA-256 of the saved `--out` file (round-trip-exact times) must match
 # tests/golden/caft_cli_schedule_digests.txt. The ring legs cross
-# multi-hop routes, the star legs two-hop routes through the hub.
+# multi-hop routes, the star legs two-hop routes through the hub. The last
+# legs require `replay --crash` and `figure` to reject malformed numbers.
 # Regenerate with tools/regen_caft_cli_golden.sh after an intentional
 # change.
 if(NOT CLI OR NOT GOLDEN_DIR OR NOT WORK_DIR)
@@ -119,5 +120,27 @@ if(NOT digest_rc EQUAL 0)
     "If the change is intentional, regenerate with "
     "tools/regen_caft_cli_golden.sh <build-dir> and commit the result.")
 endif()
+
+# Malformed numbers fail naming what is wrong: a typo'd processor id must
+# not replay another crash set, nor a typo'd figure number another figure.
+function(expect_cli_error expected)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    ERROR_VARIABLE cli_err
+    OUTPUT_QUIET
+    RESULT_VARIABLE cli_rc
+    WORKING_DIRECTORY ${WORK_DIR})
+  if(cli_rc EQUAL 0 OR NOT cli_err MATCHES "${expected}")
+    message(FATAL_ERROR "caft_cli ${ARGN} exited with ${cli_rc} and "
+      "printed '${cli_err}'; expected a failure matching '${expected}'")
+  endif()
+endfunction()
+expect_cli_error("invalid count for --crash: '1x'"
+                 replay --in scheduled.txt --crash 1x)
+expect_cli_error("--crash: processor 1 named twice"
+                 replay --in scheduled.txt --crash 1,1)
+expect_cli_error("invalid count for --crash: 'abc'"
+                 replay --in scheduled.txt --crash abc)
+expect_cli_error("figure number must be 1-6: '3x'" figure 3x)
 
 message(STATUS "caft_cli schedule golden outputs and digests match for: ${ALGOS}")

@@ -21,17 +21,18 @@ std::string format_double(double value) {
   return buffer;
 }
 
-double parse_double(const std::string& token, const char* what) {
-  const char* text = token.c_str();
+double parse_double(std::string_view token, const char* what) {
+  // The whitespace or NUL after the token stops strtod at the token's end
+  // at the latest; an embedded NUL stops it short.
   char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  CAFT_CHECK_MSG(end != text && *end == '\0',
+  const double value = std::strtod(token.data(), &end);
+  CAFT_CHECK_MSG(!token.empty() && end == token.data() + token.size(),
                  std::string("campaign wire: malformed ") + what + " '" +
-                     token + "'");
+                     std::string(token) + "'");
   return value;
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
+std::uint64_t parse_u64(std::string_view token, const char* what) {
   bool ok = !token.empty();
   std::uint64_t value = 0;
   for (const char c : token) {
@@ -42,25 +43,32 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
     value = value * 10 + digit;
   }
   CAFT_CHECK_MSG(ok, std::string("campaign wire: malformed ") + what + " '" +
-                         token + "'");
+                         std::string(token) + "'");
   return value;
 }
 
-std::size_t parse_size(const std::string& token, const char* what) {
-  return parse_u64(token, what);
-}
-
-bool parse_bool(const std::string& token, const char* what) {
+bool parse_bool(std::string_view token, const char* what) {
   CAFT_CHECK_MSG(token == "0" || token == "1",
                  std::string("campaign wire: malformed ") + what + " '" +
-                     token + "' (expected 0|1)");
+                     std::string(token) + "' (expected 0|1)");
   return token == "1";
 }
 
-std::string next_token(std::istringstream& line, const char* what) {
-  std::string token;
-  CAFT_CHECK_MSG(static_cast<bool>(line >> token),
-                 std::string("campaign wire: missing ") + what);
+std::string_view Fields::next() {
+  const auto space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  while (!rest.empty() && space(rest.front())) rest.remove_prefix(1);
+  std::size_t end = 0;
+  while (end < rest.size() && !space(rest[end])) ++end;
+  const std::string_view token = rest.substr(0, end);
+  rest.remove_prefix(end);
+  return token;
+}
+
+std::string_view next_token(Fields& line, const char* what) {
+  const std::string_view token = line.next();
+  CAFT_CHECK_MSG(!token.empty(), std::string("campaign wire: missing ") + what);
   return token;
 }
 
@@ -92,10 +100,10 @@ void write_instance_bytes(std::ostream& os, const std::string& bytes) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::string read_instance_bytes(std::istringstream& fields, std::istream& is,
+std::string read_instance_bytes(Fields& fields, std::istream& is,
                                 const char* document) {
-  const std::size_t n = parse_size(next_token(fields, "instance byte count"),
-                                   "instance byte count");
+  const std::size_t n = parse_u64(next_token(fields, "instance byte count"),
+                                  "instance byte count");
   CAFT_CHECK_MSG(n > 0, std::string("campaign wire: ") + document +
                             " has an empty instance");
   // n is the peer's claim, not a budget: the payload grows in bounded
@@ -118,18 +126,18 @@ std::string read_instance_bytes(std::istringstream& fields, std::istream& is,
 
 // --- fields
 
-void read_field(std::istringstream& line, const char* what,
-                Rest<std::string> field) {
-  std::getline(line, field.text);
-  CAFT_CHECK_MSG(!field.text.empty() && field.text.front() == ' ',
+void read_field(Fields& line, const char* what, Rest<std::string> field) {
+  CAFT_CHECK_MSG(!line.rest.empty() && line.rest.front() == ' ',
                  std::string("campaign wire: missing ") + what);
-  field.text.erase(0, 1);
+  field.text = line.rest.substr(1);
+  line.rest = {};
 }
 
-void end_of_line(std::istringstream& line, const char* key) {
-  std::string extra;
-  CAFT_CHECK_MSG(!(line >> extra), "campaign wire: unexpected field '" +
-                                       extra + "' on a '" + key + "' line");
+void end_of_line(Fields& line, const char* key) {
+  const std::string_view extra = line.next();
+  CAFT_CHECK_MSG(extra.empty(), "campaign wire: unexpected field '" +
+                                    std::string(extra) + "' on a '" + key +
+                                    "' line");
 }
 
 // --- framing
@@ -156,9 +164,8 @@ bool LineReader::next_keyed() {
   do {
     if (!next_line()) return false;
   } while (line.empty());
-  fields.clear();
-  fields.str(line);
-  fields >> key;
+  fields = Fields{line};
+  key = fields.next();
   return true;
 }
 
@@ -166,13 +173,13 @@ bool BodyReader::take(const char* key, Occurs occurs) {
   const std::size_t index = index_++;
   CAFT_CHECK_MSG(index < 64, "campaign wire: a body declares at most 64 lines");
   const std::uint64_t bit = std::uint64_t{1} << index;
-  if (key_ == nullptr) {  // finish()
+  if (fields_ == nullptr) {  // finish()
     CAFT_CHECK_MSG(occurs != Occurs::kOnce || (seen_ & bit) != 0,
                    std::string("campaign wire: ") + document_ + " has no '" +
                        key + "' line");
     return false;
   }
-  if (matched_ || *key_ != key) return false;
+  if (matched_ || key_ != key) return false;
   matched_ = true;
   CAFT_CHECK_MSG(occurs == Occurs::kEach || (seen_ & bit) == 0,
                  std::string("campaign wire: duplicate '") + key +
@@ -240,27 +247,9 @@ template void spec_lines(BodyReader&, CampaignSpec&);
 template void schedule_lines(BodyWriter&, const CampaignSpec&);
 template void schedule_lines(BodyReader&, CampaignSpec&);
 
-void write_spec_lines(std::ostream& os, const CampaignSpec& spec) {
-  BodyWriter d(os);
-  spec_lines(d, spec);
-}
-
-void write_sampler_line(std::ostream& os, const SamplerSpec& sampler) {
-  BodyWriter d(os);
-  sampler_line(d, sampler);
-}
-
 void write_request_line(std::ostream& os, const ScheduleRequest& request) {
   BodyWriter d(os);
   request_line(d, request);
-}
-
-bool read_spec_line(const std::string& key, std::istringstream& fields,
-                    CampaignSpec& spec) {
-  return BodyReader("spec").dispatch(key, fields, [&](auto& d) {
-    spec_lines(d, spec);
-    schedule_lines(d, spec);
-  });
 }
 
 }  // namespace wire
@@ -391,24 +380,23 @@ void CampaignPartialReader::consume_line(const std::string& line) {
     saw_magic_ = true;
     return;
   }
-  fields_.clear();
-  fields_.str(line);
-  std::string key;
-  fields_ >> key;
+  Fields fields{line};
+  const std::string_view key = fields.next();
   // Inside the record list every line must be a record line — an empty or
   // foreign line there is corruption, not formatting slack.
   if (saw_records_ && partial_.records.size() < partial_.count) {
     CAFT_CHECK_MSG(key == "r", "campaign wire: bad record line '" + line + "'");
-    std::apply([&](auto&... f) { read_fields(fields_, "r", f...); },
+    std::apply([&](auto&... f) { read_fields(fields, "r", f...); },
                record_fields(partial_.records.emplace_back()));
   } else if (key == "end") {
     saw_end_ = true;
   } else if (!line.empty()) {
     CAFT_CHECK_MSG(key != "records" || saw_block_,
                    "campaign wire: records header before the block range");
-    CAFT_CHECK_MSG(lines_.dispatch(key, fields_,
+    CAFT_CHECK_MSG(lines_.dispatch(key, fields,
                                    [this](BodyReader& d) { body(d); }),
-                   "campaign wire: unknown partial key '" + key + "'");
+                   "campaign wire: unknown partial key '" + std::string(key) +
+                       "'");
     // An overflowing range would wrap every [first, first + count); a
     // records header that disagrees with the block would be a short block
     // the fold accepts. Either count is a claim: records grow as they come.

@@ -3,7 +3,8 @@
 /// order (`caft-campaign-work v4`) a coordinator sends to one worker
 /// process and the partial result (`caft-campaign-partial v1`) the worker
 /// sends back (see api/session.hpp) — and the line codec every `caft-*`
-/// campaign document is written and read with (namespace wire).
+/// campaign document is written and read with (namespace wire; its readers
+/// scan each line with one string_view cursor, wire::Fields).
 /// docs/wire-protocols.md is the normative layout of every document.
 ///
 /// The partial carries per-replay records, not merged fold states: P²
@@ -20,7 +21,6 @@
 #include <optional>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -49,18 +49,26 @@ inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 /// Doubles as C hexadecimal float literals ("0x1.8p+3", plus "inf"/"nan"):
 /// bit-exact, locale-independent, and strtod parses them back natively.
 [[nodiscard]] std::string format_double(double value);
-[[nodiscard]] double parse_double(const std::string& token, const char* what);
-/// Strict non-negative decimal integer ("12x", "", "-3" and values past
-/// 2^64 − 1 all throw).
-[[nodiscard]] std::uint64_t parse_u64(const std::string& token,
+/// Any strtod literal that fills the whole token: "0x", "nan(" and a token
+/// with an embedded NUL throw. `token` must be followed by whitespace or a
+/// NUL, as every Fields token of a std::string line is.
+[[nodiscard]] double parse_double(std::string_view token, const char* what);
+/// Strict non-negative decimal integer ("12x", "", "+1", "-3" and values
+/// past 2^64 − 1 all throw).
+[[nodiscard]] std::uint64_t parse_u64(std::string_view token,
                                       const char* what);
-[[nodiscard]] std::size_t parse_size(const std::string& token,
-                                     const char* what);
 /// Strict 0|1 flag.
-[[nodiscard]] bool parse_bool(const std::string& token, const char* what);
-/// Pulls the next whitespace token off `line`; throws when it is exhausted.
-[[nodiscard]] std::string next_token(std::istringstream& line,
-                                     const char* what);
+[[nodiscard]] bool parse_bool(std::string_view token, const char* what);
+
+/// The unread rest of the line a reader holds. next() returns its next
+/// token, empty once it is exhausted, splitting on C-locale whitespace
+/// (' ', '\t' … '\r') exactly as `operator>>` does; NUL is not whitespace.
+struct Fields {
+  std::string_view rest;
+  [[nodiscard]] std::string_view next();
+};
+/// The next token of `line`; throws when it is exhausted.
+[[nodiscard]] std::string_view next_token(Fields& line, const char* what);
 
 /// Validates a document's first line against `<magic> v<version>`. A
 /// matching magic at any other version gets its own diagnostic, naming the
@@ -77,7 +85,7 @@ void write_instance_bytes(std::ostream& os, const std::string& bytes);
 /// Reads the payload of an `instance-bytes` line (key already pulled off
 /// `fields`) from `is` in bounded chunks; throws on an empty or short
 /// payload.
-[[nodiscard]] std::string read_instance_bytes(std::istringstream& fields,
+[[nodiscard]] std::string read_instance_bytes(Fields& fields,
                                               std::istream& is,
                                               const char* document);
 
@@ -161,7 +169,7 @@ void write_field(std::ostream& os, Field<T> field) {
 
 /// Parses one field, in write_field's form, off `line`.
 template <class T>
-void read_field(std::istringstream& line, const char* what, T& field) {
+void read_field(Fields& line, const char* what, T& field) {
   if constexpr (std::is_same_v<T, caft::StreamingMoments>) {
     std::size_t count = 0;
     double state[4];  // mean, m2, min, max
@@ -170,7 +178,7 @@ void read_field(std::istringstream& line, const char* what, T& field) {
     field = caft::StreamingMoments::restore(count, state[0], state[1],
                                             state[2], state[3]);
   } else {
-    const std::string token = next_token(line, what);
+    const std::string_view token = next_token(line, what);
     if constexpr (std::is_same_v<T, bool>)
       field = parse_bool(token, what);
     else if constexpr (std::is_same_v<T, double>)
@@ -182,42 +190,40 @@ void read_field(std::istringstream& line, const char* what, T& field) {
     else if (token == "-")
       field.reset();
     else
-      field = parse_size(token, what);
+      field = parse_u64(token, what);
   }
 }
 /// The count is the peer's claim, not a budget: nothing is reserved, and a
 /// missing item throws before the list outgrows its line.
 template <class T>
-void read_field(std::istringstream& line, const char* what,
-                std::vector<T>& items) {
+void read_field(Fields& line, const char* what, std::vector<T>& items) {
   std::size_t n = 0;
   read_field(line, what, n);
   items.clear();
   for (; n > 0; --n) read_field(line, what, items.emplace_back());
 }
 template <class T>
-void read_field(std::istringstream& line, const char* what, Named<T> field) {
-  const std::string token = next_token(line, what);
+void read_field(Fields& line, const char* what, Named<T> field) {
+  const std::string_view token = next_token(line, what);
   for (const auto& entry : field.names)
     if (token == entry.name) {
       field.value = entry.value;
       return;
     }
   throw caft::CheckError(std::string("campaign wire: unknown ") + what +
-                         " '" + token + "'");
+                         " '" + std::string(token) + "'");
 }
-void read_field(std::istringstream& line, const char* what,
-                Rest<std::string> field);
+void read_field(Fields& line, const char* what, Rest<std::string> field);
 template <class T>
-void read_field(std::istringstream& line, const char*, Field<T> field) {
+void read_field(Fields& line, const char*, Field<T> field) {
   read_field(line, field.what, field.value);
 }
 /// Throws when `line` carries a field past the layout of its `key`.
-void end_of_line(std::istringstream& line, const char* key);
+void end_of_line(Fields& line, const char* key);
 
 /// Parses the fields of a line whose `key` was already pulled off `line`.
 template <class... F>
-void read_fields(std::istringstream& line, const char* key, F&&... fields) {
+void read_fields(Fields& line, const char* key, F&&... fields) {
   (read_field(line, key, std::forward<F>(fields)), ...);
   end_of_line(line, key);
 }
@@ -230,14 +236,15 @@ struct LineReader {
   /// Reads the next line into `line`; false at end of stream.
   [[nodiscard]] bool next_line();
   /// Reads the next non-empty line, split into `key` and the `fields`
-  /// after it; false at end of stream.
+  /// after it; false at end of stream. A whitespace-only line has an empty
+  /// key, which no declaration names.
   [[nodiscard]] bool next_keyed();
 
   std::istream* is;
   const char* document;
   std::string line;
-  std::string key;
-  std::istringstream fields;
+  std::string_view key;  ///< views `line`
+  Fields fields;         ///< views `line`
 };
 
 /// Writes a document body: every declared line, in declaration order.
@@ -294,9 +301,9 @@ class BodyReader {
   /// Parses the line keyed `key` through the declarations of
   /// `body(*this)`; false when none names the key.
   template <class Body>
-  [[nodiscard]] bool dispatch(const std::string& key,
-                              std::istringstream& fields, const Body& body) {
-    key_ = &key;
+  [[nodiscard]] bool dispatch(std::string_view key, Fields& fields,
+                              const Body& body) {
+    key_ = key;
     fields_ = &fields;
     index_ = 0;
     matched_ = false;
@@ -306,7 +313,7 @@ class BodyReader {
   /// Throws unless every once-only line of `body` has arrived.
   template <class Body>
   void finish(const Body& body) {
-    key_ = nullptr;
+    fields_ = nullptr;
     index_ = 0;
     body(*this);
   }
@@ -342,8 +349,8 @@ class BodyReader {
 
   const char* document_;
   LineReader* in_;
-  const std::string* key_ = nullptr;
-  std::istringstream* fields_ = nullptr;
+  std::string_view key_;
+  Fields* fields_ = nullptr;  ///< null inside finish()
   std::size_t index_ = 0;
   bool matched_ = false;
   std::uint64_t seen_ = 0;
@@ -366,7 +373,7 @@ std::size_t read_body(LineReader& in,
       }
     CAFT_CHECK_MSG(reader.dispatch(in.key, in.fields, body),
                    std::string("campaign wire: unknown ") + in.document +
-                       " key '" + in.key + "'");
+                       " key '" + std::string(in.key) + "'");
   }
   throw caft::CheckError(std::string("campaign wire: truncated ") +
                          in.document + " (no '" +
@@ -407,13 +414,8 @@ template <class D, class Spec>
 void spec_lines(D& d, Spec& spec);
 template <class D, class Spec>
 void schedule_lines(D& d, Spec& spec);
-/// read_spec_line returns false, consuming nothing, for any other `key`.
-void write_spec_lines(std::ostream& os, const CampaignSpec& spec);
-void write_sampler_line(std::ostream& os, const SamplerSpec& sampler);
+/// The `request` line alone (the server's cache key encodes it).
 void write_request_line(std::ostream& os, const ScheduleRequest& request);
-[[nodiscard]] bool read_spec_line(const std::string& key,
-                                  std::istringstream& fields,
-                                  CampaignSpec& spec);
 
 }  // namespace wire
 
@@ -505,9 +507,8 @@ class CampaignPartialReader {
 
   CampaignPartialResult partial_;
   wire::BodyReader lines_{"partial"};
-  std::string buffer_;          ///< bytes of the current (incomplete) line
-  std::istringstream fields_;   ///< the line being parsed, reused per line
-  std::string error_;           ///< first latched parse error, empty = ok
+  std::string buffer_;  ///< bytes of the current (incomplete) line
+  std::string error_;   ///< first latched parse error, empty = ok
   bool saw_magic_ = false;
   bool saw_end_ = false;
   bool saw_block_ = false;

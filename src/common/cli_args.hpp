@@ -72,8 +72,12 @@ class CliArgs {
   [[nodiscard]] std::size_t get_size(const std::string& key,
                                      std::size_t fallback) const {
     const auto it = find(key);
-    if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
+    return it == values_.end() ? fallback : parse_count(key, it->second);
+  }
+  /// `text` as a strict decimal count: digits only, below 2^64. Throws
+  /// CheckError naming --`flag` otherwise.
+  static std::size_t parse_count(const std::string& flag,
+                                 const std::string& text) {
     std::size_t used = 0;
     unsigned long long value = 0;
     try {
@@ -86,7 +90,7 @@ class CliArgs {
       used = 0;
     }
     if (used == 0 || used != text.size())
-      throw CheckError("invalid count for --" + key + ": '" + text + "'");
+      throw CheckError("invalid count for --" + flag + ": '" + text + "'");
     return static_cast<std::size_t>(value);
   }
   /// The value of `key` constrained to one of `choices`; throws CheckError

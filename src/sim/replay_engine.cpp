@@ -83,12 +83,6 @@ void ReplayEngine::build_template() {
   const auto exec_op = [&](std::size_t task, ReplicaIndex r) {
     return static_cast<std::uint32_t>(exec_op_begin_[task] + r);
   };
-  struct Keyed {
-    double key;
-    std::uint32_t seq;
-    std::uint32_t op;
-    std::uint32_t res;
-  };
   // Every per-op array is sized once: the execs, then per comm a hand-off,
   // or a wire, one op per further segment and a reception.
   std::size_t ops = exec_op_begin_[g.task_count()];
@@ -96,31 +90,29 @@ void ReplayEngine::build_template() {
     ops += c.intra() || macro ? 1 : c.times.segments.size() + 1;
   ops_.reserve(ops + 1);
   counts_message_.reserve(ops);
-  std::vector<Keyed> keyed;
-  keyed.reserve(ops + schedule_->comms().size());  // a wire keys twice
+  std::vector<double> start;  // each op's fault-free start: its queue key
+  start.reserve(ops);
   handoff_ops_.reserve(schedule_->comms().size());
 
-  const auto push_op = [&](std::uint8_t kind, double duration,
+  const auto push_op = [&](std::uint8_t kind, double begin, double end,
                            std::uint32_t res_a, std::uint32_t res_b,
                            std::uint32_t prereq, bool prereq_start,
                            std::int32_t owner) -> std::uint32_t {
     const auto id = static_cast<std::uint32_t>(ops_.size());
     // Dependents and slots are filled in below, once every op exists.
-    ops_.push_back({duration, res_a, res_b, prereq, owner, 0, kNone32, 0, kind,
-                    static_cast<std::uint8_t>(prereq_start ? 1 : 0)});
+    ops_.push_back({end - begin, res_a, res_b, prereq, owner, 0, kNone32, 0,
+                    kind, static_cast<std::uint8_t>(prereq_start ? 1 : 0)});
     counts_message_.push_back(0);
+    start.push_back(begin);
     return id;
   };
 
-  std::uint32_t seq = 0;
   for (const TaskId t : g.all_tasks()) {
     const std::size_t total = schedule_->total_replicas(t);
     for (ReplicaIndex r = 0; r < total; ++r) {
       const ReplicaAssignment& a = schedule_->replica(t, r);
-      const std::uint32_t id =
-          push_op(kExec, a.finish - a.start, exec_res(a.proc), kNone32,
-                  kNone32, false, static_cast<std::int32_t>(a.proc.index()));
-      keyed.push_back({a.start, seq++, id, exec_res(a.proc)});
+      push_op(kExec, a.start, a.finish, exec_res(a.proc), kNone32, kNone32,
+              false, static_cast<std::int32_t>(a.proc.index()));
     }
   }
 
@@ -133,7 +125,7 @@ void ReplayEngine::build_template() {
 
     if (c.intra() || macro) {
       const std::uint32_t id =
-          push_op(kHandoff, c.times.arrival - c.times.link_start, kNone32,
+          push_op(kHandoff, c.times.link_start, c.times.arrival, kNone32,
                   kNone32, source_exec, false, -1);
       counts_message_[id] = c.intra() ? 0 : 1;
       comm_to_op[ci] = id;
@@ -152,56 +144,49 @@ void ReplayEngine::build_template() {
         // A wire dies with its *sender*; forwarding through a dead router
         // (non-final hop toward the link's far end) is handled by the kill
         // lists below.
-        id = push_op(kWire, seg.finish - seg.start, send_res(c.src_proc),
+        id = push_op(kWire, seg.start, seg.finish, send_res(c.src_proc),
                      link_res(seg.link), source_exec, false,
                      static_cast<std::int32_t>(c.src_proc.index()));
-        keyed.push_back({seg.start, seq++, id, send_res(c.src_proc)});
-        keyed.push_back({seg.start, seq, id, link_res(seg.link)});
       } else {
-        id = push_op(kSegment, seg.finish - seg.start, link_res(seg.link),
+        id = push_op(kSegment, seg.start, seg.finish, link_res(seg.link),
                      kNone32, prev, false, -1);
-        keyed.push_back({seg.start, seq++, id, link_res(seg.link)});
       }
       prev = id;
     }
     const std::uint32_t recv =
-        push_op(kReception, c.times.arrival - c.times.recv_start,
+        push_op(kReception, c.times.recv_start, c.times.arrival,
                 recv_res(c.dst_proc), kNone32, prev,
                 /*prereq_start=*/true,
                 static_cast<std::int32_t>(c.dst_proc.index()));
     counts_message_[recv] = 1;
     comm_to_op[ci] = recv;
-    keyed.push_back({c.times.recv_start, seq++, recv, recv_res(c.dst_proc)});
   }
 
   op_count_ = ops_.size();
   ops_.push_back({0.0, kNone32, kNone32, kNone32, -1, 0, kNone32, 0, kExec, 0});
 
-  // Resource queues in committed order, flattened into one CSR array. The
-  // naive replay sorts all entries by (key, seq) at once; (key, seq) is
-  // unique within a resource (the two entries of a wire that share a seq
-  // sit on different resources), so bucketing by resource and sorting each
-  // queue alone yields the same queues for a fraction of the comparisons.
+  // Resource queues in committed order, flattened into one CSR array; a
+  // wire queues on its sender and its first link. The naive replay sorts all
+  // entries at once by start, then by a sequence number that grows with the
+  // op id: within a resource that is the unique (start, op id) order, so
+  // sorting each bucket alone yields the same queues for fewer comparisons.
   queue_begin_.assign(resource_count_ + 1, 0);
-  for (const Keyed& k : keyed) ++queue_begin_[k.res + 1];
+  for (std::uint32_t op = 0; op < op_count_; ++op)
+    for (const std::uint32_t res : {ops_[op].res_a, ops_[op].res_b})
+      if (res != kNone32) ++queue_begin_[res + 1];
   counts_to_offsets(queue_begin_);
-  std::vector<Keyed> queued(keyed.size());
-  {
-    std::vector<std::uint32_t> cursor(queue_begin_.begin(),
-                                      queue_begin_.end() - 1);
-    for (const Keyed& k : keyed) queued[cursor[k.res]++] = k;
-  }
-  queue_ops_.resize(queued.size());
-  for (std::size_t r = 0; r < resource_count_; ++r) {
-    const auto first = queued.begin() + queue_begin_[r];
-    const auto last = queued.begin() + queue_begin_[r + 1];
-    std::sort(first, last, [](const Keyed& a, const Keyed& b) {
-      if (a.key != b.key) return a.key < b.key;
-      return a.seq < b.seq;
-    });
-  }
-  for (std::size_t i = 0; i < queued.size(); ++i)
-    queue_ops_[i] = queued[i].op;
+  queue_ops_.resize(queue_begin_.back());
+  std::vector<std::uint32_t> cursor(queue_begin_.begin(),
+                                    queue_begin_.end() - 1);
+  for (std::uint32_t op = 0; op < op_count_; ++op)
+    for (const std::uint32_t res : {ops_[op].res_a, ops_[op].res_b})
+      if (res != kNone32) queue_ops_[cursor[res]++] = op;
+  for (std::size_t r = 0; r < resource_count_; ++r)
+    std::sort(queue_ops_.begin() + queue_begin_[r],
+              queue_ops_.begin() + queue_begin_[r + 1],
+              [&](std::uint32_t a, std::uint32_t b) {
+                return start[a] != start[b] ? start[a] < start[b] : a < b;
+              });
 
   // Disjunctive input slots: one per (exec op, in-edge), in exec-op order,
   // each listing the terminating ops of its comms in comm order (that of

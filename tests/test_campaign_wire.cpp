@@ -2,7 +2,7 @@
 // round-trip of work orders and partial results (hexfloat doubles, inf/nan,
 // optional request overrides), and strict rejection of malformed or
 // internally inconsistent documents — a poisoned worker must be *detected*,
-// never folded.
+// never folded — and the token rules every campaign wire reader shares.
 #include "api/campaign_wire.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "server/server_wire.hpp"
 
 namespace ftsched {
 namespace {
@@ -635,6 +636,124 @@ TEST(CampaignWire, LinesPastTheCapAreRejectedWithoutBeingQuoted) {
     EXPECT_NE(what.find(cap), std::string::npos) << what.substr(0, 200);
     EXPECT_NE(what.find("partial"), std::string::npos);
     EXPECT_EQ(what.find("xxxxxxxx"), std::string::npos);
+  }
+}
+
+TEST(CampaignWire, TokenRulesArePinned) {
+  // One line of a request, a partial or a report, swapped for a variant:
+  // `canonical` is the line the document writes back after reading the
+  // variant, nullptr when the reader must reject it.
+  using namespace std::string_literals;
+  server::CampaignRequest request;
+  request.spec.algorithms = {"caft"};
+  request.spec.replays = 300;
+  request.spec.seed = 777;
+  request.spec.quantiles = {0.5};
+  request.instance_bytes = "instance\n";
+  CampaignPartialResult partial = sample_partial();
+  partial.timing.present = true;
+  partial.timing.wall_seconds = 0.5;
+  partial.timing.schedule_seconds = 0.125;
+  partial.timing.replay_seconds = 0.375;
+  server::ReportDocument report;
+  report.runs.emplace_back().algorithm = "caft";
+  report.runs.back().summary.sampler = "uniform-k(k=1)";
+
+  std::ostringstream request_text;
+  server::write_campaign_request(request_text, request);
+  std::ostringstream report_text;
+  server::write_campaign_report(report_text, report);
+  const std::string docs[] = {request_text.str(), to_text(partial),
+                              report_text.str()};
+  const auto read_back = [](std::size_t doc, const std::string& text) {
+    std::istringstream is(text);
+    std::ostringstream os;
+    if (doc == 0)
+      server::write_campaign_request(os, server::read_campaign_request(is));
+    else if (doc == 1)
+      os << to_text(read_campaign_partial(is));
+    else
+      server::write_campaign_report(os, server::read_campaign_report(is));
+    return os.str();
+  };
+
+  const std::string seed = "seed 777";
+  const std::string width = "target-ci-width 0x0p+0";
+  const std::string telemetry = "telemetry 100 61 3 39 17";
+  const std::string timing = "timing 0x1p-1 0x1p-3 0x1.8p-2";
+  const std::string record = "r 0 1 inf 4 0 9";
+  const std::string sampler = "summary-sampler uniform-k(k=1)";
+  struct Row {
+    std::string from;
+    std::string to;
+    const char* canonical;
+  };
+  const Row rows[] = {
+      // Whitespace: any run of C-locale whitespace splits tokens.
+      {seed, "seed\t777", "seed 777"},
+      {seed, "seed   777", "seed 777"},
+      {seed, "seed 777\r", "seed 777"},
+      {seed, " \tseed 777", "seed 777"},
+      {telemetry, "telemetry\t100  61 3\v39 17\r", "telemetry 100 61 3 39 17"},
+      {record, "  r 0 1 inf 4 0 9", "r 0 1 inf 4 0 9"},
+      {sampler, "  summary-sampler uniform-k(k=1)", sampler.c_str()},
+      // Doubles: any strtod literal reads; writers emit only %a.
+      {width, "target-ci-width 0.25", "target-ci-width 0x1p-2"},
+      {width, "target-ci-width INF", "target-ci-width inf"},
+      {width, "target-ci-width 0X1P+3", "target-ci-width 0x1p+3"},
+      {timing, "timing 0.5 0x1p-3 0x1.8p-2", timing.c_str()},
+      // Integers are strict decimal.
+      {seed, "seed +1", nullptr},
+      {seed, "seed -3", nullptr},
+      {seed, "seed 1x", nullptr},
+      {seed, "seed 18446744073709551616", nullptr},
+      {telemetry, "telemetry 100 61 +3 39 17", nullptr},
+      {record, "r 0 1 inf 4 0 9x", nullptr},
+      // A double must fill its whole token.
+      {width, "target-ci-width nan(", nullptr},
+      {width, "target-ci-width 0x", nullptr},
+      {width, "target-ci-width 0x1p+3\0zz"s, nullptr},
+      {timing, "timing 0x1p-1\0 0x1p-3 0x1.8p-2"s, nullptr},
+      {record, "r 0 1 0x1p+3\0 4 0 9"s, nullptr},
+      // A rest-of-line field starts after exactly one space.
+      {sampler, "summary-sampler\tuniform-k(k=1)", nullptr},
+      // No field past a line's layout.
+      {seed, "seed 777 1", nullptr},
+      {telemetry, telemetry + " 0", nullptr},
+      {record, record + " 0", nullptr},
+      // A whitespace-only line is malformed, not a copy of the line above.
+      {seed, seed + "\n \t ", nullptr},
+      {telemetry, telemetry + "\n ", nullptr},
+  };
+  for (const Row& row : rows) {
+    const std::string label = "'" + row.to + "'";
+    std::size_t doc = 0;
+    while (docs[doc].find(row.from + "\n") == std::string::npos) ++doc;
+    std::string variant = docs[doc];
+    variant.replace(variant.find(row.from + "\n"), row.from.size(), row.to);
+    if (row.canonical == nullptr) {
+      try {
+        (void)read_back(doc, variant);
+        ADD_FAILURE() << "accepted " << label;
+      } catch (const CheckError& error) {
+        // The diagnostic is about this line, never the one above it.
+        const std::string key = row.from.substr(0, row.from.find(' '));
+        if (row.to.rfind(row.from + "\n", 0) == 0) {
+          EXPECT_EQ(std::string(error.what()).find("'" + key + "'"),
+                    std::string::npos)
+              << label << ": " << error.what();
+        }
+      }
+      continue;
+    }
+    std::string expected = docs[doc];
+    expected.replace(expected.find(row.from + "\n"), row.from.size(),
+                     row.canonical);
+    try {
+      EXPECT_EQ(read_back(doc, variant), expected) << label;
+    } catch (const CheckError& error) {
+      ADD_FAILURE() << "rejected " << label << ": " << error.what();
+    }
   }
 }
 

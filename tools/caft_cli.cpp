@@ -20,6 +20,7 @@
 ///   caft_cli replay --in scheduled.txt --crash 0,3 --gantt
 ///   caft_cli resilience --in scheduled.txt
 ///   caft_cli figure 1 --reps 10
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -142,18 +143,20 @@ int cmd_schedule(const Args& args) {
   return result.ok() ? 0 : 1;
 }
 
-std::vector<ProcId> parse_crash_list(const std::string& spec) {
+/// `--crash 0,3`: distinct processor ids of an `m`-processor platform.
+std::vector<ProcId> parse_crash_list(const std::string& spec, std::size_t m) {
   std::vector<ProcId> procs;
-  std::string token;
-  for (const char c : spec + ",") {
-    if (c == ',') {
-      if (!token.empty())
-        procs.push_back(ProcId(static_cast<ProcId::value_type>(
-            std::stoul(token))));
-      token.clear();
-    } else {
-      token += c;
-    }
+  for (std::size_t at = 0; !spec.empty() && at <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', at), spec.size());
+    const std::string token = spec.substr(at, comma - at);
+    const std::size_t id = Args::parse_count("crash", token);
+    CAFT_CHECK_MSG(id < m, "--crash: no processor " + token + " (m = " +
+                               std::to_string(m) + ")");
+    const ProcId p(static_cast<ProcId::value_type>(id));
+    CAFT_CHECK_MSG(std::find(procs.begin(), procs.end(), p) == procs.end(),
+                   "--crash: processor " + token + " named twice");
+    procs.push_back(p);
+    at = comma + 1;
   }
   return procs;
 }
@@ -164,7 +167,8 @@ int cmd_replay(const Args& args) {
   const Schedule* schedule = instance.loaded_schedule();
   CAFT_CHECK_MSG(schedule != nullptr, "instance has no schedule; run "
                                       "'caft_cli schedule --out ...' first");
-  const auto failed = parse_crash_list(args.get("crash", ""));
+  const auto failed =
+      parse_crash_list(args.get("crash", ""), instance.proc_count());
   const std::string trace = args.get("trace");
   const bool gantt = args.has("gantt");
   args.reject_unread();
@@ -210,7 +214,8 @@ int cmd_resilience(const Args& args) {
 
 int cmd_figure(const Args& args) {
   CAFT_CHECK_MSG(!args.positional().empty(), "figure number required (1-6)");
-  const int figure = std::stoi(args.positional().front());
+  const std::string& number = args.positional().front();
+  const int figure = number.size() == 1 ? number[0] - '0' : 0;
   ExperimentConfig config;
   switch (figure) {
     case 1: config = figure1(); break;
@@ -219,7 +224,7 @@ int cmd_figure(const Args& args) {
     case 4: config = figure4(); break;
     case 5: config = figure5(); break;
     case 6: config = figure6(); break;
-    default: throw CheckError("figure number must be 1-6");
+    default: throw CheckError("figure number must be 1-6: '" + number + "'");
   }
   config.graphs_per_point = args.get_size("reps", 10);
   const bool csv = args.has("csv");

@@ -12,9 +12,10 @@ Three checks, the first two over README.md and every docs/*.md:
     file or directory relative to the file containing it. Anchors are
     stripped before the existence check.
 
-2.  Stale CLI examples. Inside fenced code blocks, lines that invoke one
-    of the repo's binaries (campaign_cli, caft_cli, campaign_server,
-    campaign_client, ftsched_lint) have their `--flag` tokens verified.
+2.  Stale CLI examples. Inside fenced code blocks, commands (joined at a
+    trailing `\\`) that invoke one of the repo's binaries (campaign_cli,
+    caft_cli, campaign_server, campaign_client, ftsched_lint) have their
+    `--flag` tokens verified, and a `\\` not ending a line is flagged.
     A flag is accepted when it appears in the
     binary's `--help` output or, because the CLIs keep their usage text
     in the source header, in the tool's source file; anything found in
@@ -139,23 +140,36 @@ def check_cli_examples(
         return known[tool]
 
     in_fence = False
+    command, start = "", 0  # physical lines joined by a trailing backslash
     for line_no, line in enumerate(doc.read_text().splitlines(), 1):
         if FENCE_RE.match(line.strip()):
             in_fence = not in_fence
+            command = ""
             continue
         if not in_fence:
             continue
+        if not command:
+            start = line_no
+        if line.endswith("\\"):
+            command += line[:-1]
+            continue
+        command, line = "", command + line
         invoked = INVOKE_RE.search(line)
         if not invoked:
             continue
         tool = invoked.group(1)
+        if "\\" in line:
+            findings.append(
+                f"{doc.relative_to(REPO)}:{start}: example for {tool} has a "
+                f"'\\' that does not end its line"
+            )
         accepted = flags_of(tool)
         if accepted is None:
             continue  # neither binary nor source available: nothing to gate
         for flag in FLAG_RE.findall(line):
             if flag not in accepted:
                 findings.append(
-                    f"{doc.relative_to(REPO)}:{line_no}: example uses "
+                    f"{doc.relative_to(REPO)}:{start}: example uses "
                     f"{tool} {flag}, unknown to its --help/source"
                 )
 
