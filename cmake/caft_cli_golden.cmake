@@ -10,7 +10,9 @@
 # algorithm × topology {clique, ring, star} × model {oneport, macro}, the
 # SHA-256 of the saved `--out` file (round-trip-exact times) must match
 # tests/golden/caft_cli_schedule_digests.txt. The ring legs cross
-# multi-hop routes, the star legs two-hop routes through the hub. The last
+# multi-hop routes, the star legs two-hop routes through the hub. caft and
+# caft-batch are also pinned at m = 20, eps = 5 on {clique, ring} × model
+# (lines tagged `<topology>-m20-eps5`). The last
 # legs require `replay --crash` and `figure` to reject malformed numbers.
 # Regenerate with tools/regen_caft_cli_golden.sh after an intentional
 # change.
@@ -103,6 +105,39 @@ foreach(topology clique ring star)
       endif()
       file(SHA256 ${WORK_DIR}/scheduled.txt digest)
       string(APPEND DIGESTS "${algo} ${topology} ${model} ${digest}\n")
+    endforeach()
+  endforeach()
+endforeach()
+
+# Figure 3's shape (m = 20, eps = 5): CAFT's channel search skips most
+# processors here, so these legs pin the schedules where that bound bites.
+foreach(topology clique ring)
+  execute_process(
+    COMMAND ${CLI} generate --family random --procs 20 --granularity 1.0
+            --seed 11 --topology ${topology} --out ${topology}-m20.txt
+    OUTPUT_QUIET
+    RESULT_VARIABLE generate_rc
+    WORKING_DIRECTORY ${WORK_DIR})
+  if(NOT generate_rc EQUAL 0)
+    message(FATAL_ERROR
+      "caft_cli generate --procs 20 --topology ${topology} exited with "
+      "${generate_rc}")
+  endif()
+  foreach(model oneport macro)
+    foreach(algo caft caft-batch)
+      execute_process(
+        COMMAND ${CLI} schedule --in ${topology}-m20.txt --algo ${algo}
+                --eps 5 --model ${model} --out scheduled.txt
+        OUTPUT_QUIET
+        RESULT_VARIABLE algo_rc
+        WORKING_DIRECTORY ${WORK_DIR})
+      if(NOT algo_rc EQUAL 0)
+        message(FATAL_ERROR
+          "caft_cli schedule --algo ${algo} --eps 5 --model ${model} on "
+          "${topology} (m = 20) exited with ${algo_rc}")
+      endif()
+      file(SHA256 ${WORK_DIR}/scheduled.txt digest)
+      string(APPEND DIGESTS "${algo} ${topology}-m20-eps5 ${model} ${digest}\n")
     endforeach()
   endforeach()
 endforeach()

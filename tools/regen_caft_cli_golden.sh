@@ -4,7 +4,8 @@
 #
 #   tests/golden/caft_cli_schedule.txt          summary line per algorithm
 #   tests/golden/caft_cli_schedule_digests.txt  SHA-256 of the saved
-#       `--out` schedule per algorithm × topology × communication model
+#       `--out` schedule per algorithm × topology × communication model,
+#       plus caft and caft-batch at m = 20, eps = 5 on clique and ring
 #
 # Usage: tools/regen_caft_cli_golden.sh [build-dir]   (default: build)
 #
@@ -49,6 +50,22 @@ for topology in clique ring star; do
         > /dev/null
       digest=$(cd "$WORK_DIR" && cmake -E sha256sum scheduled.txt | cut -d' ' -f1)
       echo "$algo $topology $model $digest" \
+        >> "$GOLDEN_DIR/caft_cli_schedule_digests.txt"
+    done
+  done
+done
+
+for topology in clique ring; do
+  (cd "$WORK_DIR" && "$CLI" generate --family random --procs 20 \
+    --granularity 1.0 --seed 11 --topology "$topology" \
+    --out "$topology-m20.txt") > /dev/null
+  for model in oneport macro; do
+    for algo in caft caft-batch; do
+      (cd "$WORK_DIR" && "$CLI" schedule --in "$topology-m20.txt" \
+        --algo "$algo" --eps 5 --model "$model" --out scheduled.txt) \
+        > /dev/null
+      digest=$(cd "$WORK_DIR" && cmake -E sha256sum scheduled.txt | cut -d' ' -f1)
+      echo "$algo $topology-m20-eps5 $model $digest" \
         >> "$GOLDEN_DIR/caft_cli_schedule_digests.txt"
     done
   done
