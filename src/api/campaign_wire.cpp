@@ -27,8 +27,8 @@ double parse_double(std::string_view token, const char* what) {
   char* end = nullptr;
   const double value = std::strtod(token.data(), &end);
   CAFT_CHECK_MSG(!token.empty() && end == token.data() + token.size(),
-                 std::string("campaign wire: malformed ") + what + " '" +
-                     std::string(token) + "'");
+                 std::string("campaign wire: malformed ") + what + " " +
+                     quote(token));
   return value;
 }
 
@@ -42,16 +42,35 @@ std::uint64_t parse_u64(std::string_view token, const char* what) {
          value <= (std::numeric_limits<std::uint64_t>::max() - digit) / 10;
     value = value * 10 + digit;
   }
-  CAFT_CHECK_MSG(ok, std::string("campaign wire: malformed ") + what + " '" +
-                         std::string(token) + "'");
+  CAFT_CHECK_MSG(ok, std::string("campaign wire: malformed ") + what + " " +
+                         quote(token));
   return value;
 }
 
 bool parse_bool(std::string_view token, const char* what) {
   CAFT_CHECK_MSG(token == "0" || token == "1",
-                 std::string("campaign wire: malformed ") + what + " '" +
-                     std::string(token) + "' (expected 0|1)");
+                 std::string("campaign wire: malformed ") + what + " " +
+                     quote(token) + " (expected 0|1)");
   return token == "1";
+}
+
+std::string quote(std::string_view text) {
+  constexpr std::size_t kMaxQuoted = 64;
+  std::string out = "'";
+  for (const char c : text.substr(0, kMaxQuoted)) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f && byte != '\\') {
+      out.push_back(c);
+    } else {
+      char escaped[5];
+      std::snprintf(escaped, sizeof escaped, "\\x%02x", byte);
+      out += escaped;
+    }
+  }
+  out.push_back('\'');
+  if (text.size() > kMaxQuoted)
+    out += "... (" + std::to_string(text.size()) + " bytes)";
+  return out;
 }
 
 std::string_view Fields::next() {
@@ -81,12 +100,11 @@ void check_magic_line(const std::string& line, const char* magic,
   // Version skew before corruption: `<magic> v<other>` comes from a writer
   // of another protocol generation.
   if (line.rfind(std::string(magic) + " v", 0) == 0)
-    throw caft::CheckError(
-        "campaign wire: unsupported document version '" + line +
-        "' — this reader speaks " + speaks + " (expected '" + expected +
-        "')");
-  throw caft::CheckError("campaign wire: bad magic line '" + line +
-                         "' (expected '" + expected + "')");
+    throw caft::CheckError("campaign wire: unsupported document version " +
+                           quote(line) + " — this reader speaks " + speaks +
+                           " (expected '" + expected + "')");
+  throw caft::CheckError("campaign wire: bad magic line " + quote(line) +
+                         " (expected '" + expected + "')");
 }
 
 void expect_magic(std::istream& is, const char* magic, int version) {
@@ -133,11 +151,11 @@ void read_field(Fields& line, const char* what, Rest<std::string> field) {
   line.rest = {};
 }
 
-void end_of_line(Fields& line, const char* key) {
+void end_of_line(Fields& line, std::string_view key) {
   const std::string_view extra = line.next();
-  CAFT_CHECK_MSG(extra.empty(), "campaign wire: unexpected field '" +
-                                    std::string(extra) + "' on a '" + key +
-                                    "' line");
+  CAFT_CHECK_MSG(extra.empty(), "campaign wire: unexpected field " +
+                                    quote(extra) + " on a '" +
+                                    std::string(key) + "' line");
 }
 
 // --- framing
@@ -385,18 +403,18 @@ void CampaignPartialReader::consume_line(const std::string& line) {
   // Inside the record list every line must be a record line — an empty or
   // foreign line there is corruption, not formatting slack.
   if (saw_records_ && partial_.records.size() < partial_.count) {
-    CAFT_CHECK_MSG(key == "r", "campaign wire: bad record line '" + line + "'");
+    CAFT_CHECK_MSG(key == "r", "campaign wire: bad record line " + quote(line));
     std::apply([&](auto&... f) { read_fields(fields, "r", f...); },
                record_fields(partial_.records.emplace_back()));
   } else if (key == "end") {
+    end_of_line(fields, key);
     saw_end_ = true;
   } else if (!line.empty()) {
     CAFT_CHECK_MSG(key != "records" || saw_block_,
                    "campaign wire: records header before the block range");
     CAFT_CHECK_MSG(lines_.dispatch(key, fields,
                                    [this](BodyReader& d) { body(d); }),
-                   "campaign wire: unknown partial key '" + std::string(key) +
-                       "'");
+                   "campaign wire: unknown partial key " + quote(key));
     // An overflowing range would wrap every [first, first + count); a
     // records header that disagrees with the block would be a short block
     // the fold accepts. Either count is a claim: records grow as they come.
@@ -419,8 +437,8 @@ CampaignPartialResult CampaignPartialReader::take() {
   if (failed()) throw caft::CheckError(error_);
   // Input after `end` is never buffered: a partial line is a truncation.
   CAFT_CHECK_MSG(buffer_.empty(),
-                 "campaign wire: truncated partial (unterminated line '" +
-                     buffer_ + "')");
+                 "campaign wire: truncated partial (unterminated line " +
+                     quote(buffer_) + ")");
   CAFT_CHECK_MSG(saw_magic_, "campaign wire: empty document");
   CAFT_CHECK_MSG(saw_end_, "campaign wire: truncated partial (no 'end')");
   lines_.finish([this](BodyReader& d) { body(d); });

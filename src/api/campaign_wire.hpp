@@ -59,6 +59,12 @@ inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
                                       const char* what);
 /// Strict 0|1 flag.
 [[nodiscard]] bool parse_bool(std::string_view token, const char* what);
+/// `text` in single quotes for a diagnostic: a byte outside printable
+/// ASCII, or a backslash, as `\xHH`, and at most its first 64 bytes, then
+/// `...` and its length. A NUL or a control byte in the input then never
+/// cuts a message short or reaches a terminal raw, and a 1 MiB line is not
+/// echoed whole.
+[[nodiscard]] std::string quote(std::string_view text);
 
 /// The unread rest of the line a reader holds. next() returns its next
 /// token, empty once it is exhausted, splitting on C-locale whitespace
@@ -211,7 +217,7 @@ void read_field(Fields& line, const char* what, Named<T> field) {
       return;
     }
   throw caft::CheckError(std::string("campaign wire: unknown ") + what +
-                         " '" + std::string(token) + "'");
+                         " " + quote(token));
 }
 void read_field(Fields& line, const char* what, Rest<std::string> field);
 template <class T>
@@ -219,7 +225,7 @@ void read_field(Fields& line, const char*, Field<T> field) {
   read_field(line, field.what, field.value);
 }
 /// Throws when `line` carries a field past the layout of its `key`.
-void end_of_line(Fields& line, const char* key);
+void end_of_line(Fields& line, std::string_view key);
 
 /// Parses the fields of a line whose `key` was already pulled off `line`.
 template <class... F>
@@ -358,12 +364,12 @@ class BodyReader {
 
 /// The framing of every pull reader: dispatches the lines of `in` (empty
 /// ones skipped) through `body` up to a line keyed by one of `ends`, whose
-/// index it returns. Throws on an unknown key, a missing once-only line,
-/// and a stream that ends first.
+/// index it returns; the rest of that line stays in `in.fields`. Throws on
+/// an unknown key, a missing once-only line, and a stream that ends first.
 template <class Body>
-std::size_t read_body(LineReader& in,
-                      std::initializer_list<std::string_view> ends,
-                      const Body& body) {
+std::size_t read_lines(LineReader& in,
+                       std::initializer_list<std::string_view> ends,
+                       const Body& body) {
   BodyReader reader(in.document, &in);
   while (in.next_keyed()) {
     for (std::size_t end = 0; end < ends.size(); ++end)
@@ -373,11 +379,22 @@ std::size_t read_body(LineReader& in,
       }
     CAFT_CHECK_MSG(reader.dispatch(in.key, in.fields, body),
                    std::string("campaign wire: unknown ") + in.document +
-                       " key '" + std::string(in.key) + "'");
+                       " key " + quote(in.key));
   }
   throw caft::CheckError(std::string("campaign wire: truncated ") +
                          in.document + " (no '" +
                          std::string(*ends.begin()) + "')");
+}
+
+/// read_lines up to a terminator line that is its key alone (`end`,
+/// `end-run`).
+template <class Body>
+std::size_t read_body(LineReader& in,
+                      std::initializer_list<std::string_view> ends,
+                      const Body& body) {
+  const std::size_t end = read_lines(in, ends, body);
+  end_of_line(in.fields, in.key);
+  return end;
 }
 
 template <class T, class Header, class Body>

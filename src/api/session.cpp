@@ -383,8 +383,8 @@ CampaignRun Session::evaluate_schedule_subprocess(
         try {
           CampaignPartialResult partial = reader.take();
           CAFT_CHECK_MSG(partial.algorithm == block_order.algorithm,
-                         "worker answered for algorithm '" +
-                             partial.algorithm + "'");
+                         "worker answered for algorithm " +
+                             wire::quote(partial.algorithm));
           CAFT_CHECK_MSG(partial.first == block_order.first &&
                              partial.count == block_order.count,
                          "worker answered the wrong scenario block");

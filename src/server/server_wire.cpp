@@ -154,7 +154,7 @@ ServerResponse read_server_response(
   // Progress lines stream ahead of the document; the first magic line ends
   // them and opens the document, whose version it must match.
   LineReader in(is, "server response");
-  const std::size_t kind = read_body(
+  const std::size_t kind = read_lines(
       in, {kAnswers[0], kAnswers[1], kAnswers[2]}, [&](auto& d) {
         if (d.each("progress", response.progress, progress_fields) &&
             on_progress)

@@ -724,6 +724,12 @@ TEST(CampaignWire, TokenRulesArePinned) {
       // A whitespace-only line is malformed, not a copy of the line above.
       {seed, seed + "\n \t ", nullptr},
       {telemetry, telemetry + "\n ", nullptr},
+      // A terminator line is its key alone.
+      {"end", "end\t\r", "end"},
+      {"end", "end 5", nullptr},
+      {timing + "\nend", timing + "\nend 5", nullptr},
+      {"end-run", "end-run \r", "end-run"},
+      {"end-run", "end-run x", nullptr},
   };
   for (const Row& row : rows) {
     const std::string label = "'" + row.to + "'";
@@ -755,6 +761,42 @@ TEST(CampaignWire, TokenRulesArePinned) {
       ADD_FAILURE() << "rejected " << label << ": " << error.what();
     }
   }
+}
+
+TEST(CampaignWire, DiagnosticsEscapeAndCapWhatTheyQuote) {
+  using namespace std::string_literals;
+  const auto error_of = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)read_campaign_partial(is);
+    } catch (const CheckError& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  std::string good = to_text(sample_partial());
+  const auto with_line = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  // A NUL inside a double no longer ends the message there.
+  const std::string nul = error_of(with_line("r 0 1 inf", "r 0 1 0x1p+3\0zz"s));
+  EXPECT_NE(nul.find("malformed r '0x1p+3\\x00zz'"), std::string::npos) << nul;
+  EXPECT_EQ(nul.find('\0'), std::string::npos);
+  // Control bytes and backslashes are written as \xHH.
+  const std::string control =
+      error_of(with_line("telemetry 100", "telemetry 1\x1b[2J\\"));
+  EXPECT_NE(control.find("'1\\x1b[2J\\x5c'"), std::string::npos) << control;
+  // A long line is quoted by its first 64 bytes and its length.
+  const std::string record = "r 0 1 inf 4 0 9";
+  const std::string junk(100000, 'z');
+  const std::string overlong = error_of(with_line(record, junk));
+  EXPECT_NE(overlong.find("bad record line '" + junk.substr(0, 64) +
+                          "'... (100000 bytes)"),
+            std::string::npos)
+      << overlong.substr(0, 200);
+  EXPECT_LT(overlong.size(), 256u);
 }
 
 }  // namespace
