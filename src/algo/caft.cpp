@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "algo/caft_internal.hpp"
@@ -14,15 +15,18 @@ namespace internal {
 
 CaftMapper::CaftMapper(const TaskGraph& graph, const Platform& platform,
                        const CostModel& costs, const CaftOptions& options,
-                       CaftRunStats* stats)
+                       CaftRunStats* stats, CaftFloorStats* floor_check)
     : graph_(graph),
       options_(&options),
       stats_(stats),
+      floor_check_(floor_check),
       schedule_(graph, platform, options.base.eps, options.base.model),
       engine_(make_engine(options.base.model, platform, costs)),
       placer_(graph, costs, *engine_, schedule_),
       supports_(graph.task_count(), options.base.eps + 1),
-      tracker_(graph, costs) {}
+      tracker_(graph, costs) {
+  order_.reserve(platform.proc_count());
+}
 
 TaskStep CaftMapper::begin_task(TaskId t) const {
   TaskStep step;
@@ -208,36 +212,82 @@ const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step,
   // pathological ones (a locked-in sender far away) are replaced.
   constexpr double kReceiveAllMargin = 0.10;
 
+  // Finish floors: every arrival is at or after its sender's finish, so no
+  // replica starts before the latest in-edge's earliest predecessor finish.
+  double input_floor = 0.0;
+  for (const EdgeIndex e : graph_.in_edges(step.task)) {
+    const TaskId pred = graph_.edge(e).src;
+    double earliest = std::numeric_limits<double>::infinity();
+    for (ReplicaIndex r = 0; r < replicas(); ++r)
+      earliest = std::min(earliest, schedule_.replica(pred, r).finish);
+    input_floor = std::max(input_floor, earliest);
+  }
+  order_.clear();
+  for (std::size_t pi = 0; pi < proc_count(); ++pi) {
+    const auto p = ProcId(static_cast<ProcId::value_type>(pi));
+    order_.push_back(
+        ProcFloor{std::max(engine_->proc_ready(p), input_floor) +
+                      placer_.costs().exec(step.task, p),
+                  p});
+  }
+  std::sort(order_.begin(), order_.end(),
+            [](const ProcFloor& a, const ProcFloor& b) {
+              return a.floor != b.floor ? a.floor < b.floor : a.proc < b.proc;
+            });
+
   for (const bool relaxed : {false, true}) {
     bool found = false;
     bool best_is_one_to_one = false;
     std::size_t best_senders = 0;
     for (const bool use_one_to_one : {options_->one_to_one, false}) {
-      for (std::size_t pi = 0; pi < proc_count(); ++pi) {
-        const auto p = ProcId(static_cast<ProcId::value_type>(pi));
+      const auto beats_best = [&](double finish, std::size_t senders,
+                                  ProcId p) {
+        if (!found) return true;
+        if (use_one_to_one == best_is_one_to_one)
+          return finish < best.times.finish ||
+                 (finish == best.times.finish &&
+                  (senders < best_senders ||
+                   (senders == best_senders && p < best.proc)));
+        // Crossing from the one-to-one pass into the receive-all pass:
+        // demand a clear win.
+        return finish < best.times.finish * (1.0 - kReceiveAllMargin);
+      };
+      // True once no finish at or above `floor` can beat the best so far;
+      // the best only improves, so it stays true for the larger floors.
+      const auto out_of_reach = [&](double floor) {
+        if (!found) return false;
+        if (use_one_to_one == best_is_one_to_one)
+          return floor > best.times.finish;
+        return floor >= best.times.finish * (1.0 - kReceiveAllMargin);
+      };
+      std::size_t next = 0;
+      for (; next < order_.size() && !out_of_reach(order_[next].floor);
+           ++next) {
+        const ProcId p = order_[next].proc;
         if (!build_channel(step, p, relaxed, use_one_to_one, candidate))
           continue;
         candidate.times = placer_.evaluate(step.task, p, candidate.plans);
+        if (stats_ != nullptr) ++stats_->evaluations;
         const std::size_t senders = sender_count(candidate);
-        bool better;
-        if (!found) {
-          better = true;
-        } else if (use_one_to_one == best_is_one_to_one) {
-          better = candidate.times.finish < best.times.finish ||
-                   (candidate.times.finish == best.times.finish &&
-                    (senders < best_senders ||
-                     (senders == best_senders && p < best.proc)));
-        } else {
-          // Crossing from the one-to-one pass into the receive-all pass:
-          // demand a clear win.
-          better = candidate.times.finish <
-                   best.times.finish * (1.0 - kReceiveAllMargin);
-        }
-        if (better) {
+        if (beats_best(candidate.times.finish, senders, p)) {
           std::swap(best, candidate);
           best_senders = senders;
           best_is_one_to_one = use_one_to_one;
           found = true;
+        }
+      }
+      if (floor_check_ != nullptr) {
+        for (; next < order_.size(); ++next) {
+          const ProcId p = order_[next].proc;
+          if (!build_channel(step, p, relaxed, use_one_to_one, candidate))
+            continue;
+          candidate.times = placer_.evaluate(step.task, p, candidate.plans);
+          CAFT_CHECK_MSG(order_[next].floor <= candidate.times.finish,
+                         "a trial placement finished below its floor");
+          CAFT_CHECK_MSG(!beats_best(candidate.times.finish,
+                                     sender_count(candidate), p),
+                         "the floor skipped a better channel");
+          ++floor_check_->skipped;
         }
       }
       if (!options_->one_to_one) break;  // both passes identical
@@ -309,9 +359,11 @@ bool CaftMapper::hosts_replica_of(TaskId t, std::size_t committed,
 
 }  // namespace internal
 
-Schedule caft_schedule(const TaskGraph& graph, const Platform& platform,
-                       const CostModel& costs, const CaftOptions& options,
-                       CaftRunStats* stats) {
+namespace {
+
+Schedule run_caft(const TaskGraph& graph, const Platform& platform,
+                  const CostModel& costs, const CaftOptions& options,
+                  CaftRunStats* stats, internal::CaftFloorStats* floor_check) {
   CAFT_CHECK_MSG(options.base.eps + 1 <= platform.proc_count(),
                  "CAFT needs at least eps+1 processors");
   if (stats != nullptr) *stats = CaftRunStats{};
@@ -324,7 +376,8 @@ Schedule caft_schedule(const TaskGraph& graph, const Platform& platform,
   // Phase timings: the priority pass is the mapper's construction (the
   // b-level tracker), placement + replication is the mapping loop.
   obs::ScopedTimer priorities_timer(registry, "caft.priorities");
-  internal::CaftMapper mapper(graph, platform, costs, options, stats);
+  internal::CaftMapper mapper(graph, platform, costs, options, stats,
+                              floor_check);
   priorities_timer.stop();
   obs::ScopedTimer placement_timer(registry, "caft.placement");
   while (mapper.tracker().has_free_task()) {
@@ -346,5 +399,31 @@ Schedule caft_schedule(const TaskGraph& graph, const Platform& platform,
   }
   return mapper.take_schedule();
 }
+
+}  // namespace
+
+Schedule caft_schedule(const TaskGraph& graph, const Platform& platform,
+                       const CostModel& costs, const CaftOptions& options,
+                       CaftRunStats* stats) {
+  return run_caft(graph, platform, costs, options, stats, nullptr);
+}
+
+namespace internal {
+
+Schedule caft_schedule_checked(const TaskGraph& graph,
+                               const Platform& platform,
+                               const CostModel& costs,
+                               const CaftOptions& options,
+                               CaftFloorStats* stats) {
+  CaftFloorStats counts;
+  CaftRunStats run_stats;
+  Schedule schedule =
+      run_caft(graph, platform, costs, options, &run_stats, &counts);
+  counts.evaluated = run_stats.evaluations;
+  if (stats != nullptr) *stats = counts;
+  return schedule;
+}
+
+}  // namespace internal
 
 }  // namespace caft

@@ -37,6 +37,7 @@ struct CaftRunStats {
                                        ///< receive from all replicas
   std::size_t lock_exhaustions = 0;    ///< placements that had to relax the
                                        ///< locked-processor constraint
+  std::size_t evaluations = 0;  ///< trial placements the channel search ran
 };
 
 /// How far the mutual-exclusion locking of equation (7) reaches.

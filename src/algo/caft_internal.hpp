@@ -21,6 +21,7 @@
 /// Proposition 5.2 hold transitively.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -50,12 +51,23 @@ struct ChannelCandidate {
   std::size_t receive_all_edges = 0;  ///< edges that needed extra comms
 };
 
+/// How many trial placements one CAFT run made and how many processors its
+/// finish floor ruled out that would have been trial-placed (locked
+/// processors count in neither).
+struct CaftFloorStats {
+  std::uint64_t evaluated = 0;
+  std::uint64_t skipped = 0;
+};
+
 /// The CAFT placement engine; see file comment.
 class CaftMapper {
  public:
+  /// `floor_check`, when non-null, makes every channel search also
+  /// trial-place the processors its floor skipped and CAFT_CHECK that none
+  /// of them could have won (tests only; see caft_schedule_checked).
   CaftMapper(const TaskGraph& graph, const Platform& platform,
              const CostModel& costs, const CaftOptions& options,
-             CaftRunStats* stats);
+             CaftRunStats* stats, CaftFloorStats* floor_check = nullptr);
 
   [[nodiscard]] PriorityTracker& tracker() { return tracker_; }
 
@@ -96,6 +108,14 @@ class CaftMapper {
   /// Best channel over all processors under the lock; if no processor is
   /// available, retries with the relaxed rule. Always succeeds. The result
   /// lives in the mapper and stays valid until the next call.
+  ///
+  /// Processors are visited in ascending (finish floor, id) order, and a
+  /// pass stops at the first floor that cannot beat the best channel so
+  /// far. A replica on `p` starts no earlier than max(r(p), the latest
+  /// in-edge's earliest predecessor finish), because every arrival is at or
+  /// after its sender's finish; so its finish is at least that plus its
+  /// exec time. Within a pass the winner is the least (finish, senders,
+  /// proc), whatever the visit order, so the result is the full search's.
   const ChannelCandidate& best_candidate(const TaskStep& step,
                                          bool& relaxed_out);
 
@@ -106,9 +126,16 @@ class CaftMapper {
   [[nodiscard]] bool hosts_replica_of(TaskId t, std::size_t committed,
                                       ProcId p) const;
 
+  /// One processor of best_candidate()'s visit order.
+  struct ProcFloor {
+    double floor;  ///< no replica of the task can finish on `proc` before it
+    ProcId proc;
+  };
+
   const TaskGraph& graph_;
   const CaftOptions* options_;
   CaftRunStats* stats_;
+  CaftFloorStats* floor_check_;
   Schedule schedule_;
   std::unique_ptr<CommEngine> engine_;
   Placer placer_;
@@ -118,6 +145,17 @@ class CaftMapper {
   /// so peek_next_finish) allocates nothing.
   ChannelCandidate best_;
   ChannelCandidate candidate_;
+  std::vector<ProcFloor> order_;  ///< best_candidate()'s visit order
 };
+
+/// caft_schedule with every processor the floor skipped trial-placed as
+/// well: a CheckError if its finish is below its floor or it would have
+/// beaten the chosen channel. Returns the same schedule as caft_schedule;
+/// `stats`, when non-null, receives the run's counts.
+[[nodiscard]] Schedule caft_schedule_checked(const TaskGraph& graph,
+                                             const Platform& platform,
+                                             const CostModel& costs,
+                                             const CaftOptions& options,
+                                             CaftFloorStats* stats = nullptr);
 
 }  // namespace caft::internal

@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "algo/caft_internal.hpp"
 #include "algo/ftsa.hpp"
 #include "algo/heft.hpp"
 #include "counting_allocator.hpp"
+#include "dag/generators.hpp"
+#include "exp/config.hpp"
 #include "helpers.hpp"
+#include "io/instance_io.hpp"
+#include "platform/cost_synthesis.hpp"
 #include "sched/validator.hpp"
 
 namespace caft {
@@ -144,6 +150,94 @@ TEST(Caft, StatsAccountAllCommits) {
   EXPECT_EQ(stats.one_to_one_commits + stats.fallback_commits,
             s.graph.task_count() * (eps + 1));
   EXPECT_GT(stats.one_to_one_commits, 0u);
+}
+
+/// One instance of a figure's experiment at `granularity`, generated the
+/// way the experiment runner draws its first graph.
+Scenario figure_instance(const ExperimentConfig& config, double granularity) {
+  Rng rng(config.seed);
+  Scenario s;
+  s.graph = random_dag(config.dag, rng);
+  s.platform = std::make_unique<Platform>(config.proc_count);
+  CostSynthesisParams params = config.costs;
+  params.granularity = granularity;
+  s.costs = std::make_unique<CostModel>(
+      synthesize_costs(s.graph, *s.platform, params, rng));
+  return s;
+}
+
+/// The saved form of a schedule (round-trip-exact times): equal strings
+/// mean bit-identical schedules.
+std::string saved(const Scenario& s, const Schedule& schedule) {
+  std::ostringstream os;
+  save_instance(os, s.graph, *s.platform, *s.costs, &schedule);
+  return os.str();
+}
+
+/// The finish floor never skips a winning channel: caft_schedule_checked
+/// trial-places every skipped processor and throws if one finishes below
+/// its floor or would have been chosen. Runs on each figure's shape (m, ε),
+/// at a fine and a coarse granularity, under both communication models.
+class CaftFloor
+    : public ::testing::TestWithParam<
+          std::tuple<ExperimentConfig (*)(), CommModelKind>> {};
+
+TEST_P(CaftFloor, SkippedProcessorsCouldNotHaveWon) {
+  const auto [figure, model] = GetParam();
+  const ExperimentConfig config = figure();
+  for (const double granularity :
+       {config.granularities.front(), config.granularities.back()}) {
+    const Scenario s = figure_instance(config, granularity);
+    const CaftOptions options = options_for(config.eps, model);
+    internal::CaftFloorStats stats;
+    const Schedule checked = internal::caft_schedule_checked(
+        s.graph, *s.platform, *s.costs, options, &stats);
+    CaftRunStats run_stats;
+    const Schedule plain =
+        caft_schedule(s.graph, *s.platform, *s.costs, options, &run_stats);
+    EXPECT_EQ(saved(s, checked), saved(s, plain));
+    EXPECT_EQ(stats.evaluated, run_stats.evaluations);
+    EXPECT_GT(stats.skipped, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Figures, CaftFloor,
+    ::testing::Combine(::testing::Values(&figure1, &figure2, &figure3,
+                                         &figure4, &figure5, &figure6),
+                       ::testing::Values(CommModelKind::kOnePort,
+                                         CommModelKind::kMacroDataflow)));
+
+TEST(CaftFloorBound, Figure3ShapeRunsAThirdOfThePlacements) {
+  const ExperimentConfig config = figure3();
+  const Scenario s = figure_instance(config, 1.0);
+  internal::CaftFloorStats stats;
+  (void)internal::caft_schedule_checked(s.graph, *s.platform, *s.costs,
+                                        options_for(config.eps), &stats);
+  EXPECT_GE(stats.evaluated + stats.skipped, 3 * stats.evaluated)
+      << stats.evaluated << " placements run, " << stats.skipped
+      << " skipped";
+}
+
+TEST(CaftFloorBound, AFinishTieAtTheFloorIsStillVisited) {
+  // a -> b, ε = 0, m = 2, unit delays. a runs on P0 (finish 1). b's floors
+  // are 2 on P1 and 3 on P0, so P1 is visited first and finishes at 3 (its
+  // input lands at 2). P0's floor equals that finish, and P0 reaches it
+  // (its input is local): the tie goes to the lower id, so the pass must
+  // not stop at a floor equal to the best finish.
+  TaskGraph graph;
+  const TaskId a = graph.add_task("a");
+  const TaskId b = graph.add_task("b");
+  graph.add_edge(a, b, 1.0);
+  Scenario s = uniform_setup(std::move(graph), 2, 1.0, 1.0);
+  s.costs->set_exec(a, ProcId(1), 10.0);
+  s.costs->set_exec(b, ProcId(0), 2.0);
+  s.costs->set_exec(b, ProcId(1), 1.0);
+  internal::CaftFloorStats stats;
+  const Schedule sched = internal::caft_schedule_checked(
+      s.graph, *s.platform, *s.costs, options_for(0), &stats);
+  EXPECT_EQ(sched.replica(b, 0).proc, ProcId(0));
+  EXPECT_EQ(sched.replica(b, 0).finish, 3.0);
 }
 
 TEST(Caft, OneToOneDisabledStillValid) {
