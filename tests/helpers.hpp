@@ -13,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dag/generators.hpp"
+#include "exp/config.hpp"
+#include "io/instance_io.hpp"
 #include "platform/cost_synthesis.hpp"
 #include "platform/platform.hpp"
 #include "sched/schedule.hpp"
@@ -92,6 +95,29 @@ inline Scenario graph_setup(TaskGraph graph, std::uint64_t seed,
   s.costs = std::make_unique<CostModel>(
       synthesize_costs(s.graph, *s.platform, params, rng));
   return s;
+}
+
+/// One instance of a figure's experiment at `granularity`: the first graph
+/// and costs drawn from the figure's seed.
+inline Scenario figure_setup(const ExperimentConfig& config,
+                             double granularity) {
+  Rng rng(config.seed);
+  Scenario s;
+  s.graph = random_dag(config.dag, rng);
+  s.platform = std::make_unique<Platform>(config.proc_count);
+  CostSynthesisParams params = config.costs;
+  params.granularity = granularity;
+  s.costs = std::make_unique<CostModel>(
+      synthesize_costs(s.graph, *s.platform, params, rng));
+  return s;
+}
+
+/// The saved form of a schedule (round-trip-exact times): equal strings
+/// mean bit-identical schedules.
+inline std::string saved(const Scenario& s, const Schedule& schedule) {
+  std::ostringstream os;
+  save_instance(os, s.graph, *s.platform, *s.costs, &schedule);
+  return os.str();
 }
 
 /// A schedule on more than 64 processors. The schedulers cap platforms at

@@ -5,26 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
-#include <string>
 
 #include "algo/caft_internal.hpp"
 #include "algo/ftsa.hpp"
 #include "algo/heft.hpp"
 #include "counting_allocator.hpp"
-#include "dag/generators.hpp"
-#include "exp/config.hpp"
 #include "helpers.hpp"
-#include "io/instance_io.hpp"
-#include "platform/cost_synthesis.hpp"
 #include "sched/validator.hpp"
 
 namespace caft {
 namespace {
 
 using test::Scenario;
+using test::figure_setup;
 using test::graph_setup;
 using test::random_setup;
+using test::saved;
 using test::uniform_setup;
 
 CaftOptions options_for(std::size_t eps,
@@ -152,28 +148,6 @@ TEST(Caft, StatsAccountAllCommits) {
   EXPECT_GT(stats.one_to_one_commits, 0u);
 }
 
-/// One instance of a figure's experiment at `granularity`, generated the
-/// way the experiment runner draws its first graph.
-Scenario figure_instance(const ExperimentConfig& config, double granularity) {
-  Rng rng(config.seed);
-  Scenario s;
-  s.graph = random_dag(config.dag, rng);
-  s.platform = std::make_unique<Platform>(config.proc_count);
-  CostSynthesisParams params = config.costs;
-  params.granularity = granularity;
-  s.costs = std::make_unique<CostModel>(
-      synthesize_costs(s.graph, *s.platform, params, rng));
-  return s;
-}
-
-/// The saved form of a schedule (round-trip-exact times): equal strings
-/// mean bit-identical schedules.
-std::string saved(const Scenario& s, const Schedule& schedule) {
-  std::ostringstream os;
-  save_instance(os, s.graph, *s.platform, *s.costs, &schedule);
-  return os.str();
-}
-
 /// The finish floor never skips a winning channel: caft_schedule_checked
 /// trial-places every skipped processor and throws if one finishes below
 /// its floor or would have been chosen. Runs on each figure's shape (m, ε),
@@ -187,7 +161,7 @@ TEST_P(CaftFloor, SkippedProcessorsCouldNotHaveWon) {
   const ExperimentConfig config = figure();
   for (const double granularity :
        {config.granularities.front(), config.granularities.back()}) {
-    const Scenario s = figure_instance(config, granularity);
+    const Scenario s = figure_setup(config, granularity);
     const CaftOptions options = options_for(config.eps, model);
     internal::CaftFloorStats stats;
     const Schedule checked = internal::caft_schedule_checked(
@@ -210,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CaftFloorBound, Figure3ShapeRunsAThirdOfThePlacements) {
   const ExperimentConfig config = figure3();
-  const Scenario s = figure_instance(config, 1.0);
+  const Scenario s = figure_setup(config, 1.0);
   internal::CaftFloorStats stats;
   (void)internal::caft_schedule_checked(s.graph, *s.platform, *s.costs,
                                         options_for(config.eps), &stats);

@@ -5,13 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "algo/ftbar_internal.hpp"
 #include "exp/config.hpp"
 #include "helpers.hpp"
-#include "io/instance_io.hpp"
 #include "obs/obs.hpp"
 #include "sched/validator.hpp"
 
@@ -20,6 +18,7 @@ namespace {
 
 using test::Scenario;
 using test::random_setup;
+using test::saved;
 using test::uniform_setup;
 
 FtbarOptions options_for(std::size_t eps,
@@ -139,14 +138,6 @@ TEST_P(FtbarValidity, SchedulesValidate) {
   EXPECT_TRUE(result.ok()) << result.summary();
 }
 
-/// The saved form of a schedule (round-trip-exact times): equal strings
-/// mean bit-identical schedules.
-std::string saved(const Scenario& s, const Schedule& schedule) {
-  std::ostringstream os;
-  save_instance(os, s.graph, *s.platform, *s.costs, &schedule);
-  return os.str();
-}
-
 /// An 8-processor interconnect by name: the paper's clique, or a sparse
 /// one whose multi-hop routes share links.
 Topology topology_named(const std::string& name, std::uint64_t seed) {
@@ -200,15 +191,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// granularity): the share of (task, processor) start times taken from the
 /// cache, at ε = 0 and at the figure's ε = 5.
 double figure3_reuse_share(std::size_t eps) {
-  const ExperimentConfig config = figure3();
-  Rng rng(config.seed);
-  Scenario s;
-  s.graph = random_dag(config.dag, rng);
-  s.platform = std::make_unique<Platform>(config.proc_count);
-  CostSynthesisParams params = config.costs;
-  params.granularity = 1.0;
-  s.costs = std::make_unique<CostModel>(
-      synthesize_costs(s.graph, *s.platform, params, rng));
+  const Scenario s = test::figure_setup(figure3(), 1.0);
   internal::FtbarReuseStats stats;
   (void)internal::ftbar_schedule_checked(s.graph, *s.platform, *s.costs,
                                          options_for(eps), &stats);
