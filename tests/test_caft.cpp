@@ -193,6 +193,25 @@ TEST(CaftFloorBound, Figure3ShapeRunsAThirdOfThePlacements) {
       << " skipped";
 }
 
+TEST(CaftFloorBound, HoldsUnderEveryChannelRule) {
+  // Without one-to-one the search has one pass; kDirect and the star's
+  // two-hop routes change which channels build.
+  for (const bool one_to_one : {true, false})
+    for (const CaftSupportMode mode :
+         {CaftSupportMode::kDirect, CaftSupportMode::kTransitive}) {
+      const Scenario s = test::topology_setup(41, Topology::star(8), 0.6);
+      CaftOptions options = options_for(5, CommModelKind::kOnePort, one_to_one);
+      options.support_mode = mode;
+      internal::CaftFloorStats stats;
+      const Schedule checked = internal::caft_schedule_checked(
+          s.graph, *s.platform, *s.costs, options, &stats);
+      EXPECT_EQ(saved(s, checked),
+                saved(s, caft_schedule(s.graph, *s.platform, *s.costs,
+                                       options)));
+      EXPECT_GT(stats.skipped, 0u);
+    }
+}
+
 TEST(CaftFloorBound, AFinishTieAtTheFloorIsStillVisited) {
   // a -> b, ε = 0, m = 2, unit delays. a runs on P0 (finish 1). b's floors
   // are 2 on P1 and 3 on P0, so P1 is visited first and finishes at 3 (its
