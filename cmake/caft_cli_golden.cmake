@@ -10,9 +10,10 @@
 # algorithm × topology {clique, ring, star} × model {oneport, macro}, the
 # SHA-256 of the saved `--out` file (round-trip-exact times) must match
 # tests/golden/caft_cli_schedule_digests.txt. The ring legs cross
-# multi-hop routes, the star legs two-hop routes through the hub. caft and
-# caft-batch are also pinned at m = 20, eps = 5 on {clique, ring} × model
-# (lines tagged `<topology>-m20-eps5`). The last
+# multi-hop routes, the star legs two-hop routes through the hub. caft,
+# caft-batch, ftsa and ftbar are also pinned at m = 20, eps = 5 on
+# {clique, ring} × model (lines tagged `<topology>-m20-eps5`); on the ring
+# FTBAR's Minimize-Start-Time emits duplicates over multi-hop routes. The last
 # legs require `replay --crash` and `figure` to reject malformed numbers.
 # Regenerate with tools/regen_caft_cli_golden.sh after an intentional
 # change.
@@ -110,7 +111,8 @@ foreach(topology clique ring star)
 endforeach()
 
 # Figure 3's shape (m = 20, eps = 5): CAFT's channel search skips most
-# processors here, so these legs pin the schedules where that bound bites.
+# processors here, and FTSA and FTBAR place eps + 1 = 6 replicas per task,
+# so these legs pin every replicating scheduler at the paper's shape.
 foreach(topology clique ring)
   execute_process(
     COMMAND ${CLI} generate --family random --procs 20 --granularity 1.0
@@ -124,7 +126,7 @@ foreach(topology clique ring)
       "${generate_rc}")
   endif()
   foreach(model oneport macro)
-    foreach(algo caft caft-batch)
+    foreach(algo caft caft-batch ftsa ftbar)
       execute_process(
         COMMAND ${CLI} schedule --in ${topology}-m20.txt --algo ${algo}
                 --eps 5 --model ${model} --out scheduled.txt

@@ -5,7 +5,8 @@
 #   tests/golden/caft_cli_schedule.txt          summary line per algorithm
 #   tests/golden/caft_cli_schedule_digests.txt  SHA-256 of the saved
 #       `--out` schedule per algorithm × topology × communication model,
-#       plus caft and caft-batch at m = 20, eps = 5 on clique and ring
+#       plus caft, caft-batch, ftsa and ftbar at m = 20, eps = 5 on
+#       clique and ring
 #
 # Usage: tools/regen_caft_cli_golden.sh [build-dir]   (default: build)
 #
@@ -60,7 +61,7 @@ for topology in clique ring; do
     --granularity 1.0 --seed 11 --topology "$topology" \
     --out "$topology-m20.txt") > /dev/null
   for model in oneport macro; do
-    for algo in caft caft-batch; do
+    for algo in caft caft-batch ftsa ftbar; do
       (cd "$WORK_DIR" && "$CLI" schedule --in "$topology-m20.txt" \
         --algo "$algo" --eps 5 --model "$model" --out scheduled.txt) \
         > /dev/null
