@@ -47,9 +47,11 @@ enum class CaftSupportMode {
   /// behaviour (message counts near e(ε+1), the latency gaps of Figures
   /// 1-6), but inherits the paper's blind spot: a replica chosen as a
   /// sender may itself depend on a processor another channel also depends
-  /// on, and a single failure can then break two channels at once. Such
-  /// transitive entanglement is rare (the ablation bench quantifies it)
-  /// and the paper's own experiments never hit it.
+  /// on, and a single failure can then break two channels at once. At the
+  /// paper's own shape this entanglement is common, not rare: on a
+  /// 112-task instance at m = 20, ε = 5, 9 of the 20 single crashes already
+  /// lose a result (docs/architecture.md, "Transitive supports"; the
+  /// ablation bench quantifies it).
   kDirect,
   /// Strengthened rule (docs/architecture.md, "Modelling decisions"): every
   /// replica carries the full set of processors its completion depends on;

@@ -124,18 +124,18 @@ class StartCache {
 
   /// Drops the entries of `free_tasks` that the step could have changed.
   /// The step placed its replicas (and any duplicates) on `targets` and
-  /// appended `comms[first_comm, end)` to the schedule.
-  void invalidate(const std::vector<CommAssignment>& comms,
-                  std::size_t first_comm, SupportMask targets,
-                  std::span<const TaskId> free_tasks) {
+  /// appended comms [first_comm, end) to `schedule`.
+  void invalidate(const Schedule& schedule, std::size_t first_comm,
+                  SupportMask targets, std::span<const TaskId> free_tasks) {
     ++step_;
     SupportMask dirty_send = 0;
     bool wrote_links = false;
+    const auto& comms = schedule.comms();
     for (std::size_t c = first_comm; c < comms.size(); ++c) {
       const CommAssignment& comm = comms[c];
       if (comm.src_proc == comm.dst_proc) continue;  // touches no clock
       dirty_send |= support_of(comm.src_proc);
-      for (const LinkOccupancy& segment : comm.times.segments) {
+      for (const LinkOccupancy& segment : schedule.hops(comm)) {
         link_written_[segment.link.index()] = step_;
         wrote_links = true;
       }
@@ -313,7 +313,7 @@ Schedule run_ftbar(const TaskGraph& graph, const Platform& platform,
         cache.admit(succ, remote_senders(schedule, succ));
       }
     }
-    cache.invalidate(schedule.comms(), first_comm, targets, free_tasks);
+    cache.invalidate(schedule, first_comm, targets, free_tasks);
   }
   placement_timer.stop();
 

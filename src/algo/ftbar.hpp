@@ -37,7 +37,7 @@
 ///    `targets`, the processors that got a replica or a duplicate (every
 ///    exec and every reception of the step lands there); `dirty_send`, the
 ///    source processors of its inter-processor comms; and the links in
-///    those comms' segments, which give route_dirty_to[p], the senders s
+///    those comms' hops, which give route_dirty_to[p], the senders s
 ///    whose route(s, p) crosses a written link.
 ///  - When an entry is dropped: p ∈ targets; or senders(u) ∩ dirty_send ≠ ∅
 ///    (every entry of u); or senders(u) ∩ route_dirty_to[p] ≠ ∅.

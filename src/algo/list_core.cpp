@@ -81,10 +81,13 @@ void Placer::receive_all_plans(TaskId t, ProcId p,
 
     // Co-located replica rule: a copy of the predecessor living on `p`
     // serves alone when relying on it is safe (its completion needs nothing
-    // beyond `p` being alive).
+    // beyond `p` being alive). The host mask says whether any copy lives
+    // there; usually none does and the scan is skipped.
+    const bool hosted =
+        (schedule_->host_mask(pred) & Schedule::host_bit(p)) != 0;
     const ReplicaIndex total =
-        static_cast<ReplicaIndex>(schedule_->total_replicas(pred));
-    ReplicaIndex colocated = static_cast<ReplicaIndex>(total);
+        hosted ? static_cast<ReplicaIndex>(schedule_->total_replicas(pred)) : 0;
+    ReplicaIndex colocated = total;
     for (ReplicaIndex r = 0; r < total; ++r) {
       const ReplicaAssignment& a = schedule_->replica(pred, r);
       if (a.proc != p) continue;
@@ -124,21 +127,31 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
           engine_->peek_link_finish(s.proc, p, plans[i].volume, s.data_ready)});
   }
   // Equation (6)'s protocol: receive in non-decreasing order of the link
-  // finish each message would have on its own. Ties break deterministically.
-  std::sort(pending.begin(), pending.end(),
-            [](const PendingComm& a, const PendingComm& b) {
-              if (a.sort_key != b.sort_key) return a.sort_key < b.sort_key;
-              if (a.sender->ref.task != b.sender->ref.task)
-                return a.sender->ref.task < b.sender->ref.task;
-              return a.sender->ref.replica < b.sender->ref.replica;
-            });
+  // finish each message would have on its own. Ties break deterministically
+  // on (task, replica), a total order since no sender appears twice. An
+  // insertion sort: a placement posts a few dozen messages at most.
+  const auto before = [](const PendingComm& a, const PendingComm& b) {
+    if (a.sort_key != b.sort_key) return a.sort_key < b.sort_key;
+    if (a.sender->ref.task != b.sender->ref.task)
+      return a.sender->ref.task < b.sender->ref.task;
+    return a.sender->ref.replica < b.sender->ref.replica;
+  };
+  for (std::size_t i = 1; i < pending.size(); ++i) {
+    const PendingComm next = pending[i];
+    std::size_t j = i;
+    for (; j > 0 && before(next, pending[j - 1]); --j)
+      pending[j] = pending[j - 1];
+    pending[j] = next;
+  }
 
   std::vector<double>& first_arrival = first_arrival_;
   first_arrival.assign(plans.size(), std::numeric_limits<double>::infinity());
   for (const PendingComm& pc : pending) {
     const IncomingPlan& plan = plans[pc.plan_index];
-    CommTimes times =
-        engine_->post_comm(pc.sender->proc, p, plan.volume, pc.sender->data_ready);
+    hops_.clear();
+    const CommTimes times =
+        engine_->post_comm(pc.sender->proc, p, plan.volume,
+                           pc.sender->data_ready, commit_mode ? &hops_ : nullptr);
     first_arrival[pc.plan_index] =
         std::min(first_arrival[pc.plan_index], times.arrival);
     if (commit_mode) {
@@ -149,8 +162,8 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
       comm.src_proc = pc.sender->proc;
       comm.dst_proc = p;
       comm.volume = plan.volume;
-      comm.times = std::move(times);
-      schedule_->add_comm(std::move(comm));
+      comm.times = times;
+      schedule_->add_comm(comm, hops_);
     }
   }
 

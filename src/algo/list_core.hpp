@@ -23,8 +23,9 @@
 /// Evaluation allocates nothing once warm: the caller refills one plan
 /// buffer per candidate (receive_all_plans' out-parameter form reuses every
 /// plan's `senders` capacity), the Placer owns the scratch of step 1-3,
-/// and a message posted inside a CommEngine::Trial carries no
-/// CommTimes::segments. Committed placements record every hop as before.
+/// and a trial post is given no hop sink. A commit collects each message's
+/// hops in a Placer-owned buffer and appends them to the schedule's hop
+/// pool, so a commit allocates only when the schedule's arrays grow.
 ///
 /// Support masks: the set of processors whose simultaneous health guarantees
 /// the replica completes (given at most ε total failures). Receive-from-all
@@ -157,6 +158,7 @@ class Placer {
   Schedule* schedule_;
   std::vector<PendingComm> pending_;   ///< place() scratch: messages to post
   std::vector<double> first_arrival_;  ///< place() scratch: per plan
+  std::vector<LinkOccupancy> hops_;    ///< place() scratch: one commit's hops
 };
 
 /// Streaming selector of the k best (smallest-key) processor candidates —

@@ -17,11 +17,14 @@
 /// `CommEngine::write`, which journals the old value while a
 /// `CommEngine::Trial` is open; closing the trial puts back exactly the
 /// slots it touched, so an engine's rollback needs no code of its own.
+/// A post's per-hop link occupancy goes to a sink the caller passes: a
+/// commit hands its buffer in, a trial passes none and records nothing.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/platform.hpp"
@@ -44,12 +47,6 @@ struct CommTimes {
   double send_finish = 0.0;  ///< when the sender's port is released
   double recv_start = 0.0;   ///< when the receiver's port starts the reception
   double arrival = 0.0;      ///< A(c, P): when the receiver has fully received it
-  /// Per-hop link occupancy; empty for intra-processor hand-offs and for the
-  /// macro-dataflow model (which has no link exclusivity to validate). Also
-  /// empty for a post made while a CommEngine::Trial is open: a trial's
-  /// times are rolled back and never stored, and leaving the hops out keeps
-  /// a trial post free of allocation. Committed posts record every hop.
-  std::vector<LinkOccupancy> segments;
 };
 
 /// Timing of one posted task execution.
@@ -72,14 +69,21 @@ class CommEngine {
   [[nodiscard]] std::size_t proc_count() const { return platform_->proc_count(); }
 
   /// r(P): maximum finish time of the tasks already placed on P.
-  [[nodiscard]] double proc_ready(ProcId p) const;
+  [[nodiscard]] double proc_ready(ProcId p) const {
+    CAFT_CHECK(p.index() < proc_ready_.size());
+    return proc_ready_[p.index()];
+  }
 
   /// Places a communication of `volume` data units from `from` to `to` whose
   /// payload becomes available at the sender at `data_ready` (the source
   /// task's finish time). Mutates the engine state. `from == to` is the
   /// intra-processor case: free and instantaneous (arrival = data_ready).
+  /// The one-port engine appends the message's per-hop link occupancy, in
+  /// route order, to `hops` when it is non-null; intra-processor hand-offs
+  /// and the macro-dataflow model (no link exclusivity) append nothing.
   virtual CommTimes post_comm(ProcId from, ProcId to, double volume,
-                              double data_ready) = 0;
+                              double data_ready,
+                              std::vector<LinkOccupancy>* hops = nullptr) = 0;
 
   /// Finish time on the link(s) that `post_comm` would produce, *without*
   /// mutating state — the sort key of Algorithm 5.2 line 3.
@@ -96,8 +100,17 @@ class CommEngine {
   /// close in the reverse order they opened.
   class Trial {
    public:
-    explicit Trial(CommEngine& engine);
-    ~Trial();
+    explicit Trial(CommEngine& engine)
+        : engine_(&engine), mark_(engine.journal_.size()) {
+      ++engine.open_trials_;
+    }
+    ~Trial() {
+      auto& journal = engine_->journal_;
+      for (std::size_t i = journal.size(); i > mark_; --i)
+        *journal[i - 1].slot = journal[i - 1].old_value;
+      journal.resize(mark_);
+      --engine_->open_trials_;
+    }
     Trial(const Trial&) = delete;
     Trial& operator=(const Trial&) = delete;
 
@@ -111,10 +124,11 @@ class CommEngine {
   /// open. The only way engines mutate their clocks; clock vectors are
   /// sized in the constructor and never reallocate, so journaled slot
   /// pointers stay valid.
-  void write(std::vector<double>& clocks, std::size_t i, double value);
-
-  /// True while a Trial is open: posts then skip CommTimes::segments.
-  [[nodiscard]] bool in_trial() const { return open_trials_ > 0; }
+  void write(std::vector<double>& clocks, std::size_t i, double value) {
+    double& slot = clocks[i];
+    if (open_trials_ > 0) journal_.push_back({&slot, slot});
+    slot = value;
+  }
 
   const Platform* platform_;
   const CostModel* costs_;

@@ -3,7 +3,8 @@
 namespace caft {
 
 CommTimes MacroDataflowEngine::post_comm(ProcId from, ProcId to, double volume,
-                                         double data_ready) {
+                                         double data_ready,
+                                         std::vector<LinkOccupancy>* /*hops*/) {
   CommTimes times;
   times.link_start = data_ready;
   times.link_finish = data_ready + costs().comm_time(volume, from, to);

@@ -16,7 +16,8 @@ class MacroDataflowEngine final : public CommEngine {
   using CommEngine::CommEngine;
 
   CommTimes post_comm(ProcId from, ProcId to, double volume,
-                      double data_ready) override;
+                      double data_ready,
+                      std::vector<LinkOccupancy>* hops = nullptr) override;
 
   [[nodiscard]] double peek_link_finish(ProcId from, ProcId to, double volume,
                                         double data_ready) const override;

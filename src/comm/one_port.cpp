@@ -13,7 +13,8 @@ OnePortEngine::OnePortEngine(const Platform& platform, const CostModel& costs)
       link_ready_(platform.topology().link_count(), 0.0) {}
 
 CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
-                                   double data_ready) {
+                                   double data_ready,
+                                   std::vector<LinkOccupancy>* hops) {
   CAFT_CHECK(from.index() < proc_count() && to.index() < proc_count());
   CAFT_CHECK(volume >= 0.0);
 
@@ -28,10 +29,6 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
   const auto route = platform().topology().route(from, to);
   CAFT_CHECK_MSG(!route.empty(), "no route between distinct processors");
 
-  // Only a committed post keeps its hops (see CommTimes::segments).
-  const bool record = !in_trial();
-  if (record) times.segments.reserve(route.size());
-
   // First segment holds the sender port: equation (4).
   double segment_start = std::max({sending_free_[from.index()], data_ready,
                                    link_ready_[route.front().index()]});
@@ -41,8 +38,8 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
   times.send_finish = segment_finish;
   write(sending_free_, from.index(), segment_finish);
   write(link_ready_, route.front().index(), segment_finish);
-  if (record)
-    times.segments.push_back({route.front(), segment_start, segment_finish});
+  if (hops != nullptr)
+    hops->push_back({route.front(), segment_start, segment_finish});
 
   // Intermediate hops (sparse-topology extension; empty loop on a clique).
   double last_segment_start = segment_start;
@@ -52,7 +49,7 @@ CommTimes OnePortEngine::post_comm(ProcId from, ProcId to, double volume,
     segment_finish = segment_start + volume * costs().unit_delay(l);
     write(link_ready_, l.index(), segment_finish);
     last_segment_start = segment_start;
-    if (record) times.segments.push_back({l, segment_start, segment_finish});
+    if (hops != nullptr) hops->push_back({l, segment_start, segment_finish});
   }
   times.link_finish = segment_finish;
 

@@ -41,7 +41,8 @@ class OnePortEngine final : public CommEngine {
   OnePortEngine(const Platform& platform, const CostModel& costs);
 
   CommTimes post_comm(ProcId from, ProcId to, double volume,
-                      double data_ready) override;
+                      double data_ready,
+                      std::vector<LinkOccupancy>* hops = nullptr) override;
 
   [[nodiscard]] double peek_link_finish(ProcId from, ProcId to, double volume,
                                         double data_ready) const override;

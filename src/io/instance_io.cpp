@@ -107,8 +107,8 @@ void save_instance(std::ostream& os, const TaskGraph& graph,
          << ' ' << c.src_proc.value() << ' ' << c.dst_proc.value() << ' '
          << c.volume << ' ' << c.times.link_start << ' ' << c.times.link_finish
          << ' ' << c.times.send_finish << ' ' << c.times.recv_start << ' '
-         << c.times.arrival << ' ' << c.times.segments.size();
-      for (const LinkOccupancy& seg : c.times.segments)
+         << c.times.arrival << ' ' << c.hops.count;
+      for (const LinkOccupancy& seg : schedule->hops(c))
         os << ' ' << seg.link.value() << ' ' << seg.start << ' ' << seg.finish;
       os << '\n';
     }
@@ -206,6 +206,7 @@ InstanceBundle load_instance(std::istream& is) {
       bundle.schedule->add_duplicate(TaskId(t),
                                      ReplicaAssignment{ProcId(p), start, finish});
     }
+    std::vector<LinkOccupancy> hops;  // one comm's segments, reused
     while ((word = keyword(is)) == "comm") {
       CommAssignment c;
       c.edge = number<EdgeIndex>(is);
@@ -223,14 +224,15 @@ InstanceBundle load_instance(std::istream& is) {
       c.times.recv_start = number<double>(is);
       c.times.arrival = number<double>(is);
       const auto segments = number<std::size_t>(is);
+      hops.clear();
       for (std::size_t s = 0; s < segments; ++s) {
         LinkOccupancy seg;
         seg.link = LinkId(number<std::uint32_t>(is));
         seg.start = number<double>(is);
         seg.finish = number<double>(is);
-        c.times.segments.push_back(seg);
+        hops.push_back(seg);
       }
-      bundle.schedule->add_comm(std::move(c));
+      bundle.schedule->add_comm(c, hops);
     }
   }
   CAFT_CHECK_MSG(word == "end", "malformed instance: missing 'end'");

@@ -125,9 +125,11 @@ void Topology::build_routes() {
         LinkId(static_cast<LinkId::value_type>(l));
   }
 
-  routes_.assign(m * m, {});
+  route_begin_.assign(m * m + 1, 0);
+  route_links_.clear();
   // BFS per source over the directed adjacency; neighbours are visited in
-  // link-insertion order, so routes are deterministic.
+  // link-insertion order, so routes are deterministic. Pairs are filled in
+  // (src, dst) order, so each route is appended right after the previous.
   std::vector<std::vector<LinkId>> outgoing(m);
   for (std::size_t l = 0; l < links_.size(); ++l)
     outgoing[links_[l].from.index()].push_back(
@@ -150,16 +152,17 @@ void Topology::build_routes() {
       }
     }
     for (std::size_t dst = 0; dst < m; ++dst) {
-      if (dst == src || !seen[dst]) continue;
-      std::vector<LinkId> path;
-      std::size_t cur = dst;
-      while (cur != src) {
-        const LinkId l = via[cur];
-        path.push_back(l);
-        cur = links_[l.index()].from.index();
+      const std::size_t first = route_links_.size();
+      if (dst != src && seen[dst]) {
+        for (std::size_t cur = dst; cur != src;) {
+          const LinkId l = via[cur];
+          route_links_.push_back(l);
+          cur = links_[l.index()].from.index();
+        }
+        std::reverse(route_links_.begin() + static_cast<std::ptrdiff_t>(first),
+                     route_links_.end());
       }
-      std::reverse(path.begin(), path.end());
-      routes_[src * m + dst] = std::move(path);
+      route_begin_[src * m + dst + 1] = route_links_.size();
     }
   }
 }
@@ -170,15 +173,12 @@ LinkId Topology::direct_link(ProcId a, ProcId b) const {
   return direct_[a.index() * proc_count_ + b.index()];
 }
 
-std::span<const LinkId> Topology::route(ProcId a, ProcId b) const {
-  CAFT_CHECK(a.index() < proc_count_ && b.index() < proc_count_);
-  return routes_[a.index() * proc_count_ + b.index()];
-}
-
 bool Topology::connected() const {
   for (std::size_t a = 0; a < proc_count_; ++a)
     for (std::size_t b = 0; b < proc_count_; ++b)
-      if (a != b && routes_[a * proc_count_ + b].empty()) return false;
+      if (a != b && route_begin_[a * proc_count_ + b] ==
+                        route_begin_[a * proc_count_ + b + 1])
+        return false;
   return true;
 }
 

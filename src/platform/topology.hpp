@@ -61,7 +61,12 @@ class Topology {
 
   /// Shortest-hop route from `a` to `b` as a sequence of links; empty iff
   /// a == b. Routes are deterministic (lowest-id tie-break).
-  [[nodiscard]] std::span<const LinkId> route(ProcId a, ProcId b) const;
+  [[nodiscard]] std::span<const LinkId> route(ProcId a, ProcId b) const {
+    CAFT_CHECK(a.index() < proc_count_ && b.index() < proc_count_);
+    const std::size_t pair = a.index() * proc_count_ + b.index();
+    return {route_links_.data() + route_begin_[pair],
+            route_begin_[pair + 1] - route_begin_[pair]};
+  }
 
   /// Number of hops between `a` and `b` (0 iff equal).
   [[nodiscard]] std::size_t hop_count(ProcId a, ProcId b) const {
@@ -79,15 +84,17 @@ class Topology {
 
   /// Adds the two directed links of one bidirectional cable.
   void add_bidirectional(std::size_t a, std::size_t b);
-  /// BFS from every source; fills routes_.
+  /// BFS from every source; fills route_begin_ and route_links_.
   void build_routes();
 
   std::size_t proc_count_ = 0;
   std::vector<LinkDef> links_;
   /// direct_[a * m + b] = link id or invalid.
   std::vector<LinkId> direct_;
-  /// routes_[a * m + b] = link sequence of the shortest path.
-  std::vector<std::vector<LinkId>> routes_;
+  /// Routes in one CSR array: the shortest path from a to b is
+  /// route_links_[route_begin_[a * m + b], route_begin_[a * m + b + 1]).
+  std::vector<std::size_t> route_begin_;
+  std::vector<LinkId> route_links_;
 };
 
 }  // namespace caft

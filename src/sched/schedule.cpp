@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -13,106 +15,92 @@ Schedule::Schedule(const TaskGraph& graph, const Platform& platform,
     : graph_(&graph), platform_(&platform), eps_(eps), model_(model) {
   CAFT_CHECK_MSG(eps + 1 <= platform.proc_count(),
                  "need at least eps+1 processors for space exclusion");
-  replicas_.assign(graph.task_count(),
-                   std::vector<ReplicaAssignment>(primary_count()));
-  primary_set_.assign(graph.task_count(),
-                      std::vector<bool>(primary_count(), false));
-  incoming_.assign(graph.task_count(),
-                   std::vector<std::vector<std::size_t>>(primary_count()));
+  CAFT_CHECK_MSG(eps + 1 <= kMaxProcessors,
+                 "primary flags cap eps+1 at " +
+                     std::to_string(kMaxProcessors) + " replicas");
+  primaries_.assign(graph.task_count() * primary_count(), ReplicaAssignment{});
+  primary_set_.assign(graph.task_count(), 0);
+  duplicates_.assign(graph.task_count(), {});
+  hosts_.assign(graph.task_count(), 0);
 }
 
 void Schedule::set_replica(TaskId t, ReplicaIndex r,
                            ReplicaAssignment assignment) {
   CAFT_CHECK(t.index() < graph_->task_count());
   CAFT_CHECK_MSG(r < primary_count(), "primary replica index out of range");
-  CAFT_CHECK_MSG(!primary_set_[t.index()][r], "replica already placed");
+  CAFT_CHECK_MSG((primary_set_[t.index()] >> r & 1) == 0,
+                 "replica already placed");
   CAFT_CHECK(assignment.proc.index() < platform_->proc_count());
   CAFT_CHECK(assignment.start >= 0.0 && assignment.finish >= assignment.start);
-  replicas_[t.index()][r] = assignment;
-  primary_set_[t.index()][r] = true;
+  primaries_[t.index() * primary_count() + r] = assignment;
+  primary_set_[t.index()] |= std::uint64_t{1} << r;
+  hosts_[t.index()] |= host_bit(assignment.proc);
 }
 
 ReplicaIndex Schedule::add_duplicate(TaskId t, ReplicaAssignment assignment) {
   CAFT_CHECK(t.index() < graph_->task_count());
   CAFT_CHECK(assignment.proc.index() < platform_->proc_count());
   CAFT_CHECK(assignment.start >= 0.0 && assignment.finish >= assignment.start);
-  const auto r = static_cast<ReplicaIndex>(replicas_[t.index()].size());
-  replicas_[t.index()].push_back(assignment);
-  incoming_[t.index()].emplace_back();
+  auto& dups = duplicates_[t.index()];
+  const auto r = static_cast<ReplicaIndex>(primary_count() + dups.size());
+  dups.push_back(assignment);
+  hosts_[t.index()] |= host_bit(assignment.proc);
   return r;
 }
 
 void Schedule::patch_duplicate(TaskId t, ReplicaIndex r,
                                ReplicaAssignment assignment) {
   CAFT_CHECK(t.index() < graph_->task_count());
-  CAFT_CHECK_MSG(r >= primary_count() && r < replicas_[t.index()].size(),
+  auto& dups = duplicates_[t.index()];
+  CAFT_CHECK_MSG(r >= primary_count() && r - primary_count() < dups.size(),
                  "patch_duplicate only addresses duplicate slots");
   CAFT_CHECK(assignment.proc.index() < platform_->proc_count());
   CAFT_CHECK(assignment.start >= 0.0 && assignment.finish >= assignment.start);
-  replicas_[t.index()][r] = assignment;
-}
-
-bool Schedule::has_replica(TaskId t, ReplicaIndex r) const {
-  CAFT_CHECK(t.index() < graph_->task_count());
-  CAFT_CHECK(r < primary_count());
-  return primary_set_[t.index()][r];
-}
-
-std::size_t Schedule::primaries_recorded(TaskId t) const {
-  CAFT_CHECK(t.index() < graph_->task_count());
-  const auto& flags = primary_set_[t.index()];
-  return static_cast<std::size_t>(std::count(flags.begin(), flags.end(), true));
-}
-
-std::size_t Schedule::total_replicas(TaskId t) const {
-  CAFT_CHECK(t.index() < graph_->task_count());
-  const std::size_t extras = replicas_[t.index()].size() - primary_count();
-  return primaries_recorded(t) + extras;
-}
-
-const ReplicaAssignment& Schedule::replica(TaskId t, ReplicaIndex r) const {
-  CAFT_CHECK(t.index() < graph_->task_count());
-  CAFT_CHECK_MSG(r < replicas_[t.index()].size(), "replica index out of range");
-  if (r < primary_count())
-    CAFT_CHECK_MSG(primary_set_[t.index()][r], "replica not placed yet");
-  return replicas_[t.index()][r];
+  dups[r - primary_count()] = assignment;
+  // The patch may move the duplicate: rebuild the task's host mask.
+  std::uint64_t hosts = 0;
+  for (ReplicaIndex q = 0; q < primary_count(); ++q)
+    if ((primary_set_[t.index()] >> q & 1) != 0)
+      hosts |= host_bit(primaries_[t.index() * primary_count() + q].proc);
+  for (const ReplicaAssignment& a : dups) hosts |= host_bit(a.proc);
+  hosts_[t.index()] = hosts;
 }
 
 std::span<const ReplicaAssignment> Schedule::primaries(TaskId t) const {
   CAFT_CHECK_MSG(primaries_recorded(t) == primary_count(),
                  "task does not have all primary replicas yet");
-  return {replicas_[t.index()].data(), primary_count()};
+  return {primaries_.data() + t.index() * primary_count(), primary_count()};
 }
 
 std::span<const ReplicaAssignment> Schedule::duplicates(TaskId t) const {
   CAFT_CHECK(t.index() < graph_->task_count());
-  const auto& all = replicas_[t.index()];
-  return {all.data() + primary_count(), all.size() - primary_count()};
+  return duplicates_[t.index()];
 }
 
-void Schedule::add_comm(CommAssignment comm) {
+void Schedule::add_comm(CommAssignment comm,
+                        std::span<const LinkOccupancy> hops) {
   CAFT_CHECK(comm.edge < graph_->edge_count());
   const Edge& e = graph_->edge(comm.edge);
   CAFT_CHECK_MSG(comm.from.task == e.src && comm.to.task == e.dst,
                  "communication endpoints must match the edge");
-  CAFT_CHECK(comm.from.replica < replicas_[comm.from.task.index()].size());
-  CAFT_CHECK(comm.to.replica < replicas_[comm.to.task.index()].size());
-  incoming_[comm.to.task.index()][comm.to.replica].push_back(comms_.size());
-  comms_.push_back(std::move(comm));
-}
-
-std::span<const std::size_t> Schedule::incoming_comms(TaskId t,
-                                                      ReplicaIndex r) const {
-  CAFT_CHECK(t.index() < graph_->task_count());
-  CAFT_CHECK(r < incoming_[t.index()].size());
-  return incoming_[t.index()][r];
+  CAFT_CHECK(comm.from.replica <
+             primary_count() + duplicates_[comm.from.task.index()].size());
+  CAFT_CHECK(comm.to.replica <
+             primary_count() + duplicates_[comm.to.task.index()].size());
+  CAFT_CHECK_MSG(hops_.size() + hops.size() <= UINT32_MAX,
+                 "hop pool is full");
+  comm.hops = HopRange{static_cast<std::uint32_t>(hops_.size()),
+                       static_cast<std::uint32_t>(hops.size())};
+  hops_.insert(hops_.end(), hops.begin(), hops.end());
+  comms_.push_back(comm);
 }
 
 bool Schedule::complete() const {
-  for (const auto& flags : primary_set_)
-    if (!std::all_of(flags.begin(), flags.end(), [](bool b) { return b; }))
-      return false;
-  return true;
+  const std::uint64_t all =
+      primary_count() == 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << primary_count()) - 1;
+  return std::all_of(primary_set_.begin(), primary_set_.end(),
+                     [all](std::uint64_t flags) { return flags == all; });
 }
 
 double Schedule::zero_crash_latency() const {
@@ -120,7 +108,9 @@ double Schedule::zero_crash_latency() const {
   double latency = 0.0;
   for (const TaskId t : graph_->all_tasks()) {
     double first = std::numeric_limits<double>::infinity();
-    for (const ReplicaAssignment& a : replicas_[t.index()])
+    for (const ReplicaAssignment& a : primaries(t))
+      first = std::min(first, a.finish);
+    for (const ReplicaAssignment& a : duplicates_[t.index()])
       first = std::min(first, a.finish);
     latency = std::max(latency, first);
   }
@@ -130,8 +120,10 @@ double Schedule::zero_crash_latency() const {
 double Schedule::upper_bound_latency() const {
   CAFT_CHECK_MSG(complete(), "schedule is incomplete");
   double latency = 0.0;
-  for (const TaskId t : graph_->all_tasks())
-    for (const ReplicaAssignment& a : replicas_[t.index()])
+  for (const ReplicaAssignment& a : primaries_)
+    latency = std::max(latency, a.finish);
+  for (const auto& dups : duplicates_)
+    for (const ReplicaAssignment& a : dups)
       latency = std::max(latency, a.finish);
   return latency;
 }
@@ -145,8 +137,10 @@ double Schedule::horizon() const {
   // poison the horizon and with it every crash-window range and snapshot
   // bound derived from it.
   double horizon = 0.0;
-  for (const auto& task_replicas : replicas_)
-    for (const ReplicaAssignment& a : task_replicas)
+  for (const ReplicaAssignment& a : primaries_)
+    if (std::isfinite(a.finish)) horizon = std::max(horizon, a.finish);
+  for (const auto& dups : duplicates_)
+    for (const ReplicaAssignment& a : dups)
       if (std::isfinite(a.finish)) horizon = std::max(horizon, a.finish);
   for (const CommAssignment& c : comms_)
     if (std::isfinite(c.times.arrival))

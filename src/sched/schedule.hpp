@@ -12,13 +12,22 @@
 ///
 /// The crash simulator, the validator, the bounds and all metrics read this
 /// structure; schedulers only append to it.
+///
+/// Layout: the primaries of all tasks live in one task-major array, with a
+/// 64-bit mask per task of the primary slots already set and another of the
+/// processors hosting any replica (duplicates included), so the lookups of
+/// trial placement are O(1). Committed per-hop link occupancy lives in one
+/// hop pool; each CommAssignment names its range there.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "comm/engine.hpp"
+#include "common/check.hpp"
 #include "common/ids.hpp"
 #include "dag/task_graph.hpp"
 #include "platform/platform.hpp"
@@ -38,6 +47,12 @@ struct ReplicaAssignment {
   double finish = 0.0;
 };
 
+/// Where one committed communication's hops sit in Schedule's hop pool.
+struct HopRange {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
+
 /// One committed communication from a replica of edge.src to a replica of
 /// edge.dst (or an intra-processor hand-off when src_proc == dst_proc).
 struct CommAssignment {
@@ -48,6 +63,9 @@ struct CommAssignment {
   ProcId dst_proc;
   double volume = 0.0;
   CommTimes times;
+  /// Per-hop link occupancy (Schedule::hops); set by Schedule::add_comm.
+  /// Empty for intra-processor hand-offs and for the macro-dataflow model.
+  HopRange hops;
 
   /// True iff both endpoints run on the same processor (free hand-off).
   [[nodiscard]] bool intra() const { return src_proc == dst_proc; }
@@ -79,27 +97,64 @@ class Schedule {
   void patch_duplicate(TaskId t, ReplicaIndex r, ReplicaAssignment assignment);
 
   /// True once set_replica was called for primary (t, r).
-  [[nodiscard]] bool has_replica(TaskId t, ReplicaIndex r) const;
+  [[nodiscard]] bool has_replica(TaskId t, ReplicaIndex r) const {
+    CAFT_CHECK(t.index() < primary_set_.size());
+    CAFT_CHECK(r < primary_count());
+    return (primary_set_[t.index()] >> r & 1) != 0;
+  }
   /// Number of primary replicas recorded for `t` so far.
-  [[nodiscard]] std::size_t primaries_recorded(TaskId t) const;
+  [[nodiscard]] std::size_t primaries_recorded(TaskId t) const {
+    CAFT_CHECK(t.index() < primary_set_.size());
+    return static_cast<std::size_t>(std::popcount(primary_set_[t.index()]));
+  }
   /// Total replicas of `t` (recorded primaries + duplicates).
-  [[nodiscard]] std::size_t total_replicas(TaskId t) const;
+  [[nodiscard]] std::size_t total_replicas(TaskId t) const {
+    const std::size_t primaries = primaries_recorded(t);
+    return primaries + duplicates_[t.index()].size();
+  }
+  /// Processors hosting a replica of `t` (primaries recorded so far and
+  /// duplicates), one bit per processor; a replica on a processor >= 64 sets
+  /// every bit, so a clear bit always means "no replica there".
+  [[nodiscard]] std::uint64_t host_mask(TaskId t) const {
+    CAFT_CHECK(t.index() < hosts_.size());
+    return hosts_[t.index()];
+  }
+  /// The host_mask() bit(s) of processor `p`.
+  [[nodiscard]] static constexpr std::uint64_t host_bit(ProcId p) {
+    return p.index() < 64 ? std::uint64_t{1} << p.index() : ~std::uint64_t{0};
+  }
 
   /// Placement of replica (t, r); r may address a duplicate.
-  [[nodiscard]] const ReplicaAssignment& replica(TaskId t, ReplicaIndex r) const;
+  [[nodiscard]] const ReplicaAssignment& replica(TaskId t,
+                                                 ReplicaIndex r) const {
+    CAFT_CHECK(t.index() < primary_set_.size());
+    const std::size_t primaries = primary_count();
+    if (r < primaries) {
+      CAFT_CHECK_MSG((primary_set_[t.index()] >> r & 1) != 0,
+                     "replica not placed yet");
+      return primaries_[t.index() * primaries + r];
+    }
+    const auto& dups = duplicates_[t.index()];
+    CAFT_CHECK_MSG(r - primaries < dups.size(), "replica index out of range");
+    return dups[r - primaries];
+  }
   /// The ε+1 primary replicas (requires all recorded).
   [[nodiscard]] std::span<const ReplicaAssignment> primaries(TaskId t) const;
   /// Duplicates of `t` (possibly empty).
   [[nodiscard]] std::span<const ReplicaAssignment> duplicates(TaskId t) const;
 
-  /// Records a committed communication.
-  void add_comm(CommAssignment comm);
+  /// Records a committed communication; its `hops` (in route order) are
+  /// appended to the hop pool and `comm.hops` is set to their range.
+  void add_comm(CommAssignment comm, std::span<const LinkOccupancy> hops = {});
 
   [[nodiscard]] const std::vector<CommAssignment>& comms() const { return comms_; }
 
-  /// Indices into comms() of the communications received by replica (t, r).
-  [[nodiscard]] std::span<const std::size_t> incoming_comms(TaskId t,
-                                                            ReplicaIndex r) const;
+  /// Per-hop link occupancy of a committed communication of this schedule.
+  [[nodiscard]] std::span<const LinkOccupancy> hops(
+      const CommAssignment& c) const {
+    CAFT_CHECK(std::size_t{c.hops.first} + c.hops.count <= hops_.size());
+    return {hops_.data() + c.hops.first, c.hops.count};
+  }
 
   /// True once every task has all ε+1 primaries.
   [[nodiscard]] bool complete() const;
@@ -131,12 +186,17 @@ class Schedule {
   const Platform* platform_;
   std::size_t eps_;
   CommModelKind model_;
-  /// Per task: slots 0..ε hold primaries, further slots hold duplicates.
-  std::vector<std::vector<ReplicaAssignment>> replicas_;
-  std::vector<std::vector<bool>> primary_set_;
+  /// Primary r of task t at primaries_[t * (ε+1) + r].
+  std::vector<ReplicaAssignment> primaries_;
+  /// Bit r of primary_set_[t]: primary r of t is recorded.
+  std::vector<std::uint64_t> primary_set_;
+  /// Per task: duplicate i is replica index ε+1+i.
+  std::vector<std::vector<ReplicaAssignment>> duplicates_;
+  /// host_mask() per task.
+  std::vector<std::uint64_t> hosts_;
   std::vector<CommAssignment> comms_;
-  /// incoming_[task][replica] = indices into comms_.
-  std::vector<std::vector<std::vector<std::size_t>>> incoming_;
+  /// Every committed comm's hops, in commit order.
+  std::vector<LinkOccupancy> hops_;
 };
 
 }  // namespace caft

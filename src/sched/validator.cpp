@@ -105,15 +105,37 @@ ValidationResult validate_schedule(const Schedule& schedule,
                      sink);
   }
 
-  // 5) data availability per (replica, in-edge).
+  // 5) data availability per (replica, in-edge). The comms each replica
+  // receives, in comm order, as one CSR over (task, replica) slots.
+  std::vector<std::size_t> replica_begin(g.task_count() + 1, 0);
+  for (const TaskId t : g.all_tasks())
+    replica_begin[t.index() + 1] =
+        replica_begin[t.index()] + schedule.total_replicas(t);
+  std::vector<std::size_t> incoming_begin(replica_begin.back() + 1, 0);
+  const auto slot_of = [&](const ReplicaRef& to) {
+    return replica_begin[to.task.index()] + to.replica;
+  };
+  for (const CommAssignment& c : schedule.comms())
+    ++incoming_begin[slot_of(c.to) + 1];
+  for (std::size_t i = 1; i < incoming_begin.size(); ++i)
+    incoming_begin[i] += incoming_begin[i - 1];
+  std::vector<std::size_t> incoming(schedule.comms().size());
+  {
+    std::vector<std::size_t> cursor(incoming_begin.begin(),
+                                    incoming_begin.end() - 1);
+    for (std::size_t ci = 0; ci < schedule.comms().size(); ++ci)
+      incoming[cursor[slot_of(schedule.comms()[ci].to)]++] = ci;
+  }
   for (const TaskId t : g.all_tasks()) {
     const std::size_t total = schedule.total_replicas(t);
     for (ReplicaIndex r = 0; r < total; ++r) {
       const double start = schedule.replica(t, r).start;
+      const std::size_t slot = replica_begin[t.index()] + r;
       for (const EdgeIndex e : g.in_edges(t)) {
         bool fed = false;
-        for (const std::size_t ci : schedule.incoming_comms(t, r)) {
-          const CommAssignment& c = schedule.comms()[ci];
+        for (std::size_t i = incoming_begin[slot]; i < incoming_begin[slot + 1];
+             ++i) {
+          const CommAssignment& c = schedule.comms()[incoming[i]];
           if (c.edge == e && c.times.arrival <= start + tolerance) {
             fed = true;
             break;
@@ -172,7 +194,7 @@ ValidationResult validate_schedule(const Schedule& schedule,
           {c.times.link_start, c.times.send_finish, what});
       recv[c.dst_proc.index()].push_back(
           {c.times.recv_start, c.times.arrival, what});
-      for (const LinkOccupancy& seg : c.times.segments)
+      for (const LinkOccupancy& seg : schedule.hops(c))
         per_link[seg.link].push_back({seg.start, seg.finish, what});
     }
     for (std::size_t p = 0; p < m; ++p) {

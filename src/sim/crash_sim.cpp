@@ -218,14 +218,15 @@ void Replay::build_ops() {
     }
 
     // One-port chain: wire, optional extra segments, reception.
-    CAFT_CHECK_MSG(!c.times.segments.empty(),
+    const auto hops = schedule_.hops(c);
+    CAFT_CHECK_MSG(!hops.empty(),
                    "one-port inter-processor comm without segments");
     std::size_t prev = kNone;
-    for (std::size_t si = 0; si < c.times.segments.size(); ++si) {
-      const LinkOccupancy& seg = c.times.segments[si];
+    for (std::size_t si = 0; si < hops.size(); ++si) {
+      const LinkOccupancy& seg = hops[si];
       Op op;
       op.kind = si == 0 ? OpKind::kWire : OpKind::kSegment;
-      op.final_hop = si + 1 == c.times.segments.size();
+      op.final_hop = si + 1 == hops.size();
       op.duration = seg.finish - seg.start;
       op.prereq = si == 0 ? source_exec : prev;
       if (si == 0) {
@@ -261,26 +262,26 @@ void Replay::build_ops() {
   for (const Keyed& k : keyed) queue_[k.res].push_back(k.op);
 
   // Input map: per exec op, the terminating (reception/hand-off) ops per
-  // in-edge. Terminating ops carry their comm index, so invert that first.
+  // in-edge, in comm order. Terminating ops carry their comm index, so
+  // invert that first.
   exec_inputs_.assign(ops_.size(), {});
   std::vector<std::size_t> comm_to_op(schedule_.comms().size(), kNone);
   for (std::size_t oi = 0; oi < ops_.size(); ++oi)
     if (ops_[oi].comm_index != kNone) comm_to_op[ops_[oi].comm_index] = oi;
   for (const TaskId t : g.all_tasks()) {
-    const auto in = g.in_edges(t);
     const std::size_t total = schedule_.total_replicas(t);
-    for (ReplicaIndex r = 0; r < total; ++r) {
-      const std::size_t eop = exec_op_[t.index()][r];
-      exec_inputs_[eop].assign(in.size(), {});
-      for (const std::size_t ci : schedule_.incoming_comms(t, r)) {
-        const CommAssignment& c = schedule_.comms()[ci];
-        const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
-        CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
-        CAFT_CHECK(comm_to_op[ci] != kNone);
-        exec_inputs_[eop][static_cast<std::size_t>(pos)].push_back(
-            comm_to_op[ci]);
-      }
-    }
+    for (ReplicaIndex r = 0; r < total; ++r)
+      exec_inputs_[exec_op_[t.index()][r]].assign(g.in_edges(t).size(), {});
+  }
+  for (std::size_t ci = 0; ci < schedule_.comms().size(); ++ci) {
+    const CommAssignment& c = schedule_.comms()[ci];
+    const auto in = g.in_edges(c.to.task);
+    const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
+    CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
+    CAFT_CHECK(comm_to_op[ci] != kNone);
+    exec_inputs_[exec_op_[c.to.task.index()][c.to.replica]]
+                [static_cast<std::size_t>(pos)]
+                    .push_back(comm_to_op[ci]);
   }
 }
 

@@ -87,7 +87,7 @@ void ReplayEngine::build_template() {
   // or a wire, one op per further segment and a reception.
   std::size_t ops = exec_op_begin_[g.task_count()];
   for (const CommAssignment& c : schedule_->comms())
-    ops += c.intra() || macro ? 1 : c.times.segments.size() + 1;
+    ops += c.intra() || macro ? 1 : c.hops.count + 1;
   ops_.reserve(ops + 1);
   counts_message_.reserve(ops);
   std::vector<double> start;  // each op's fault-free start: its queue key
@@ -134,11 +134,12 @@ void ReplayEngine::build_template() {
     }
 
     // One-port chain: wire, optional extra segments, reception.
-    CAFT_CHECK_MSG(!c.times.segments.empty(),
+    const auto hops = schedule_->hops(c);
+    CAFT_CHECK_MSG(!hops.empty(),
                    "one-port inter-processor comm without segments");
     std::uint32_t prev = kNone32;
-    for (std::size_t si = 0; si < c.times.segments.size(); ++si) {
-      const LinkOccupancy& seg = c.times.segments[si];
+    for (std::size_t si = 0; si < hops.size(); ++si) {
+      const LinkOccupancy& seg = hops[si];
       std::uint32_t id;
       if (si == 0) {
         // A wire dies with its *sender*; forwarding through a dead router
@@ -189,8 +190,8 @@ void ReplayEngine::build_template() {
               });
 
   // Disjunctive input slots: one per (exec op, in-edge), in exec-op order,
-  // each listing the terminating ops of its comms in comm order (that of
-  // Schedule::incoming_comms). Count, then fill; each op feeds one slot.
+  // each listing the terminating ops of its comms in comm order. Count,
+  // then fill; each op feeds one slot.
   // Every record after the last exec begins at the end of the slots, so
   // each exec's range ends where the next record's begins.
   const std::uint32_t execs = exec_op_begin_.back();

@@ -155,10 +155,11 @@ struct WideChain {
             ca.src_proc = proc_of(t - 1, q);
             ca.dst_proc = proc_of(t, r);
             ca.volume = 5.0;
-            ca.times = one_port.post_comm(ca.src_proc, ca.dst_proc,
-                                          ca.volume, times[t - 1][q].finish);
+            std::vector<LinkOccupancy> hops;
+            ca.times = one_port.post_comm(ca.src_proc, ca.dst_proc, ca.volume,
+                                          times[t - 1][q].finish, &hops);
             ready = std::max(ready, ca.times.arrival);
-            schedule.add_comm(ca);
+            schedule.add_comm(ca, hops);
           }
         }
         times[t][r] = one_port.post_exec(proc_of(t, r), ready, 10.0);

@@ -294,7 +294,7 @@ TEST(CrashSimSparse, NoCrashReproducesMultiHopTimetable) {
   // The schedule actually exercises multi-hop routes.
   std::size_t multi_hop = 0;
   for (const CommAssignment& c : sched.comms())
-    multi_hop += c.times.segments.size() > 1 ? 1u : 0u;
+    multi_hop += sched.hops(c).size() > 1 ? 1u : 0u;
   ASSERT_GT(multi_hop, 0u);
 
   const CrashResult result =
@@ -319,7 +319,9 @@ TEST(CrashSimSparse, DeadRouterBlocksTransitButNotLocalWork) {
   OnePortEngine engine(platform, costs);
   const TaskTimes at = engine.post_exec(ProcId(0), 0.0, 10.0);
   sched.set_replica(a, 0, {ProcId(0), at.start, at.finish});
-  const CommTimes comm = engine.post_comm(ProcId(0), ProcId(2), 10.0, at.finish);
+  std::vector<LinkOccupancy> hops;
+  const CommTimes comm =
+      engine.post_comm(ProcId(0), ProcId(2), 10.0, at.finish, &hops);
   CommAssignment ca;
   ca.edge = 0;
   ca.from = {a, 0};
@@ -328,7 +330,7 @@ TEST(CrashSimSparse, DeadRouterBlocksTransitButNotLocalWork) {
   ca.dst_proc = ProcId(2);
   ca.volume = 10.0;
   ca.times = comm;
-  sched.add_comm(ca);
+  sched.add_comm(ca, hops);
   const TaskTimes bt = engine.post_exec(ProcId(2), comm.arrival, 10.0);
   sched.set_replica(b, 0, {ProcId(2), bt.start, bt.finish});
 

@@ -197,9 +197,9 @@ TEST(EdgeCases, ValidatorRejectsReceivePortOverlap) {
     cm.times.send_finish = 20.0;
     cm.times.recv_start = 10.0;  // both receptions [10, 20] — overlap!
     cm.times.arrival = 20.0;
-    cm.times.segments.push_back(
-        {platform.topology().direct_link(cm.src_proc, ProcId(2)), 10.0, 20.0});
-    bad.add_comm(cm);
+    const LinkOccupancy hop{
+        platform.topology().direct_link(cm.src_proc, ProcId(2)), 10.0, 20.0};
+    bad.add_comm(cm, {&hop, 1});
   }
   const ValidationResult result = validate_schedule(bad, costs);
   ASSERT_FALSE(result.ok());

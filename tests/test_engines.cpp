@@ -124,9 +124,10 @@ TEST(OnePort, LinkExclusivitySameDirection) {
 TEST(OnePort, IntraProcessorFreeAndPortless) {
   Fixture f;
   OnePortEngine engine(f.platform, f.costs);
-  const CommTimes t = engine.post_comm(P(1), P(1), 42.0, 7.0);
+  std::vector<LinkOccupancy> hops;
+  const CommTimes t = engine.post_comm(P(1), P(1), 42.0, 7.0, &hops);
   EXPECT_DOUBLE_EQ(t.arrival, 7.0);
-  EXPECT_TRUE(t.segments.empty());
+  EXPECT_TRUE(hops.empty());
   // Ports untouched.
   EXPECT_DOUBLE_EQ(engine.sending_free(P(1)), 0.0);
   EXPECT_DOUBLE_EQ(engine.receiving_free(P(1)), 0.0);
@@ -286,19 +287,20 @@ TEST(OnePortSparse, MultiHopStoreAndForward) {
   CostModel costs(g.task_count(), platform);
   costs.set_all_unit_delays(1.0);
   OnePortEngine engine(platform, costs);
-  const CommTimes t = engine.post_comm(P(1), P(2), 5.0, 0.0);
-  ASSERT_EQ(t.segments.size(), 2u);
-  EXPECT_DOUBLE_EQ(t.segments[0].start, 0.0);
-  EXPECT_DOUBLE_EQ(t.segments[0].finish, 5.0);
-  EXPECT_DOUBLE_EQ(t.segments[1].start, 5.0);  // store-and-forward at hub
-  EXPECT_DOUBLE_EQ(t.segments[1].finish, 10.0);
+  std::vector<LinkOccupancy> hops;
+  const CommTimes t = engine.post_comm(P(1), P(2), 5.0, 0.0, &hops);
+  ASSERT_EQ(hops.size(), 2u);
+  EXPECT_DOUBLE_EQ(hops[0].start, 0.0);
+  EXPECT_DOUBLE_EQ(hops[0].finish, 5.0);
+  EXPECT_DOUBLE_EQ(hops[1].start, 5.0);  // store-and-forward at hub
+  EXPECT_DOUBLE_EQ(hops[1].finish, 10.0);
   EXPECT_DOUBLE_EQ(t.arrival, 10.0);  // reception overlaps the last hop
 }
 
 TEST(OnePort, TrialPostAllocatesNothing) {
   // Leaf-to-leaf on a star crosses two links and ring(6)'s 0 -> 3 three:
-  // inside a Trial the post journals its writes but records no hops, and
-  // the same post committed afterwards records every hop.
+  // inside a Trial the post journals its writes and is given no hop sink,
+  // and the same post committed afterwards records every hop in its sink.
   for (const bool ring : {false, true}) {
     SCOPED_TRACE(ring ? "ring(6)" : "star(4)");
     const TaskGraph g = chain(2, 1.0);
@@ -321,18 +323,17 @@ TEST(OnePort, TrialPostAllocatesNothing) {
       trial_times = engine.post_comm(from, to, 5.0, 0.0);
       EXPECT_EQ(::test::t_allocations, before);
     }
-    EXPECT_TRUE(trial_times.segments.empty());
 
-    const CommTimes committed = engine.post_comm(from, to, 5.0, 0.0);
-    ASSERT_EQ(committed.segments.size(), hops);
+    std::vector<LinkOccupancy> sink;
+    const CommTimes committed = engine.post_comm(from, to, 5.0, 0.0, &sink);
+    ASSERT_EQ(sink.size(), hops);
     EXPECT_EQ(committed.arrival, trial_times.arrival);
     EXPECT_EQ(committed.link_start, trial_times.link_start);
     EXPECT_EQ(committed.link_finish, trial_times.link_finish);
-    EXPECT_EQ(committed.segments.front().start, committed.link_start);
-    EXPECT_EQ(committed.segments.back().finish, committed.link_finish);
+    EXPECT_EQ(sink.front().start, committed.link_start);
+    EXPECT_EQ(sink.back().finish, committed.link_finish);
     for (std::size_t i = 0; i < hops; ++i)
-      EXPECT_EQ(committed.segments[i].link,
-                platform.topology().route(from, to)[i]);
+      EXPECT_EQ(sink[i].link, platform.topology().route(from, to)[i]);
   }
 }
 
@@ -343,10 +344,11 @@ TEST(OnePortSparse, SharedLinkContention) {
   CostModel costs(g.task_count(), platform);
   costs.set_all_unit_delays(1.0);
   OnePortEngine engine(platform, costs);
-  const CommTimes a = engine.post_comm(P(1), P(2), 4.0, 0.0);
-  const CommTimes b = engine.post_comm(P(1), P(3), 4.0, 0.0);
-  EXPECT_DOUBLE_EQ(a.segments[0].finish, 4.0);
-  EXPECT_DOUBLE_EQ(b.segments[0].start, 4.0);  // sender port + shared first hop
+  std::vector<LinkOccupancy> a_hops, b_hops;
+  (void)engine.post_comm(P(1), P(2), 4.0, 0.0, &a_hops);
+  (void)engine.post_comm(P(1), P(3), 4.0, 0.0, &b_hops);
+  EXPECT_DOUBLE_EQ(a_hops[0].finish, 4.0);
+  EXPECT_DOUBLE_EQ(b_hops[0].start, 4.0);  // sender port + shared first hop
 }
 
 /// Property sweep: posting any sequence keeps per-port invariants: the

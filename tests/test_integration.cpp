@@ -142,7 +142,7 @@ TEST(Pipeline, FullStackOnSparseTopologies) {
     // Processors that appear as intermediate routers of committed traffic.
     std::vector<bool> routes_traffic(platform.proc_count(), false);
     for (const CommAssignment& c : sched.comms())
-      for (const LinkOccupancy& seg : c.times.segments) {
+      for (const LinkOccupancy& seg : sched.hops(c)) {
         const LinkDef& def = platform.topology().link(seg.link);
         if (def.from != c.src_proc) routes_traffic[def.from.index()] = true;
         if (def.to != c.dst_proc) routes_traffic[def.to.index()] = true;
@@ -178,7 +178,7 @@ TEST(Pipeline, StarHubIsAnHonestSinglePointOfFailure) {
 
   std::size_t cross_leaf = 0;
   for (const CommAssignment& c : sched.comms())
-    if (c.times.segments.size() > 1) ++cross_leaf;
+    if (sched.hops(c).size() > 1) ++cross_leaf;
   ASSERT_GT(cross_leaf, 0u);  // the schedule does use hub transit
 
   const CrashResult none =

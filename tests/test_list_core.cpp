@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "algo/caft.hpp"
+#include "algo/ftbar.hpp"
+#include "algo/ftsa.hpp"
 #include "comm/one_port.hpp"
 #include "counting_allocator.hpp"
 #include "dag/generators.hpp"
+#include "exp/config.hpp"
+#include "helpers.hpp"
 #include "platform/cost_synthesis.hpp"
 
 namespace caft {
@@ -236,6 +244,185 @@ TEST(BestKSelector, TakeSortedRefillsTheCallersBuffer) {
   selector.take_sorted(out);  // a short sweep shrinks the buffer
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].proc, P(1));
+}
+
+/// The receive-from-all plan of `t` on `p` built the slow way: every
+/// replica of every predecessor is scanned for a safe co-located copy,
+/// with no host-mask shortcut.
+std::vector<IncomingPlan> scanned_plans(const Schedule& schedule, TaskId t,
+                                        ProcId p, const SupportMap* supports) {
+  const TaskGraph& g = schedule.graph();
+  const auto primaries = static_cast<ReplicaIndex>(schedule.primary_count());
+  std::vector<IncomingPlan> plans;
+  for (const EdgeIndex e : g.in_edges(t)) {
+    const TaskId pred = g.edge(e).src;
+    IncomingPlan plan;
+    plan.edge = e;
+    plan.volume = g.edge(e).volume;
+    const auto total = static_cast<ReplicaIndex>(
+        primaries + schedule.duplicates(pred).size());
+    ReplicaIndex best = total;
+    for (ReplicaIndex r = 0; r < total; ++r) {
+      const ReplicaAssignment& a = schedule.replica(pred, r);
+      const bool safe = supports == nullptr || r >= primaries ||
+                        (supports->get(pred, r) & ~support_of(p)) == 0;
+      if (a.proc != p || !safe) continue;
+      if (best == total || a.finish < schedule.replica(pred, best).finish)
+        best = r;
+    }
+    for (ReplicaIndex r = 0; r < total; ++r) {
+      if (best == total ? r >= primaries : r != best) continue;
+      const ReplicaAssignment& a = schedule.replica(pred, r);
+      plan.senders.push_back({ReplicaRef{pred, r}, a.proc, a.finish});
+    }
+    plans.push_back(plan);
+  }
+  return plans;
+}
+
+/// FTBAR at Figure 3's shape (m = 20, ε = 5), on a clique and on a ring:
+/// Minimize-Start-Time leaves duplicates, so predecessors are hosted on
+/// several processors, some of them twice.
+std::vector<std::pair<std::string, test::Scenario>> mst_scenarios() {
+  const ExperimentConfig config = figure3();
+  std::vector<std::pair<std::string, test::Scenario>> out;
+  out.emplace_back("clique(20)", test::figure_setup(config, 1.0));
+  out.emplace_back("ring(20)", test::topology_setup(config.seed,
+                                                    Topology::ring(20), 1.0,
+                                                    config.dag));
+  return out;
+}
+
+TEST(Placer, HostMaskShortcutMatchesAFullReplicaScan) {
+  for (const auto& [label, s] : mst_scenarios()) {
+    SCOPED_TRACE(label);
+    FtbarOptions options;
+    options.base = SchedulerOptions{5, CommModelKind::kOnePort};
+    Schedule schedule = ftbar_schedule(s.graph, *s.platform, *s.costs, options);
+    std::size_t duplicates = 0;
+    for (const TaskId t : s.graph.all_tasks())
+      duplicates += schedule.duplicates(t).size();
+    ASSERT_GT(duplicates, 0u) << "no MST duplicates to cover";
+
+    // Supports that make some co-located primaries unsafe: each primary's
+    // mask is its host, plus a second processor for one replica in three.
+    SupportMap supports(s.graph.task_count(), schedule.primary_count());
+    Rng rng(7);
+    for (const TaskId t : s.graph.all_tasks())
+      for (ReplicaIndex r = 0; r < schedule.primary_count(); ++r) {
+        SupportMask mask = support_of(schedule.replica(t, r).proc);
+        if (rng.uniform_int(0, 2) == 0)
+          mask |= support_of(P(static_cast<std::size_t>(rng.uniform_int(0, 19))));
+        supports.set(t, r, mask);
+      }
+
+    Schedule scratch(s.graph, *s.platform, 5, CommModelKind::kOnePort);
+    OnePortEngine engine(*s.platform, *s.costs);
+    const Placer placer(s.graph, *s.costs, engine, schedule);
+    std::vector<IncomingPlan> plans;
+    std::size_t colocated = 0;
+    for (const TaskId t : s.graph.all_tasks())
+      for (const ProcId p : s.platform->all_procs())
+        for (const SupportMap* map : {static_cast<const SupportMap*>(nullptr),
+                                      static_cast<const SupportMap*>(&supports)}) {
+          placer.receive_all_plans(t, p, plans, map);
+          const std::vector<IncomingPlan> want =
+              scanned_plans(schedule, t, p, map);
+          ASSERT_EQ(plans.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(plans[i].edge, want[i].edge);
+            EXPECT_EQ(plans[i].volume, want[i].volume);
+            ASSERT_EQ(plans[i].senders.size(), want[i].senders.size());
+            colocated += want[i].senders.size() == 1 ? 1u : 0u;
+            for (std::size_t k = 0; k < want[i].senders.size(); ++k) {
+              EXPECT_EQ(plans[i].senders[k].ref.task, want[i].senders[k].ref.task);
+              EXPECT_EQ(plans[i].senders[k].ref.replica,
+                        want[i].senders[k].ref.replica);
+              EXPECT_EQ(plans[i].senders[k].proc, want[i].senders[k].proc);
+              EXPECT_EQ(plans[i].senders[k].data_ready,
+                        want[i].senders[k].data_ready);
+            }
+          }
+        }
+    EXPECT_GT(colocated, 0u);
+
+    // Replaying the placements into a fresh schedule, task by task with
+    // the primaries in reverse order: after every step the counts, flags
+    // and host mask agree with a scan of what was placed so far.
+    for (const TaskId t : s.graph.all_tasks()) {
+      std::vector<bool> placed(scratch.primary_count(), false);
+      const auto check = [&] {
+        std::size_t count = 0;
+        std::uint64_t hosts = 0;
+        for (ReplicaIndex r = 0; r < scratch.primary_count(); ++r) {
+          EXPECT_EQ(scratch.has_replica(t, r), placed[r]);
+          if (!placed[r]) continue;
+          ++count;
+          hosts |= Schedule::host_bit(scratch.replica(t, r).proc);
+        }
+        for (const ReplicaAssignment& a : scratch.duplicates(t))
+          hosts |= Schedule::host_bit(a.proc);
+        EXPECT_EQ(scratch.primaries_recorded(t), count);
+        EXPECT_EQ(scratch.total_replicas(t),
+                  count + scratch.duplicates(t).size());
+        EXPECT_EQ(scratch.host_mask(t), hosts);
+      };
+      check();
+      for (ReplicaIndex r = static_cast<ReplicaIndex>(scratch.primary_count());
+           r-- > 0;) {
+        scratch.set_replica(t, r, schedule.replica(t, r));
+        placed[r] = true;
+        check();
+      }
+      for (const ReplicaAssignment& a : schedule.duplicates(t)) {
+        (void)scratch.add_duplicate(t, a);
+        check();
+      }
+      EXPECT_EQ(scratch.host_mask(t), schedule.host_mask(t));
+      EXPECT_EQ(scratch.total_replicas(t), schedule.total_replicas(t));
+    }
+  }
+
+  // Past 64 processors a host sets every bit: a clear bit still means
+  // "no replica there".
+  const test::WideChain wide(72);
+  for (const TaskId t : wide.graph.all_tasks())
+    for (ReplicaIndex r = 0; r < 2; ++r)
+      EXPECT_NE(wide.schedule.host_mask(t) &
+                    Schedule::host_bit(wide.schedule.replica(t, r).proc),
+                0u);
+}
+
+TEST(PlacementAllocations, SchedulersAllocatePerTaskNotPerComm) {
+  // A ~100-task Figure 3 DAG at m = 20, ε = 5 commits thousands of
+  // comms; scheduling it must allocate a bounded number of times per task
+  // (per-task state, growth of the schedule's arrays), never once or more
+  // per committed comm or per trial placement.
+  const test::Scenario s = test::figure_setup(figure3(), 1.0);
+  const SchedulerOptions base{5, CommModelKind::kOnePort};
+  const auto measure = [&](const char* name, auto&& run) {
+    SCOPED_TRACE(name);
+    const std::uint64_t before = ::test::t_allocations;
+    const Schedule schedule = run();
+    const std::uint64_t allocations = ::test::t_allocations - before;
+    const std::size_t tasks = s.graph.task_count();
+    ASSERT_GE(tasks, 80u);
+    ASSERT_GT(schedule.comms().size(), 20 * tasks);
+    EXPECT_LE(allocations, 12 * tasks)
+        << allocations << " allocations for " << tasks << " tasks and "
+        << schedule.comms().size() << " comms";
+  };
+  measure("ftsa", [&] { return ftsa_schedule(s.graph, *s.platform, *s.costs, base); });
+  measure("ftbar", [&] {
+    FtbarOptions options;
+    options.base = base;
+    return ftbar_schedule(s.graph, *s.platform, *s.costs, options);
+  });
+  measure("caft", [&] {
+    CaftOptions options;
+    options.base = base;
+    return caft_schedule(s.graph, *s.platform, *s.costs, options);
+  });
 }
 
 TEST(MakeEngine, ProducesTheRightKinds) {

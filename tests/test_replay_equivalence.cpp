@@ -322,7 +322,7 @@ TEST(ReplayEquivalence, CutPlacementNeverChangesAReplay) {
       for (const CommAssignment& comm : schedule.comms()) {
         if (comm.intra()) continue;
         if (comm.src_proc == ProcId(proc))
-          finishes.push_back(comm.times.segments.front().finish);
+          finishes.push_back(schedule.hops(comm).front().finish);
         if (comm.dst_proc == ProcId(proc))
           finishes.push_back(comm.times.arrival);
       }
@@ -420,9 +420,10 @@ struct StarRelaxationCase {
       c.dst_proc = schedule.replica(to.task, to.replica).proc;
       c.volume = 1.0;
       double at = sent;
+      std::vector<LinkOccupancy> hops;
       for (const LinkId link :
            platform.topology().route(c.src_proc, c.dst_proc)) {
-        c.times.segments.push_back({link, at, at + 1.0});
+        hops.push_back({link, at, at + 1.0});
         at += 1.0;
       }
       c.times.link_start = sent;
@@ -430,7 +431,7 @@ struct StarRelaxationCase {
       c.times.send_finish = sent + 1.0;
       c.times.recv_start = at - 1.0;
       c.times.arrival = at;
-      schedule.add_comm(c);
+      schedule.add_comm(c, hops);
     };
     comm(0, {t[0], 1}, {t[1], 1}, 10.0);  // B^1 -> C^1 via the hub
     comm(1, {t[1], 1}, {t[2], 0}, 22.0);  // C^1 -> A^0

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -154,9 +155,16 @@ TEST(Schedule, CommRecordingAndLookup) {
   c.times = times_at(5.0, 15.0);
   f.schedule.add_comm(c);
 
+  const auto received = [&](TaskId t, ReplicaIndex r) {
+    return std::count_if(f.schedule.comms().begin(), f.schedule.comms().end(),
+                         [&](const CommAssignment& comm) {
+                           return comm.to.task == t && comm.to.replica == r;
+                         });
+  };
   EXPECT_EQ(f.schedule.comms().size(), 1u);
-  EXPECT_EQ(f.schedule.incoming_comms(T(1), 0).size(), 1u);
-  EXPECT_TRUE(f.schedule.incoming_comms(T(1), 1).empty());
+  EXPECT_EQ(received(T(1), 0), 1);
+  EXPECT_EQ(received(T(1), 1), 0);
+  EXPECT_TRUE(f.schedule.hops(f.schedule.comms()[0]).empty());
   EXPECT_EQ(f.schedule.message_count(), 1u);
   EXPECT_DOUBLE_EQ(f.schedule.message_volume(), 10.0);
 }

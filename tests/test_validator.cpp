@@ -236,9 +236,9 @@ TEST(Validator, DetectsSendPortOverlap) {
     cm.dst_proc = P(dst);
     cm.volume = 10.0;
     cm.times = wire(10.0, 20.0);  // both hold the send port [10, 20]
-    cm.times.segments.push_back(
-        {platform.topology().direct_link(P(0), P(dst)), 10.0, 20.0});
-    bad.add_comm(cm);
+    const LinkOccupancy hop{platform.topology().direct_link(P(0), P(dst)),
+                            10.0, 20.0};
+    bad.add_comm(cm, {&hop, 1});
   }
   const ValidationResult result = validate_schedule(bad, costs);
   ASSERT_FALSE(result.ok());
@@ -300,8 +300,8 @@ TEST(Validator, DetectsLinkOverlap) {
   c1.dst_proc = P(2);
   c1.volume = 10.0;
   c1.times = wire(10.0, 20.0);
-  c1.times.segments.push_back({shared, 10.0, 20.0});
-  bad.add_comm(c1);
+  const LinkOccupancy hop{shared, 10.0, 20.0};
+  bad.add_comm(c1, {&hop, 1});
   // Second message *claims* the same link interval (src_proc P1 lies, but
   // the validator checks segments independently).
   CommAssignment c2;
@@ -314,8 +314,7 @@ TEST(Validator, DetectsLinkOverlap) {
   c2.times = wire(10.0, 20.0);
   c2.times.recv_start = 20.0;
   c2.times.arrival = 30.0;
-  c2.times.segments.push_back({shared, 10.0, 20.0});
-  bad.add_comm(c2);
+  bad.add_comm(c2, {&hop, 1});
   const ValidationResult result = validate_schedule(bad, costs);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.summary().find("link"), std::string::npos);
