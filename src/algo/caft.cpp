@@ -101,9 +101,12 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
       // one-to-one is disabled (FTSA uses the same rule). Its support may
       // overlap the channel's own accumulated support freely: sharing
       // *within* a channel is harmless, only sharing across channels breaks
-      // Proposition 5.2.
+      // Proposition 5.2. The host mask skips the scan when no replica of
+      // the predecessor is on p, the usual case.
       auto colocated = static_cast<ReplicaIndex>(replicas());
-      for (ReplicaIndex r = 0; r < replicas(); ++r) {
+      const bool hosted =
+          (schedule_.host_mask(pred) & Schedule::host_bit(p)) != 0;
+      for (ReplicaIndex r = 0; hosted && r < replicas(); ++r) {
         const ReplicaAssignment& a = schedule_.replica(pred, r);
         if (a.proc != p) continue;
         if ((supports_.get(pred, r) & step.locked) != 0) continue;

@@ -61,10 +61,8 @@ TaskTimes commit_with_mst(Placer& placer, const TaskGraph& graph, TaskId t,
 
   const TaskId parent = graph.edge(plans[critical].edge).src;
   // Skip when the parent already runs on p (the plan would have used it).
-  const std::size_t parent_total = placer.schedule().total_replicas(parent);
-  for (ReplicaIndex pr = 0; pr < parent_total; ++pr)
-    if (placer.schedule().replica(parent, pr).proc == p)
-      return placer.commit(t, r, p, plans);
+  if ((placer.schedule().host_mask(parent) & Schedule::host_bit(p)) != 0)
+    return placer.commit(t, r, p, plans);
 
   // What-if: place the duplicate, then the task, on a scratch engine state.
   std::vector<IncomingPlan>& dup_plans = scratch.dup_plans;

@@ -104,11 +104,10 @@ void Placer::receive_all_plans(TaskId t, ProcId p,
       plan.senders.push_back(
           SenderOption{ReplicaRef{pred, colocated}, a.proc, a.finish});
     } else {
-      for (ReplicaIndex r = 0;
-           r < static_cast<ReplicaIndex>(schedule_->primary_count()); ++r) {
-        const ReplicaAssignment& a = schedule_->replica(pred, r);
-        plan.senders.push_back(SenderOption{ReplicaRef{pred, r}, a.proc, a.finish});
-      }
+      ReplicaIndex r = 0;
+      for (const ReplicaAssignment& a : schedule_->primaries(pred))
+        plan.senders.push_back(
+            SenderOption{ReplicaRef{pred, r++}, a.proc, a.finish});
     }
   }
 }
@@ -144,7 +143,9 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
     pending[j] = next;
   }
 
-  std::vector<double>& first_arrival = first_arrival_;
+  // The caller's buffer, when it asked for the arrivals, else the Placer's.
+  std::vector<double>& first_arrival =
+      first_arrivals != nullptr ? *first_arrivals : first_arrival_;
   first_arrival.assign(plans.size(), std::numeric_limits<double>::infinity());
   for (const PendingComm& pc : pending) {
     const IncomingPlan& plan = plans[pc.plan_index];
@@ -169,7 +170,6 @@ TaskTimes Placer::place(TaskId t, ProcId p, std::span<const IncomingPlan> plans,
 
   double earliest_input = 0.0;
   for (const double a : first_arrival) earliest_input = std::max(earliest_input, a);
-  if (first_arrivals != nullptr) *first_arrivals = first_arrival;
 
   const TaskTimes times =
       engine_->post_exec(p, earliest_input, costs_->exec(t, p));

@@ -56,14 +56,10 @@ void Schedule::patch_duplicate(TaskId t, ReplicaIndex r,
                  "patch_duplicate only addresses duplicate slots");
   CAFT_CHECK(assignment.proc.index() < platform_->proc_count());
   CAFT_CHECK(assignment.start >= 0.0 && assignment.finish >= assignment.start);
-  dups[r - primary_count()] = assignment;
-  // The patch may move the duplicate: rebuild the task's host mask.
-  std::uint64_t hosts = 0;
-  for (ReplicaIndex q = 0; q < primary_count(); ++q)
-    if ((primary_set_[t.index()] >> q & 1) != 0)
-      hosts |= host_bit(primaries_[t.index() * primary_count() + q].proc);
-  for (const ReplicaAssignment& a : dups) hosts |= host_bit(a.proc);
-  hosts_[t.index()] = hosts;
+  ReplicaAssignment& slot = dups[r - primary_count()];
+  CAFT_CHECK_MSG(assignment.proc == slot.proc,
+                 "a duplicate stays on the processor it was reserved on");
+  slot = assignment;
 }
 
 std::span<const ReplicaAssignment> Schedule::primaries(TaskId t) const {

@@ -92,8 +92,9 @@ class Schedule {
   /// Appends a duplicate of task `t`; returns its replica index (>= ε+1).
   ReplicaIndex add_duplicate(TaskId t, ReplicaAssignment assignment);
 
-  /// Overwrites the placement of duplicate `r` of `t` (duplicate slots are
-  /// reserved before their communications are posted, then patched).
+  /// Overwrites the times of duplicate `r` of `t` (duplicate slots are
+  /// reserved before their communications are posted, then patched); the
+  /// processor must stay the one the slot was reserved on.
   void patch_duplicate(TaskId t, ReplicaIndex r, ReplicaAssignment assignment);
 
   /// True once set_replica was called for primary (t, r).

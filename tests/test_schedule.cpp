@@ -216,6 +216,9 @@ TEST(Schedule, PatchDuplicate) {
   const ReplicaIndex dup = f.schedule.add_duplicate(T(0), {P(2), 0.0, 0.0});
   f.schedule.patch_duplicate(T(0), dup, {P(2), 3.0, 8.0});
   EXPECT_DOUBLE_EQ(f.schedule.replica(T(0), dup).start, 3.0);
+  // A duplicate keeps its processor (the host mask counts it there).
+  EXPECT_THROW(f.schedule.patch_duplicate(T(0), dup, {P(1), 3.0, 8.0}),
+               CheckError);
   // Primaries cannot be patched.
   f.schedule.set_replica(T(0), 0, {P(0), 0.0, 5.0});
   EXPECT_THROW(f.schedule.patch_duplicate(T(0), 0, {P(0), 0.0, 5.0}),
