@@ -105,48 +105,32 @@ ValidationResult validate_schedule(const Schedule& schedule,
                      sink);
   }
 
-  // 5) data availability per (replica, in-edge). The comms each replica
-  // receives, in comm order, as one CSR over (task, replica) slots.
-  std::vector<std::size_t> replica_begin(g.task_count() + 1, 0);
+  // 5) data availability per (replica, in-edge). One pass over the comms
+  // marks each (replica, in-edge) slot that some comm feeds in time; a
+  // task's slots are replica-major from first_slot[t].
+  std::vector<std::size_t> first_slot(g.task_count() + 1, 0);
   for (const TaskId t : g.all_tasks())
-    replica_begin[t.index() + 1] =
-        replica_begin[t.index()] + schedule.total_replicas(t);
-  std::vector<std::size_t> incoming_begin(replica_begin.back() + 1, 0);
-  const auto slot_of = [&](const ReplicaRef& to) {
-    return replica_begin[to.task.index()] + to.replica;
-  };
-  for (const CommAssignment& c : schedule.comms())
-    ++incoming_begin[slot_of(c.to) + 1];
-  for (std::size_t i = 1; i < incoming_begin.size(); ++i)
-    incoming_begin[i] += incoming_begin[i - 1];
-  std::vector<std::size_t> incoming(schedule.comms().size());
-  {
-    std::vector<std::size_t> cursor(incoming_begin.begin(),
-                                    incoming_begin.end() - 1);
-    for (std::size_t ci = 0; ci < schedule.comms().size(); ++ci)
-      incoming[cursor[slot_of(schedule.comms()[ci].to)]++] = ci;
+    first_slot[t.index() + 1] = first_slot[t.index()] +
+                                schedule.total_replicas(t) * g.in_degree(t);
+  std::vector<bool> fed(first_slot.back(), false);
+  for (const CommAssignment& c : schedule.comms()) {
+    const auto in = g.in_edges(c.to.task);
+    const auto pos = static_cast<std::size_t>(
+        std::find(in.begin(), in.end(), c.edge) - in.begin());
+    if (c.times.arrival <=
+        schedule.replica(c.to.task, c.to.replica).start + tolerance)
+      fed[first_slot[c.to.task.index()] + c.to.replica * in.size() + pos] =
+          true;
   }
   for (const TaskId t : g.all_tasks()) {
+    const auto in = g.in_edges(t);
     const std::size_t total = schedule.total_replicas(t);
-    for (ReplicaIndex r = 0; r < total; ++r) {
-      const double start = schedule.replica(t, r).start;
-      const std::size_t slot = replica_begin[t.index()] + r;
-      for (const EdgeIndex e : g.in_edges(t)) {
-        bool fed = false;
-        for (std::size_t i = incoming_begin[slot]; i < incoming_begin[slot + 1];
-             ++i) {
-          const CommAssignment& c = schedule.comms()[incoming[i]];
-          if (c.edge == e && c.times.arrival <= start + tolerance) {
-            fed = true;
-            break;
-          }
-        }
-        if (!fed)
+    for (ReplicaIndex r = 0; r < total; ++r)
+      for (std::size_t i = 0; i < in.size(); ++i)
+        if (!fed[first_slot[t.index()] + r * in.size() + i])
           sink.add("task ", g.name(t), " replica ", r, ": no input for edge ",
-                   g.name(g.edge(e).src), " -> ", g.name(t),
-                   " arrives before start ", start);
-      }
-    }
+                   g.name(g.edge(in[i]).src), " -> ", g.name(t),
+                   " arrives before start ", schedule.replica(t, r).start);
   }
 
   // 6) communication sanity.
