@@ -316,7 +316,7 @@ TEST(Placer, HostMaskShortcutMatchesAFullReplicaScan) {
         supports.set(t, r, mask);
       }
 
-    Schedule scratch(s.graph, *s.platform, 5, CommModelKind::kOnePort);
+    Schedule replayed(s.graph, *s.platform, 5, CommModelKind::kOnePort);
     OnePortEngine engine(*s.platform, *s.costs);
     const Placer placer(s.graph, *s.costs, engine, schedule);
     std::vector<IncomingPlan> plans;
@@ -350,36 +350,36 @@ TEST(Placer, HostMaskShortcutMatchesAFullReplicaScan) {
     // the primaries in reverse order: after every step the counts, flags
     // and host mask agree with a scan of what was placed so far.
     for (const TaskId t : s.graph.all_tasks()) {
-      std::vector<bool> placed(scratch.primary_count(), false);
+      std::vector<bool> placed(replayed.primary_count(), false);
       const auto check = [&] {
         std::size_t count = 0;
         std::uint64_t hosts = 0;
-        for (ReplicaIndex r = 0; r < scratch.primary_count(); ++r) {
-          EXPECT_EQ(scratch.has_replica(t, r), placed[r]);
+        for (ReplicaIndex r = 0; r < replayed.primary_count(); ++r) {
+          EXPECT_EQ(replayed.has_replica(t, r), placed[r]);
           if (!placed[r]) continue;
           ++count;
-          hosts |= Schedule::host_bit(scratch.replica(t, r).proc);
+          hosts |= Schedule::host_bit(replayed.replica(t, r).proc);
         }
-        for (const ReplicaAssignment& a : scratch.duplicates(t))
+        for (const ReplicaAssignment& a : replayed.duplicates(t))
           hosts |= Schedule::host_bit(a.proc);
-        EXPECT_EQ(scratch.primaries_recorded(t), count);
-        EXPECT_EQ(scratch.total_replicas(t),
-                  count + scratch.duplicates(t).size());
-        EXPECT_EQ(scratch.host_mask(t), hosts);
+        EXPECT_EQ(replayed.primaries_recorded(t), count);
+        EXPECT_EQ(replayed.total_replicas(t),
+                  count + replayed.duplicates(t).size());
+        EXPECT_EQ(replayed.host_mask(t), hosts);
       };
       check();
-      for (ReplicaIndex r = static_cast<ReplicaIndex>(scratch.primary_count());
+      for (ReplicaIndex r = static_cast<ReplicaIndex>(replayed.primary_count());
            r-- > 0;) {
-        scratch.set_replica(t, r, schedule.replica(t, r));
+        replayed.set_replica(t, r, schedule.replica(t, r));
         placed[r] = true;
         check();
       }
       for (const ReplicaAssignment& a : schedule.duplicates(t)) {
-        (void)scratch.add_duplicate(t, a);
+        (void)replayed.add_duplicate(t, a);
         check();
       }
-      EXPECT_EQ(scratch.host_mask(t), schedule.host_mask(t));
-      EXPECT_EQ(scratch.total_replicas(t), schedule.total_replicas(t));
+      EXPECT_EQ(replayed.host_mask(t), schedule.host_mask(t));
+      EXPECT_EQ(replayed.total_replicas(t), schedule.total_replicas(t));
     }
   }
 
