@@ -41,6 +41,7 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
   out.proc = p;
   out.support = support_of(p);
   out.receive_all_edges = 0;
+  out.relaxed = relaxed;
 
   // Support budget: every replica still to be placed after this one needs at
   // least one unlocked processor for its host (a pure receive-from-all
@@ -192,8 +193,7 @@ std::size_t sender_count(const ChannelCandidate& candidate) {
 
 }  // namespace
 
-const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step,
-                                                   bool& relaxed_out) {
+const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step) {
   // The two mapper-owned slots trade places instead of copying: a better
   // candidate becomes `best`, and the old best's buffers are rebuilt as the
   // next candidate.
@@ -295,30 +295,30 @@ const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step,
       }
       if (!options_->one_to_one) break;  // both passes identical
     }
-    if (found) {
-      relaxed_out = relaxed;
-      return best;
-    }
+    if (found) return best;
   }
   CAFT_CHECK_MSG(false, "no processor available for a replica");
   return best;  // unreachable
 }
 
 double CaftMapper::peek_next_finish(const TaskStep& step) {
-  bool relaxed = false;
-  return best_candidate(step, relaxed).times.finish;
+  return best_candidate(step).times.finish;
 }
+
+void CaftMapper::keep_peek(ChannelCandidate& out) { std::swap(best_, out); }
 
 void CaftMapper::advance(TaskStep& step) {
   CAFT_CHECK_MSG(!done(step), "task already fully replicated");
-  bool relaxed = false;
-  const ChannelCandidate& best = best_candidate(step, relaxed);
-  commit_candidate(step, best, relaxed);
+  commit_candidate(step, best_candidate(step));
+}
+
+void CaftMapper::advance(TaskStep& step, const ChannelCandidate& peeked) {
+  CAFT_CHECK_MSG(!done(step), "task already fully replicated");
+  commit_candidate(step, peeked);
 }
 
 void CaftMapper::commit_candidate(TaskStep& step,
-                                  const ChannelCandidate& candidate,
-                                  bool relaxed) {
+                                  const ChannelCandidate& candidate) {
   const auto r = static_cast<ReplicaIndex>(step.committed);
   const TaskTimes times =
       placer_.commit(step.task, r, candidate.proc, candidate.plans);
@@ -334,12 +334,13 @@ void CaftMapper::commit_candidate(TaskStep& step,
   ++step.committed;
   step.first_finish = std::min(step.first_finish, times.finish);
   if (stats_ != nullptr) {
-    if (candidate.receive_all_edges == 0 && options_->one_to_one && !relaxed)
+    if (candidate.receive_all_edges == 0 && options_->one_to_one &&
+        !candidate.relaxed)
       ++stats_->one_to_one_commits;
     else
       ++stats_->fallback_commits;
     stats_->per_edge_fallbacks += candidate.receive_all_edges;
-    if (relaxed) ++stats_->lock_exhaustions;
+    if (candidate.relaxed) ++stats_->lock_exhaustions;
   }
 }
 

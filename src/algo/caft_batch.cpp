@@ -17,6 +17,7 @@ Schedule caft_batch_schedule(const TaskGraph& graph, const Platform& platform,
                  "CAFT-B needs at least eps+1 processors");
   if (stats != nullptr) *stats = CaftRunStats{};
   internal::CaftMapper mapper(graph, platform, costs, options.caft, stats);
+  internal::ChannelCandidate winner_channel;  // the round's best peek
 
   while (mapper.tracker().has_free_task()) {
     // Open a window of up to batch_size ready tasks, by priority.
@@ -26,7 +27,9 @@ Schedule caft_batch_schedule(const TaskGraph& graph, const Platform& platform,
       window.push_back(mapper.begin_task(mapper.tracker().pop_highest()));
 
     // Commit one replica at a time: always the window member whose next
-    // placement finishes earliest (global EFT across the batch).
+    // placement finishes earliest (global EFT across the batch). Every peek
+    // of one round follows the round's last commit, so the winner's kept
+    // channel is still current and is committed as found.
     std::size_t open = window.size();
     while (open > 0) {
       std::size_t winner = window.size();
@@ -37,10 +40,11 @@ Schedule caft_batch_schedule(const TaskGraph& graph, const Platform& platform,
         if (finish < winner_finish) {
           winner_finish = finish;
           winner = i;
+          mapper.keep_peek(winner_channel);
         }
       }
       CAFT_CHECK(winner < window.size());
-      mapper.advance(window[winner]);
+      mapper.advance(window[winner], winner_channel);
       if (mapper.done(window[winner])) {
         mapper.finish_task(window[winner]);
         --open;

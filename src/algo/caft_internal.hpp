@@ -8,7 +8,8 @@
 /// machine: begin_task() opens the locked set P̄, advance() commits one
 /// replica channel, peek_next_finish() evaluates what advance() would commit
 /// — the hook the batched driver uses to pick the globally earliest-
-/// finishing replica across a window of ready tasks.
+/// finishing replica across a window of ready tasks, whose channel it then
+/// keeps (keep_peek) and commits without a second search.
 ///
 /// Channel construction generalizes Algorithm 5.2's singleton-processor
 /// heads (see docs/architecture.md, "Modelling decisions"): an in-edge is
@@ -49,6 +50,7 @@ struct ChannelCandidate {
   std::vector<IncomingPlan> plans;
   SupportMask support = 0;
   std::size_t receive_all_edges = 0;  ///< edges that needed extra comms
+  bool relaxed = false;  ///< built by the lock-exhausted pass
 };
 
 /// How many trial placements one CAFT run made and how many processors its
@@ -77,8 +79,18 @@ class CaftMapper {
   /// Finish time of the replica advance() would commit next.
   [[nodiscard]] double peek_next_finish(const TaskStep& step);
 
+  /// Swaps the channel the last peek found into `out` (its old buffers
+  /// become the mapper's search slot).
+  void keep_peek(ChannelCandidate& out);
+
   /// Commits the next replica of `step`'s task.
   void advance(TaskStep& step);
+
+  /// Commits `peeked`, a channel keep_peek() took from a peek of `step`.
+  /// Nothing may have been committed since that peek: the engine and the
+  /// schedule are then unchanged, so `peeked` is what advance(step) would
+  /// find again.
+  void advance(TaskStep& step, const ChannelCandidate& peeked);
 
   /// True once all ε+1 replicas are committed.
   [[nodiscard]] bool done(const TaskStep& step) const {
@@ -99,7 +111,8 @@ class CaftMapper {
 
   /// Builds the channel targeting `p`; false iff `p` itself is locked.
   /// `relaxed` drops the lock constraints entirely (used when every
-  /// processor is locked): all edges receive from every replica.
+  /// processor is locked): all edges receive from every replica. The
+  /// channel records which rule built it.
   /// `use_one_to_one` toggles single-sender selection (case (b)); the
   /// intra-processor rule (case (a)) applies either way.
   bool build_channel(const TaskStep& step, ProcId p, bool relaxed,
@@ -116,11 +129,9 @@ class CaftMapper {
   /// after its sender's finish; so its finish is at least that plus its
   /// exec time. Within a pass the winner is the least (finish, senders,
   /// proc), whatever the visit order, so the result is the full search's.
-  const ChannelCandidate& best_candidate(const TaskStep& step,
-                                         bool& relaxed_out);
+  const ChannelCandidate& best_candidate(const TaskStep& step);
 
-  void commit_candidate(TaskStep& step, const ChannelCandidate& candidate,
-                        bool relaxed);
+  void commit_candidate(TaskStep& step, const ChannelCandidate& candidate);
 
   /// True iff an already-placed replica of `t` occupies `p`.
   [[nodiscard]] bool hosts_replica_of(TaskId t, std::size_t committed,

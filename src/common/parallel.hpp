@@ -1,10 +1,10 @@
 /// \file parallel.hpp
 /// Shared worker-thread sizing and fan-out for the parallel drivers: the
-/// experiment runner's repetition fan-out (exp/runner), the fault-injection
-/// campaign's draw and replay phases (campaign/campaign) and the subprocess
-/// coordinator's dispatchers (api/session). Thread sizing honours the
-/// CAFT_THREADS environment variable so a single knob pins the whole
-/// binary to a thread budget.
+/// experiment runner's input and (repetition, algorithm) job phases
+/// (exp/runner), the fault-injection campaign's draw and replay phases
+/// (campaign/campaign) and the subprocess coordinator's dispatchers
+/// (api/session). Thread sizing honours the CAFT_THREADS environment
+/// variable so a single knob pins the whole binary to a thread budget.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,9 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <atomic>
 #include <memory>
+#include <optional>
 
 #include "api/api.hpp"
 #include "common/check.hpp"
@@ -32,22 +32,14 @@ class Mean {
   std::size_t count_ = 0;
 };
 
-constexpr double kSkip = std::numeric_limits<double>::quiet_NaN();
-
-/// One algorithm's metrics in one repetition. NaN = missing (a crash
-/// re-execution that lost results — counted, not averaged).
-struct AlgoRep {
-  double latency0 = 0.0, latency_ub = 0.0, latency_crash = kSkip;
-  double overhead0 = 0.0, overhead_crash = kSkip;
-  double messages = 0.0, messages_per_edge = kSkip;
-};
-
-/// All metrics of one repetition (one random graph), algorithms indexed as
-/// in config.algorithms.
-struct RepMetrics {
-  double ff_caft = 0.0, ff_ftbar = 0.0;
-  std::vector<AlgoRep> algos;
-  bool crash_failure = false;
+/// One algorithm job's raw outcome in one repetition. The fold normalises
+/// it against the repetition's instance and HEFT baseline.
+struct AlgoRun {
+  double makespan = 0.0, upper_bound = 0.0, messages = 0.0;
+  /// Re-executed latency under the repetition's crash set; meaningless
+  /// when the re-execution lost results (!crash_success).
+  double crash_latency = 0.0;
+  bool crash_success = false;
 };
 
 /// Streaming per-algorithm means, same indexing as config.algorithms.
@@ -57,96 +49,41 @@ struct AlgoMeans {
   Mean messages, messages_per_edge;
 };
 
-void fold(Mean& mean, double value) {
-  if (!std::isnan(value)) mean.add(value);
-}
-
 /// Every scheduler an experiment uses, resolved from the registry once up
 /// front (an unknown config name fails before any work starts, and the hot
-/// per-repetition loop does no registry lookups).
+/// per-job loop does no registry lookups).
 struct ResolvedSchedulers {
   std::shared_ptr<const ftsched::Scheduler> heft;   ///< CAFT* baseline
   std::shared_ptr<const ftsched::Scheduler> ftbar;  ///< ε=0 baseline
   std::vector<std::shared_ptr<const ftsched::Scheduler>> algos;
 };
 
-/// Runs one repetition end to end. Pure function of (config, granularity,
-/// rng seed material) — schedulers are stateless — so repetitions can run
-/// on any thread.
-RepMetrics run_repetition(const ExperimentConfig& config,
-                          const ResolvedSchedulers& schedulers,
-                          double granularity, Rng rng) {
+/// One repetition's inputs, shared read-only by all of its jobs: the random
+/// instance and the one crash set every algorithm is re-executed under
+/// (paired comparison).
+struct RepInput {
+  std::optional<ftsched::Instance> instance;
+  std::optional<CrashScenario> scenario;
+};
+
+/// Draws one repetition's inputs from its own stream, in a fixed order:
+/// the DAG, then the costs, then the crash set.
+RepInput draw_inputs(const ExperimentConfig& config, double granularity,
+                     Rng rng) {
+  RepInput input;
   TaskGraph graph = random_dag(config.dag, rng);
   CostSynthesisParams cost_params = config.costs;
   cost_params.granularity = granularity;
-  const ftsched::Instance instance(
+  input.instance.emplace(
       std::move(graph), Platform(config.proc_count), cost_params, rng,
       ftsched::RunOptions{config.eps, CommModelKind::kOnePort});
-
-  // Scheduling is validated by the algorithm test suites; the runner skips
-  // the per-repetition validator pass (it would dominate small sweeps).
-  ftsched::ScheduleRequest request;
-  request.validate = false;
-
-  // Fault-free baselines (CAFT* ≡ HEFT for the overhead formula; FTBAR at
-  // ε = 0 for panel (a)).
-  const ftsched::ScheduleResult ff_caft =
-      schedulers.heft->schedule(instance, request);
-  const double caft_star = ff_caft.makespan;
-  ftsched::ScheduleRequest ff_request = request;
-  ff_request.eps = 0;
-  const ftsched::ScheduleResult ff_ftbar =
-      schedulers.ftbar->schedule(instance, ff_request);
-
-  // Fault-tolerant schedules, one per configured algorithm.
-  std::vector<ftsched::ScheduleResult> results;
-  results.reserve(schedulers.algos.size());
-  for (const auto& scheduler : schedulers.algos)
-    results.push_back(scheduler->schedule(instance, request));
-
-  // Crash re-execution: one uniformly drawn crash set per repetition,
-  // shared across all algorithms (paired comparison). Each schedule is
-  // replayed once, so its engine is template only: no fault-free recording,
-  // a dead-set closure and one replay from the pristine state.
   const auto indices =
       rng.sample_without_replacement(config.proc_count, config.crashes);
   std::vector<ProcId> failed(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i)
     failed[i] = ProcId(static_cast<ProcId::value_type>(indices[i]));
-  const CrashScenario scenario =
-      CrashScenario::at_zero(config.proc_count, failed);
-
-  const auto norm = [&](double latency) {
-    return normalized_latency(latency, instance.graph(), instance.costs());
-  };
-
-  ReplayEngineOptions one_shot;
-  one_shot.max_snapshots = 0;
-
-  RepMetrics rep;
-  rep.ff_caft = norm(caft_star);
-  rep.ff_ftbar = norm(ff_ftbar.makespan);
-  rep.algos.resize(results.size());
-  const double edges = static_cast<double>(instance.graph().edge_count());
-  for (std::size_t a = 0; a < results.size(); ++a) {
-    const ftsched::ScheduleResult& result = results[a];
-    const CrashResult crash =
-        ReplayEngine(result.schedule, instance.costs(), one_shot)
-            .replay(scenario);
-    AlgoRep& algo = rep.algos[a];
-    algo.latency0 = norm(result.makespan);
-    algo.latency_ub = norm(result.upper_bound);
-    algo.overhead0 = overhead_percent(result.makespan, caft_star);
-    algo.messages = static_cast<double>(result.messages);
-    if (edges > 0) algo.messages_per_edge = algo.messages / edges;
-    if (crash.success) {
-      algo.latency_crash = norm(crash.latency);
-      algo.overhead_crash = overhead_percent(crash.latency, caft_star);
-    } else {
-      rep.crash_failure = true;
-    }
-  }
-  return rep;
+  input.scenario = CrashScenario::at_zero(config.proc_count, failed);
+  return input;
 }
 
 }  // namespace
@@ -164,7 +101,7 @@ std::vector<PointAverages> run_experiment(const ExperimentConfig& config) {
                  "experiment config names no algorithms");
   // Resolve every algorithm (baselines included) up front — an unknown name
   // fails here with the registry's "unknown algo ...; known: ..." message,
-  // not mid-sweep — and the repetition loop does no registry lookups.
+  // not mid-sweep — and the job loop does no registry lookups.
   const ftsched::SchedulerRegistry& registry =
       ftsched::SchedulerRegistry::global();
   ResolvedSchedulers schedulers;
@@ -174,47 +111,107 @@ std::vector<PointAverages> run_experiment(const ExperimentConfig& config) {
   for (const std::string& name : config.algorithms)
     schedulers.algos.push_back(registry.make(name));
 
+  // Scheduling is validated by the algorithm test suites; the runner skips
+  // the per-schedule validator pass (it would dominate small sweeps).
+  ftsched::ScheduleRequest request;
+  request.validate = false;
+  ftsched::ScheduleRequest ff_request = request;
+  ff_request.eps = 0;
+  // Each schedule is replayed once, so its engine is template only: no
+  // fault-free recording, a dead-set closure and one replay from the
+  // pristine state.
+  ReplayEngineOptions one_shot;
+  one_shot.max_snapshots = 0;
+
+  // Jobs of one point: every repetition's algorithms in config order, then
+  // every repetition's ε = 0 FTBAR baseline, then its HEFT baseline (CAFT*
+  // for the overhead formula): the larger jobs are handed out first.
+  const std::size_t reps = config.graphs_per_point;
+  const std::size_t algos = schedulers.algos.size();
+  const std::size_t algo_jobs = reps * algos;
+  const std::size_t jobs = algo_jobs + 2 * reps;
+  WorkerGroup group(std::min(default_thread_count(), jobs));
+  std::vector<ReplayEngine::Scratch> scratches(group.size());
+
   std::vector<PointAverages> points;
   points.reserve(config.granularities.size());
   Rng master(config.seed);
-  const std::size_t threads =
-      std::min(default_thread_count(), config.graphs_per_point);
-
   for (const double granularity : config.granularities) {
     // Deterministic per-repetition streams: split sequentially up front so
     // the thread schedule cannot influence the draws.
     std::vector<Rng> streams;
-    streams.reserve(config.graphs_per_point);
-    for (std::size_t rep = 0; rep < config.graphs_per_point; ++rep)
+    streams.reserve(reps);
+    for (std::size_t rep = 0; rep < reps; ++rep)
       streams.push_back(master.split());
 
-    std::vector<RepMetrics> reps(config.graphs_per_point);
-    const std::size_t stride = std::max<std::size_t>(1, threads);
-    run_on_threads(threads, [&](std::size_t first) {
-      for (std::size_t rep = first; rep < reps.size(); rep += stride)
-        reps[rep] =
-            run_repetition(config, schedulers, granularity, streams[rep]);
+    std::vector<RepInput> inputs(reps);
+    std::atomic<std::size_t> next_input{0};
+    group.run([&](std::size_t) {
+      for (std::size_t rep; (rep = next_input.fetch_add(1)) < reps;)
+        inputs[rep] = draw_inputs(config, granularity, streams[rep]);
+    });
+
+    // Each job writes its own slot; its schedule dies with the job.
+    std::vector<AlgoRun> runs(algo_jobs);
+    std::vector<double> baselines(2 * reps);  // ε = 0 FTBAR's, then HEFT's
+    std::atomic<std::size_t> next_job{0};
+    group.run([&](std::size_t slot) {
+      for (std::size_t job; (job = next_job.fetch_add(1)) < jobs;) {
+        if (job >= algo_jobs) {
+          const std::size_t b = job - algo_jobs;
+          const ftsched::Instance& instance = *inputs[b % reps].instance;
+          baselines[b] =
+              b < reps
+                  ? schedulers.ftbar->schedule(instance, ff_request).makespan
+                  : schedulers.heft->schedule(instance, request).makespan;
+          continue;
+        }
+        const RepInput& input = inputs[job / algos];
+        const ftsched::ScheduleResult result =
+            schedulers.algos[job % algos]->schedule(*input.instance, request);
+        const ReplayEngine engine(result.schedule, input.instance->costs(),
+                                  one_shot);
+        const CrashResult& crash =
+            engine.replay(*input.scenario, scratches[slot]);
+        runs[job] = {result.makespan, result.upper_bound,
+                     static_cast<double>(result.messages), crash.latency,
+                     crash.success};
+      }
     });
 
     // Fold in repetition order: bit-for-bit deterministic regardless of the
-    // thread interleaving above.
+    // thread interleaving above. A re-execution that lost results is
+    // counted, not averaged.
     Mean ff_caft, ff_ftbar;
-    std::vector<AlgoMeans> means(config.algorithms.size());
+    std::vector<AlgoMeans> means(algos);
     std::size_t crash_failures = 0;
-    for (const RepMetrics& rep : reps) {
-      if (rep.crash_failure) ++crash_failures;
-      fold(ff_caft, rep.ff_caft);
-      fold(ff_ftbar, rep.ff_ftbar);
-      for (std::size_t a = 0; a < means.size(); ++a) {
-        const AlgoRep& algo = rep.algos[a];
-        fold(means[a].latency0, algo.latency0);
-        fold(means[a].latency_ub, algo.latency_ub);
-        fold(means[a].latency_crash, algo.latency_crash);
-        fold(means[a].overhead0, algo.overhead0);
-        fold(means[a].overhead_crash, algo.overhead_crash);
-        fold(means[a].messages, algo.messages);
-        fold(means[a].messages_per_edge, algo.messages_per_edge);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const ftsched::Instance& instance = *inputs[rep].instance;
+      const auto norm = [&](double latency) {
+        return normalized_latency(latency, instance.graph(), instance.costs());
+      };
+      const double caft_star = baselines[reps + rep];
+      const double edges = static_cast<double>(instance.graph().edge_count());
+      ff_caft.add(norm(caft_star));
+      ff_ftbar.add(norm(baselines[rep]));
+      bool crash_failure = false;
+      for (std::size_t a = 0; a < algos; ++a) {
+        const AlgoRun& run = runs[rep * algos + a];
+        AlgoMeans& mean = means[a];
+        mean.latency0.add(norm(run.makespan));
+        mean.latency_ub.add(norm(run.upper_bound));
+        mean.overhead0.add(overhead_percent(run.makespan, caft_star));
+        mean.messages.add(run.messages);
+        if (edges > 0) mean.messages_per_edge.add(run.messages / edges);
+        if (run.crash_success) {
+          mean.latency_crash.add(norm(run.crash_latency));
+          mean.overhead_crash.add(
+              overhead_percent(run.crash_latency, caft_star));
+        } else {
+          crash_failure = true;
+        }
       }
+      if (crash_failure) ++crash_failures;
     }
 
     PointAverages point;

@@ -58,10 +58,12 @@ struct PointAverages {
 };
 
 /// Runs the experiment; one PointAverages per granularity, in sweep order.
-/// Repetitions run in parallel across hardware threads (override with the
-/// CAFT_THREADS environment variable); results are bit-for-bit independent
-/// of the thread count because every repetition owns a pre-split random
-/// stream and the fold happens in repetition order.
+/// Each point runs as jobs on a pool of hardware threads (override with the
+/// CAFT_THREADS environment variable): one per (repetition, algorithm)
+/// schedule and re-execution, and one per fault-free baseline. Results are
+/// bit-for-bit independent of the thread count because every repetition
+/// draws its inputs from a pre-split random stream, every job writes its
+/// own slot, and the fold happens in repetition order.
 [[nodiscard]] std::vector<PointAverages> run_experiment(
     const ExperimentConfig& config);
 

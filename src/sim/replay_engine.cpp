@@ -170,7 +170,11 @@ void ReplayEngine::build_template() {
   // wire queues on its sender and its first link. The naive replay sorts all
   // entries at once by start, then by a sequence number that grows with the
   // op id: within a resource that is the unique (start, op id) order, so
-  // sorting each bucket alone yields the same queues for fewer comparisons.
+  // sorting each bucket alone yields the same queues. Buckets fill in op-id
+  // order; comms are recorded in commit order and the one-port engine only
+  // appends to a port or link, so a port or link queue nearly always arrives
+  // sorted and is only checked. Exec ops are numbered in task order, not
+  // commit order, so it is the exec queues that usually need the sort.
   queue_begin_.assign(resource_count_ + 1, 0);
   for (std::uint32_t op = 0; op < op_count_; ++op)
     for (const std::uint32_t res : {ops_[op].res_a, ops_[op].res_b})
@@ -182,12 +186,15 @@ void ReplayEngine::build_template() {
   for (std::uint32_t op = 0; op < op_count_; ++op)
     for (const std::uint32_t res : {ops_[op].res_a, ops_[op].res_b})
       if (res != kNone32) queue_ops_[cursor[res]++] = op;
-  for (std::size_t r = 0; r < resource_count_; ++r)
-    std::sort(queue_ops_.begin() + queue_begin_[r],
-              queue_ops_.begin() + queue_begin_[r + 1],
-              [&](std::uint32_t a, std::uint32_t b) {
-                return start[a] != start[b] ? start[a] < start[b] : a < b;
-              });
+  const auto committed_before = [&](std::uint32_t a, std::uint32_t b) {
+    return start[a] != start[b] ? start[a] < start[b] : a < b;
+  };
+  for (std::size_t r = 0; r < resource_count_; ++r) {
+    const auto first = queue_ops_.begin() + queue_begin_[r];
+    const auto last = queue_ops_.begin() + queue_begin_[r + 1];
+    if (!std::is_sorted(first, last, committed_before))
+      std::sort(first, last, committed_before);
+  }
 
   // Disjunctive input slots: one per (exec op, in-edge), in exec-op order,
   // each listing the terminating ops of its comms in comm order. Count,
@@ -207,12 +214,17 @@ void ReplayEngine::build_template() {
   for (std::uint32_t e = 0; e < execs; ++e)
     std::fill(slot_exec_.begin() + ops_[e].slot_begin,
               slot_exec_.begin() + ops_[e + 1].slot_begin, e);
+  // Each edge's position among its target's in-edges: a comm's slot offset.
+  std::vector<std::uint32_t> in_position(g.edge_count());
+  for (const TaskId t : g.all_tasks()) {
+    const auto in = g.in_edges(t);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      in_position[in[i]] = static_cast<std::uint32_t>(i);
+  }
   const auto slot_of = [&](const CommAssignment& c) {
-    const auto in = g.in_edges(c.to.task);
-    const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
-    CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
+    CAFT_CHECK(g.edge(c.edge).dst == c.to.task);
     return ops_[exec_op(c.to.task.index(), c.to.replica)].slot_begin +
-           static_cast<std::uint32_t>(pos);
+           in_position[c.edge];
   };
   slot_input_begin_.assign(slot_count + 1, 0);
   for (const CommAssignment& c : schedule_->comms())

@@ -220,7 +220,10 @@ class ReplayEngine {
   ReplayEngine& operator=(const ReplayEngine&) = delete;
 
   /// Per-thread mutable replay state. Reusing one Scratch across replays
-  /// avoids all per-replay allocation; contents are opaque.
+  /// avoids all per-replay allocation; contents are opaque. A Scratch may
+  /// move between engines: every replay resizes and resets the state it
+  /// reads, so one Scratch serves replays of different schedules in turn
+  /// (only its buffers' capacity carries over).
   class Scratch {
    public:
     Scratch() = default;

@@ -51,6 +51,28 @@ TEST(CaftBatch, BatchSizeOneBehavesLikeCaft) {
       EXPECT_EQ(a.replica(t, r).proc, b.replica(t, r).proc);
 }
 
+TEST(CaftBatch, CommitsTheChannelItsPeekFound) {
+  // A round peeks every open task of the window once and commits the
+  // winner's peeked channel without searching it again. At batch size 1 a
+  // round is one peek of one task, so on Figure 3's shape (m = 20, ε = 5)
+  // CAFT-B reproduces CAFT's schedule with exactly CAFT's trial placements;
+  // a second search per commit would double them.
+  const ExperimentConfig config = figure3();
+  const Scenario s = test::figure_setup(config, 1.0);
+  CaftOptions plain;
+  plain.base = SchedulerOptions{config.eps, CommModelKind::kOnePort};
+  CaftRunStats caft_stats;
+  CaftRunStats batch_stats;
+  const Schedule a =
+      caft_schedule(s.graph, *s.platform, *s.costs, plain, &caft_stats);
+  const Schedule b = caft_batch_schedule(s.graph, *s.platform, *s.costs,
+                                         options_for(config.eps, 1),
+                                         &batch_stats);
+  ASSERT_EQ(test::saved(s, a), test::saved(s, b));
+  EXPECT_GT(caft_stats.evaluations, 0u);
+  EXPECT_EQ(batch_stats.evaluations, caft_stats.evaluations);
+}
+
 TEST(CaftBatch, ValidAcrossBatchSizes) {
   Scenario s = random_setup(3, 10, 1.0);
   for (const std::size_t batch : {2u, 4u, 10u}) {

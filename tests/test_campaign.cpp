@@ -832,6 +832,54 @@ TEST(ReplayEngine, WarmThetaReplayAllocatesNothing) {
   EXPECT_GT(scratch.commits(), commits);
 }
 
+// One Scratch serves replays of two different schedules in turn, as the
+// experiment runner's workers do: a recording engine on a 10-processor
+// clique (its links are dropped) and a template-only engine on an
+// 8-processor ring (its links are kept), so every per-op, per-slot and
+// per-resource array changes size at each switch. Each replay must equal
+// one through a fresh Scratch, for θ crashes (restored cuts on the clique)
+// and dead-from-start sets alike.
+TEST(ReplayEngine, ScratchMovesBetweenEngines) {
+  const Scenario clique = random_setup(119, 10, 1.0);
+  const Scenario ring = test::topology_setup(120, Topology::ring(8), 1.0);
+  const Schedule clique_schedule = caft_for(clique, 2);
+  const Schedule ring_schedule = caft_for(ring, 2);
+  ReplayEngineOptions template_only;
+  template_only.max_snapshots = 0;
+  const ReplayEngine clique_engine(clique_schedule, *clique.costs);
+  const ReplayEngine ring_engine(ring_schedule, *ring.costs, template_only);
+  const CrashWindowSampler clique_theta(10, 2, 0.0,
+                                        clique_schedule.horizon() / 2.0);
+  const CrashWindowSampler ring_theta(8, 2, 0.0,
+                                      ring_schedule.horizon() / 2.0);
+  const UniformKSampler clique_dead(10, 2);
+  const UniformKSampler ring_dead(8, 2);
+  const auto expect_same = [](const CrashResult& fresh,
+                              const CrashResult& moved) {
+    EXPECT_EQ(fresh.success, moved.success);
+    EXPECT_EQ(fresh.latency, moved.latency);
+    EXPECT_EQ(fresh.completed, moved.completed);
+    EXPECT_EQ(fresh.finish, moved.finish);
+    EXPECT_EQ(fresh.delivered_messages, moved.delivered_messages);
+    EXPECT_EQ(fresh.order_relaxations, moved.order_relaxations);
+    EXPECT_EQ(fresh.order_deadlock, moved.order_deadlock);
+  };
+  ReplayEngine::Scratch shared;
+  Rng rng(1191);
+  for (int draw = 0; draw < 8; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    const bool theta = draw % 2 == 0;
+    const CrashScenario on_clique =
+        theta ? clique_theta.sample(rng) : clique_dead.sample(rng);
+    const CrashScenario on_ring =
+        theta ? ring_theta.sample(rng) : ring_dead.sample(rng);
+    expect_same(clique_engine.replay(on_clique),
+                clique_engine.replay(on_clique, shared));
+    expect_same(ring_engine.replay(on_ring),
+                ring_engine.replay(on_ring, shared));
+  }
+}
+
 TEST(ReplayEngine, BuildAllocationsDoNotGrowWithTheSchedule) {
   // A recording build sizes every per-op array once and keeps one flat
   // fault-free timeline, so its allocation count is a constant: the same

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,6 +209,38 @@ TEST(ExpRunner, FigurePointsPinned) {
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < actual.size(); ++i)
     EXPECT_EQ(actual[i], expected[i]) << "point " << i;
+}
+
+// Each point runs as (repetition, algorithm) and baseline jobs claimed by
+// however many workers CAFT_THREADS allows; which worker runs which job
+// must not move one bit of a point. Figure 3's (m = 20, ε = 5) and Figure
+// 4's (m = 10, ε = 1) shapes, five graphs per point, at both ends of the
+// sweep.
+TEST(ExpRunner, ThreadCountInvariant) {
+  const char* set = std::getenv("CAFT_THREADS");
+  const std::optional<std::string> previous =
+      set != nullptr ? std::optional<std::string>(set) : std::nullopt;
+  std::vector<std::string> reference;
+  for (const char* count : {"1", "3", "4"}) {
+    setenv("CAFT_THREADS", count, 1);
+    std::vector<std::string> actual;
+    for (ExperimentConfig config : {figure3(), figure4()}) {
+      config.graphs_per_point = 5;
+      config.granularities = {config.granularities.front(),
+                              config.granularities.back()};
+      for (const PointAverages& p : run_experiment(config))
+        actual.push_back(config.name + " " + render_point(p));
+    }
+    if (reference.empty())
+      reference = actual;
+    else
+      EXPECT_EQ(actual, reference) << "CAFT_THREADS=" << count;
+  }
+  if (previous)
+    setenv("CAFT_THREADS", previous->c_str(), 1);
+  else
+    unsetenv("CAFT_THREADS");
+  EXPECT_EQ(reference.size(), 4u);
 }
 
 TEST(ExpReport, PanelsHaveExpectedShape) {
