@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -37,10 +38,6 @@ void set_outcome(ReplayRecord& record, const CrashResult& result) {
   record.order_relaxations = result.order_relaxations;
 }
 
-/// A wave's first miss of each canonical key, keyed into the key arena.
-using WaveMisses = std::unordered_map<std::span<const double>, std::size_t,
-                                      CrashTimesHash, CrashTimesEqual>;
-
 /// How a wave's draw phase resolved one draw against the record cache.
 enum class Lookup : std::uint8_t {
   kHit,            ///< the cache held its canonical key; record copied
@@ -49,88 +46,123 @@ enum class Lookup : std::uint8_t {
   kUnique,         ///< no canonical form: replayed as drawn, never cached
 };
 
-/// Shared core of run_campaign and run_campaign_block: executes the
-/// contiguous replays [first, first + count) of the canonical scenario
-/// stream in bounded waves and hands each wave's records — in canonical
-/// replay order — to `sink(records, wave_size)` on the calling thread; a
-/// sink that returns false stops the range after its wave (the fold's
-/// early stop). The stream position is a function of (seed, first) alone:
-/// the master Rng is advanced one split per replay, so any block of any
-/// partition draws exactly the scenarios the full campaign would have
-/// drawn at those indices. The record-cache and execution-shape counters
-/// accumulate into `telemetry` as the range runs.
-///
-/// Each wave is a two-stage pipeline on one WorkerGroup. The draw phase
-/// samples, canonicalizes and looks up disjoint chunks of wave w on every
-/// slot against the cache, which no one writes during the phase, while
-/// slot 0 (this thread) first hands wave w − 1 to the sink. The serial
-/// step then walks wave w in draw order — in-wave duplicates, misses,
-/// telemetry — its misses replay in a second phase, and their records are
-/// copied and inserted in draw order. If the sink refused wave w − 1, wave
-/// w was speculative: it is dropped before anything of it is counted.
-template <typename Sink>
-void run_replay_range(const Schedule& schedule, const CostModel& costs,
-                      const ScenarioSampler& sampler,
-                      const CampaignOptions& options, std::size_t first,
-                      std::size_t count, CampaignTelemetry& telemetry,
-                      Sink&& sink) {
-  CAFT_CHECK_MSG(sampler.proc_count() == schedule.platform().proc_count(),
-                 "sampler platform size does not match the schedule");
-  CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
-  CAFT_CHECK_MSG(options.theta_bucket_width >= 0.0 &&
-                     !std::isnan(options.theta_bucket_width),
-                 "theta bucket width must be non-negative");
+/// A wave's draws as crash-time rows, for any sampler and any m: each
+/// draw's row and its canonical form (ReplayEngine::canonicalize) sit in
+/// two draw-major arenas, and the record cache is keyed by the canonical
+/// row.
+class RowDraws {
+ public:
+  using Key = std::span<const double>;
+  using Cache = RecordCache;
+  using Misses =
+      std::unordered_map<Key, std::size_t, CrashTimesHash, CrashTimesEqual>;
 
-  const std::size_t threads =
-      std::max<std::size_t>(1, options.threads == 0 ? default_thread_count()
-                                                    : options.threads);
+  RowDraws(const ScenarioSampler& sampler, const ReplayEngine& engine,
+           std::size_t capacity)
+      : sampler_(sampler),
+        engine_(engine),
+        m_(sampler.proc_count()),
+        drawn_(capacity * m_),
+        keys_(capacity * m_) {}
 
-  // Observability is strictly write-only from here on: when the global
-  // registry is disabled (the default) every call below is a relaxed load
-  // plus a branch, and nothing it records ever feeds back into a replay.
-  obs::Registry& registry = obs::Registry::global();
-  obs::Span range_span = registry.span("campaign.range");
-  obs::Histogram wave_seconds = registry.histogram("campaign.wave.seconds");
-  const std::chrono::steady_clock::time_point range_begin =
-      std::chrono::steady_clock::now();
-
-  // The prefix-cached engine is built once per campaign and shared
-  // read-only by every worker (each worker owns its Scratch). A caller may
-  // supply it prebuilt (the campaign server's cached replay template, the
-  // same build_campaign_engine result), but it must canonicalize exactly
-  // as this campaign asks.
-  const ReplayEngine* engine = options.prebuilt_engine;
-  std::unique_ptr<const ReplayEngine> owned_engine;
-  if (engine == nullptr) {
-    owned_engine =
-        build_campaign_engine(schedule, costs, options.theta_bucket_width);
-    engine = owned_engine.get();
-  } else {
-    CAFT_CHECK_MSG(
-        engine->options().theta_bucket_width == options.theta_bucket_width,
-        "prebuilt engine was built with a different theta_bucket_width than "
-        "the campaign");
+  /// Samples draw i from `stream` and canonicalizes it.
+  ReplayEngine::Canonical draw(std::size_t i, Rng& stream,
+                               std::size_t& failed) {
+    const std::span<double> times = row(drawn_, i);
+    sampler_.sample_into(stream, times);
+    failed = static_cast<std::size_t>(std::count_if(
+        times.begin(), times.end(), [](double t) { return t < kInf; }));
+    return engine_.canonicalize(times, row(keys_, i));
+  }
+  [[nodiscard]] Key key(std::size_t i) { return row(keys_, i); }
+  [[nodiscard]] static std::vector<double> owned(Key key) {
+    return {key.begin(), key.end()};
+  }
+  /// A quantized miss replays its representative in place of the draw.
+  void replay_representative(std::size_t i) {
+    const std::span<double> key = row(keys_, i);
+    std::copy(key.begin(), key.end(), row(drawn_, i).begin());
+  }
+  [[nodiscard]] double first_crash(std::size_t i) {
+    return ReplayEngine::first_crash(row(drawn_, i));
+  }
+  void set_scenario(std::size_t i, CrashScenario& scenario) {
+    const std::span<double> times = row(drawn_, i);
+    for (std::size_t p = 0; p < m_; ++p)
+      scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
+                              times[p]);
   }
 
-  Rng master(options.seed);
-  // Fast-forward to replay `first`: exactly one split per earlier replay —
-  // the sampler draws from the split stream, never from the master.
-  for (std::size_t i = 0; i < first; ++i) (void)master.split_seed();
+ private:
+  std::span<double> row(std::vector<double>& arena, std::size_t i) const {
+    return {arena.data() + i * m_, m_};
+  }
 
-  const std::size_t m = sampler.proc_count();
+  const ScenarioSampler& sampler_;
+  const ReplayEngine& engine_;
+  std::size_t m_;
+  std::vector<double> drawn_;  // crash times, draw-major
+  std::vector<double> keys_;   // canonical forms
+};
+
+/// A wave's draws as dead-processor masks, for a UniformKSampler on
+/// m <= 64: every draw is a dead set, which is its own canonical form, so
+/// the mask is the draw, the key and the scenario at once.
+class MaskDraws {
+ public:
+  using Key = std::uint64_t;
+  using Cache = std::unordered_map<Key, ReplayRecord>;
+  using Misses = std::unordered_map<Key, std::size_t>;
+
+  MaskDraws(const UniformKSampler& sampler, std::size_t capacity)
+      : sampler_(sampler), m_(sampler.proc_count()), masks_(capacity) {}
+
+  ReplayEngine::Canonical draw(std::size_t i, Rng& stream,
+                               std::size_t& failed) {
+    masks_[i] = sampler_.sample_dead_mask(stream);
+    failed = static_cast<std::size_t>(std::popcount(masks_[i]));
+    return ReplayEngine::Canonical::kExact;
+  }
+  [[nodiscard]] Key key(std::size_t i) const { return masks_[i]; }
+  [[nodiscard]] static Key owned(Key key) { return key; }
+  void replay_representative(std::size_t /*i*/) {}  // never quantized
+  /// The row's first crash: 0 with a processor dead, else never.
+  [[nodiscard]] double first_crash(std::size_t i) const {
+    return masks_[i] != 0 ? 0.0 : kInf;
+  }
+  void set_scenario(std::size_t i, CrashScenario& scenario) const {
+    for (std::size_t p = 0; p < m_; ++p)
+      scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
+                              (masks_[i] >> p & 1) != 0 ? 0.0 : kInf);
+  }
+
+ private:
+  const UniformKSampler& sampler_;
+  std::size_t m_;
+  std::vector<std::uint64_t> masks_;
+};
+
+/// The wave loop of run_replay_range over one draw representation (RowDraws
+/// or MaskDraws); both resolve, replay and count every draw alike, so the
+/// records and the telemetry do not depend on which one ran.
+template <typename Draws, typename Sink>
+void run_waves(Draws& draws, const ReplayEngine& engine, Rng& master,
+               std::size_t m, std::size_t count, std::size_t threads,
+               CampaignTelemetry& telemetry, Sink& sink) {
+  obs::Registry& registry = obs::Registry::global();
+  obs::Histogram wave_seconds = registry.histogram("campaign.wave.seconds");
+
   const std::size_t capacity = std::min(kCampaignWave, count);
   WorkerGroup group(std::min(threads, (count + kDrawChunk - 1) / kDrawChunk));
   std::vector<std::uint64_t> seeds(capacity);  // split seed per draw
-  std::vector<double> drawn(capacity * m);     // crash times, draw-major
-  std::vector<double> keys(capacity * m);      // canonical forms
   std::vector<Lookup> lookups(capacity);
   // Double-buffered: the sink folds one while the next wave is drawn.
   std::vector<ReplayRecord> records[2] = {std::vector<ReplayRecord>(capacity),
                                           std::vector<ReplayRecord>(capacity)};
   // The record cache and the wave's bookkeeping are written by this thread
   // only, and never while a draw phase reads the cache.
-  RecordCache cache;
-  WaveMisses wave_misses;                // key -> first draw replaying it
+  typename Draws::Cache cache;
+  typename Draws::Misses wave_misses;    // key -> first draw replaying it
   std::vector<std::size_t> miss_draws;   // cacheable misses, in draw order
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (draw, source)
   std::vector<std::pair<double, std::size_t>> replays;  // (first crash, draw)
@@ -141,23 +173,15 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   std::atomic<std::size_t> next_draw{0};
   std::atomic<std::size_t> next_replay{0};
 
-  const auto row = [m](std::vector<double>& arena, std::size_t i) {
-    return std::span<double>(arena.data() + i * m, m);
-  };
   // One draw of the draw phase: sample, canonicalize and look up draw i.
   const auto draw = [&](ReplayRecord* out, std::size_t i) {
-    const std::span<double> times = row(drawn, i);
-    const std::span<double> key = row(keys, i);
     Rng stream(seeds[i]);
-    sampler.sample_into(stream, times);
     ReplayRecord record;
-    record.failed_count = static_cast<std::size_t>(std::count_if(
-        times.begin(), times.end(), [](double t) { return t < kInf; }));
-    const ReplayEngine::Canonical kind = engine->canonicalize(times, key);
+    const ReplayEngine::Canonical kind =
+        draws.draw(i, stream, record.failed_count);
     if (kind == ReplayEngine::Canonical::kUnique) {
       lookups[i] = Lookup::kUnique;
-    } else if (const auto hit = cache.find(std::span<const double>(key));
-               hit != cache.end()) {
+    } else if (const auto hit = cache.find(draws.key(i)); hit != cache.end()) {
       const std::size_t failed = record.failed_count;
       record = hit->second;
       record.failed_count = failed;
@@ -212,21 +236,16 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
           ++telemetry.memo_hits;
           continue;
         }
-        const auto [earlier, fresh] =
-            wave_misses.try_emplace(row(keys, i), i);
+        const auto [earlier, fresh] = wave_misses.try_emplace(draws.key(i), i);
         if (!fresh) {
           ++telemetry.memo_hits;
           copies.emplace_back(i, earlier->second);
           continue;
         }
         miss_draws.push_back(i);
-        // A quantized miss replays its representative in place of the draw.
-        if (lookup == Lookup::kQuantizedMiss) {
-          const std::span<double> key = row(keys, i);
-          std::copy(key.begin(), key.end(), row(drawn, i).begin());
-        }
+        if (lookup == Lookup::kQuantizedMiss) draws.replay_representative(i);
       }
-      replays.emplace_back(ReplayEngine::first_crash(row(drawn, i)), i);
+      replays.emplace_back(draws.first_crash(i), i);
     }
 
     // Misses run in (earliest crash, index) order: each slot takes the
@@ -246,11 +265,8 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
               next_replay.fetch_add(1, std::memory_order_relaxed);
           if (j >= replays.size()) break;
           const std::size_t i = replays[j].second;
-          const std::span<double> times = row(drawn, i);
-          for (std::size_t p = 0; p < m; ++p)
-            scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
-                                    times[p]);
-          set_outcome(out[i], engine->replay(scenario, scratch));
+          draws.set_scenario(i, scenario);
+          set_outcome(out[i], engine.replay(scenario, scratch));
         }
       });
     }
@@ -264,8 +280,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
         cache.clear();
         ++telemetry.memo_evictions;
       }
-      const std::span<double> key = row(keys, i);
-      cache.emplace(std::vector<double>(key.begin(), key.end()), out[i]);
+      cache.emplace(Draws::owned(draws.key(i)), out[i]);
     }
     wave_misses.clear();
     miss_draws.clear();
@@ -281,12 +296,93 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     wave_seconds.observe(wave_elapsed.count());
   }
   if (keep_going && unfolded_size > 0) (void)sink(unfolded, unfolded_size);
+  telemetry.memo_entries = cache.size();
+}
+
+/// Shared core of run_campaign and run_campaign_block: executes the
+/// contiguous replays [first, first + count) of the canonical scenario
+/// stream in bounded waves and hands each wave's records — in canonical
+/// replay order — to `sink(records, wave_size)` on the calling thread; a
+/// sink that returns false stops the range after its wave (the fold's
+/// early stop). The stream position is a function of (seed, first) alone:
+/// the master Rng is advanced one split per replay, so any block of any
+/// partition draws exactly the scenarios the full campaign would have
+/// drawn at those indices. The record-cache and execution-shape counters
+/// accumulate into `telemetry` as the range runs.
+///
+/// Each wave is a two-stage pipeline on one WorkerGroup. The draw phase
+/// samples, canonicalizes and looks up disjoint chunks of wave w on every
+/// slot against the cache, which no one writes during the phase, while
+/// slot 0 (this thread) first hands wave w − 1 to the sink. The serial
+/// step then walks wave w in draw order — in-wave duplicates, misses,
+/// telemetry — its misses replay in a second phase, and their records are
+/// copied and inserted in draw order. If the sink refused wave w − 1, wave
+/// w was speculative: it is dropped before anything of it is counted.
+///
+/// A UniformKSampler on m <= 64 draws only dead sets, so its draws travel
+/// as 64-bit masks (MaskDraws); every other campaign carries rows.
+template <typename Sink>
+void run_replay_range(const Schedule& schedule, const CostModel& costs,
+                      const ScenarioSampler& sampler,
+                      const CampaignOptions& options, std::size_t first,
+                      std::size_t count, CampaignTelemetry& telemetry,
+                      Sink&& sink) {
+  CAFT_CHECK_MSG(sampler.proc_count() == schedule.platform().proc_count(),
+                 "sampler platform size does not match the schedule");
+  CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
+  CAFT_CHECK_MSG(options.theta_bucket_width >= 0.0 &&
+                     !std::isnan(options.theta_bucket_width),
+                 "theta bucket width must be non-negative");
+
+  const std::size_t threads =
+      std::max<std::size_t>(1, options.threads == 0 ? default_thread_count()
+                                                    : options.threads);
+
+  // Observability is strictly write-only from here on: when the global
+  // registry is disabled (the default) every call below is a relaxed load
+  // plus a branch, and nothing it records ever feeds back into a replay.
+  obs::Span range_span = obs::Registry::global().span("campaign.range");
+  const std::chrono::steady_clock::time_point range_begin =
+      std::chrono::steady_clock::now();
+
+  // The prefix-cached engine is built once per campaign and shared
+  // read-only by every worker (each worker owns its Scratch). A caller may
+  // supply it prebuilt (the campaign server's cached replay template, the
+  // same build_campaign_engine result), but it must canonicalize exactly
+  // as this campaign asks.
+  const ReplayEngine* engine = options.prebuilt_engine;
+  std::unique_ptr<const ReplayEngine> owned_engine;
+  if (engine == nullptr) {
+    owned_engine =
+        build_campaign_engine(schedule, costs, options.theta_bucket_width);
+    engine = owned_engine.get();
+  } else {
+    CAFT_CHECK_MSG(
+        engine->options().theta_bucket_width == options.theta_bucket_width,
+        "prebuilt engine was built with a different theta_bucket_width than "
+        "the campaign");
+  }
+
+  Rng master(options.seed);
+  // Fast-forward to replay `first`: exactly one split per earlier replay —
+  // the sampler draws from the split stream, never from the master.
+  for (std::size_t i = 0; i < first; ++i) (void)master.split_seed();
+
+  const std::size_t m = sampler.proc_count();
+  const std::size_t capacity = std::min(kCampaignWave, count);
+  const auto* uniform = dynamic_cast<const UniformKSampler*>(&sampler);
+  if (uniform != nullptr && m <= 64) {
+    MaskDraws draws(*uniform, capacity);
+    run_waves(draws, *engine, master, m, count, threads, telemetry, sink);
+  } else {
+    RowDraws draws(sampler, *engine, capacity);
+    run_waves(draws, *engine, master, m, count, threads, telemetry, sink);
+  }
 
   const std::chrono::duration<double> range_elapsed =
       std::chrono::steady_clock::now() - range_begin;
   range_span.finish();
 
-  telemetry.memo_entries = cache.size();
   telemetry.snapshots = engine->snapshot_count();
   telemetry.workers = threads;
   telemetry.wall_seconds = range_elapsed.count();

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -70,6 +71,11 @@ class UniformKSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   void sample_into(Rng& rng, std::span<double> times) const override;
+
+  /// The same draw as a dead-processor mask: bit p is set iff sample_into
+  /// would write 0 at p. It makes exactly sample_into's Rng calls, so the
+  /// stream ends where sample_into leaves it. Needs proc_count() <= 64.
+  [[nodiscard]] std::uint64_t sample_dead_mask(Rng& rng) const;
 
  private:
   std::size_t proc_count_;

@@ -198,6 +198,32 @@ TEST(ScenarioSamplers, DrawsArePinned) {
   }
 }
 
+// A uniform-k campaign on m <= 64 draws dead masks instead of rows; every
+// report keeps its bytes only if the mask is the row's zero set and the
+// two draws leave their streams at the same place.
+TEST(ScenarioSamplers, DeadMaskIsTheRowDraw) {
+  for (const std::size_t m : {1u, 10u, 64u}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, m / 2, m}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k);
+      const UniformKSampler sampler(m, k);
+      std::vector<double> times(m);
+      for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+        Rng row_stream(seed);
+        Rng mask_stream(seed);
+        sampler.sample_into(row_stream, times);
+        const std::uint64_t mask = sampler.sample_dead_mask(mask_stream);
+        std::uint64_t zeros = 0;
+        for (std::size_t p = 0; p < m; ++p)
+          if (times[p] == 0.0) zeros |= std::uint64_t{1} << p;
+        ASSERT_EQ(mask, zeros) << "seed " << seed;
+        ASSERT_EQ(row_stream(), mask_stream()) << "seed " << seed;
+      }
+    }
+  }
+  Rng rng(1);
+  EXPECT_THROW((void)UniformKSampler(65, 1).sample_dead_mask(rng), CheckError);
+}
+
 TEST(ScenarioSamplers, RejectsBadParameters) {
   EXPECT_THROW(UniformKSampler(4, 5), CheckError);
   EXPECT_THROW(ExponentialLifetimeSampler(4, 0.0), CheckError);
