@@ -34,14 +34,12 @@ TaskStep CaftMapper::begin_task(TaskId t) const {
   return step;
 }
 
-bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
+bool CaftMapper::build_channel(const TaskStep& step, ProcId p,
                                bool use_one_to_one, ChannelCandidate& out) {
-  if (!relaxed && (support_of(p) & step.locked) != 0) return false;
-  if (relaxed && hosts_replica_of(step.task, step.committed, p)) return false;
+  if ((support_of(p) & step.locked) != 0) return false;
   out.proc = p;
   out.support = support_of(p);
   out.receive_all_edges = 0;
-  out.relaxed = relaxed;
 
   // Support budget: every replica still to be placed after this one needs at
   // least one unlocked processor for its host (a pure receive-from-all
@@ -57,12 +55,8 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
   const std::size_t remaining = replicas() - step.committed - 1;
   std::size_t budget =
       unlocked > remaining ? unlocked - remaining : 0;  // host included
-  if (!relaxed) {
-    if (budget == 0) return false;  // later replicas would starve
-    budget -= 1;                    // the host itself
-  }
-
-  const bool one_to_one = use_one_to_one && !relaxed;
+  if (budget == 0) return false;  // later replicas would starve
+  budget -= 1;                    // the host itself
   // One plan slot per in-edge, refilled in place: the slots and their
   // sender lists keep their capacity from one candidate to the next.
   const auto in_edges = graph_.in_edges(step.task);
@@ -96,37 +90,35 @@ bool CaftMapper::build_channel(const TaskStep& step, ProcId p, bool relaxed,
           std::popcount(sender_support & ~(out.support | step.locked)));
     };
 
-    if (!relaxed) {
-      // (a) A co-located predecessor replica with an unlocked support serves
-      // alone — the intra-processor rule (Section 6 note), applied even when
-      // one-to-one is disabled (FTSA uses the same rule). Its support may
-      // overlap the channel's own accumulated support freely: sharing
-      // *within* a channel is harmless, only sharing across channels breaks
-      // Proposition 5.2. The host mask skips the scan when no replica of
-      // the predecessor is on p, the usual case.
-      auto colocated = static_cast<ReplicaIndex>(replicas());
-      const bool hosted =
-          (schedule_.host_mask(pred) & Schedule::host_bit(p)) != 0;
-      for (ReplicaIndex r = 0; hosted && r < replicas(); ++r) {
-        const ReplicaAssignment& a = schedule_.replica(pred, r);
-        if (a.proc != p) continue;
-        if ((supports_.get(pred, r) & step.locked) != 0) continue;
-        if (support_cost(supports_.get(pred, r)) > budget) continue;
-        if (colocated == replicas() ||
-            a.finish < schedule_.replica(pred, colocated).finish)
-          colocated = r;
-      }
-      if (colocated != static_cast<ReplicaIndex>(replicas())) {
-        const ReplicaAssignment& a = schedule_.replica(pred, colocated);
-        plan.senders.push_back(
-            SenderOption{ReplicaRef{pred, colocated}, a.proc, a.finish});
-        budget -= support_cost(supports_.get(pred, colocated));
-        out.support |= supports_.get(pred, colocated);
-        continue;
-      }
+    // (a) A co-located predecessor replica with an unlocked support serves
+    // alone — the intra-processor rule (Section 6 note), applied even when
+    // one-to-one is disabled (FTSA uses the same rule). Its support may
+    // overlap the channel's own accumulated support freely: sharing
+    // *within* a channel is harmless, only sharing across channels breaks
+    // Proposition 5.2. The host mask skips the scan when no replica of the
+    // predecessor is on p, the usual case.
+    auto colocated = static_cast<ReplicaIndex>(replicas());
+    const bool hosted =
+        (schedule_.host_mask(pred) & Schedule::host_bit(p)) != 0;
+    for (ReplicaIndex r = 0; hosted && r < replicas(); ++r) {
+      const ReplicaAssignment& a = schedule_.replica(pred, r);
+      if (a.proc != p) continue;
+      if ((supports_.get(pred, r) & step.locked) != 0) continue;
+      if (support_cost(supports_.get(pred, r)) > budget) continue;
+      if (colocated == replicas() ||
+          a.finish < schedule_.replica(pred, colocated).finish)
+        colocated = r;
+    }
+    if (colocated != static_cast<ReplicaIndex>(replicas())) {
+      const ReplicaAssignment& a = schedule_.replica(pred, colocated);
+      plan.senders.push_back(
+          SenderOption{ReplicaRef{pred, colocated}, a.proc, a.finish});
+      budget -= support_cost(supports_.get(pred, colocated));
+      out.support |= supports_.get(pred, colocated);
+      continue;
     }
 
-    if (one_to_one) {
+    if (use_one_to_one) {
       // (b) The eligible replica whose communication would finish first on
       // the links (Algorithm 5.2 line 3's sort key). Eligibility = support
       // disjoint from the locked set P̄, so a sender consumed by an earlier
@@ -199,9 +191,6 @@ const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step) {
   // next candidate.
   ChannelCandidate& best = best_;
   ChannelCandidate& candidate = candidate_;
-  // Preferred pass honours the lock; if every processor is locked (wide
-  // transitive supports), fall back to the space-exclusion minimum.
-  //
   // Each processor is evaluated adaptively: with one-to-one channels and
   // with the plain receive-from-all plan. One-to-one saves messages but
   // binds the replica to one sender per edge; under heavy replication on a
@@ -238,67 +227,65 @@ const ChannelCandidate& CaftMapper::best_candidate(const TaskStep& step) {
               return a.floor != b.floor ? a.floor < b.floor : a.proc < b.proc;
             });
 
-  for (const bool relaxed : {false, true}) {
-    bool found = false;
-    bool best_is_one_to_one = false;
-    std::size_t best_senders = 0;
-    for (const bool use_one_to_one : {options_->one_to_one, false}) {
-      const auto beats_best = [&](double finish, std::size_t senders,
-                                  ProcId p) {
-        if (!found) return true;
-        if (use_one_to_one == best_is_one_to_one)
-          return finish < best.times.finish ||
-                 (finish == best.times.finish &&
-                  (senders < best_senders ||
-                   (senders == best_senders && p < best.proc)));
-        // Crossing from the one-to-one pass into the receive-all pass:
-        // demand a clear win.
-        return finish < best.times.finish * (1.0 - kReceiveAllMargin);
-      };
-      // True once no finish at or above `floor` can beat the best so far;
-      // the best only improves, so it stays true for the larger floors.
-      const auto out_of_reach = [&](double floor) {
-        if (!found) return false;
-        if (use_one_to_one == best_is_one_to_one)
-          return floor > best.times.finish;
-        return floor >= best.times.finish * (1.0 - kReceiveAllMargin);
-      };
-      std::size_t next = 0;
-      for (; next < order_.size() && !out_of_reach(order_[next].floor);
-           ++next) {
-        const ProcId p = order_[next].proc;
-        if (!build_channel(step, p, relaxed, use_one_to_one, candidate))
-          continue;
-        candidate.times = placer_.evaluate(step.task, p, candidate.plans);
-        if (stats_ != nullptr) ++stats_->evaluations;
-        const std::size_t senders = sender_count(candidate);
-        if (beats_best(candidate.times.finish, senders, p)) {
-          std::swap(best, candidate);
-          best_senders = senders;
-          best_is_one_to_one = use_one_to_one;
-          found = true;
-        }
+  bool found = false;
+  bool best_is_one_to_one = false;
+  std::size_t best_senders = 0;
+  for (const bool use_one_to_one : {options_->one_to_one, false}) {
+    const auto beats_best = [&](double finish, std::size_t senders,
+                                ProcId p) {
+      if (!found) return true;
+      if (use_one_to_one == best_is_one_to_one)
+        return finish < best.times.finish ||
+               (finish == best.times.finish &&
+                (senders < best_senders ||
+                 (senders == best_senders && p < best.proc)));
+      // Crossing from the one-to-one pass into the receive-all pass:
+      // demand a clear win.
+      return finish < best.times.finish * (1.0 - kReceiveAllMargin);
+    };
+    // True once no finish at or above `floor` can beat the best so far;
+    // the best only improves, so it stays true for the larger floors.
+    const auto out_of_reach = [&](double floor) {
+      if (!found) return false;
+      if (use_one_to_one == best_is_one_to_one)
+        return floor > best.times.finish;
+      return floor >= best.times.finish * (1.0 - kReceiveAllMargin);
+    };
+    std::size_t next = 0;
+    for (; next < order_.size() && !out_of_reach(order_[next].floor);
+         ++next) {
+      const ProcId p = order_[next].proc;
+      if (!build_channel(step, p, use_one_to_one, candidate)) continue;
+      candidate.times = placer_.evaluate(step.task, p, candidate.plans);
+      if (stats_ != nullptr) ++stats_->evaluations;
+      const std::size_t senders = sender_count(candidate);
+      if (beats_best(candidate.times.finish, senders, p)) {
+        std::swap(best, candidate);
+        best_senders = senders;
+        best_is_one_to_one = use_one_to_one;
+        found = true;
       }
-      if (floor_check_ != nullptr) {
-        for (; next < order_.size(); ++next) {
-          const ProcId p = order_[next].proc;
-          if (!build_channel(step, p, relaxed, use_one_to_one, candidate))
-            continue;
-          candidate.times = placer_.evaluate(step.task, p, candidate.plans);
-          CAFT_CHECK_MSG(order_[next].floor <= candidate.times.finish,
-                         "a trial placement finished below its floor");
-          CAFT_CHECK_MSG(!beats_best(candidate.times.finish,
-                                     sender_count(candidate), p),
-                         "the floor skipped a better channel");
-          ++floor_check_->skipped;
-        }
-      }
-      if (!options_->one_to_one) break;  // both passes identical
     }
-    if (found) return best;
+    if (floor_check_ != nullptr) {
+      for (; next < order_.size(); ++next) {
+        const ProcId p = order_[next].proc;
+        if (!build_channel(step, p, use_one_to_one, candidate)) continue;
+        candidate.times = placer_.evaluate(step.task, p, candidate.plans);
+        CAFT_CHECK_MSG(order_[next].floor <= candidate.times.finish,
+                       "a trial placement finished below its floor");
+        CAFT_CHECK_MSG(!beats_best(candidate.times.finish,
+                                   sender_count(candidate), p),
+                       "the floor skipped a better channel");
+        ++floor_check_->skipped;
+      }
+    }
+    if (!options_->one_to_one) break;  // both passes identical
   }
-  CAFT_CHECK_MSG(false, "no processor available for a replica");
-  return best;  // unreachable
+  // The support budget leaves every later replica an unlocked host:
+  // replica r sees at least ε + 1 − r unlocked processors and its channel
+  // locks at most all but ε − r of them, so an unlocked p always builds.
+  CAFT_CHECK_MSG(found, "no unlocked host for a replica");
+  return best;
 }
 
 double CaftMapper::peek_next_finish(const TaskStep& step) {
@@ -334,13 +321,11 @@ void CaftMapper::commit_candidate(TaskStep& step,
   ++step.committed;
   step.first_finish = std::min(step.first_finish, times.finish);
   if (stats_ != nullptr) {
-    if (candidate.receive_all_edges == 0 && options_->one_to_one &&
-        !candidate.relaxed)
+    if (candidate.receive_all_edges == 0 && options_->one_to_one)
       ++stats_->one_to_one_commits;
     else
       ++stats_->fallback_commits;
     stats_->per_edge_fallbacks += candidate.receive_all_edges;
-    if (candidate.relaxed) ++stats_->lock_exhaustions;
   }
 }
 
@@ -352,13 +337,6 @@ void CaftMapper::finish_task(const TaskStep& step) {
 Schedule CaftMapper::take_schedule() {
   CAFT_CHECK(schedule_.complete());
   return std::move(schedule_);
-}
-
-bool CaftMapper::hosts_replica_of(TaskId t, std::size_t committed,
-                                  ProcId p) const {
-  for (ReplicaIndex r = 0; r < committed; ++r)
-    if (schedule_.replica(t, r).proc == p) return true;
-  return false;
 }
 
 }  // namespace internal
@@ -398,8 +376,6 @@ Schedule run_caft(const TaskGraph& graph, const Platform& platform,
         .add(stats->fallback_commits);
     registry.counter("caft.replication.per_edge_fallbacks")
         .add(stats->per_edge_fallbacks);
-    registry.counter("caft.replication.lock_exhaustions")
-        .add(stats->lock_exhaustions);
   }
   return mapper.take_schedule();
 }

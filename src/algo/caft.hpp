@@ -35,8 +35,6 @@ struct CaftRunStats {
   std::size_t fallback_commits = 0;    ///< replicas placed receive-from-all
   std::size_t per_edge_fallbacks = 0;  ///< edges inside a channel that had to
                                        ///< receive from all replicas
-  std::size_t lock_exhaustions = 0;    ///< placements that had to relax the
-                                       ///< locked-processor constraint
   std::size_t evaluations = 0;  ///< trial placements the channel search ran
 };
 

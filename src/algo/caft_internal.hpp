@@ -50,7 +50,6 @@ struct ChannelCandidate {
   std::vector<IncomingPlan> plans;
   SupportMask support = 0;
   std::size_t receive_all_edges = 0;  ///< edges that needed extra comms
-  bool relaxed = false;  ///< built by the lock-exhausted pass
 };
 
 /// How many trial placements one CAFT run made and how many processors its
@@ -109,18 +108,17 @@ class CaftMapper {
     return schedule_.platform().proc_count();
   }
 
-  /// Builds the channel targeting `p`; false iff `p` itself is locked.
-  /// `relaxed` drops the lock constraints entirely (used when every
-  /// processor is locked): all edges receive from every replica. The
-  /// channel records which rule built it.
+  /// Builds the channel targeting `p`; false iff `p` itself is locked or
+  /// hosting it would leave a later replica no unlocked host.
   /// `use_one_to_one` toggles single-sender selection (case (b)); the
   /// intra-processor rule (case (a)) applies either way.
-  bool build_channel(const TaskStep& step, ProcId p, bool relaxed,
-                     bool use_one_to_one, ChannelCandidate& out);
+  bool build_channel(const TaskStep& step, ProcId p, bool use_one_to_one,
+                     ChannelCandidate& out);
 
-  /// Best channel over all processors under the lock; if no processor is
-  /// available, retries with the relaxed rule. Always succeeds. The result
-  /// lives in the mapper and stays valid until the next call.
+  /// Best channel over all unlocked processors. Always succeeds: the
+  /// support budget of build_channel keeps an unlocked host for every
+  /// replica (a CAFT_CHECK says so). The result lives in the mapper and
+  /// stays valid until the next call.
   ///
   /// Processors are visited in ascending (finish floor, id) order, and a
   /// pass stops at the first floor that cannot beat the best channel so
@@ -132,10 +130,6 @@ class CaftMapper {
   const ChannelCandidate& best_candidate(const TaskStep& step);
 
   void commit_candidate(TaskStep& step, const ChannelCandidate& candidate);
-
-  /// True iff an already-placed replica of `t` occupies `p`.
-  [[nodiscard]] bool hosts_replica_of(TaskId t, std::size_t committed,
-                                      ProcId p) const;
 
   /// One processor of best_candidate()'s visit order.
   struct ProcFloor {

@@ -34,6 +34,7 @@ void TaskGraph::add_edge(TaskId src, TaskId dst, double volume) {
   CAFT_CHECK_MSG(!has_edge(src, dst), "duplicate edge");
   const auto e = static_cast<EdgeIndex>(edges_.size());
   edges_.push_back(Edge{src, dst, volume});
+  in_position_.push_back(static_cast<std::uint32_t>(in_[dst.index()].size()));
   out_[src.index()].push_back(e);
   in_[dst.index()].push_back(e);
 }

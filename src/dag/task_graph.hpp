@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,6 +71,14 @@ class TaskGraph {
     return out_[t.index()];
   }
 
+  /// Position of edge `e` among its target's in-edges:
+  /// in_edges(edge(e).dst)[in_position(e)] == e. Recorded when the edge is
+  /// added, so a comm finds its input slot without a search.
+  [[nodiscard]] std::size_t in_position(EdgeIndex e) const {
+    CAFT_CHECK(e < in_position_.size());
+    return in_position_[e];
+  }
+
   [[nodiscard]] std::size_t in_degree(TaskId t) const { return in_edges(t).size(); }
   [[nodiscard]] std::size_t out_degree(TaskId t) const { return out_edges(t).size(); }
 
@@ -96,6 +105,7 @@ class TaskGraph {
  private:
   std::vector<std::string> names_;
   std::vector<Edge> edges_;
+  std::vector<std::uint32_t> in_position_;  ///< per edge, see in_position()
   std::vector<std::vector<EdgeIndex>> in_;
   std::vector<std::vector<EdgeIndex>> out_;
 };

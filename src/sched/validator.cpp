@@ -113,13 +113,12 @@ ValidationResult validate_schedule(const Schedule& schedule,
     first_slot[t.index() + 1] = first_slot[t.index()] +
                                 schedule.total_replicas(t) * g.in_degree(t);
   std::vector<bool> fed(first_slot.back(), false);
+  // Schedule::add_comm checks that a comm's edge enters its target.
   for (const CommAssignment& c : schedule.comms()) {
-    const auto in = g.in_edges(c.to.task);
-    const auto pos = static_cast<std::size_t>(
-        std::find(in.begin(), in.end(), c.edge) - in.begin());
     if (c.times.arrival <=
         schedule.replica(c.to.task, c.to.replica).start + tolerance)
-      fed[first_slot[c.to.task.index()] + c.to.replica * in.size() + pos] =
+      fed[first_slot[c.to.task.index()] +
+          c.to.replica * g.in_degree(c.to.task) + g.in_position(c.edge)] =
           true;
   }
   for (const TaskId t : g.all_tasks()) {

@@ -275,13 +275,12 @@ void Replay::build_ops() {
   }
   for (std::size_t ci = 0; ci < schedule_.comms().size(); ++ci) {
     const CommAssignment& c = schedule_.comms()[ci];
-    const auto in = g.in_edges(c.to.task);
-    const auto pos = std::find(in.begin(), in.end(), c.edge) - in.begin();
-    CAFT_CHECK(static_cast<std::size_t>(pos) < in.size());
+    const std::size_t pos = g.in_position(c.edge);
+    CAFT_CHECK(pos < g.in_degree(c.to.task) &&
+               g.in_edges(c.to.task)[pos] == c.edge);
     CAFT_CHECK(comm_to_op[ci] != kNone);
-    exec_inputs_[exec_op_[c.to.task.index()][c.to.replica]]
-                [static_cast<std::size_t>(pos)]
-                    .push_back(comm_to_op[ci]);
+    exec_inputs_[exec_op_[c.to.task.index()][c.to.replica]][pos].push_back(
+        comm_to_op[ci]);
   }
 }
 

@@ -214,17 +214,11 @@ void ReplayEngine::build_template() {
   for (std::uint32_t e = 0; e < execs; ++e)
     std::fill(slot_exec_.begin() + ops_[e].slot_begin,
               slot_exec_.begin() + ops_[e + 1].slot_begin, e);
-  // Each edge's position among its target's in-edges: a comm's slot offset.
-  std::vector<std::uint32_t> in_position(g.edge_count());
-  for (const TaskId t : g.all_tasks()) {
-    const auto in = g.in_edges(t);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      in_position[in[i]] = static_cast<std::uint32_t>(i);
-  }
+  // A comm's slot offset is its edge's position among the target's in-edges.
   const auto slot_of = [&](const CommAssignment& c) {
     CAFT_CHECK(g.edge(c.edge).dst == c.to.task);
     return ops_[exec_op(c.to.task.index(), c.to.replica)].slot_begin +
-           in_position[c.edge];
+           static_cast<std::uint32_t>(g.in_position(c.edge));
   };
   slot_input_begin_.assign(slot_count + 1, 0);
   for (const CommAssignment& c : schedule_->comms())

@@ -49,6 +49,23 @@ TEST(TaskGraph, EdgesAndDegrees) {
   EXPECT_DOUBLE_EQ(g.total_volume(), 60.0);
 }
 
+TEST(TaskGraph, InPositionIndexesTheTargetsInEdges) {
+  TaskGraph g;
+  const TaskId a = g.add_task();
+  const TaskId b = g.add_task();
+  const TaskId c = g.add_task();
+  const TaskId d = g.add_task();
+  g.add_edge(a, d, 1.0);
+  g.add_edge(a, b, 1.0);
+  g.add_edge(c, d, 1.0);
+  g.add_edge(b, d, 1.0);
+  g.add_edge(b, c, 1.0);
+  for (EdgeIndex e = 0; e < g.edge_count(); ++e)
+    EXPECT_EQ(g.in_edges(g.edge(e).dst)[g.in_position(e)], e) << "edge " << e;
+  EXPECT_EQ(g.in_position(3), 2u);  // b -> d, d's third in-edge
+  EXPECT_THROW((void)g.in_position(5), CheckError);
+}
+
 TEST(TaskGraph, HasEdgeAndVolume) {
   TaskGraph g;
   const TaskId a = g.add_task();
