@@ -42,9 +42,14 @@
 ///
 /// Record cache: a draw whose scenario has a canonical form
 /// (ReplayEngine::canonicalize — a dead-from-start set, or θ-quantized
-/// crash times) is looked up in one bounded cache, keyed by the canonical
-/// crash-time vector. The draw phase only reads it, from every slot; a hit
-/// copies the cached record. After the phase the calling thread walks the
+/// crash times) is looked up in one bounded cache. A UniformKSampler on
+/// m <= 64 draws only dead sets, so its draws are 64-bit dead-processor
+/// masks from the sampler on, and the cache is keyed by the mask; every
+/// other campaign (θ draws, m > 64) carries crash-time rows and keys the
+/// cache by the canonical row (RecordCache). Both keep the same capacity
+/// and clear-and-refill policy, so the telemetry is the same either way.
+/// The draw phase only reads the cache, from every slot; a hit copies the
+/// cached record. After the phase the calling thread walks the
 /// wave in draw order: a miss whose key an earlier miss of the same wave
 /// holds copies that miss's record, and the remaining misses are replayed,
 /// ordered by earliest crash time (the longest replays first) and taken
@@ -168,8 +173,8 @@ struct CrashTimesEqual {
   }
 };
 
-/// The record cache (see "Record cache" above): canonical crash-time
-/// vector -> record, looked up by span.
+/// The record cache of a row-carrying campaign (see "Record cache" above):
+/// canonical crash-time vector -> record, looked up by span.
 using RecordCache = std::unordered_map<std::vector<double>, ReplayRecord,
                                        CrashTimesHash, CrashTimesEqual>;
 

@@ -66,11 +66,13 @@ std::uint64_t UniformKSampler::sample_dead_mask(Rng& rng) const {
   CAFT_CHECK_MSG(proc_count_ <= 64, "a dead mask holds at most 64 processors");
   // Rng::sample_without_replacement's partial Fisher–Yates, on a local pool.
   std::array<std::uint8_t, 64> pool;
-  std::iota(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(proc_count_),
+  std::iota(pool.begin(),
+            pool.begin() + static_cast<std::ptrdiff_t>(proc_count_),
             std::uint8_t{0});
   std::uint64_t mask = 0;
   for (std::size_t i = 0; i < failures_; ++i) {
-    const auto j = static_cast<std::size_t>(rng.uniform_int(i, proc_count_ - 1));
+    const auto j =
+        static_cast<std::size_t>(rng.uniform_int(i, proc_count_ - 1));
     std::swap(pool[i], pool[j]);
     mask |= std::uint64_t{1} << pool[i];
   }

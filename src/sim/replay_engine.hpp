@@ -45,7 +45,9 @@
 ///     caller can key a result cache on it: this is prefix caching taken to
 ///     its limit — at θ = 0 the shared prefix is empty, but the branch space
 ///     itself is finite. The campaign executor keeps one such cache
-///     (campaign/campaign.hpp, RecordCache).
+///     (campaign/campaign.hpp, "Record cache"): keyed by the dead-processor
+///     mask for uniform-k draws on m <= 64, whose canonical form is just
+///     the dead set, and by the canonical row (RecordCache) for θ draws.
 ///  4. **θ-quantization.** With a positive `theta_bucket_width`,
 ///     `canonicalize` also covers crash-at-θ scenarios: every finite
 ///     positive crash time snaps to the midpoint of its bucket, and the

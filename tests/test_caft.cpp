@@ -213,26 +213,27 @@ TEST(CaftFloorBound, HoldsUnderEveryChannelRule) {
 }
 
 TEST(Caft, EveryReplicaFindsAnUnlockedHost) {
-  // ε = m − 1 leaves no processor to spare, and a 2-processor star routes
-  // every message through the hub: the tightest locking there is. The
-  // channel search CAFT_CHECKs that each replica still finds an unlocked
-  // host, under every channel rule and both support modes.
+  // ε = m − 1 leaves no processor to spare, ε = m / 2 leaves room for wide
+  // channels, and a 2-processor star routes every message through the
+  // hub. The channel search CAFT_CHECKs that each replica still finds an
+  // unlocked host, under every channel rule and both support modes.
   for (const std::size_t m : {2u, 4u, 8u})
-    for (Topology (*topology)(std::size_t) :
-         {&Topology::clique, &Topology::ring, &Topology::star})
-      for (const bool one_to_one : {true, false})
-        for (const CaftSupportMode mode :
-             {CaftSupportMode::kDirect, CaftSupportMode::kTransitive})
-          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-            const Scenario s = test::topology_setup(seed, topology(m), 0.6);
-            CaftOptions options =
-                options_for(m - 1, CommModelKind::kOnePort, one_to_one);
-            options.support_mode = mode;
-            const Schedule sched = internal::caft_schedule_checked(
-                s.graph, *s.platform, *s.costs, options);
-            EXPECT_TRUE(validate_schedule(sched, *s.costs).ok())
-                << "m=" << m << " seed=" << seed;
-          }
+    for (const std::size_t eps : {m / 2, m - 1})
+      for (Topology (*topology)(std::size_t) :
+           {&Topology::clique, &Topology::ring, &Topology::star})
+        for (const bool one_to_one : {true, false})
+          for (const CaftSupportMode mode :
+               {CaftSupportMode::kDirect, CaftSupportMode::kTransitive})
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+              const Scenario s = test::topology_setup(seed, topology(m), 0.6);
+              CaftOptions options =
+                  options_for(eps, CommModelKind::kOnePort, one_to_one);
+              options.support_mode = mode;
+              const Schedule sched = internal::caft_schedule_checked(
+                  s.graph, *s.platform, *s.costs, options);
+              EXPECT_TRUE(validate_schedule(sched, *s.costs).ok())
+                  << "m=" << m << " eps=" << eps << " seed=" << seed;
+            }
 }
 
 TEST(CaftFloorBound, AFinishTieAtTheFloorIsStillVisited) {
